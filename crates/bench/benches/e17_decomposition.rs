@@ -3,33 +3,28 @@
 //! Series: visited-image counts and wall-clock for the same exact
 //! evaluation on the E1-style join workload as the vocabulary grows a
 //! tail of *free* constants (in no fact, no uniqueness axiom, unmentioned
-//! by the query). Three routes: the decomposed kernel walk (default —
-//! one canonical image per core kernel and null-block count), the classic
-//! undecomposed kernel walk (`decompose(false)`), and the raw
-//! Theorem-1-verbatim mapping walk. Every free constant multiplies the
-//! classic and raw counts; the decomposed count stays pinned at
-//! `core kernels × (cap + 1)`, which is where the sub-exponential claim
-//! is measured.
+//! by the query). Every free constant multiplies the kernel count; the
+//! walk's visited-image count stays pinned at `core kernels × (cap + 1)`,
+//! which is where the sub-exponential claim is measured.
 //!
-//! Asserted here, not just measured: all three routes return bit-identical
-//! answers, `evaluated + pruned` covers the kernel space exactly, and at
-//! the widest point the decomposed walk visits ≥10× fewer images than the
-//! classic full enumeration.
+//! Asserted here, not just measured, from `Evidence` alone:
+//! `evaluated + pruned` covers the kernel space exactly, and at the widest
+//! point the walk visits ≥10× fewer images than there are kernels (what a
+//! one-image-per-kernel enumeration would pay). That the answers are the
+//! certain answers is `tests/decomposition_differential.rs`' job.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qld_bench::{fmt_duration, print_header, print_row, scaling_query, sparse_null_db, time_once};
 use qld_core::mappings::count_kernel_mappings;
-use qld_engine::{Engine, MappingStrategy, Semantics};
+use qld_engine::{Engine, Semantics};
 use std::time::Duration;
 
 const N_CORE: usize = 6;
 const FREE_SWEEP: [usize; 5] = [0, 1, 2, 3, 4];
 
-fn engine_with(db: &qld_core::CwDatabase, strategy: MappingStrategy, decompose: bool) -> Engine {
+fn exact_engine(db: &qld_core::CwDatabase) -> Engine {
     Engine::builder(db.clone())
         .semantics(Semantics::Exact)
-        .mapping_strategy(strategy)
-        .decompose(decompose)
         .corollary2_fast_path(false)
         // Measure the enumeration, not answer-cache hits.
         .answer_cache(false)
@@ -38,7 +33,7 @@ fn engine_with(db: &qld_core::CwDatabase, strategy: MappingStrategy, decompose: 
 
 fn print_series() {
     println!(
-        "\nE17: free-null decomposition — visited images vs full enumeration (query: certain join)"
+        "\nE17: free-null decomposition — visited images vs kernel count (query: certain join)"
     );
     print_header(&[
         "free",
@@ -46,39 +41,22 @@ fn print_series() {
         "visited",
         "pruned",
         "comps",
-        "t(decomp)",
-        "t(classic)",
+        "t(walk)",
         "reduction",
     ]);
     for m_free in FREE_SWEEP {
         let db = sparse_null_db(N_CORE, m_free, 42);
         // The `∨ z = z` wrapper keeps every tuple certain, so early exit
-        // never fires and both walks report their full deterministic
-        // totals (same trick as E10).
+        // never fires and the walk reports its full deterministic total
+        // (same trick as E10).
         let q = scaling_query(&db);
-        let decomp = engine_with(&db, MappingStrategy::Kernels, true);
-        let classic = engine_with(&db, MappingStrategy::Kernels, false);
-        let pd = decomp.prepare(q.clone()).unwrap();
-        let pc = classic.prepare(q.clone()).unwrap();
-        let (a, t_decomp) = time_once(|| decomp.execute(&pd).unwrap());
-        let (b, t_classic) = time_once(|| classic.execute(&pc).unwrap());
-        assert_eq!(
-            a.tuples(),
-            b.tuples(),
-            "decomposition must not change answers"
-        );
-        assert!(
-            a.is_exact() && b.is_exact(),
-            "both walks certify exact answers"
-        );
+        let engine = exact_engine(&db);
+        let prepared = engine.prepare(q).unwrap();
+        let (a, t_walk) = time_once(|| engine.execute(&prepared).unwrap());
+        assert!(a.is_exact(), "the walk certifies exact answers");
         let kernels = count_kernel_mappings(&db);
         let visited = a.evidence().mappings_evaluated;
         let pruned = a.evidence().mappings_pruned;
-        assert_eq!(
-            b.evidence().mappings_evaluated,
-            kernels,
-            "classic walk visits the whole kernel space"
-        );
         assert_eq!(
             visited + pruned,
             kernels,
@@ -100,21 +78,10 @@ fn print_series() {
             visited.to_string(),
             pruned.to_string(),
             a.evidence().components.to_string(),
-            fmt_duration(t_decomp),
-            fmt_duration(t_classic),
+            fmt_duration(t_walk),
             format!("{reduction:.1}x"),
         ]);
     }
-
-    // The raw Theorem-1-verbatim walk agrees too (small sizes only — its
-    // count grows by a |C|+e factor per free constant).
-    let db = sparse_null_db(4, 2, 42);
-    let q = scaling_query(&db);
-    let decomp = engine_with(&db, MappingStrategy::Kernels, true);
-    let raw = engine_with(&db, MappingStrategy::RawMappings, false);
-    let a = decomp.execute(&decomp.prepare(q.clone()).unwrap()).unwrap();
-    let b = raw.execute(&raw.prepare(q).unwrap()).unwrap();
-    assert_eq!(a.tuples(), b.tuples(), "raw mapping walk must agree");
 }
 
 fn bench(c: &mut Criterion) {
@@ -126,16 +93,10 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(900));
     for m_free in [2usize, 4] {
         let db = sparse_null_db(N_CORE, m_free, 42);
-        let q = scaling_query(&db);
-        let decomp = engine_with(&db, MappingStrategy::Kernels, true);
-        let classic = engine_with(&db, MappingStrategy::Kernels, false);
-        let pd = decomp.prepare(q.clone()).unwrap();
-        let pc = classic.prepare(q).unwrap();
+        let engine = exact_engine(&db);
+        let prepared = engine.prepare(scaling_query(&db)).unwrap();
         group.bench_with_input(BenchmarkId::new("decomposed", m_free), &m_free, |b, _| {
-            b.iter(|| decomp.execute(&pd).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("classic", m_free), &m_free, |b, _| {
-            b.iter(|| classic.execute(&pc).unwrap())
+            b.iter(|| engine.execute(&prepared).unwrap())
         });
     }
     group.finish();

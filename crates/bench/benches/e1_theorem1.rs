@@ -7,21 +7,22 @@
 //! `T ⊨_f` definition; tiny sizes only). All are exponential; each route
 //! is successively cheaper, and all agree (asserted here).
 //!
-//! Driven through `qld_engine::Engine` with prepared queries: the two
-//! enumeration strategies are two engine configurations, and the mapping
-//! counts come from the evidence report of each execution.
+//! The kernel route is driven through `qld_engine::Engine` with a prepared
+//! query (mapping counts come from the evidence report); the raw route is
+//! the reference `oracle::answers_by_raw_mappings`, which reports how many
+//! mappings it visited.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qld_bench::{fmt_duration, print_header, print_row, standard_db, standard_queries, time_once};
+use qld_core::exact::AnswerMode;
 use qld_core::mappings::{count_kernel_mappings, count_respecting_mappings};
-use qld_core::oracle::certain_answers_oracle;
-use qld_engine::{Engine, MappingStrategy, Semantics};
+use qld_core::oracle::{answers_by_raw_mappings, certain_answers_oracle};
+use qld_engine::{Engine, Semantics};
 use std::time::Duration;
 
-fn engine_with(db: &qld_core::CwDatabase, strategy: MappingStrategy) -> Engine {
+fn kernel_engine(db: &qld_core::CwDatabase) -> Engine {
     Engine::builder(db.clone())
         .semantics(Semantics::Exact)
-        .mapping_strategy(strategy)
         .corollary2_fast_path(false)
         // Measure the enumeration, not answer-cache hits.
         .answer_cache(false)
@@ -42,17 +43,13 @@ fn print_series() {
         let db = standard_db(n, 42);
         let queries = standard_queries(&db);
         let (_, q) = &queries[0];
-        let kernels = engine_with(&db, MappingStrategy::Kernels);
-        let raw = engine_with(&db, MappingStrategy::RawMappings);
+        let kernels = kernel_engine(&db);
         let pk = kernels.prepare(q.clone()).unwrap();
-        let pr = raw.prepare(q.clone()).unwrap();
         let (a, t_kernel) = time_once(|| kernels.execute(&pk).unwrap());
-        let (b, t_raw) = time_once(|| raw.execute(&pr).unwrap());
-        assert_eq!(a.tuples(), b.tuples(), "strategies must agree");
-        assert!(
-            a.is_exact() && b.is_exact(),
-            "Theorem 1 answers are certified exact"
-        );
+        let ((b, raw_visited), t_raw) =
+            time_once(|| answers_by_raw_mappings(&db, q, AnswerMode::Certain));
+        assert_eq!(*a.tuples(), b, "kernel walk and raw mappings must agree");
+        assert!(a.is_exact(), "Theorem 1 answers are certified exact");
         let t_oracle = if n <= 3 {
             let (c, t) = time_once(|| certain_answers_oracle(&db, q).unwrap());
             assert_eq!(*a.tuples(), c, "oracle must agree");
@@ -68,10 +65,11 @@ fn print_series() {
             fmt_duration(t_raw),
             t_oracle,
         ]);
-        // The evidence reports how much enumeration each strategy did
-        // (early exit on an emptied candidate set can shorten it).
+        // The evidence reports how much enumeration the kernel walk did
+        // (early exit on an emptied candidate set can shorten it); the raw
+        // reference visits every respecting mapping.
         assert!(a.evidence().mappings_evaluated <= count_kernel_mappings(&db));
-        assert!(b.evidence().mappings_evaluated <= count_respecting_mappings(&db));
+        assert_eq!(raw_visited, count_respecting_mappings(&db));
         assert!(a.evidence().mappings_evaluated > 0);
     }
 }
@@ -87,15 +85,13 @@ fn bench(c: &mut Criterion) {
         let db = standard_db(n, 42);
         let queries = standard_queries(&db);
         let (_, q) = &queries[0];
-        let kernels = engine_with(&db, MappingStrategy::Kernels);
-        let raw = engine_with(&db, MappingStrategy::RawMappings);
+        let kernels = kernel_engine(&db);
         let pk = kernels.prepare(q.clone()).unwrap();
-        let pr = raw.prepare(q.clone()).unwrap();
         group.bench_with_input(BenchmarkId::new("kernels", n), &n, |b, _| {
             b.iter(|| kernels.execute(&pk).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("raw", n), &n, |b, _| {
-            b.iter(|| raw.execute(&pr).unwrap())
+            b.iter(|| answers_by_raw_mappings(&db, q, AnswerMode::Certain))
         });
     }
     group.finish();

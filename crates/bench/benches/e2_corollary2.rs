@@ -5,11 +5,12 @@
 //! single kernel when all constants are pairwise distinct — the
 //! isomorphism-invariance optimization makes Corollary 2 nearly free),
 //! and (c) raw mapping enumeration (all |C|! injections — the cost the
-//! corollary saves).
+//! corollary saves), via the reference `oracle::answers_by_raw_mappings`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qld_bench::{fmt_duration, print_header, print_row, standard_queries, time_once};
-use qld_core::exact::{certain_answers_with, ExactOptions, MappingStrategy};
+use qld_core::exact::{certain_answers_with, AnswerMode, ExactOptions};
+use qld_core::oracle::answers_by_raw_mappings;
 use qld_core::CwDatabase;
 use qld_workloads::{random_cw_db, DbGenConfig};
 use std::time::Duration;
@@ -31,15 +32,6 @@ fn fast() -> ExactOptions {
 
 fn kernels() -> ExactOptions {
     ExactOptions {
-        strategy: MappingStrategy::Kernels,
-        corollary2_fast_path: false,
-        ..ExactOptions::new()
-    }
-}
-
-fn raw() -> ExactOptions {
-    ExactOptions {
-        strategy: MappingStrategy::RawMappings,
         corollary2_fast_path: false,
         ..ExactOptions::new()
     }
@@ -56,7 +48,7 @@ fn print_series() {
         let (b, t_kern) = time_once(|| certain_answers_with(&db, q, kernels()).unwrap());
         assert_eq!(a.0, b.0, "Corollary 2 violated");
         let t_raw = if n <= 7 {
-            let (c, t) = time_once(|| certain_answers_with(&db, q, raw()).unwrap());
+            let (c, t) = time_once(|| answers_by_raw_mappings(&db, q, AnswerMode::Certain));
             assert_eq!(a.0, c.0);
             fmt_duration(t)
         } else {
@@ -87,7 +79,7 @@ fn bench(c: &mut Criterion) {
         });
         if n <= 6 {
             group.bench_with_input(BenchmarkId::new("raw_factorial", n), &n, |b, _| {
-                b.iter(|| certain_answers_with(&db, q, raw()).unwrap())
+                b.iter(|| answers_by_raw_mappings(&db, q, AnswerMode::Certain))
             });
         }
     }

@@ -23,8 +23,8 @@ use qld_bench::{
 };
 use qld_core::mappings::count_kernel_mappings;
 use qld_engine::{
-    Backend, Delta, DiskStorage, DurabilityConfig, Engine, FsyncPolicy, MappingStrategy, Semantics,
-    SharedEngine, WalConfig,
+    Backend, Delta, DiskStorage, DurabilityConfig, Engine, FsyncPolicy, Semantics, SharedEngine,
+    WalConfig,
 };
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -49,10 +49,9 @@ impl Entry {
     }
 }
 
-fn exact_engine(db: &qld_core::CwDatabase, strategy: MappingStrategy, threads: usize) -> Engine {
+fn exact_engine(db: &qld_core::CwDatabase, threads: usize) -> Engine {
     Engine::builder(db.clone())
         .semantics(Semantics::Exact)
-        .mapping_strategy(strategy)
         .corollary2_fast_path(false)
         .parallelism(threads)
         .build()
@@ -61,25 +60,20 @@ fn exact_engine(db: &qld_core::CwDatabase, strategy: MappingStrategy, threads: u
 fn run_workloads(smoke: bool) -> Vec<Entry> {
     let mut entries = Vec::new();
 
-    // E1: exact certain answers, kernel vs raw enumeration (join query).
+    // E1: exact certain answers by the Theorem 1 walk (join query).
     let n = if smoke { 5 } else { 6 };
     let db = standard_db(n, 42);
     let queries = standard_queries(&db);
     let (_, join) = &queries[0];
-    for (workload, strategy) in [
-        ("e1_theorem1_kernels", MappingStrategy::Kernels),
-        ("e1_theorem1_raw", MappingStrategy::RawMappings),
-    ] {
-        let engine = exact_engine(&db, strategy, 1);
-        let prepared = engine.prepare(join.clone()).unwrap();
-        let (ans, wall) = time_once(|| engine.execute(&prepared).unwrap());
-        entries.push(Entry {
-            workload,
-            threads: 1,
-            wall,
-            mappings: ans.evidence().mappings_evaluated,
-        });
-    }
+    let engine = exact_engine(&db, 1);
+    let prepared = engine.prepare(join.clone()).unwrap();
+    let (ans, wall) = time_once(|| engine.execute(&prepared).unwrap());
+    entries.push(Entry {
+        workload: "e1_theorem1_kernels",
+        threads: 1,
+        wall,
+        mappings: ans.evidence().mappings_evaluated,
+    });
 
     // E7: the §5 approximation on the same database (negation query —
     // the class where approximation is the only polynomial option).
@@ -128,7 +122,7 @@ fn run_workloads(smoke: bool) -> Vec<Entry> {
     let sweep: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let mut reference: Option<qld_physical::Relation> = None;
     for &threads in sweep {
-        let engine = exact_engine(&dense, MappingStrategy::Kernels, threads);
+        let engine = exact_engine(&dense, threads);
         let prepared = engine.prepare(q.clone()).unwrap();
         let (ans, wall) = time_once(|| engine.execute(&prepared).unwrap());
         match &reference {
@@ -483,53 +477,34 @@ fn run_workloads(smoke: bool) -> Vec<Entry> {
     });
 
     // E17: free-null decomposition — the E1-style join workload with a
-    // tail of free constants (in no fact, no uniqueness axiom). The
-    // decomposed walk visits one canonical image per core kernel and
-    // null-block count; the classic walk visits the whole kernel space.
-    // `mappings` records visited images for both, so the committed
-    // baseline carries the reduction factor directly.
+    // tail of free constants (in no fact, no uniqueness axiom). The walk
+    // visits one canonical image per core kernel and null-block count;
+    // `mappings` records those visited images, and the evidence accounts
+    // for the rest of the kernel space.
     let (e17_core, e17_free) = if smoke { (5, 2) } else { (6, 4) };
     let sparse = sparse_null_db(e17_core, e17_free, 42);
-    let sq = scaling_query(&sparse);
-    let mut answers: Option<qld_physical::Relation> = None;
-    let mut visited = [0u64; 2];
-    for (slot, (workload, decompose)) in [("e17_decomposed", true), ("e17_classic_kernels", false)]
-        .into_iter()
-        .enumerate()
-    {
-        let engine = Engine::builder(sparse.clone())
-            .semantics(Semantics::Exact)
-            .corollary2_fast_path(false)
-            .decompose(decompose)
-            .parallelism(1)
-            .build();
-        let prepared = engine.prepare(sq.clone()).unwrap();
-        let (ans, wall) = time_once(|| engine.execute(&prepared).unwrap());
-        match &answers {
-            None => answers = Some(ans.tuples().clone()),
-            Some(rel) => assert_eq!(ans.tuples(), rel, "decomposition changed answers"),
-        }
-        visited[slot] = ans.evidence().mappings_evaluated;
-        entries.push(Entry {
-            workload,
-            threads: 1,
-            wall,
-            mappings: ans.evidence().mappings_evaluated,
-        });
-    }
+    let engine = exact_engine(&sparse, 1);
+    let prepared = engine.prepare(scaling_query(&sparse)).unwrap();
+    let (ans, wall) = time_once(|| engine.execute(&prepared).unwrap());
+    let visited = ans.evidence().mappings_evaluated;
+    let kernels = count_kernel_mappings(&sparse);
     assert_eq!(
-        visited[1],
-        count_kernel_mappings(&sparse),
-        "classic walk must cover the kernel space"
+        visited + ans.evidence().mappings_pruned,
+        kernels,
+        "evaluated + pruned must cover the kernel space"
     );
     if !smoke {
         assert!(
-            visited[1] >= 10 * visited[0],
-            "expected ≥10× fewer visited images: {} vs {}",
-            visited[0],
-            visited[1]
+            kernels >= 10 * visited,
+            "expected ≥10× fewer visited images than kernels: {visited} vs {kernels}"
         );
     }
+    entries.push(Entry {
+        workload: "e17_decomposed",
+        threads: 1,
+        wall,
+        mappings: visited,
+    });
 
     entries
 }

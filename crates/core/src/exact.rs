@@ -29,31 +29,27 @@
 
 use crate::mappings::{
     analyze_decomposition, count_kernel_mappings, for_each_kernel_mapping_over_parallel,
-    for_each_kernel_mapping_parallel, for_each_respecting_mapping_parallel, DbDecomposition,
-    ParallelConfig,
+    DbDecomposition, ParallelConfig,
 };
 use crate::ph::{apply_mapping_into, ph1};
 use crate::theory::CwDatabase;
 use qld_logic::{LogicError, Query};
 use qld_physical::{eval_query, Elem, PhysicalDb, Relation, TupleSpace};
 
-/// Which family of mappings to enumerate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MappingStrategy {
-    /// One canonical mapping per kernel partition (Bell(|C|) mappings) —
-    /// sound and complete by isomorphism invariance; the default.
-    #[default]
-    Kernels,
-    /// Every respecting mapping (`≤ |C|^|C|`), exactly as Theorem 1 is
-    /// stated. Exists for differential testing and for experiment E1.
-    RawMappings,
+/// Which dual of Theorem 1 an evaluation computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnswerMode {
+    /// Tuples true in **every** model: the intersection over mappings
+    /// (a single failing image kills a candidate).
+    Certain,
+    /// Tuples true in **some** model: the union over mappings (a single
+    /// succeeding image proves a candidate).
+    Possible,
 }
 
 /// Evaluation options.
 #[derive(Debug, Clone, Copy)]
 pub struct ExactOptions {
-    /// Mapping enumeration strategy.
-    pub strategy: MappingStrategy,
     /// Use the Corollary 2 fast path (`Q(LB) = Q(Ph₁(LB))`) when the
     /// database is fully specified. On by default.
     pub corollary2_fast_path: bool,
@@ -66,26 +62,16 @@ pub struct ExactOptions {
     /// proven possible). On by default; differential tests disable it so
     /// `mappings_evaluated` totals are comparable across configurations.
     pub early_exit: bool,
-    /// Collapse *free* constants — no NE edge, no fact occurrence, not
-    /// mentioned by the query — out of the kernel enumeration (see the
-    /// module docs of [`crate::mappings`] and the decomposed evaluator
-    /// below). Answers are bit-identical; the enumeration shrinks from
-    /// "every placement of every free null" to one canonical image per
-    /// (core partition, fresh-null count). On by default; only applies to
-    /// [`MappingStrategy::Kernels`].
-    pub decompose: bool,
 }
 
 impl ExactOptions {
-    /// Recommended settings: kernel enumeration, Corollary 2 fast path,
-    /// early exit, thread count from the environment.
+    /// Recommended settings: Corollary 2 fast path, early exit, thread
+    /// count from the environment.
     pub fn new() -> Self {
         ExactOptions {
-            strategy: MappingStrategy::Kernels,
             corollary2_fast_path: true,
             parallel: ParallelConfig::default(),
             early_exit: true,
-            decompose: true,
         }
     }
 
@@ -118,9 +104,9 @@ impl Default for ExactOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of database images actually built and evaluated, summed
-    /// across workers (early exit shortens this). On the decomposed path
-    /// this counts canonical images — one per (core partition, fresh-null
-    /// count) — not raw kernel mappings.
+    /// across workers (early exit shortens this). These are canonical
+    /// images — one per (core partition, fresh-null count) — which is one
+    /// per kernel mapping when no constant is free.
     pub mappings_evaluated: u64,
     /// Whether the Corollary 2 fast path answered the query.
     pub fast_path: bool,
@@ -129,13 +115,11 @@ pub struct EvalStats {
     /// enumerating any mapping).
     pub workers_used: u32,
     /// NE-constraint-graph components of the database (isolated constants
-    /// included). `0` when the run didn't analyze the decomposition (fast
-    /// path, raw strategy, or `decompose: false`).
+    /// included). `0` when the fast path answered.
     pub components: u32,
-    /// Kernel mappings the decomposed path never had to visit: the
-    /// closed-form kernel count minus `mappings_evaluated` (saturating;
-    /// includes mappings skipped by early exit on decomposed runs). `0`
-    /// on non-decomposed runs.
+    /// Kernel mappings the walk never had to visit: the closed-form
+    /// kernel count minus `mappings_evaluated` (saturating; includes
+    /// mappings skipped by early exit).
     pub mappings_pruned: u64,
 }
 
@@ -312,59 +296,32 @@ impl CandidateSet {
     }
 }
 
-/// The per-worker Theorem 1 evaluation step shared by the certain- and
-/// possible-answer evaluators (sequential and parallel): rebuild the
-/// reusable image `h(Ph₁(LB))` and evaluate the query over it, counting
-/// mappings as we go. One instance per worker; the image buffer of
-/// mapping N+1 recycles the allocations of mapping N.
+/// The per-worker image builder: rebuilds the reusable image
+/// `h(Ph₁(LB))` and counts the mappings it was built for. One instance per
+/// worker; the image buffer of mapping N+1 recycles the allocations of
+/// mapping N.
 struct MappingEvaluator<'a> {
     base: &'a PhysicalDb,
-    query: &'a Query,
     image: PhysicalDb,
     evaluated: u64,
 }
 
 impl<'a> MappingEvaluator<'a> {
-    fn new(base: &'a PhysicalDb, query: &'a Query) -> MappingEvaluator<'a> {
+    fn new(base: &'a PhysicalDb) -> MappingEvaluator<'a> {
         MappingEvaluator {
             base,
-            query,
             image: base.clone(),
             evaluated: 0,
         }
     }
 
-    fn answers(&mut self, h: &[Elem]) -> Relation {
-        let query = self.query;
-        eval_query(self.image_for(h), query)
-    }
-
-    /// Counts the mapping and rebuilds the reusable image `h(Ph₁(LB))` —
-    /// the shared half of a visit, split out so the batched evaluators can
-    /// build the image once and evaluate many queries over it.
+    /// Counts the mapping and rebuilds the reusable image `h(Ph₁(LB))`,
+    /// over which the driver evaluates every live query of the batch.
     fn image_for(&mut self, h: &[Elem]) -> &PhysicalDb {
         self.evaluated += 1;
         apply_mapping_into(self.base, h, &mut self.image);
         &self.image
     }
-}
-
-/// Runs the configured mapping enumeration with per-worker state.
-fn run_mappings<S: Send>(
-    db: &CwDatabase,
-    opts: ExactOptions,
-    init: impl Fn(usize) -> S + Sync,
-    visit: impl Fn(&mut S, &[Elem]) -> bool + Sync,
-) -> Vec<S> {
-    let (states, _completed) = match opts.strategy {
-        MappingStrategy::Kernels => {
-            for_each_kernel_mapping_parallel(db, opts.parallel, init, visit)
-        }
-        MappingStrategy::RawMappings => {
-            for_each_respecting_mapping_parallel(db, opts.parallel, init, visit)
-        }
-    };
-    states
 }
 
 // ---------------------------------------------------------------------------
@@ -402,8 +359,11 @@ fn run_mappings<S: Send>(
 //   (and `s ≤ e` by construction). A certain-mode candidate dies on any
 //   realizable placement whose image tuple is outside the answers; a
 //   possible-mode candidate is proven by any realizable placement inside
-//   them. Candidates without free constants reduce to the classic
-//   membership test under the canonical mapping.
+//   them. Candidates without free constants reduce to the plain
+//   membership test under the canonical mapping — and when *no* constant
+//   is free (every null is NE-constrained, stored in a fact, or mentioned
+//   by a query) the whole walk degenerates to one image per kernel
+//   partition with that membership test for every candidate.
 // * **Ehrenfeucht–Fraïssé cap on `e`**: a first-order query of quantifier
 //   rank `qr` cannot distinguish images differing only in how many unused
 //   isolated elements they carry once both carry more than `qr`, and a
@@ -424,8 +384,8 @@ struct DecompPlan {
     free: Vec<u32>,
     /// `is_free[c]` for every constant.
     is_free: Vec<bool>,
-    /// Smallest valid null-only block count: `1` when the core is empty
-    /// (the free constants must map somewhere), else `0`.
+    /// Smallest valid null-only block count: `1` when every constant is
+    /// free (they must map somewhere), else `0`.
     e_min: usize,
     /// Per-query cap on the null-only block count (the EF cap for
     /// first-order queries, `m` otherwise).
@@ -434,18 +394,14 @@ struct DecompPlan {
     components: u32,
 }
 
-/// Builds the decomposition plan, or `None` when the decomposed path does
-/// not apply: decomposition disabled, raw-mapping strategy, or no free
-/// constant survives the queries' mentions.
+/// Builds the decomposition plan. With no free constant left the plan is
+/// the degenerate one: the core is every constant and `e` only takes the
+/// value `0`.
 fn plan_decomposition(
     db: &CwDatabase,
     queries: &[Query],
-    opts: ExactOptions,
     decomp: Option<&DbDecomposition>,
-) -> Option<DecompPlan> {
-    if !opts.decompose || opts.strategy != MappingStrategy::Kernels {
-        return None;
-    }
+) -> DecompPlan {
     let n = db.num_consts();
     let owned;
     let decomp = match decomp {
@@ -464,11 +420,7 @@ fn plan_decomposition(
             is_free[c.index()] = false;
         }
     }
-    let free: Vec<u32> = (0..n as u32).filter(|&c| is_free[c as usize]).collect();
-    if free.is_empty() {
-        return None;
-    }
-    let core: Vec<u32> = (0..n as u32).filter(|&c| !is_free[c as usize]).collect();
+    let (free, core): (Vec<u32>, Vec<u32>) = (0..n as u32).partition(|&c| is_free[c as usize]);
     let m = free.len();
     let caps = queries
         .iter()
@@ -480,14 +432,14 @@ fn plan_decomposition(
             }
         })
         .collect();
-    Some(DecompPlan {
+    DecompPlan {
         e_min: usize::from(core.is_empty()),
         core,
         free,
         is_free,
         caps,
         components: decomp.components,
-    })
+    }
 }
 
 /// Reusable buffers for the per-candidate placement search.
@@ -627,9 +579,19 @@ fn candidate_has_placement(
     search.rec(0, 0, distinct, assigned, tau)
 }
 
-/// Per-worker state of the decomposed evaluation: the decomposed analogue
-/// of [`MultiQueryEvaluator`] (single queries run as a batch of one — the
-/// merge and early-exit semantics coincide).
+/// Per-worker state of the walk. Single queries run as a batch of one —
+/// the merge and early-exit semantics coincide.
+///
+/// The two duals differ only in what happens to a candidate an image
+/// decides: certain answers *drop* the refuted ones (a single failing
+/// image kills a candidate), possible answers *move* the proven ones to
+/// the per-query `collected` set. Either way a query is deactivated the
+/// moment its undecided set empties (certain: the answer can only stay
+/// empty; possible: every candidate is already proven), and the
+/// enumeration exits early once *every* query has stabilized. A query
+/// whose set is still shrinking sees every remaining image, exactly as an
+/// independent run would, so batched answers are bit-identical to N
+/// independent calls.
 struct DecompWorker<'a> {
     eval: MappingEvaluator<'a>,
     /// Per-query undecided candidates.
@@ -645,27 +607,31 @@ struct DecompWorker<'a> {
     scratch: PlacementScratch,
 }
 
-/// Runs the decomposed Theorem 1 evaluation for a batch of queries and
-/// merges the workers: certain mode (`collect = false`) intersects the
-/// per-query survivor sets, possible mode (`collect = true`) unions the
-/// per-query proven sets. Answers are bit-identical to the undecomposed
-/// enumeration at any thread count.
+/// The one realisation of Theorem 1's quantification over mappings: walks
+/// the kernel partitions of the plan's core, builds one canonical image per
+/// (partition, `e`), evaluates every live query of the batch over it, and
+/// merges the workers — certain mode intersects the per-query survivor
+/// sets, possible mode unions the per-query proven sets. Answers are
+/// bit-identical at any thread count.
 fn run_decomposed(
     db: &CwDatabase,
-    base: &PhysicalDb,
     queries: &[Query],
+    mode: AnswerMode,
     opts: ExactOptions,
     plan: &DecompPlan,
-    collect: bool,
 ) -> (Vec<Relation>, EvalStats) {
     let n = db.num_consts();
+    let base = ph1(db);
     let e_max = plan.caps.iter().copied().max().unwrap_or(0);
+    // No free constant: one image per kernel partition, every candidate
+    // decided by the plain membership test under `h`.
+    let no_free = plan.free.is_empty();
     let (states, _completed) = for_each_kernel_mapping_over_parallel(
         db,
         &plan.core,
         opts.parallel,
         |_| DecompWorker {
-            eval: MappingEvaluator::new(base, &queries[0]),
+            eval: MappingEvaluator::new(&base),
             cands: queries
                 .iter()
                 .map(|q| CandidateSet::full(n, q.arity()))
@@ -692,10 +658,12 @@ fn run_decomposed(
             for (p, &c) in plan.core.iter().enumerate() {
                 h[c as usize] = h_core[p];
             }
-            core_values.clear();
-            core_values.extend_from_slice(h_core);
-            core_values.sort_unstable();
-            core_values.dedup();
+            if !no_free {
+                core_values.clear();
+                core_values.extend_from_slice(h_core);
+                core_values.sort_unstable();
+                core_values.dedup();
+            }
             for e in plan.e_min..=e_max {
                 // With early exit on, stop once no live query's cap reaches
                 // this `e`. Without it, evaluate every (partition, e) image
@@ -720,40 +688,38 @@ fn run_decomposed(
                         continue;
                     }
                     let answers = eval_query(image, query);
-                    if collect {
-                        cands[i].split_where(&mut collected[i], |cand| {
-                            candidate_has_placement(
-                                cand,
-                                h,
-                                &plan.is_free,
-                                &plan.free,
-                                core_values,
-                                e,
-                                true,
-                                &answers,
-                                scratch,
-                            )
-                        });
-                    } else {
-                        cands[i].retain_where(|cand| {
-                            !candidate_has_placement(
-                                cand,
-                                h,
-                                &plan.is_free,
-                                &plan.free,
-                                core_values,
-                                e,
-                                false,
-                                &answers,
-                                scratch,
-                            )
-                        });
+                    let mut placed = |cand: &[Elem], want_in: bool| {
+                        candidate_has_placement(
+                            cand,
+                            h,
+                            &plan.is_free,
+                            &plan.free,
+                            core_values,
+                            e,
+                            want_in,
+                            &answers,
+                            scratch,
+                        )
+                    };
+                    match mode {
+                        AnswerMode::Certain if no_free => cands[i].retain_mapped_in(h, &answers),
+                        AnswerMode::Certain => cands[i].retain_where(|c| !placed(c, false)),
+                        AnswerMode::Possible if no_free => {
+                            cands[i].split_mapped_in(h, &answers, &mut collected[i]);
+                        }
+                        AnswerMode::Possible => {
+                            cands[i].split_where(&mut collected[i], |c| placed(c, true));
+                        }
                     }
                     if cands[i].is_empty() {
                         *live -= 1;
                     }
                 }
             }
+            // Shared early exit: one worker with nothing live decides the
+            // merged outcome for every query (certain: an empty set empties
+            // the intersection; possible: the union is already the full
+            // space), so `false` raises the pool's stop flag.
             !opts.early_exit || *live > 0
         },
     );
@@ -766,8 +732,8 @@ fn run_decomposed(
         components: plan.components,
         mappings_pruned: count_kernel_mappings(db).saturating_sub(evaluated),
     };
-    let answers = if collect {
-        (0..queries.len())
+    let answers = match mode {
+        AnswerMode::Possible => (0..queries.len())
             .map(|i| {
                 Relation::collect(
                     queries[i].arity(),
@@ -776,18 +742,65 @@ fn run_decomposed(
                         .flat_map(|w| w.collected[i].iter().map(<[Elem]>::to_vec)),
                 )
             })
-            .collect()
-    } else {
-        let mut states = states.into_iter();
-        let mut acc = states.next().expect("at least one worker").cands;
-        for w in states {
-            for (mine, theirs) in acc.iter_mut().zip(w.cands.iter()) {
-                mine.intersect_sorted(theirs);
+            .collect(),
+        AnswerMode::Certain => {
+            let mut states = states.into_iter();
+            let mut acc = states.next().expect("at least one worker").cands;
+            for w in states {
+                for (mine, theirs) in acc.iter_mut().zip(w.cands.iter()) {
+                    mine.intersect_sorted(theirs);
+                }
             }
+            acc.iter().map(CandidateSet::to_relation).collect()
         }
-        acc.iter().map(CandidateSet::to_relation).collect()
     };
     (answers, stats)
+}
+
+/// Every public name below — and the engine, which passes its cached
+/// [`DbDecomposition`] instead of `None` (analyze on the spot) — funnels
+/// into this one entry: validate, take the Corollary 2 fast path when it
+/// applies (certain mode only; possible answers have no analogue), else
+/// plan and walk. The answers (and the per-query relation order) of a
+/// batch are bit-identical to N independent calls; [`EvalStats`] counts
+/// each image once for the whole batch. An empty batch returns no
+/// relations and default stats without touching the database.
+#[doc(hidden)]
+pub fn evaluate(
+    db: &CwDatabase,
+    queries: &[Query],
+    mode: AnswerMode,
+    opts: ExactOptions,
+    decomp: Option<&DbDecomposition>,
+) -> Result<(Vec<Relation>, EvalStats), LogicError> {
+    for query in queries {
+        query.check(db.voc())?;
+    }
+    if queries.is_empty() {
+        return Ok((Vec::new(), EvalStats::default()));
+    }
+    if mode == AnswerMode::Certain && opts.corollary2_fast_path && db.is_fully_specified() {
+        let base = ph1(db);
+        let stats = EvalStats {
+            fast_path: true,
+            ..EvalStats::default()
+        };
+        let answers = queries.iter().map(|q| eval_query(&base, q)).collect();
+        return Ok((answers, stats));
+    }
+    let plan = plan_decomposition(db, queries, decomp);
+    Ok(run_decomposed(db, queries, mode, opts, &plan))
+}
+
+/// [`evaluate`] for a single query.
+fn evaluate_one(
+    db: &CwDatabase,
+    query: &Query,
+    mode: AnswerMode,
+    opts: ExactOptions,
+) -> Result<(Relation, EvalStats), LogicError> {
+    let (mut answers, stats) = evaluate(db, std::slice::from_ref(query), mode, opts, None)?;
+    Ok((answers.pop().expect("one query in, one answer out"), stats))
 }
 
 /// Computes the certain answers `Q(LB)` with default options.
@@ -801,158 +814,7 @@ pub fn certain_answers_with(
     query: &Query,
     opts: ExactOptions,
 ) -> Result<(Relation, EvalStats), LogicError> {
-    certain_answers_with_decomp(db, query, opts, None)
-}
-
-/// [`certain_answers_with`] with a caller-cached [`DbDecomposition`] (the
-/// engine reuses one analysis across runs; `None` analyzes on the spot).
-pub fn certain_answers_with_decomp(
-    db: &CwDatabase,
-    query: &Query,
-    opts: ExactOptions,
-    decomp: Option<&DbDecomposition>,
-) -> Result<(Relation, EvalStats), LogicError> {
-    query.check(db.voc())?;
-
-    if opts.corollary2_fast_path && db.is_fully_specified() {
-        let stats = EvalStats {
-            fast_path: true,
-            ..EvalStats::default()
-        };
-        return Ok((eval_query(&ph1(db), query), stats));
-    }
-
-    if let Some(plan) = plan_decomposition(db, std::slice::from_ref(query), opts, decomp) {
-        let base = ph1(db);
-        let (mut answers, stats) =
-            run_decomposed(db, &base, std::slice::from_ref(query), opts, &plan, false);
-        return Ok((answers.pop().expect("one query in, one answer out"), stats));
-    }
-
-    let arity = query.arity();
-    let n = db.num_consts();
-    let base = ph1(db);
-
-    struct Worker<'a> {
-        eval: MappingEvaluator<'a>,
-        cands: CandidateSet,
-    }
-    let states = run_mappings(
-        db,
-        opts,
-        |_| Worker {
-            eval: MappingEvaluator::new(&base, query),
-            cands: CandidateSet::full(n, arity),
-        },
-        |w, h| {
-            let answers = w.eval.answers(h);
-            w.cands.retain_mapped_in(h, &answers);
-            // Shared early exit: an empty worker set empties the global
-            // intersection, so returning `false` here raises the pool's
-            // stop flag and halts every other worker.
-            !opts.early_exit || !w.cands.is_empty()
-        },
-    );
-
-    let stats = EvalStats {
-        mappings_evaluated: states.iter().map(|w| w.eval.evaluated).sum(),
-        fast_path: false,
-        workers_used: states.len() as u32,
-        ..EvalStats::default()
-    };
-    let mut states = states.into_iter();
-    let mut acc = states.next().expect("at least one worker").cands;
-    for w in states {
-        acc.intersect_sorted(&w.cands);
-        if acc.is_empty() {
-            break;
-        }
-    }
-    Ok((acc.to_relation(), stats))
-}
-
-/// The shared per-worker state of a *batched* Theorem 1 evaluation (and
-/// of its possible-answer dual): one [`CandidateSet`] per query, all
-/// processed inside each visited mapping, so a workload of N queries pays
-/// for **one** mapping enumeration (and one image build per mapping)
-/// instead of N.
-///
-/// The two duals differ only in what happens to a candidate whose mapped
-/// image satisfies the query: certain answers *keep* exactly those
-/// (`retain_mapped_in` — a single failing mapping kills a candidate),
-/// possible answers *move* them to the per-query `collected` set
-/// (`split_mapped_in` — a single succeeding mapping proves a candidate).
-/// Either way the per-mapping loop deactivates a query the moment its
-/// remaining set empties (certain: the answer can only stay empty;
-/// possible: every candidate is already proven), and the enumeration
-/// early exits once *every* query has stabilized. A query whose set is
-/// still shrinking sees every remaining mapping, exactly as an
-/// independent run would, so the batched answers are bit-identical to N
-/// independent calls.
-struct MultiQueryEvaluator<'a> {
-    eval: MappingEvaluator<'a>,
-    queries: &'a [Query],
-    /// Per-query undecided candidates.
-    cands: Vec<CandidateSet>,
-    /// Per-query proven-possible candidates (possible mode; stays empty
-    /// in certain mode).
-    collected: Vec<CandidateSet>,
-    /// `false`: certain mode (retain). `true`: possible mode (split into
-    /// `collected`).
-    collect: bool,
-    /// Queries whose undecided set is still non-empty.
-    live: usize,
-}
-
-impl<'a> MultiQueryEvaluator<'a> {
-    fn new(
-        base: &'a PhysicalDb,
-        queries: &'a [Query],
-        num_consts: usize,
-        collect: bool,
-    ) -> MultiQueryEvaluator<'a> {
-        let cands: Vec<CandidateSet> = queries
-            .iter()
-            .map(|q| CandidateSet::full(num_consts, q.arity()))
-            .collect();
-        let collected = queries
-            .iter()
-            .map(|q| CandidateSet::empty(q.arity()))
-            .collect();
-        let live = cands.iter().filter(|c| !c.is_empty()).count();
-        MultiQueryEvaluator {
-            // The shared image buffer needs *a* query for the single-query
-            // evaluator shape; the batch loop evaluates each query itself.
-            eval: MappingEvaluator::new(base, &queries[0]),
-            queries,
-            cands,
-            collected,
-            collect,
-            live,
-        }
-    }
-
-    /// Visits one mapping for the whole batch: rebuild the image once,
-    /// evaluate every still-live query over it, prune (or split) its
-    /// candidates. Returns the number of queries still live.
-    fn visit(&mut self, h: &[Elem]) -> usize {
-        let image = self.eval.image_for(h);
-        for (i, query) in self.queries.iter().enumerate() {
-            if self.cands[i].is_empty() {
-                continue;
-            }
-            let answers = eval_query(image, query);
-            if self.collect {
-                self.cands[i].split_mapped_in(h, &answers, &mut self.collected[i]);
-            } else {
-                self.cands[i].retain_mapped_in(h, &answers);
-            }
-            if self.cands[i].is_empty() {
-                self.live -= 1;
-            }
-        }
-        self.live
-    }
+    evaluate_one(db, query, AnswerMode::Certain, opts)
 }
 
 /// Batched [`certain_answers_with`]: evaluates every query in `queries`
@@ -968,68 +830,7 @@ pub fn certain_answers_batch_with(
     queries: &[Query],
     opts: ExactOptions,
 ) -> Result<(Vec<Relation>, EvalStats), LogicError> {
-    certain_answers_batch_with_decomp(db, queries, opts, None)
-}
-
-/// [`certain_answers_batch_with`] with a caller-cached [`DbDecomposition`].
-pub fn certain_answers_batch_with_decomp(
-    db: &CwDatabase,
-    queries: &[Query],
-    opts: ExactOptions,
-    decomp: Option<&DbDecomposition>,
-) -> Result<(Vec<Relation>, EvalStats), LogicError> {
-    for query in queries {
-        query.check(db.voc())?;
-    }
-    if queries.is_empty() {
-        return Ok((Vec::new(), EvalStats::default()));
-    }
-
-    if opts.corollary2_fast_path && db.is_fully_specified() {
-        let base = ph1(db);
-        let stats = EvalStats {
-            fast_path: true,
-            ..EvalStats::default()
-        };
-        let answers = queries.iter().map(|q| eval_query(&base, q)).collect();
-        return Ok((answers, stats));
-    }
-
-    if let Some(plan) = plan_decomposition(db, queries, opts, decomp) {
-        let base = ph1(db);
-        return Ok(run_decomposed(db, &base, queries, opts, &plan, false));
-    }
-
-    let n = db.num_consts();
-    let base = ph1(db);
-    let states = run_mappings(
-        db,
-        opts,
-        |_| MultiQueryEvaluator::new(&base, queries, n, false),
-        |w, h| {
-            let live = w.visit(h);
-            // Early exit only once *every* query in the batch has
-            // stabilized (all candidate sets empty): emptying one worker's
-            // sets empties the global per-query intersections.
-            !opts.early_exit || live > 0
-        },
-    );
-
-    let stats = EvalStats {
-        mappings_evaluated: states.iter().map(|w| w.eval.evaluated).sum(),
-        fast_path: false,
-        workers_used: (states.len() as u32).max(1),
-        ..EvalStats::default()
-    };
-    let mut states = states.into_iter();
-    let first = states.next().expect("at least one worker");
-    let mut acc = first.cands;
-    for w in states {
-        for (mine, theirs) in acc.iter_mut().zip(w.cands.iter()) {
-            mine.intersect_sorted(theirs);
-        }
-    }
-    Ok((acc.iter().map(CandidateSet::to_relation).collect(), stats))
+    evaluate(db, queries, AnswerMode::Certain, opts, None)
 }
 
 /// Batched [`possible_answers_with`]: the union dual of
@@ -1041,60 +842,7 @@ pub fn possible_answers_batch_with(
     queries: &[Query],
     opts: ExactOptions,
 ) -> Result<(Vec<Relation>, EvalStats), LogicError> {
-    possible_answers_batch_with_decomp(db, queries, opts, None)
-}
-
-/// [`possible_answers_batch_with`] with a caller-cached [`DbDecomposition`].
-pub fn possible_answers_batch_with_decomp(
-    db: &CwDatabase,
-    queries: &[Query],
-    opts: ExactOptions,
-    decomp: Option<&DbDecomposition>,
-) -> Result<(Vec<Relation>, EvalStats), LogicError> {
-    for query in queries {
-        query.check(db.voc())?;
-    }
-    if queries.is_empty() {
-        return Ok((Vec::new(), EvalStats::default()));
-    }
-
-    if let Some(plan) = plan_decomposition(db, queries, opts, decomp) {
-        let base = ph1(db);
-        return Ok(run_decomposed(db, &base, queries, opts, &plan, true));
-    }
-
-    let n = db.num_consts();
-    let base = ph1(db);
-    let states = run_mappings(
-        db,
-        opts,
-        |_| MultiQueryEvaluator::new(&base, queries, n, true),
-        |w, h| {
-            let live = w.visit(h);
-            // A worker with every remaining set empty has proven every
-            // candidate of every query possible — the global unions are
-            // already the full spaces, stop the pool.
-            !opts.early_exit || live > 0
-        },
-    );
-
-    let stats = EvalStats {
-        mappings_evaluated: states.iter().map(|w| w.eval.evaluated).sum(),
-        fast_path: false,
-        workers_used: (states.len() as u32).max(1),
-        ..EvalStats::default()
-    };
-    let answers = (0..queries.len())
-        .map(|i| {
-            Relation::collect(
-                queries[i].arity(),
-                states
-                    .iter()
-                    .flat_map(|w| w.collected[i].iter().map(<[Elem]>::to_vec)),
-            )
-        })
-        .collect();
-    Ok((answers, stats))
+    evaluate(db, queries, AnswerMode::Possible, opts, None)
 }
 
 /// Does the theory finitely imply the sentence? (`T ⊨_f σ`.)
@@ -1120,72 +868,13 @@ pub fn possible_answers(db: &CwDatabase, query: &Query) -> Result<Relation, Logi
 /// Like [`possible_answers`], with explicit options, reporting the same
 /// [`EvalStats`] that [`certain_answers_with`] does (the fast-path flag
 /// stays `false` — there is no Corollary 2 analogue for possible answers).
-/// Honors `opts.strategy` and `opts.parallel`; the per-worker candidate
-/// sets merge by union.
+/// Honors `opts.parallel`; the per-worker candidate sets merge by union.
 pub fn possible_answers_with(
     db: &CwDatabase,
     query: &Query,
     opts: ExactOptions,
 ) -> Result<(Relation, EvalStats), LogicError> {
-    possible_answers_with_decomp(db, query, opts, None)
-}
-
-/// [`possible_answers_with`] with a caller-cached [`DbDecomposition`].
-pub fn possible_answers_with_decomp(
-    db: &CwDatabase,
-    query: &Query,
-    opts: ExactOptions,
-    decomp: Option<&DbDecomposition>,
-) -> Result<(Relation, EvalStats), LogicError> {
-    query.check(db.voc())?;
-
-    if let Some(plan) = plan_decomposition(db, std::slice::from_ref(query), opts, decomp) {
-        let base = ph1(db);
-        let (mut answers, stats) =
-            run_decomposed(db, &base, std::slice::from_ref(query), opts, &plan, true);
-        return Ok((answers.pop().expect("one query in, one answer out"), stats));
-    }
-
-    let arity = query.arity();
-    let n = db.num_consts();
-    let base = ph1(db);
-
-    struct Worker<'a> {
-        eval: MappingEvaluator<'a>,
-        remaining: CandidateSet,
-        possible: CandidateSet,
-    }
-    let states = run_mappings(
-        db,
-        opts,
-        |_| Worker {
-            eval: MappingEvaluator::new(&base, query),
-            remaining: CandidateSet::full(n, arity),
-            possible: CandidateSet::empty(arity),
-        },
-        |w, h| {
-            let answers = w.eval.answers(h);
-            w.remaining.split_mapped_in(h, &answers, &mut w.possible);
-            // A worker with nothing left has proven *every* candidate
-            // possible, so the global union is already the full space —
-            // stop the pool.
-            !opts.early_exit || !w.remaining.is_empty()
-        },
-    );
-
-    let stats = EvalStats {
-        mappings_evaluated: states.iter().map(|w| w.eval.evaluated).sum(),
-        fast_path: false,
-        workers_used: states.len() as u32,
-        ..EvalStats::default()
-    };
-    let rel = Relation::collect(
-        arity,
-        states
-            .iter()
-            .flat_map(|w| w.possible.iter().map(<[Elem]>::to_vec)),
-    );
-    Ok((rel, stats))
+    evaluate_one(db, query, AnswerMode::Possible, opts)
 }
 
 #[cfg(test)]
@@ -1279,43 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree() {
-        let db = teaching();
-        for input in [
-            "(x) . TEACHES(socrates, x)",
-            "(x) . !TEACHES(socrates, x)",
-            "(x, y) . TEACHES(x, y)",
-            "exists x. TEACHES(x, mystery)",
-            "forall x. TEACHES(socrates, x) -> x != aristotle",
-        ] {
-            let q = parse_query(db.voc(), input).unwrap();
-            let kern = certain_answers_with(
-                &db,
-                &q,
-                ExactOptions {
-                    strategy: MappingStrategy::Kernels,
-                    corollary2_fast_path: false,
-                    ..ExactOptions::new()
-                },
-            )
-            .unwrap()
-            .0;
-            let raw = certain_answers_with(
-                &db,
-                &q,
-                ExactOptions {
-                    strategy: MappingStrategy::RawMappings,
-                    corollary2_fast_path: false,
-                    ..ExactOptions::new()
-                },
-            )
-            .unwrap()
-            .0;
-            assert_eq!(kern, raw, "strategy mismatch on {input}");
-        }
-    }
-
-    #[test]
     fn corollary2_fast_path_agrees() {
         // Fully specified database: fast path == generic path.
         let mut voc = Vocabulary::new();
@@ -1341,7 +993,6 @@ mod tests {
                 &db,
                 &q,
                 ExactOptions {
-                    strategy: MappingStrategy::Kernels,
                     corollary2_fast_path: false,
                     ..ExactOptions::new()
                 },
@@ -1390,7 +1041,6 @@ mod tests {
             &db,
             &q,
             ExactOptions {
-                strategy: MappingStrategy::Kernels,
                 corollary2_fast_path: false,
                 ..ExactOptions::sequential()
             },
@@ -1402,21 +1052,23 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_disabled_counts_every_mapping() {
+    fn early_exit_disabled_accounts_for_every_mapping() {
         use crate::mappings::count_kernel_mappings;
         let db = teaching();
         let q = parse_query(db.voc(), "TEACHES(plato, socrates)").unwrap();
         let opts = ExactOptions {
             corollary2_fast_path: false,
             early_exit: false,
-            decompose: false,
             ..ExactOptions::sequential()
         };
         let (ans, stats) = certain_answers_with(&db, &q, opts).unwrap();
         assert!(ans.is_empty());
-        assert_eq!(stats.mappings_evaluated, count_kernel_mappings(&db));
+        assert_eq!(
+            stats.mappings_evaluated + stats.mappings_pruned,
+            count_kernel_mappings(&db)
+        );
         let (_, pstats) = possible_answers_with(&db, &q, opts).unwrap();
-        assert_eq!(pstats.mappings_evaluated, count_kernel_mappings(&db));
+        assert_eq!(pstats, stats);
     }
 
     #[test]
@@ -1444,7 +1096,7 @@ mod tests {
         assert_eq!(stats.components, 2);
 
         // A query that *mentions* the free constant pins it into the core:
-        // nothing left to collapse, the plain enumeration runs.
+        // nothing left to collapse, one image per kernel mapping.
         let qm = parse_query(db.voc(), "exists x. TEACHES(x, mystery)").unwrap();
         let (_, mstats) = certain_answers_with(&db, &qm, opts).unwrap();
         assert_eq!(mstats.mappings_evaluated, count_kernel_mappings(&db));
@@ -1452,7 +1104,8 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_matches_undecomposed_on_teaching_queries() {
+    fn walk_matches_raw_mapping_oracle_on_teaching_queries() {
+        use crate::oracle::answers_by_raw_mappings;
         let db = teaching();
         for input in [
             "(x) . TEACHES(socrates, x)",
@@ -1465,24 +1118,26 @@ mod tests {
             "(x) . !(x = mystery)",
             "exists x. TEACHES(x, mystery)",
             "(x) . exists y. TEACHES(y, x)",
+            "forall x. TEACHES(socrates, x) -> x != aristotle",
         ] {
             let q = parse_query(db.voc(), input).unwrap();
+            let (certain, _) = answers_by_raw_mappings(&db, &q, AnswerMode::Certain);
+            let (possible, _) = answers_by_raw_mappings(&db, &q, AnswerMode::Possible);
             for threads in [1usize, 4] {
-                let plain = ExactOptions {
+                let opts = ExactOptions {
                     corollary2_fast_path: false,
-                    decompose: false,
                     ..ExactOptions::with_threads(threads)
                 };
-                let decomposed = ExactOptions {
-                    decompose: true,
-                    ..plain
-                };
-                let (ca, _) = certain_answers_with(&db, &q, plain).unwrap();
-                let (cb, _) = certain_answers_with(&db, &q, decomposed).unwrap();
-                assert_eq!(ca, cb, "certain mismatch on {input} at {threads} threads");
-                let (pa, _) = possible_answers_with(&db, &q, plain).unwrap();
-                let (pb, _) = possible_answers_with(&db, &q, decomposed).unwrap();
-                assert_eq!(pa, pb, "possible mismatch on {input} at {threads} threads");
+                let (c, _) = certain_answers_with(&db, &q, opts).unwrap();
+                assert_eq!(
+                    c, certain,
+                    "certain mismatch on {input} at {threads} threads"
+                );
+                let (p, _) = possible_answers_with(&db, &q, opts).unwrap();
+                assert_eq!(
+                    p, possible,
+                    "possible mismatch on {input} at {threads} threads"
+                );
             }
         }
     }
@@ -1525,7 +1180,6 @@ mod tests {
         let d = ExactOptions::default();
         assert!(d.corollary2_fast_path);
         assert!(d.early_exit);
-        assert_eq!(d.strategy, MappingStrategy::Kernels);
     }
 
     #[test]
@@ -1576,31 +1230,23 @@ mod tests {
         .collect();
         let opts = ExactOptions {
             corollary2_fast_path: false,
-            decompose: false,
             ..ExactOptions::sequential()
         };
-        let (_, stats) = certain_answers_batch_with(&db, &queries, opts).unwrap();
-        // One shared enumeration: the batch total equals the kernel count,
-        // not 3× it.
-        assert_eq!(stats.mappings_evaluated, count_kernel_mappings(&db));
-        let (_, solo) = certain_answers_with(&db, &queries[0], opts).unwrap();
-        assert_eq!(stats.mappings_evaluated, solo.mappings_evaluated);
-
-        // The decomposed batch shares one canonical-image enumeration the
-        // same way: batch total == the widest solo decomposed total, not a
-        // 3× sum.
-        let dopts = ExactOptions {
-            decompose: true,
-            ..opts
-        };
-        let (dbatch, dstats) = certain_answers_batch_with(&db, &queries, dopts).unwrap();
+        // One shared enumeration: the batch total is the widest solo total
+        // (the members' EF caps differ), not a 3× sum, and it accounts for
+        // every kernel mapping.
+        let (batch, stats) = certain_answers_batch_with(&db, &queries, opts).unwrap();
+        assert_eq!(
+            stats.mappings_evaluated + stats.mappings_pruned,
+            count_kernel_mappings(&db)
+        );
         let mut widest = 0;
         for (i, q) in queries.iter().enumerate() {
-            let (solo, sstats) = certain_answers_with(&db, q, dopts).unwrap();
-            assert_eq!(dbatch[i], solo, "decomposed batch diverged on query {i}");
+            let (solo, sstats) = certain_answers_with(&db, q, opts).unwrap();
+            assert_eq!(batch[i], solo, "batch diverged on query {i}");
             widest = widest.max(sstats.mappings_evaluated);
         }
-        assert_eq!(dstats.mappings_evaluated, widest);
+        assert_eq!(stats.mappings_evaluated, widest);
     }
 
     #[test]

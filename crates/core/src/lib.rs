@@ -15,13 +15,14 @@
 //!
 //! Evaluation goes through the paper's Theorem 1: `c ∈ Q(LB)` iff
 //! `h(c) ∈ Q(h(Ph₁(LB)))` for every `h : C → C` that respects the
-//! uniqueness axioms. Module [`mappings`] enumerates those `h` (either
-//! raw, or — the default — one canonical representative per kernel
-//! partition, an isomorphism-invariance optimization documented in
-//! ARCHITECTURE.md); module [`exact`] implements the evaluation itself with the
-//! Corollary 2 fast path for fully specified databases; module [`oracle`]
-//! re-derives the semantics from first principles (enumerate candidate
-//! models, check the *explicit* theory) as an independent cross-check; and
+//! uniqueness axioms. Module [`mappings`] enumerates those `h` (one
+//! canonical representative per kernel partition, an isomorphism-invariance
+//! optimization documented in ARCHITECTURE.md — plus the raw enumeration the
+//! oracle uses); module [`exact`] implements the evaluation itself — one
+//! walk — with the Corollary 2 fast path for fully specified databases;
+//! module [`oracle`] holds the two references that walk is tested against
+//! (Theorem 1 verbatim over every raw mapping, and first principles:
+//! enumerate candidate models, check the *explicit* theory); and
 //! module [`precise`] implements the Theorem 3 second-order simulation
 //! `Q(LB) = Q′(Ph₂(LB))`.
 
@@ -39,8 +40,8 @@ pub mod worlds;
 
 pub use exact::{
     certain_answers, certain_answers_batch_with, certain_answers_with, certainly_holds,
-    possible_answers, possible_answers_batch_with, possible_answers_with, EvalStats, ExactOptions,
-    MappingStrategy,
+    possible_answers, possible_answers_batch_with, possible_answers_with, AnswerMode, EvalStats,
+    ExactOptions,
 };
 pub use mappings::ParallelConfig;
 pub use ph::Ph2;

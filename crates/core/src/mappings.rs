@@ -5,8 +5,8 @@
 //!
 //! * [`for_each_respecting_mapping`] — every respecting `h`, all
 //!   `≤ |C|^|C|` of them, by backtracking over the NE constraint graph.
-//!   Faithful to the statement of Theorem 1; kept for differential
-//!   testing and for the E1 experiment's cost comparison.
+//!   Faithful to the statement of Theorem 1; sequential only, it feeds the
+//!   raw-mapping reference [`crate::oracle::answers_by_raw_mappings`].
 //! * [`for_each_kernel_mapping`] — one canonical representative per
 //!   *kernel partition*. Certain-answer membership `h(c) ∈ Q(h(Ph₁(LB)))`
 //!   is invariant under post-composition of `h` with any bijection
@@ -24,18 +24,17 @@
 //!
 //! # Parallel enumeration
 //!
-//! Both search trees are embarrassingly parallel over subtrees:
-//! [`for_each_kernel_mapping_parallel`] and
-//! [`for_each_respecting_mapping_parallel`] partition the tree by the
-//! branch choices of the first few levels into independent *prefix jobs*,
-//! and a scoped pool of `std::thread` workers drains the job list through
-//! an atomic counter. Each worker owns private per-worker state (created
-//! by `init`), visits every mapping of its subtrees, and a shared atomic
-//! stop flag propagates early exit across workers: the first `visit`
-//! returning `false` halts the whole enumeration. Every mapping is visited
-//! by exactly one worker, so order-independent merges of the worker states
+//! The kernel tree is embarrassingly parallel over subtrees:
+//! [`for_each_kernel_mapping_over_parallel`] partitions it by the branch
+//! choices of the first few levels into independent *prefix jobs*, and a
+//! scoped pool of `std::thread` workers drains the job list through an
+//! atomic counter. Each worker owns private per-worker state (created by
+//! `init`), visits every mapping of its subtrees, and a shared atomic stop
+//! flag propagates early exit across workers: the first `visit` returning
+//! `false` halts the whole enumeration. Every mapping is visited by exactly
+//! one worker, so order-independent merges of the worker states
 //! (intersection, union, sums) are bit-identical to the sequential
-//! enumerators regardless of thread count.
+//! enumerator regardless of thread count.
 
 use crate::theory::CwDatabase;
 use qld_physical::Elem;
@@ -298,31 +297,7 @@ fn kernel_prefixes(nbrs: &[Vec<u32>], n: usize, target: usize) -> (usize, Vec<Ve
     (depth, prefixes)
 }
 
-/// All valid raw-mapping prefixes (`h[..depth]` values), extended level by
-/// level until there are at least `target` of them.
-fn raw_prefixes(nbrs: &[Vec<u32>], n: usize, target: usize) -> (usize, Vec<Vec<Elem>>) {
-    let mut depth = 0;
-    let mut prefixes: Vec<Vec<Elem>> = vec![Vec::new()];
-    while depth < n && prefixes.len() < target {
-        let mut next = Vec::with_capacity(prefixes.len() * n);
-        for p in &prefixes {
-            for v in 0..n as Elem {
-                if !ne_separated(p, &nbrs[depth], v) {
-                    continue;
-                }
-                let mut q = Vec::with_capacity(depth + 1);
-                q.extend_from_slice(p);
-                q.push(v);
-                next.push(q);
-            }
-        }
-        prefixes = next;
-        depth += 1;
-    }
-    (depth, prefixes)
-}
-
-/// The scoped worker pool shared by the two parallel enumerators: workers
+/// The scoped worker pool of the parallel enumerator: workers
 /// claim jobs through an atomic counter (dynamic load balancing for skewed
 /// subtrees) and observe a shared stop flag. `work` returns `false` to
 /// stop the whole pool. Returns every worker's final state (in worker
@@ -368,8 +343,9 @@ fn worker_pool<S: Send, J: Sync>(
     (states, completed)
 }
 
-/// Parallel [`for_each_kernel_mapping`]: visits exactly the same mappings,
-/// split across a worker pool (see the module docs for the scheme). `init`
+/// Parallel [`for_each_kernel_mapping_over`]: visits exactly the same
+/// partitions of `members` (pass `0..|C|` for the full kernel set), split
+/// across a worker pool (see the module docs for the scheme). `init`
 /// creates one private state per worker; `visit` returning `false` stops
 /// every worker. Returns the worker states (merge them order-independently)
 /// and `false` in the second slot iff the enumeration was stopped early.
@@ -377,21 +353,6 @@ fn worker_pool<S: Send, J: Sync>(
 /// With `config.threads == 1` this runs the sequential enumerator on the
 /// calling thread — no threads are spawned, and the single returned state
 /// saw every mapping in sequential order.
-pub fn for_each_kernel_mapping_parallel<S: Send>(
-    db: &CwDatabase,
-    config: ParallelConfig,
-    init: impl Fn(usize) -> S + Sync,
-    visit: impl Fn(&mut S, &[Elem]) -> bool + Sync,
-) -> (Vec<S>, bool) {
-    let members: Vec<Elem> = (0..db.num_consts() as Elem).collect();
-    for_each_kernel_mapping_over_parallel(db, &members, config, init, visit)
-}
-
-/// Parallel [`for_each_kernel_mapping_over`], with the same worker-pool
-/// contract as [`for_each_kernel_mapping_parallel`]: the subset kernel tree
-/// is split by restricted-growth prefixes into jobs drained by a scoped
-/// pool, every partition of `members` is visited by exactly one worker, and
-/// a shared stop flag propagates early exit.
 pub fn for_each_kernel_mapping_over_parallel<S: Send>(
     db: &CwDatabase,
     members: &[u32],
@@ -442,48 +403,6 @@ pub fn for_each_kernel_mapping_over_parallel<S: Send>(
                 &nbrs,
                 &mut |h| !stop.load(Ordering::Relaxed) && visit(state, h),
             )
-        },
-    );
-    (
-        scratches.into_iter().map(|sc| sc.state).collect(),
-        completed,
-    )
-}
-
-/// Parallel [`for_each_respecting_mapping`], with the same contract as
-/// [`for_each_kernel_mapping_parallel`].
-pub fn for_each_respecting_mapping_parallel<S: Send>(
-    db: &CwDatabase,
-    config: ParallelConfig,
-    init: impl Fn(usize) -> S + Sync,
-    visit: impl Fn(&mut S, &[Elem]) -> bool + Sync,
-) -> (Vec<S>, bool) {
-    let threads = config.resolved_threads();
-    if threads <= 1 {
-        let mut state = init(0);
-        let completed = for_each_respecting_mapping(db, |h| visit(&mut state, h));
-        return (vec![state], completed);
-    }
-    let n = db.num_consts();
-    let nbrs = smaller_neighbors(db);
-    let (depth, prefixes) = raw_prefixes(&nbrs, n, threads * JOBS_PER_WORKER);
-    struct Scratch<S> {
-        state: S,
-        h: Vec<Elem>,
-    }
-    let (scratches, completed) = worker_pool(
-        threads,
-        &prefixes,
-        |w| Scratch {
-            state: init(w),
-            h: vec![0; n],
-        },
-        |sc, prefix: &Vec<Elem>, stop| {
-            sc.h[..depth].copy_from_slice(prefix);
-            let state = &mut sc.state;
-            raw_rec(depth, n, &mut sc.h, &nbrs, &mut |h| {
-                !stop.load(Ordering::Relaxed) && visit(state, h)
-            })
         },
     );
     (
@@ -633,11 +552,10 @@ pub fn count_kernel_mappings_by_enumeration(db: &CwDatabase) -> u64 {
 ///
 /// The count is closed-form over the NE components: a partition of `C`
 /// restricts to one NE-separating partition per component, and gluing them
-/// back is a partial matching of blocks across components (blocks of one
-/// component never merge — that would merge their NE-constrained members
-/// too? no: members of *different* components have no NE edge, so any
-/// cross-component merge is legal, which is exactly what the matching
-/// counts). Per component we track σ(k) = #partitions into exactly `k`
+/// back is a partial matching of blocks across components (members of
+/// *different* components have no NE edge, so any cross-component merge of
+/// blocks is legal, which is exactly what the matching counts). Per
+/// component we track σ(k) = #partitions into exactly `k`
 /// blocks: all unconstrained singletons at once via the Stirling recurrence
 /// S(s,k) = S(s−1,k−1) + k·S(s−1,k), each constrained component by a local
 /// kernel walk (component-sized, not database-sized), and two σ vectors
@@ -944,25 +862,24 @@ mod tests {
         assert_eq!(raw_kernels, canon_kernels);
     }
 
-    /// Collects the mapping set seen by a parallel enumeration (union over
+    /// Collects the kernel set seen by a parallel enumeration (union over
     /// the per-worker sets, asserting no worker saw a mapping twice).
-    fn parallel_mapping_set(
+    fn parallel_kernel_set(
         db: &CwDatabase,
         threads: usize,
-        kernels: bool,
     ) -> std::collections::HashSet<Vec<Elem>> {
-        // Unclamped so the pool machinery is exercised even on small hosts.
-        let config = ParallelConfig::unclamped(threads);
-        let init = |_w: usize| std::collections::HashSet::new();
-        let visit = |set: &mut std::collections::HashSet<Vec<Elem>>, h: &[Elem]| {
-            assert!(set.insert(h.to_vec()), "worker revisited {h:?}");
-            true
-        };
-        let (states, completed) = if kernels {
-            for_each_kernel_mapping_parallel(db, config, init, visit)
-        } else {
-            for_each_respecting_mapping_parallel(db, config, init, visit)
-        };
+        let members: Vec<u32> = (0..db.num_consts() as u32).collect();
+        let (states, completed) = for_each_kernel_mapping_over_parallel(
+            db,
+            &members,
+            // Unclamped so the pool machinery is exercised even on small hosts.
+            ParallelConfig::unclamped(threads),
+            |_w| std::collections::HashSet::new(),
+            |set: &mut std::collections::HashSet<Vec<Elem>>, h| {
+                assert!(set.insert(h.to_vec()), "worker revisited {h:?}");
+                true
+            },
+        );
         assert!(completed);
         let mut union = std::collections::HashSet::new();
         for s in states {
@@ -988,21 +905,11 @@ mod tests {
                 seq_kernels.insert(h.to_vec());
                 true
             });
-            let mut seq_raw = std::collections::HashSet::new();
-            for_each_respecting_mapping(&db, |h| {
-                seq_raw.insert(h.to_vec());
-                true
-            });
             for threads in [1usize, 2, 3, 4, 8] {
                 assert_eq!(
-                    parallel_mapping_set(&db, threads, true),
+                    parallel_kernel_set(&db, threads),
                     seq_kernels,
-                    "kernels, n={n}, ne={ne:?}, threads={threads}"
-                );
-                assert_eq!(
-                    parallel_mapping_set(&db, threads, false),
-                    seq_raw,
-                    "raw, n={n}, ne={ne:?}, threads={threads}"
+                    "n={n}, ne={ne:?}, threads={threads}"
                 );
             }
         }
@@ -1012,8 +919,9 @@ mod tests {
     fn parallel_early_exit_stops_all_workers() {
         let db = db_with(6, &[]);
         for threads in [2usize, 4] {
-            let (states, completed) = for_each_kernel_mapping_parallel(
+            let (states, completed) = for_each_kernel_mapping_over_parallel(
                 &db,
+                &[0, 1, 2, 3, 4, 5],
                 ParallelConfig::unclamped(threads),
                 |_| 0u64,
                 |count, _h| {
@@ -1187,16 +1095,6 @@ mod tests {
                 max_seen = max_seen.max(b);
                 for &j in &nbrs[i] {
                     assert_ne!(p[j as usize], b, "prefix {p:?} merges NE pair");
-                }
-            }
-        }
-        let (rdepth, rprefixes) = raw_prefixes(&nbrs, 4, 6);
-        assert!(rdepth <= 4);
-        for p in &rprefixes {
-            assert_eq!(p.len(), rdepth);
-            for (i, &v) in p.iter().enumerate() {
-                for &j in &nbrs[i] {
-                    assert_ne!(p[j as usize], v, "prefix {p:?} violates NE");
                 }
             }
         }

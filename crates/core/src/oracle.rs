@@ -19,7 +19,16 @@
 //!
 //! Doubly exponential; usable only on the tiny instances the differential
 //! tests feed it. That is its job.
+//!
+//! A second, cheaper reference sits one step closer to the production
+//! walk: [`answers_by_raw_mappings`] takes Theorem 1 exactly as stated —
+//! every respecting `h`, no kernel canonicalization, no free-null collapse
+//! — with its own candidate list and a fresh [`apply_mapping`] image per
+//! mapping, so it shares no logic with the [`crate::exact`] walk it checks.
 
+use crate::exact::AnswerMode;
+use crate::mappings::for_each_respecting_mapping;
+use crate::ph::apply_mapping;
 use crate::theory::CwDatabase;
 use qld_logic::{Formula, LogicError, Query};
 use qld_physical::{
@@ -85,6 +94,47 @@ pub fn certain_answers_oracle(db: &CwDatabase, query: &Query) -> Result<Relation
     }
     assert!(saw_model, "a CW theory always has at least one model");
     Ok(Relation::collect(arity, candidates))
+}
+
+/// Theorem 1 verbatim, as a reference for [`crate::exact`]: visits every
+/// respecting `h : C → C` (all `≤ |C|^|C|` of them, no early exit), builds
+/// `h(Ph₁(LB))` afresh and keeps the candidates `c` with `h(c)` in the
+/// image's answers under every `h` ([`AnswerMode::Certain`]) or under some
+/// `h` ([`AnswerMode::Possible`]). Returns the answers and the number of
+/// mappings visited.
+///
+/// # Panics
+/// Panics if `query` is not valid over the database's vocabulary.
+pub fn answers_by_raw_mappings(
+    db: &CwDatabase,
+    query: &Query,
+    mode: AnswerMode,
+) -> (Relation, u64) {
+    query.check(db.voc()).expect("query matches the vocabulary");
+    let consts: Vec<Elem> = (0..db.num_consts() as Elem).collect();
+    let candidates: Vec<Vec<Elem>> = TupleSpace::new(&consts, query.arity()).collect();
+    // `hits[i]`: how many mappings put candidate `i`'s image in the answers.
+    let mut hits = vec![0u64; candidates.len()];
+    let mut visited = 0u64;
+    for_each_respecting_mapping(db, |h| {
+        visited += 1;
+        let answers = eval_query(&apply_mapping(db, h), query);
+        for (c, hit) in candidates.iter().zip(hits.iter_mut()) {
+            let mapped: Vec<Elem> = c.iter().map(|&e| h[e as usize]).collect();
+            *hit += u64::from(answers.contains(&mapped));
+        }
+        true
+    });
+    let needed = match mode {
+        AnswerMode::Certain => visited,
+        AnswerMode::Possible => 1,
+    };
+    let kept = candidates
+        .into_iter()
+        .zip(hits)
+        .filter(|&(_, hit)| hit >= needed)
+        .map(|(c, _)| c);
+    (Relation::collect(query.arity(), kept), visited)
 }
 
 #[allow(clippy::too_many_arguments)]

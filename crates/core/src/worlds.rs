@@ -8,7 +8,7 @@
 
 use crate::exact::{certain_answers, possible_answers};
 use crate::mappings::{
-    count_kernel_mappings, for_each_kernel_mapping, for_each_kernel_mapping_parallel,
+    count_kernel_mappings, for_each_kernel_mapping, for_each_kernel_mapping_over_parallel,
     ParallelConfig,
 };
 use crate::ph::{apply_mapping_into, ph1};
@@ -48,8 +48,10 @@ pub fn for_each_world_parallel<S: Send>(
     visit: impl Fn(&mut S, &PhysicalDb) -> bool + Sync,
 ) -> (Vec<S>, bool) {
     let base = ph1(db);
-    let (states, completed) = for_each_kernel_mapping_parallel(
+    let members: Vec<u32> = (0..db.num_consts() as u32).collect();
+    let (states, completed) = for_each_kernel_mapping_over_parallel(
         db,
+        &members,
         config,
         |w| (init(w), base.clone()),
         |(state, image), h| {

@@ -69,7 +69,7 @@ impl fmt::Display for Semantics {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Regime {
     /// Theorem 1: intersect `Q(h(Ph₁(LB)))` over every respecting mapping
-    /// `h` (kernel-canonicalized or raw, per configuration).
+    /// `h` (one canonical image per kernel partition, free nulls collapsed).
     Theorem1,
     /// Corollary 2: the database is fully specified, so one evaluation
     /// over `Ph₁(LB)` is the whole job.
@@ -197,18 +197,18 @@ pub struct Evidence {
     /// `0` only for the regimes that never enumerate mappings.
     pub workers_used: u32,
     /// NE-constraint components of the database (the pairwise-distinct
-    /// groups plus the isolated singletons) when a decomposed Theorem 1 /
-    /// possible-answer enumeration ran; `0` for every other regime and
-    /// for undecomposed enumerations.
+    /// groups plus the isolated singletons) when a Theorem 1 /
+    /// possible-answer enumeration ran; `0` for every other regime.
     pub components: u32,
-    /// Kernel mappings the free-null collapse *skipped*: the closed-form
-    /// kernel count minus the canonical images actually evaluated
-    /// (saturating; `0` when the decomposed path did not run).
+    /// Kernel mappings the enumeration never visited — collapsed free
+    /// nulls and early exit: the closed-form kernel count minus the
+    /// canonical images actually evaluated (saturating; `0` when no
+    /// enumeration ran).
     pub mappings_pruned: u64,
     /// Components whose decomposition analysis was served from the
     /// engine's cross-delta cache instead of re-analyzed (equals
     /// [`Evidence::components`] when the cache was warm, `0` on the run
-    /// that populated it or when decomposition did not run).
+    /// that populated it or when no enumeration ran).
     pub components_reused: u32,
     /// The answer was served from the engine's answer cache: no regime ran
     /// and no mappings were enumerated for this call (`mappings_evaluated`
@@ -237,10 +237,10 @@ pub struct Evidence {
 impl Evidence {
     /// One-line human-readable summary, e.g.
     /// `auto → §5 approx, exact (Theorem 11 + Theorem 13), epoch 0` or
-    /// `exact → Theorem 1, exact (Theorem 1), 15 mapping(s), 4 worker(s),
-    /// epoch 2`, with `(cached)` appended on cache hits and the
-    /// shared-enumeration batch size when the mappings were amortized
-    /// across a batch. The epoch names the database state the answer was
+    /// `exact → Theorem 1, exact (Theorem 1), 15 mapping(s), 1 component(s),
+    /// 0 mapping(s) pruned, 4 worker(s), epoch 2`, with `(cached)` appended
+    /// on cache hits and the shared-enumeration batch size when the
+    /// mappings were amortized across a batch. The epoch names the database state the answer was
     /// computed at, so concurrent repro reports are unambiguous.
     pub fn summary(&self) -> String {
         let mut s = format!("{} → {}, {}", self.requested, self.regime, self.certificate);
@@ -409,9 +409,9 @@ mod tests {
         assert!(!s.contains("worker"), "{s}");
         assert!(!s.contains("cached"), "{s}");
         assert!(!s.contains("batch"), "{s}");
-        // …and undecomposed runs don't advertise components.
+        // …and regimes that never enumerate don't advertise components.
         assert!(!s.contains("component"), "{s}");
-        // Decomposed runs report components, pruning, and analysis reuse.
+        // Enumerations report components, pruning, and analysis reuse.
         ev.components = 2;
         ev.mappings_pruned = 7;
         let s = ev.summary();

@@ -69,7 +69,6 @@ pub use qld_approx::{AlphaMode, Backend, CompletenessTheorem};
 // The durability vocabulary callers need alongside `SharedEngine::durable`
 // (storage backends, fsync policies, and the fault injector the crash
 // tests drive).
-pub use qld_core::exact::MappingStrategy;
 pub use qld_core::mappings::ParallelConfig;
 pub use qld_wal::{
     has_state as wal_has_state, DiskStorage, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage,
@@ -269,26 +268,6 @@ mod tests {
             engine.query("(x) . UNKNOWN_PRED(x)"),
             Err(EngineError::Logic(_))
         ));
-    }
-
-    #[test]
-    fn mapping_strategy_is_respected() {
-        let db = teaching();
-        let kern = Engine::builder(db.clone())
-            .semantics(Semantics::Exact)
-            .mapping_strategy(MappingStrategy::Kernels)
-            .build();
-        let raw = Engine::builder(db)
-            .semantics(Semantics::Exact)
-            .mapping_strategy(MappingStrategy::RawMappings)
-            .build();
-        let q = "forall x. TEACHES(socrates, x) -> x != aristotle";
-        let a = kern.query(q).unwrap();
-        let b = raw.query(q).unwrap();
-        assert_eq!(a.tuples(), b.tuples());
-        // Raw enumeration visits at least as many mappings as the kernel
-        // canonicalization.
-        assert!(b.evidence().mappings_evaluated >= a.evidence().mappings_evaluated);
     }
 
     #[test]

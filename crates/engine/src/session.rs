@@ -6,11 +6,7 @@ use crate::evidence::{Answers, Certificate, Evidence, Regime, Semantics};
 use crate::prepared::PreparedQuery;
 use qld_algebra::{compile_query_ordered, execute, optimize};
 use qld_approx::{exactness_theorem, AlphaMode, ApproxEngine, Backend, CompletenessTheorem};
-use qld_core::exact::{
-    certain_answers_batch_with_decomp, certain_answers_with_decomp,
-    possible_answers_batch_with_decomp, possible_answers_with_decomp, EvalStats, ExactOptions,
-    MappingStrategy,
-};
+use qld_core::exact::{evaluate, AnswerMode, EvalStats, ExactOptions};
 use qld_core::mappings::{
     analyze_decomposition, count_kernel_mappings_up_to, DbDecomposition, ParallelConfig,
 };
@@ -212,6 +208,7 @@ impl Clone for DeltaCounters {
 }
 
 /// What one evaluation run produced, before packaging into [`Answers`].
+#[derive(Clone)]
 struct RunOutcome {
     tuples: Relation,
     regime: Regime,
@@ -237,15 +234,6 @@ impl RunOutcome {
             upper: None,
         }
     }
-}
-
-/// Which shared enumeration a batched execution joins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EnumerationKind {
-    /// The Theorem 1 intersection (certain answers).
-    Certain,
-    /// The possible-answer union dual.
-    Possible,
 }
 
 /// Packages a run's outcome as [`Answers`] with full [`Evidence`],
@@ -298,11 +286,7 @@ struct EngineConfig {
     backend: Backend,
     alpha: AlphaMode,
     ne_store: NeStoreMode,
-    strategy: MappingStrategy,
     corollary2_fast_path: bool,
-    /// Whether enumerations use the free-null collapse (component
-    /// decomposition) — answers are bit-identical either way.
-    decompose: bool,
     parallel: ParallelConfig,
     /// `Some(b)`: under [`Semantics::Auto`], refuse Theorem 1 escalations
     /// whose kernel-mapping count exceeds `b` and return certified bounds
@@ -317,7 +301,7 @@ struct EngineConfig {
 /// Configures and constructs an [`Engine`]. Obtained from
 /// [`Engine::builder`]; every knob has a sensible default
 /// ([`Semantics::Auto`], naive backend, materialized `α_P`, explicit `NE`,
-/// kernel mapping enumeration, Corollary 2 fast path on).
+/// Corollary 2 fast path on).
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     db: CwDatabase,
@@ -332,7 +316,6 @@ impl EngineBuilder {
             semantics: Semantics::default(),
             config: EngineConfig {
                 corollary2_fast_path: true,
-                decompose: true,
                 answer_cache: true,
                 cache_capacity: DEFAULT_ANSWER_CACHE_CAPACITY,
                 ..EngineConfig::default()
@@ -367,13 +350,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Mapping enumeration strategy for the Theorem 1 (and possible-world)
-    /// paths: kernel-canonical (default) or raw respecting mappings.
-    pub fn mapping_strategy(mut self, strategy: MappingStrategy) -> Self {
-        self.config.strategy = strategy;
-        self
-    }
-
     /// Worker threads for the Theorem 1 / possible-answer mapping
     /// enumeration: `1` is sequential, `0` means one worker per available
     /// CPU. Defaults to the `QLD_THREADS` environment variable (else
@@ -390,18 +366,6 @@ impl EngineBuilder {
     /// uses it on fully specified databases — that is its certificate).
     pub fn corollary2_fast_path(mut self, enabled: bool) -> Self {
         self.config.corollary2_fast_path = enabled;
-        self
-    }
-
-    /// Enables/disables the free-null collapse (component decomposition)
-    /// of the Theorem 1 / possible-answer enumerations (on by default).
-    /// Answers are bit-identical either way; decomposition evaluates one
-    /// canonical image per (core partition, null-block count) instead of
-    /// one per kernel mapping, reporting the skipped mappings in
-    /// [`Evidence::mappings_pruned`](crate::Evidence::mappings_pruned).
-    /// Turning it off pins the classic one-image-per-kernel accounting.
-    pub fn decompose(mut self, enabled: bool) -> Self {
-        self.config.decompose = enabled;
         self
     }
 
@@ -518,7 +482,7 @@ pub struct Engine {
     /// the count depends only on the axiom set, never on the facts).
     kernel_count: OnceLock<u64>,
     /// Cross-delta cache of the NE-component / free-constant analysis the
-    /// decomposed enumeration starts from. Invalidated by [`Engine::apply`]
+    /// Theorem 1 enumeration starts from. Invalidated by [`Engine::apply`]
     /// when a delta adds NE axioms (components can merge), or when an
     /// inserted fact mentions a currently-free constant (that constant
     /// stops being free); insert-only fact deltas over core constants
@@ -960,7 +924,7 @@ impl Engine {
         let outcome = match semantics {
             Semantics::Exact => self.run_exact(prepared, completeness)?,
             Semantics::Approx => self.run_approx(prepared, completeness)?,
-            Semantics::Possible => self.run_possible(prepared)?,
+            Semantics::Possible => self.run_solo(prepared, AnswerMode::Possible)?,
             Semantics::Auto => self.run_auto(prepared, completeness)?,
         };
         let answers = package(outcome, semantics, None, start, self.epoch);
@@ -1016,8 +980,8 @@ impl Engine {
                 results[i] = Some(hit);
             } else {
                 match self.enumeration_route(self.effective_completeness(p), semantics) {
-                    Some(EnumerationKind::Certain) => certain_group.push(i),
-                    Some(EnumerationKind::Possible) => possible_group.push(i),
+                    Some(AnswerMode::Certain) => certain_group.push(i),
+                    Some(AnswerMode::Possible) => possible_group.push(i),
                     None => results[i] = Some(self.execute_as(p, semantics)?),
                 }
             }
@@ -1025,14 +989,14 @@ impl Engine {
         self.run_shared_group(
             prepared,
             &certain_group,
-            EnumerationKind::Certain,
+            AnswerMode::Certain,
             semantics,
             &mut results,
         )?;
         self.run_shared_group(
             prepared,
             &possible_group,
-            EnumerationKind::Possible,
+            AnswerMode::Possible,
             semantics,
             &mut results,
         )?;
@@ -1058,17 +1022,17 @@ impl Engine {
         &self,
         completeness: Option<CompletenessTheorem>,
         semantics: Semantics,
-    ) -> Option<EnumerationKind> {
+    ) -> Option<AnswerMode> {
         match semantics {
             Semantics::Exact
                 if !(self.config.corollary2_fast_path && self.db.is_fully_specified()) =>
             {
-                Some(EnumerationKind::Certain)
+                Some(AnswerMode::Certain)
             }
             Semantics::Auto if completeness.is_none() && !self.over_mapping_budget() => {
-                Some(EnumerationKind::Certain)
+                Some(AnswerMode::Certain)
             }
-            Semantics::Possible => Some(EnumerationKind::Possible),
+            Semantics::Possible => Some(AnswerMode::Possible),
             _ => None,
         }
     }
@@ -1082,7 +1046,7 @@ impl Engine {
         &self,
         prepared: &[PreparedQuery],
         group: &[usize],
-        kind: EnumerationKind,
+        mode: AnswerMode,
         semantics: Semantics,
         results: &mut [Option<Answers>],
     ) -> Result<(), EngineError> {
@@ -1100,30 +1064,10 @@ impl Engine {
             });
             slots.push(slot);
         }
-        let opts = self.exact_options();
-        let (decomp, warm) = self.decomposition();
-        let ((rels, stats), regime, certificate) = match kind {
-            EnumerationKind::Certain => (
-                certain_answers_batch_with_decomp(&self.db, &queries, opts, decomp)?,
-                Regime::Theorem1,
-                Certificate::ExactTheorem1,
-            ),
-            EnumerationKind::Possible => (
-                possible_answers_batch_with_decomp(&self.db, &queries, opts, decomp)?,
-                Regime::PossibleWorlds,
-                Certificate::PossibleUpperBound,
-            ),
-        };
+        let outcomes = self.run_enumeration(&queries, mode)?;
         let shared = (queries.len() > 1).then_some(queries.len());
         for (&i, &slot) in group.iter().zip(slots.iter()) {
-            let outcome = RunOutcome {
-                tuples: rels[slot].clone(),
-                regime,
-                certificate,
-                components_reused: if warm { stats.components } else { 0 },
-                stats,
-                upper: None,
-            };
+            let outcome = outcomes[slot].clone();
             let answers = package(outcome, semantics, shared, start, self.epoch);
             self.cache.insert(&prepared[i], semantics, &answers);
             results[i] = Some(answers);
@@ -1149,43 +1093,48 @@ impl Engine {
         qld_core::answer_names(self.db.voc(), answers.tuples())
     }
 
-    /// The exact-enumeration options induced by the engine configuration.
-    fn exact_options(&self) -> ExactOptions {
-        ExactOptions {
-            strategy: self.config.strategy,
+    /// The one door into `qld_core`'s Theorem 1 walk — solo runs (a batch
+    /// of one), shared batch groups, `Exact` semantics and `Auto`
+    /// escalation all enumerate through here, so they can never diverge.
+    /// Passes the engine's cached decomposition analysis for this epoch
+    /// (populating it on first use); returns one outcome per query, all
+    /// carrying the shared stats.
+    fn run_enumeration(
+        &self,
+        queries: &[Query],
+        mode: AnswerMode,
+    ) -> Result<Vec<RunOutcome>, EngineError> {
+        let opts = ExactOptions {
             corollary2_fast_path: false,
-            decompose: self.config.decompose,
             parallel: self.config.parallel,
             ..ExactOptions::new()
-        }
-    }
-
-    /// The cached decomposition analysis for this epoch, plus whether this
-    /// call found it already warm (a previous run populated it and no
-    /// delta since invalidated it). `None` when decomposition is disabled.
-    fn decomposition(&self) -> (Option<&DbDecomposition>, bool) {
-        if !self.config.decompose {
-            return (None, false);
-        }
+        };
         let warm = self.decomp.get().is_some();
-        let d = self.decomp.get_or_init(|| analyze_decomposition(&self.db));
-        (Some(d), warm)
-    }
-
-    /// The full Theorem 1 enumeration — shared by `Exact` semantics and
-    /// `Auto` escalation so the two can never diverge.
-    fn run_theorem1(&self, prepared: &PreparedQuery) -> Result<RunOutcome, EngineError> {
-        let (decomp, warm) = self.decomposition();
-        let (rel, stats) =
-            certain_answers_with_decomp(&self.db, prepared.query(), self.exact_options(), decomp)?;
-        Ok(RunOutcome {
-            tuples: rel,
-            regime: Regime::Theorem1,
-            certificate: Certificate::ExactTheorem1,
+        let decomp = self.decomp.get_or_init(|| analyze_decomposition(&self.db));
+        let (rels, stats) = evaluate(&self.db, queries, mode, opts, Some(decomp))?;
+        let (regime, certificate) = match mode {
+            AnswerMode::Certain => (Regime::Theorem1, Certificate::ExactTheorem1),
+            AnswerMode::Possible => (Regime::PossibleWorlds, Certificate::PossibleUpperBound),
+        };
+        let outcomes = rels.into_iter().map(|tuples| RunOutcome {
+            tuples,
+            regime,
+            certificate,
             components_reused: if warm { stats.components } else { 0 },
             stats,
             upper: None,
-        })
+        });
+        Ok(outcomes.collect())
+    }
+
+    /// [`Engine::run_enumeration`] for one prepared query.
+    fn run_solo(
+        &self,
+        prepared: &PreparedQuery,
+        mode: AnswerMode,
+    ) -> Result<RunOutcome, EngineError> {
+        let mut outcomes = self.run_enumeration(std::slice::from_ref(prepared.query()), mode)?;
+        Ok(outcomes.pop().expect("one query in, one answer out"))
     }
 
     fn run_exact(
@@ -1197,27 +1146,13 @@ impl Engine {
             .enumeration_route(completeness, Semantics::Exact)
             .is_some()
         {
-            return self.run_theorem1(prepared);
+            return self.run_solo(prepared, AnswerMode::Certain);
         }
         Ok(RunOutcome::polynomial(
             eval_query(self.ph1_db(), prepared.query()),
             Regime::Corollary2,
             Certificate::ExactCorollary2,
         ))
-    }
-
-    fn run_possible(&self, prepared: &PreparedQuery) -> Result<RunOutcome, EngineError> {
-        let (decomp, warm) = self.decomposition();
-        let (rel, stats) =
-            possible_answers_with_decomp(&self.db, prepared.query(), self.exact_options(), decomp)?;
-        Ok(RunOutcome {
-            tuples: rel,
-            regime: Regime::PossibleWorlds,
-            certificate: Certificate::PossibleUpperBound,
-            components_reused: if warm { stats.components } else { 0 },
-            stats,
-            upper: None,
-        })
     }
 
     /// `completeness` is the *effective* verdict computed by the caller —
@@ -1254,7 +1189,7 @@ impl Engine {
             .enumeration_route(completeness, Semantics::Auto)
             .is_some()
         {
-            return self.run_theorem1(prepared);
+            return self.run_solo(prepared, AnswerMode::Certain);
         }
         match completeness {
             // Fully specified: one physical evaluation is exact, and is
@@ -1647,7 +1582,7 @@ mod tests {
             .answer_cache(false)
             .build();
         let text = "(x) . !P(x)";
-        // First decomposed run pays the analysis (nothing reused)…
+        // The first run pays the analysis (nothing reused)…
         let first = engine.query(text).unwrap();
         assert!(first.evidence().components > 0);
         assert!(first.evidence().mappings_pruned > 0);
@@ -1682,35 +1617,6 @@ mod tests {
             .unwrap();
         let after_ne = engine.query(text).unwrap();
         assert_eq!(after_ne.evidence().components_reused, 0);
-    }
-
-    #[test]
-    fn decompose_knob_pins_classic_accounting() {
-        let mut voc = Vocabulary::new();
-        let ids = voc.add_consts(["a", "b", "u"]).unwrap();
-        let p = voc.add_pred("P", 1).unwrap();
-        let db = CwDatabase::builder(voc)
-            .fact(p, &[ids[0]])
-            .unique(ids[0], ids[1])
-            .build()
-            .unwrap();
-        let classic = Engine::builder(db.clone())
-            .semantics(Semantics::Exact)
-            .decompose(false)
-            .answer_cache(false)
-            .build();
-        let decomposed = Engine::builder(db)
-            .semantics(Semantics::Exact)
-            .answer_cache(false)
-            .build();
-        let text = "(x) . !P(x)";
-        let a = classic.query(text).unwrap();
-        let b = decomposed.query(text).unwrap();
-        assert_eq!(a.tuples(), b.tuples());
-        assert_eq!(a.evidence().components, 0);
-        assert_eq!(a.evidence().mappings_pruned, 0);
-        assert!(b.evidence().mappings_pruned > 0);
-        assert!(a.evidence().mappings_evaluated > b.evidence().mappings_evaluated);
     }
 
     #[test]

@@ -79,69 +79,11 @@ pub mod prelude {
     pub use qld_core::{answer_names, CwDatabase};
     pub use qld_engine::{
         Answers, Certificate, Delta, DeltaReport, DeltaStats, Engine, EngineBuilder, EngineError,
-        EngineSnapshot, Evidence, MappingStrategy, NeStoreMode, ParallelConfig, PreparedQuery,
-        QueryFootprint, Regime, Semantics, SharedEngine, SharedSession, SharedStats, SnapshotStats,
+        EngineSnapshot, Evidence, NeStoreMode, ParallelConfig, PreparedQuery, QueryFootprint,
+        Regime, Semantics, SharedEngine, SharedSession, SharedStats, SnapshotStats,
     };
     pub use qld_logic::parser::{parse_query, parse_sentence};
     pub use qld_logic::{Formula, Query, Term, Var, Vocabulary};
     pub use qld_physical::{eval_query, PhysicalDb, Relation};
     pub use qld_server::{Client, RetryPolicy, Server, ServerConfig, ServerHandle, ServerStats};
-
-    #[allow(deprecated)]
-    pub use crate::{approximate_answers, certain_answers, certainly_holds, possible_answers};
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated shims: the pre-`Engine` free-function entry points. They keep
-// external callers compiling; new code should go through the `Engine`
-// session API, which returns the same tuples plus an exactness certificate.
-// ---------------------------------------------------------------------------
-
-/// Exact certain answers `Q(LB)` (Theorem 1 with the Corollary 2 fast
-/// path).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine` with `Semantics::Exact` (or `Auto`) — it returns the same tuples plus an exactness certificate"
-)]
-pub fn certain_answers(
-    db: &qld_core::CwDatabase,
-    query: &qld_logic::Query,
-) -> Result<qld_physical::Relation, qld_logic::LogicError> {
-    qld_core::certain_answers(db, query)
-}
-
-/// Does the theory finitely imply the sentence?
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine` with `Semantics::Exact` (or `Auto`) and `Answers::holds`"
-)]
-pub fn certainly_holds(
-    db: &qld_core::CwDatabase,
-    query: &qld_logic::Query,
-) -> Result<bool, qld_logic::LogicError> {
-    qld_core::certainly_holds(db, query)
-}
-
-/// Tuples true in at least one model of the theory.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine` with `Semantics::Possible` — it returns the same tuples plus an upper-bound certificate"
-)]
-pub fn possible_answers(
-    db: &qld_core::CwDatabase,
-    query: &qld_logic::Query,
-) -> Result<qld_physical::Relation, qld_logic::LogicError> {
-    qld_core::possible_answers(db, query)
-}
-
-/// The §5 approximation with the default pipeline.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine` with `Semantics::Approx` (or `Auto`) — it reports whether Theorem 12/13 makes the answer exact"
-)]
-pub fn approximate_answers(
-    db: &qld_core::CwDatabase,
-    query: &qld_logic::Query,
-) -> Result<qld_physical::Relation, qld_approx::ApproxError> {
-    qld_approx::approximate_answers(db, query)
 }

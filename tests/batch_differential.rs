@@ -10,7 +10,7 @@ use querying_logical_databases::core::exact::{
     certain_answers_batch_with, certain_answers_with, possible_answers_batch_with,
     possible_answers_with, ExactOptions,
 };
-use querying_logical_databases::core::mappings::count_kernel_mappings;
+use querying_logical_databases::core::mappings::{analyze_decomposition, count_kernel_mappings};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::Query;
 use querying_logical_databases::prelude::{Engine, Semantics};
@@ -110,31 +110,38 @@ proptest! {
     ) {
         let db = random_db(seed.wrapping_add(7), n, f64::from(known) / 10.0);
         let queries = random_queries(&db, batch_size, seed.wrapping_mul(13));
-        // `decompose: false`: this test pins the *undecomposed* shared-
-        // enumeration accounting (batch total == kernel count == solo
-        // total). The decomposed path changes those totals by design;
-        // its own invariants live in tests/decomposition_differential.rs.
         let opts = ExactOptions {
             corollary2_fast_path: false,
             early_exit: false,
-            decompose: false,
             ..ExactOptions::with_threads(threads)
         };
         let (certain, cstats) = certain_answers_batch_with(&db, &queries, opts).unwrap();
         let (possible, pstats) = possible_answers_batch_with(&db, &queries, opts).unwrap();
         // One enumeration for the whole batch: with early exit off the
-        // shared total is exactly the kernel count — not batch_size times
-        // it.
-        prop_assert_eq!(cstats.mappings_evaluated, count_kernel_mappings(&db));
-        prop_assert_eq!(pstats.mappings_evaluated, count_kernel_mappings(&db));
+        // shared total plus what the walk collapsed is exactly the kernel
+        // count — not batch_size times it — and both duals walk the same
+        // images.
+        let kernel_count = count_kernel_mappings(&db);
+        prop_assert_eq!(cstats.mappings_evaluated + cstats.mappings_pruned, kernel_count);
+        prop_assert_eq!(pstats, cstats);
+        // A batch collapses the constants free for *all* its members up to
+        // its widest member's cap, so a solo total can fall below the batch
+        // total; with no free constant the plans coincide.
+        let plans_coincide = analyze_decomposition(&db).free.is_empty();
         for (i, q) in queries.iter().enumerate() {
             let (solo_c, solo_cstats) = certain_answers_with(&db, q, opts).unwrap();
             let (solo_p, _) = possible_answers_with(&db, q, opts).unwrap();
             prop_assert_eq!(&certain[i], &solo_c, "certain batch diverged on query {}", i);
             prop_assert_eq!(&possible[i], &solo_p, "possible batch diverged on query {}", i);
-            // Each independent call pays the same enumeration the batch
-            // paid once.
-            prop_assert_eq!(solo_cstats.mappings_evaluated, cstats.mappings_evaluated);
+            prop_assert_eq!(
+                solo_cstats.mappings_evaluated + solo_cstats.mappings_pruned,
+                kernel_count
+            );
+            if plans_coincide {
+                // Each independent call pays the same enumeration the batch
+                // paid once.
+                prop_assert_eq!(solo_cstats.mappings_evaluated, cstats.mappings_evaluated);
+            }
         }
     }
 
@@ -172,24 +179,21 @@ proptest! {
 
 /// A batch of Theorem-1-bound queries through the engine pays for exactly
 /// one enumeration: every member reports the same shared total, that total
-/// equals what a single query pays alone, and it equals the full kernel
-/// count (the queries are built to never stabilize, so early exit cannot
-/// blur the accounting).
+/// equals what a single query pays alone, and it accounts for the full
+/// kernel count (the queries are built to never stabilize, so early exit
+/// cannot blur the accounting; they mention no constant and share one cap,
+/// so every solo plan is the batch's plan).
 #[test]
 fn engine_batch_shares_exactly_one_enumeration() {
     let db = random_db(5, 4, 0.3);
     let texts = [
-        "(x) . !P0(x, x) | x = x",
+        "(x) . (exists y. !P0(x, y)) | x = x",
         "(x, y) . !P0(x, y) | y = y",
         "(x) . (forall y. !P0(x, y)) | x = x",
-        "(x) . !P1(x) | x = x",
+        "(x, y) . !P1(x) | y = y",
     ];
-    // `decompose(false)` pins the classic one-image-per-kernel accounting
-    // this test asserts; the decomposed engine walks fewer canonical
-    // images by design (checked below against the same answers).
     let engine = Engine::builder(db.clone())
         .semantics(Semantics::Exact)
-        .decompose(false)
         .answer_cache(false)
         .build();
     let prepared: Vec<_> = texts
@@ -199,7 +203,11 @@ fn engine_batch_shares_exactly_one_enumeration() {
     let batch = engine.execute_batch(&prepared).unwrap();
     let kernel_count = count_kernel_mappings(&db);
     let shared = batch[0].evidence().mappings_evaluated;
-    assert_eq!(shared, kernel_count, "batch must walk the kernel set once");
+    assert_eq!(
+        shared + batch[0].evidence().mappings_pruned,
+        kernel_count,
+        "batch must account for the kernel set once"
+    );
     for (i, a) in batch.iter().enumerate() {
         assert_eq!(
             a.evidence().mappings_evaluated,
@@ -211,27 +219,6 @@ fn engine_batch_shares_exactly_one_enumeration() {
         // Each member matches its individual execution.
         let solo = engine.execute(&prepared[i]).unwrap();
         assert_eq!(a.tuples(), solo.tuples());
-        assert_eq!(solo.evidence().mappings_evaluated, kernel_count);
-    }
-
-    // The decomposed engine returns the same tuples while never paying
-    // more than the classic walk (and accounts for what it skipped).
-    let decomposed = Engine::builder(db)
-        .semantics(Semantics::Exact)
-        .answer_cache(false)
-        .build();
-    let dprepared: Vec<_> = texts
-        .iter()
-        .map(|t| decomposed.prepare_text(t).unwrap())
-        .collect();
-    let dbatch = decomposed.execute_batch(&dprepared).unwrap();
-    for (i, a) in dbatch.iter().enumerate() {
-        assert_eq!(a.tuples(), batch[i].tuples(), "decomposed batch diverged");
-        assert!(a.evidence().mappings_evaluated <= kernel_count);
-        assert_eq!(
-            a.evidence().mappings_evaluated + a.evidence().mappings_pruned,
-            kernel_count,
-            "evaluated + pruned must cover the kernel space"
-        );
+        assert_eq!(solo.evidence().mappings_evaluated, shared);
     }
 }

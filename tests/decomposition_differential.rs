@@ -1,26 +1,28 @@
-//! Differential tests of the free-null decomposition (the sub-exponential
-//! Theorem 1 search): a decomposing engine must be answer-for-answer and
-//! certificate-for-certificate identical to the classic full kernel walk
-//! (`decompose(false)`) and to the raw Theorem-1-verbatim mapping walk —
-//! across every semantics, on random databases and random query sets,
-//! and *after* random delta sequences exercising the cross-delta
-//! decomposition memo. The accounting invariant rides along: visited
-//! images plus pruned mappings must cover the kernel space exactly, and
-//! the closed-form kernel counter must agree with brute enumeration.
+//! Differential tests of the one Theorem 1 walk (kernel partitions of the
+//! core, free nulls collapsed): the engine must agree with the raw-mapping
+//! oracle — Theorem 1 verbatim over every respecting `h` — and, on tiny
+//! instances, with the model-enumeration oracle, across every semantics,
+//! solo and batched, on random databases and random query sets, *after*
+//! random delta sequences exercising the cross-delta decomposition memo,
+//! and on hand-picked inputs for each shape the walk's plan can take. The
+//! accounting invariant rides along: visited images plus pruned mappings
+//! must cover the kernel space exactly, and the closed-form kernel counter
+//! must agree with brute enumeration.
 //!
-//! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both): the
-//! decomposed walk must be thread-count deterministic.
+//! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both): the walk
+//! must be thread-count deterministic.
 
 use proptest::prelude::*;
-use querying_logical_databases::core::exact::{certain_answers_with, ExactOptions};
+use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
 use querying_logical_databases::core::mappings::{
     count_kernel_mappings, count_kernel_mappings_by_enumeration,
 };
+use querying_logical_databases::core::oracle::{answers_by_raw_mappings, certain_answers_oracle};
+use querying_logical_databases::core::textio::from_text;
 use querying_logical_databases::core::CwDatabase;
+use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::logic::{ConstId, Query};
-use querying_logical_databases::prelude::{
-    Delta, Engine, MappingStrategy, PreparedQuery, Semantics,
-};
+use querying_logical_databases::prelude::{Delta, Engine, PreparedQuery, Semantics};
 use querying_logical_databases::workloads::{
     random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
 };
@@ -31,7 +33,7 @@ fn random_db(seed: u64, n: usize, known: f64) -> CwDatabase {
         pred_arities: vec![2, 1],
         // Sparser facts than the other differential suites: constants
         // outside every fact and axiom are exactly the free constants
-        // the decomposition collapses, so leave room for them to occur.
+        // the walk collapses, so leave room for them to occur.
         facts_per_pred: 2,
         known_fraction: known,
         extra_ne_pairs: (seed % 3) as usize,
@@ -59,23 +61,17 @@ fn random_queries(db: &CwDatabase, count: usize, seed: u64) -> Vec<Query> {
         .collect()
 }
 
-/// Builds the three engines under test over the same database: the
-/// decomposing default, the classic undecomposed kernel walk, and the
-/// raw respecting-mapping walk (Theorem 1 verbatim).
-fn engine_trio(db: &CwDatabase, threads: usize) -> [Engine; 3] {
-    let build = |strategy: MappingStrategy, decompose: bool| {
-        Engine::builder(db.clone())
-            .mapping_strategy(strategy)
-            .decompose(decompose)
-            .parallelism(threads)
-            .answer_cache(false)
-            .build()
-    };
-    [
-        build(MappingStrategy::Kernels, true),
-        build(MappingStrategy::Kernels, false),
-        build(MappingStrategy::RawMappings, false),
-    ]
+/// The engine under test plus its prepared copies of `queries`.
+fn engine_for(db: &CwDatabase, queries: &[Query], threads: usize) -> (Engine, Vec<PreparedQuery>) {
+    let engine = Engine::builder(db.clone())
+        .parallelism(threads)
+        .answer_cache(false)
+        .build();
+    let prepared = queries
+        .iter()
+        .map(|q| engine.prepare(q.clone()).unwrap())
+        .collect();
+    (engine, prepared)
 }
 
 /// One generated mutation, as in `tests/delta_differential.rs`: fact
@@ -95,49 +91,69 @@ fn op_to_delta(db: &CwDatabase, op: (u8, u32, u32)) -> Option<Delta> {
     }
 }
 
-fn assert_trio_agrees(
-    engines: &[Engine; 3],
-    prepared: &[Vec<PreparedQuery>; 3],
+/// The differential property: under every semantics the engine's answer
+/// for each query stands in the certified relation to the raw-mapping
+/// oracle's (`Possible` equals the union dual; an exact certificate means
+/// equality with the certain answers — `Exact` always carries one; anything
+/// else is a sound lower bound), the model-enumeration oracle concurs when
+/// the instance is small enough for it, a batch equals its solo runs, and
+/// every enumeration accounts for the whole kernel space.
+fn assert_engine_matches_oracles(
+    engine: &Engine,
+    prepared: &[PreparedQuery],
     queries: &[Query],
     context: &str,
 ) -> Result<(), TestCaseError> {
-    let kernel_count = count_kernel_mappings(engines[0].db());
-    for (qi, q) in queries.iter().enumerate() {
+    let db = engine.db();
+    let kernel_count = count_kernel_mappings(db);
+    let mut solo = Vec::new();
+    for (p, q) in prepared.iter().zip(queries) {
+        let (certain, _) = answers_by_raw_mappings(db, q, AnswerMode::Certain);
+        let (possible, _) = answers_by_raw_mappings(db, q, AnswerMode::Possible);
+        if db.num_consts() <= 3 {
+            prop_assert_eq!(
+                &certain_answers_oracle(db, q).unwrap(),
+                &certain,
+                "raw mappings diverged from model enumeration on {:?} ({})",
+                q,
+                context
+            );
+        }
         for semantics in Semantics::ALL {
-            let decomposed = engines[0].execute_as(&prepared[0][qi], semantics).unwrap();
-            let classic = engines[1].execute_as(&prepared[1][qi], semantics).unwrap();
-            let raw = engines[2].execute_as(&prepared[2][qi], semantics).unwrap();
-            prop_assert_eq!(
-                decomposed.tuples(),
-                classic.tuples(),
-                "decomposed tuples diverged from classic walk under {:?} on {:?} ({})",
-                semantics,
-                q,
-                context
-            );
-            prop_assert_eq!(
-                decomposed.tuples(),
-                raw.tuples(),
-                "decomposed tuples diverged from raw walk under {:?} on {:?} ({})",
-                semantics,
-                q,
-                context
-            );
-            prop_assert_eq!(
-                decomposed.evidence().certificate,
-                classic.evidence().certificate,
-                "certificate diverged under {:?} on {:?} ({})",
-                semantics,
-                q,
-                context
-            );
-            // Accounting: when the decomposition ran (`components > 0` —
-            // it stands down when no constant is free or another regime
-            // answered), whatever it skipped is reported, and together
-            // with what it visited covers the kernel space. The classic
-            // fallback path reports fewer under early exit and prunes
-            // nothing, so the invariant is specific to the decomposition.
-            let e = decomposed.evidence();
+            let answers = engine.execute_as(p, semantics).unwrap();
+            let e = answers.evidence();
+            if semantics == Semantics::Possible {
+                prop_assert_eq!(
+                    answers.tuples(),
+                    &possible,
+                    "possible answers diverged from raw mappings on {:?} ({})",
+                    q,
+                    context
+                );
+            } else if answers.is_exact() {
+                prop_assert_eq!(
+                    answers.tuples(),
+                    &certain,
+                    "{:?} certified {:?} but diverged from raw mappings on {:?} ({})",
+                    semantics,
+                    e.certificate,
+                    q,
+                    context
+                );
+            } else {
+                prop_assert!(
+                    semantics != Semantics::Exact,
+                    "Exact must certify exactness"
+                );
+                prop_assert!(
+                    answers.tuples().is_subset_of(&certain),
+                    "{:?} lower bound is unsound on {:?} ({})",
+                    semantics,
+                    q,
+                    context
+                );
+            }
+            // `components > 0` marks the answers an enumeration produced.
             if e.components > 0 {
                 prop_assert_eq!(
                     e.mappings_evaluated + e.mappings_pruned,
@@ -146,16 +162,89 @@ fn assert_trio_agrees(
                     context
                 );
             }
+            solo.push(answers);
+        }
+    }
+    for (si, semantics) in Semantics::ALL.into_iter().enumerate() {
+        let batch = engine.execute_batch_as(prepared, semantics).unwrap();
+        for (qi, member) in batch.iter().enumerate() {
+            let alone = &solo[qi * Semantics::ALL.len() + si];
+            prop_assert_eq!(
+                member.tuples(),
+                alone.tuples(),
+                "batch member {} diverged from its solo run under {:?} ({})",
+                qi,
+                semantics,
+                context
+            );
+            prop_assert_eq!(member.evidence().certificate, alone.evidence().certificate);
         }
     }
     Ok(())
 }
 
+/// Hand-picked inputs to the same property, one per shape the walk's plan
+/// can take.
+#[test]
+fn plan_shapes_match_oracles() {
+    // a ≠ b, P(a), Q(a, b); `u` and `v` are free.
+    let mixed = "const a b u v\npred P/1 Q/2\nfact P(a)\nfact Q(a, b)\nunique a b\n";
+    let cases: [(&str, &str, &[&str]); 5] = [
+        (
+            "every constant free: empty core, e starts at 1",
+            "const u v w\npred P/1 Q/2\n",
+            &["(x) . !P(x)", "exists x, y. x != y", "(x, y) . x = y"],
+        ),
+        (
+            "the query mentions every free constant: no free constant left",
+            mixed,
+            &["(x) . x = u | x = v | !P(x)", "(x) . Q(a, x) | x = u | x = v"],
+        ),
+        (
+            // |D| ≥ 4 (two sets cut the domain into four inhabited types)
+            // at first-order rank 1: only the image with e = m = 3 fresh
+            // elements satisfies it, beyond the EF cap of 2.
+            "second-order queries count: no EF cap, e runs to m",
+            "const a u v w\npred P/1 Q/2\nfact P(a)\n",
+            &[
+                "exists2 ?A:1. exists2 ?B:1. (exists x. ?A(x) & ?B(x)) & (exists x. ?A(x) & !?B(x)) \
+                 & (exists x. !?A(x) & ?B(x)) & (exists x. !?A(x) & !?B(x))",
+                "forall2 ?A:1. forall2 ?B:1. !((exists x. ?A(x) & ?B(x)) & (exists x. ?A(x) & !?B(x)) \
+                 & (exists x. !?A(x) & ?B(x)) & (exists x. !?A(x) & !?B(x)))",
+            ],
+        ),
+        (
+            "single constant",
+            "const only\npred P/1 Q/2\nfact P(only)\n",
+            &["forall x, y. x = y", "(x) . P(x)", "(x, y) . !Q(x, y)"],
+        ),
+        (
+            "batch of arities 0-2 whose Boolean member empties on the first image",
+            mixed,
+            &["P(b)", "(x) . !P(x)", "(x, y) . !Q(x, y) | x = y"],
+        ),
+    ];
+    for (shape, text, inputs) in cases {
+        let db = from_text(text).unwrap();
+        let queries: Vec<Query> = inputs
+            .iter()
+            .map(|t| parse_query(db.voc(), t).unwrap())
+            .collect();
+        for threads in [1, 4] {
+            let (engine, prepared) = engine_for(&db, &queries, threads);
+            assert_engine_matches_oracles(&engine, &prepared, &queries, shape).unwrap();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Decomposed ≡ classic ≡ raw on random databases and queries, under
-    /// every semantics; the pruning accounting covers the kernel space.
+    /// The walk — decomposed where constants are free, the classic
+    /// one-image-per-kernel case where none is — ≡ the raw-mapping oracle
+    /// (≡ model enumeration when tiny) on random databases and queries,
+    /// under every semantics; the pruning accounting covers the kernel
+    /// space.
     #[test]
     fn decomposed_equals_classic_and_raw(
         seed in 0u64..10_000,
@@ -165,20 +254,14 @@ proptest! {
     ) {
         let db = random_db(seed, n, f64::from(known) / 10.0);
         let queries = random_queries(&db, 3, seed);
-        let engines = engine_trio(&db, threads);
-        let prepared = [0, 1, 2].map(|i| {
-            queries
-                .iter()
-                .map(|q| engines[i].prepare(q.clone()).unwrap())
-                .collect::<Vec<_>>()
-        });
-        assert_trio_agrees(&engines, &prepared, &queries, "static db")?;
+        let (engine, prepared) = engine_for(&db, &queries, threads);
+        assert_engine_matches_oracles(&engine, &prepared, &queries, "static db")?;
     }
 
-    /// The same equivalence *through* random delta sequences: the
-    /// decomposing engine keeps (or correctly invalidates) its cached
-    /// decomposition across fact inserts and NE asserts, and stays
-    /// bit-identical to engines that recompute everything.
+    /// The same equivalence *through* random delta sequences: the engine
+    /// keeps (or correctly invalidates) its cached decomposition across
+    /// fact inserts and NE asserts, and stays identical to oracles that
+    /// recompute everything from the mutated database.
     #[test]
     fn decomposed_equals_classic_after_deltas(
         seed in 0u64..10_000,
@@ -189,24 +272,16 @@ proptest! {
     ) {
         let db = random_db(seed.wrapping_add(17), n, f64::from(known) / 10.0);
         let queries = random_queries(&db, 2, seed.wrapping_mul(7));
-        let mut engines = engine_trio(&db, threads);
-        let prepared = [0, 1, 2].map(|i| {
-            queries
-                .iter()
-                .map(|q| engines[i].prepare(q.clone()).unwrap())
-                .collect::<Vec<_>>()
-        });
+        let (mut engine, prepared) = engine_for(&db, &queries, threads);
         // Warm the decomposition memo (and every derived structure)
         // before mutating, so the deltas exercise invalidation rather
         // than first-use initialization.
-        assert_trio_agrees(&engines, &prepared, &queries, "pre-delta warmup")?;
+        assert_engine_matches_oracles(&engine, &prepared, &queries, "pre-delta warmup")?;
         for (i, &op) in ops.iter().enumerate() {
-            let Some(delta) = op_to_delta(engines[0].db(), op) else { continue };
-            for engine in &mut engines {
-                engine.apply(&delta).unwrap();
-            }
-            assert_trio_agrees(
-                &engines,
+            let Some(delta) = op_to_delta(engine.db(), op) else { continue };
+            engine.apply(&delta).unwrap();
+            assert_engine_matches_oracles(
+                &engine,
                 &prepared,
                 &queries,
                 &format!("after op {i} = {op:?}"),
@@ -226,23 +301,14 @@ proptest! {
         let db = random_db(seed.wrapping_add(101), n, f64::from(known) / 10.0);
         let closed = count_kernel_mappings(&db);
         prop_assert_eq!(closed, count_kernel_mappings_by_enumeration(&db));
-        // With decomposition off and no early exit, the evaluator visits
-        // exactly that many kernel images.
+        // With no early exit, visited + pruned covers exactly that space.
         let q = random_queries(&db, 1, seed).pop().unwrap();
         let opts = ExactOptions {
             corollary2_fast_path: false,
             early_exit: false,
-            decompose: false,
             ..ExactOptions::new()
         };
         let (_, stats) = certain_answers_with(&db, &q, opts).unwrap();
-        prop_assert_eq!(stats.mappings_evaluated, closed);
-        // And with decomposition on, visited + pruned covers the space.
-        let (_, dstats) = certain_answers_with(
-            &db,
-            &q,
-            ExactOptions { decompose: true, ..opts },
-        ).unwrap();
-        prop_assert_eq!(dstats.mappings_evaluated + dstats.mappings_pruned, closed);
+        prop_assert_eq!(stats.mappings_evaluated + stats.mappings_pruned, closed);
     }
 }

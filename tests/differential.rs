@@ -1,11 +1,9 @@
-//! Differential tests of the exact certain-answer evaluator: the two
-//! Theorem 1 enumeration strategies against each other, against the
-//! model-enumeration oracle, and against the Theorem 3 precise
-//! simulation — on seeded random databases and queries.
+//! Differential tests of the exact certain-answer evaluator: the
+//! production Theorem 1 walk against the raw-mapping oracle (Theorem 1
+//! verbatim), against the model-enumeration oracle, and against the
+//! Theorem 3 precise simulation — on seeded random databases and queries.
 
-use querying_logical_databases::core::exact::{
-    certain_answers_with, ExactOptions, MappingStrategy,
-};
+use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
 use querying_logical_databases::core::{certain_answers, oracle, precise};
 use querying_logical_databases::workloads::{
     random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
@@ -13,15 +11,6 @@ use querying_logical_databases::workloads::{
 
 fn kernels() -> ExactOptions {
     ExactOptions {
-        strategy: MappingStrategy::Kernels,
-        corollary2_fast_path: false,
-        ..ExactOptions::new()
-    }
-}
-
-fn raw() -> ExactOptions {
-    ExactOptions {
-        strategy: MappingStrategy::RawMappings,
         corollary2_fast_path: false,
         ..ExactOptions::new()
     }
@@ -49,10 +38,10 @@ fn kernel_enumeration_equals_raw_enumeration() {
                 },
             );
             let a = certain_answers_with(&db, &q, kernels()).unwrap().0;
-            let b = certain_answers_with(&db, &q, raw()).unwrap().0;
+            let b = oracle::answers_by_raw_mappings(&db, &q, AnswerMode::Certain).0;
             assert_eq!(
                 a, b,
-                "strategy mismatch: db seed {seed}, query seed {qseed}, query {q:?}"
+                "kernel walk ≠ raw mappings: db seed {seed}, query seed {qseed}, query {q:?}"
             );
         }
     }

@@ -1,11 +1,11 @@
 //! Integration tests of the unified `qld_engine::Engine` session API:
 //! certificate correctness on random workloads, prepared-query reuse,
-//! builder configurations, and the deprecated-shim compatibility layer.
+//! and builder configurations.
 
 use querying_logical_databases::algebra::ExecOptions;
 use querying_logical_databases::core::{certain_answers, possible_answers};
 use querying_logical_databases::prelude::{
-    AlphaMode, Backend, Certificate, Engine, MappingStrategy, NeStoreMode, Regime, Semantics,
+    AlphaMode, Backend, Certificate, Engine, NeStoreMode, Regime, Semantics,
 };
 use querying_logical_databases::workloads::{
     random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
@@ -226,14 +226,7 @@ fn exact_and_possible_match_reference_functions() {
     for seed in 0..10 {
         let db = random_db(0.5, seed + 41);
         let engine = Engine::new(db.clone());
-        for (strategy, qseed) in [
-            (MappingStrategy::Kernels, 0u64),
-            (MappingStrategy::RawMappings, 1),
-        ] {
-            let strat_engine = Engine::builder(db.clone())
-                .semantics(Semantics::Exact)
-                .mapping_strategy(strategy)
-                .build();
+        for qseed in [0u64, 1] {
             let q = random_query(
                 db.voc(),
                 &QueryGenConfig {
@@ -243,12 +236,11 @@ fn exact_and_possible_match_reference_functions() {
                     seed: qseed * 53 + seed,
                 },
             );
-            let exact = strat_engine.eval(&q).unwrap();
+            let prepared = engine.prepare(q.clone()).unwrap();
+            let exact = engine.execute_as(&prepared, Semantics::Exact).unwrap();
             assert_eq!(*exact.tuples(), certain_answers(&db, &q).unwrap());
 
-            let possible = engine
-                .execute_as(&engine.prepare(q.clone()).unwrap(), Semantics::Possible)
-                .unwrap();
+            let possible = engine.execute_as(&prepared, Semantics::Possible).unwrap();
             assert_eq!(*possible.tuples(), possible_answers(&db, &q).unwrap());
             assert_eq!(
                 possible.evidence().certificate,
@@ -258,35 +250,4 @@ fn exact_and_possible_match_reference_functions() {
             assert!(exact.tuples().is_subset_of(possible.tuples()));
         }
     }
-}
-
-/// The deprecated free-function shims still compile and agree with the
-/// engine (external-caller compatibility).
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_engine() {
-    use querying_logical_databases::prelude::parse_query;
-    let db = random_db(0.5, 7);
-    let engine = Engine::new(db.clone());
-    let q = parse_query(db.voc(), "(x) . P0(x, x)").unwrap();
-    let ans = engine.execute_as(&engine.prepare(q.clone()).unwrap(), Semantics::Exact);
-    assert_eq!(
-        *ans.unwrap().tuples(),
-        querying_logical_databases::certain_answers(&db, &q).unwrap()
-    );
-    assert_eq!(
-        querying_logical_databases::possible_answers(&db, &q).unwrap(),
-        *engine
-            .execute_as(&engine.prepare(q.clone()).unwrap(), Semantics::Possible)
-            .unwrap()
-            .tuples()
-    );
-    let approx = querying_logical_databases::approximate_answers(&db, &q).unwrap();
-    assert_eq!(
-        approx,
-        *engine
-            .execute_as(&engine.prepare(q).unwrap(), Semantics::Approx)
-            .unwrap()
-            .tuples()
-    );
 }

@@ -444,13 +444,16 @@ fn tempdir() -> std::path::PathBuf {
 }
 
 /// The semantic clauses of an evidence summary — regime and
-/// certification — with performance metadata (mapping counts, the
-/// engine-local epoch clause, the `(cached)` marker) dropped.
+/// certification — with performance metadata (mapping, component and
+/// pruning counts, the engine-local epoch clause, the `(cached)` marker)
+/// dropped.
 fn normalize_certificate(summary: &str) -> String {
     summary
         .split(", ")
         .filter(|clause| {
             !clause.ends_with("mapping(s)")
+                && !clause.ends_with("component(s)")
+                && !clause.contains("mapping(s) pruned")
                 && !clause.ends_with("worker(s)")
                 && !clause.starts_with("epoch ")
         })
