@@ -37,11 +37,11 @@ use crate::delta::{Delta, DeltaReport, DeltaStats};
 use crate::durable::{delta_to_record, record_to_delta, DurableState};
 use crate::error::EngineError;
 use crate::evidence::{Answers, Semantics};
+use crate::lru::Lru;
 use crate::prepared::PreparedQuery;
 use crate::session::Engine;
 use qld_logic::Query;
 use qld_wal::WalRecord;
-use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -59,44 +59,6 @@ const SHARD_COUNT: usize = 16;
 /// epochs.
 type SharedKey = (u64, Semantics, u64);
 
-/// One cached answer: the source query (compared on lookup, so a 64-bit
-/// fingerprint collision is a miss, never a wrong answer), the finished
-/// [`Answers`], and an LRU recency stamp.
-#[derive(Debug, Clone)]
-struct SharedEntry {
-    query: Query,
-    answers: Answers,
-    tick: u64,
-}
-
-/// One shard: a map plus its LRU order index, updated together under the
-/// shard mutex. Ticks are unique per shard (monotonic counter), so the
-/// `BTreeMap` is a total recency order.
-#[derive(Debug, Default)]
-struct ShardInner {
-    map: HashMap<SharedKey, SharedEntry>,
-    lru: BTreeMap<u64, SharedKey>,
-    next_tick: u64,
-}
-
-impl ShardInner {
-    fn touch(&mut self, key: SharedKey) {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        let entry = self.map.get_mut(&key).expect("touched key present");
-        self.lru.remove(&entry.tick);
-        entry.tick = tick;
-        self.lru.insert(tick, key);
-    }
-
-    fn evict_lru(&mut self) {
-        if let Some((&tick, &key)) = self.lru.iter().next() {
-            self.lru.remove(&tick);
-            self.map.remove(&key);
-        }
-    }
-}
-
 /// The sharded concurrent answer cache behind a [`SharedEngine`]: one
 /// LRU map per shard, each behind its own mutex, keyed
 /// `(fingerprint, semantics, epoch)`.
@@ -109,7 +71,7 @@ impl ShardInner {
 /// the same shard lock as the insert.
 #[derive(Debug)]
 struct SharedAnswerCache {
-    shards: Vec<Mutex<ShardInner>>,
+    shards: Vec<Mutex<Lru<SharedKey>>>,
     /// Maximum entries per shard; `0` disables caching entirely.
     shard_capacity: usize,
 }
@@ -129,7 +91,7 @@ impl SharedAnswerCache {
         }
     }
 
-    fn shard_of(&self, key: &SharedKey) -> &Mutex<ShardInner> {
+    fn shard_of(&self, key: &SharedKey) -> &Mutex<Lru<SharedKey>> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
@@ -150,16 +112,9 @@ impl SharedAnswerCache {
         let start = Instant::now();
         let key = (prepared.fingerprint, semantics, epoch);
         let mut shard = self.shard_of(&key).lock().expect("shared cache poisoned");
-        let hit = match shard.map.get(&key) {
-            Some(entry) if entry.query == prepared.query => {
-                Some(entry.answers.as_cache_hit(start.elapsed()))
-            }
-            _ => None,
-        };
-        if hit.is_some() {
-            shard.touch(key);
-        }
-        hit
+        shard
+            .get_touch(key, &prepared.query)
+            .map(|answers| answers.as_cache_hit(start.elapsed()))
     }
 
     fn insert(
@@ -178,36 +133,29 @@ impl SharedAnswerCache {
             "shared cache entry stamped with a foreign epoch"
         );
         let key = (prepared.fingerprint, semantics, epoch);
-        let mut shard = self.shard_of(&key).lock().expect("shared cache poisoned");
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.shard_capacity {
-            shard.evict_lru();
-        }
-        let tick = shard.next_tick;
-        shard.next_tick += 1;
-        let entry = SharedEntry {
-            query: prepared.query.clone(),
-            answers: answers.clone(),
-            tick,
-        };
-        if let Some(old) = shard.map.insert(key, entry) {
-            shard.lru.remove(&old.tick);
-        }
-        shard.lru.insert(tick, key);
+        self.shard_of(&key)
+            .lock()
+            .expect("shared cache poisoned")
+            .put(
+                key,
+                prepared.query.clone(),
+                answers.clone(),
+                (),
+                self.shard_capacity,
+            );
     }
 
     /// Drops every entry (the blanket hook; deltas never need it).
     fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock().expect("shared cache poisoned");
-            shard.map.clear();
-            shard.lru.clear();
+            shard.lock().expect("shared cache poisoned").clear();
         }
     }
 
     fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shared cache poisoned").map.len())
+            .map(|s| s.lock().expect("shared cache poisoned").len())
             .sum()
     }
 
@@ -218,7 +166,7 @@ impl SharedAnswerCache {
         let mut occupied = 0;
         let mut max_len = 0;
         for shard in &self.shards {
-            let len = shard.lock().expect("shared cache poisoned").map.len();
+            let len = shard.lock().expect("shared cache poisoned").len();
             total += len;
             if len > 0 {
                 occupied += 1;
@@ -545,29 +493,46 @@ impl SharedEngine {
         }
         let report = writer.apply(delta)?;
         if report.changed() {
-            if let Some(wal) = &self.inner.wal {
-                let generation = self.inner.generation.load(Ordering::Acquire);
-                if let Err(e) = wal
-                    .lock()
-                    .expect("wal poisoned")
-                    .log(delta, &writer, generation)
-                {
-                    self.inner.wal_poisoned.store(true, Ordering::Release);
-                    return Err(EngineError::Durability(e.to_string()));
-                }
-            }
-            let snapshot = Arc::new(EngineSnapshot {
-                engine: writer.clone(),
-                epoch: writer.epoch(),
-            });
-            *self
-                .inner
-                .published
-                .write()
-                .expect("published snapshot poisoned") = snapshot;
-            self.notify_watchers(|| delta_to_record(delta, writer.epoch()));
+            self.commit(&writer, delta, || delta_to_record(delta, writer.epoch()))?;
         }
         Ok(report)
+    }
+
+    /// Makes the delta the writer engine just applied visible, in the
+    /// one order that keeps every guarantee: WAL record first
+    /// (*log-before-publish*; a failure poisons the write path and
+    /// publishes nothing), then the snapshot swap, then the replication
+    /// fan-out of `record`. Called with the writer lock held.
+    fn commit(
+        &self,
+        writer: &Engine,
+        delta: &Delta,
+        record: impl FnOnce() -> WalRecord,
+    ) -> Result<(), EngineError> {
+        if let Some(wal) = &self.inner.wal {
+            let generation = self.inner.generation.load(Ordering::Acquire);
+            if let Err(e) = wal
+                .lock()
+                .expect("wal poisoned")
+                .log(delta, writer, generation)
+            {
+                self.inner.wal_poisoned.store(true, Ordering::Release);
+                return Err(EngineError::Durability(e.to_string()));
+            }
+        }
+        self.publish(writer.clone(), writer.epoch());
+        self.notify_watchers(record);
+        Ok(())
+    }
+
+    /// Swaps the published snapshot for `engine` frozen at `epoch`. The
+    /// write lock is held only for the pointer store.
+    fn publish(&self, engine: Engine, epoch: u64) {
+        *self
+            .inner
+            .published
+            .write()
+            .expect("published snapshot poisoned") = Arc::new(EngineSnapshot { engine, epoch });
     }
 
     /// Fans a committed record out to every replication subscriber,
@@ -666,15 +631,26 @@ impl SharedEngine {
         let writer = self.inner.writer.lock().expect("writer engine poisoned");
         self.check_wal_poisoned()?;
         let generation = self.inner.generation.load(Ordering::Acquire);
-        if let Err(e) = wal
-            .lock()
-            .expect("wal poisoned")
-            .checkpoint(&writer, generation)
-        {
-            self.inner.wal_poisoned.store(true, Ordering::Release);
-            return Err(EngineError::Durability(e.to_string()));
-        }
+        self.checkpoint_or_poison(wal, &writer, generation)?;
         Ok(Some(writer.epoch()))
+    }
+
+    /// Checkpoints the writer's database under `generation`; a failure
+    /// poisons the write path (the log may be mid-rotation). Called with
+    /// the writer lock held.
+    fn checkpoint_or_poison(
+        &self,
+        wal: &Mutex<DurableState>,
+        writer: &Engine,
+        generation: u64,
+    ) -> Result<(), EngineError> {
+        wal.lock()
+            .expect("wal poisoned")
+            .checkpoint(writer, generation)
+            .map_err(|e| {
+                self.inner.wal_poisoned.store(true, Ordering::Release);
+                EngineError::Durability(e.to_string())
+            })
     }
 
     /// Snapshot-machinery statistics: published epoch, per-shard cache
@@ -781,27 +757,7 @@ impl SharedEngine {
                 record.epoch, report.epoch
             )));
         }
-        if let Some(wal) = &self.inner.wal {
-            let generation = self.inner.generation.load(Ordering::Acquire);
-            if let Err(e) = wal
-                .lock()
-                .expect("wal poisoned")
-                .log(&delta, &writer, generation)
-            {
-                self.inner.wal_poisoned.store(true, Ordering::Release);
-                return Err(EngineError::Durability(e.to_string()));
-            }
-        }
-        let snapshot = Arc::new(EngineSnapshot {
-            engine: writer.clone(),
-            epoch: writer.epoch(),
-        });
-        *self
-            .inner
-            .published
-            .write()
-            .expect("published snapshot poisoned") = snapshot;
-        self.notify_watchers(|| record.clone());
+        self.commit(&writer, &delta, || record.clone())?;
         Ok(record.epoch)
     }
 
@@ -834,16 +790,9 @@ impl SharedEngine {
                 writer.epoch()
             )));
         }
-        let snapshot = Arc::new(EngineSnapshot {
-            engine: engine.clone(),
-            epoch,
-        });
+        let frozen = engine.clone();
         *writer = engine;
-        *self
-            .inner
-            .published
-            .write()
-            .expect("published snapshot poisoned") = snapshot;
+        self.publish(frozen, epoch);
         Ok(())
     }
 
@@ -866,14 +815,7 @@ impl SharedEngine {
         let generation = self.inner.generation.fetch_add(1, Ordering::AcqRel) + 1;
         self.inner.read_only.store(false, Ordering::Release);
         if let Some(wal) = &self.inner.wal {
-            if let Err(e) = wal
-                .lock()
-                .expect("wal poisoned")
-                .checkpoint(&writer, generation)
-            {
-                self.inner.wal_poisoned.store(true, Ordering::Release);
-                return Err(EngineError::Durability(e.to_string()));
-            }
+            self.checkpoint_or_poison(wal, &writer, generation)?;
         }
         Ok(generation)
     }
@@ -993,6 +935,12 @@ impl SharedSession {
     /// The highest epoch this session has observed so far.
     pub fn observed_epoch(&self) -> u64 {
         self.observed
+    }
+
+    /// The engine this session reads from — where its writes go
+    /// ([`SharedEngine::apply`]) and its counters live.
+    pub fn shared(&self) -> &SharedEngine {
+        &self.shared
     }
 
     /// Grabs the latest snapshot and folds its epoch into the monotone

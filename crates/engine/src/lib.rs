@@ -51,6 +51,7 @@ mod delta;
 mod durable;
 mod error;
 mod evidence;
+mod lru;
 mod prepared;
 mod session;
 

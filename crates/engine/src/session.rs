@@ -3,6 +3,7 @@
 use crate::delta::{Delta, DeltaReport, DeltaStats, QueryFootprint};
 use crate::error::EngineError;
 use crate::evidence::{Answers, Certificate, Evidence, Regime, Semantics};
+use crate::lru::Lru;
 use crate::prepared::PreparedQuery;
 use qld_algebra::{compile_query_ordered, execute, optimize};
 use qld_approx::{exactness_theorem, AlphaMode, ApproxEngine, Backend, CompletenessTheorem};
@@ -15,7 +16,7 @@ use qld_core::CwDatabase;
 use qld_logic::parser::parse_query;
 use qld_logic::{Formula, PredId, Query};
 use qld_physical::{eval_query, Elem, PhysicalDb, Relation, TupleSpace};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -29,50 +30,6 @@ static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 /// many-distinct-query adversary cannot grow it without bound.
 const DEFAULT_ANSWER_CACHE_CAPACITY: usize = 4096;
 
-/// One cached answer: the source [`Query`] (compared on lookup — a
-/// fingerprint collision between structurally different queries is a
-/// cache *miss*, never a wrong answer), its predicate footprint (the
-/// selective-invalidation key deltas evict on), the finished [`Answers`],
-/// and an LRU recency stamp.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    query: Query,
-    footprint: QueryFootprint,
-    answers: Answers,
-    tick: u64,
-}
-
-/// The map plus the LRU order index, updated together under one lock.
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<(u64, Semantics), CacheEntry>,
-    /// `tick → key`; one entry per cached answer, first = least recently
-    /// used. Ticks are unique (monotonic counter), so this is a total
-    /// recency order.
-    lru: BTreeMap<u64, (u64, Semantics)>,
-    next_tick: u64,
-}
-
-impl CacheInner {
-    /// Moves `key` to the most-recently-used position.
-    fn touch(&mut self, key: (u64, Semantics)) {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        let entry = self.map.get_mut(&key).expect("touched key present");
-        self.lru.remove(&entry.tick);
-        entry.tick = tick;
-        self.lru.insert(tick, key);
-    }
-
-    /// Removes the least-recently-used entry.
-    fn evict_lru(&mut self) {
-        if let Some((&tick, &key)) = self.lru.iter().next() {
-            self.lru.remove(&tick);
-            self.map.remove(&key);
-        }
-    }
-}
-
 /// The engine's interior-mutability answer cache: finished [`Answers`]
 /// keyed by `(prepared-query fingerprint, semantics)`, with true LRU
 /// eviction at capacity (lookups refresh recency). Every other input that
@@ -81,13 +38,14 @@ impl CacheInner {
 /// construction, so it needs no spot in the key; the answer-irrelevant
 /// knobs (parallelism, default semantics) are deliberately excluded. The
 /// *database* is engine state but mutable through [`Engine::apply`],
-/// which invalidates selectively on each entry's [`QueryFootprint`];
-/// [`Engine::invalidate_cache`] remains as the blanket hook.
+/// which invalidates selectively on each entry's [`QueryFootprint`] (the
+/// tag stored beside the answer); [`Engine::invalidate_cache`] remains as
+/// the blanket hook.
 #[derive(Debug)]
 struct AnswerCache {
     enabled: AtomicBool,
     capacity: usize,
-    inner: Mutex<CacheInner>,
+    inner: Mutex<Lru<(u64, Semantics), QueryFootprint>>,
 }
 
 impl AnswerCache {
@@ -95,7 +53,7 @@ impl AnswerCache {
         AnswerCache {
             enabled: AtomicBool::new(enabled),
             capacity,
-            inner: Mutex::new(CacheInner::default()),
+            inner: Mutex::default(),
         }
     }
 
@@ -112,40 +70,22 @@ impl AnswerCache {
         }
         let start = Instant::now();
         let mut inner = self.inner.lock().expect("answer cache poisoned");
-        let key = (prepared.fingerprint, semantics);
-        let hit = match inner.map.get(&key) {
-            Some(entry) if entry.query == prepared.query => {
-                Some(entry.answers.as_cache_hit(start.elapsed()))
-            }
-            _ => None,
-        };
-        if hit.is_some() {
-            inner.touch(key);
-        }
-        hit
+        inner
+            .get_touch((prepared.fingerprint, semantics), &prepared.query)
+            .map(|answers| answers.as_cache_hit(start.elapsed()))
     }
 
     fn insert(&self, prepared: &PreparedQuery, semantics: Semantics, answers: &Answers) {
         if !self.is_enabled() || self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("answer cache poisoned");
-        let key = (prepared.fingerprint, semantics);
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            inner.evict_lru();
-        }
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        let entry = CacheEntry {
-            query: prepared.query.clone(),
-            footprint: prepared.footprint.clone(),
-            answers: answers.clone(),
-            tick,
-        };
-        if let Some(old) = inner.map.insert(key, entry) {
-            inner.lru.remove(&old.tick);
-        }
-        inner.lru.insert(tick, key);
+        self.inner.lock().expect("answer cache poisoned").put(
+            (prepared.fingerprint, semantics),
+            prepared.query.clone(),
+            answers.clone(),
+            prepared.footprint.clone(),
+            self.capacity,
+        );
     }
 
     /// Drops every entry for which `affected` returns true; returns
@@ -156,29 +96,16 @@ impl AnswerCache {
         mut affected: impl FnMut(&QueryFootprint, Semantics) -> bool,
     ) -> (usize, usize) {
         let mut inner = self.inner.lock().expect("answer cache poisoned");
-        let victims: Vec<(u64, Semantics)> = inner
-            .map
-            .iter()
-            .filter(|(&(_, semantics), entry)| affected(&entry.footprint, semantics))
-            .map(|(&key, _)| key)
-            .collect();
-        for key in &victims {
-            if let Some(entry) = inner.map.remove(key) {
-                inner.lru.remove(&entry.tick);
-            }
-        }
-        let retained = inner.map.len();
-        (victims.len(), retained)
+        let evicted = inner.retain(|&(_, semantics), footprint| !affected(footprint, semantics));
+        (evicted, inner.len())
     }
 
     fn clear(&self) {
-        let mut inner = self.inner.lock().expect("answer cache poisoned");
-        inner.map.clear();
-        inner.lru.clear();
+        self.inner.lock().expect("answer cache poisoned").clear();
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().expect("answer cache poisoned").map.len()
+        self.inner.lock().expect("answer cache poisoned").len()
     }
 }
 

@@ -56,8 +56,8 @@ pub mod script;
 
 use proto::{Hello, Reply, PROTOCOL_VERSION};
 use qld_engine::{SharedEngine, SharedSession};
-use script::ScriptLine;
-use std::fmt::Write as _;
+use script::{Outcome, ScriptLine};
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -551,15 +551,7 @@ fn serve_connection(
             let _ = replication::serve_feed(request, &mut writer, &shared, state);
             break;
         } else {
-            close = handle_request(
-                request,
-                &mut session,
-                &shared,
-                config,
-                state,
-                &mut stats,
-                &mut reply,
-            );
+            close = handle_request(request, &mut session, config, state, &mut stats, &mut reply);
         }
 
         writer.write_all(reply.as_bytes())?;
@@ -584,7 +576,6 @@ fn serve_connection(
 fn handle_request(
     request: &str,
     session: &mut SharedSession,
-    shared: &SharedEngine,
     config: &ServerConfig,
     state: &ServerState,
     stats: &mut ConnectionStats,
@@ -594,6 +585,7 @@ fn handle_request(
         // Failover: turn this follower into a writable primary under a
         // bumped generation. Admin-only in the sense that it rides the
         // same auth gate as every other request.
+        let shared = session.shared();
         match shared.promote() {
             Ok(generation) => {
                 let _ = writeln!(reply, "promoted: generation={generation}");
@@ -606,26 +598,74 @@ fn handle_request(
         }
         return false;
     }
-    let snapshot = shared.snapshot();
-    let mode = snapshot.engine().semantics();
-    let parsed = script::parse_line(snapshot.engine().db().voc(), request);
-    match parsed {
+    let snapshot = session.shared().snapshot();
+    let engine = snapshot.engine();
+    let mut reject = |reply: &mut String, diagnostic: fmt::Arguments| {
+        stats.rejections += 1;
+        state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
+        let _ = writeln!(reply, "error: {diagnostic}");
+    };
+    let line = match script::parse_line(engine.db().voc(), request) {
         Ok(None) => {
             // Blank lines and comments are acknowledged so that 1 request
             // line always equals 1 reply frame.
             let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
+            return false;
+        }
+        Ok(Some(line)) => line,
+        Err(e) => {
+            // A malformed line is the same diagnostic the local batch
+            // drivers print — and, like the interactive shell, it does not
+            // cost the client its connection.
+            reject(reply, format_args!("{e}"));
+            return false;
+        }
+    };
+    // Quotas are the server's own, checked before the line runs.
+    let quota = match &line {
+        ScriptLine::Query(_) => Some(("query", stats.queries, config.query_quota)),
+        ScriptLine::Insert(..) | ScriptLine::AssertNe(..) => {
+            Some(("delta", stats.deltas, config.delta_quota))
+        }
+        _ => None,
+    };
+    if let Some((kind, used, Some(limit))) = quota {
+        if used >= limit {
+            reject(
+                reply,
+                format_args!("quota: {kind} quota exhausted (limit {limit})"),
+            );
+            return true;
+        }
+    }
+    match script::run_line(session, line) {
+        Ok(Outcome::Answers {
+            is_boolean,
+            answers,
+        }) => {
+            stats.queries += 1;
+            if answers.evidence().cache_hit {
+                stats.cache_hits += 1;
+            }
+            let mode = engine.semantics();
+            for line in proto::answer_lines(engine.db().voc(), mode, is_boolean, &answers) {
+                let _ = writeln!(reply, "answer: {line}");
+            }
+            let _ = writeln!(
+                reply,
+                "evidence: {}",
+                proto::evidence_tag(answers.evidence())
+            );
+            let _ = writeln!(reply, "done: epoch={}", answers.evidence().epoch);
             false
         }
-        Ok(Some(ScriptLine::Quit)) => {
-            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
-            true
+        Ok(Outcome::Delta(report)) => {
+            stats.deltas += 1;
+            let _ = writeln!(reply, "delta: {report}");
+            let _ = writeln!(reply, "done: epoch={}", report.epoch);
+            false
         }
-        Ok(Some(ScriptLine::Shutdown)) => {
-            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
-            state.shutdown.store(true, Ordering::Release);
-            true
-        }
-        Ok(Some(ScriptLine::Stats)) => {
+        Ok(Outcome::Stats(lines)) => {
             let server = state.stats();
             let _ = writeln!(
                 reply,
@@ -643,104 +683,23 @@ fn handle_request(
                 server.deltas_applied + stats.deltas,
                 server.protocol_errors
             );
-            let _ = writeln!(reply, "stat: snapshot: {}", shared.snapshot_stats());
-            let engine = shared.stats();
-            let _ = writeln!(
-                reply,
-                "stat: replication: role={} generation={} applied={} lag={} followers={}",
-                if engine.read_only {
-                    "follower"
-                } else {
-                    "primary"
-                },
-                engine.generation,
-                engine.epoch,
-                engine.replication_lag(),
-                engine.followers
-            );
-            if let Some(wal) = shared.wal_stats() {
-                let _ = writeln!(reply, "stat: wal: {wal}");
+            for line in lines {
+                let _ = writeln!(reply, "stat: {line}");
             }
-            if shared.wal_poisoned() {
-                let _ = writeln!(
-                    reply,
-                    "stat: wal: write-poisoned by an earlier WAL failure — reads \
-                     serve the last durable epoch, every write fails; restart and \
-                     recover from the log"
-                );
-            }
-            let _ = writeln!(reply, "done: epoch={}", shared.epoch());
+            let _ = writeln!(reply, "done: epoch={}", session.shared().epoch());
             false
         }
-        Ok(Some(ScriptLine::Query(query))) => {
-            if let Some(quota) = config.query_quota {
-                if stats.queries >= quota {
-                    stats.rejections += 1;
-                    state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-                    let _ = writeln!(reply, "error: quota: query quota exhausted (limit {quota})");
-                    return true;
-                }
-            }
-            let is_boolean = query.is_boolean();
-            let answers = session
-                .prepare(query)
-                .and_then(|prepared| session.execute_as(&prepared, mode));
-            match answers {
-                Ok(answers) => {
-                    stats.queries += 1;
-                    if answers.evidence().cache_hit {
-                        stats.cache_hits += 1;
-                    }
-                    let voc = snapshot.engine().db().voc();
-                    for line in proto::answer_lines(voc, mode, is_boolean, &answers) {
-                        let _ = writeln!(reply, "answer: {line}");
-                    }
-                    let _ = writeln!(
-                        reply,
-                        "evidence: {}",
-                        proto::evidence_tag(answers.evidence())
-                    );
-                    let _ = writeln!(reply, "done: epoch={}", answers.evidence().epoch);
-                }
-                Err(e) => {
-                    stats.rejections += 1;
-                    state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-                    let _ = writeln!(reply, "error: {e}");
-                }
-            }
-            false
+        Ok(Outcome::Quit) => {
+            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
+            true
         }
-        Ok(Some(mutation @ (ScriptLine::Insert(..) | ScriptLine::AssertNe(..)))) => {
-            if let Some(quota) = config.delta_quota {
-                if stats.deltas >= quota {
-                    stats.rejections += 1;
-                    state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-                    let _ = writeln!(reply, "error: quota: delta quota exhausted (limit {quota})");
-                    return true;
-                }
-            }
-            let delta = mutation.to_delta().expect("mutation lines carry a delta");
-            match shared.apply(&delta) {
-                Ok(report) => {
-                    stats.deltas += 1;
-                    let _ = writeln!(reply, "delta: {report}");
-                    let _ = writeln!(reply, "done: epoch={}", report.epoch);
-                }
-                Err(e) => {
-                    stats.rejections += 1;
-                    state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-                    let _ = writeln!(reply, "error: {e}");
-                }
-            }
-            false
+        Ok(Outcome::Shutdown) => {
+            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
+            state.shutdown.store(true, Ordering::Release);
+            true
         }
         Err(e) => {
-            // A malformed line is the same diagnostic the local batch
-            // drivers print — and, like the interactive shell, it does not
-            // cost the client its connection.
-            stats.rejections += 1;
-            state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-            let _ = writeln!(reply, "error: {e}");
+            reject(reply, format_args!("{e}"));
             false
         }
     }

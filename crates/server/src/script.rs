@@ -1,10 +1,7 @@
-//! The `:batch` script dialect, parsed in exactly one place.
+//! The `:batch` script dialect: parsed in exactly one place, executed in
+//! exactly one place.
 //!
-//! Every front-end that accepts script lines — the single-owner
-//! `--batch` driver, the concurrent `--sessions` driver, and the TCP
-//! server — routes through [`parse_line`], so a malformed line produces
-//! the same [`ScriptError`] diagnostic locally and over the wire. A
-//! script line is one of:
+//! A script line is one of:
 //!
 //! * a **query** in the surface syntax (`(x) . P(x, y)`, `forall y. …`);
 //! * `:insert P(c1, ..., ck)` — a ground-atom fact delta;
@@ -14,11 +11,46 @@
 //! * `:shutdown` — stop the whole server (wire only; local drivers treat
 //!   it like `:quit`);
 //! * blank lines and `#` comments, which parse to nothing.
+//!
+//! Every front-end — the interactive shell, `--batch`, `--sessions` and
+//! the TCP server — parses through [`parse_line`], so a malformed line
+//! produces the same [`ScriptError`] diagnostic everywhere, and gets a
+//! line's effect from [`run_line`], the only `match` over [`ScriptLine`]
+//! outside the parser. Whole scripts go through [`run_script`]: the one
+//! parse-and-prepare-up-front loop (a bad line aborts before anything
+//! runs), the one segment loop (the queries between two mutations
+//! execute together), the one `> line` echo.
+//!
+//! What a line runs *against* is the four-method [`Database`] seam, with
+//! three implementations:
+//!
+//! * [`Engine`] — the shell and `--batch`. `query` is
+//!   [`Engine::execute_batch`], so a segment's Theorem-1-bound queries
+//!   share one mapping enumeration (and a batch of one is bit-identical
+//!   to [`Engine::execute`]).
+//! * one [`SharedSession`] — a server connection. Reads run inline on the
+//!   connection thread, one `execute_as` per query; writes go to the
+//!   session's [`SharedEngine`](qld_engine::SharedEngine).
+//! * `Vec<SharedSession>` — `--sessions N`. A segment is dealt
+//!   round-robin to the readers, one scoped thread each, every reader
+//!   batching its share through [`SharedSession::execute_batch_as`].
+//!
+//! How an [`Outcome`] is shown is the front-end's: local drivers print
+//! it with [`print_outcome`]; the server frames the same outcome as
+//! `answer:`/`evidence:`/`delta:`/`stat:` lines.
 
-use qld_engine::Delta;
+use crate::proto;
+use qld_core::CwDatabase;
+use qld_engine::{
+    Answers, Delta, DeltaReport, Engine, EngineError, EngineSnapshot, PreparedQuery, SharedSession,
+    SharedStats,
+};
 use qld_logic::parser::parse_query;
 use qld_logic::{ConstId, Formula, PredId, Query, Term, Vocabulary};
 use std::fmt;
+use std::io::{self, Write};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// One parsed script line.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,6 +178,410 @@ pub fn parse_fact(voc: &Vocabulary, text: &str) -> Result<(PredId, Vec<ConstId>)
         }
     }
     Ok((p, args))
+}
+
+/// What a script line runs against: the engine behind a front-end.
+pub trait Database {
+    /// The engine a line is parsed, prepared and rendered against — its
+    /// vocabulary, its default semantics, its `prepare`. For a shared
+    /// engine this is the currently published snapshot.
+    fn engine(&self) -> impl Deref<Target = Engine>;
+
+    /// Applies one delta (a `:insert` or `:assert-ne` line).
+    fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError>;
+
+    /// Executes the queries of one segment under the engine's default
+    /// semantics; the `i`-th answer belongs to `prepared[i]`.
+    fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError>;
+
+    /// The `:stats` lines.
+    fn stats(&self) -> Vec<String>;
+}
+
+/// Renders a thread-count setting (`0` means one worker per CPU).
+pub fn describe_threads(threads: usize) -> String {
+    if threads == 0 {
+        "auto (all CPUs)".to_string()
+    } else {
+        threads.to_string()
+    }
+}
+
+/// The `decomposition:` stats line (the solo engine appends what the
+/// enumeration does with the free constants).
+fn decomposition_line(db: &CwDatabase) -> String {
+    let decomp = qld_core::mappings::analyze_decomposition(db);
+    format!(
+        "decomposition: {} NE component(s), {} free constant(s)",
+        decomp.components,
+        decomp.free.len()
+    )
+}
+
+/// The `replication:` stats line (`stat: replication: …` on the wire).
+fn replication_line(stats: &SharedStats) -> String {
+    format!(
+        "replication: role={} generation={} applied={} lag={} followers={}",
+        if stats.read_only {
+            "follower"
+        } else {
+            "primary"
+        },
+        stats.generation,
+        stats.epoch,
+        stats.replication_lag(),
+        stats.followers
+    )
+}
+
+impl Database for Engine {
+    fn engine(&self) -> impl Deref<Target = Engine> {
+        self
+    }
+
+    fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError> {
+        self.apply(delta)
+    }
+
+    fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
+        self.execute_batch(prepared)
+    }
+
+    fn stats(&self) -> Vec<String> {
+        let db = self.db();
+        let deltas = self.delta_stats();
+        vec![
+            format!(
+                "{} constants, {} predicates, {} facts, {} uniqueness axioms, fully specified: {}",
+                db.num_consts(),
+                db.voc().num_preds(),
+                db.num_facts(),
+                db.num_ne(),
+                db.is_fully_specified()
+            ),
+            format!(
+                "mode: {}, threads: {}, cache: {} ({}/{} answer(s) cached)",
+                self.semantics().name(),
+                describe_threads(self.parallelism()),
+                if self.cache_enabled() { "on" } else { "off" },
+                self.cache_len(),
+                self.cache_capacity()
+            ),
+            format!(
+                "{} (enumeration collapses them to canonical images)",
+                decomposition_line(db)
+            ),
+            format!(
+                "deltas: {} applied ({} fact(s), {} axiom(s) inserted), \
+                 {} cache eviction(s), {} re-certification(s), epoch {}",
+                deltas.deltas_applied,
+                deltas.facts_inserted,
+                deltas.ne_inserted,
+                deltas.cache_evicted,
+                deltas.queries_recertified,
+                self.epoch()
+            ),
+        ]
+    }
+}
+
+/// A published snapshot, dereferencing to the engine frozen inside it.
+struct Frozen(Arc<EngineSnapshot>);
+
+impl Deref for Frozen {
+    type Target = Engine;
+
+    fn deref(&self) -> &Engine {
+        self.0.engine()
+    }
+}
+
+/// One server connection.
+impl Database for SharedSession {
+    fn engine(&self) -> impl Deref<Target = Engine> {
+        Frozen(self.shared().snapshot())
+    }
+
+    fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError> {
+        self.shared().apply(delta)
+    }
+
+    /// Inline and per query: a request is one line, and `wire_read`'s
+    /// cache hit is short enough that a spawned thread or a batch set-up
+    /// per request would show in it.
+    fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
+        prepared.iter().map(|p| self.execute(p)).collect()
+    }
+
+    fn stats(&self) -> Vec<String> {
+        let shared = self.shared();
+        let stats = shared.stats();
+        let mut lines = vec![
+            format!("snapshot: {}", shared.snapshot_stats()),
+            replication_line(&stats),
+        ];
+        if let Some(wal) = stats.wal {
+            lines.push(format!("wal: {wal}"));
+        }
+        if shared.wal_poisoned() {
+            lines.push(
+                "wal: write-poisoned by an earlier WAL failure — reads \
+                 serve the last durable epoch, every write fails; restart and \
+                 recover from the log"
+                    .to_string(),
+            );
+        }
+        lines
+    }
+}
+
+/// The `--sessions N` reader pool: at least one session, all of one
+/// [`SharedEngine`](qld_engine::SharedEngine). The sessions persist
+/// across segments, so each one's monotone epoch observation spans the
+/// whole script.
+impl Database for Vec<SharedSession> {
+    fn engine(&self) -> impl Deref<Target = Engine> {
+        self[0].engine()
+    }
+
+    fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError> {
+        self[0].add(delta)
+    }
+
+    /// Deals the segment round-robin to the readers, one scoped thread
+    /// per reader, each batching its share against the snapshot it reads.
+    fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
+        let n = self.len();
+        let mode = self.engine().semantics();
+        let shares: Vec<Vec<PreparedQuery>> = (0..n)
+            .map(|r| prepared.iter().skip(r).step_by(n).cloned().collect())
+            .collect();
+        let answered: Vec<Result<Vec<Answers>, EngineError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .iter_mut()
+                .zip(&shares)
+                .map(|(session, share)| scope.spawn(move || session.execute_batch_as(share, mode)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("reader session thread panicked"))
+                .collect()
+        });
+        let mut answered = answered
+            .into_iter()
+            .map(|share| share.map(Vec::into_iter))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((0..prepared.len())
+            .map(|j| answered[j % n].next().expect("every segment slot answered"))
+            .collect())
+    }
+
+    fn stats(&self) -> Vec<String> {
+        let shared = self[0].shared();
+        let stats = shared.stats();
+        vec![
+            format!(
+                "epoch: {}, sessions: {}, shared cache: {}/{} answer(s), \
+                 deltas: {} applied ({} fact(s), {} axiom(s) inserted)",
+                stats.epoch,
+                stats.sessions_started,
+                stats.cache_len,
+                stats.cache_capacity,
+                stats.deltas.deltas_applied,
+                stats.deltas.facts_inserted,
+                stats.deltas.ne_inserted
+            ),
+            format!("snapshot: {}", shared.snapshot_stats()),
+            decomposition_line(shared.snapshot().engine().db()),
+            replication_line(&stats),
+        ]
+    }
+}
+
+/// What running one script line did.
+#[derive(Debug)]
+pub enum Outcome {
+    /// A query's answers; `is_boolean` says they are a verdict, not
+    /// tuples.
+    Answers {
+        /// Whether the query was a Boolean sentence.
+        is_boolean: bool,
+        /// The answers, evidence included.
+        answers: Answers,
+    },
+    /// The report of an applied `:insert`/`:assert-ne`.
+    Delta(DeltaReport),
+    /// The `:stats` lines of the [`Database`] the line ran against.
+    Stats(Vec<String>),
+    /// `:quit` — stop reading (close the connection over the wire).
+    Quit,
+    /// `:shutdown` — stop the server; local drivers treat it as `:quit`.
+    Shutdown,
+}
+
+/// Runs one parsed line against `db`.
+pub fn run_line<D: Database>(db: &mut D, line: ScriptLine) -> Result<Outcome, EngineError> {
+    match line {
+        ScriptLine::Query(query) => {
+            let is_boolean = query.is_boolean();
+            let prepared = db.engine().prepare(query)?;
+            let answers = db
+                .query(std::slice::from_ref(&prepared))?
+                .pop()
+                .expect("one query in, one answer out");
+            Ok(Outcome::Answers {
+                is_boolean,
+                answers,
+            })
+        }
+        ScriptLine::Insert(..) | ScriptLine::AssertNe(..) => {
+            let delta = line.to_delta().expect("mutation lines carry a delta");
+            db.add(&delta).map(Outcome::Delta)
+        }
+        ScriptLine::Stats => Ok(Outcome::Stats(db.stats())),
+        ScriptLine::Quit => Ok(Outcome::Quit),
+        ScriptLine::Shutdown => Ok(Outcome::Shutdown),
+    }
+}
+
+/// Prints what a line did the way every local driver shows it. The
+/// payload rendering lives in [`crate::proto`], so a remote answer is
+/// byte-identical to a local one; only the trailing tuple count and the
+/// bracketed evidence tag are local dressing.
+pub fn print_outcome(
+    engine: &Engine,
+    outcome: &Result<Outcome, EngineError>,
+    out: &mut dyn Write,
+) -> io::Result<()> {
+    match outcome {
+        Ok(Outcome::Answers {
+            is_boolean,
+            answers,
+        }) => {
+            let tag = proto::evidence_tag(answers.evidence());
+            if *is_boolean {
+                let verdict = proto::verdict(engine.semantics(), answers.holds());
+                writeln!(out, "{verdict}   [{tag}]")
+            } else {
+                for line in proto::tuple_lines(engine.db().voc(), answers) {
+                    writeln!(out, "{line}")?;
+                }
+                writeln!(out, "{} tuple(s)   [{tag}]", answers.len())
+            }
+        }
+        Ok(Outcome::Delta(report)) => writeln!(out, "{report}"),
+        Ok(Outcome::Stats(lines)) => lines.iter().try_for_each(|line| writeln!(out, "{line}")),
+        Ok(Outcome::Quit | Outcome::Shutdown) => Ok(()),
+        Err(e @ EngineError::Compile(_)) => {
+            writeln!(out, "error: {e} (try :mode auto or :mode exact)")
+        }
+        Err(e) => writeln!(out, "error: {e}"),
+    }
+}
+
+/// A run of queries and the non-query line, if any, that ends it.
+#[derive(Default)]
+struct Segment {
+    lines: Vec<String>,
+    prepared: Vec<PreparedQuery>,
+    then: Option<(String, ScriptLine)>,
+}
+
+/// Runs a whole script against `db`, printing to `out`.
+///
+/// The script is parsed and every query prepared before anything runs: a
+/// bad line prints `line N: <diagnostic>` — the diagnostic the server
+/// sends over the wire — and aborts, so scripted callers fail loudly. It
+/// then runs in segments: the queries between two mutations go to
+/// [`Database::query`] together and print in script order, each under
+/// its `> line` echo; then the mutation (or `:stats`) runs. A failed
+/// segment or mutation prints its error and aborts. `:quit`/`:shutdown`
+/// end the script; nothing after them is parsed.
+///
+/// Returns `None` when the script aborted, otherwise what the caller's
+/// footer reports: `(queries answered, deltas applied, mappings of the
+/// largest shared enumeration)`.
+pub fn run_script<D: Database>(
+    db: &mut D,
+    text: &str,
+    out: &mut dyn Write,
+) -> io::Result<Option<(usize, usize, u64)>> {
+    let mut segments = vec![Segment::default()];
+    {
+        let engine = db.engine();
+        for (lineno, raw) in text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())) {
+            let line = match parse_line(engine.db().voc(), raw) {
+                Ok(None) => continue,
+                Ok(Some(line)) => line,
+                Err(e) => {
+                    writeln!(out, "line {lineno}: {e}")?;
+                    return Ok(None);
+                }
+            };
+            let segment = segments.last_mut().expect("never empty");
+            if let ScriptLine::Query(query) = line {
+                // Prepared once: valid at every later epoch.
+                match engine.prepare(query) {
+                    Ok(prepared) => {
+                        segment.lines.push(raw.to_string());
+                        segment.prepared.push(prepared);
+                    }
+                    Err(e) => {
+                        writeln!(out, "line {lineno}: error: {e}")?;
+                        return Ok(None);
+                    }
+                }
+            } else if matches!(line, ScriptLine::Quit | ScriptLine::Shutdown) {
+                break;
+            } else {
+                segment.then = Some((raw.to_string(), line));
+                segments.push(Segment::default());
+            }
+        }
+    }
+
+    let (mut queries, mut deltas, mut shared_mappings) = (0, 0, 0);
+    for segment in segments {
+        if !segment.prepared.is_empty() {
+            let answers = match db.query(&segment.prepared) {
+                Ok(answers) => answers,
+                Err(e) => {
+                    print_outcome(&db.engine(), &Err(e), out)?;
+                    return Ok(None);
+                }
+            };
+            let engine = db.engine();
+            for ((line, prepared), answers) in
+                segment.lines.iter().zip(&segment.prepared).zip(answers)
+            {
+                queries += 1;
+                if answers.evidence().shared_batch.is_some() {
+                    shared_mappings = shared_mappings.max(answers.evidence().mappings_evaluated);
+                }
+                writeln!(out, "> {line}")?;
+                let is_boolean = prepared.query().is_boolean();
+                let outcome = Outcome::Answers {
+                    is_boolean,
+                    answers,
+                };
+                print_outcome(&engine, &Ok(outcome), out)?;
+            }
+        }
+        let Some((line, item)) = segment.then else {
+            continue;
+        };
+        let outcome = run_line(db, item);
+        if !matches!(outcome, Ok(Outcome::Stats(_))) {
+            writeln!(out, "> {line}")?;
+        }
+        print_outcome(&db.engine(), &outcome, out)?;
+        match outcome {
+            Ok(Outcome::Delta(_)) => deltas += 1,
+            Ok(_) => {}
+            Err(_) => return Ok(None),
+        }
+    }
+    Ok(Some((queries, deltas, shared_mappings)))
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //! ```
 
 use querying_logical_databases::cli::{
-    concurrent_batch_file, parse_fsync, promote, recover, serve, ConcurrentConfig, Mode, Outcome,
-    RecoverOptions, ServeOptions, Session, MODE_USAGE,
+    concurrent_batch_file, engine_from, parse_fsync, promote, recover, serve, ConcurrentConfig,
+    Mode, Outcome, RecoverOptions, ServeOptions, Session, MODE_USAGE,
 };
 use querying_logical_databases::core::CwDatabase;
 use std::io::{self, BufRead, Write};
@@ -43,6 +43,51 @@ fn usage() -> String {
 enum Action {
     Query(String),
     Batch(String),
+}
+
+/// What a subcommand returns: its exit code, or — as `Err`, so flag
+/// parsing can use `?` — the exit code of a refused command line.
+type Exit = Result<ExitCode, ExitCode>;
+
+/// The command line being read.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    /// The value after `flag`, through `parse`. A missing or malformed
+    /// value prints `<flag> needs <what>` and is exit code 2.
+    fn value<T>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        parse: impl FnOnce(&'a str) -> Option<T>,
+    ) -> Result<T, ExitCode> {
+        let value = self.0.next().map(String::as_str).and_then(parse);
+        value.ok_or_else(|| {
+            eprintln!("{flag} needs {what}");
+            ExitCode::from(2)
+        })
+    }
+}
+
+/// What the driver in `cli` reported, as an exit code.
+fn finished(ran: io::Result<bool>) -> Exit {
+    Ok(match ran {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) | Err(_) => ExitCode::FAILURE,
+    })
+}
+
+/// [`Args::value`] parsers: any text, a number, a number that is at least 1.
+fn text(s: &str) -> Option<String> {
+    Some(s.to_owned())
+}
+
+fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
+}
+
+fn positive(s: &str) -> Option<usize> {
+    s.parse().ok().filter(|&n| n > 0)
 }
 
 fn serve_usage() -> String {
@@ -81,118 +126,69 @@ fn serve_usage() -> String {
 }
 
 /// The `qld serve` subcommand.
-fn serve_main(args: &[String]) -> ExitCode {
+fn serve_main(args: &[String]) -> Exit {
     let mut opts = ServeOptions::default();
     let mut path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.0.next() {
         match arg.as_str() {
             "-h" | "--help" => {
                 println!("{}", serve_usage());
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            "--addr" | "-a" => match iter.next() {
-                Some(addr) => opts.addr = addr.clone(),
-                None => {
-                    eprintln!("--addr needs a host:port argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--sessions-max" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => opts.sessions_max = n,
-                _ => {
-                    eprintln!("--sessions-max needs a connection cap (>= 1)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--token" => match iter.next() {
-                Some(token) => opts.token = Some(token.clone()),
-                None => {
-                    eprintln!("--token needs a secret argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--budget" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.budget = Some(n),
-                None => {
-                    eprintln!("--budget needs a mapping count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--quota-queries" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.query_quota = Some(n),
-                None => {
-                    eprintln!("--quota-queries needs a per-connection count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--quota-deltas" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.delta_quota = Some(n),
-                None => {
-                    eprintln!("--quota-deltas needs a per-connection count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--mode" | "-m" => match iter.next().map(String::as_str).and_then(Mode::parse) {
-                Some(m) => opts.mode = m,
-                None => {
-                    eprintln!("--mode needs {MODE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--threads" | "-t" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.threads = Some(n),
-                None => {
-                    eprintln!("--threads needs a worker count (0 = all CPUs)");
-                    return ExitCode::from(2);
-                }
-            },
+            "--addr" | "-a" => opts.addr = args.value("--addr", "a host:port argument", text)?,
+            "--sessions-max" => {
+                let what = "a connection cap (>= 1)";
+                opts.sessions_max = args.value("--sessions-max", what, positive)?
+            }
+            "--token" => opts.token = Some(args.value("--token", "a secret argument", text)?),
+            "--budget" => opts.budget = Some(args.value("--budget", "a mapping count", number)?),
+            "--quota-queries" => {
+                let what = "a per-connection count";
+                opts.query_quota = Some(args.value("--quota-queries", what, number)?)
+            }
+            "--quota-deltas" => {
+                let what = "a per-connection count";
+                opts.delta_quota = Some(args.value("--quota-deltas", what, number)?)
+            }
+            "--mode" | "-m" => opts.mode = args.value("--mode", MODE_USAGE, Mode::parse)?,
+            "--threads" | "-t" => {
+                let what = "a worker count (0 = all CPUs)";
+                opts.threads = Some(args.value("--threads", what, number)?)
+            }
             "--no-cache" => opts.cache = false,
-            "--wal-dir" | "-w" => match iter.next() {
-                Some(dir) => opts.wal_dir = Some(dir.clone()),
-                None => {
-                    eprintln!("--wal-dir needs a directory argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--fsync" => match iter.next().map(String::as_str).and_then(parse_fsync) {
-                Some(policy) => opts.fsync = policy,
-                None => {
-                    eprintln!("--fsync needs always, never, or every:<N>");
-                    return ExitCode::from(2);
-                }
-            },
-            "--checkpoint-every" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.checkpoint_every = n,
-                None => {
-                    eprintln!("--checkpoint-every needs a delta count (0 disables)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--follow" | "-f" => match iter.next() {
-                Some(addr) => opts.follow = Some(addr.clone()),
-                None => {
-                    eprintln!("--follow needs the primary's host:port");
-                    return ExitCode::from(2);
-                }
-            },
+            "--wal-dir" | "-w" => {
+                opts.wal_dir = Some(args.value("--wal-dir", "a directory argument", text)?)
+            }
+            "--fsync" => {
+                let what = "always, never, or every:<N>";
+                opts.fsync = args.value("--fsync", what, parse_fsync)?
+            }
+            "--checkpoint-every" => {
+                let what = "a delta count (0 disables)";
+                opts.checkpoint_every = args.value("--checkpoint-every", what, number)?
+            }
+            "--follow" | "-f" => {
+                let what = "the primary's host:port";
+                opts.follow = Some(args.value("--follow", what, text)?)
+            }
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_owned()),
             other => {
                 eprintln!("unexpected argument `{other}`\n{}", serve_usage());
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         }
     }
     if opts.follow.is_some() && opts.wal_dir.is_some() {
         eprintln!("--follow and --wal-dir are mutually exclusive (the primary owns the log)");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     // A follower needs no database file: its state arrives over the
     // feed. If one is given anyway it is only the pre-sync placeholder.
     let db = match (&path, opts.follow.is_some()) {
         (Some(path), _) => match load_db(path) {
             Some(db) => db,
-            None => return ExitCode::FAILURE,
+            None => return Ok(ExitCode::FAILURE),
         },
         // A closed-world database needs a non-empty domain, so the
         // pre-sync placeholder holds one throwaway constant.
@@ -200,15 +196,10 @@ fn serve_main(args: &[String]) -> ExitCode {
             .expect("placeholder database text"),
         (None, false) => {
             eprintln!("{}", serve_usage());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
-    let stdout = io::stdout();
-    let mut out = stdout.lock();
-    match serve(db, &opts, &mut out) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) | Err(_) => ExitCode::FAILURE,
-    }
+    finished(serve(db, &opts, &mut io::stdout().lock()))
 }
 
 fn promote_usage() -> &'static str {
@@ -223,40 +214,29 @@ fn promote_usage() -> &'static str {
 }
 
 /// The `qld promote` subcommand.
-fn promote_main(args: &[String]) -> ExitCode {
+fn promote_main(args: &[String]) -> Exit {
     let mut addr: Option<String> = None;
     let mut token: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.0.next() {
         match arg.as_str() {
             "-h" | "--help" => {
                 println!("{}", promote_usage());
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            "--token" => match iter.next() {
-                Some(t) => token = Some(t.clone()),
-                None => {
-                    eprintln!("--token needs a secret argument");
-                    return ExitCode::from(2);
-                }
-            },
+            "--token" => token = Some(args.value("--token", "a secret argument", text)?),
             other if addr.is_none() && !other.starts_with('-') => addr = Some(other.to_owned()),
             other => {
                 eprintln!("unexpected argument `{other}`\n{}", promote_usage());
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         }
     }
     let Some(addr) = addr else {
         eprintln!("{}", promote_usage());
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
-    let stdout = io::stdout();
-    let mut out = stdout.lock();
-    match promote(&addr, token.as_deref(), &mut out) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) | Err(_) => ExitCode::FAILURE,
-    }
+    finished(promote(&addr, token.as_deref(), &mut io::stdout().lock()))
 }
 
 fn recover_usage() -> &'static str {
@@ -273,42 +253,31 @@ fn recover_usage() -> &'static str {
 }
 
 /// The `qld recover` subcommand.
-fn recover_main(args: &[String]) -> ExitCode {
+fn recover_main(args: &[String]) -> Exit {
     let mut opts = RecoverOptions::default();
     let mut dir: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.0.next() {
         match arg.as_str() {
             "-h" | "--help" => {
                 println!("{}", recover_usage());
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             "--read-only" => opts.read_only = true,
-            "--out" | "-o" => match iter.next() {
-                Some(path) => opts.out = Some(path.clone()),
-                None => {
-                    eprintln!("--out needs a file argument");
-                    return ExitCode::from(2);
-                }
-            },
+            "--out" | "-o" => opts.out = Some(args.value("--out", "a file argument", text)?),
             other if dir.is_none() && !other.starts_with('-') => dir = Some(other.to_owned()),
             other => {
                 eprintln!("unexpected argument `{other}`\n{}", recover_usage());
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         }
     }
     let Some(dir) = dir else {
         eprintln!("{}", recover_usage());
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
     opts.dir = dir;
-    let stdout = io::stdout();
-    let mut out = stdout.lock();
-    match recover(&opts, &mut out) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) | Err(_) => ExitCode::FAILURE,
-    }
+    finished(recover(&opts, &mut io::stdout().lock()))
 }
 
 /// Loads a `.qld` database file, printing the error on failure.
@@ -330,79 +299,63 @@ fn load_db(path: &str) -> Option<CwDatabase> {
 }
 
 fn main() -> ExitCode {
-    let all_args: Vec<String> = std::env::args().skip(1).collect();
-    if all_args.first().map(String::as_str) == Some("serve") {
-        return serve_main(&all_args[1..]);
-    }
-    if all_args.first().map(String::as_str) == Some("recover") {
-        return recover_main(&all_args[1..]);
-    }
-    if all_args.first().map(String::as_str) == Some("promote") {
-        return promote_main(&all_args[1..]);
-    }
-    let mut args = all_args.into_iter();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let exit = match args.first().map(String::as_str) {
+        Some("serve") => serve_main(&args[1..]),
+        Some("recover") => recover_main(&args[1..]),
+        Some("promote") => promote_main(&args[1..]),
+        _ => shell_main(&args),
+    };
+    exit.unwrap_or_else(|refused| refused)
+}
+
+/// Everything but the subcommands: one-shot queries, batches, the REPL.
+fn shell_main(args: &[String]) -> Exit {
+    let mut args = Args(args.iter());
     let mut path: Option<String> = None;
     let mut mode: Option<Mode> = None;
     let mut threads: Option<usize> = None;
     let mut no_cache = false;
     let mut sessions: Option<usize> = None;
     let mut actions: Vec<Action> = Vec::new();
-    while let Some(arg) = args.next() {
+    while let Some(arg) = args.0.next() {
         match arg.as_str() {
             "-h" | "--help" => {
                 println!("{}", usage());
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            "--mode" | "-m" => match args.next().as_deref().and_then(Mode::parse) {
-                Some(m) => mode = Some(m),
-                None => {
-                    eprintln!("--mode needs {MODE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--threads" | "-t" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => threads = Some(n),
-                None => {
-                    eprintln!("--threads needs a worker count (0 = all CPUs)");
-                    return ExitCode::from(2);
-                }
-            },
-            "-q" | "--query" => match args.next() {
-                Some(q) => actions.push(Action::Query(q)),
-                None => {
-                    eprintln!("-q needs a query argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--batch" | "-b" => match args.next() {
-                Some(f) => actions.push(Action::Batch(f)),
-                None => {
-                    eprintln!("--batch needs a query-file argument");
-                    return ExitCode::from(2);
-                }
-            },
+            "--mode" | "-m" => mode = Some(args.value("--mode", MODE_USAGE, Mode::parse)?),
+            "--threads" | "-t" => {
+                let what = "a worker count (0 = all CPUs)";
+                threads = Some(args.value("--threads", what, number)?)
+            }
+            "-q" | "--query" => {
+                let query = args.value("-q", "a query argument", text)?;
+                actions.push(Action::Query(query))
+            }
+            "--batch" | "-b" => {
+                let file = args.value("--batch", "a query-file argument", text)?;
+                actions.push(Action::Batch(file))
+            }
             "--no-cache" => no_cache = true,
-            "--sessions" | "-s" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => sessions = Some(n),
-                _ => {
-                    eprintln!("--sessions needs a reader-session count (>= 1)");
-                    return ExitCode::from(2);
-                }
-            },
+            "--sessions" | "-s" => {
+                let what = "a reader-session count (>= 1)";
+                sessions = Some(args.value("--sessions", what, positive)?)
+            }
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_owned()),
             other => {
                 eprintln!("unexpected argument `{other}`\n{}", usage());
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         }
     }
     let Some(path) = path else {
         eprintln!("{}", usage());
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
 
     let Some(db) = load_db(&path) else {
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
 
     // Concurrent serving: the script drives a shared engine with N reader
@@ -417,7 +370,7 @@ fn main() -> ExitCode {
             .collect();
         if batches.len() != actions.len() || batches.is_empty() {
             eprintln!("--sessions needs --batch (concurrent mode is script-driven)");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         let config = ConcurrentConfig {
             sessions: n,
@@ -432,20 +385,17 @@ fn main() -> ExitCode {
             // one script don't leak into the next).
             match concurrent_batch_file(db.clone(), config, file, &mut out) {
                 Ok(true) => {}
-                Ok(false) | Err(_) => return ExitCode::FAILURE,
+                Ok(false) | Err(_) => return Ok(ExitCode::FAILURE),
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let mut session = Session::new(db);
-    if let Some(mode) = mode {
-        session.set_mode(mode);
-    }
-    if let Some(threads) = threads {
-        session.set_threads(threads);
-    }
+    let engine = engine_from(db, mode.unwrap_or_default(), threads, true, None);
+    let mut session = Session::with_engine(engine);
     if no_cache {
+        // The shell's `:cache off`, not a zero-sized cache: `:cache on`
+        // brings it back.
         session.set_cache_enabled(false);
     }
     let stdout = io::stdout();
@@ -456,18 +406,18 @@ fn main() -> ExitCode {
             match action {
                 Action::Query(q) => {
                     if session.execute(q, &mut out).is_err() {
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
                 // Scripting mode: an unreadable file or bad query line
                 // aborts with a failing exit code so callers can detect it.
                 Action::Batch(f) => match session.batch_file(f, &mut out) {
                     Ok(true) => {}
-                    Ok(false) | Err(_) => return ExitCode::FAILURE,
+                    Ok(false) | Err(_) => return Ok(ExitCode::FAILURE),
                 },
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let _ = writeln!(
@@ -487,14 +437,14 @@ fn main() -> ExitCode {
                 Ok(Outcome::Continue) => {}
                 Err(e) => {
                     eprintln!("io error: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             Err(e) => {
                 eprintln!("io error: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

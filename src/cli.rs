@@ -11,15 +11,16 @@
 use qld_algebra::display_plan;
 use qld_core::CwDatabase;
 use qld_engine::{
-    wal_has_state, Answers, Delta, DiskStorage, DurabilityConfig, Engine, EngineError, FsyncPolicy,
-    PreparedQuery, ReadOnlyStorage, Semantics, SharedEngine, WalConfig,
+    wal_has_state, DiskStorage, DurabilityConfig, Engine, FsyncPolicy, ReadOnlyStorage, Semantics,
+    SharedEngine, WalConfig,
 };
 use qld_logic::display::display_query;
 use qld_logic::parser::parse_query;
-use qld_logic::Vocabulary;
 use qld_server::replication::FollowerLink;
-use qld_server::script::{parse_fact, parse_line, ScriptLine};
-use qld_server::{proto, Client, RetryPolicy, Server, ServerConfig};
+use qld_server::script::{
+    self, describe_threads, parse_line, print_outcome, run_line, run_script, ScriptError,
+};
+use qld_server::{Client, RetryPolicy, Server, ServerConfig};
 use std::io::{self, Write};
 
 /// The shell's evaluation mode *is* the engine's semantics — one
@@ -31,15 +32,6 @@ pub type Mode = Semantics;
 /// and the binary usage string (kept in sync with [`Semantics::ALL`] by a
 /// test below).
 pub const MODE_USAGE: &str = "exact|approx|possible|auto";
-
-/// Renders a thread-count setting (`0` means one worker per CPU).
-fn describe_threads(threads: usize) -> String {
-    if threads == 0 {
-        "auto (all CPUs)".to_string()
-    } else {
-        threads.to_string()
-    }
-}
 
 /// Whether the session should keep reading input.
 #[derive(Debug, PartialEq, Eq)]
@@ -59,36 +51,13 @@ pub struct Session {
 impl Session {
     /// Starts a session in [`Semantics::Auto`] (the engine default).
     pub fn new(db: CwDatabase) -> Session {
-        Session {
-            engine: Engine::new(db),
-        }
+        Session::with_engine(Engine::new(db))
     }
 
-    /// The current evaluation mode.
-    pub fn mode(&self) -> Mode {
-        self.engine.semantics()
-    }
-
-    /// Sets the evaluation mode.
-    pub fn set_mode(&mut self, mode: Mode) {
-        self.engine.set_semantics(mode);
-    }
-
-    /// The enumeration worker-thread count (`0` = one per CPU).
-    pub fn threads(&self) -> usize {
-        self.engine.parallelism()
-    }
-
-    /// Sets the enumeration worker-thread count (`0` = one per CPU).
-    /// Answers are identical at any thread count; only the Theorem 1 and
-    /// possible-answer enumerations speed up.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine.set_parallelism(threads);
-    }
-
-    /// Whether the engine's answer cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.engine.cache_enabled()
+    /// Starts a session over an already configured engine (see
+    /// [`engine_from`]).
+    pub fn with_engine(engine: Engine) -> Session {
+        Session { engine }
     }
 
     /// Enables/disables the engine's answer cache.
@@ -100,23 +69,36 @@ impl Session {
         self.engine.db()
     }
 
-    /// Executes one input line (a `:command` or a query).
+    /// Executes one input line. A line of the script dialect (a query,
+    /// `:insert`, `:assert-ne`, `:stats`, `:quit`) does what it does in
+    /// every front-end ([`run_line`]); what the dialect does not know is
+    /// one of the shell's own commands.
     pub fn execute(&mut self, line: &str, out: &mut dyn Write) -> io::Result<Outcome> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(Outcome::Continue);
+        match parse_line(self.db().voc(), line) {
+            Ok(None) => Ok(Outcome::Continue),
+            Ok(Some(parsed)) => {
+                let outcome = run_line(&mut self.engine, parsed);
+                print_outcome(&self.engine, &outcome, out)?;
+                Ok(match outcome {
+                    Ok(script::Outcome::Quit | script::Outcome::Shutdown) => Outcome::Quit,
+                    _ => Outcome::Continue,
+                })
+            }
+            Err(ScriptError::Unsupported(_)) => {
+                let cmd = line.trim().strip_prefix(':').unwrap_or_default();
+                self.command(cmd.trim(), out)
+            }
+            Err(e) => {
+                writeln!(out, "{e}")?;
+                Ok(Outcome::Continue)
+            }
         }
-        if let Some(rest) = line.strip_prefix(':') {
-            return self.command(rest.trim(), out);
-        }
-        self.query(line, out)?;
-        Ok(Outcome::Continue)
     }
 
+    /// The shell-only commands.
     fn command(&mut self, cmd: &str, out: &mut dyn Write) -> io::Result<Outcome> {
         let mut words = cmd.split_whitespace();
         match words.next() {
-            Some("quit") | Some("q") | Some("exit") => return Ok(Outcome::Quit),
             Some("help") | Some("h") => {
                 writeln!(out, "queries: any formula in the surface syntax, e.g.")?;
                 writeln!(out, "    (x) . TEACHES(socrates, x)")?;
@@ -171,15 +153,17 @@ impl Session {
             }
             Some("mode") => match words.next().and_then(Mode::parse) {
                 Some(mode) => {
-                    self.set_mode(mode);
+                    self.engine.set_semantics(mode);
                     writeln!(out, "mode: {}", mode.name())?;
                 }
                 None => writeln!(out, "usage: :mode {MODE_USAGE}")?,
             },
             Some("set") => match (words.next(), words.next()) {
                 (Some("threads"), Some(n)) => match n.parse::<usize>() {
+                    // Answers are identical at any thread count; only the
+                    // Theorem 1 and possible-answer enumerations speed up.
                     Ok(threads) => {
-                        self.set_threads(threads);
+                        self.engine.set_parallelism(threads);
                         writeln!(out, "threads: {}", describe_threads(threads))?;
                     }
                     Err(_) => writeln!(out, "usage: :set threads <N>  (0 = all CPUs)")?,
@@ -207,19 +191,6 @@ impl Session {
                     let _ran = self.batch_file(rest, out)?;
                 }
             }
-            Some("insert") => {
-                let rest = cmd["insert".len()..].trim();
-                if rest.is_empty() {
-                    writeln!(out, "usage: :insert P(c1, ..., ck)")?;
-                } else {
-                    self.insert_fact(rest, out)?;
-                }
-            }
-            Some("assert-ne") => match (words.next(), words.next()) {
-                (Some(a), Some(b)) => self.assert_ne(a, b, out)?,
-                _ => writeln!(out, "usage: :assert-ne <a> <b>")?,
-            },
-            Some("stats") => self.print_stats(out)?,
             Some("dump") => {
                 write!(out, "{}", qld_core::textio::to_text(self.db()))?;
             }
@@ -243,79 +214,6 @@ impl Session {
             None => writeln!(out, "empty command (try :help)")?,
         }
         Ok(Outcome::Continue)
-    }
-
-    /// The `:stats` output (also printed by `:stats` lines in a batch
-    /// script).
-    fn print_stats(&self, out: &mut dyn Write) -> io::Result<()> {
-        writeln!(
-            out,
-            "{} constants, {} predicates, {} facts, {} uniqueness axioms, fully specified: {}",
-            self.db().num_consts(),
-            self.db().voc().num_preds(),
-            self.db().num_facts(),
-            self.db().num_ne(),
-            self.db().is_fully_specified()
-        )?;
-        writeln!(
-            out,
-            "mode: {}, threads: {}, cache: {} ({}/{} answer(s) cached)",
-            self.mode().name(),
-            describe_threads(self.threads()),
-            if self.cache_enabled() { "on" } else { "off" },
-            self.engine.cache_len(),
-            self.engine.cache_capacity()
-        )?;
-        let decomp = qld_core::mappings::analyze_decomposition(self.db());
-        writeln!(
-            out,
-            "decomposition: {} NE component(s), {} free constant(s) \
-             (enumeration collapses them to canonical images)",
-            decomp.components,
-            decomp.free.len()
-        )?;
-        let deltas = self.engine.delta_stats();
-        writeln!(
-            out,
-            "deltas: {} applied ({} fact(s), {} axiom(s) inserted), \
-             {} cache eviction(s), {} re-certification(s), epoch {}",
-            deltas.deltas_applied,
-            deltas.facts_inserted,
-            deltas.ne_inserted,
-            deltas.cache_evicted,
-            deltas.queries_recertified,
-            self.engine.epoch()
-        )
-    }
-
-    /// The `:insert` command: parses a ground atom in the query syntax
-    /// (e.g. `TEACHES(socrates, plato)`) and applies it as a fact delta —
-    /// the engine refreshes `Ph₁`/`Ph₂`/`α_P` in place and evicts only the
-    /// cached answers that mention the predicate.
-    fn insert_fact(&mut self, text: &str, out: &mut dyn Write) -> io::Result<()> {
-        let (p, args) = match parse_fact(self.db().voc(), text) {
-            Ok(fact) => fact,
-            Err(e) => return writeln!(out, "{e}"),
-        };
-        match self.engine.apply(&Delta::new().insert_fact(p, &args)) {
-            Ok(report) => writeln!(out, "{report}"),
-            Err(e) => writeln!(out, "error: {e}"),
-        }
-    }
-
-    /// The `:assert-ne` command: adds the uniqueness axiom `¬(a = b)` as a
-    /// delta (incremental `NE`-store insertion plus complement-only `α_P`
-    /// recheck; axiom-sensitive cached answers are evicted).
-    fn assert_ne(&mut self, a: &str, b: &str, out: &mut dyn Write) -> io::Result<()> {
-        let voc = self.db().voc();
-        let (Some(ca), Some(cb)) = (voc.const_id(a), voc.const_id(b)) else {
-            let unknown = if voc.const_id(a).is_none() { a } else { b };
-            return writeln!(out, "unknown constant `{unknown}`");
-        };
-        match self.engine.apply(&Delta::new().assert_ne(ca, cb)) {
-            Ok(report) => writeln!(out, "{report}"),
-            Err(e) => writeln!(out, "error: {e}"),
-        }
     }
 
     /// Shows the §5 pipeline for a query, straight off the prepared
@@ -347,36 +245,6 @@ impl Session {
         }
     }
 
-    fn query(&mut self, text: &str, out: &mut dyn Write) -> io::Result<()> {
-        let query = match parse_query(self.db().voc(), text) {
-            Ok(q) => q,
-            Err(e) => return writeln!(out, "parse error: {e}"),
-        };
-        let prepared = match self.engine.prepare(query) {
-            Ok(p) => p,
-            Err(e) => return writeln!(out, "error: {e}"),
-        };
-        let answers = match self.engine.execute(&prepared) {
-            Ok(a) => a,
-            Err(e @ EngineError::Compile(_)) => {
-                return writeln!(out, "error: {e} (try :mode auto or :mode exact)")
-            }
-            Err(e) => return writeln!(out, "error: {e}"),
-        };
-        self.print_answers(prepared.query().is_boolean(), &answers, out)
-    }
-
-    /// Renders one answer set with its evidence tag (shared by single
-    /// queries and batch members).
-    fn print_answers(
-        &self,
-        is_boolean: bool,
-        answers: &qld_engine::Answers,
-        out: &mut dyn Write,
-    ) -> io::Result<()> {
-        render_answers(self.db().voc(), self.mode(), is_boolean, answers, out)
-    }
-
     /// The `:batch` script mode: reads a query file (one query per line;
     /// blank lines and `#` comments ignored), prepares every query, and
     /// executes the whole set through [`Engine::execute_batch`] — all
@@ -389,115 +257,29 @@ impl Session {
     ///
     /// [`Engine::execute_batch`]: qld_engine::Engine::execute_batch
     pub fn batch_file(&mut self, path: &str, out: &mut dyn Write) -> io::Result<bool> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                writeln!(out, "cannot read {path}: {e}")?;
-                return Ok(false);
-            }
-        };
-        self.batch_text(&text, out)
+        match read_script(path, out)? {
+            Some(text) => self.batch_text(&text, out),
+            None => Ok(false),
+        }
     }
 
-    /// Runs batch-script text (see [`Session::batch_file`]). The script
-    /// speaks the same dialect as `--sessions` and the TCP server
-    /// ([`qld_server::script`]): queries, `:insert`, `:assert-ne`,
-    /// `:stats`, `:quit`, comments. Queries between two mutations form a
-    /// segment sharing one [`Engine::execute_batch`] enumeration;
-    /// malformed lines abort before anything runs, with the same
-    /// diagnostics the server sends over the wire.
+    /// Runs batch-script text (see [`Session::batch_file`]) through
+    /// [`run_script`]: the dialect of `--sessions` and the TCP server
+    /// (queries, `:insert`, `:assert-ne`, `:stats`, `:quit`, comments).
+    /// Queries between two mutations form a segment sharing one
+    /// [`Engine::execute_batch`] enumeration; malformed lines abort
+    /// before anything runs, with the diagnostics the server sends over
+    /// the wire.
     ///
     /// [`Engine::execute_batch`]: qld_engine::Engine::execute_batch
     pub fn batch_text(&mut self, text: &str, out: &mut dyn Write) -> io::Result<bool> {
-        enum Item {
-            Query {
-                line: String,
-                is_boolean: bool,
-                prepared: PreparedQuery,
-            },
-            Mutation {
-                line: String,
-                delta: Delta,
-            },
-            Stats,
-        }
-        let mut items = Vec::new();
-        for (lineno, raw) in text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())) {
-            match parse_line(self.db().voc(), raw) {
-                Ok(None) => {}
-                Ok(Some(ScriptLine::Query(query))) => {
-                    let is_boolean = query.is_boolean();
-                    match self.engine.prepare(query) {
-                        Ok(prepared) => items.push(Item::Query {
-                            line: raw.to_string(),
-                            is_boolean,
-                            prepared,
-                        }),
-                        Err(e) => {
-                            writeln!(out, "line {lineno}: error: {e}")?;
-                            return Ok(false);
-                        }
-                    }
-                }
-                Ok(Some(item @ (ScriptLine::Insert(..) | ScriptLine::AssertNe(..)))) => {
-                    items.push(Item::Mutation {
-                        line: raw.to_string(),
-                        delta: item.to_delta().expect("mutation lines carry a delta"),
-                    });
-                }
-                Ok(Some(ScriptLine::Stats)) => items.push(Item::Stats),
-                Ok(Some(ScriptLine::Quit | ScriptLine::Shutdown)) => break,
-                Err(e) => {
-                    writeln!(out, "line {lineno}: {e}")?;
-                    return Ok(false);
-                }
-            }
-        }
-
-        let mut total_queries = 0usize;
-        let mut deltas_applied = 0usize;
-        let mut shared_mappings = 0u64;
-        let mut segment: Vec<(&str, bool, &PreparedQuery)> = Vec::new();
-        for item in &items {
-            if let Item::Query {
-                line,
-                is_boolean,
-                prepared,
-            } = item
-            {
-                segment.push((line, *is_boolean, prepared));
-                continue;
-            }
-            total_queries += segment.len();
-            if !self.run_batch_segment(&segment, &mut shared_mappings, out)? {
-                return Ok(false);
-            }
-            segment.clear();
-            match item {
-                Item::Mutation { line, delta } => {
-                    writeln!(out, "> {line}")?;
-                    match self.engine.apply(delta) {
-                        Ok(report) => {
-                            deltas_applied += 1;
-                            writeln!(out, "{report}")?;
-                        }
-                        Err(e) => {
-                            writeln!(out, "error: {e}")?;
-                            return Ok(false);
-                        }
-                    }
-                }
-                Item::Stats => self.print_stats(out)?,
-                Item::Query { .. } => unreachable!("handled above"),
-            }
-        }
-        total_queries += segment.len();
-        if !self.run_batch_segment(&segment, &mut shared_mappings, out)? {
+        let Some((queries, deltas, shared_mappings)) = run_script(&mut self.engine, text, out)?
+        else {
             return Ok(false);
-        }
-        write!(out, "batch: {total_queries} query(s)")?;
-        if deltas_applied > 0 {
-            write!(out, ", {deltas_applied} delta(s)")?;
+        };
+        write!(out, "batch: {queries} query(s)")?;
+        if deltas > 0 {
+            write!(out, ", {deltas} delta(s)")?;
         }
         if shared_mappings > 0 {
             write!(
@@ -508,63 +290,41 @@ impl Session {
         writeln!(out)?;
         Ok(true)
     }
+}
 
-    /// Executes one segment of batch queries through
-    /// [`Engine::execute_batch`](qld_engine::Engine::execute_batch) and
-    /// prints the answers in script order. Returns `false` when the
-    /// segment failed (the error has been printed).
-    fn run_batch_segment(
-        &self,
-        segment: &[(&str, bool, &PreparedQuery)],
-        shared_mappings: &mut u64,
-        out: &mut dyn Write,
-    ) -> io::Result<bool> {
-        if segment.is_empty() {
-            return Ok(true);
+/// Reads a script file; an unreadable one prints why and is `None`.
+fn read_script(path: &str, out: &mut dyn Write) -> io::Result<Option<String>> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) => {
+            writeln!(out, "cannot read {path}: {e}")?;
+            Ok(None)
         }
-        let prepared: Vec<PreparedQuery> = segment.iter().map(|(_, _, p)| (*p).clone()).collect();
-        let answers = match self.engine.execute_batch(&prepared) {
-            Ok(a) => a,
-            Err(e @ EngineError::Compile(_)) => {
-                writeln!(out, "error: {e} (try :mode auto or :mode exact)")?;
-                return Ok(false);
-            }
-            Err(e) => {
-                writeln!(out, "error: {e}")?;
-                return Ok(false);
-            }
-        };
-        for ((line, is_boolean, _), a) in segment.iter().zip(answers.iter()) {
-            writeln!(out, "> {line}")?;
-            self.print_answers(*is_boolean, a, out)?;
-            if a.evidence().shared_batch.is_some() {
-                *shared_mappings = (*shared_mappings).max(a.evidence().mappings_evaluated);
-            }
-        }
-        Ok(true)
     }
 }
 
-/// Renders one answer set with its evidence tag. The payload rendering
-/// lives in [`qld_server::proto`] so a remote answer is byte-identical
-/// to a local one; only the trailing tuple count + tag line is CLI
-/// dressing.
-fn render_answers(
-    voc: &Vocabulary,
+/// The engine the command-line flags describe — one builder for the
+/// shell, `--sessions` and `qld serve`. `cache = false` sizes the answer
+/// cache to zero, which is what turns off the cache a [`SharedEngine`]
+/// puts in front of the engine.
+pub fn engine_from(
+    db: CwDatabase,
     mode: Mode,
-    is_boolean: bool,
-    answers: &Answers,
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    let tag = proto::evidence_tag(answers.evidence());
-    if is_boolean {
-        writeln!(out, "{}   [{tag}]", proto::verdict(mode, answers.holds()))
-    } else {
-        for line in proto::tuple_lines(voc, answers) {
-            writeln!(out, "{line}")?;
-        }
-        writeln!(out, "{} tuple(s)   [{tag}]", answers.len())
+    threads: Option<usize>,
+    cache: bool,
+    budget: Option<u64>,
+) -> Engine {
+    let mut builder = Engine::builder(db).semantics(mode);
+    if let Some(threads) = threads {
+        builder = builder.parallelism(threads);
     }
+    if !cache {
+        builder = builder.cache_capacity(0);
+    }
+    if let Some(budget) = budget {
+        builder = builder.mapping_budget(budget);
+    }
+    builder.build()
 }
 
 /// Configuration of the concurrent batch driver (`--sessions N`).
@@ -581,34 +341,19 @@ pub struct ConcurrentConfig {
     pub cache: bool,
 }
 
-/// One parsed line of a concurrent batch script.
-enum ScriptItem {
-    /// A query, prepared once up front (valid at every epoch).
-    Query {
-        line: String,
-        is_boolean: bool,
-        prepared: PreparedQuery,
-    },
-    /// A `:insert`/`:assert-ne` mutation the writer applies between
-    /// query segments.
-    Mutation { line: String, delta: Delta },
-    /// `:stats` — prints the epoch and cache counters mid-script.
-    Stats,
-}
-
 /// Runs a batch script concurrently: a [`SharedEngine`] serves the
 /// script's queries across `config.sessions` reader threads while the
 /// writer applies `:insert`/`:assert-ne` deltas between query segments.
 ///
-/// The script is segmented at mutation lines: all queries between two
-/// mutations execute concurrently (distributed round-robin over the
-/// reader sessions, each reading the latest published snapshot), then
-/// the mutation publishes the next epoch, then the next segment runs.
-/// Answers are printed in script order, each stamped with the epoch it
-/// was computed at, so the output is deterministic. `:stats` lines print
-/// the live epoch/session/cache counters. Returns whether the script
-/// actually executed (parse errors abort before anything runs, like
-/// [`Session::batch_text`]).
+/// The script runs through [`run_script`], segmented at mutation lines:
+/// all queries between two mutations execute concurrently (dealt
+/// round-robin to the reader sessions, each batching its share against
+/// the latest published snapshot), then the mutation publishes the next
+/// epoch, then the next segment runs. Answers are printed in script
+/// order, each stamped with the epoch it was computed at, so the output
+/// is deterministic. `:stats` lines print the live epoch/session/cache
+/// counters. Returns whether the script actually executed (parse errors
+/// abort before anything runs, like [`Session::batch_text`]).
 pub fn concurrent_batch_text(
     db: CwDatabase,
     config: ConcurrentConfig,
@@ -619,188 +364,21 @@ pub fn concurrent_batch_text(
         writeln!(out, "error: --sessions needs at least 1 reader session")?;
         return Ok(false);
     }
-    let mut builder = Engine::builder(db).semantics(config.mode);
-    if let Some(threads) = config.threads {
-        builder = builder.parallelism(threads);
-    }
-    if !config.cache {
-        builder = builder.cache_capacity(0);
-    }
-    let shared = SharedEngine::new(builder.build());
-    let snapshot = shared.snapshot();
-    let voc = snapshot.engine().db().voc();
-
-    // Parse and prepare the whole script up front: a bad line aborts the
-    // batch before anything runs (scripted callers fail loudly), with
-    // the same diagnostics the server sends over the wire.
-    let mut items = Vec::new();
-    for (lineno, raw) in text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())) {
-        match parse_line(voc, raw) {
-            Ok(None) => {}
-            Ok(Some(ScriptLine::Query(query))) => {
-                let is_boolean = query.is_boolean();
-                match snapshot.engine().prepare(query) {
-                    Ok(prepared) => items.push(ScriptItem::Query {
-                        line: raw.to_string(),
-                        is_boolean,
-                        prepared,
-                    }),
-                    Err(e) => {
-                        writeln!(out, "line {lineno}: error: {e}")?;
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(Some(item @ (ScriptLine::Insert(..) | ScriptLine::AssertNe(..)))) => {
-                items.push(ScriptItem::Mutation {
-                    line: raw.to_string(),
-                    delta: item.to_delta().expect("mutation lines carry a delta"),
-                });
-            }
-            Ok(Some(ScriptLine::Stats)) => items.push(ScriptItem::Stats),
-            Ok(Some(ScriptLine::Quit | ScriptLine::Shutdown)) => break,
-            Err(e) => {
-                writeln!(out, "line {lineno}: {e}")?;
-                return Ok(false);
-            }
-        }
-    }
-
-    // Execute: persistent reader sessions (monotone epoch observation
-    // spans the whole script), one segment of queries at a time.
+    let engine = engine_from(db, config.mode, config.threads, config.cache, None);
+    let shared = SharedEngine::new(engine);
     let mut readers: Vec<_> = (0..config.sessions).map(|_| shared.session()).collect();
-    let mut total_queries = 0usize;
-    let mut deltas_applied = 0usize;
-    let mut segment: Vec<(&str, bool, &PreparedQuery)> = Vec::new();
-    for item in &items {
-        if let ScriptItem::Query {
-            line,
-            is_boolean,
-            prepared,
-        } = item
-        {
-            segment.push((line, *is_boolean, prepared));
-            continue;
-        }
-        total_queries += segment.len();
-        run_segment(voc, config.mode, &mut readers, &segment, out)?;
-        segment.clear();
-        match item {
-            ScriptItem::Mutation { line, delta } => {
-                writeln!(out, "> {line}")?;
-                match shared.apply(delta) {
-                    Ok(report) => {
-                        deltas_applied += 1;
-                        writeln!(out, "{report}")?;
-                    }
-                    Err(e) => {
-                        writeln!(out, "error: {e}")?;
-                        return Ok(false);
-                    }
-                }
-            }
-            ScriptItem::Stats => {
-                let stats = shared.stats();
-                writeln!(
-                    out,
-                    "epoch: {}, sessions: {}, shared cache: {}/{} answer(s), \
-                     deltas: {} applied ({} fact(s), {} axiom(s) inserted)",
-                    stats.epoch,
-                    stats.sessions_started,
-                    stats.cache_len,
-                    stats.cache_capacity,
-                    stats.deltas.deltas_applied,
-                    stats.deltas.facts_inserted,
-                    stats.deltas.ne_inserted
-                )?;
-                writeln!(out, "snapshot: {}", shared.snapshot_stats())?;
-                let decomp =
-                    qld_core::mappings::analyze_decomposition(shared.snapshot().engine().db());
-                writeln!(
-                    out,
-                    "decomposition: {} NE component(s), {} free constant(s)",
-                    decomp.components,
-                    decomp.free.len()
-                )?;
-                writeln!(
-                    out,
-                    "replication: role={} generation={} applied={} lag={} followers={}",
-                    if stats.read_only {
-                        "follower"
-                    } else {
-                        "primary"
-                    },
-                    stats.generation,
-                    stats.epoch,
-                    stats.replication_lag(),
-                    stats.followers
-                )?;
-            }
-            ScriptItem::Query { .. } => unreachable!("handled above"),
-        }
-    }
-    total_queries += segment.len();
-    run_segment(voc, config.mode, &mut readers, &segment, out)?;
+    let Some((queries, deltas, _)) = run_script(&mut readers, text, out)? else {
+        return Ok(false);
+    };
     writeln!(
         out,
         "concurrent batch: {} query(s) across {} session(s), {} delta(s), final epoch {}",
-        total_queries,
+        queries,
         config.sessions,
-        deltas_applied,
+        deltas,
         shared.epoch()
     )?;
     Ok(true)
-}
-
-/// Executes one segment of queries concurrently (round-robin across the
-/// reader sessions, one thread per session) and prints the answers in
-/// script order.
-fn run_segment(
-    voc: &Vocabulary,
-    mode: Mode,
-    readers: &mut [qld_engine::SharedSession],
-    segment: &[(&str, bool, &PreparedQuery)],
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    if segment.is_empty() {
-        return Ok(());
-    }
-    let n = readers.len();
-    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for j in 0..segment.len() {
-        assignments[j % n].push(j);
-    }
-    let mut results: Vec<Option<Result<Answers, EngineError>>> =
-        (0..segment.len()).map(|_| None).collect();
-    let outputs: Vec<Vec<(usize, Result<Answers, EngineError>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = readers
-            .iter_mut()
-            .zip(&assignments)
-            .map(|(session, indices)| {
-                scope.spawn(move || {
-                    indices
-                        .iter()
-                        .map(|&j| (j, session.execute(segment[j].2)))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reader session thread panicked"))
-            .collect()
-    });
-    for (j, result) in outputs.into_iter().flatten() {
-        results[j] = Some(result);
-    }
-    for ((line, is_boolean, _), result) in segment.iter().zip(results) {
-        writeln!(out, "> {line}")?;
-        match result.expect("every segment slot answered") {
-            Ok(answers) => render_answers(voc, mode, *is_boolean, &answers, out)?,
-            Err(e) => writeln!(out, "error: {e}")?,
-        }
-    }
-    Ok(())
 }
 
 /// Runs a concurrent batch script from a file (see
@@ -811,14 +389,10 @@ pub fn concurrent_batch_file(
     path: &str,
     out: &mut dyn Write,
 ) -> io::Result<bool> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            writeln!(out, "cannot read {path}: {e}")?;
-            return Ok(false);
-        }
-    };
-    concurrent_batch_text(db, config, &text, out)
+    match read_script(path, out)? {
+        Some(text) => concurrent_batch_text(db, config, &text, out),
+        None => Ok(false),
+    }
 }
 
 /// Options of `qld serve` (the TCP front-end over a [`SharedEngine`]).
@@ -908,78 +482,32 @@ pub fn parse_fsync(s: &str) -> Option<FsyncPolicy> {
 /// cleanly.
 pub fn serve(db: CwDatabase, opts: &ServeOptions, out: &mut dyn Write) -> io::Result<bool> {
     let (mode, threads, cache, budget) = (opts.mode, opts.threads, opts.cache, opts.budget);
-    let build = move |db: CwDatabase| {
-        let mut builder = Engine::builder(db).semantics(mode);
-        if let Some(threads) = threads {
-            builder = builder.parallelism(threads);
-        }
-        if !cache {
-            builder = builder.cache_capacity(0);
-        }
-        if let Some(budget) = budget {
-            builder = builder.mapping_budget(budget);
-        }
-        builder.build()
-    };
+    let build = move |db: CwDatabase| engine_from(db, mode, threads, cache, budget);
 
-    // Follower mode: no WAL of our own (the primary owns the log); the
-    // database argument is only a placeholder until the feed bootstraps.
-    if let Some(primary) = &opts.follow {
-        if opts.wal_dir.is_some() {
+    let (shared, follower) = match (&opts.follow, &opts.wal_dir) {
+        (Some(_), Some(_)) => {
             writeln!(
                 out,
                 "error: --follow and --wal-dir are mutually exclusive (the primary owns the log)"
             )?;
             return Ok(false);
         }
-        let shared = SharedEngine::new(build(db));
-        let link = FollowerLink::new(
-            shared.clone(),
-            primary.clone(),
-            opts.token.clone(),
-            RetryPolicy::default(),
-            std::sync::Arc::new(build),
-        );
-        let handle = link.spawn();
-        let config = ServerConfig {
-            addr: opts.addr.clone(),
-            max_connections: opts.sessions_max,
-            auth_token: opts.token.clone(),
-            query_quota: opts.query_quota,
-            delta_quota: opts.delta_quota,
-            ..ServerConfig::default()
-        };
-        let server = match Server::bind(shared, config) {
-            Ok(server) => server,
-            Err(e) => {
-                writeln!(out, "error: cannot bind {}: {e}", opts.addr)?;
-                handle.stop();
-                return Ok(false);
-            }
-        };
-        writeln!(
-            out,
-            "following {primary} (read-only; writes are refused until `qld promote`)"
-        )?;
-        writeln!(out, "listening on {}", server.local_addr()?)?;
-        out.flush()?;
-        let result = server.run();
-        handle.stop();
-        return match result {
-            Ok(()) => {
-                writeln!(out, "server stopped")?;
-                Ok(true)
-            }
-            Err(e) => {
-                writeln!(out, "error: {e}")?;
-                Ok(false)
-            }
-        };
-    }
-
-    let shared = match &opts.wal_dir {
-        None => SharedEngine::new(build(db)),
-        Some(dir) => {
+        // Follower mode: no WAL of our own (the primary owns the log); the
+        // database argument is only a placeholder until the feed
+        // bootstraps.
+        (Some(primary), None) => {
+            let shared = SharedEngine::new(build(db));
+            let link = FollowerLink::new(
+                shared.clone(),
+                primary.clone(),
+                opts.token.clone(),
+                RetryPolicy::default(),
+                std::sync::Arc::new(build),
+            );
+            (shared, Some((primary, link.spawn())))
+        }
+        (None, None) => (SharedEngine::new(build(db)), None),
+        (None, Some(dir)) => {
             let config = DurabilityConfig {
                 wal: WalConfig {
                     fsync: opts.fsync,
@@ -994,37 +522,33 @@ pub fn serve(db: CwDatabase, opts: &ServeOptions, out: &mut dyn Write) -> io::Re
                     return Ok(false);
                 }
             };
-            if wal_has_state(&storage).unwrap_or(false) {
+            let opened = if wal_has_state(&storage).unwrap_or(false) {
                 // The log is the authority: recover from it and ignore
                 // the database file (which reflects some older state).
-                match SharedEngine::recover_with(Box::new(storage), config, build) {
-                    Ok((shared, report)) => {
-                        writeln!(out, "wal: {report}")?;
-                        writeln!(
-                            out,
-                            "wal: database argument ignored; state comes from the recovered log"
-                        )?;
-                        shared
-                    }
-                    Err(e) => {
-                        writeln!(out, "error: {e}")?;
-                        return Ok(false);
-                    }
-                }
+                SharedEngine::recover_with(Box::new(storage), config, build).map(
+                    |(shared, report)| {
+                        let ignored =
+                            "wal: database argument ignored; state comes from the recovered log";
+                        (shared, format!("wal: {report}\n{ignored}"))
+                    },
+                )
             } else {
-                match SharedEngine::durable(build(db), Box::new(storage), config) {
-                    Ok(shared) => {
-                        writeln!(out, "wal: logging to {dir}")?;
-                        shared
-                    }
-                    Err(e) => {
-                        writeln!(out, "error: {e}")?;
-                        return Ok(false);
-                    }
+                SharedEngine::durable(build(db), Box::new(storage), config)
+                    .map(|shared| (shared, format!("wal: logging to {dir}")))
+            };
+            match opened {
+                Ok((shared, banner)) => {
+                    writeln!(out, "{banner}")?;
+                    (shared, None)
+                }
+                Err(e) => {
+                    writeln!(out, "error: {e}")?;
+                    return Ok(false);
                 }
             }
         }
     };
+
     let config = ServerConfig {
         addr: opts.addr.clone(),
         max_connections: opts.sessions_max,
@@ -1033,16 +557,24 @@ pub fn serve(db: CwDatabase, opts: &ServeOptions, out: &mut dyn Write) -> io::Re
         delta_quota: opts.delta_quota,
         ..ServerConfig::default()
     };
-    let server = match Server::bind(shared, config) {
-        Ok(server) => server,
-        Err(e) => {
-            writeln!(out, "error: cannot bind {}: {e}", opts.addr)?;
-            return Ok(false);
+    let result = match Server::bind(shared, config) {
+        Ok(server) => {
+            if let Some((primary, _)) = &follower {
+                writeln!(
+                    out,
+                    "following {primary} (read-only; writes are refused until `qld promote`)"
+                )?;
+            }
+            writeln!(out, "listening on {}", server.local_addr()?)?;
+            out.flush()?;
+            server.run().map_err(|e| e.to_string())
         }
+        Err(e) => Err(format!("cannot bind {}: {e}", opts.addr)),
     };
-    writeln!(out, "listening on {}", server.local_addr()?)?;
-    out.flush()?;
-    match server.run() {
+    if let Some((_, link)) = follower {
+        link.stop();
+    }
+    match result {
         Ok(()) => {
             writeln!(out, "server stopped")?;
             Ok(true)
@@ -1195,6 +727,7 @@ pub fn recover(opts: &RecoverOptions, out: &mut dyn Write) -> io::Result<bool> {
 mod tests {
     use super::*;
     use qld_core::textio::from_text;
+    use qld_engine::Delta;
 
     const SAMPLE: &str = "
 const socrates plato aristotle mystery
