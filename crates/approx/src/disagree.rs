@@ -128,11 +128,13 @@ pub fn alpha_relation(db: &CwDatabase, p: PredId) -> Relation {
     let consts: Vec<Elem> = (0..db.num_consts() as Elem).collect();
     let facts = db.facts(p);
     let mut scratch = DisagreeScratch::new();
-    let tuples = TupleSpace::new(&consts, arity)
-        .filter(|c| facts.iter().all(|d| scratch.disagrees(db, c, d)))
-        .map(Vec::into_boxed_slice)
-        .collect();
-    Relation::from_tuples(arity, tuples)
+    // The tuple space enumerates in lexicographic order, so the rows
+    // arrive sorted and are only appended.
+    Relation::from_rows(
+        arity,
+        TupleSpace::new(&consts, arity)
+            .filter(|c| facts.iter().all(|d| scratch.disagrees(db, c, d))),
+    )
 }
 
 /// The tuples that newly *enter* `α_P` after uniqueness axioms were added

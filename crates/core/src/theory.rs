@@ -4,6 +4,7 @@ use qld_logic::builders::{completion_axiom, domain_closure_axiom, uniqueness_axi
 use qld_logic::{ConstId, Formula, PredId, Term, Vocabulary};
 use qld_physical::Relation;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised when assembling a CW logical database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,13 +73,20 @@ impl std::error::Error for CwError {}
 /// If every pair of distinct constants has a uniqueness axiom the database
 /// is *fully specified* — it represents no unknown values, and by
 /// Corollary 2 behaves exactly like the physical database `Ph₁(LB)`.
+///
+/// Every part sits behind an `Arc`, so a clone shares the vocabulary, each
+/// fact relation and the axiom list with its source (reference-count bumps,
+/// no copy of any tuple), and [`CwDatabase::insert_fact`] /
+/// [`CwDatabase::insert_ne`] copy on write exactly the one part they
+/// change. A clone is therefore an immutable snapshot of the theory for as
+/// long as it is kept — what `qld_engine::SharedEngine` publishes per epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CwDatabase {
-    voc: Vocabulary,
+    voc: Arc<Vocabulary>,
     /// Indexed by `PredId`; element `i` of a tuple is `ConstId(i)`.
-    facts: Vec<Relation>,
+    facts: Vec<Arc<Relation>>,
     /// Normalized `(lo, hi)` with `lo < hi`, sorted, deduplicated.
-    ne_pairs: Vec<(u32, u32)>,
+    ne_pairs: Arc<Vec<(u32, u32)>>,
 }
 
 // The concurrent serving layer (`qld_engine::SharedEngine`) shares
@@ -133,7 +141,7 @@ impl CwDatabase {
 
     /// Total number of atomic fact axioms.
     pub fn num_facts(&self) -> usize {
-        self.facts.iter().map(Relation::len).sum()
+        self.facts.iter().map(|r| r.len()).sum()
     }
 
     /// True iff every pair of distinct constants carries a uniqueness
@@ -148,7 +156,7 @@ impl CwDatabase {
     /// constant; lower degrees indicate unknown identity.
     pub fn ne_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.num_consts()];
-        for &(a, b) in &self.ne_pairs {
+        for &(a, b) in self.ne_pairs.iter() {
             deg[a as usize] += 1;
             deg[b as usize] += 1;
         }
@@ -198,24 +206,28 @@ impl CwDatabase {
     /// was new. The incremental counterpart of
     /// [`CwDatabaseBuilder::fact`]: the resulting database is equal to one
     /// rebuilt from scratch with the fact included (property-tested in the
-    /// delta differential suite).
+    /// delta differential suite). A new fact copies the predicate's
+    /// relation first if a clone of this database still shares it; a
+    /// duplicate copies nothing.
     pub fn insert_fact(&mut self, p: PredId, args: &[ConstId]) -> Result<bool, CwError> {
         self.check_fact(p, args)?;
         let tuple: Vec<u32> = args.iter().map(|c| c.0).collect();
-        Ok(self.facts[p.index()].insert(&tuple))
+        let facts = &mut self.facts[p.index()];
+        Ok(!facts.contains(&tuple) && Arc::make_mut(facts).insert(&tuple))
     }
 
     /// Adds one uniqueness axiom `¬(a = b)` in place, returning `true` iff
     /// the axiom was new. The incremental counterpart of
     /// [`CwDatabaseBuilder::unique`] (same normalization: unordered pairs,
-    /// deduplicated, kept sorted).
+    /// deduplicated, kept sorted). Copy-on-write like
+    /// [`CwDatabase::insert_fact`].
     pub fn insert_ne(&mut self, a: ConstId, b: ConstId) -> Result<bool, CwError> {
         self.check_ne(a, b)?;
         let key = (a.0.min(b.0), a.0.max(b.0));
         match self.ne_pairs.binary_search(&key) {
             Ok(_) => Ok(false),
             Err(pos) => {
-                self.ne_pairs.insert(pos, key);
+                Arc::make_mut(&mut self.ne_pairs).insert(pos, key);
                 Ok(true)
             }
         }
@@ -232,7 +244,7 @@ impl CwDatabase {
                 sentences.push(Formula::atom(p, t.iter().map(|&e| Term::Const(ConstId(e)))));
             }
         }
-        for &(a, b) in &self.ne_pairs {
+        for &(a, b) in self.ne_pairs.iter() {
             sentences.push(uniqueness_axiom(ConstId(a), ConstId(b)));
         }
         let mut gen = VarGen::after(None);
@@ -258,7 +270,9 @@ impl CwDatabase {
 #[derive(Debug, Clone)]
 pub struct CwDatabaseBuilder {
     voc: Vocabulary,
-    facts: Vec<Vec<Box<[u32]>>>,
+    /// Per predicate: how many facts were stated, and their arguments
+    /// row-major (the count matters at arity 0, where rows are empty).
+    facts: Vec<(usize, Vec<u32>)>,
     ne_pairs: Vec<(u32, u32)>,
     error: Option<CwError>,
 }
@@ -268,7 +282,7 @@ impl CwDatabaseBuilder {
         let num_preds = voc.num_preds();
         CwDatabaseBuilder {
             voc,
-            facts: vec![Vec::new(); num_preds],
+            facts: vec![(0, Vec::new()); num_preds],
             ne_pairs: Vec::new(),
             error: None,
         }
@@ -288,7 +302,9 @@ impl CwDatabaseBuilder {
             });
             return self;
         }
-        self.facts[p.index()].push(args.iter().map(|c| c.0).collect());
+        let (rows, flat) = &mut self.facts[p.index()];
+        *rows += 1;
+        flat.extend(args.iter().map(|c| c.0));
         self
     }
 
@@ -352,14 +368,16 @@ impl CwDatabaseBuilder {
             .facts
             .into_iter()
             .enumerate()
-            .map(|(i, tuples)| {
-                Relation::from_tuples(self.voc.pred_arity(qld_logic::PredId(i as u32)), tuples)
+            .map(|(i, (rows, flat))| {
+                let arity = self.voc.pred_arity(PredId(i as u32));
+                let rows = (0..rows).map(|r| &flat[r * arity..(r + 1) * arity]);
+                Arc::new(Relation::from_rows(arity, rows))
             })
             .collect();
         Ok(CwDatabase {
-            voc: self.voc,
+            voc: Arc::new(self.voc),
             facts,
-            ne_pairs: self.ne_pairs,
+            ne_pairs: Arc::new(self.ne_pairs),
         })
     }
 }

@@ -187,6 +187,13 @@ impl SharedAnswerCache {
 /// ever mutates a published snapshot, readers need no locks during
 /// evaluation — the `Arc` they hold keeps the snapshot alive even after
 /// the writer publishes successors.
+///
+/// Successive snapshots share what the deltas between them did not touch:
+/// the vocabulary, every untouched fact relation and the axiom list are
+/// the same `Arc`ed parts of `CwDatabase` in all of them (see
+/// [`Engine::clone`]), so keeping an old snapshot alive pins only the
+/// relations that have been rewritten since. The derived structures are
+/// per snapshot — built on its first read, dropped with it.
 #[derive(Debug)]
 pub struct EngineSnapshot {
     engine: Engine,
@@ -526,13 +533,19 @@ impl SharedEngine {
     }
 
     /// Swaps the published snapshot for `engine` frozen at `epoch`. The
-    /// write lock is held only for the pointer store.
+    /// write lock is held only for the pointer swap: the retired snapshot
+    /// — which may own a built `ApproxEngine` — is dropped after readers
+    /// are let back in.
     fn publish(&self, engine: Engine, epoch: u64) {
-        *self
+        let fresh = Arc::new(EngineSnapshot { engine, epoch });
+        let mut published = self
             .inner
             .published
             .write()
-            .expect("published snapshot poisoned") = Arc::new(EngineSnapshot { engine, epoch });
+            .expect("published snapshot poisoned");
+        let retired = std::mem::replace(&mut *published, fresh);
+        drop(published);
+        drop(retired);
     }
 
     /// Fans a committed record out to every replication subscriber,

@@ -433,6 +433,14 @@ impl Clone for Engine {
     /// with an **empty** answer cache (cached answers are cheap to
     /// re-derive and a `Mutex`-held map is not meaningfully shareable by
     /// value).
+    ///
+    /// The database is *shared*, not copied: the clone holds the same
+    /// `Arc`ed vocabulary, fact relations and axiom list (one
+    /// reference-count bump each), and a later [`Engine::apply`] on either
+    /// side copies on write only the relation — or the axiom list — its
+    /// delta really changes, so the cost of a clone does not depend on the
+    /// number of facts. Derived structures already built (`Ph₁`, the §5
+    /// machinery, the decomposition memo) are copied by value.
     fn clone(&self) -> Engine {
         Engine {
             id: self.id,

@@ -1,10 +1,18 @@
-//! Relations: immutable, sorted, duplicate-free tuple sets.
+//! Relations: sorted, duplicate-free tuple sets in one flat buffer.
 //!
-//! Tuples are boxed slices of dense `u32` domain elements; the sorted
-//! representation gives `O(log n)` membership, cheap set-equality, and
-//! deterministic iteration order (important for reproducible experiment
-//! output).
+//! A relation of arity `k` with `n` tuples is a single row-major
+//! `Vec<Elem>` of `n · k` dense `u32` domain elements: row `i` is
+//! `data[i·k .. (i+1)·k]`, rows are sorted lexicographically and no row
+//! occurs twice. The sorted representation gives `O(log n)` membership,
+//! cheap set-equality, and deterministic iteration order (important for
+//! reproducible experiment output); the flat one makes a copy of a
+//! relation one allocation and one `memcpy` whatever its size — what a
+//! copy-on-write database publish pays for the relation a delta touches —
+//! and lets scans read contiguous memory. The row count is stored beside
+//! the buffer because at arity 0 the buffer is empty either way, yet
+//! `{}` (false) and `{()}` (true) are different relations.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A domain element. Physical databases in this reproduction always use
@@ -12,12 +20,17 @@ use std::fmt;
 /// `i` *is* the constant `ConstId(i)`.
 pub type Elem = u32;
 
-/// An immutable relation: a set of `arity`-tuples over some domain.
+/// A relation: a set of `arity`-tuples over some domain.
+///
+/// The representation is canonical — equal sets have equal fields — so
+/// the derived `PartialEq`/`Eq`/`Hash` are set equality and a set hash.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Relation {
     arity: usize,
-    /// Sorted lexicographically, no duplicates.
-    tuples: Vec<Box<[Elem]>>,
+    /// Number of rows; `data.len() == arity * len`.
+    len: usize,
+    /// Row-major; rows sorted lexicographically, no duplicates.
+    data: Vec<Elem>,
 }
 
 impl Relation {
@@ -25,26 +38,48 @@ impl Relation {
     pub fn empty(arity: usize) -> Relation {
         Relation {
             arity,
-            tuples: Vec::new(),
+            len: 0,
+            data: Vec::new(),
         }
     }
 
-    /// Builds a relation from tuples, sorting and deduplicating.
+    /// Builds a relation from rows, appending each to the flat buffer
+    /// without a per-tuple allocation. Rows that arrive in strictly
+    /// increasing order (a [`TupleSpace`](crate::TupleSpace) scan, another
+    /// relation's rows) are kept as they are; anything else is sorted and
+    /// deduplicated in place.
+    ///
+    /// # Panics
+    /// Panics if a row's length differs from `arity`.
+    pub fn from_rows<R: AsRef<[Elem]>>(
+        arity: usize,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Relation {
+        let mut rel = Relation::empty(arity);
+        for row in rows {
+            let row = row.as_ref();
+            assert_eq!(row.len(), arity, "tuple arity mismatch");
+            rel.data.extend_from_slice(row);
+            rel.len += 1;
+        }
+        rel.canonicalize();
+        rel
+    }
+
+    /// Builds a relation from boxed tuples, sorting and deduplicating.
     ///
     /// # Panics
     /// Panics if a tuple's length differs from `arity`.
-    pub fn from_tuples(arity: usize, mut tuples: Vec<Box<[Elem]>>) -> Relation {
-        for t in &tuples {
-            assert_eq!(t.len(), arity, "tuple arity mismatch");
-        }
-        tuples.sort_unstable();
-        tuples.dedup();
-        Relation { arity, tuples }
+    pub fn from_tuples(arity: usize, tuples: Vec<Box<[Elem]>>) -> Relation {
+        Relation::from_rows(arity, tuples)
     }
 
     /// Builds a relation from an iterator of `Vec` tuples.
+    ///
+    /// # Panics
+    /// Panics if a tuple's length differs from `arity`.
     pub fn collect<I: IntoIterator<Item = Vec<Elem>>>(arity: usize, iter: I) -> Relation {
-        Relation::from_tuples(arity, iter.into_iter().map(Vec::into_boxed_slice).collect())
+        Relation::from_rows(arity, iter)
     }
 
     /// Number of argument positions.
@@ -56,86 +91,96 @@ impl Relation {
     /// Number of tuples.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// True iff the relation has no tuples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
+    }
+
+    /// Row `i` of the buffer.
+    #[inline]
+    fn row(&self, i: usize) -> &[Elem] {
+        &self.data[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// Binary search over the rows: `Ok(i)` if row `i` is `tuple`,
+    /// otherwise `Err(i)` with the row index that keeps the order.
+    fn search(&self, tuple: &[Elem]) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.row(mid).cmp(tuple) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Equal => return Ok(mid),
+                Ordering::Greater => hi = mid,
+            }
+        }
+        Err(lo)
     }
 
     /// Membership test (binary search).
     #[inline]
     pub fn contains(&self, tuple: &[Elem]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
-        self.tuples
-            .binary_search_by(|probe| probe.as_ref().cmp(tuple))
-            .is_ok()
+        self.search(tuple).is_ok()
     }
 
     /// Iterates over tuples in lexicographic order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Elem]> {
-        self.tuples.iter().map(|t| t.as_ref())
+    pub fn iter(&self) -> Rows<'_> {
+        Rows {
+            data: &self.data,
+            arity: self.arity,
+            remaining: self.len,
+        }
     }
 
     /// Applies `f` to every component of every tuple, producing a new
     /// relation (used to compute `h(I(P))` in Theorem 1).
-    pub fn map_elems(&self, mut f: impl FnMut(Elem) -> Elem) -> Relation {
-        Relation::from_tuples(
-            self.arity,
-            self.tuples
-                .iter()
-                .map(|t| t.iter().map(|&e| f(e)).collect())
-                .collect(),
-        )
+    pub fn map_elems(&self, f: impl FnMut(Elem) -> Elem) -> Relation {
+        let mut image = Relation::empty(self.arity);
+        image.assign_mapped(self, f);
+        image
     }
 
     /// In-place variant of [`Relation::map_elems`] for hot loops: rewrites
-    /// `self` to be `{ f(t) : t ∈ src }`, reusing this relation's existing
-    /// tuple allocations instead of building fresh boxed slices per call.
-    /// Repeatedly overwriting the same target relation with the images of
-    /// one source (as the Theorem 1 enumeration does, one mapping after
-    /// another) allocates only when a previous image was *smaller* than the
-    /// source (deduplication dropped tuples).
-    pub fn assign_mapped(&mut self, src: &Relation, mut f: impl FnMut(Elem) -> Elem) {
+    /// `self` to be `{ f(t) : t ∈ src }` inside this relation's existing
+    /// buffer. Repeatedly overwriting the same target relation with the
+    /// images of one source (as the Theorem 1 enumeration does, one
+    /// mapping after another) allocates nothing once the buffer has grown
+    /// to the source's size, whatever the images dedup down to in between
+    /// (arities above 4 sort through a scratch permutation when an image
+    /// comes out unsorted).
+    pub fn assign_mapped(&mut self, src: &Relation, f: impl FnMut(Elem) -> Elem) {
         self.arity = src.arity;
-        self.tuples.truncate(src.tuples.len());
-        let reused = self.tuples.len();
-        for (dst, s) in self.tuples.iter_mut().zip(&src.tuples) {
-            if dst.len() == src.arity {
-                for (d, &e) in dst.iter_mut().zip(s.iter()) {
-                    *d = f(e);
-                }
-            } else {
-                *dst = s.iter().map(|&e| f(e)).collect();
-            }
-        }
-        for s in &src.tuples[reused..] {
-            self.tuples.push(s.iter().map(|&e| f(e)).collect());
-        }
-        self.tuples.sort_unstable();
-        self.tuples.dedup();
+        self.len = src.len;
+        self.data.clear();
+        self.data.extend(src.data.iter().copied().map(f));
+        self.canonicalize();
     }
 
     /// Inserts one tuple, keeping the sorted duplicate-free invariant.
     /// Returns `true` iff the tuple was new — the incremental-maintenance
-    /// append path (a sorted insert is `O(n)` memmove, not a rebuild).
+    /// append path: a binary search, then one `memmove` of the elements
+    /// behind the insertion point (no per-tuple allocation, no rebuild).
     ///
     /// # Panics
     /// Panics if the tuple's length differs from the relation's arity.
     pub fn insert(&mut self, tuple: &[Elem]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        match self
-            .tuples
-            .binary_search_by(|probe| probe.as_ref().cmp(tuple))
-        {
-            Ok(_) => false,
-            Err(pos) => {
-                self.tuples.insert(pos, tuple.into());
-                true
-            }
-        }
+        let Err(pos) = self.search(tuple) else {
+            return false;
+        };
+        // Open a row-sized gap by hand: for one short row this measures
+        // ≈ 20 % under `Vec::splice` (`physical.relation_insert_ns`).
+        let (at, end) = (pos * self.arity, self.data.len());
+        self.data.extend_from_slice(tuple);
+        self.data.copy_within(at..end, at + self.arity);
+        self.data[at..at + self.arity].copy_from_slice(tuple);
+        self.len += 1;
+        true
     }
 
     /// Keeps only the tuples for which `keep` returns true (in place;
@@ -143,22 +188,40 @@ impl Relation {
     /// tuples were dropped. Used by incremental `α_P` maintenance, where a
     /// new fact can only *shrink* the disagreement relation.
     pub fn retain(&mut self, mut keep: impl FnMut(&[Elem]) -> bool) -> usize {
-        let before = self.tuples.len();
-        self.tuples.retain(|t| keep(t));
-        before - self.tuples.len()
+        self.compact(|_, row| keep(row))
+    }
+
+    /// Moves the rows for which `keep(rows kept so far, row)` holds to the
+    /// front of the buffer, in order, and truncates to them. Returns how
+    /// many rows were dropped.
+    fn compact(&mut self, mut keep: impl FnMut(&[Elem], &[Elem]) -> bool) -> usize {
+        let k = self.arity;
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&self.data[..kept * k], &self.data[i * k..(i + 1) * k]) {
+                if kept < i {
+                    self.data.copy_within(i * k..(i + 1) * k, kept * k);
+                }
+                kept += 1;
+            }
+        }
+        let dropped = self.len - kept;
+        self.data.truncate(kept * k);
+        self.len = kept;
+        dropped
     }
 
     /// True iff `self ⊆ other` (both must have equal arity).
     pub fn is_subset_of(&self, other: &Relation) -> bool {
         debug_assert_eq!(self.arity, other.arity);
-        // Merge-walk over the two sorted lists.
-        let mut oi = other.tuples.iter();
-        'outer: for t in &self.tuples {
+        // Merge-walk over the two sorted row lists.
+        let mut oi = other.iter();
+        'outer: for t in self {
             for o in oi.by_ref() {
                 match o.cmp(t) {
-                    std::cmp::Ordering::Less => continue,
-                    std::cmp::Ordering::Equal => continue 'outer,
-                    std::cmp::Ordering::Greater => return false,
+                    Ordering::Less => continue,
+                    Ordering::Equal => continue 'outer,
+                    Ordering::Greater => return false,
                 }
             }
             return false;
@@ -169,17 +232,95 @@ impl Relation {
     /// The set of elements occurring in any tuple (the active domain
     /// contribution of this relation), sorted.
     pub fn active_elems(&self) -> Vec<Elem> {
-        let mut elems: Vec<Elem> = self.tuples.iter().flat_map(|t| t.iter().copied()).collect();
+        let mut elems = self.data.clone();
         elems.sort_unstable();
         elems.dedup();
         elems
     }
+
+    /// Restores the invariant over `len` arbitrary rows in `data`: sorts
+    /// them lexicographically and drops duplicates, in place. Rows that
+    /// are already strictly increasing cost one comparison pass.
+    fn canonicalize(&mut self) {
+        let k = self.arity;
+        if k == 0 {
+            self.len = self.len.min(1);
+            return;
+        }
+        if self
+            .data
+            .chunks_exact(k)
+            .zip(self.data.chunks_exact(k).skip(1))
+            .all(|(a, b)| a < b)
+        {
+            return;
+        }
+        match k {
+            1 => self.data.sort_unstable(),
+            2 => sort_rows::<2>(&mut self.data),
+            3 => sort_rows::<3>(&mut self.data),
+            4 => sort_rows::<4>(&mut self.data),
+            _ => {
+                // Wider rows: sort a permutation of the row indices, then
+                // gather the rows in that order.
+                let mut order: Vec<usize> = (0..self.len).collect();
+                order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+                let mut sorted = Vec::with_capacity(self.data.len());
+                for &i in &order {
+                    sorted.extend_from_slice(self.row(i));
+                }
+                self.data = sorted;
+            }
+        }
+        // Sorted, so a duplicate row sits right behind its first copy.
+        self.compact(|kept, row| !kept.ends_with(row));
+    }
 }
+
+/// Sorts the `N`-element rows of a flat buffer as `[Elem; N]` values
+/// (arrays order lexicographically, like the slices they stand for).
+fn sort_rows<const N: usize>(data: &mut [Elem]) {
+    let (rows, rest) = data.as_chunks_mut::<N>();
+    debug_assert!(rest.is_empty());
+    rows.sort_unstable();
+}
+
+/// Iterator over a relation's tuples, in lexicographic order (see
+/// [`Relation::iter`]).
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    /// The rows not yet yielded, row-major.
+    data: &'a [Elem],
+    arity: usize,
+    remaining: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a [Elem];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Elem]> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let (row, rest) = self.data.split_at(self.arity);
+        self.data = rest;
+        Some(row)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
 
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Relation/{}{{", self.arity)?;
-        for (i, t) in self.tuples.iter().enumerate() {
+        for (i, t) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -191,9 +332,9 @@ impl fmt::Debug for Relation {
 
 impl<'a> IntoIterator for &'a Relation {
     type Item = &'a [Elem];
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, Box<[Elem]>>, fn(&Box<[Elem]>) -> &[Elem]>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.tuples.iter().map(|t| t.as_ref())
+    type IntoIter = Rows<'a>;
+    fn into_iter(self) -> Rows<'a> {
+        self.iter()
     }
 }
 
