@@ -356,7 +356,6 @@ mod tests {
             // Also through the optimizer and every join algorithm.
             let opt_plan = optimize(&voc, plan);
             for join in [
-                crate::exec::JoinAlgo::Hash,
                 crate::exec::JoinAlgo::SortMerge,
                 crate::exec::JoinAlgo::NestedLoop,
             ] {

@@ -32,8 +32,8 @@ fn write_plan(
 ) -> fmt::Result {
     let pad = "  ".repeat(indent);
     match plan {
-        Plan::Values { arity, tuples } => {
-            writeln!(f, "{pad}Values/{arity} [{} tuples]", tuples.len())
+        Plan::Values(rel) => {
+            writeln!(f, "{pad}Values/{} [{} tuples]", rel.arity(), rel.len())
         }
         Plan::Dom => writeln!(f, "{pad}Dom"),
         Plan::ConstVal(c) => writeln!(f, "{pad}ConstVal({})", voc.const_name(*c)),

@@ -1,69 +1,23 @@
 //! Plan execution against a physical database.
+//!
+//! Every operator produces a flat [`Relation`]: filters (`Select`,
+//! `Difference`) shrink the input they own with [`Relation::retain`],
+//! everything that builds new rows (`Project`, `Product`, the joins)
+//! pushes them straight into a [`RowWriter`] — gathered columns or a left
+//! row chained with a right row, never a boxed tuple in between. Executing
+//! a plan therefore allocates per operator (an output buffer and its
+//! doublings, a join's two key arrays), not per row.
 
 use crate::plan::{Cond, Plan};
-use qld_physical::{Elem, PhysicalDb, Relation};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A fast non-cryptographic hasher (fxhash-style multiply-fold) for join
-/// keys: the keys are dense interned ids, HashDoS is not a concern, and
-/// the default SipHash dominates probe cost otherwise (ablation A1).
-#[derive(Default)]
-struct FxHasher(u64);
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(FX_SEED);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, n: u128) {
-        self.write_u64(n as u64);
-        self.write_u64((n >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
+use qld_physical::{Elem, PhysicalDb, Relation, RowWriter};
 
 /// Join algorithm selection (an ablation axis in the benchmarks).
 ///
-/// Sort-merge is the default: ablation A1 measures it fastest across all
-/// relation sizes for this engine's small packed keys (the hash table's
-/// per-group allocations dominate before hashing ever wins).
+/// Sort-merge is the default, and there is no hash join: on this engine's
+/// small packed keys ablation A1 measured one slower than sort-merge at
+/// every relation size from 64 to 4,096 rows per side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinAlgo {
-    /// Build a hash table on the smaller side, probe with the larger.
-    Hash,
     /// Sort both sides by key, merge equal-key groups.
     #[default]
     SortMerge,
@@ -85,42 +39,24 @@ pub struct ExecOptions {
 /// assertions check the invariants).
 pub fn execute(db: &PhysicalDb, plan: &Plan, opts: ExecOptions) -> Relation {
     match plan {
-        Plan::Values { arity, tuples } => Relation::from_tuples(*arity, tuples.clone()),
-        Plan::Dom => Relation::collect(1, db.domain().iter().map(|&e| vec![e])),
-        Plan::ConstVal(c) => Relation::collect(1, [vec![db.const_val(*c)]]),
+        Plan::Values(rel) => rel.clone(),
+        Plan::Dom => Relation::from_rows(1, db.domain().iter().map(|&e| [e])),
+        Plan::ConstVal(c) => Relation::from_rows(1, [[db.const_val(*c)]]),
         Plan::Scan(p) => db.relation(*p).clone(),
         Plan::Select { input, conds } => {
-            let rel = execute(db, input, opts);
-            let tuples: Vec<Box<[Elem]>> = rel
-                .iter()
-                .filter(|t| conds.iter().all(|c| eval_cond(db, c, t)))
-                .map(|t| t.to_vec().into_boxed_slice())
-                .collect();
-            Relation::from_tuples(rel.arity(), tuples)
+            let mut rel = execute(db, input, opts);
+            rel.retain(|t| conds.iter().all(|c| eval_cond(db, c, t)));
+            rel
         }
         Plan::Project { input, cols } => {
             let rel = execute(db, input, opts);
-            let tuples: Vec<Box<[Elem]>> = rel
-                .iter()
-                .map(|t| cols.iter().map(|&i| t[i]).collect())
-                .collect();
-            Relation::from_tuples(cols.len(), tuples)
-        }
-        Plan::Product(l, r) => {
-            let left = execute(db, l, opts);
-            let right = execute(db, r, opts);
-            let arity = left.arity() + right.arity();
-            let mut tuples = Vec::with_capacity(left.len() * right.len());
-            for lt in left.iter() {
-                for rt in right.iter() {
-                    let mut t = Vec::with_capacity(arity);
-                    t.extend_from_slice(lt);
-                    t.extend_from_slice(rt);
-                    tuples.push(t.into_boxed_slice());
-                }
+            let mut out = RowWriter::new(cols.len());
+            for t in &rel {
+                out.push_with(cols.iter().map(|&i| t[i]));
             }
-            Relation::from_tuples(arity, tuples)
+            out.finish()
         }
+        Plan::Product(l, r) => nested_loop_join(&execute(db, l, opts), &execute(db, r, opts), &[]),
         Plan::Join { left, right, keys } => {
             let l = execute(db, left, opts);
             let r = execute(db, right, opts);
@@ -130,23 +66,14 @@ pub fn execute(db: &PhysicalDb, plan: &Plan, opts: ExecOptions) -> Relation {
             let left = execute(db, l, opts);
             let right = execute(db, r, opts);
             debug_assert_eq!(left.arity(), right.arity(), "union arity mismatch");
-            let tuples: Vec<Box<[Elem]>> = left
-                .iter()
-                .chain(right.iter())
-                .map(|t| t.to_vec().into_boxed_slice())
-                .collect();
-            Relation::from_tuples(left.arity(), tuples)
+            Relation::from_rows(left.arity(), left.iter().chain(&right))
         }
         Plan::Difference(l, r) => {
-            let left = execute(db, l, opts);
+            let mut left = execute(db, l, opts);
             let right = execute(db, r, opts);
             debug_assert_eq!(left.arity(), right.arity(), "difference arity mismatch");
-            let tuples: Vec<Box<[Elem]>> = left
-                .iter()
-                .filter(|t| !right.contains(t))
-                .map(|t| t.to_vec().into_boxed_slice())
-                .collect();
-            Relation::from_tuples(left.arity(), tuples)
+            left.retain(|t| !right.contains(t));
+            left
         }
     }
 }
@@ -170,36 +97,26 @@ pub fn join(
 ) -> Relation {
     match algo {
         JoinAlgo::NestedLoop => nested_loop_join(left, right, keys),
-        JoinAlgo::Hash => hash_join(left, right, keys),
         JoinAlgo::SortMerge => sort_merge_join(left, right, keys),
     }
 }
 
-fn concat(l: &[Elem], r: &[Elem]) -> Box<[Elem]> {
-    let mut t = Vec::with_capacity(l.len() + r.len());
-    t.extend_from_slice(l);
-    t.extend_from_slice(r);
-    t.into_boxed_slice()
-}
-
 fn nested_loop_join(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -> Relation {
-    let arity = left.arity() + right.arity();
-    let mut out = Vec::new();
-    for lt in left.iter() {
-        for rt in right.iter() {
+    let mut out = RowWriter::new(left.arity() + right.arity());
+    for lt in left {
+        for rt in right {
             if keys.iter().all(|&(li, ri)| lt[li] == rt[ri]) {
-                out.push(concat(lt, rt));
+                out.push_with(lt.iter().chain(rt).copied());
             }
         }
     }
-    Relation::from_tuples(arity, out)
+    out.finish()
 }
 
 /// Join keys are extracted once per row and packed: up to four 32-bit
-/// columns fit a `u128`, avoiding per-row heap allocation in the hash
-/// table and during sorting (longer keys are rare in compiled plans and
-/// fall back to boxed slices).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// columns fit a `u128`, avoiding per-row heap allocation during sorting
+/// (longer keys are rare in compiled plans and fall back to boxed slices).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Key {
     Packed(u128),
     Wide(Box<[Elem]>),
@@ -217,50 +134,7 @@ fn key_of(t: &[Elem], cols: &[usize]) -> Key {
     }
 }
 
-fn hash_join(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -> Relation {
-    let arity = left.arity() + right.arity();
-    if keys.is_empty() {
-        return nested_loop_join(left, right, keys); // degenerate: product
-    }
-    // Build on the smaller side.
-    let build_left = left.len() <= right.len();
-    let (build, probe) = if build_left {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let build_cols: Vec<usize> = if build_left {
-        keys.iter().map(|&(l, _)| l).collect()
-    } else {
-        keys.iter().map(|&(_, r)| r).collect()
-    };
-    let probe_cols: Vec<usize> = if build_left {
-        keys.iter().map(|&(_, r)| r).collect()
-    } else {
-        keys.iter().map(|&(l, _)| l).collect()
-    };
-    let mut table: HashMap<Key, Vec<&[Elem]>, FxBuild> =
-        HashMap::with_capacity_and_hasher(build.len(), FxBuild::default());
-    for t in build.iter() {
-        table.entry(key_of(t, &build_cols)).or_default().push(t);
-    }
-    let mut out = Vec::new();
-    for pt in probe.iter() {
-        if let Some(matches) = table.get(&key_of(pt, &probe_cols)) {
-            for bt in matches {
-                out.push(if build_left {
-                    concat(bt, pt)
-                } else {
-                    concat(pt, bt)
-                });
-            }
-        }
-    }
-    Relation::from_tuples(arity, out)
-}
-
 fn sort_merge_join(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -> Relation {
-    let arity = left.arity() + right.arity();
     if keys.is_empty() {
         return nested_loop_join(left, right, keys);
     }
@@ -271,7 +145,7 @@ fn sort_merge_join(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -
     let mut rs: Vec<(Key, &[Elem])> = right.iter().map(|t| (key_of(t, &rkeys), t)).collect();
     ls.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     rs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::new();
+    let mut out = RowWriter::new(left.arity() + right.arity());
     let (mut i, mut j) = (0usize, 0usize);
     while i < ls.len() && j < rs.len() {
         match ls[i].0.cmp(&rs[j].0) {
@@ -281,9 +155,9 @@ fn sort_merge_join(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -
                 // Find the extent of the equal-key groups on both sides.
                 let i_end = i + ls[i..].iter().take_while(|(k, _)| *k == ls[i].0).count();
                 let j_end = j + rs[j..].iter().take_while(|(k, _)| *k == rs[j].0).count();
-                for (_, lt) in &ls[i..i_end] {
-                    for (_, rt) in &rs[j..j_end] {
-                        out.push(concat(lt, rt));
+                for &(_, lt) in &ls[i..i_end] {
+                    for &(_, rt) in &rs[j..j_end] {
+                        out.push_with(lt.iter().chain(rt).copied());
                     }
                 }
                 i = i_end;
@@ -291,7 +165,7 @@ fn sort_merge_join(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -
             }
         }
     }
-    Relation::from_tuples(arity, out)
+    out.finish()
 }
 
 #[cfg(test)]
@@ -316,8 +190,8 @@ mod tests {
         (voc, db)
     }
 
-    fn all_algos() -> [JoinAlgo; 3] {
-        [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::NestedLoop]
+    fn all_algos() -> [JoinAlgo; 2] {
+        [JoinAlgo::SortMerge, JoinAlgo::NestedLoop]
     }
 
     #[test]

@@ -33,18 +33,18 @@ pub fn optimize(voc: &Vocabulary, plan: Plan) -> Plan {
 }
 
 fn is_unit(p: &Plan) -> bool {
-    matches!(p, Plan::Values { arity: 0, tuples } if tuples.len() == 1)
+    matches!(p, Plan::Values(rel) if rel.arity() == 0 && rel.len() == 1)
 }
 
 fn is_empty_values(p: &Plan) -> bool {
-    matches!(p, Plan::Values { tuples, .. } if tuples.is_empty())
+    matches!(p, Plan::Values(rel) if rel.is_empty())
 }
 
 /// One bottom-up rewriting pass. Returns the plan and whether anything
 /// changed.
 fn pass(voc: &Vocabulary, plan: Plan) -> (Plan, bool) {
     match plan {
-        Plan::Values { .. } | Plan::Dom | Plan::ConstVal(_) | Plan::Scan(_) => (plan, false),
+        Plan::Values(_) | Plan::Dom | Plan::ConstVal(_) | Plan::Scan(_) => (plan, false),
         Plan::Select { input, conds } => {
             let (input, mut changed) = pass(voc, *input);
             let plan = match input {

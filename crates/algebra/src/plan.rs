@@ -1,7 +1,7 @@
 //! Relational-algebra plans.
 
 use qld_logic::{ConstId, PredId, Vocabulary};
-use qld_physical::Elem;
+use qld_physical::Relation;
 
 /// A selection condition over the columns of a plan's output.
 ///
@@ -46,12 +46,7 @@ impl Cond {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Plan {
     /// A literal relation.
-    Values {
-        /// Output arity.
-        arity: usize,
-        /// The tuples (not necessarily sorted; the executor normalizes).
-        tuples: Vec<Box<[Elem]>>,
-    },
+    Values(Relation),
     /// The full domain as a unary relation (the "Dom" relation of the
     /// active-domain translation — exact here, since domains are finite
     /// and explicit).
@@ -96,7 +91,7 @@ impl Plan {
     /// Output arity of the plan.
     pub fn arity(&self, voc: &Vocabulary) -> usize {
         match self {
-            Plan::Values { arity, .. } => *arity,
+            Plan::Values(rel) => rel.arity(),
             Plan::Dom | Plan::ConstVal(_) => 1,
             Plan::Scan(p) => voc.pred_arity(*p),
             Plan::Select { input, .. } => input.arity(voc),
@@ -112,7 +107,7 @@ impl Plan {
     /// Number of operator nodes (for optimizer tests and plan statistics).
     pub fn num_nodes(&self) -> usize {
         match self {
-            Plan::Values { .. } | Plan::Dom | Plan::ConstVal(_) | Plan::Scan(_) => 1,
+            Plan::Values(_) | Plan::Dom | Plan::ConstVal(_) | Plan::Scan(_) => 1,
             Plan::Select { input, .. } => 1 + input.num_nodes(),
             Plan::Project { input, .. } => 1 + input.num_nodes(),
             Plan::Product(l, r)
@@ -146,18 +141,12 @@ impl Plan {
 
     /// The empty relation of a given arity.
     pub fn empty(arity: usize) -> Plan {
-        Plan::Values {
-            arity,
-            tuples: Vec::new(),
-        }
+        Plan::Values(Relation::empty(arity))
     }
 
     /// The unit relation `{()}` (identity for products).
     pub fn unit() -> Plan {
-        Plan::Values {
-            arity: 0,
-            tuples: vec![Vec::new().into_boxed_slice()],
-        }
+        Plan::Values(Relation::from_rows(0, [[]]))
     }
 }
 

@@ -58,7 +58,7 @@ impl CardinalityEstimator for UniformEstimator {
 /// padded domain product", which is what the greedy order needs.
 pub fn estimate_plan(est: &dyn CardinalityEstimator, plan: &Plan) -> f64 {
     match plan {
-        Plan::Values { tuples, .. } => tuples.len() as f64,
+        Plan::Values(rel) => rel.len() as f64,
         Plan::Dom => est.domain_size() as f64,
         Plan::ConstVal(_) => 1.0,
         Plan::Scan(p) => est.scan_rows(*p) as f64,

@@ -124,17 +124,9 @@ pub fn disagrees(db: &CwDatabase, c: &[Elem], d: &[Elem]) -> bool {
 /// (Theorem 14 treats `α_P` as an atomic formula decided in polynomial
 /// time; for fixed arity the whole relation is polynomial in `|C|`).
 pub fn alpha_relation(db: &CwDatabase, p: PredId) -> Relation {
-    let arity = db.voc().pred_arity(p);
-    let consts: Vec<Elem> = (0..db.num_consts() as Elem).collect();
-    let facts = db.facts(p);
-    let mut scratch = DisagreeScratch::new();
-    // The tuple space enumerates in lexicographic order, so the rows
-    // arrive sorted and are only appended.
-    Relation::from_rows(
-        arity,
-        TupleSpace::new(&consts, arity)
-            .filter(|c| facts.iter().all(|d| scratch.disagrees(db, c, d))),
-    )
+    // Everything is new to an empty `α_P`.
+    let nothing = Relation::empty(db.voc().pred_arity(p));
+    alpha_additions_for_ne(db, p, &nothing, &mut DisagreeScratch::new())
 }
 
 /// The tuples that newly *enter* `α_P` after uniqueness axioms were added
@@ -149,14 +141,12 @@ pub fn alpha_additions_for_ne(
     p: PredId,
     current: &Relation,
     scratch: &mut DisagreeScratch,
-) -> Vec<Vec<Elem>> {
+) -> Relation {
     let arity = db.voc().pred_arity(p);
     let consts: Vec<Elem> = (0..db.num_consts() as Elem).collect();
     let facts = db.facts(p);
     TupleSpace::new(&consts, arity)
-        .filter(|c| !current.contains(c))
-        .filter(|c| facts.iter().all(|d| scratch.disagrees(db, c, d)))
-        .collect()
+        .select(|c| !current.contains(c) && facts.iter().all(|d| scratch.disagrees(db, c, d)))
 }
 
 #[cfg(test)]
@@ -296,13 +286,7 @@ mod tests {
             .unwrap();
         let mut scratch = DisagreeScratch::new();
         let additions = alpha_additions_for_ne(&db, p, &alpha_old, &mut scratch);
-        let merged = Relation::collect(
-            alpha_old.arity(),
-            alpha_old
-                .iter()
-                .map(<[Elem]>::to_vec)
-                .chain(additions.iter().cloned()),
-        );
+        let merged = Relation::from_rows(alpha_old.arity(), alpha_old.iter().chain(&additions));
         let rebuilt = alpha_relation(&db, p);
         assert!(!additions.is_empty(), "the new axiom must grow α_P");
         assert!(alpha_old.is_subset_of(&rebuilt), "monotonicity");

@@ -122,8 +122,7 @@ impl ApproxEngine {
                 ne_prime: npr,
             } = &store
             {
-                builder =
-                    builder.relation(u, Relation::collect(1, unknown.iter().map(|&e| vec![e])));
+                builder = builder.relation(u, Relation::from_rows(1, unknown.iter().map(|&e| [e])));
                 builder = builder.relation(ne_prime, npr.clone());
             }
             // NE left empty: every probe must go through the expansion.
@@ -190,10 +189,7 @@ impl ApproxEngine {
             // the (small) virtual store and swap the two relations.
             if let NeStore::Virtual { unknown, ne_prime } = NeStore::virtualized(cw) {
                 self.db
-                    .set_relation(
-                        self.u,
-                        Relation::collect(1, unknown.iter().map(|&e| vec![e])),
-                    )
+                    .set_relation(self.u, Relation::from_rows(1, unknown.iter().map(|&e| [e])))
                     .expect("U stays within the domain");
                 self.db
                     .set_relation(self.ne_prime, ne_prime)
@@ -215,10 +211,7 @@ impl ApproxEngine {
                 continue;
             }
             let current = self.db.relation(alpha_p);
-            let merged = Relation::collect(
-                current.arity(),
-                current.iter().map(<[Elem]>::to_vec).chain(additions),
-            );
+            let merged = Relation::from_rows(current.arity(), current.iter().chain(&additions));
             self.db
                 .set_relation(alpha_p, merged)
                 .expect("α tuples stay within the domain");

@@ -15,7 +15,7 @@
 
 use qld_core::CwDatabase;
 use qld_logic::{Formula, PredId, Term};
-use qld_physical::{Elem, Relation};
+use qld_physical::{Elem, Relation, RowWriter};
 
 /// A queryable representation of the inequality relation `NE`.
 #[derive(Debug, Clone)]
@@ -40,11 +40,9 @@ impl NeStore {
     /// Builds the explicit representation from the uniqueness axioms.
     pub fn explicit(db: &CwDatabase) -> NeStore {
         NeStore::Explicit {
-            pairs: Relation::collect(
+            pairs: Relation::from_rows(
                 2,
-                db.ne_pairs()
-                    .iter()
-                    .flat_map(|&(a, b)| [vec![a, b], vec![b, a]]),
+                db.ne_pairs().iter().flat_map(|&(a, b)| [[a, b], [b, a]]),
             ),
         }
     }
@@ -85,12 +83,12 @@ impl NeStore {
         known.sort_unstable();
         let is_known = |e: Elem| known.binary_search(&e).is_ok();
         let unknown: Vec<Elem> = (0..n as Elem).filter(|&c| !is_known(c)).collect();
-        let ne_prime = Relation::collect(
+        let ne_prime = Relation::from_rows(
             2,
             db.ne_pairs()
                 .iter()
                 .filter(|&&(a, b)| !(is_known(a) && is_known(b)))
-                .flat_map(|&(a, b)| [vec![a, b], vec![b, a]]),
+                .flat_map(|&(a, b)| [[a, b], [b, a]]),
         );
         NeStore::Virtual { unknown, ne_prime }
     }
@@ -123,15 +121,15 @@ impl NeStore {
         match self {
             NeStore::Explicit { pairs } => pairs.clone(),
             NeStore::Virtual { .. } => {
-                let mut tuples = Vec::new();
+                let mut pairs = RowWriter::new(2);
                 for a in 0..num_consts as Elem {
                     for b in 0..num_consts as Elem {
                         if a != b && self.contains(a, b) {
-                            tuples.push(vec![a, b]);
+                            pairs.push(&[a, b]);
                         }
                     }
                 }
-                Relation::collect(2, tuples)
+                pairs.finish()
             }
         }
     }

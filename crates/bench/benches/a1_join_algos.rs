@@ -1,8 +1,9 @@
 //! Ablation A1 — join algorithm choice in the relational engine.
 //!
-//! Hash vs sort-merge vs nested-loop equi-join on growing random
-//! relations. The engine's default is hash; nested-loop is the quadratic
-//! reference implementation every result is verified against.
+//! Sort-merge vs nested-loop equi-join on growing random relations. The
+//! engine's default is sort-merge; nested-loop is the quadratic reference
+//! implementation every result is verified against. (A hash join was the
+//! third column until it won at no size from 64 to 4,096 rows per side.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qld_algebra::exec::join;
@@ -15,7 +16,7 @@ use std::time::Duration;
 /// domain of `rows / 4` values (so joins have real fan-out).
 fn rel(rows: usize, salt: u64) -> Relation {
     let domain = (rows / 4).max(4) as u64;
-    Relation::collect(
+    Relation::from_rows(
         2,
         (0..rows as u64).map(|i| {
             let x = (i.wrapping_mul(6364136223846793005).wrapping_add(salt)) % domain;
@@ -23,38 +24,29 @@ fn rel(rows: usize, salt: u64) -> Relation {
                 .wrapping_mul(1442695040888963407)
                 .wrapping_add(salt ^ 0xabcd))
                 % domain;
-            vec![x as u32, y as u32]
+            [x as u32, y as u32]
         }),
     )
 }
 
 fn print_series() {
     println!("\nA1: equi-join algorithms (R ⋈ S on R.1 = S.0)");
-    print_header(&[
-        "rows/side",
-        "out rows",
-        "t(hash)",
-        "t(sort-merge)",
-        "t(nested loop)",
-    ]);
+    print_header(&["rows/side", "out rows", "t(sort-merge)", "t(nested loop)"]);
     for rows in [64usize, 256, 1024, 4096] {
         let left = rel(rows, 1);
         let right = rel(rows, 2);
         let keys = [(1usize, 0usize)];
-        let (h, t_hash) = time_once(|| join(&left, &right, &keys, JoinAlgo::Hash));
         let (s, t_merge) = time_once(|| join(&left, &right, &keys, JoinAlgo::SortMerge));
         let t_nested = if rows <= 1024 {
             let (n, t) = time_once(|| join(&left, &right, &keys, JoinAlgo::NestedLoop));
-            assert_eq!(h, n);
+            assert_eq!(s, n);
             fmt_duration(t)
         } else {
             "—".to_string()
         };
-        assert_eq!(h, s);
         print_row(&[
             rows.to_string(),
-            h.len().to_string(),
-            fmt_duration(t_hash),
+            s.len().to_string(),
             fmt_duration(t_merge),
             t_nested,
         ]);
@@ -73,9 +65,6 @@ fn bench(c: &mut Criterion) {
         let right = rel(rows, 2);
         let keys = [(1usize, 0usize)];
         group.throughput(Throughput::Elements(rows as u64));
-        group.bench_with_input(BenchmarkId::new("hash", rows), &rows, |b, _| {
-            b.iter(|| join(&left, &right, &keys, JoinAlgo::Hash))
-        });
         group.bench_with_input(BenchmarkId::new("sort_merge", rows), &rows, |b, _| {
             b.iter(|| join(&left, &right, &keys, JoinAlgo::SortMerge))
         });

@@ -14,11 +14,14 @@
 //! steady state:
 //!
 //! * the database image `h(Ph₁(LB))` is written into a reusable buffer
-//!   ([`apply_mapping_into`]) instead of building a fresh [`PhysicalDb`]
-//!   per mapping;
-//! * candidate tuples live in one flat `CandidateSet` buffer, their
-//!   `h`-images are computed into a reusable scratch tuple, and pruning is
-//!   an index-based in-place retain — no per-tuple `Vec`s;
+//!   ([`PhysicalDb::assign_mapped_image`]) instead of building a fresh
+//!   [`PhysicalDb`] per mapping;
+//! * each query is evaluated over it through the worker's one
+//!   [`QueryEvaluator`], whose environments, candidate row and answer
+//!   relation are those of the previous image;
+//! * candidate tuples are the rows of one flat [`Relation`] per query,
+//!   their `h`-images are computed into a reusable scratch tuple, and
+//!   pruning is [`Relation::retain`] — no per-tuple `Vec`s;
 //! * under [`ParallelConfig`] with more than one thread, the mapping
 //!   search tree is split across a worker pool (see
 //!   [`crate::mappings`]): each worker prunes a private candidate set
@@ -31,10 +34,10 @@ use crate::mappings::{
     analyze_decomposition, count_kernel_mappings, for_each_kernel_mapping_over_parallel,
     DbDecomposition, ParallelConfig,
 };
-use crate::ph::{apply_mapping_into, ph1};
+use crate::ph::ph1;
 use crate::theory::CwDatabase;
 use qld_logic::{LogicError, Query};
-use qld_physical::{eval_query, Elem, PhysicalDb, Relation, TupleSpace};
+use qld_physical::{eval_query, Elem, PhysicalDb, QueryEvaluator, Relation, RowWriter, TupleSpace};
 
 /// Which dual of Theorem 1 an evaluation computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,207 +126,6 @@ pub struct EvalStats {
     pub mappings_pruned: u64,
 }
 
-/// A flat candidate-tuple store: `count` tuples of `arity` elements in one
-/// contiguous buffer, plus a reusable scratch tuple for mapped images.
-/// Pruning is an index-based in-place retain, so the Theorem 1 inner loop
-/// allocates nothing per mapping and nothing per candidate.
-#[derive(Debug, Clone)]
-struct CandidateSet {
-    arity: usize,
-    count: usize,
-    data: Vec<Elem>,
-    scratch: Vec<Elem>,
-}
-
-impl CandidateSet {
-    fn empty(arity: usize) -> CandidateSet {
-        CandidateSet {
-            arity,
-            count: 0,
-            data: Vec::new(),
-            scratch: vec![0; arity],
-        }
-    }
-
-    /// The full space `C^arity` in lexicographic order (`C = 0..num_consts`),
-    /// flattened from [`TupleSpace`] into the contiguous buffer.
-    fn full(num_consts: usize, arity: usize) -> CandidateSet {
-        let mut set = CandidateSet::empty(arity);
-        let consts: Vec<Elem> = (0..num_consts as Elem).collect();
-        for tuple in TupleSpace::new(&consts, arity) {
-            set.data.extend_from_slice(&tuple);
-            set.count += 1;
-        }
-        set
-    }
-
-    fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    fn tuple(&self, i: usize) -> &[Elem] {
-        &self.data[i * self.arity..(i + 1) * self.arity]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &[Elem]> + '_ {
-        (0..self.count).map(move |i| self.tuple(i))
-    }
-
-    /// Keeps exactly the candidates whose image under `h` is in `answers`
-    /// (in place, preserving order).
-    fn retain_mapped_in(&mut self, h: &[Elem], answers: &Relation) {
-        let arity = self.arity;
-        let mut write = 0usize;
-        for read in 0..self.count {
-            let start = read * arity;
-            for k in 0..arity {
-                self.scratch[k] = h[self.data[start + k] as usize];
-            }
-            if answers.contains(&self.scratch) {
-                if write != read {
-                    self.data.copy_within(start..start + arity, write * arity);
-                }
-                write += 1;
-            }
-        }
-        self.count = write;
-        self.data.truncate(write * arity);
-    }
-
-    /// Moves the candidates whose image under `h` is in `answers` to the
-    /// end of `out`, keeping the rest (order preserved on both sides).
-    fn split_mapped_in(&mut self, h: &[Elem], answers: &Relation, out: &mut CandidateSet) {
-        debug_assert_eq!(self.arity, out.arity);
-        let arity = self.arity;
-        let mut write = 0usize;
-        for read in 0..self.count {
-            let start = read * arity;
-            for k in 0..arity {
-                self.scratch[k] = h[self.data[start + k] as usize];
-            }
-            if answers.contains(&self.scratch) {
-                out.data.extend_from_slice(&self.data[start..start + arity]);
-                out.count += 1;
-            } else {
-                if write != read {
-                    self.data.copy_within(start..start + arity, write * arity);
-                }
-                write += 1;
-            }
-        }
-        self.count = write;
-        self.data.truncate(write * arity);
-    }
-
-    /// Keeps exactly the candidates `keep` approves (in place, preserving
-    /// order) — the decomposed evaluator's generalization of
-    /// [`CandidateSet::retain_mapped_in`], where a candidate's fate depends
-    /// on a search over free-null placements rather than one mapped image.
-    fn retain_where(&mut self, mut keep: impl FnMut(&[Elem]) -> bool) {
-        let arity = self.arity;
-        let mut write = 0usize;
-        for read in 0..self.count {
-            let start = read * arity;
-            if keep(&self.data[start..start + arity]) {
-                if write != read {
-                    self.data.copy_within(start..start + arity, write * arity);
-                }
-                write += 1;
-            }
-        }
-        self.count = write;
-        self.data.truncate(write * arity);
-    }
-
-    /// Moves the candidates `take` approves to the end of `out`, keeping
-    /// the rest (order preserved on both sides) — the generalization of
-    /// [`CandidateSet::split_mapped_in`].
-    fn split_where(&mut self, out: &mut CandidateSet, mut take: impl FnMut(&[Elem]) -> bool) {
-        debug_assert_eq!(self.arity, out.arity);
-        let arity = self.arity;
-        let mut write = 0usize;
-        for read in 0..self.count {
-            let start = read * arity;
-            if take(&self.data[start..start + arity]) {
-                out.data.extend_from_slice(&self.data[start..start + arity]);
-                out.count += 1;
-            } else {
-                if write != read {
-                    self.data.copy_within(start..start + arity, write * arity);
-                }
-                write += 1;
-            }
-        }
-        self.count = write;
-        self.data.truncate(write * arity);
-    }
-
-    /// Intersects with `other` in place. Both sets must hold tuples in
-    /// lexicographic order (as the pruned worker sets do — pruning
-    /// preserves the [`CandidateSet::full`] order), so this is one merge
-    /// walk.
-    fn intersect_sorted(&mut self, other: &CandidateSet) {
-        debug_assert_eq!(self.arity, other.arity);
-        if self.arity == 0 {
-            self.count = self.count.min(other.count);
-            return;
-        }
-        let arity = self.arity;
-        let mut write = 0usize;
-        let mut j = 0usize;
-        for read in 0..self.count {
-            let start = read * arity;
-            let matched = {
-                while j < other.count && other.tuple(j) < &self.data[start..start + arity] {
-                    j += 1;
-                }
-                j < other.count && other.tuple(j) == &self.data[start..start + arity]
-            };
-            if matched {
-                if write != read {
-                    self.data.copy_within(start..start + arity, write * arity);
-                }
-                write += 1;
-                j += 1;
-            }
-        }
-        self.count = write;
-        self.data.truncate(write * arity);
-    }
-
-    fn to_relation(&self) -> Relation {
-        Relation::collect(self.arity, self.iter().map(<[Elem]>::to_vec))
-    }
-}
-
-/// The per-worker image builder: rebuilds the reusable image
-/// `h(Ph₁(LB))` and counts the mappings it was built for. One instance per
-/// worker; the image buffer of mapping N+1 recycles the allocations of
-/// mapping N.
-struct MappingEvaluator<'a> {
-    base: &'a PhysicalDb,
-    image: PhysicalDb,
-    evaluated: u64,
-}
-
-impl<'a> MappingEvaluator<'a> {
-    fn new(base: &'a PhysicalDb) -> MappingEvaluator<'a> {
-        MappingEvaluator {
-            base,
-            image: base.clone(),
-            evaluated: 0,
-        }
-    }
-
-    /// Counts the mapping and rebuilds the reusable image `h(Ph₁(LB))`,
-    /// over which the driver evaluates every live query of the batch.
-    fn image_for(&mut self, h: &[Elem]) -> &PhysicalDb {
-        self.evaluated += 1;
-        apply_mapping_into(self.base, h, &mut self.image);
-        &self.image
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The free-null collapse: the decomposed Theorem 1 search.
 //
@@ -359,11 +161,13 @@ impl<'a> MappingEvaluator<'a> {
 //   (and `s ≤ e` by construction). A certain-mode candidate dies on any
 //   realizable placement whose image tuple is outside the answers; a
 //   possible-mode candidate is proven by any realizable placement inside
-//   them. Candidates without free constants reduce to the plain
-//   membership test under the canonical mapping — and when *no* constant
-//   is free (every null is NE-constrained, stored in a fact, or mentioned
-//   by a query) the whole walk degenerates to one image per kernel
-//   partition with that membership test for every candidate.
+//   them. A candidate without free constants has exactly one placement,
+//   the empty one, so the same search is the plain membership test of its
+//   image under the canonical mapping — and when *no* constant is free
+//   (every null is NE-constrained, stored in a fact, or mentioned by a
+//   query) the whole walk is one image per kernel partition with that
+//   membership test for every candidate. Neither case has a code path of
+//   its own.
 // * **Ehrenfeucht–Fraïssé cap on `e`**: a first-order query of quantifier
 //   rank `qr` cannot distinguish images differing only in how many unused
 //   isolated elements they carry once both carry more than `qr`, and a
@@ -453,9 +257,9 @@ struct PlacementScratch {
     tau: Vec<Elem>,
 }
 
-/// The immutable inputs of one candidate's placement search.
+/// The placement search over one image's answers to one query: what a
+/// candidate's verdict depends on besides the candidate.
 struct PlacementSearch<'a> {
-    cand: &'a [Elem],
     /// The canonical mapping of the current image (core + free parts).
     h: &'a [Elem],
     is_free: &'a [bool],
@@ -464,9 +268,6 @@ struct PlacementSearch<'a> {
     core_values: &'a [Elem],
     /// Null-only block count of the current image.
     e: usize,
-    /// Realizability floor: fresh elements the placement must use so the
-    /// unmentioned free constants can fill the remaining null-only blocks.
-    e_need: usize,
     answers: &'a Relation,
     /// `true`: search for an image tuple **in** the answers (possible-mode
     /// proof); `false`: for one **outside** them (certain-mode kill).
@@ -474,109 +275,84 @@ struct PlacementSearch<'a> {
 }
 
 impl PlacementSearch<'_> {
+    /// Is there a realizable canonical placement of `cand`'s free constants
+    /// whose image tuple's membership in the answers equals `want_in`? See
+    /// the free-null collapse notes above. A candidate without free
+    /// constants has the one placement that places nothing: its image
+    /// under `h`.
+    fn decides(&self, cand: &[Elem], scratch: &mut PlacementScratch) -> bool {
+        scratch.distinct.clear();
+        for &c in cand {
+            if self.is_free[c as usize] && !scratch.distinct.contains(&c) {
+                scratch.distinct.push(c);
+            }
+        }
+        scratch.assigned.clear();
+        scratch.assigned.resize(scratch.distinct.len(), 0);
+        self.rec(cand, 0, 0, scratch)
+    }
+
     /// Depth-first search over canonical placements of the candidate's
     /// distinct free constants (`distinct[j..]` still unassigned,
     /// `fresh_used` fresh elements opened so far).
     fn rec(
         &self,
+        cand: &[Elem],
         j: usize,
         fresh_used: usize,
-        distinct: &[Elem],
-        assigned: &mut [Elem],
-        tau: &mut Vec<Elem>,
+        scratch: &mut PlacementScratch,
     ) -> bool {
-        let k = distinct.len();
+        let k = scratch.distinct.len();
+        // Realizability floor: fresh elements the placement must use so the
+        // unmentioned free constants can fill the remaining null-only blocks.
+        let e_need = self.e.saturating_sub(self.free.len() - k);
         if j == k {
-            if fresh_used < self.e_need {
+            if fresh_used < e_need {
                 return false;
             }
+            let PlacementScratch {
+                distinct,
+                assigned,
+                tau,
+            } = scratch;
             tau.clear();
-            for &c in self.cand {
-                if self.is_free[c as usize] {
-                    let idx = distinct.iter().position(|&u| u == c).unwrap();
-                    tau.push(assigned[idx]);
-                } else {
-                    tau.push(self.h[c as usize]);
-                }
-            }
+            tau.extend(
+                cand.iter()
+                    .map(|&c| match distinct.iter().position(|&u| u == c) {
+                        Some(idx) => assigned[idx],
+                        None => self.h[c as usize],
+                    }),
+            );
             return self.answers.contains(tau) == self.want_in;
         }
         // Even opening a fresh element at every remaining position cannot
         // reach the realizability floor: dead branch.
-        if fresh_used + (k - j) < self.e_need {
+        if fresh_used + (k - j) < e_need {
             return false;
         }
         // Join a core block…
         for &v in self.core_values {
-            assigned[j] = v;
-            if self.rec(j + 1, fresh_used, distinct, assigned, tau) {
+            scratch.assigned[j] = v;
+            if self.rec(cand, j + 1, fresh_used, scratch) {
                 return true;
             }
         }
         // …share an already-opened fresh element…
         for slot in 0..fresh_used {
-            assigned[j] = self.free[slot];
-            if self.rec(j + 1, fresh_used, distinct, assigned, tau) {
+            scratch.assigned[j] = self.free[slot];
+            if self.rec(cand, j + 1, fresh_used, scratch) {
                 return true;
             }
         }
         // …or open the next one (canonical first-use order).
         if fresh_used < self.e {
-            assigned[j] = self.free[fresh_used];
-            if self.rec(j + 1, fresh_used + 1, distinct, assigned, tau) {
+            scratch.assigned[j] = self.free[fresh_used];
+            if self.rec(cand, j + 1, fresh_used + 1, scratch) {
                 return true;
             }
         }
         false
     }
-}
-
-/// Is there a realizable canonical placement of `cand`'s free constants
-/// whose image tuple's membership in `answers` equals `want_in`? See the
-/// free-null collapse notes above.
-#[allow(clippy::too_many_arguments)]
-fn candidate_has_placement(
-    cand: &[Elem],
-    h: &[Elem],
-    is_free: &[bool],
-    free: &[u32],
-    core_values: &[Elem],
-    e: usize,
-    want_in: bool,
-    answers: &Relation,
-    scratch: &mut PlacementScratch,
-) -> bool {
-    scratch.distinct.clear();
-    for &c in cand {
-        if is_free[c as usize] && !scratch.distinct.contains(&c) {
-            scratch.distinct.push(c);
-        }
-    }
-    let k = scratch.distinct.len();
-    if k == 0 {
-        scratch.tau.clear();
-        scratch.tau.extend(cand.iter().map(|&c| h[c as usize]));
-        return answers.contains(&scratch.tau) == want_in;
-    }
-    scratch.assigned.clear();
-    scratch.assigned.resize(k, 0);
-    let PlacementScratch {
-        distinct,
-        assigned,
-        tau,
-    } = scratch;
-    let search = PlacementSearch {
-        cand,
-        h,
-        is_free,
-        free,
-        core_values,
-        e,
-        e_need: e.saturating_sub(free.len() - k),
-        answers,
-        want_in,
-    };
-    search.rec(0, 0, distinct, assigned, tau)
 }
 
 /// Per-worker state of the walk. Single queries run as a batch of one —
@@ -585,19 +361,25 @@ fn candidate_has_placement(
 /// The two duals differ only in what happens to a candidate an image
 /// decides: certain answers *drop* the refuted ones (a single failing
 /// image kills a candidate), possible answers *move* the proven ones to
-/// the per-query `collected` set. Either way a query is deactivated the
+/// the per-query `collected` writer. Either way a query is deactivated the
 /// moment its undecided set empties (certain: the answer can only stay
 /// empty; possible: every candidate is already proven), and the
 /// enumeration exits early once *every* query has stabilized. A query
 /// whose set is still shrinking sees every remaining image, exactly as an
 /// independent run would, so batched answers are bit-identical to N
 /// independent calls.
-struct DecompWorker<'a> {
-    eval: MappingEvaluator<'a>,
-    /// Per-query undecided candidates.
-    cands: Vec<CandidateSet>,
+struct DecompWorker {
+    /// The reusable image `h(Ph₁(LB))`: the buffers of mapping N+1 are
+    /// those of mapping N.
+    image: PhysicalDb,
+    /// Images built so far.
+    evaluated: u64,
+    /// Evaluates every live query of the batch over the current image.
+    eval: QueryEvaluator,
+    /// Per-query undecided candidates, in lexicographic order.
+    cands: Vec<Relation>,
     /// Per-query proven-possible candidates (possible mode only).
-    collected: Vec<CandidateSet>,
+    collected: Vec<RowWriter>,
     /// Queries whose undecided set is still non-empty.
     live: usize,
     /// Full canonical mapping buffer (every constant).
@@ -622,24 +404,22 @@ fn run_decomposed(
 ) -> (Vec<Relation>, EvalStats) {
     let n = db.num_consts();
     let base = ph1(db);
+    let consts: Vec<Elem> = (0..n as Elem).collect();
     let e_max = plan.caps.iter().copied().max().unwrap_or(0);
-    // No free constant: one image per kernel partition, every candidate
-    // decided by the plain membership test under `h`.
-    let no_free = plan.free.is_empty();
+    let possible = mode == AnswerMode::Possible;
     let (states, _completed) = for_each_kernel_mapping_over_parallel(
         db,
         &plan.core,
         opts.parallel,
         |_| DecompWorker {
-            eval: MappingEvaluator::new(&base),
+            image: base.clone(),
+            evaluated: 0,
+            eval: QueryEvaluator::default(),
             cands: queries
                 .iter()
-                .map(|q| CandidateSet::full(n, q.arity()))
+                .map(|q| Relation::from_rows(q.arity(), TupleSpace::new(&consts, q.arity())))
                 .collect(),
-            collected: queries
-                .iter()
-                .map(|q| CandidateSet::empty(q.arity()))
-                .collect(),
+            collected: queries.iter().map(|q| RowWriter::new(q.arity())).collect(),
             live: queries.len(),
             h: vec![0; n],
             core_values: Vec::new(),
@@ -647,6 +427,8 @@ fn run_decomposed(
         },
         |w, h_core| {
             let DecompWorker {
+                image,
+                evaluated,
                 eval,
                 cands,
                 collected,
@@ -658,12 +440,10 @@ fn run_decomposed(
             for (p, &c) in plan.core.iter().enumerate() {
                 h[c as usize] = h_core[p];
             }
-            if !no_free {
-                core_values.clear();
-                core_values.extend_from_slice(h_core);
-                core_values.sort_unstable();
-                core_values.dedup();
-            }
+            core_values.clear();
+            core_values.extend_from_slice(h_core);
+            core_values.sort_unstable();
+            core_values.dedup();
             for e in plan.e_min..=e_max {
                 // With early exit on, stop once no live query's cap reaches
                 // this `e`. Without it, evaluate every (partition, e) image
@@ -682,35 +462,28 @@ fn run_decomposed(
                         h[plan.core[0] as usize]
                     };
                 }
-                let image = eval.image_for(h);
+                image.assign_mapped_image(&base, h);
+                *evaluated += 1;
                 for (i, query) in queries.iter().enumerate() {
                     if e > plan.caps[i] || cands[i].is_empty() {
                         continue;
                     }
-                    let answers = eval_query(image, query);
-                    let mut placed = |cand: &[Elem], want_in: bool| {
-                        candidate_has_placement(
-                            cand,
-                            h,
-                            &plan.is_free,
-                            &plan.free,
-                            core_values,
-                            e,
-                            want_in,
-                            &answers,
-                            scratch,
-                        )
+                    let search = PlacementSearch {
+                        h,
+                        is_free: &plan.is_free,
+                        free: &plan.free,
+                        core_values,
+                        e,
+                        answers: eval.eval(image, query),
+                        want_in: possible,
                     };
-                    match mode {
-                        AnswerMode::Certain if no_free => cands[i].retain_mapped_in(h, &answers),
-                        AnswerMode::Certain => cands[i].retain_where(|c| !placed(c, false)),
-                        AnswerMode::Possible if no_free => {
-                            cands[i].split_mapped_in(h, &answers, &mut collected[i]);
+                    cands[i].retain(|cand| {
+                        let decided = search.decides(cand, scratch);
+                        if decided && possible {
+                            collected[i].push(cand);
                         }
-                        AnswerMode::Possible => {
-                            cands[i].split_where(&mut collected[i], |c| placed(c, true));
-                        }
-                    }
+                        !decided
+                    });
                     if cands[i].is_empty() {
                         *live -= 1;
                     }
@@ -724,7 +497,7 @@ fn run_decomposed(
         },
     );
 
-    let evaluated: u64 = states.iter().map(|w| w.eval.evaluated).sum();
+    let evaluated: u64 = states.iter().map(|w| w.evaluated).sum();
     let stats = EvalStats {
         mappings_evaluated: evaluated,
         fast_path: false,
@@ -732,26 +505,28 @@ fn run_decomposed(
         components: plan.components,
         mappings_pruned: count_kernel_mappings(db).saturating_sub(evaluated),
     };
+    let mut states = states.into_iter();
+    let first = states.next().expect("at least one worker");
     let answers = match mode {
-        AnswerMode::Possible => (0..queries.len())
-            .map(|i| {
-                Relation::collect(
-                    queries[i].arity(),
-                    states
-                        .iter()
-                        .flat_map(|w| w.collected[i].iter().map(<[Elem]>::to_vec)),
-                )
-            })
-            .collect(),
         AnswerMode::Certain => {
-            let mut states = states.into_iter();
-            let mut acc = states.next().expect("at least one worker").cands;
+            let mut survivors = first.cands;
             for w in states {
-                for (mine, theirs) in acc.iter_mut().zip(w.cands.iter()) {
-                    mine.intersect_sorted(theirs);
+                for (mine, theirs) in survivors.iter_mut().zip(&w.cands) {
+                    mine.retain(|t| theirs.contains(t));
                 }
             }
-            acc.iter().map(CandidateSet::to_relation).collect()
+            survivors
+        }
+        AnswerMode::Possible => {
+            let mut proven = first.collected;
+            for w in states {
+                for (mine, theirs) in proven.iter_mut().zip(w.collected) {
+                    for row in &theirs.finish() {
+                        mine.push(row);
+                    }
+                }
+            }
+            proven.into_iter().map(RowWriter::finish).collect()
         }
     };
     (answers, stats)

@@ -93,7 +93,7 @@ pub fn certain_answers_oracle(db: &CwDatabase, query: &Query) -> Result<Relation
         }
     }
     assert!(saw_model, "a CW theory always has at least one model");
-    Ok(Relation::collect(arity, candidates))
+    Ok(Relation::from_rows(arity, candidates))
 }
 
 /// Theorem 1 verbatim, as a reference for [`crate::exact`]: visits every
@@ -134,7 +134,7 @@ pub fn answers_by_raw_mappings(
         .zip(hits)
         .filter(|&(_, hit)| hit >= needed)
         .map(|(c, _)| c);
-    (Relation::collect(query.arity(), kept), visited)
+    (Relation::from_rows(query.arity(), kept), visited)
 }
 
 #[allow(clippy::too_many_arguments)]

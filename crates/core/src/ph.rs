@@ -38,15 +38,6 @@ pub fn apply_mapping(db: &CwDatabase, h: &[Elem]) -> PhysicalDb {
         .expect("image of Ph1 under a total mapping is a valid interpretation")
 }
 
-/// In-place variant of [`apply_mapping`] for the Theorem 1 hot loop:
-/// overwrites `image` with `h(Ph₁(LB))`, reusing its allocations. `base`
-/// must be `ph1(db)` (computed once per evaluation) and `image` a clone of
-/// it (one per worker); successive calls recycle the same buffers instead
-/// of building a fresh database per mapping.
-pub fn apply_mapping_into(base: &PhysicalDb, h: &[Elem], image: &mut PhysicalDb) {
-    image.assign_mapped_image(base, h);
-}
-
 /// The extended physical database `Ph₂(LB) = (L′, I)` of §3.2 and §5:
 /// `L′ = L + NE`, with `I(NE) = { (cᵢ,cⱼ) : ¬(cᵢ=cⱼ) ∈ T }` and everything
 /// else as in `Ph₁`.
@@ -77,12 +68,7 @@ pub fn ph2(db: &CwDatabase) -> Ph2 {
         builder = builder.relation(p, db.facts(p).clone());
     }
     // NE is symmetric: the paper identifies ¬(cᵢ=cⱼ) with ¬(cⱼ=cᵢ).
-    let ne_rel = Relation::collect(
-        2,
-        db.ne_pairs()
-            .iter()
-            .flat_map(|&(a, b)| [vec![a, b], vec![b, a]]),
-    );
+    let ne_rel = Relation::from_rows(2, db.ne_pairs().iter().flat_map(|&(a, b)| [[a, b], [b, a]]));
     builder = builder.relation(ne, ne_rel);
     Ph2 {
         db: builder
@@ -144,12 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_mapping_into_matches_apply_mapping() {
+    fn assign_mapped_image_matches_apply_mapping() {
         let db = sample();
         let base = ph1(&db);
         let mut image = base.clone();
         for h in [[0u32, 1, 2], [0, 1, 1], [0, 1, 0], [2, 0, 0]] {
-            apply_mapping_into(&base, &h, &mut image);
+            image.assign_mapped_image(&base, &h);
             assert_eq!(image, apply_mapping(&db, &h), "mapping {h:?}");
         }
     }

@@ -11,7 +11,7 @@ use crate::mappings::{
     count_kernel_mappings, for_each_kernel_mapping, for_each_kernel_mapping_over_parallel,
     ParallelConfig,
 };
-use crate::ph::{apply_mapping_into, ph1};
+use crate::ph::ph1;
 use crate::theory::CwDatabase;
 use qld_logic::{LogicError, Query};
 use qld_physical::{PhysicalDb, Relation};
@@ -30,7 +30,7 @@ pub fn for_each_world(db: &CwDatabase, mut visit: impl FnMut(&PhysicalDb) -> boo
     let base = ph1(db);
     let mut image = base.clone();
     for_each_kernel_mapping(db, |h| {
-        apply_mapping_into(&base, h, &mut image);
+        image.assign_mapped_image(&base, h);
         visit(&image)
     })
 }
@@ -55,7 +55,7 @@ pub fn for_each_world_parallel<S: Send>(
         config,
         |w| (init(w), base.clone()),
         |(state, image), h| {
-            apply_mapping_into(&base, h, image);
+            image.assign_mapped_image(&base, h);
             visit(state, image)
         },
     );
@@ -86,13 +86,9 @@ impl AnswerBounds {
     /// Tuples that are possible but not certain — the query's *uncertain*
     /// zone, empty exactly when the database fully determines the answer.
     pub fn uncertain(&self) -> Relation {
-        let tuples = self
-            .possible
-            .iter()
-            .filter(|t| !self.certain.contains(t))
-            .map(|t| t.to_vec().into_boxed_slice())
-            .collect();
-        Relation::from_tuples(self.possible.arity(), tuples)
+        let mut uncertain = self.possible.clone();
+        uncertain.retain(|t| !self.certain.contains(t));
+        uncertain
     }
 
     /// True iff every possible tuple is certain (the answer is fully

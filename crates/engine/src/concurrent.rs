@@ -984,10 +984,12 @@ impl SharedSession {
         self.advance().engine.prepare(query)
     }
 
-    /// Executes a prepared query under the engine's default semantics.
+    /// Executes a prepared query under the engine's default semantics —
+    /// read from the same snapshot the answer is computed on.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<Answers, EngineError> {
-        let semantics = self.shared.snapshot().engine.semantics();
-        self.execute_as(prepared, semantics)
+        let snapshot = self.advance();
+        let semantics = snapshot.engine.semantics();
+        self.execute_on(&snapshot, prepared, semantics)
     }
 
     /// Executes a prepared query under an explicit semantics against the
@@ -1001,6 +1003,17 @@ impl SharedSession {
         semantics: Semantics,
     ) -> Result<Answers, EngineError> {
         let snapshot = self.advance();
+        self.execute_on(&snapshot, prepared, semantics)
+    }
+
+    /// One read against one snapshot: the shared cache first, else the
+    /// snapshot's engine, whose answer the cache then keeps.
+    fn execute_on(
+        &self,
+        snapshot: &EngineSnapshot,
+        prepared: &PreparedQuery,
+        semantics: Semantics,
+    ) -> Result<Answers, EngineError> {
         let cache = &self.shared.inner.cache;
         if let Some(hit) = cache.lookup(prepared, semantics, snapshot.epoch) {
             return Ok(hit);

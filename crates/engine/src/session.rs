@@ -1183,10 +1183,7 @@ impl Engine {
         let certainly_not = eval_query(approx.extended_db(), &neg_rewritten);
         let arity = prepared.query.arity();
         let consts: Vec<Elem> = (0..self.db.num_consts() as Elem).collect();
-        let upper = Relation::collect(
-            arity,
-            TupleSpace::new(&consts, arity).filter(|t| !certainly_not.contains(t)),
-        );
+        let upper = TupleSpace::new(&consts, arity).select(|t| !certainly_not.contains(t));
         Ok(RunOutcome {
             tuples: lower,
             regime: Regime::Approximation,

@@ -286,7 +286,7 @@ impl PhysicalDbBuilder {
         tuples: I,
     ) -> Self {
         let arity = self.pred_arities[p.index()];
-        let rel = Relation::collect(arity, tuples);
+        let rel = Relation::from_rows(arity, tuples);
         self.relation(p, rel)
     }
 
@@ -521,7 +521,7 @@ mod tests {
             .unwrap();
         assert_eq!(db.retain_tuples(r, |t| t[0] == 1), 1);
         assert_eq!(db.relation(r).len(), 2);
-        db.set_relation(r, Relation::collect(2, vec![vec![0, 0]]))
+        db.set_relation(r, Relation::from_rows(2, [[0, 0]]))
             .unwrap();
         assert!(db.relation(r).contains(&[0, 0]));
         assert_eq!(db.relation(r).len(), 1);
@@ -530,7 +530,7 @@ mod tests {
             Err(PhysicalError::RelationArity { .. })
         ));
         assert!(matches!(
-            db.set_relation(r, Relation::collect(2, vec![vec![0, 9]])),
+            db.set_relation(r, Relation::from_rows(2, [[0, 9]])),
             Err(PhysicalError::TupleOutsideDomain(..))
         ));
     }
@@ -545,7 +545,7 @@ mod tests {
             .constant(b, 1)
             .build()
             .unwrap();
-        let db2 = db.with_relation(r, Relation::collect(2, vec![vec![1, 1]]));
+        let db2 = db.with_relation(r, Relation::from_rows(2, [[1, 1]]));
         assert!(db.relation(r).is_empty());
         assert!(db2.relation(r).contains(&[1, 1]));
     }

@@ -8,119 +8,153 @@
 //! intentionally brutal, because the whole point of Theorem 3 is that the
 //! precise simulation hides a second-order quantification whose cost is
 //! exactly this enumeration.
+//!
+//! Evaluation allocates per query, not per tuple: an atom's arguments go
+//! into one scratch row, [`eval_query`] steps the candidate space through
+//! one reused row ([`TupleSpace::next_into`]) and pushes the answers
+//! straight into a [`RowWriter`]. A [`QueryEvaluator`] keeps all of that
+//! across calls, so evaluating over one database image after another (the
+//! Theorem 1 walk) allocates only while a buffer still grows.
 
 use crate::db::PhysicalDb;
-use crate::relation::{Elem, Relation};
+use crate::relation::{Elem, Relation, RowWriter};
 use crate::tuples::{for_each_relation, TupleSpace};
-use qld_logic::{Formula, Query, Term};
+use qld_logic::{Formula, PredVarId, Query, Term, Var};
 
-/// Evaluation state: a physical database plus variable environments.
-pub struct Evaluator<'a> {
-    db: &'a PhysicalDb,
-    env: Vec<Option<Elem>>,
-    so_env: Vec<Option<Relation>>,
+/// The variable environments and the scratch row of an evaluation —
+/// everything but the database, so one state serves many databases.
+#[derive(Default)]
+struct Env {
+    vars: Vec<Option<Elem>>,
+    pred_vars: Vec<Option<Relation>>,
+    /// Argument tuple of the atom under test.
+    args: Vec<Elem>,
 }
 
-impl<'a> Evaluator<'a> {
-    /// Creates an evaluator sized for `formula`.
-    pub fn new(db: &'a PhysicalDb, formula: &Formula) -> Self {
-        let env_len = formula.max_var().map_or(0, |v| v.index() + 1);
-        let so_len = formula.max_pred_var().map_or(0, |r| r.index() + 1);
-        Evaluator {
-            db,
-            env: vec![None; env_len],
-            so_env: vec![None; so_len],
-        }
+impl Env {
+    /// Unbinds everything and sizes the environments for `formula`.
+    fn reset_for(&mut self, formula: &Formula) {
+        self.vars.clear();
+        self.vars
+            .resize(formula.max_var().map_or(0, |v| v.index() + 1), None);
+        self.pred_vars.clear();
+        self.pred_vars
+            .resize(formula.max_pred_var().map_or(0, |r| r.index() + 1), None);
     }
 
-    /// Binds a free variable before evaluation (used for query answers).
-    /// Grows the environment if the variable exceeds the body's variables
-    /// (a head variable need not occur in the body).
-    pub fn bind(&mut self, v: qld_logic::Var, e: Elem) {
-        if v.index() >= self.env.len() {
-            self.env.resize(v.index() + 1, None);
+    fn bind(&mut self, v: Var, e: Elem) {
+        if v.index() >= self.vars.len() {
+            self.vars.resize(v.index() + 1, None);
         }
-        self.env[v.index()] = Some(e);
+        self.vars[v.index()] = Some(e);
     }
 
-    fn term(&self, t: &Term) -> Elem {
-        match t {
-            Term::Var(v) => self.env[v.index()]
-                .expect("unbound variable: queries must be validated via Query::new"),
-            Term::Const(c) => self.db.const_val(*c),
-        }
+    /// Fills the scratch row with the values of `ts`.
+    fn fill_args(&mut self, db: &PhysicalDb, ts: &[Term]) {
+        let Env { vars, args, .. } = self;
+        args.clear();
+        args.extend(ts.iter().map(|t| term(vars, db, t)));
     }
 
-    /// Evaluates a formula under the current environment.
-    pub fn eval(&mut self, f: &Formula) -> bool {
+    fn eval(&mut self, db: &PhysicalDb, f: &Formula) -> bool {
         match f {
             Formula::True => true,
             Formula::False => false,
             Formula::Atom(p, ts) => {
-                let tuple: Vec<Elem> = ts.iter().map(|t| self.term(t)).collect();
-                self.db.relation(*p).contains(&tuple)
+                self.fill_args(db, ts);
+                db.relation(*p).contains(&self.args)
             }
             Formula::SoAtom(r, ts) => {
-                let tuple: Vec<Elem> = ts.iter().map(|t| self.term(t)).collect();
-                self.so_env[r.index()]
+                self.fill_args(db, ts);
+                self.pred_vars[r.index()]
                     .as_ref()
                     .expect("unbound predicate variable: formula must be checked")
-                    .contains(&tuple)
+                    .contains(&self.args)
             }
-            Formula::Eq(a, b) => self.term(a) == self.term(b),
-            Formula::Not(g) => !self.eval(g),
-            Formula::And(fs) => fs.iter().all(|g| self.eval(g)),
-            Formula::Or(fs) => fs.iter().any(|g| self.eval(g)),
-            Formula::Implies(p, q) => !self.eval(p) || self.eval(q),
-            Formula::Iff(p, q) => self.eval(p) == self.eval(q),
-            Formula::Exists(v, g) => self.quantify(*v, g, true),
-            Formula::Forall(v, g) => self.quantify(*v, g, false),
-            Formula::SoExists(r, k, g) => self.so_quantify(*r, *k, g, true),
-            Formula::SoForall(r, k, g) => self.so_quantify(*r, *k, g, false),
+            Formula::Eq(a, b) => term(&self.vars, db, a) == term(&self.vars, db, b),
+            Formula::Not(g) => !self.eval(db, g),
+            Formula::And(fs) => fs.iter().all(|g| self.eval(db, g)),
+            Formula::Or(fs) => fs.iter().any(|g| self.eval(db, g)),
+            Formula::Implies(p, q) => !self.eval(db, p) || self.eval(db, q),
+            Formula::Iff(p, q) => self.eval(db, p) == self.eval(db, q),
+            Formula::Exists(v, g) => self.quantify(db, *v, g, true),
+            Formula::Forall(v, g) => self.quantify(db, *v, g, false),
+            Formula::SoExists(r, k, g) => self.so_quantify(db, *r, *k, g, true),
+            Formula::SoForall(r, k, g) => self.so_quantify(db, *r, *k, g, false),
         }
     }
 
-    fn quantify(&mut self, v: qld_logic::Var, body: &Formula, existential: bool) -> bool {
-        let saved = self.env[v.index()];
-        // Iterate by index to avoid borrowing self.db across the recursive
-        // call (the domain slice is cheap to re-fetch).
-        let n = self.db.domain().len();
+    fn quantify(&mut self, db: &PhysicalDb, v: Var, body: &Formula, existential: bool) -> bool {
+        let saved = self.vars[v.index()];
         let mut result = !existential;
-        for i in 0..n {
-            let e = self.db.domain()[i];
-            self.env[v.index()] = Some(e);
-            let holds = self.eval(body);
-            if holds == existential {
+        for &e in db.domain() {
+            self.vars[v.index()] = Some(e);
+            if self.eval(db, body) == existential {
                 result = existential;
                 break;
             }
         }
-        self.env[v.index()] = saved;
+        self.vars[v.index()] = saved;
         result
     }
 
     fn so_quantify(
         &mut self,
-        r: qld_logic::PredVarId,
+        db: &PhysicalDb,
+        r: PredVarId,
         arity: usize,
         body: &Formula,
         existential: bool,
     ) -> bool {
-        let saved = self.so_env[r.index()].take();
-        let domain: Vec<Elem> = self.db.domain().to_vec();
+        let saved = self.pred_vars[r.index()].take();
         let mut result = !existential;
-        for_each_relation(&domain, arity, |rel| {
-            self.so_env[r.index()] = Some(rel.clone());
-            let holds = self.eval(body);
-            if holds == existential {
+        for_each_relation(db.domain(), arity, |rel| {
+            self.pred_vars[r.index()] = Some(rel.clone());
+            if self.eval(db, body) == existential {
                 result = existential;
                 false // early exit
             } else {
                 true
             }
         });
-        self.so_env[r.index()] = saved;
+        self.pred_vars[r.index()] = saved;
         result
+    }
+}
+
+fn term(vars: &[Option<Elem>], db: &PhysicalDb, t: &Term) -> Elem {
+    match t {
+        Term::Var(v) => {
+            vars[v.index()].expect("unbound variable: queries must be validated via Query::new")
+        }
+        Term::Const(c) => db.const_val(*c),
+    }
+}
+
+/// Evaluation state: a physical database plus variable environments.
+pub struct Evaluator<'a> {
+    db: &'a PhysicalDb,
+    env: Env,
+}
+
+impl<'a> Evaluator<'a> {
+    /// Creates an evaluator sized for `formula`.
+    pub fn new(db: &'a PhysicalDb, formula: &Formula) -> Self {
+        let mut env = Env::default();
+        env.reset_for(formula);
+        Evaluator { db, env }
+    }
+
+    /// Binds a free variable before evaluation (used for query answers).
+    /// Grows the environment if the variable exceeds the body's variables
+    /// (a head variable need not occur in the body).
+    pub fn bind(&mut self, v: Var, e: Elem) {
+        self.env.bind(v, e);
+    }
+
+    /// Evaluates a formula under the current environment.
+    pub fn eval(&mut self, f: &Formula) -> bool {
+        self.env.eval(self.db, f)
     }
 }
 
@@ -145,22 +179,60 @@ pub fn satisfies_all<'a, I: IntoIterator<Item = &'a Formula>>(
     sentences.into_iter().all(|s| satisfies(db, s))
 }
 
-/// Computes the answer `Q(PB) = { d ∈ D^k : I ⊨ φ(d) }` of §2.1.
-pub fn eval_query(db: &PhysicalDb, query: &Query) -> Relation {
-    let arity = query.arity();
-    let head = query.head();
-    let body = query.body();
-    let mut evaluator = Evaluator::new(db, body);
-    let mut answers: Vec<Box<[Elem]>> = Vec::new();
-    for tuple in TupleSpace::new(db.domain(), arity) {
-        for (v, e) in head.iter().zip(tuple.iter()) {
-            evaluator.bind(*v, *e);
-        }
-        if evaluator.eval(body) {
-            answers.push(tuple.into_boxed_slice());
+/// [`eval_query`] with its buffers kept: the environments, the candidate
+/// row and the answer relation of one call are reused by the next, whatever
+/// the query and the database. The Theorem 1 walk holds one per worker and
+/// evaluates every query of a batch over every image through it.
+pub struct QueryEvaluator {
+    env: Env,
+    /// The candidate tuple under test, and the odometer that steps it.
+    row: Vec<Elem>,
+    counters: Vec<usize>,
+    answers: Relation,
+}
+
+impl Default for QueryEvaluator {
+    /// An evaluator with empty buffers.
+    fn default() -> Self {
+        QueryEvaluator {
+            env: Env::default(),
+            row: Vec::new(),
+            counters: Vec::new(),
+            answers: Relation::empty(0),
         }
     }
-    Relation::from_tuples(arity, answers)
+}
+
+impl QueryEvaluator {
+    /// Computes `Q(PB)` as [`eval_query`] does. The result lives in this
+    /// evaluator until the next call overwrites it.
+    pub fn eval(&mut self, db: &PhysicalDb, query: &Query) -> &Relation {
+        let (arity, head, body) = (query.arity(), query.head(), query.body());
+        self.env.reset_for(body);
+        self.row.clear();
+        self.row.resize(arity, 0);
+        let recycled = std::mem::replace(&mut self.answers, Relation::empty(arity));
+        let mut answers = RowWriter::reusing(recycled, arity);
+        let mut space = TupleSpace::reusing(db.domain(), arity, std::mem::take(&mut self.counters));
+        while space.next_into(&mut self.row) {
+            for (v, e) in head.iter().zip(&self.row) {
+                self.env.bind(*v, *e);
+            }
+            if self.env.eval(db, body) {
+                answers.push(&self.row);
+            }
+        }
+        self.counters = space.into_counters();
+        self.answers = answers.finish();
+        &self.answers
+    }
+}
+
+/// Computes the answer `Q(PB) = { d ∈ D^k : I ⊨ φ(d) }` of §2.1.
+pub fn eval_query(db: &PhysicalDb, query: &Query) -> Relation {
+    let mut evaluator = QueryEvaluator::default();
+    evaluator.eval(db, query);
+    evaluator.answers
 }
 
 #[cfg(test)]

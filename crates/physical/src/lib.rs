@@ -10,7 +10,8 @@
 //!
 //! This crate provides:
 //!
-//! * [`Relation`] — an immutable, sorted, duplicate-free set of tuples;
+//! * [`Relation`] — a sorted, duplicate-free set of tuples in one flat
+//!   buffer, built through the one append path, [`RowWriter`];
 //! * [`PhysicalDb`] — the interpretation, with a validating builder;
 //! * [`eval`] — a straightforward recursive evaluator for first-order
 //!   formulas (LOGSPACE data complexity, matching Theorem 4(1)) and, by
@@ -28,6 +29,6 @@ pub mod relation;
 pub mod tuples;
 
 pub use db::{PhysicalDb, PhysicalDbBuilder, PhysicalError};
-pub use eval::{eval_query, satisfies, satisfies_all, Evaluator};
-pub use relation::{Elem, Relation};
+pub use eval::{eval_query, satisfies, satisfies_all, Evaluator, QueryEvaluator};
+pub use relation::{Elem, Relation, RowWriter};
 pub use tuples::TupleSpace;

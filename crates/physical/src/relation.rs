@@ -11,6 +11,13 @@
 //! and lets scans read contiguous memory. The row count is stored beside
 //! the buffer because at arity 0 the buffer is empty either way, yet
 //! `{}` (false) and `{()}` (true) are different relations.
+//!
+//! A tuple is a `&[Elem]` row of such a buffer; nobody owns a boxed one.
+//! Relations are built one way: rows go into a [`RowWriter`] in whatever
+//! order a producer finds them and [`RowWriter::finish`] sorts and
+//! deduplicates once ([`Relation::from_rows`] is that loop over an
+//! iterator). An existing relation changes by [`Relation::insert`],
+//! [`Relation::retain`] and [`Relation::assign_mapped`], all in place.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -43,11 +50,11 @@ impl Relation {
         }
     }
 
-    /// Builds a relation from rows, appending each to the flat buffer
-    /// without a per-tuple allocation. Rows that arrive in strictly
-    /// increasing order (a [`TupleSpace`](crate::TupleSpace) scan, another
-    /// relation's rows) are kept as they are; anything else is sorted and
-    /// deduplicated in place.
+    /// Builds a relation from rows through a [`RowWriter`]: each row is
+    /// appended to the flat buffer without a per-tuple allocation. Rows
+    /// that arrive in strictly increasing order (a
+    /// [`TupleSpace`](crate::TupleSpace) scan, another relation's rows) are
+    /// kept as they are; anything else is sorted and deduplicated in place.
     ///
     /// # Panics
     /// Panics if a row's length differs from `arity`.
@@ -55,31 +62,11 @@ impl Relation {
         arity: usize,
         rows: impl IntoIterator<Item = R>,
     ) -> Relation {
-        let mut rel = Relation::empty(arity);
+        let mut writer = RowWriter::new(arity);
         for row in rows {
-            let row = row.as_ref();
-            assert_eq!(row.len(), arity, "tuple arity mismatch");
-            rel.data.extend_from_slice(row);
-            rel.len += 1;
+            writer.push(row.as_ref());
         }
-        rel.canonicalize();
-        rel
-    }
-
-    /// Builds a relation from boxed tuples, sorting and deduplicating.
-    ///
-    /// # Panics
-    /// Panics if a tuple's length differs from `arity`.
-    pub fn from_tuples(arity: usize, tuples: Vec<Box<[Elem]>>) -> Relation {
-        Relation::from_rows(arity, tuples)
-    }
-
-    /// Builds a relation from an iterator of `Vec` tuples.
-    ///
-    /// # Panics
-    /// Panics if a tuple's length differs from `arity`.
-    pub fn collect<I: IntoIterator<Item = Vec<Elem>>>(arity: usize, iter: I) -> Relation {
-        Relation::from_rows(arity, iter)
+        writer.finish()
     }
 
     /// Number of argument positions.
@@ -285,6 +272,84 @@ fn sort_rows<const N: usize>(data: &mut [Elem]) {
     rows.sort_unstable();
 }
 
+/// The one append path into a [`Relation`]: rows are pushed in any order,
+/// repeats included, straight into the flat buffer, and
+/// [`RowWriter::finish`] restores the sorted duplicate-free invariant once.
+/// Every producer of tuples — the evaluator, the algebra operators, the
+/// Theorem 1 walk — writes here; nobody owns a boxed tuple.
+#[derive(Debug, Clone)]
+pub struct RowWriter {
+    /// The rows pushed so far, with `Relation`'s invariant suspended.
+    rows: Relation,
+}
+
+impl RowWriter {
+    /// A writer of `arity`-tuples with nothing pushed yet.
+    pub fn new(arity: usize) -> RowWriter {
+        RowWriter::reusing(Relation::empty(arity), arity)
+    }
+
+    /// [`RowWriter::new`] inside `buffer`'s allocation (its rows are
+    /// dropped): rebuilding one relation over and over — the answers of one
+    /// query over successive database images — allocates only when the
+    /// buffer has to grow.
+    pub fn reusing(mut buffer: Relation, arity: usize) -> RowWriter {
+        buffer.arity = arity;
+        buffer.len = 0;
+        buffer.data.clear();
+        RowWriter { rows: buffer }
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    /// Panics if the row's length differs from the writer's arity.
+    #[inline]
+    pub fn push(&mut self, row: &[Elem]) {
+        assert_eq!(row.len(), self.rows.arity, "tuple arity mismatch");
+        self.rows.data.extend_from_slice(row);
+        self.rows.len += 1;
+    }
+
+    /// Appends one row assembled from parts — a projection's gathered
+    /// columns, a join's left row chained with its right row — without a
+    /// temporary tuple.
+    ///
+    /// # Panics
+    /// Panics if the row's length differs from the writer's arity.
+    #[inline]
+    pub fn push_with(&mut self, row: impl IntoIterator<Item = Elem>) {
+        self.rows.data.extend(row);
+        self.rows.len += 1;
+        assert_eq!(
+            self.rows.data.len(),
+            self.rows.len * self.rows.arity,
+            "tuple arity mismatch"
+        );
+    }
+
+    /// Number of rows pushed so far (repeats counted). At arity 0 this is
+    /// all that tells `{}` from `{()}`.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows.len
+    }
+
+    /// True iff nothing was pushed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rows.len == 0
+    }
+
+    /// Sorts and deduplicates the pushed rows into the relation they
+    /// denote; rows pushed in strictly increasing order cost one
+    /// comparison pass.
+    pub fn finish(mut self) -> Relation {
+        self.rows.canonicalize();
+        self.rows
+    }
+}
+
 /// Iterator over a relation's tuples, in lexicographic order (see
 /// [`Relation::iter`]).
 #[derive(Debug, Clone)]
@@ -343,13 +408,7 @@ mod tests {
     use super::*;
 
     fn rel(tuples: &[&[Elem]]) -> Relation {
-        Relation::from_tuples(
-            tuples.first().map_or(2, |t| t.len()),
-            tuples
-                .iter()
-                .map(|t| t.to_vec().into_boxed_slice())
-                .collect(),
-        )
+        Relation::from_rows(tuples.first().map_or(2, |t| t.len()), tuples)
     }
 
     #[test]
@@ -370,7 +429,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn arity_mismatch_panics() {
-        Relation::from_tuples(2, vec![vec![1].into_boxed_slice()]);
+        Relation::from_rows(2, [[1]]);
     }
 
     #[test]
@@ -453,7 +512,7 @@ mod tests {
     fn zero_arity_relation() {
         // Boolean answers: {} = no, {()} = yes.
         let no = Relation::empty(0);
-        let yes = Relation::from_tuples(0, vec![Vec::new().into_boxed_slice()]);
+        let yes = Relation::from_rows(0, [[]]);
         assert!(no.is_empty());
         assert_eq!(yes.len(), 1);
         assert!(yes.contains(&[]));

@@ -4,9 +4,12 @@
 //! and the buffer is empty either way) through 6 (past the arities whose
 //! rows sort as fixed-size arrays). After every step every observer —
 //! `len`, `iter`, `contains`, `active_elems`, `is_subset_of`, `==`,
-//! `Hash`, `Debug` — must agree with the model.
+//! `Hash`, `Debug` — must agree with the model. Relations are built the
+//! one way there is, through a [`RowWriter`]: rows pushed out of order and
+//! repeated, rows assembled from parts, a writer finished empty, a writer
+//! inside another relation's buffer.
 
-use qld_physical::{Elem, Relation};
+use qld_physical::{Elem, Relation, RowWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
@@ -79,11 +82,18 @@ fn check(rel: &Relation, arity: usize, model: &Model, rng: &mut StdRng, step: &s
     );
 
     // The representation is canonical: the same set built by another route
-    // (rows reversed and repeated, through the boxed constructor) is `==`
-    // and hashes alike; a set one row apart is not equal.
-    let mut noisy: Vec<Box<[Elem]>> = model.iter().rev().map(|r| r.clone().into()).collect();
-    noisy.extend(model.iter().take(3).map(|r| Box::from(r.as_slice())));
-    let rebuilt = Relation::from_tuples(arity, noisy);
+    // (rows reversed and repeated, through a writer) is `==` and hashes
+    // alike; a set one row apart is not equal.
+    let mut noisy = RowWriter::new(arity);
+    for row in model.iter().rev().chain(model.iter().take(3)) {
+        noisy.push(row);
+    }
+    assert_eq!(
+        noisy.len(),
+        model.len() + model.len().min(3),
+        "{step}: writer len"
+    );
+    let rebuilt = noisy.finish();
     assert_eq!(*rel, rebuilt, "{step}: == a rebuild");
     assert_eq!(hash_of(rel), hash_of(&rebuilt), "{step}: Hash of a rebuild");
     let mut other = model.clone();
@@ -140,14 +150,39 @@ fn run_sequence(seed: u64, arity: usize) {
         let step = format!("seed {seed} arity {arity} step {i} op {op}");
         match op {
             0 => {
+                // Rows in any order, repeats included; the writer counts
+                // every push (at arity 0 that is all there is to count) and
+                // one that nothing was pushed into finishes empty.
                 let rows = random_rows(&mut rng, arity);
                 model = rows.iter().cloned().collect();
-                rel = Relation::from_tuples(arity, rows.into_iter().map(Vec::into).collect());
+                let mut writer = RowWriter::new(arity);
+                assert!(writer.is_empty(), "{step}: fresh writer");
+                for row in &rows {
+                    writer.push(row);
+                }
+                assert_eq!(writer.len(), rows.len(), "{step}: pushes counted");
+                assert_eq!(writer.is_empty(), rows.is_empty(), "{step}: is_empty");
+                rel = writer.finish();
             }
             1 => {
+                // Rows assembled from parts — a left half chained with a
+                // right half, or columns gathered one by one — inside the
+                // old relation's buffer, at any arity.
+                arity = rng.gen_range(0..=MAX_ARITY);
                 let rows = random_rows(&mut rng, arity);
                 model = rows.iter().cloned().collect();
-                rel = Relation::collect(arity, rows);
+                let mut writer = RowWriter::reusing(rel, arity);
+                assert_eq!(writer.len(), 0, "{step}: a reused buffer starts empty");
+                for row in &rows {
+                    if rng.gen_range(0..2u32) == 0 {
+                        let (l, r) = row.split_at(rng.gen_range(0..=arity));
+                        writer.push_with(l.iter().chain(r).copied());
+                    } else {
+                        writer.push_with((0..arity).map(|i| row[i]));
+                    }
+                }
+                assert_eq!(writer.len(), rows.len(), "{step}: pushes counted");
+                rel = writer.finish();
             }
             2 => {
                 // Rows that arrive sorted take `from_rows`' no-sort path.
@@ -220,4 +255,10 @@ fn random_operation_sequences_match_the_btreeset_model() {
 #[should_panic(expected = "tuple arity mismatch")]
 fn from_rows_checks_every_row() {
     Relation::from_rows(2, [&[1, 2][..], &[3][..]]);
+}
+
+#[test]
+#[should_panic(expected = "tuple arity mismatch")]
+fn push_with_checks_the_assembled_row() {
+    RowWriter::new(2).push_with([1, 2, 3]);
 }

@@ -154,7 +154,7 @@ fn algebra_backend_agrees_with_naive() {
                 ),
             );
             let naive = engine.eval(&q).unwrap();
-            for join in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::NestedLoop] {
+            for join in [JoinAlgo::SortMerge, JoinAlgo::NestedLoop] {
                 let algebra = engine
                     .eval_with(
                         &q,

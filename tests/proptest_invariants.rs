@@ -47,7 +47,7 @@ proptest! {
     fn relation_membership_matches_construction(
         tuples in proptest::collection::vec(proptest::collection::vec(0u32..6, 2), 0..20)
     ) {
-        let rel = Relation::collect(2, tuples.clone());
+        let rel = Relation::from_rows(2, &tuples);
         // Everything inserted is found; nothing else is.
         for t in &tuples {
             prop_assert!(rel.contains(t));
@@ -71,7 +71,7 @@ proptest! {
         tuples in proptest::collection::vec(proptest::collection::vec(0u32..6, 2), 0..20),
         target in 0u32..6
     ) {
-        let rel = Relation::collect(2, tuples);
+        let rel = Relation::from_rows(2, tuples);
         let mapped = rel.map_elems(|e| if e > target { target } else { e });
         prop_assert!(mapped.len() <= rel.len());
     }
