@@ -1,7 +1,7 @@
 //! The approximate evaluation engine: `Â(Q, LB) = Q̂(Ph₂(LB))`.
 
 use crate::disagree::{alpha_additions_for_ne, alpha_relation, DisagreeScratch};
-use crate::ne_store::NeStore;
+use crate::ne_store::{NeBits, NeStore};
 use crate::rewrite::{rewrite_query, AlphaMode};
 use qld_algebra::{compile::eval_via_algebra, CompileError, ExecOptions};
 use qld_core::CwDatabase;
@@ -60,6 +60,9 @@ pub enum Backend {
 /// * `Ph₂(LB)` — the facts plus the `NE` relation;
 /// * one `α_P` relation per predicate (the provably-false tuples);
 /// * optionally the virtual-NE relations `NE′` and `U`.
+///
+/// Beside them it keeps what maintaining the `α_P` relations needs: the
+/// uniqueness axioms as a bit matrix and one disagreement scratch.
 #[derive(Debug, Clone)]
 pub struct ApproxEngine {
     voc: Vocabulary,
@@ -69,6 +72,8 @@ pub struct ApproxEngine {
     ne_prime: PredId,
     u: PredId,
     virtual_ne: bool,
+    ne_bits: NeBits,
+    scratch: DisagreeScratch,
 }
 
 // The §5 engine is embedded in snapshots served across threads by the
@@ -107,28 +112,29 @@ impl ApproxEngine {
         let u = voc.add_fresh_pred("U", 1);
 
         let n = cw.num_consts() as u32;
+        let ne_bits = NeBits::new(cw);
+        let mut scratch = DisagreeScratch::new();
         let mut builder = PhysicalDb::builder(&voc).domain(0..n);
         for c in voc.consts() {
             builder = builder.constant(c, c.0);
         }
         for p in cw.voc().preds() {
             builder = builder.relation(p, cw.facts(p).clone());
-            builder = builder.relation(alpha[p.index()], alpha_relation(cw, p));
+            let alpha_p = alpha_relation(cw, p, &ne_bits, &mut scratch);
+            builder = builder.relation(alpha[p.index()], alpha_p);
         }
         if virtual_ne {
-            let store = NeStore::virtualized(cw);
             if let NeStore::Virtual {
                 unknown,
-                ne_prime: npr,
-            } = &store
+                ne_prime: stored,
+            } = NeStore::virtualized(cw)
             {
                 builder = builder.relation(u, Relation::from_rows(1, unknown.iter().map(|&e| [e])));
-                builder = builder.relation(ne_prime, npr.clone());
+                builder = builder.relation(ne_prime, stored);
             }
             // NE left empty: every probe must go through the expansion.
         } else {
-            let store = NeStore::explicit(cw);
-            builder = builder.relation(ne, store.to_relation(cw.num_consts()));
+            builder = builder.relation(ne, ne_bits.to_relation());
         }
         ApproxEngine {
             db: builder
@@ -140,6 +146,8 @@ impl ApproxEngine {
             ne_prime,
             u,
             virtual_ne,
+            ne_bits,
+            scratch,
         }
     }
 
@@ -172,17 +180,20 @@ impl ApproxEngine {
         new_facts: &[(PredId, Box<[Elem]>)],
         new_ne: &[(Elem, Elem)],
     ) {
-        let mut scratch = DisagreeScratch::new();
+        let (ne_bits, scratch) = (&mut self.ne_bits, &mut self.scratch);
         for (p, tuple) in new_facts {
             self.db
                 .insert_tuple(*p, tuple)
                 .expect("delta fact was validated against the vocabulary");
             let alpha_p = self.alpha[p.index()];
             self.db
-                .retain_tuples(alpha_p, |t| scratch.disagrees(cw, t, tuple));
+                .retain_tuples(alpha_p, |t| scratch.disagrees(ne_bits, t, tuple));
         }
         if new_ne.is_empty() {
             return;
+        }
+        for &(a, b) in new_ne {
+            ne_bits.insert(a, b);
         }
         if self.virtual_ne {
             // The known-clique classification can change globally; rebuild
@@ -206,7 +217,8 @@ impl ApproxEngine {
         }
         for p in cw.voc().preds() {
             let alpha_p = self.alpha[p.index()];
-            let additions = alpha_additions_for_ne(cw, p, self.db.relation(alpha_p), &mut scratch);
+            let additions =
+                alpha_additions_for_ne(cw, p, self.db.relation(alpha_p), ne_bits, scratch);
             if additions.is_empty() {
                 continue;
             }
@@ -227,6 +239,12 @@ impl ApproxEngine {
     /// The extended physical database the engine evaluates against.
     pub fn extended_db(&self) -> &PhysicalDb {
         &self.db
+    }
+
+    /// How many union-find disagreement tests this engine has run, build
+    /// and deltas together (a clone carries its original's count on).
+    pub fn disagree_tests(&self) -> u64 {
+        self.scratch.tests()
     }
 
     /// The `NE` predicate id in the extended vocabulary.
