@@ -37,7 +37,7 @@ use crate::delta::{Delta, DeltaReport, DeltaStats};
 use crate::durable::{delta_to_record, record_to_delta, DurableState};
 use crate::error::EngineError;
 use crate::evidence::{Answers, Semantics};
-use crate::lru::Lru;
+use crate::lru::{CachedAnswer, Lru};
 use crate::prepared::PreparedQuery;
 use crate::session::Engine;
 use qld_logic::Query;
@@ -71,7 +71,7 @@ type SharedKey = (u64, Semantics, u64);
 /// the same shard lock as the insert.
 #[derive(Debug)]
 struct SharedAnswerCache {
-    shards: Vec<Mutex<Lru<SharedKey>>>,
+    shards: Vec<Mutex<Lru<SharedKey, CachedAnswer>>>,
     /// Maximum entries per shard; `0` disables caching entirely.
     shard_capacity: usize,
 }
@@ -91,7 +91,7 @@ impl SharedAnswerCache {
         }
     }
 
-    fn shard_of(&self, key: &SharedKey) -> &Mutex<Lru<SharedKey>> {
+    fn shard_of(&self, key: &SharedKey) -> &Mutex<Lru<SharedKey, CachedAnswer>> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
@@ -112,9 +112,7 @@ impl SharedAnswerCache {
         let start = Instant::now();
         let key = (prepared.fingerprint, semantics, epoch);
         let mut shard = self.shard_of(&key).lock().expect("shared cache poisoned");
-        shard
-            .get_touch(key, &prepared.query)
-            .map(|answers| answers.as_cache_hit(start.elapsed()))
+        shard.hit(&key, prepared, start)
     }
 
     fn insert(
@@ -138,9 +136,7 @@ impl SharedAnswerCache {
             .expect("shared cache poisoned")
             .put(
                 key,
-                prepared.query.clone(),
-                answers.clone(),
-                (),
+                CachedAnswer::new(prepared, answers, ()),
                 self.shard_capacity,
             );
     }
@@ -399,9 +395,10 @@ pub struct SharedEngine {
 impl SharedEngine {
     /// Wraps a configured [`Engine`] for concurrent serving. The engine's
     /// own per-session answer cache is disabled — the shared epoch-keyed
-    /// cache (sized by the engine's
-    /// [`cache_capacity`](crate::EngineBuilder::cache_capacity)) replaces
-    /// it for every snapshot.
+    /// cache replaces it for every snapshot, sized by the engine's
+    /// [`cache_capacity`](crate::EngineBuilder::cache_capacity), or to
+    /// zero (no caching) when the engine was built with its
+    /// [`answer_cache`](crate::EngineBuilder::answer_cache) off.
     pub fn new(engine: Engine) -> SharedEngine {
         SharedEngine::build(engine, None, 1)
     }
@@ -415,8 +412,12 @@ impl SharedEngine {
     }
 
     fn build(engine: Engine, wal: Option<DurableState>, generation: u64) -> SharedEngine {
+        let cache_capacity = if engine.cache_enabled() {
+            engine.cache_capacity()
+        } else {
+            0
+        };
         engine.set_cache_enabled(false);
-        let cache_capacity = engine.cache_capacity();
         let snapshot = Arc::new(EngineSnapshot {
             engine: engine.clone(),
             epoch: engine.epoch(),
@@ -788,8 +789,8 @@ impl SharedEngine {
     /// [`PreparedQuery`]s prepared before the reset are bound to the
     /// replaced engine and fail with
     /// [`EngineError::PreparedElsewhere`] afterwards — re-prepare them.
-    /// (The server prepares per request line, so wire clients never see
-    /// this.)
+    /// (A server connection drops the statement and re-prepares the line,
+    /// so wire clients never see this.)
     pub fn reset_replica(&self, engine: Engine, epoch: u64) -> Result<(), EngineError> {
         engine.set_cache_enabled(false);
         let mut engine = engine;
@@ -956,9 +957,11 @@ impl SharedSession {
         &self.shared
     }
 
-    /// Grabs the latest snapshot and folds its epoch into the monotone
-    /// observation record.
-    fn advance(&mut self) -> Arc<EngineSnapshot> {
+    /// The latest published snapshot, its epoch folded into the monotone
+    /// observation record. A caller that must prepare, execute and render
+    /// against *one* database state takes the snapshot once and hands it
+    /// to [`SharedSession::execute_on`].
+    pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
         let snapshot = self.shared.snapshot();
         assert!(
             snapshot.epoch >= self.observed,
@@ -976,18 +979,18 @@ impl SharedSession {
     /// (prepared artifacts reference stable predicate ids; certificates
     /// are re-validated per epoch at execution time).
     pub fn prepare_text(&mut self, text: &str) -> Result<PreparedQuery, EngineError> {
-        self.advance().engine.prepare_text(text)
+        self.snapshot().engine.prepare_text(text)
     }
 
     /// Prepares an already-built [`Query`] against the current snapshot.
     pub fn prepare(&mut self, query: Query) -> Result<PreparedQuery, EngineError> {
-        self.advance().engine.prepare(query)
+        self.snapshot().engine.prepare(query)
     }
 
     /// Executes a prepared query under the engine's default semantics —
     /// read from the same snapshot the answer is computed on.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<Answers, EngineError> {
-        let snapshot = self.advance();
+        let snapshot = self.snapshot();
         let semantics = snapshot.engine.semantics();
         self.execute_on(&snapshot, prepared, semantics)
     }
@@ -1002,13 +1005,15 @@ impl SharedSession {
         prepared: &PreparedQuery,
         semantics: Semantics,
     ) -> Result<Answers, EngineError> {
-        let snapshot = self.advance();
+        let snapshot = self.snapshot();
         self.execute_on(&snapshot, prepared, semantics)
     }
 
-    /// One read against one snapshot: the shared cache first, else the
-    /// snapshot's engine, whose answer the cache then keeps.
-    fn execute_on(
+    /// One read against one snapshot of this session's engine: the shared
+    /// cache first (a reference-count bump and an
+    /// [`Evidence`](crate::Evidence) stamp, whatever the answer's size),
+    /// else the snapshot's engine, whose answer the cache then keeps.
+    pub fn execute_on(
         &self,
         snapshot: &EngineSnapshot,
         prepared: &PreparedQuery,
@@ -1032,7 +1037,7 @@ impl SharedSession {
         prepared: &[PreparedQuery],
         semantics: Semantics,
     ) -> Result<Vec<Answers>, EngineError> {
-        let snapshot = self.advance();
+        let snapshot = self.snapshot();
         let cache = &self.shared.inner.cache;
         let mut results: Vec<Option<Answers>> = vec![None; prepared.len()];
         let mut misses: Vec<usize> = Vec::new();
@@ -1108,6 +1113,22 @@ mod tests {
         voc.add_pred("P", 1).unwrap();
         let db = CwDatabase::builder(voc).build().unwrap();
         SharedEngine::new(Engine::builder(db).cache_capacity(capacity).build())
+    }
+
+    #[test]
+    fn an_engine_built_without_a_cache_is_served_without_one() {
+        let mut voc = Vocabulary::new();
+        voc.add_consts(["a", "b"]).unwrap();
+        voc.add_pred("P", 1).unwrap();
+        let db = CwDatabase::builder(voc).build().unwrap();
+        let shared = SharedEngine::new(Engine::builder(db).answer_cache(false).build());
+        assert_eq!(shared.stats().cache_capacity, 0);
+        let mut session = shared.session();
+        let q = session.prepare_text("(x) . !P(x)").unwrap();
+        for _ in 0..2 {
+            assert!(!session.execute(&q).unwrap().evidence().cache_hit);
+        }
+        assert_eq!(shared.cache_len(), 0);
     }
 
     #[test]

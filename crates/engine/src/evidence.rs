@@ -4,6 +4,7 @@
 use qld_approx::CompletenessTheorem;
 use qld_physical::Relation;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// The answer semantics a caller asks for.
@@ -243,30 +244,42 @@ impl Evidence {
     /// mappings were amortized across a batch. The epoch names the database state the answer was
     /// computed at, so concurrent repro reports are unambiguous.
     pub fn summary(&self) -> String {
-        let mut s = format!("{} → {}, {}", self.requested, self.regime, self.certificate);
+        self.to_string()
+    }
+}
+
+/// The [`Evidence::summary`] line.
+impl fmt::Display for Evidence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} → {}, {}",
+            self.requested, self.regime, self.certificate
+        )?;
         if self.mappings_evaluated > 0 {
-            s.push_str(&format!(", {} mapping(s)", self.mappings_evaluated));
+            write!(f, ", {} mapping(s)", self.mappings_evaluated)?;
             if let Some(n) = self.shared_batch {
-                s.push_str(&format!(" shared across batch of {n}"));
+                write!(f, " shared across batch of {n}")?;
             }
         }
         if self.components > 0 {
-            s.push_str(&format!(
+            write!(
+                f,
                 ", {} component(s), {} mapping(s) pruned",
                 self.components, self.mappings_pruned
-            ));
+            )?;
             if self.components_reused > 0 {
-                s.push_str(" (analysis reused)");
+                f.write_str(" (analysis reused)")?;
             }
         }
         if self.workers_used > 1 {
-            s.push_str(&format!(", {} worker(s)", self.workers_used));
+            write!(f, ", {} worker(s)", self.workers_used)?;
         }
-        s.push_str(&format!(", epoch {}", self.epoch));
+        write!(f, ", epoch {}", self.epoch)?;
         if self.cache_hit {
-            s.push_str(" (cached)");
+            f.write_str(" (cached)")?;
         }
-        s
+        Ok(())
     }
 }
 
@@ -276,29 +289,58 @@ impl Evidence {
 /// Tuples are over `Ph₁`-style element ids (element `i` is constant
 /// `ConstId(i)`); use [`Engine::answer_names`](crate::Engine::answer_names)
 /// to render them with constant names.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The tuples (and the upper bound) live behind one shared, immutable
+/// body: cloning an `Answers` — which is what an answer cache does to
+/// keep one and to serve one — is a reference-count bump, not a copy of
+/// the relation. Only the [`Evidence`] is per value, so a cache hit is
+/// the cached body under a fresh stamp.
+#[derive(Debug, Clone)]
 pub struct Answers {
-    tuples: Relation,
+    body: Arc<Body>,
     evidence: Evidence,
-    upper_bound: Option<Relation>,
 }
 
+/// What every clone of one computed answer shares.
+#[derive(Debug)]
+struct Body {
+    tuples: Relation,
+    upper_bound: Option<Relation>,
+    /// See [`Answers::text_memo`].
+    text: OnceLock<String>,
+}
+
+/// Equality is about what was answered and how: the text memo is derived
+/// from the tuples and takes no part.
+impl PartialEq for Answers {
+    fn eq(&self, other: &Answers) -> bool {
+        self.evidence == other.evidence
+            && (Arc::ptr_eq(&self.body, &other.body)
+                || (self.body.tuples == other.body.tuples
+                    && self.body.upper_bound == other.body.upper_bound))
+    }
+}
+
+impl Eq for Answers {}
+
 impl Answers {
-    pub(crate) fn new(tuples: Relation, evidence: Evidence) -> Answers {
+    pub(crate) fn new(
+        tuples: Relation,
+        upper_bound: Option<Relation>,
+        evidence: Evidence,
+    ) -> Answers {
         Answers {
-            tuples,
+            body: Arc::new(Body {
+                tuples,
+                upper_bound,
+                text: OnceLock::new(),
+            }),
             evidence,
-            upper_bound: None,
         }
     }
 
-    pub(crate) fn with_upper_bound(mut self, upper: Relation) -> Answers {
-        self.upper_bound = Some(upper);
-        self
-    }
-
-    /// The answer as served from the engine's cache: identical tuples
-    /// (and upper bound), original regime and certificate, but stamped
+    /// The answer as served from the engine's cache: the same tuples (and
+    /// upper bound), original regime and certificate, but stamped
     /// `cache_hit` with zero new mappings — this call enumerated nothing.
     pub(crate) fn as_cache_hit(&self, elapsed: Duration) -> Answers {
         let mut hit = self.clone();
@@ -315,12 +357,30 @@ impl Answers {
 
     /// The answer tuples.
     pub fn tuples(&self) -> &Relation {
-        &self.tuples
+        &self.body.tuples
     }
 
-    /// Consumes the result, keeping only the tuples.
+    /// Consumes the result, keeping only the tuples. Moves them out when
+    /// this is the only holder of the answer and copies them when an
+    /// answer cache (or another clone) still shares it.
     pub fn into_tuples(self) -> Relation {
-        self.tuples
+        match Arc::try_unwrap(self.body) {
+            Ok(body) => body.tuples,
+            Err(shared) => shared.tuples.clone(),
+        }
+    }
+
+    /// The text a front-end renders this answer's tuples to, kept beside
+    /// the tuples so every holder of the answer — the cache entry and
+    /// every hit served from it — renders once between them: the first
+    /// call runs `render`, later calls return its result. The engine never
+    /// reads the text. It is for *one* rendering that is a function of the
+    /// answer alone (the wire protocol's `answer:` block; see
+    /// `qld_server::proto`), and it lives exactly as long as the answer
+    /// does — an answer cache's capacity bounds the memos with the
+    /// answers.
+    pub fn text_memo(&self, render: impl FnOnce() -> String) -> &str {
+        self.body.text.get_or_init(render)
     }
 
     /// The evidence report.
@@ -330,12 +390,12 @@ impl Answers {
 
     /// Number of answer tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.body.tuples.len()
     }
 
     /// True iff there are no answer tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.body.tuples.is_empty()
     }
 
     /// For a Boolean query: does the sentence hold under the executed
@@ -343,7 +403,7 @@ impl Answers {
     /// regimes, "provably" under the sound approximation, "possibly" under
     /// possible-answer semantics.)
     pub fn holds(&self) -> bool {
-        !self.tuples.is_empty()
+        !self.body.tuples.is_empty()
     }
 
     /// True iff the certificate guarantees these tuples equal `Q(LB)`.
@@ -358,7 +418,7 @@ impl Answers {
     /// [`Answers::tuples`], the bracket is tight and the tuples *are*
     /// `Q(LB)` even though the enumeration never ran.
     pub fn upper_bound(&self) -> Option<&Relation> {
-        self.upper_bound.as_ref()
+        self.body.upper_bound.as_ref()
     }
 }
 
@@ -383,6 +443,52 @@ mod tests {
         assert!(!Certificate::SoundLowerBound.is_exact());
         assert!(!Certificate::PossibleUpperBound.is_exact());
         assert!(!Certificate::BoundedPair.is_exact());
+    }
+
+    fn evidence() -> Evidence {
+        Evidence {
+            requested: Semantics::Auto,
+            regime: Regime::Approximation,
+            certificate: Certificate::SoundLowerBound,
+            elapsed: Duration::from_micros(3),
+            mappings_evaluated: 0,
+            workers_used: 0,
+            components: 0,
+            mappings_pruned: 0,
+            components_reused: 0,
+            cache_hit: false,
+            shared_batch: None,
+            epoch: 0,
+        }
+    }
+
+    #[test]
+    fn clones_share_the_body_and_the_memo_is_not_part_of_equality() {
+        let tuples = Relation::from_rows(1, [[1], [2]]);
+        let computed = Answers::new(tuples.clone(), None, evidence());
+        let same = Answers::new(tuples.clone(), None, evidence());
+
+        // The first renderer's text is what every holder sees.
+        let hit = computed.as_cache_hit(Duration::ZERO);
+        assert_eq!(computed.text_memo(|| "rendered".to_string()), "rendered");
+        assert_eq!(hit.text_memo(|| unreachable!("rendered once")), "rendered");
+        assert!(std::ptr::eq(hit.tuples(), computed.tuples()));
+
+        // A memo changes nothing about what was answered …
+        assert_eq!(computed, same);
+        // … the evidence does, and so do the tuples.
+        assert_ne!(computed, hit);
+        assert_ne!(computed, Answers::new(Relation::empty(1), None, evidence()));
+        assert_ne!(
+            computed,
+            Answers::new(tuples.clone(), Some(tuples.clone()), evidence())
+        );
+
+        // Shared, the tuples are copied out; alone, moved.
+        assert_eq!(hit.into_tuples(), tuples);
+        let buffer = computed.tuples().iter().next().unwrap().as_ptr();
+        let moved = computed.into_tuples();
+        assert_eq!(moved.iter().next().unwrap().as_ptr(), buffer);
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub use delta::{Delta, DeltaReport, DeltaStats, QueryFootprint};
 pub use durable::{DurabilityConfig, RecoveryReport};
 pub use error::EngineError;
 pub use evidence::{Answers, Certificate, Evidence, Regime, Semantics};
+pub use lru::Lru;
 pub use prepared::PreparedQuery;
 pub use session::{Engine, EngineBuilder, NeStoreMode};
 

@@ -1,43 +1,36 @@
-//! The one LRU behind both answer caches.
+//! The one LRU behind both answer caches and the server's per-connection
+//! statement map.
 //!
 //! The solo engine's cache (keyed `(fingerprint, semantics)`, evicted by
 //! footprint on a delta) and the shared engine's shards (keyed
 //! `(fingerprint, semantics, epoch)`, never invalidated) are one
-//! algorithm over two key types. Each keeps its own policy and its own
-//! lock around an [`Lru`]; what is here is the map, the recency order
-//! and the fingerprint-collision check.
+//! algorithm over two key types; both store a [`CachedAnswer`]. Each
+//! owner keeps its own policy and its own lock around an [`Lru`]; what
+//! is here is the map, the recency order and the fingerprint-collision
+//! check.
 
 use crate::evidence::Answers;
-use qld_logic::Query;
+use crate::prepared::PreparedQuery;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::time::Instant;
 
-/// One cached answer: the source query (compared on lookup, so a 64-bit
-/// fingerprint collision between structurally different queries is a
-/// *miss*, never a wrong answer), the finished [`Answers`], whatever the
-/// owning cache evicts on (`T`), and an LRU recency stamp.
+/// A map in true LRU order (lookups refresh recency). Not synchronised
+/// and not bounded by itself: the owner holds the lock and passes its
+/// capacity to [`Lru::put`].
 #[derive(Debug)]
-struct Entry<T> {
-    query: Query,
-    answers: Answers,
-    tag: T,
-    tick: u64,
-}
-
-/// A map from cache key to finished answers in true LRU order (lookups
-/// refresh recency). Not synchronised and not bounded by itself: the
-/// owner holds the lock and passes its capacity to [`Lru::put`].
-#[derive(Debug)]
-pub(crate) struct Lru<K, T = ()> {
-    map: HashMap<K, Entry<T>>,
-    /// `tick → key`; one entry per cached answer, first = least recently
-    /// used. Ticks are unique (monotonic counter), so this is a total
-    /// recency order.
+pub struct Lru<K, V> {
+    /// `key → (value, recency stamp)`.
+    map: HashMap<K, (V, u64)>,
+    /// `tick → key`; one entry per value, first = least recently used.
+    /// Ticks are unique (monotonic counter), so this is a total recency
+    /// order.
     order: BTreeMap<u64, K>,
     next_tick: u64,
 }
 
-impl<K, T> Default for Lru<K, T> {
+impl<K, V> Default for Lru<K, V> {
     fn default() -> Self {
         Lru {
             map: HashMap::new(),
@@ -47,22 +40,28 @@ impl<K, T> Default for Lru<K, T> {
     }
 }
 
-impl<K: Copy + Eq + Hash, T> Lru<K, T> {
-    /// The answers stored under `key` for exactly `query`, marked most
-    /// recently used.
-    pub(crate) fn get_touch(&mut self, key: K, query: &Query) -> Option<&Answers> {
-        let entry = self.map.get_mut(&key).filter(|e| e.query == *query)?;
-        self.order.remove(&entry.tick);
-        entry.tick = self.next_tick;
+impl<K: Clone + Eq + Hash, V> Lru<K, V> {
+    /// The value stored under `key`, marked most recently used.
+    pub fn get_touch<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let (value, tick) = self.map.get_mut(key)?;
+        let key = self.order.remove(tick).expect("every value has its tick");
+        *tick = self.next_tick;
         self.next_tick += 1;
-        self.order.insert(entry.tick, key);
-        Some(&entry.answers)
+        self.order.insert(*tick, key);
+        Some(value)
     }
 
-    /// Stores (or replaces) the answers under `key` as most recently
-    /// used, first dropping the least recently used entry when a new key
-    /// would grow the map past `capacity`.
-    pub(crate) fn put(&mut self, key: K, query: Query, answers: Answers, tag: T, capacity: usize) {
+    /// Stores (or replaces) the value under `key` as most recently used,
+    /// first dropping the least recently used entry when a new key would
+    /// grow the map past `capacity`. A `capacity` of zero stores nothing.
+    pub fn put(&mut self, key: K, value: V, capacity: usize) {
+        if capacity == 0 {
+            return;
+        }
         if !self.map.contains_key(&key) && self.map.len() >= capacity {
             if let Some((_, oldest)) = self.order.pop_first() {
                 self.map.remove(&oldest);
@@ -70,38 +69,120 @@ impl<K: Copy + Eq + Hash, T> Lru<K, T> {
         }
         let tick = self.next_tick;
         self.next_tick += 1;
-        let entry = Entry {
-            query,
-            answers,
-            tag,
-            tick,
-        };
-        if let Some(old) = self.map.insert(key, entry) {
-            self.order.remove(&old.tick);
+        if let Some((_, old_tick)) = self.map.insert(key.clone(), (value, tick)) {
+            self.order.remove(&old_tick);
         }
         self.order.insert(tick, key);
     }
 
+    /// Drops the entry under `key`, if any.
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let (value, tick) = self.map.remove(key)?;
+        self.order.remove(&tick);
+        Some(value)
+    }
+
     /// Drops every entry `keep` rejects; returns how many went.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &T) -> bool) -> usize {
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let before = self.map.len();
         let order = &mut self.order;
-        self.map.retain(|key, entry| {
-            let kept = keep(key, &entry.tag);
+        self.map.retain(|key, (value, tick)| {
+            let kept = keep(key, value);
             if !kept {
-                order.remove(&entry.tick);
+                order.remove(tick);
             }
             kept
         });
         before - self.map.len()
     }
 
-    pub(crate) fn clear(&mut self) {
+    /// Drops every entry.
+    pub fn clear(&mut self) {
         self.map.clear();
         self.order.clear();
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// True iff there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+}
+
+/// What an answer cache keeps under a fingerprint key: the prepared
+/// query's source (compared on lookup, so a 64-bit fingerprint collision
+/// between structurally different queries is a *miss*, never a wrong
+/// answer), the finished [`Answers`], and whatever the owning cache
+/// evicts on (`T`).
+#[derive(Debug)]
+pub(crate) struct CachedAnswer<T = ()> {
+    query: qld_logic::Query,
+    answers: Answers,
+    pub(crate) tag: T,
+}
+
+impl<T> CachedAnswer<T> {
+    pub(crate) fn new(prepared: &PreparedQuery, answers: &Answers, tag: T) -> CachedAnswer<T> {
+        CachedAnswer {
+            query: prepared.query.clone(),
+            answers: answers.clone(),
+            tag,
+        }
+    }
+}
+
+impl<K: Clone + Eq + Hash, T> Lru<K, CachedAnswer<T>> {
+    /// The answers cached under `key` for exactly `prepared`'s query,
+    /// stamped as a hit that took since `start`: a reference-count bump,
+    /// whatever the answer's size.
+    pub(crate) fn hit(
+        &mut self,
+        key: &K,
+        prepared: &PreparedQuery,
+        start: Instant,
+    ) -> Option<Answers> {
+        self.get_touch(key)
+            .filter(|cached| cached.query == prepared.query)
+            .map(|cached| cached.answers.as_cache_hit(start.elapsed()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn evicts_least_recently_used_and_looks_up_by_borrowed_key() {
+        let mut lru: Lru<Arc<str>, u32> = Lru::default();
+        for (key, value) in [("a", 1), ("b", 2)] {
+            lru.put(key.into(), value, 2);
+        }
+        // Touch `a`; the next new key pushes `b` out.
+        assert_eq!(lru.get_touch("a"), Some(&1));
+        lru.put("c".into(), 3, 2);
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.get_touch("b"), None);
+        assert_eq!(lru.get_touch("a"), Some(&1));
+        // Replacing a key keeps the size and refreshes it.
+        lru.put("c".into(), 4, 2);
+        lru.put("d".into(), 5, 2);
+        assert_eq!(lru.get_touch("a"), None);
+        assert_eq!(lru.get_touch("c"), Some(&4));
+        assert_eq!(lru.remove("c"), Some(4));
+        assert_eq!(lru.remove("c"), None);
+        assert_eq!(lru.retain(|_, &value| value != 5), 1);
+        assert!(lru.is_empty());
+        // Nothing fits a capacity of zero.
+        lru.put("e".into(), 6, 0);
+        assert!(lru.is_empty());
     }
 }

@@ -3,7 +3,7 @@
 use crate::delta::{Delta, DeltaReport, DeltaStats, QueryFootprint};
 use crate::error::EngineError;
 use crate::evidence::{Answers, Certificate, Evidence, Regime, Semantics};
-use crate::lru::Lru;
+use crate::lru::{CachedAnswer, Lru};
 use crate::prepared::PreparedQuery;
 use qld_algebra::{compile_query_ordered, execute, optimize};
 use qld_approx::{exactness_theorem, AlphaMode, ApproxEngine, Backend, CompletenessTheorem};
@@ -45,7 +45,7 @@ const DEFAULT_ANSWER_CACHE_CAPACITY: usize = 4096;
 struct AnswerCache {
     enabled: AtomicBool,
     capacity: usize,
-    inner: Mutex<Lru<(u64, Semantics), QueryFootprint>>,
+    inner: Mutex<Lru<(u64, Semantics), CachedAnswer<QueryFootprint>>>,
 }
 
 impl AnswerCache {
@@ -70,9 +70,7 @@ impl AnswerCache {
         }
         let start = Instant::now();
         let mut inner = self.inner.lock().expect("answer cache poisoned");
-        inner
-            .get_touch((prepared.fingerprint, semantics), &prepared.query)
-            .map(|answers| answers.as_cache_hit(start.elapsed()))
+        inner.hit(&(prepared.fingerprint, semantics), prepared, start)
     }
 
     fn insert(&self, prepared: &PreparedQuery, semantics: Semantics, answers: &Answers) {
@@ -81,9 +79,7 @@ impl AnswerCache {
         }
         self.inner.lock().expect("answer cache poisoned").put(
             (prepared.fingerprint, semantics),
-            prepared.query.clone(),
-            answers.clone(),
-            prepared.footprint.clone(),
+            CachedAnswer::new(prepared, answers, prepared.footprint.clone()),
             self.capacity,
         );
     }
@@ -96,7 +92,7 @@ impl AnswerCache {
         mut affected: impl FnMut(&QueryFootprint, Semantics) -> bool,
     ) -> (usize, usize) {
         let mut inner = self.inner.lock().expect("answer cache poisoned");
-        let evicted = inner.retain(|&(_, semantics), footprint| !affected(footprint, semantics));
+        let evicted = inner.retain(|&(_, semantics), cached| !affected(&cached.tag, semantics));
         (evicted, inner.len())
     }
 
@@ -172,8 +168,9 @@ fn package(
     start: Instant,
     epoch: u64,
 ) -> Answers {
-    let answers = Answers::new(
+    Answers::new(
         outcome.tuples,
+        outcome.upper,
         Evidence {
             requested: semantics,
             regime: outcome.regime,
@@ -188,11 +185,7 @@ fn package(
             shared_batch,
             epoch,
         },
-    );
-    match outcome.upper {
-        Some(upper) => answers.with_upper_bound(upper),
-        None => answers,
-    }
+    )
 }
 
 /// How the engine stores the `NE` inequality relation for the §5 path.

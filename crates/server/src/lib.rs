@@ -54,9 +54,9 @@ pub mod proto;
 pub mod replication;
 pub mod script;
 
-use proto::{Hello, Reply, PROTOCOL_VERSION};
+use proto::{EvidenceTag, Hello, Reply, PROTOCOL_VERSION};
 use qld_engine::{SharedEngine, SharedSession};
-use script::{Outcome, ScriptLine};
+use script::{Outcome, Pinned, ScriptLine, Statement, Statements};
 use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -119,6 +119,10 @@ pub struct ConnectionStats {
     pub queries: u64,
     /// Of those, answers served from the shared epoch-keyed cache.
     pub cache_hits: u64,
+    /// Of those, query lines the connection had already prepared: sent
+    /// again, they ran without being parsed or prepared again (see
+    /// [`script::STATEMENT_CAPACITY`]).
+    pub statements_reused: u64,
     /// Deltas applied by this connection.
     pub deltas: u64,
     /// Requests refused (auth failures, quota/timeout closures, script
@@ -370,9 +374,9 @@ fn reject_busy(stream: TcpStream, cap: usize) {
 const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// What [`read_request`] produced.
-enum Request {
-    /// A complete UTF-8 request line is in the caller's buffer.
-    Line,
+enum Request<'a> {
+    /// A complete UTF-8 request line, in the connection's buffer.
+    Line(&'a str),
     /// A malformed frame (invalid UTF-8) was refused with a
     /// `error: protocol:` reply; the connection stays usable — the
     /// newline still framed the request, so the stream is in sync.
@@ -383,22 +387,22 @@ enum Request {
     Closed,
 }
 
-/// Reads one request line as raw bytes — bounded, UTF-8-validated, and
+/// Reads one request line into `buf` (the connection's, reused from
+/// request to request) — bounded, UTF-8-validated where it lies, and
 /// polling the shutdown flag and the idle clock between socket
 /// timeouts. Malformed input is answered with a clean per-connection
 /// `error: protocol:` reply (and counted), never a panic or a wedged
 /// connection; the diagnostics are sent here because only this loop
 /// knows which transport rule fired.
-fn read_request(
+fn read_request<'a>(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
-    line: &mut String,
+    buf: &'a mut Vec<u8>,
     config: &ServerConfig,
     state: &ServerState,
     stats: &mut ConnectionStats,
-) -> Request {
-    line.clear();
-    let mut buf: Vec<u8> = Vec::new();
+) -> Request<'a> {
+    buf.clear();
     let idle_since = Instant::now();
     let protocol_error = |stats: &mut ConnectionStats, writer: &mut TcpStream, what: &str| {
         stats.rejections += 1;
@@ -458,16 +462,13 @@ fn read_request(
         buf.extend_from_slice(&reader.buffer()[..take]);
         reader.consume(take);
         if complete {
-            match std::str::from_utf8(&buf) {
-                Ok(text) => {
-                    line.push_str(text);
-                    return Request::Line;
-                }
+            return match std::str::from_utf8(buf) {
+                Ok(line) => Request::Line(line),
                 Err(_) => {
                     protocol_error(stats, writer, "request line is not valid UTF-8");
-                    return Request::Skip;
+                    Request::Skip
                 }
-            }
+            };
         }
     }
 }
@@ -498,19 +499,20 @@ fn serve_connection(
     writer.write_all(format!("{}\n", hello.render()).as_bytes())?;
 
     let mut stats = ConnectionStats::default();
+    let mut statements = Statements::default();
     let mut authed = config.auth_token.is_none();
-    let mut line = String::new();
+    let mut buf = Vec::new();
     let mut reply = String::new();
     loop {
-        match read_request(
+        let line = match read_request(
             &mut reader,
             &mut writer,
-            &mut line,
+            &mut buf,
             config,
             state,
             &mut stats,
         ) {
-            Request::Line => {}
+            Request::Line(line) => line,
             // The protocol error has been replied to; the stream is
             // still framed, so keep serving (but honour shutdown).
             Request::Skip => {
@@ -520,14 +522,15 @@ fn serve_connection(
                 continue;
             }
             Request::Closed => break,
-        }
+        };
         let request = line.trim();
+        let mut words = request.split_whitespace();
+        let verb = words.next();
         reply.clear();
         let mut close = false;
 
         if !authed {
-            let mut words = request.split_whitespace();
-            let ok = words.next() == Some("auth")
+            let ok = verb == Some("auth")
                 && words.next() == config.auth_token.as_deref()
                 && words.next().is_none();
             if ok {
@@ -539,11 +542,11 @@ fn serve_connection(
                 let _ = writeln!(reply, "error: auth: this server requires `auth <token>`");
                 close = true;
             }
-        } else if request.split_whitespace().next() == Some("auth") {
+        } else if verb == Some("auth") {
             // Re-authenticating an open or already-authed connection is a
             // harmless no-op.
             let _ = writeln!(reply, "done: epoch={}", shared.epoch());
-        } else if request.split_whitespace().next() == Some(":follow") {
+        } else if verb == Some(":follow") {
             // A follower takes the connection over entirely: it becomes a
             // replication feed until the follower drops or the server
             // shuts down, then closes. Write errors just mean the
@@ -551,7 +554,15 @@ fn serve_connection(
             let _ = replication::serve_feed(request, &mut writer, &shared, state);
             break;
         } else {
-            close = handle_request(request, &mut session, config, state, &mut stats, &mut reply);
+            close = handle_request(
+                request,
+                &mut session,
+                &mut statements,
+                config,
+                state,
+                &mut stats,
+                &mut reply,
+            );
         }
 
         writer.write_all(reply.as_bytes())?;
@@ -573,9 +584,14 @@ fn serve_connection(
 
 /// Dispatches one authenticated request into `reply`; returns whether
 /// the connection must close afterwards.
+///
+/// The request takes the published snapshot once: the line is parsed and
+/// prepared against it, executes on it, is rendered with its vocabulary
+/// and semantics and acknowledged with its epoch.
 fn handle_request(
     request: &str,
     session: &mut SharedSession,
+    statements: &mut Statements,
     config: &ServerConfig,
     state: &ServerState,
     stats: &mut ConnectionStats,
@@ -598,21 +614,21 @@ fn handle_request(
         }
         return false;
     }
-    let snapshot = session.shared().snapshot();
+    let snapshot = session.snapshot();
     let engine = snapshot.engine();
     let mut reject = |reply: &mut String, diagnostic: fmt::Arguments| {
         stats.rejections += 1;
         state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
         let _ = writeln!(reply, "error: {diagnostic}");
     };
-    let line = match script::parse_line(engine.db().voc(), request) {
+    let statement = match statements.resolve(engine.db().voc(), request) {
         Ok(None) => {
             // Blank lines and comments are acknowledged so that 1 request
             // line always equals 1 reply frame.
             let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
             return false;
         }
-        Ok(Some(line)) => line,
+        Ok(Some(statement)) => statement,
         Err(e) => {
             // A malformed line is the same diagnostic the local batch
             // drivers print — and, like the interactive shell, it does not
@@ -622,9 +638,11 @@ fn handle_request(
         }
     };
     // Quotas are the server's own, checked before the line runs.
-    let quota = match &line {
-        ScriptLine::Query(_) => Some(("query", stats.queries, config.query_quota)),
-        ScriptLine::Insert(..) | ScriptLine::AssertNe(..) => {
+    let quota = match &statement {
+        Statement::Warm(_) | Statement::Cold(ScriptLine::Query(_)) => {
+            Some(("query", stats.queries, config.query_quota))
+        }
+        Statement::Cold(ScriptLine::Insert(..) | ScriptLine::AssertNe(..)) => {
             Some(("delta", stats.deltas, config.delta_quota))
         }
         _ => None,
@@ -638,7 +656,14 @@ fn handle_request(
             return true;
         }
     }
-    match script::run_line(session, line) {
+    if matches!(statement, Statement::Warm(_)) {
+        stats.statements_reused += 1;
+    }
+    let mut db = Pinned {
+        session,
+        snapshot: &snapshot,
+    };
+    match statements.run(&mut db, request, statement) {
         Ok(Outcome::Answers {
             is_boolean,
             answers,
@@ -648,14 +673,8 @@ fn handle_request(
                 stats.cache_hits += 1;
             }
             let mode = engine.semantics();
-            for line in proto::answer_lines(engine.db().voc(), mode, is_boolean, &answers) {
-                let _ = writeln!(reply, "answer: {line}");
-            }
-            let _ = writeln!(
-                reply,
-                "evidence: {}",
-                proto::evidence_tag(answers.evidence())
-            );
+            proto::push_answer_block(reply, engine.db().voc(), mode, is_boolean, &answers);
+            let _ = writeln!(reply, "evidence: {}", EvidenceTag(answers.evidence()));
             let _ = writeln!(reply, "done: epoch={}", answers.evidence().epoch);
             false
         }
@@ -669,8 +688,13 @@ fn handle_request(
             let server = state.stats();
             let _ = writeln!(
                 reply,
-                "stat: connection: {} query(s) ({} cache hit(s)), {} delta(s), {} rejection(s)",
-                stats.queries, stats.cache_hits, stats.deltas, stats.rejections
+                "stat: connection: {} query(s) ({} cache hit(s), {} statement(s) reused), \
+                 {} delta(s), {} rejection(s)",
+                stats.queries,
+                stats.cache_hits,
+                stats.statements_reused,
+                stats.deltas,
+                stats.rejections
             );
             let _ = writeln!(
                 reply,
@@ -686,7 +710,7 @@ fn handle_request(
             for line in lines {
                 let _ = writeln!(reply, "stat: {line}");
             }
-            let _ = writeln!(reply, "done: epoch={}", session.shared().epoch());
+            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
             false
         }
         Ok(Outcome::Quit) => {
@@ -770,6 +794,8 @@ pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     hello: Hello,
+    /// The outgoing frame, reused from request to request.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -796,6 +822,7 @@ impl Client {
             writer,
             reader,
             hello,
+            frame: Vec::new(),
         })
     }
 
@@ -850,10 +877,24 @@ impl Client {
     /// Sends one script line and reads the full reply frame. An
     /// `error:`-terminated reply is `Ok` with [`Reply::error`] set; `Err`
     /// means the transport itself failed (including the server closing
-    /// the connection mid-reply).
+    /// the connection mid-reply) — or that `line` contains a newline: the
+    /// server would answer it as two requests and the connection would be
+    /// one reply out of step from then on, so it is refused unsent
+    /// ([`io::ErrorKind::InvalidInput`]).
+    ///
+    /// The line and its terminator leave in one `write`: on a
+    /// `TCP_NODELAY` socket two writes are two segments.
     pub fn request(&mut self, line: &str) -> io::Result<Reply> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        if line.contains('\n') {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a request is one line: it must not contain a newline",
+            ));
+        }
+        self.frame.clear();
+        self.frame.extend_from_slice(line.as_bytes());
+        self.frame.push(b'\n');
+        self.writer.write_all(&self.frame)?;
         self.read_reply()
     }
 
@@ -972,6 +1013,66 @@ mod tests {
 
         let reply = client.quit().unwrap();
         assert!(reply.is_ok());
+        running.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_request_with_a_newline_is_refused_unsent() {
+        let (running, addr) = start(ServerConfig::default());
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.request("P(a)\nP(b)").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        // Nothing was sent, so the next reply is the next request's.
+        let reply = client.request("P(b)").unwrap();
+        assert_eq!(reply.answers, vec!["not certain"]);
+        let reply = client.request(":stats").unwrap();
+        assert!(
+            reply
+                .stats
+                .iter()
+                .any(|s| s.starts_with("connection: 1 query(s)")),
+            "{reply:?}"
+        );
+        running.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_statement_outlives_deltas_and_an_engine_swap() {
+        let shared = shared();
+        let server = Server::bind(shared.clone(), ServerConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let running = server.spawn().unwrap();
+        let mut client = Client::connect(addr).unwrap();
+
+        let reply = client.request("(x) . P(x)").unwrap();
+        assert_eq!(reply.answers, vec!["(a)"]);
+        // A delta: the kept statement runs at the new epoch.
+        assert!(client.request(":insert P(b)").unwrap().is_ok());
+        let reply = client.request("(x) . P(x)").unwrap();
+        assert_eq!(reply.answers, vec!["(a)", "(b)"]);
+        assert_eq!(reply.epoch, Some(1));
+
+        // A follower re-bootstrap replaces the engine: the statement
+        // belongs to the old one and is prepared afresh, unseen.
+        let mut voc = Vocabulary::new();
+        let ids = voc.add_consts(["a", "b", "c"]).unwrap();
+        let p = voc.add_pred("P", 1).unwrap();
+        let db = CwDatabase::builder(voc).fact(p, &[ids[2]]).build().unwrap();
+        shared.reset_replica(Engine::new(db), 5).unwrap();
+        for _ in 0..2 {
+            let reply = client.request("(x) . P(x)").unwrap();
+            assert_eq!(reply.answers, vec!["(c)"], "{reply:?}");
+            assert_eq!(reply.epoch, Some(5));
+        }
+        let reply = client.request(":stats").unwrap();
+        assert!(
+            reply
+                .stats
+                .iter()
+                .any(|s| s
+                    .starts_with("connection: 4 query(s) (1 cache hit(s), 3 statement(s) reused)")),
+            "{reply:?}"
+        );
         running.shutdown().unwrap();
     }
 

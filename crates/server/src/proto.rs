@@ -44,7 +44,8 @@
 //! the connection open.
 
 use qld_engine::{Answers, Evidence, Semantics};
-use qld_logic::Vocabulary;
+use qld_logic::{ConstId, Vocabulary};
+use std::fmt;
 
 /// Protocol version in the greeting; bump on incompatible changes.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -60,12 +61,30 @@ pub fn verdict(mode: Semantics, holds: bool) -> &'static str {
     }
 }
 
+/// Appends one answer tuple (element `i` is constant `ConstId(i)`) as
+/// `(c1, ..., ck)`, constants by name.
+fn push_tuple(out: &mut String, voc: &Vocabulary, tuple: &[u32]) {
+    out.push('(');
+    for (i, &elem) in tuple.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(voc.const_name(ConstId(elem)));
+    }
+    out.push(')');
+}
+
 /// Answer tuples rendered with the vocabulary's constant names, one
 /// `(c1, ..., ck)` string per tuple.
 pub fn tuple_lines(voc: &Vocabulary, answers: &Answers) -> Vec<String> {
-    qld_core::answer_names(voc, answers.tuples())
-        .into_iter()
-        .map(|tuple| format!("({})", tuple.join(", ")))
+    answers
+        .tuples()
+        .iter()
+        .map(|tuple| {
+            let mut line = String::new();
+            push_tuple(&mut line, voc, tuple);
+            line
+        })
         .collect()
 }
 
@@ -84,10 +103,56 @@ pub fn answer_lines(
     }
 }
 
+/// Appends the `answer:` lines of a query reply — what [`answer_lines`]
+/// returns, each line tagged and newline-terminated — to `reply`.
+///
+/// The block is a function of the answer alone (the vocabulary never
+/// changes, and `mode` and `is_boolean` are those of the one query under
+/// the one semantics the answer was computed for), so it is rendered
+/// once and kept beside the tuples ([`Answers::text_memo`]): the cached
+/// entry, and every hit any connection is served from it, share the one
+/// text, and a warm reply costs a copy of its bytes. The memo is dropped
+/// with the answer — the engine's answer cache bounds both. The
+/// `evidence:` and `done:` lines differ per request and are not part of
+/// it.
+pub(crate) fn push_answer_block(
+    reply: &mut String,
+    voc: &Vocabulary,
+    mode: Semantics,
+    is_boolean: bool,
+    answers: &Answers,
+) {
+    reply.push_str(answers.text_memo(|| {
+        let mut block = String::new();
+        if is_boolean {
+            block.push_str("answer: ");
+            block.push_str(verdict(mode, answers.holds()));
+            block.push('\n');
+        } else {
+            for tuple in answers.tuples() {
+                block.push_str("answer: ");
+                push_tuple(&mut block, voc, tuple);
+                block.push('\n');
+            }
+        }
+        block
+    }));
+}
+
 /// The evidence tag printed after every answer (regime, certificate,
 /// epoch, elapsed time).
 pub fn evidence_tag(evidence: &Evidence) -> String {
-    format!("{} in {:.2?}", evidence.summary(), evidence.elapsed)
+    EvidenceTag(evidence).to_string()
+}
+
+/// [`evidence_tag`] as a `Display` value, for writing the tag into a
+/// reply without building it first.
+pub(crate) struct EvidenceTag<'a>(pub(crate) &'a Evidence);
+
+impl fmt::Display for EvidenceTag<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} in {:.2?}", self.0, self.0.elapsed)
+    }
 }
 
 /// The server greeting, as parsed by the client.
@@ -238,6 +303,34 @@ mod tests {
         assert!(promoted.push_line("done: epoch=12"));
         assert_eq!(promoted.promoted, Some(7));
         assert_eq!(promoted.epoch, Some(12));
+    }
+
+    #[test]
+    fn the_answer_block_is_the_answer_lines_tagged_and_rendered_once() {
+        let mut voc = Vocabulary::new();
+        let ids = voc.add_consts(["a", "b", "c"]).unwrap();
+        let r = voc.add_pred("R", 2).unwrap();
+        let db = qld_core::CwDatabase::builder(voc)
+            .fact(r, &[ids[0], ids[1]])
+            .fact(r, &[ids[1], ids[2]])
+            .build()
+            .unwrap();
+        let engine = qld_engine::Engine::new(db);
+        let (voc, mode) = (engine.db().voc(), engine.semantics());
+        for (text, is_boolean) in [("(x, y) . R(x, y)", false), ("R(a, b)", true)] {
+            let answers = engine.query(text).unwrap();
+            let want: String = answer_lines(voc, mode, is_boolean, &answers)
+                .iter()
+                .map(|line| format!("answer: {line}\n"))
+                .collect();
+            let mut reply = String::from("kept: ");
+            push_answer_block(&mut reply, voc, mode, is_boolean, &answers);
+            assert_eq!(reply, format!("kept: {want}"));
+            // A cache hit shares the block with the answer it came from.
+            let hit = engine.query(text).unwrap();
+            assert!(hit.evidence().cache_hit);
+            assert_eq!(hit.text_memo(|| unreachable!("rendered once")), want);
+        }
     }
 
     #[test]

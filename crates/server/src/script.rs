@@ -28,9 +28,11 @@
 //!   [`Engine::execute_batch`], so a segment's Theorem-1-bound queries
 //!   share one mapping enumeration (and a batch of one is bit-identical
 //!   to [`Engine::execute`]).
-//! * one [`SharedSession`] — a server connection. Reads run inline on the
-//!   connection thread, one `execute_as` per query; writes go to the
-//!   session's [`SharedEngine`](qld_engine::SharedEngine).
+//! * `Pinned` — one request of a server connection: the connection's
+//!   [`SharedSession`] read through the one snapshot the request took.
+//!   Reads run inline on the connection thread, one `execute_on` per
+//!   query; writes go to the session's
+//!   [`SharedEngine`](qld_engine::SharedEngine).
 //! * `Vec<SharedSession>` — `--sessions N`. A segment is dealt
 //!   round-robin to the readers, one scoped thread each, every reader
 //!   batching its share through [`SharedSession::execute_batch_as`].
@@ -38,12 +40,19 @@
 //! How an [`Outcome`] is shown is the front-end's: local drivers print
 //! it with [`print_outcome`]; the server frames the same outcome as
 //! `answer:`/`evidence:`/`delta:`/`stat:` lines.
+//!
+//! A server connection also keeps the query lines it has seen *prepared*
+//! (`Statements`): the paper's data complexity fixes the query and
+//! varies the database, and so does a client that sends one line many
+//! times. A repeated line skips [`parse_line`] and `prepare` and goes
+//! straight to [`run_prepared`] — which is also where [`run_line`] sends
+//! a query it has just prepared, so a query still executes in one place.
 
 use crate::proto;
 use qld_core::CwDatabase;
 use qld_engine::{
-    Answers, Delta, DeltaReport, Engine, EngineError, EngineSnapshot, PreparedQuery, SharedSession,
-    SharedStats,
+    Answers, Delta, DeltaReport, Engine, EngineError, EngineSnapshot, Lru, PreparedQuery,
+    SharedSession, SharedStats,
 };
 use qld_logic::parser::parse_query;
 use qld_logic::{ConstId, Formula, PredId, Query, Term, Vocabulary};
@@ -296,25 +305,39 @@ impl Deref for Frozen {
     }
 }
 
-/// One server connection.
-impl Database for SharedSession {
+/// One request of a server connection: the connection's session, read
+/// through the one snapshot the request took. Whatever the request parses
+/// against, prepares on, executes on and is rendered with is that
+/// snapshot, so a publish that lands mid-request cannot give a reply one
+/// epoch's semantics and another's answer.
+pub(crate) struct Pinned<'a> {
+    pub(crate) session: &'a SharedSession,
+    /// From [`SharedSession::snapshot`] on `session`.
+    pub(crate) snapshot: &'a EngineSnapshot,
+}
+
+impl Database for Pinned<'_> {
     fn engine(&self) -> impl Deref<Target = Engine> {
-        Frozen(self.shared().snapshot())
+        self.snapshot.engine()
     }
 
     fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError> {
-        self.shared().apply(delta)
+        self.session.shared().apply(delta)
     }
 
     /// Inline and per query: a request is one line, and `wire_read`'s
     /// cache hit is short enough that a spawned thread or a batch set-up
     /// per request would show in it.
     fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
-        prepared.iter().map(|p| self.execute(p)).collect()
+        let semantics = self.snapshot.engine().semantics();
+        prepared
+            .iter()
+            .map(|p| self.session.execute_on(self.snapshot, p, semantics))
+            .collect()
     }
 
     fn stats(&self) -> Vec<String> {
-        let shared = self.shared();
+        let shared = self.session.shared();
         let stats = shared.stats();
         let mut lines = vec![
             format!("snapshot: {}", shared.snapshot_stats()),
@@ -341,11 +364,11 @@ impl Database for SharedSession {
 /// whole script.
 impl Database for Vec<SharedSession> {
     fn engine(&self) -> impl Deref<Target = Engine> {
-        self[0].engine()
+        Frozen(self[0].shared().snapshot())
     }
 
     fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError> {
-        self[0].add(delta)
+        self[0].shared().apply(delta)
     }
 
     /// Deals the segment round-robin to the readers, one scoped thread
@@ -423,16 +446,8 @@ pub enum Outcome {
 pub fn run_line<D: Database>(db: &mut D, line: ScriptLine) -> Result<Outcome, EngineError> {
     match line {
         ScriptLine::Query(query) => {
-            let is_boolean = query.is_boolean();
             let prepared = db.engine().prepare(query)?;
-            let answers = db
-                .query(std::slice::from_ref(&prepared))?
-                .pop()
-                .expect("one query in, one answer out");
-            Ok(Outcome::Answers {
-                is_boolean,
-                answers,
-            })
+            run_prepared(db, &prepared)
         }
         ScriptLine::Insert(..) | ScriptLine::AssertNe(..) => {
             let delta = line.to_delta().expect("mutation lines carry a delta");
@@ -441,6 +456,107 @@ pub fn run_line<D: Database>(db: &mut D, line: ScriptLine) -> Result<Outcome, En
         ScriptLine::Stats => Ok(Outcome::Stats(db.stats())),
         ScriptLine::Quit => Ok(Outcome::Quit),
         ScriptLine::Shutdown => Ok(Outcome::Shutdown),
+    }
+}
+
+/// Runs one prepared query against `db` under its default semantics: the
+/// one place a query line executes, whether [`run_line`] has just
+/// prepared it or a server connection kept it from an earlier request.
+pub fn run_prepared<D: Database>(
+    db: &mut D,
+    prepared: &PreparedQuery,
+) -> Result<Outcome, EngineError> {
+    let answers = db
+        .query(std::slice::from_ref(prepared))?
+        .pop()
+        .expect("one query in, one answer out");
+    Ok(Outcome::Answers {
+        is_boolean: prepared.query().is_boolean(),
+        answers,
+    })
+}
+
+/// Distinct query lines a server connection keeps prepared, by trimmed
+/// request text, least recently used out: a line sent again skips
+/// [`parse_line`] and `prepare`. A constant, not a setting: a prepared query is a kilobyte or two (the query, its `Q̂`,
+/// its footprint), so a full map is a few hundred KiB on a connection
+/// that really sends that many different lines, and a client cycling
+/// through more lines than this only pays what every request paid before
+/// there was a map.
+pub const STATEMENT_CAPACITY: usize = 256;
+
+/// The query lines one server connection has prepared, by trimmed request
+/// text, least recently used first out at [`STATEMENT_CAPACITY`]. Only
+/// query lines enter: a mutation or `:stats` is parsed every time it is
+/// sent.
+///
+/// A kept statement never goes stale. The vocabulary a line was parsed
+/// against does not change; a [`PreparedQuery`] survives every delta
+/// (execution re-certifies a verdict older than the snapshot it runs on);
+/// and the map holds no answers — those live in the engine's epoch-keyed
+/// cache — so nothing here is ever served across epochs. The one thing
+/// that can orphan a statement is the engine itself being replaced under
+/// the connection (a follower re-bootstrap): [`Statements::run`] then
+/// drops it and prepares the line afresh.
+#[derive(Default)]
+pub(crate) struct Statements(Lru<Arc<str>, Arc<PreparedQuery>>);
+
+/// A request line, as far as it is known before it runs.
+pub(crate) enum Statement {
+    /// A query line an earlier request on the connection prepared.
+    Warm(Arc<PreparedQuery>),
+    /// Any other line, parsed.
+    Cold(ScriptLine),
+}
+
+impl Statements {
+    /// The statement for the trimmed request `text`: one map lookup for a
+    /// query line seen before, [`parse_line`] for everything else.
+    /// `Ok(None)` is a blank line or comment.
+    pub(crate) fn resolve(
+        &mut self,
+        voc: &Vocabulary,
+        text: &str,
+    ) -> Result<Option<Statement>, ScriptError> {
+        match self.0.get_touch(text) {
+            Some(prepared) => Ok(Some(Statement::Warm(prepared.clone()))),
+            None => Ok(parse_line(voc, text)?.map(Statement::Cold)),
+        }
+    }
+
+    /// Runs what [`Statements::resolve`] returned for `text`. A cold query
+    /// line is prepared against `db`'s engine and kept; every query, warm
+    /// or cold, executes through [`run_prepared`], and every other line
+    /// through [`run_line`].
+    pub(crate) fn run<D: Database>(
+        &mut self,
+        db: &mut D,
+        text: &str,
+        statement: Statement,
+    ) -> Result<Outcome, EngineError> {
+        let prepared = match statement {
+            Statement::Warm(prepared) => match run_prepared(db, &prepared) {
+                // The engine was replaced under the connection: this
+                // statement belongs to the old one. Parse and prepare the
+                // line against the new engine, once.
+                Err(EngineError::PreparedElsewhere) => {
+                    self.0.remove(text);
+                    db.engine().prepare_text(text)?
+                }
+                outcome => return outcome,
+            },
+            Statement::Cold(ScriptLine::Query(query)) => db.engine().prepare(query)?,
+            Statement::Cold(line) => return run_line(db, line),
+        };
+        let prepared = Arc::new(prepared);
+        self.0
+            .put(text.into(), prepared.clone(), STATEMENT_CAPACITY);
+        run_prepared(db, &prepared)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -618,6 +734,49 @@ mod tests {
         assert!(matches!(ne, ScriptLine::AssertNe(_, _)));
         assert!(ne.to_delta().is_some());
         assert!(ScriptLine::Stats.to_delta().is_none());
+    }
+
+    #[test]
+    fn statements_keep_query_lines_only_and_only_so_many() {
+        let mut voc = voc();
+        let names: Vec<String> = (0..STATEMENT_CAPACITY).map(|i| format!("c{i}")).collect();
+        voc.add_consts(names.iter().map(String::as_str)).unwrap();
+        let db = CwDatabase::builder(voc).build().unwrap();
+        let mut engine = Engine::new(db);
+        let mut statements = Statements::default();
+        let voc = engine.db().voc().clone();
+        let mut run = |statements: &mut Statements, text: &str| {
+            let statement = statements
+                .resolve(engine.db().voc(), text)
+                .unwrap()
+                .expect("not a blank line");
+            let warm = matches!(statement, Statement::Warm(_));
+            statements.run(&mut engine, text, statement).unwrap();
+            warm
+        };
+
+        assert!(!run(&mut statements, "P(a, b)"));
+        assert!(run(&mut statements, "P(a, b)"));
+        // A mutation, `:stats` and a comment are parsed every time.
+        for _ in 0..2 {
+            assert!(!run(&mut statements, ":insert P(a, b)"));
+            assert!(!run(&mut statements, ":stats"));
+            assert!(statements.resolve(&voc, "# P(a, b)").unwrap().is_none());
+        }
+        assert_eq!(statements.len(), 1);
+        // The statement survived the delta and runs at the new epoch.
+        assert!(run(&mut statements, "P(a, b)"));
+
+        // Past capacity the least recently used statement goes.
+        for i in 0..STATEMENT_CAPACITY {
+            assert!(!run(&mut statements, &format!("P(a, c{i})")));
+        }
+        assert_eq!(statements.len(), STATEMENT_CAPACITY);
+        assert!(!run(&mut statements, "P(a, b)"));
+        assert!(run(
+            &mut statements,
+            &format!("P(a, c{})", STATEMENT_CAPACITY - 1)
+        ));
     }
 
     #[test]

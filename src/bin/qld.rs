@@ -391,13 +391,9 @@ fn shell_main(args: &[String]) -> Exit {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let engine = engine_from(db, mode.unwrap_or_default(), threads, true, None);
+    // `--no-cache` is the shell's `:cache off`: `:cache on` brings it back.
+    let engine = engine_from(db, mode.unwrap_or_default(), threads, !no_cache, None);
     let mut session = Session::with_engine(engine);
-    if no_cache {
-        // The shell's `:cache off`, not a zero-sized cache: `:cache on`
-        // brings it back.
-        session.set_cache_enabled(false);
-    }
     let stdout = io::stdout();
     let mut out = stdout.lock();
 

@@ -304,9 +304,9 @@ fn read_script(path: &str, out: &mut dyn Write) -> io::Result<Option<String>> {
 }
 
 /// The engine the command-line flags describe — one builder for the
-/// shell, `--sessions` and `qld serve`. `cache = false` sizes the answer
-/// cache to zero, which is what turns off the cache a [`SharedEngine`]
-/// puts in front of the engine.
+/// shell, `--sessions` and `qld serve`. `cache = false` turns the answer
+/// cache off, the engine's own and the one a [`SharedEngine`] puts in
+/// front of it.
 pub fn engine_from(
     db: CwDatabase,
     mode: Mode,
@@ -314,12 +314,9 @@ pub fn engine_from(
     cache: bool,
     budget: Option<u64>,
 ) -> Engine {
-    let mut builder = Engine::builder(db).semantics(mode);
+    let mut builder = Engine::builder(db).semantics(mode).answer_cache(cache);
     if let Some(threads) = threads {
         builder = builder.parallelism(threads);
-    }
-    if !cache {
-        builder = builder.cache_capacity(0);
     }
     if let Some(budget) = budget {
         builder = builder.mapping_budget(budget);
