@@ -19,159 +19,34 @@
 //!   incremental maintenance, and publishes a fresh snapshot atomically —
 //!   in-flight readers keep their old snapshot alive through their `Arc`
 //!   and finish consistently at the old epoch;
-//! * answers are cached in a **sharded concurrent cache** keyed
-//!   `(query fingerprint, semantics, epoch)` — the epoch in the key makes
-//!   stale hits *structurally* impossible (an entry computed at epoch `k`
-//!   can only ever be served to a reader executing at epoch `k`), so the
-//!   write path needs no cross-thread invalidation at all; superseded
-//!   epochs simply age out of the per-shard LRU.
+//! * every snapshot shares the writer engine's **answer cache** — a read
+//!   on a snapshot is [`Engine::execute_as`] on the engine frozen inside
+//!   it, nothing else — so an answer whose footprint a delta does not
+//!   touch is still a hit at the next epoch: the writer's
+//!   [`Engine::apply`] widens or evicts each entry before the new
+//!   snapshot is published, and an entry is served only at the epochs it
+//!   was widened to.
 //!
 //! Epoch observation is monotone per session: the published epoch only
 //! moves forward, and [`SharedSession`] asserts it never sees time run
 //! backwards. The whole protocol is differential-tested in
 //! `tests/concurrent_differential.rs`: every concurrent reader's answer
 //! must be byte-identical (certificates included) to a solo engine
-//! rebuilt from the database as it stood at the reader's observed epoch.
+//! rebuilt from the database as it stood at the reader's observed epoch,
+//! hits served across epochs included.
 
+use crate::cache::SHARD_COUNT;
 use crate::delta::{Delta, DeltaReport, DeltaStats};
 use crate::durable::{delta_to_record, record_to_delta, DurableState};
 use crate::error::EngineError;
 use crate::evidence::{Answers, Semantics};
-use crate::lru::{CachedAnswer, Lru};
 use crate::prepared::PreparedQuery;
 use crate::session::Engine;
 use qld_logic::Query;
 use qld_wal::WalRecord;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
-
-/// Number of independent shards in the [`SharedAnswerCache`]. Sixteen
-/// mutexes keep lock contention negligible for any realistic session
-/// count while the per-shard LRU stays simple.
-const SHARD_COUNT: usize = 16;
-
-/// A shared-cache key: `(query fingerprint, semantics, epoch)`. The
-/// epoch component is the whole concurrency story — entries from
-/// different database states can coexist (readers on an old snapshot
-/// keep hitting their epoch's entries) and can never be served across
-/// epochs.
-type SharedKey = (u64, Semantics, u64);
-
-/// The sharded concurrent answer cache behind a [`SharedEngine`]: one
-/// LRU map per shard, each behind its own mutex, keyed
-/// `(fingerprint, semantics, epoch)`.
-///
-/// Unlike the single-owner engine's cache there is **no invalidation
-/// path**: the epoch in the key proves freshness, so a delta never has to
-/// reach into the cache at all. Capacity is enforced per shard
-/// (`total / SHARD_COUNT`, min 1), which bounds the whole cache at the
-/// configured capacity even under insert races — eviction happens under
-/// the same shard lock as the insert.
-#[derive(Debug)]
-struct SharedAnswerCache {
-    shards: Vec<Mutex<Lru<SharedKey, CachedAnswer>>>,
-    /// Maximum entries per shard; `0` disables caching entirely.
-    shard_capacity: usize,
-}
-
-impl SharedAnswerCache {
-    /// A cache bounded at roughly `capacity` entries total (`0` disables
-    /// caching).
-    fn new(capacity: usize) -> SharedAnswerCache {
-        let shard_capacity = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(SHARD_COUNT).max(1)
-        };
-        SharedAnswerCache {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
-            shard_capacity,
-        }
-    }
-
-    fn shard_of(&self, key: &SharedKey) -> &Mutex<Lru<SharedKey, CachedAnswer>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
-    }
-
-    /// A hit returns the stored answer re-stamped as cached and marks the
-    /// entry most recently used. Only entries computed at exactly `epoch`
-    /// are eligible — the key makes cross-epoch serving impossible.
-    fn lookup(
-        &self,
-        prepared: &PreparedQuery,
-        semantics: Semantics,
-        epoch: u64,
-    ) -> Option<Answers> {
-        if self.shard_capacity == 0 {
-            return None;
-        }
-        let start = Instant::now();
-        let key = (prepared.fingerprint, semantics, epoch);
-        let mut shard = self.shard_of(&key).lock().expect("shared cache poisoned");
-        shard.hit(&key, prepared, start)
-    }
-
-    fn insert(
-        &self,
-        prepared: &PreparedQuery,
-        semantics: Semantics,
-        epoch: u64,
-        answers: &Answers,
-    ) {
-        if self.shard_capacity == 0 {
-            return;
-        }
-        debug_assert_eq!(
-            answers.evidence().epoch,
-            epoch,
-            "shared cache entry stamped with a foreign epoch"
-        );
-        let key = (prepared.fingerprint, semantics, epoch);
-        self.shard_of(&key)
-            .lock()
-            .expect("shared cache poisoned")
-            .put(
-                key,
-                CachedAnswer::new(prepared, answers, ()),
-                self.shard_capacity,
-            );
-    }
-
-    /// Drops every entry (the blanket hook; deltas never need it).
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("shared cache poisoned").clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shared cache poisoned").len())
-            .sum()
-    }
-
-    /// Per-shard occupancy summary: `(total entries, shards with at least
-    /// one entry, largest shard)`.
-    fn occupancy(&self) -> (usize, usize, usize) {
-        let mut total = 0;
-        let mut occupied = 0;
-        let mut max_len = 0;
-        for shard in &self.shards {
-            let len = shard.lock().expect("shared cache poisoned").len();
-            total += len;
-            if len > 0 {
-                occupied += 1;
-            }
-            max_len = max_len.max(len);
-        }
-        (total, occupied, max_len)
-    }
-}
+use std::time::Duration;
 
 /// An immutable, epoch-stamped view of the database and all its derived
 /// structures (`Ph₁`, `Ph₂`, `α_P`, `NE`), published atomically by the
@@ -202,9 +77,10 @@ impl EngineSnapshot {
         self.epoch
     }
 
-    /// The frozen engine. Its internal per-engine answer cache is
-    /// disabled — the [`SharedEngine`]'s epoch-keyed cache sits in front
-    /// of every snapshot instead.
+    /// The frozen engine. Reading a snapshot is calling this engine:
+    /// its answer cache is the one the writer and every other snapshot of
+    /// the same [`SharedEngine`] use, and it serves — and stamps — at
+    /// this snapshot's epoch.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -218,9 +94,9 @@ pub struct SharedStats {
     pub epoch: u64,
     /// Reader sessions handed out so far.
     pub sessions_started: u64,
-    /// Entries currently in the shared answer cache (across all epochs).
+    /// Entries currently in the answer cache.
     pub cache_len: usize,
-    /// Total shared-cache capacity.
+    /// Total answer-cache capacity.
     pub cache_capacity: usize,
     /// Cumulative delta counters of the master engine.
     pub deltas: DeltaStats,
@@ -253,16 +129,16 @@ impl SharedStats {
 }
 
 /// A point-in-time picture of the snapshot-publish machinery itself:
-/// which epoch is published, how the sharded cache is filling up, and how
-/// far the published snapshot lags the writer (surfaced by `:stats` both
-/// locally and over the wire).
+/// which epoch is published, how the answer cache's shards are filling up,
+/// and how far the published snapshot lags the writer (surfaced by `:stats`
+/// both locally and over the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotStats {
     /// The currently published epoch.
     pub epoch: u64,
-    /// Entries currently in the shared answer cache (across all epochs).
+    /// Entries currently in the answer cache.
     pub cache_entries: usize,
-    /// Total shared-cache capacity (`0` = caching disabled).
+    /// Total answer-cache capacity.
     pub cache_capacity: usize,
     /// Shards holding at least one entry.
     pub shards_occupied: usize,
@@ -305,8 +181,6 @@ struct SharedInner {
     /// Serializing `apply` calls behind this mutex *is* the single-writer
     /// discipline.
     writer: Mutex<Engine>,
-    cache: SharedAnswerCache,
-    cache_capacity: usize,
     sessions: AtomicU64,
     /// The write-ahead log, when durability is attached. Locked only on
     /// the write path, nested inside the writer lock — readers never
@@ -346,7 +220,8 @@ struct SharedInner {
 
 /// A shareable, concurrently correct engine over one evolving database:
 /// wait-free readers on immutable epoch snapshots, one writer publishing
-/// [`Delta`]s atomically, and an epoch-keyed sharded answer cache.
+/// [`Delta`]s atomically, and the engine's answer cache shared by all of
+/// them.
 ///
 /// `SharedEngine` is `Send + Sync + Clone` — clone it (an `Arc` bump)
 /// into as many threads as you like; every clone sees the same database,
@@ -393,12 +268,10 @@ pub struct SharedEngine {
 }
 
 impl SharedEngine {
-    /// Wraps a configured [`Engine`] for concurrent serving. The engine's
-    /// own per-session answer cache is disabled — the shared epoch-keyed
-    /// cache replaces it for every snapshot, sized by the engine's
-    /// [`cache_capacity`](crate::EngineBuilder::cache_capacity), or to
-    /// zero (no caching) when the engine was built with its
-    /// [`answer_cache`](crate::EngineBuilder::answer_cache) off.
+    /// Wraps a configured [`Engine`] for concurrent serving. Its answer
+    /// cache — whatever it holds, on or
+    /// [off](crate::EngineBuilder::answer_cache) — becomes the one every
+    /// published snapshot reads through.
     pub fn new(engine: Engine) -> SharedEngine {
         SharedEngine::build(engine, None, 1)
     }
@@ -412,22 +285,14 @@ impl SharedEngine {
     }
 
     fn build(engine: Engine, wal: Option<DurableState>, generation: u64) -> SharedEngine {
-        let cache_capacity = if engine.cache_enabled() {
-            engine.cache_capacity()
-        } else {
-            0
-        };
-        engine.set_cache_enabled(false);
         let snapshot = Arc::new(EngineSnapshot {
-            engine: engine.clone(),
+            engine: engine.snapshot(),
             epoch: engine.epoch(),
         });
         SharedEngine {
             inner: Arc::new(SharedInner {
                 published: RwLock::new(snapshot),
                 writer: Mutex::new(engine),
-                cache: SharedAnswerCache::new(cache_capacity),
-                cache_capacity,
                 sessions: AtomicU64::new(0),
                 wal: wal.map(Mutex::new),
                 wal_poisoned: AtomicBool::new(false),
@@ -476,9 +341,8 @@ impl SharedEngine {
     /// snapshots are published in apply order while the lock is still
     /// held, so the epoch stream readers observe is exactly the sequence
     /// of applied deltas. Readers holding the previous snapshot finish
-    /// their queries against it — they never see a half-applied delta.
-    /// The shared cache needs no invalidation: entries for earlier epochs
-    /// stay correct *for those epochs* and age out of the LRU.
+    /// their queries against it — they never see a half-applied delta —
+    /// and keep hitting the cached answers that were true at its epoch.
     ///
     /// With durability attached ([`SharedEngine::durable`]), the delta's
     /// WAL record is appended — and synced, per policy — **before** the
@@ -528,7 +392,7 @@ impl SharedEngine {
                 return Err(EngineError::Durability(e.to_string()));
             }
         }
-        self.publish(writer.clone(), writer.epoch());
+        self.publish(writer.snapshot(), writer.epoch());
         self.notify_watchers(record);
         Ok(())
     }
@@ -587,19 +451,6 @@ impl SharedEngine {
         Ok(())
     }
 
-    /// Entries currently in the shared answer cache (across all epochs —
-    /// readers on older snapshots may still be hitting theirs).
-    pub fn cache_len(&self) -> usize {
-        self.inner.cache.len()
-    }
-
-    /// Drops every shared-cache entry. Never required for correctness
-    /// (the epoch key does the invalidation work); useful for cold-cache
-    /// benchmarking.
-    pub fn invalidate_cache(&self) {
-        self.inner.cache.clear();
-    }
-
     /// Aggregate statistics: published epoch, sessions started, cache
     /// occupancy, and the master engine's cumulative delta counters.
     pub fn stats(&self) -> SharedStats {
@@ -609,11 +460,12 @@ impl SharedEngine {
             .lock()
             .expect("writer engine poisoned")
             .delta_stats();
+        let snapshot = self.snapshot();
         SharedStats {
-            epoch: self.epoch(),
+            epoch: snapshot.epoch,
             sessions_started: self.inner.sessions.load(Ordering::Relaxed),
-            cache_len: self.inner.cache.len(),
-            cache_capacity: self.inner.cache_capacity,
+            cache_len: snapshot.engine.cache_len(),
+            cache_capacity: snapshot.engine.cache_capacity(),
             deltas,
             wal: self.wal_stats(),
             read_only: self.is_read_only(),
@@ -681,11 +533,11 @@ impl SharedEngine {
             .deltas_applied;
         let snapshot = self.snapshot();
         let snapshot_deltas = snapshot.engine().delta_stats().deltas_applied;
-        let (cache_entries, shards_occupied, max_shard_len) = self.inner.cache.occupancy();
+        let (shards_occupied, max_shard_len) = snapshot.engine.cache_occupancy();
         SnapshotStats {
             epoch: snapshot.epoch(),
-            cache_entries,
-            cache_capacity: self.inner.cache_capacity,
+            cache_entries: snapshot.engine.cache_len(),
+            cache_capacity: snapshot.engine.cache_capacity(),
             shards_occupied,
             shard_count: SHARD_COUNT,
             max_shard_len,
@@ -781,19 +633,18 @@ impl SharedEngine {
     ///
     /// The new epoch must be at least the current one: published epochs
     /// are monotone and live [`SharedSession`]s assert they never run
-    /// backwards. (An equal-epoch reset is fine — resuming at the epoch
-    /// we already hold re-transfers identical content, so epoch-keyed
-    /// cache entries stay correct.) Subscribers are *not* notified of
-    /// resets; feeds only ever carry incremental records.
+    /// backwards. The replaced engine's answer cache goes with it —
+    /// `engine` brings its own — so nothing answered before the reset is
+    /// served after it, whatever the two epochs are. Subscribers are
+    /// *not* notified of resets; feeds only ever carry incremental
+    /// records.
     ///
     /// [`PreparedQuery`]s prepared before the reset are bound to the
     /// replaced engine and fail with
     /// [`EngineError::PreparedElsewhere`] afterwards — re-prepare them.
     /// (A server connection drops the statement and re-prepares the line,
     /// so wire clients never see this.)
-    pub fn reset_replica(&self, engine: Engine, epoch: u64) -> Result<(), EngineError> {
-        engine.set_cache_enabled(false);
-        let mut engine = engine;
+    pub fn reset_replica(&self, mut engine: Engine, epoch: u64) -> Result<(), EngineError> {
         engine.set_epoch(epoch);
         let mut writer = self.inner.writer.lock().expect("writer engine poisoned");
         self.check_wal_poisoned()?;
@@ -804,7 +655,7 @@ impl SharedEngine {
                 writer.epoch()
             )));
         }
-        let frozen = engine.clone();
+        let frozen = engine.snapshot();
         *writer = engine;
         self.publish(frozen, epoch);
         Ok(())
@@ -959,8 +810,8 @@ impl SharedSession {
 
     /// The latest published snapshot, its epoch folded into the monotone
     /// observation record. A caller that must prepare, execute and render
-    /// against *one* database state takes the snapshot once and hands it
-    /// to [`SharedSession::execute_on`].
+    /// against *one* database state takes the snapshot once and calls its
+    /// [`engine`](EngineSnapshot::engine) for each step.
     pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
         let snapshot = self.shared.snapshot();
         assert!(
@@ -990,78 +841,29 @@ impl SharedSession {
     /// Executes a prepared query under the engine's default semantics —
     /// read from the same snapshot the answer is computed on.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<Answers, EngineError> {
-        let snapshot = self.snapshot();
-        let semantics = snapshot.engine.semantics();
-        self.execute_on(&snapshot, prepared, semantics)
+        self.snapshot().engine.execute(prepared)
     }
 
     /// Executes a prepared query under an explicit semantics against the
     /// latest published snapshot. The answer's
     /// [`Evidence::epoch`](crate::Evidence::epoch) is the snapshot's
-    /// epoch; cache hits are only ever served from entries computed at
-    /// that exact epoch.
+    /// epoch, hit or not.
     pub fn execute_as(
         &mut self,
         prepared: &PreparedQuery,
         semantics: Semantics,
     ) -> Result<Answers, EngineError> {
-        let snapshot = self.snapshot();
-        self.execute_on(&snapshot, prepared, semantics)
+        self.snapshot().engine.execute_as(prepared, semantics)
     }
 
-    /// One read against one snapshot of this session's engine: the shared
-    /// cache first (a reference-count bump and an
-    /// [`Evidence`](crate::Evidence) stamp, whatever the answer's size),
-    /// else the snapshot's engine, whose answer the cache then keeps.
-    pub fn execute_on(
-        &self,
-        snapshot: &EngineSnapshot,
-        prepared: &PreparedQuery,
-        semantics: Semantics,
-    ) -> Result<Answers, EngineError> {
-        let cache = &self.shared.inner.cache;
-        if let Some(hit) = cache.lookup(prepared, semantics, snapshot.epoch) {
-            return Ok(hit);
-        }
-        let answers = snapshot.engine.execute_as(prepared, semantics)?;
-        cache.insert(prepared, semantics, snapshot.epoch, &answers);
-        Ok(answers)
-    }
-
-    /// Executes a batch against one snapshot (all members see the same
-    /// epoch): shared-cache hits are served first, the misses share the
-    /// single-enumeration batching of [`Engine::execute_batch_as`], and
-    /// every fresh answer lands in the shared cache.
+    /// [`Engine::execute_batch_as`] against one snapshot: all members see
+    /// the same epoch.
     pub fn execute_batch_as(
         &mut self,
         prepared: &[PreparedQuery],
         semantics: Semantics,
     ) -> Result<Vec<Answers>, EngineError> {
-        let snapshot = self.snapshot();
-        let cache = &self.shared.inner.cache;
-        let mut results: Vec<Option<Answers>> = vec![None; prepared.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, p) in prepared.iter().enumerate() {
-            match cache.lookup(p, semantics, snapshot.epoch) {
-                Some(hit) => results[i] = Some(hit),
-                None => misses.push(i),
-            }
-        }
-        if !misses.is_empty() {
-            let miss_prepared: Vec<PreparedQuery> =
-                misses.iter().map(|&i| prepared[i].clone()).collect();
-            let fresh = snapshot
-                .engine
-                .execute_batch_as(&miss_prepared, semantics)?;
-            for (&i, answers) in misses.iter().zip(fresh) {
-                cache.insert(&prepared[i], semantics, snapshot.epoch, &answers);
-                results[i] = Some(answers);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|a| a.expect("every batch slot answered"))
-            .collect())
+        self.snapshot().engine.execute_batch_as(prepared, semantics)
     }
 
     /// Renders answer tuples with the vocabulary's constant names.
@@ -1107,14 +909,6 @@ mod tests {
         Engine::new(db)
     }
 
-    fn shared_with_capacity(capacity: usize) -> SharedEngine {
-        let mut voc = Vocabulary::new();
-        voc.add_consts(["a", "b"]).unwrap();
-        voc.add_pred("P", 1).unwrap();
-        let db = CwDatabase::builder(voc).build().unwrap();
-        SharedEngine::new(Engine::builder(db).cache_capacity(capacity).build())
-    }
-
     #[test]
     fn an_engine_built_without_a_cache_is_served_without_one() {
         let mut voc = Vocabulary::new();
@@ -1122,13 +916,12 @@ mod tests {
         voc.add_pred("P", 1).unwrap();
         let db = CwDatabase::builder(voc).build().unwrap();
         let shared = SharedEngine::new(Engine::builder(db).answer_cache(false).build());
-        assert_eq!(shared.stats().cache_capacity, 0);
         let mut session = shared.session();
         let q = session.prepare_text("(x) . !P(x)").unwrap();
         for _ in 0..2 {
             assert!(!session.execute(&q).unwrap().evidence().cache_hit);
         }
-        assert_eq!(shared.cache_len(), 0);
+        assert_eq!(shared.stats().cache_len, 0);
     }
 
     #[test]
@@ -1173,27 +966,74 @@ mod tests {
         assert!(Arc::ptr_eq(&published, &shared.snapshot()));
     }
 
+    /// Counts, not clocks: what survives a publish is decided by the
+    /// footprint, on the serving path as on the solo engine.
     #[test]
-    fn shared_cache_serves_same_epoch_only() {
+    fn answers_survive_exactly_the_publishes_their_footprint_misses() {
         let shared = SharedEngine::new(small_engine());
-        let mut session = shared.session();
-        let q = session.prepare_text("(x) . !P(x)").unwrap();
-        let fresh = session.execute(&q).unwrap();
-        assert!(!fresh.evidence().cache_hit);
-        let hit = session.execute(&q).unwrap();
-        assert!(hit.evidence().cache_hit);
-        assert_eq!(hit.evidence().epoch, 0);
-        assert_eq!(hit.tuples(), fresh.tuples());
-
-        // A delta advances the epoch: the old entry is unreachable for
-        // new executions (key mismatch), so the next read is fresh.
         let snap = shared.snapshot();
         let voc = snap.engine().db().voc();
-        let (p, a) = (voc.pred_id("P").unwrap(), voc.const_id("a").unwrap());
-        shared.apply(&Delta::new().insert_fact(p, &[a])).unwrap();
-        let after = session.execute(&q).unwrap();
-        assert!(!after.evidence().cache_hit, "stale-epoch hit served");
-        assert_eq!(after.evidence().epoch, 1);
+        let (p, r) = (voc.pred_id("P").unwrap(), voc.pred_id("R").unwrap());
+        let consts: Vec<_> = ["a", "b", "c", "u"]
+            .iter()
+            .map(|name| voc.const_id(name).unwrap())
+            .collect();
+        let mut session = shared.session();
+        let positive_p = session.prepare_text("(x) . P(x)").unwrap();
+        let negated_p = session.prepare_text("(x) . !P(x)").unwrap();
+        let on_r = session.prepare_text("(x, y) . R(x, y)").unwrap();
+        for q in [&positive_p, &negated_p, &on_r] {
+            assert!(!session.execute(q).unwrap().evidence().cache_hit);
+        }
+
+        // Ten publishes into `R`, then one axiom: the positive query over
+        // `P` alone is a hit after each, served at the reader's epoch.
+        let mut writes: Vec<Delta> = consts
+            .iter()
+            .flat_map(|&x| consts.iter().map(move |&y| (x, y)))
+            .take(10)
+            .map(|(x, y)| Delta::new().insert_fact(r, &[x, y]))
+            .collect();
+        writes.push(Delta::new().assert_ne(consts[0], consts[1]));
+        let pinned = shared.snapshot();
+        for (i, delta) in writes.iter().enumerate() {
+            let report = shared.apply(delta).unwrap();
+            assert_eq!(report.epoch, i as u64 + 1);
+            assert!(report.cache_retained >= 1, "{report}");
+            let hit = session.execute(&positive_p).unwrap();
+            assert!(
+                hit.evidence().cache_hit,
+                "write {i} evicted a disjoint entry"
+            );
+            assert_eq!(hit.evidence().epoch, report.epoch);
+            assert!(hit.is_empty());
+            // A query over the written predicate misses after each write,
+            // a negated one over `P` only after the axiom.
+            let is_axiom = i == 10;
+            let over_r = session.execute(&on_r).unwrap();
+            assert_eq!(over_r.evidence().cache_hit, is_axiom, "write {i}");
+            assert_eq!(over_r.len(), (i + 1).min(10));
+            let negated = session.execute(&negated_p).unwrap();
+            assert_eq!(negated.evidence().cache_hit, !is_axiom, "write {i}");
+            assert_eq!(negated.evidence().epoch, report.epoch);
+        }
+        assert_eq!(shared.stats().deltas.cache_evicted, 11);
+
+        // A reader still on the pre-delta snapshot gets the pre-delta
+        // answer at the pre-delta epoch.
+        let old = pinned.engine().execute_as(&on_r, Semantics::Auto).unwrap();
+        assert_eq!((old.len(), old.evidence().epoch), (0, 0));
+        // Its late insert is not what current readers are served.
+        let current = session.execute(&on_r).unwrap();
+        assert_eq!((current.len(), current.evidence().epoch), (10, 11));
+
+        // A write into `P` is the one that evicts the positive query.
+        shared
+            .apply(&Delta::new().insert_fact(p, &[consts[0]]))
+            .unwrap();
+        let fresh = session.execute(&positive_p).unwrap();
+        assert!(!fresh.evidence().cache_hit);
+        assert_eq!((fresh.len(), fresh.evidence().epoch), (1, 12));
     }
 
     #[test]
@@ -1229,20 +1069,25 @@ mod tests {
         let voc = snap.engine().db().voc();
         let (p, b) = (voc.pred_id("P").unwrap(), voc.const_id("b").unwrap());
         shared.apply(&Delta::new().insert_fact(p, &[b])).unwrap();
+        s2.execute(&q).unwrap();
         let stats = shared.stats();
         assert_eq!(stats.epoch, 1);
         assert_eq!(stats.sessions_started, 2);
         assert_eq!(stats.deltas.deltas_applied, 1);
         assert_eq!(stats.deltas.facts_inserted, 1);
-        assert!(stats.cache_len >= 1);
+        assert_eq!(
+            stats.deltas.cache_evicted, 1,
+            "the writer's count is the cache's"
+        );
+        assert_eq!(stats.cache_len, 1);
         assert!(stats.cache_capacity >= stats.cache_len);
-        shared.invalidate_cache();
-        assert_eq!(shared.cache_len(), 0);
+        shared.snapshot().engine().invalidate_cache();
+        assert_eq!(shared.stats().cache_len, 0);
     }
 
     #[test]
     fn snapshot_stats_track_occupancy_and_age() {
-        let shared = shared_with_capacity(64);
+        let shared = SharedEngine::new(small_engine());
         let zero = shared.snapshot_stats();
         assert_eq!(zero.epoch, 0);
         assert_eq!(zero.cache_entries, 0);
@@ -1259,7 +1104,7 @@ mod tests {
         assert_eq!(warm.cache_entries, 2);
         assert!(warm.shards_occupied >= 1 && warm.shards_occupied <= 2);
         assert!(warm.max_shard_len >= 1);
-        assert_eq!(warm.cache_capacity, 64);
+        assert_eq!(warm.cache_capacity, 4096);
 
         // A changing delta republished the snapshot: age stays 0.
         let snap = shared.snapshot();
@@ -1278,18 +1123,12 @@ mod tests {
         assert_eq!(aged.snapshot_age_deltas, 1);
     }
 
-    // --- the sharded-cache contention suite -----------------------------
-
     /// Concurrent insert/lookup from many threads: every hit must be
-    /// byte-identical to the inserted answer, and the total entry count
-    /// must respect the configured capacity at all times.
+    /// byte-identical to the inserted answer, and racing inserts of one
+    /// key never count twice.
     #[test]
     fn cache_contention_insert_lookup_races() {
-        let shared = SharedEngine::new(
-            Engine::builder(small_engine().db().clone())
-                .cache_capacity(256)
-                .build(),
-        );
+        let shared = SharedEngine::new(small_engine());
         let mut seed = shared.session();
         // 16 distinct queries × two semantics — comfortably within
         // capacity, so every entry must survive and be served identically.
@@ -1339,7 +1178,7 @@ mod tests {
                         assert_eq!(a.tuples(), auto_truth.tuples());
                         let pa = session.execute_as(p, Semantics::Possible).unwrap();
                         assert_eq!(pa.tuples(), possible_truth.tuples());
-                        assert!(shared.cache_len() <= 256);
+                        assert!(shared.stats().cache_len <= 2 * prepared.len());
                     }
                 });
             }
@@ -1355,116 +1194,6 @@ mod tests {
                     .cache_hit
             );
         }
-    }
-
-    /// LRU capacity is respected under insert races: hammering far more
-    /// distinct `(query, epoch)` keys than capacity from many threads
-    /// never grows any shard past its bound.
-    #[test]
-    fn cache_capacity_respected_under_races() {
-        let shared = shared_with_capacity(16); // 1 entry per shard
-        let mut seed = shared.session();
-        let queries: Vec<PreparedQuery> = ["(x) . P(x)", "(x) . !P(x)", "P(a)", "P(b)", "!P(a)"]
-            .iter()
-            .map(|t| seed.prepare_text(t).unwrap())
-            .collect();
-        thread::scope(|scope| {
-            for t in 0..8 {
-                let shared = shared.clone();
-                let queries = &queries;
-                scope.spawn(move || {
-                    let mut session = shared.session();
-                    for round in 0..50 {
-                        let p = &queries[(t + round) % queries.len()];
-                        for semantics in Semantics::ALL {
-                            session.execute_as(p, semantics).unwrap();
-                        }
-                        // Per-shard capacity 1 × 16 shards: never above 16.
-                        assert!(
-                            shared.cache_len() <= 16,
-                            "cache grew past capacity under racing inserts"
-                        );
-                    }
-                });
-            }
-        });
-        assert!(shared.cache_len() <= 16);
-    }
-
-    /// Epoch-keyed entries are never served cross-epoch, even when the
-    /// writer races the readers: every answer's stamped epoch matches a
-    /// snapshot the session could legitimately have observed, and
-    /// monotone observation holds per session.
-    #[test]
-    fn cache_entries_never_served_cross_epoch() {
-        let shared = shared_with_capacity(4096);
-        let snap = shared.snapshot();
-        let voc = snap.engine().db().voc();
-        let (p, a, b) = (
-            voc.pred_id("P").unwrap(),
-            voc.const_id("a").unwrap(),
-            voc.const_id("b").unwrap(),
-        );
-        thread::scope(|scope| {
-            let writer = shared.clone();
-            scope.spawn(move || {
-                writer.apply(&Delta::new().insert_fact(p, &[a])).unwrap();
-                writer.apply(&Delta::new().insert_fact(p, &[b])).unwrap();
-                writer.apply(&Delta::new().assert_ne(a, b)).unwrap();
-            });
-            for _ in 0..4 {
-                let shared = shared.clone();
-                scope.spawn(move || {
-                    let mut session = shared.session();
-                    let q = session.prepare_text("(x) . P(x)").unwrap();
-                    let mut last_epoch = 0;
-                    for _ in 0..50 {
-                        let ans = session.execute(&q).unwrap();
-                        let e = ans.evidence().epoch;
-                        assert!(e >= last_epoch, "epoch ran backwards in one session");
-                        last_epoch = e;
-                        // The tuple count is a function of the epoch for
-                        // this positive query: epoch e has exactly e facts
-                        // (the axiom delta at epoch 3 adds none).
-                        let expected = (e as usize).min(2);
-                        assert_eq!(
-                            ans.len(),
-                            expected,
-                            "answer computed at epoch {e} does not match that epoch's database"
-                        );
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn cache_rejects_fingerprint_collisions() {
-        let shared = shared_with_capacity(64);
-        let mut session = shared.session();
-        let p1 = session.prepare_text("P(a)").unwrap();
-        let p2 = session.prepare_text("P(b)").unwrap();
-        let answers = session.execute(&p1).unwrap();
-        let cache = &shared.inner.cache;
-        cache.insert(&p1, Semantics::Auto, 0, &answers);
-        let forged = PreparedQuery {
-            fingerprint: p1.fingerprint,
-            ..p2.clone()
-        };
-        assert!(cache.lookup(&forged, Semantics::Auto, 0).is_none());
-        assert!(cache.lookup(&p1, Semantics::Auto, 0).is_some());
-        // And the same entry at another epoch misses.
-        assert!(cache.lookup(&p1, Semantics::Auto, 1).is_none());
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_shared_cache() {
-        let shared = shared_with_capacity(0);
-        let mut session = shared.session();
-        let q = session.prepare_text("P(a)").unwrap();
-        session.execute(&q).unwrap();
-        assert_eq!(shared.cache_len(), 0);
-        assert!(!session.execute(&q).unwrap().evidence().cache_hit);
     }
 
     // --- replication hooks ----------------------------------------------
@@ -1581,6 +1310,35 @@ mod tests {
         let err = follower.reset_replica(stale, 1).unwrap_err();
         assert!(err.to_string().contains("backwards"), "{err}");
         assert_eq!(follower.epoch(), 2);
+    }
+
+    #[test]
+    fn an_equal_epoch_reset_serves_nothing_the_replaced_database_answered() {
+        // A follower's placeholder database need not be the primary's,
+        // and both can be at epoch 0.
+        let follower = SharedEngine::new(small_engine());
+        follower.set_read_only(true);
+        let mut session = follower.session();
+        let q = session.prepare_text("(x) . P(x)").unwrap();
+        assert_eq!(session.execute(&q).unwrap().len(), 0);
+
+        let snap = follower.snapshot();
+        let voc = snap.engine().db().voc();
+        let (p, a, b) = (
+            voc.pred_id("P").unwrap(),
+            voc.const_id("a").unwrap(),
+            voc.const_id("b").unwrap(),
+        );
+        let db = CwDatabase::builder(voc.clone())
+            .fact(p, &[a])
+            .fact(p, &[b])
+            .build()
+            .unwrap();
+        follower.reset_replica(Engine::new(db), 0).unwrap();
+        let q = session.prepare_text("(x) . P(x)").unwrap();
+        let answers = session.execute(&q).unwrap();
+        assert_eq!(answers.len(), 2);
+        assert!(!answers.evidence().cache_hit);
     }
 
     #[test]

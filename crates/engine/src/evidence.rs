@@ -216,15 +216,14 @@ pub struct Evidence {
     /// is 0); the regime/certificate fields describe the original
     /// computation the cached answer came from.
     pub cache_hit: bool,
-    /// The database epoch the answer was computed at (see
-    /// [`Engine::epoch`](crate::Engine::epoch)). Cache hits keep the epoch
-    /// of the original computation — for the single-owner engine a
-    /// retained entry may predate the current epoch (selective
-    /// invalidation proved it still valid), while the epoch-keyed shared
-    /// cache of [`SharedEngine`](crate::SharedEngine) only ever serves an
-    /// entry to readers at exactly this epoch. This is what makes a
-    /// concurrent repro report unambiguous: the epoch names the exact
-    /// database state that produced the tuples.
+    /// The database epoch the answer was served at and is true at (see
+    /// [`Engine::epoch`](crate::Engine::epoch)): the epoch of the engine —
+    /// or of the published snapshot — the call ran on, on every path. A
+    /// cache hit may have been computed at an earlier epoch; it is served
+    /// only where the deltas since provably left it, certificate included,
+    /// what a fresh engine would return. This is what makes a concurrent
+    /// repro report unambiguous: the epoch names a database state the
+    /// tuples are exactly right for.
     pub epoch: u64,
     /// `Some(n)`: this answer came out of an [`Engine::execute_batch`]
     /// group of `n` queries sharing **one** mapping enumeration —
@@ -241,8 +240,9 @@ impl Evidence {
     /// `exact → Theorem 1, exact (Theorem 1), 15 mapping(s), 1 component(s),
     /// 0 mapping(s) pruned, 4 worker(s), epoch 2`, with `(cached)` appended
     /// on cache hits and the shared-enumeration batch size when the
-    /// mappings were amortized across a batch. The epoch names the database state the answer was
-    /// computed at, so concurrent repro reports are unambiguous.
+    /// mappings were amortized across a batch. The epoch names the database
+    /// state the answer was served at, so concurrent repro reports are
+    /// unambiguous.
     pub fn summary(&self) -> String {
         self.to_string()
     }
@@ -339,12 +339,14 @@ impl Answers {
         }
     }
 
-    /// The answer as served from the engine's cache: the same tuples (and
-    /// upper bound), original regime and certificate, but stamped
-    /// `cache_hit` with zero new mappings — this call enumerated nothing.
-    pub(crate) fn as_cache_hit(&self, elapsed: Duration) -> Answers {
+    /// The answer as served from the engine's cache at `epoch`: the same
+    /// tuples (and upper bound), original regime and certificate, but
+    /// stamped `cache_hit` with zero new mappings — this call enumerated
+    /// nothing.
+    pub(crate) fn as_cache_hit(&self, epoch: u64, elapsed: Duration) -> Answers {
         let mut hit = self.clone();
         hit.evidence.cache_hit = true;
+        hit.evidence.epoch = epoch;
         hit.evidence.mappings_evaluated = 0;
         hit.evidence.workers_used = 0;
         hit.evidence.components = 0;
@@ -469,7 +471,7 @@ mod tests {
         let same = Answers::new(tuples.clone(), None, evidence());
 
         // The first renderer's text is what every holder sees.
-        let hit = computed.as_cache_hit(Duration::ZERO);
+        let hit = computed.as_cache_hit(0, Duration::ZERO);
         assert_eq!(computed.text_memo(|| "rendered".to_string()), "rendered");
         assert_eq!(hit.text_memo(|| unreachable!("rendered once")), "rendered");
         assert!(std::ptr::eq(hit.tuples(), computed.tuples()));

@@ -1,20 +1,10 @@
-//! The one LRU behind both answer caches and the server's per-connection
-//! statement map.
-//!
-//! The solo engine's cache (keyed `(fingerprint, semantics)`, evicted by
-//! footprint on a delta) and the shared engine's shards (keyed
-//! `(fingerprint, semantics, epoch)`, never invalidated) are one
-//! algorithm over two key types; both store a [`CachedAnswer`]. Each
-//! owner keeps its own policy and its own lock around an [`Lru`]; what
-//! is here is the map, the recency order and the fingerprint-collision
-//! check.
+//! The one LRU behind the answer cache's shards (`cache.rs`) and the
+//! server's per-connection statement map: the map and the recency order.
+//! Each owner keeps its own policy and its own lock around an [`Lru`].
 
-use crate::evidence::Answers;
-use crate::prepared::PreparedQuery;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::time::Instant;
 
 /// A map in true LRU order (lookups refresh recency). Not synchronised
 /// and not bounded by itself: the owner holds the lock and passes its
@@ -86,8 +76,9 @@ impl<K: Clone + Eq + Hash, V> Lru<K, V> {
         Some(value)
     }
 
-    /// Drops every entry `keep` rejects; returns how many went.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
+    /// Drops every entry `keep` rejects — it may update the ones it keeps
+    /// in place — and returns how many went.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) -> usize {
         let before = self.map.len();
         let order = &mut self.order;
         self.map.retain(|key, (value, tick)| {
@@ -117,44 +108,6 @@ impl<K: Clone + Eq + Hash, V> Lru<K, V> {
     }
 }
 
-/// What an answer cache keeps under a fingerprint key: the prepared
-/// query's source (compared on lookup, so a 64-bit fingerprint collision
-/// between structurally different queries is a *miss*, never a wrong
-/// answer), the finished [`Answers`], and whatever the owning cache
-/// evicts on (`T`).
-#[derive(Debug)]
-pub(crate) struct CachedAnswer<T = ()> {
-    query: qld_logic::Query,
-    answers: Answers,
-    pub(crate) tag: T,
-}
-
-impl<T> CachedAnswer<T> {
-    pub(crate) fn new(prepared: &PreparedQuery, answers: &Answers, tag: T) -> CachedAnswer<T> {
-        CachedAnswer {
-            query: prepared.query.clone(),
-            answers: answers.clone(),
-            tag,
-        }
-    }
-}
-
-impl<K: Clone + Eq + Hash, T> Lru<K, CachedAnswer<T>> {
-    /// The answers cached under `key` for exactly `prepared`'s query,
-    /// stamped as a hit that took since `start`: a reference-count bump,
-    /// whatever the answer's size.
-    pub(crate) fn hit(
-        &mut self,
-        key: &K,
-        prepared: &PreparedQuery,
-        start: Instant,
-    ) -> Option<Answers> {
-        self.get_touch(key)
-            .filter(|cached| cached.query == prepared.query)
-            .map(|cached| cached.answers.as_cache_hit(start.elapsed()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +132,7 @@ mod tests {
         assert_eq!(lru.get_touch("c"), Some(&4));
         assert_eq!(lru.remove("c"), Some(4));
         assert_eq!(lru.remove("c"), None);
-        assert_eq!(lru.retain(|_, &value| value != 5), 1);
+        assert_eq!(lru.retain(|_, value| *value != 5), 1);
         assert!(lru.is_empty());
         // Nothing fits a capacity of zero.
         lru.put("e".into(), 6, 0);

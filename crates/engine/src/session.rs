@@ -1,9 +1,9 @@
 //! The [`Engine`] session type and its builder.
 
+use crate::cache::AnswerCache;
 use crate::delta::{Delta, DeltaReport, DeltaStats, QueryFootprint};
 use crate::error::EngineError;
 use crate::evidence::{Answers, Certificate, Evidence, Regime, Semantics};
-use crate::lru::{CachedAnswer, Lru};
 use crate::prepared::PreparedQuery;
 use qld_algebra::{compile_query_ordered, execute, optimize};
 use qld_approx::{exactness_theorem, AlphaMode, ApproxEngine, Backend, CompletenessTheorem};
@@ -18,92 +18,16 @@ use qld_logic::{Formula, PredId, Query};
 use qld_physical::{eval_query, Elem, PhysicalDb, Relation, TupleSpace};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Default cap on cached answers per engine (overridable with
-/// [`EngineBuilder::cache_capacity`]). At the default the cache stays
-/// useful for any realistic prepared-query working set while a
-/// many-distinct-query adversary cannot grow it without bound.
+/// Cap on cached answers per engine. The cache stays useful for any
+/// realistic prepared-query working set while a many-distinct-query
+/// adversary cannot grow it without bound.
 const DEFAULT_ANSWER_CACHE_CAPACITY: usize = 4096;
-
-/// The engine's interior-mutability answer cache: finished [`Answers`]
-/// keyed by `(prepared-query fingerprint, semantics)`, with true LRU
-/// eviction at capacity (lookups refresh recency). Every other input that
-/// could change an answer — backend, alpha mode, NE store, mapping
-/// strategy, Corollary 2 toggle, mapping budget — is fixed at engine
-/// construction, so it needs no spot in the key; the answer-irrelevant
-/// knobs (parallelism, default semantics) are deliberately excluded. The
-/// *database* is engine state but mutable through [`Engine::apply`],
-/// which invalidates selectively on each entry's [`QueryFootprint`] (the
-/// tag stored beside the answer); [`Engine::invalidate_cache`] remains as
-/// the blanket hook.
-#[derive(Debug)]
-struct AnswerCache {
-    enabled: AtomicBool,
-    capacity: usize,
-    inner: Mutex<Lru<(u64, Semantics), CachedAnswer<QueryFootprint>>>,
-}
-
-impl AnswerCache {
-    fn new(enabled: bool, capacity: usize) -> AnswerCache {
-        AnswerCache {
-            enabled: AtomicBool::new(enabled),
-            capacity,
-            inner: Mutex::default(),
-        }
-    }
-
-    fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// A hit returns the stored answer re-stamped as cached (`cache_hit`
-    /// true, zero mappings, the lookup's elapsed time) and marks the
-    /// entry most recently used.
-    fn lookup(&self, prepared: &PreparedQuery, semantics: Semantics) -> Option<Answers> {
-        if !self.is_enabled() {
-            return None;
-        }
-        let start = Instant::now();
-        let mut inner = self.inner.lock().expect("answer cache poisoned");
-        inner.hit(&(prepared.fingerprint, semantics), prepared, start)
-    }
-
-    fn insert(&self, prepared: &PreparedQuery, semantics: Semantics, answers: &Answers) {
-        if !self.is_enabled() || self.capacity == 0 {
-            return;
-        }
-        self.inner.lock().expect("answer cache poisoned").put(
-            (prepared.fingerprint, semantics),
-            CachedAnswer::new(prepared, answers, prepared.footprint.clone()),
-            self.capacity,
-        );
-    }
-
-    /// Drops every entry for which `affected` returns true; returns
-    /// `(evicted, retained)` counts. This is the selective-invalidation
-    /// path [`Engine::apply`] uses.
-    fn evict_where(
-        &self,
-        mut affected: impl FnMut(&QueryFootprint, Semantics) -> bool,
-    ) -> (usize, usize) {
-        let mut inner = self.inner.lock().expect("answer cache poisoned");
-        let evicted = inner.retain(|&(_, semantics), cached| !affected(&cached.tag, semantics));
-        (evicted, inner.len())
-    }
-
-    fn clear(&self) {
-        self.inner.lock().expect("answer cache poisoned").clear();
-    }
-
-    fn len(&self) -> usize {
-        self.inner.lock().expect("answer cache poisoned").len()
-    }
-}
 
 /// Cumulative delta bookkeeping (see [`DeltaStats`]). The re-certification
 /// counter is atomic because certificates are revalidated on the `&self`
@@ -214,8 +138,6 @@ struct EngineConfig {
     mapping_budget: Option<u64>,
     /// Whether the answer cache starts enabled.
     answer_cache: bool,
-    /// Maximum cached answers (LRU eviction at capacity).
-    cache_capacity: usize,
 }
 
 /// Configures and constructs an [`Engine`]. Obtained from
@@ -237,7 +159,6 @@ impl EngineBuilder {
             config: EngineConfig {
                 corollary2_fast_path: true,
                 answer_cache: true,
-                cache_capacity: DEFAULT_ANSWER_CACHE_CAPACITY,
                 ..EngineConfig::default()
             },
         }
@@ -312,22 +233,16 @@ impl EngineBuilder {
         self
     }
 
-    /// Caps the answer cache at `capacity` entries (default 4096), with
-    /// true LRU eviction at capacity: lookups refresh recency, and the
-    /// least-recently-used answer is dropped to make room. `0` disables
-    /// caching entirely (every insert is skipped).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache_capacity = capacity;
-        self
-    }
-
     /// Finalizes the engine.
     pub fn build(self) -> Engine {
         Engine {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             db: self.db,
             semantics: self.semantics,
-            cache: AnswerCache::new(self.config.answer_cache, self.config.cache_capacity),
+            cache: Arc::new(AnswerCache::new(
+                self.config.answer_cache,
+                DEFAULT_ANSWER_CACHE_CAPACITY,
+            )),
             config: self.config,
             approx: OnceLock::new(),
             ph1: OnceLock::new(),
@@ -409,8 +324,10 @@ pub struct Engine {
     /// keep it warm, and [`Evidence::components_reused`] reports the
     /// reuse per answer.
     decomp: OnceLock<DbDecomposition>,
-    /// The answer cache (see [`AnswerCache`]).
-    cache: AnswerCache,
+    /// The answer cache: this engine's own, except that the snapshots a
+    /// [`SharedEngine`](crate::SharedEngine) publishes share their
+    /// writer's (see [`Engine::snapshot`]).
+    cache: Arc<AnswerCache>,
     /// Database epoch: bumped by every [`Engine::apply`] that changed
     /// anything. Prepared queries record the epoch they were certified
     /// at; a mismatch means the completeness certificate must be
@@ -423,9 +340,9 @@ pub struct Engine {
 impl Clone for Engine {
     /// Clones the session configuration and database. The clone keeps the
     /// engine id — prepared queries remain executable on it — but starts
-    /// with an **empty** answer cache (cached answers are cheap to
-    /// re-derive and a `Mutex`-held map is not meaningfully shareable by
-    /// value).
+    /// with an **empty** answer cache of its own: the two engines evolve
+    /// independently from here, and may reach different databases at
+    /// equal epoch numbers, which one cache could not tell apart.
     ///
     /// The database is *shared*, not copied: the clone holds the same
     /// `Arc`ed vocabulary, fact relations and axiom list (one
@@ -435,6 +352,18 @@ impl Clone for Engine {
     /// number of facts. Derived structures already built (`Ph₁`, the §5
     /// machinery, the decomposition memo) are copied by value.
     fn clone(&self) -> Engine {
+        let cache = AnswerCache::new(self.cache.is_enabled(), self.cache.capacity());
+        self.with_cache(Arc::new(cache))
+    }
+}
+
+impl Engine {
+    /// Starts configuring an engine over `db`.
+    pub fn builder(db: CwDatabase) -> EngineBuilder {
+        EngineBuilder::new(db)
+    }
+
+    fn with_cache(&self, cache: Arc<AnswerCache>) -> Engine {
         Engine {
             id: self.id,
             db: self.db.clone(),
@@ -444,17 +373,19 @@ impl Clone for Engine {
             ph1: self.ph1.clone(),
             kernel_count: self.kernel_count.clone(),
             decomp: self.decomp.clone(),
-            cache: AnswerCache::new(self.cache.is_enabled(), self.config.cache_capacity),
+            cache,
             epoch: self.epoch,
             counters: self.counters.clone(),
         }
     }
-}
 
-impl Engine {
-    /// Starts configuring an engine over `db`.
-    pub fn builder(db: CwDatabase) -> EngineBuilder {
-        EngineBuilder::new(db)
+    /// A [`Clone`] that *shares* this engine's answer cache: the frozen
+    /// copy a [`SharedEngine`](crate::SharedEngine) publishes of its
+    /// writer. Sound only because that copy is never mutated and the
+    /// writer is the one line of history behind it — an epoch number then
+    /// names one database for everyone who reads the cache.
+    pub(crate) fn snapshot(&self) -> Engine {
+        self.with_cache(self.cache.clone())
     }
 
     /// An engine with all defaults ([`Semantics::Auto`], naive backend).
@@ -558,11 +489,11 @@ impl Engine {
     }
 
     /// Turns the answer cache on or off. Disabling stops both lookups and
-    /// inserts but keeps existing entries (the database is immutable, so
-    /// they stay valid and re-enabling reuses them); use
+    /// inserts but keeps existing entries ([`Engine::apply`] keeps them
+    /// true, so re-enabling reuses them); use
     /// [`Engine::invalidate_cache`] to drop them.
     pub fn set_cache_enabled(&self, enabled: bool) {
-        self.cache.enabled.store(enabled, Ordering::Relaxed);
+        self.cache.set_enabled(enabled);
     }
 
     /// Number of answers currently cached.
@@ -570,19 +501,20 @@ impl Engine {
         self.cache.len()
     }
 
-    /// Maximum number of answers the cache holds before LRU eviction
-    /// (see [`EngineBuilder::cache_capacity`]).
+    /// Maximum number of answers the cache holds; past it the least
+    /// recently used answer of the incoming answer's shard goes.
     pub fn cache_capacity(&self) -> usize {
-        self.config.cache_capacity
+        self.cache.capacity()
     }
 
-    /// Drops every cached answer unconditionally.
-    ///
-    /// This blanket hook is *superseded* by the selective invalidation
-    /// [`Engine::apply`] performs: deltas evict only the entries whose
-    /// predicate footprint they touch, so callers mutating the database
-    /// through `apply` never need to call this. It remains for callers
-    /// who want a cold cache for other reasons (e.g. benchmarking).
+    /// `(shards holding an answer, answers in the fullest shard)`.
+    pub(crate) fn cache_occupancy(&self) -> (usize, usize) {
+        self.cache.occupancy()
+    }
+
+    /// Drops every cached answer unconditionally. Never needed for
+    /// correctness — [`Engine::apply`] evicts what its delta touches — it
+    /// is for callers who want a cold cache (e.g. benchmarking).
     pub fn invalidate_cache(&self) {
         self.cache.clear();
     }
@@ -633,7 +565,9 @@ impl Engine {
     ///   touching predicate `P` evicts only the entries whose
     ///   [`QueryFootprint`] mentions `P`, and an axiom delta additionally
     ///   evicts the axiom-sensitive entries (anything that is not a
-    ///   positive first-order query under a non-possible semantics).
+    ///   positive first-order query under a non-possible semantics);
+    ///   the entries that were current and survive are served at the new
+    ///   epoch too.
     ///
     /// Validation is all-or-nothing: every fact and axiom is checked
     /// against the vocabulary first, and an invalid delta changes
@@ -727,11 +661,14 @@ impl Engine {
         // bit-identical to a fresh run, evidence included, so the flip
         // (which can happen at most once per engine) evicts everything.
         let flipped = !was_fully_specified && self.db.is_fully_specified();
-        let (evicted, retained) = self.cache.evict_where(|footprint, semantics| {
+        // Before the new epoch exists for anyone: no reader can look an
+        // entry up at an epoch the cache has not been advanced to.
+        let affected = |footprint: &QueryFootprint, semantics| {
             flipped
                 || footprint.mentions_any(&touched)
                 || (ne_added && footprint.ne_sensitive(semantics))
-        });
+        };
+        let (evicted, retained) = self.cache.advance(self.epoch, self.epoch + 1, affected);
         report.cache_evicted = evicted;
         report.cache_retained = retained;
         self.epoch += 1;
@@ -841,7 +778,7 @@ impl Engine {
         if prepared.engine_id != self.id {
             return Err(EngineError::PreparedElsewhere);
         }
-        if let Some(hit) = self.cache.lookup(prepared, semantics) {
+        if let Some(hit) = self.cache.lookup(prepared, semantics, self.epoch) {
             return Ok(hit);
         }
         // Classified once per execution (and only on cache misses): the
@@ -904,7 +841,7 @@ impl Engine {
         let mut certain_group: Vec<usize> = Vec::new();
         let mut possible_group: Vec<usize> = Vec::new();
         for (i, p) in prepared.iter().enumerate() {
-            if let Some(hit) = self.cache.lookup(p, semantics) {
+            if let Some(hit) = self.cache.lookup(p, semantics, self.epoch) {
                 results[i] = Some(hit);
             } else {
                 match self.enumeration_route(self.effective_completeness(p), semantics) {
@@ -1206,63 +1143,6 @@ mod tests {
     use super::*;
     use qld_logic::Vocabulary;
 
-    fn tiny_engine() -> Engine {
-        let mut voc = Vocabulary::new();
-        voc.add_consts(["a", "b"]).unwrap();
-        voc.add_pred("P", 1).unwrap();
-        let db = CwDatabase::builder(voc).build().unwrap();
-        Engine::new(db)
-    }
-
-    fn tiny_engine_with_capacity(capacity: usize) -> Engine {
-        let mut voc = Vocabulary::new();
-        voc.add_consts(["a", "b"]).unwrap();
-        voc.add_pred("P", 1).unwrap();
-        let db = CwDatabase::builder(voc).build().unwrap();
-        Engine::builder(db).cache_capacity(capacity).build()
-    }
-
-    #[test]
-    fn answer_cache_evicts_least_recently_used() {
-        let engine = tiny_engine_with_capacity(2);
-        assert_eq!(engine.cache_capacity(), 2);
-        let queries = ["P(a)", "P(b)", "!P(a)"];
-        let prepared: Vec<_> = queries
-            .iter()
-            .map(|t| engine.prepare_text(t).unwrap())
-            .collect();
-        let answers = engine.execute(&prepared[0]).unwrap();
-        engine.invalidate_cache();
-        // Fill the 2-entry cache with P(a), P(b); touch P(a); insert a
-        // third key: the least recently used entry — P(b) — must go.
-        engine.cache.insert(&prepared[0], Semantics::Auto, &answers);
-        engine.cache.insert(&prepared[1], Semantics::Auto, &answers);
-        assert!(engine.cache.lookup(&prepared[0], Semantics::Auto).is_some());
-        engine.cache.insert(&prepared[2], Semantics::Auto, &answers);
-        assert_eq!(engine.cache.len(), 2);
-        assert!(
-            engine.cache.lookup(&prepared[0], Semantics::Auto).is_some(),
-            "recently-used entry survived"
-        );
-        assert!(
-            engine.cache.lookup(&prepared[1], Semantics::Auto).is_none(),
-            "LRU entry evicted"
-        );
-        assert!(engine.cache.lookup(&prepared[2], Semantics::Auto).is_some());
-        // Re-inserting a present key refreshes in place (no eviction).
-        engine.cache.insert(&prepared[0], Semantics::Auto, &answers);
-        assert_eq!(engine.cache.len(), 2);
-        assert!(engine.cache.lookup(&prepared[2], Semantics::Auto).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let engine = tiny_engine_with_capacity(0);
-        let prepared = engine.prepare_text("P(a)").unwrap();
-        engine.execute(&prepared).unwrap();
-        assert_eq!(engine.cache_len(), 0);
-    }
-
     /// Two predicates and a null: the playground for footprint tests.
     fn two_pred_engine() -> Engine {
         let mut voc = Vocabulary::new();
@@ -1542,23 +1422,5 @@ mod tests {
             .unwrap();
         let after_ne = engine.query(text).unwrap();
         assert_eq!(after_ne.evidence().components_reused, 0);
-    }
-
-    #[test]
-    fn cache_lookup_rejects_fingerprint_collisions() {
-        let engine = tiny_engine();
-        let p1 = engine.prepare_text("P(a)").unwrap();
-        let p2 = engine.prepare_text("P(b)").unwrap();
-        let answers = engine.execute(&p1).unwrap();
-        engine.invalidate_cache();
-        engine.cache.insert(&p1, Semantics::Auto, &answers);
-        // Simulate a 64-bit fingerprint collision: a *different* query
-        // carrying p1's fingerprint must miss, not be served p1's answer.
-        let forged = PreparedQuery {
-            fingerprint: p1.fingerprint,
-            ..p2.clone()
-        };
-        assert!(engine.cache.lookup(&forged, Semantics::Auto).is_none());
-        assert!(engine.cache.lookup(&p1, Semantics::Auto).is_some());
     }
 }

@@ -117,7 +117,7 @@ impl Default for ServerConfig {
 pub struct ConnectionStats {
     /// Queries answered on this connection.
     pub queries: u64,
-    /// Of those, answers served from the shared epoch-keyed cache.
+    /// Of those, answers served from the engine's answer cache.
     pub cache_hits: u64,
     /// Of those, query lines the connection had already prepared: sent
     /// again, they ran without being parsed or prepared again (see
@@ -141,7 +141,7 @@ pub struct ServerStats {
     pub active_connections: usize,
     /// Queries answered across all connections.
     pub queries_served: u64,
-    /// Of those, shared-cache hits.
+    /// Of those, answer-cache hits.
     pub cache_hits: u64,
     /// Deltas applied across all connections.
     pub deltas_applied: u64,

@@ -30,8 +30,8 @@
 //!   to [`Engine::execute`]).
 //! * `Pinned` — one request of a server connection: the connection's
 //!   [`SharedSession`] read through the one snapshot the request took.
-//!   Reads run inline on the connection thread, one `execute_on` per
-//!   query; writes go to the session's
+//!   Reads run inline on the connection thread, one [`Engine::execute`]
+//!   on the snapshot's engine per query; writes go to the session's
 //!   [`SharedEngine`](qld_engine::SharedEngine).
 //! * `Vec<SharedSession>` — `--sessions N`. A segment is dealt
 //!   round-robin to the readers, one scoped thread each, every reader
@@ -329,11 +329,8 @@ impl Database for Pinned<'_> {
     /// cache hit is short enough that a spawned thread or a batch set-up
     /// per request would show in it.
     fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
-        let semantics = self.snapshot.engine().semantics();
-        prepared
-            .iter()
-            .map(|p| self.session.execute_on(self.snapshot, p, semantics))
-            .collect()
+        let engine = self.snapshot.engine();
+        prepared.iter().map(|p| engine.execute(p)).collect()
     }
 
     fn stats(&self) -> Vec<String> {
@@ -493,8 +490,8 @@ pub const STATEMENT_CAPACITY: usize = 256;
 /// A kept statement never goes stale. The vocabulary a line was parsed
 /// against does not change; a [`PreparedQuery`] survives every delta
 /// (execution re-certifies a verdict older than the snapshot it runs on);
-/// and the map holds no answers — those live in the engine's epoch-keyed
-/// cache — so nothing here is ever served across epochs. The one thing
+/// and the map holds no answers — those live in the engine's answer
+/// cache, which knows the epochs each is true at. The one thing
 /// that can orphan a statement is the engine itself being replaced under
 /// the connection (a follower re-bootstrap): [`Statements::run`] then
 /// drops it and prepares the line afresh.

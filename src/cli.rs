@@ -304,9 +304,9 @@ fn read_script(path: &str, out: &mut dyn Write) -> io::Result<Option<String>> {
 }
 
 /// The engine the command-line flags describe — one builder for the
-/// shell, `--sessions` and `qld serve`. `cache = false` turns the answer
-/// cache off, the engine's own and the one a [`SharedEngine`] puts in
-/// front of it.
+/// shell, `--sessions` and `qld serve`. `cache = false` turns the engine's
+/// answer cache off, which a [`SharedEngine`]'s snapshots read through
+/// too.
 pub fn engine_from(
     db: CwDatabase,
     mode: Mode,
@@ -334,7 +334,7 @@ pub struct ConcurrentConfig {
     /// Enumeration worker threads (`None` = engine default from
     /// `QLD_THREADS`).
     pub threads: Option<usize>,
-    /// Whether the shared epoch-keyed answer cache is enabled.
+    /// Whether the engine's answer cache is enabled.
     pub cache: bool,
 }
 
@@ -415,7 +415,7 @@ pub struct ServeOptions {
     pub mode: Mode,
     /// Enumeration worker threads (`None` = engine default).
     pub threads: Option<usize>,
-    /// Whether the shared epoch-keyed answer cache is enabled.
+    /// Whether the engine's answer cache is enabled.
     pub cache: bool,
     /// Optional write-ahead-log directory (`--wal-dir`). When set, every
     /// delta is logged (and, under [`FsyncPolicy::Always`], fsynced)

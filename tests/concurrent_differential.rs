@@ -13,9 +13,10 @@
 //! * a stress test — 8 reader threads hammering prepared queries against
 //!   a writer applying 64+ deltas: no torn reads (all readers agree on
 //!   every `(query, epoch)` answer, and each agrees with a solo rebuild),
-//!   no stale-epoch cache hits (every answer is stamped with exactly the
-//!   epoch of the snapshot the session read), monotone epoch observation
-//!   per session;
+//!   every answer stamped with exactly the epoch of the snapshot the
+//!   session read — cache hits included, and some of those were computed
+//!   at an earlier epoch and kept across the publishes since (the test
+//!   fails if it saw none) — monotone epoch observation per session;
 //! * a small-interleaving smoke pass: many short writer/reader races on
 //!   tiny databases, so races fail fast in CI rather than only under
 //!   load.
@@ -34,7 +35,7 @@ use querying_logical_databases::prelude::{
 use querying_logical_databases::workloads::{
     random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 
@@ -149,13 +150,14 @@ fn run_differential_case(
                                     "epoch ran backwards: {epoch} after {last_epoch}"
                                 );
                                 last_epoch = epoch;
-                                // No stale-epoch cache hits: the answer is
-                                // stamped with exactly the epoch of the
-                                // snapshot this call read.
+                                // Hit or not, the answer is stamped with
+                                // exactly the epoch of the snapshot this
+                                // call read (and checked against a fresh
+                                // engine at that epoch below).
                                 assert_eq!(
                                     epoch,
                                     session.observed_epoch(),
-                                    "answer stamped with a foreign epoch (stale cache hit)"
+                                    "answer stamped with a foreign epoch"
                                 );
                                 observed.push((
                                     qi,
@@ -296,15 +298,18 @@ proptest! {
 /// four semantics while one writer applies 64+ distinct deltas. Checks:
 /// no torn reads (every reader's answer for a `(query, semantics, epoch)`
 /// triple is identical across readers *and* to a solo engine rebuilt at
-/// that epoch), no stale-epoch cache hits, monotone epoch observation per
-/// session, and that readers really did observe the database evolving.
+/// that epoch), every answer stamped with the epoch it was read at,
+/// monotone epoch observation per session, that readers really did
+/// observe the database evolving, and that some of the hits they were
+/// served had been computed at an earlier epoch (a `P1`-only query
+/// outlives every `P0` publish) — the cross-epoch path ran under races.
 #[test]
 fn stress_eight_readers_against_writer_applying_64_deltas() {
     const READERS: usize = 8;
     const TARGET_DELTAS: u64 = 64;
     // Fully specified database: every regime is polynomial (Corollary 2),
     // so the stress volume stays cheap while the concurrency machinery —
-    // snapshot publication, the sharded cache, epoch stamping — is
+    // snapshot publication, the shared answer cache, epoch stamping — is
     // exercised exactly as in the general case.
     let db = random_db(4242, 12, 1.0);
     let texts = [
@@ -329,8 +334,11 @@ fn stress_eight_readers_against_writer_applying_64_deltas() {
     // is observed live by at least one concurrent session.
     let max_observed = AtomicU64::new(0);
 
-    type Seen = HashMap<(usize, Semantics, u64), Relation>;
-    let (db_log, reader_maps) = thread::scope(|scope| {
+    type Key = (usize, Semantics, u64);
+    type Seen = HashMap<Key, Relation>;
+    /// What one reader saw, and which of it was a hit / computed afresh.
+    type Read = (Seen, HashSet<Key>, HashSet<Key>);
+    let (db_log, reads) = thread::scope(|scope| {
         let writer = {
             let shared = shared.clone();
             let done = &done;
@@ -382,6 +390,7 @@ fn stress_eight_readers_against_writer_applying_64_deltas() {
                 scope.spawn(move || {
                     let mut session = shared.session();
                     let mut seen: Seen = HashMap::new();
+                    let (mut hits, mut computed) = (HashSet::new(), HashSet::new());
                     let mut last_epoch = 0u64;
                     let mut executions = 0u64;
                     // Keep reading until the writer is done, then one more
@@ -397,10 +406,15 @@ fn stress_eight_readers_against_writer_applying_64_deltas() {
                                 assert_eq!(
                                     epoch,
                                     session.observed_epoch(),
-                                    "stale-epoch cache hit"
+                                    "answer stamped with a foreign epoch"
                                 );
                                 max_observed.fetch_max(epoch, Ordering::AcqRel);
                                 executions += 1;
+                                if ans.evidence().cache_hit {
+                                    hits.insert((qi, semantics, epoch));
+                                } else {
+                                    computed.insert((qi, semantics, epoch));
+                                }
                                 // Torn-read guard, intra-reader: the same
                                 // (query, semantics, epoch) must always
                                 // produce the same tuples.
@@ -420,16 +434,16 @@ fn stress_eight_readers_against_writer_applying_64_deltas() {
                         final_sweep = done.load(Ordering::Acquire);
                     }
                     assert!(executions >= 16, "reader barely ran");
-                    seen
+                    (seen, hits, computed)
                 })
             })
             .collect();
         let log = writer.join().expect("writer panicked");
-        let maps: Vec<Seen> = handles
+        let reads: Vec<Read> = handles
             .into_iter()
             .map(|h| h.join().expect("reader panicked"))
             .collect();
-        (log, maps)
+        (log, reads)
     });
 
     assert_eq!(db_log.len() as u64, TARGET_DELTAS);
@@ -439,7 +453,7 @@ fn stress_eight_readers_against_writer_applying_64_deltas() {
     // readers that saw the same (query, semantics, epoch) must have seen
     // identical tuples.
     let mut merged: Seen = HashMap::new();
-    for map in &reader_maps {
+    for (map, _, _) in &reads {
         for (key, tuples) in map {
             if let Some(prev) = merged.insert(*key, tuples.clone()) {
                 assert_eq!(
@@ -450,10 +464,23 @@ fn stress_eight_readers_against_writer_applying_64_deltas() {
         }
     }
 
+    // Every read of this engine is in `reads`, so a hit at an epoch where
+    // nobody computed that query under that semantics was served from an
+    // entry computed earlier and carried across at least one publish.
+    let computed: HashSet<&Key> = reads.iter().flat_map(|(_, _, c)| c).collect();
+    let carried = reads
+        .iter()
+        .flat_map(|(_, hits, _)| hits)
+        .filter(|key| !computed.contains(key))
+        .count();
+    assert!(
+        carried > 0,
+        "no hit outlived a publish: the cross-epoch path went untested"
+    );
+
     // The epoch gate above guarantees a live observation of every epoch
     // 1..=64 (epoch 0 too, unless the first publish won the startup race).
-    let distinct_epochs: std::collections::HashSet<u64> =
-        merged.keys().map(|&(_, _, e)| e).collect();
+    let distinct_epochs: HashSet<u64> = merged.keys().map(|&(_, _, e)| e).collect();
     assert!(
         distinct_epochs.len() as u64 >= TARGET_DELTAS,
         "readers observed only {} distinct epochs of {}",
@@ -535,7 +562,7 @@ fn interleaving_smoke_many_short_races() {
                         assert_eq!(
                             ans.evidence().epoch,
                             session.observed_epoch(),
-                            "stale-epoch cache hit in smoke race"
+                            "answer stamped with a foreign epoch in smoke race"
                         );
                         observed.push((ans.evidence().epoch, ans.tuples().clone()));
                     }

@@ -3,8 +3,9 @@
 //! dialect through `qld_server::script::{run_line, run_script}`, so after
 //! stripping each front-end's dressing the same script must mean the
 //! same thing everywhere — tuples, verdicts, regimes, certificates,
-//! epochs and delta reports — and a malformed line must draw the same
-//! diagnostic.
+//! epochs and whole delta reports, the cache clause included (one cache
+//! policy behind every front-end) — and a malformed line must draw the
+//! same diagnostic.
 //!
 //! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both).
 
@@ -75,12 +76,6 @@ fn evidence_core(tag: &str) -> String {
     format!("{regime}, {certificate}, epoch {epoch}")
 }
 
-/// A delta report without its cache clause (how many cached answers a
-/// delta evicts is the front-end's cache policy, not the delta).
-fn delta_core(report: &str) -> String {
-    report.split(", cache:").next().unwrap().to_string()
-}
-
 fn answer_event(payload: &[String], tag: &str) -> String {
     format!("answer {} | {}", payload.join(" "), evidence_core(tag))
 }
@@ -105,9 +100,7 @@ fn local_transcript(output: &str) -> Transcript {
         } else if line.starts_with('(') {
             tuples.push(line.to_string());
         } else if line.contains(" fact(s) inserted (") {
-            transcript
-                .events
-                .push(format!("delta {}", delta_core(line)));
+            transcript.events.push(format!("delta {line}"));
         } else if let Some(e) = line.strip_prefix("error: ") {
             transcript.events.push(format!("error {e}"));
         } else {
@@ -132,9 +125,7 @@ fn wire_transcript(replies: &[Reply]) -> Transcript {
                 "`done: epoch=` is the epoch in the evidence"
             );
         } else if let Some(report) = &reply.delta {
-            transcript
-                .events
-                .push(format!("delta {}", delta_core(report)));
+            transcript.events.push(format!("delta {report}"));
         }
         transcript.stats.extend(reply.stats.iter().cloned());
     }
@@ -205,7 +196,15 @@ fn one_script_means_the_same_in_all_four_front_ends() {
         "{events:#?}"
     );
     assert!(events[3].starts_with("delta 1 fact(s) inserted (0 duplicate)"));
+    assert!(
+        events[3].ends_with("cache: 3 evicted / 0 retained"),
+        "{events:#?}"
+    );
     assert!(events[4].starts_with("delta 0 fact(s) inserted (1 duplicate)"));
+    assert!(
+        events[8].ends_with("cache: 1 evicted / 0 retained"),
+        "{events:#?}"
+    );
     assert!(events[7].contains("auto → Theorem 1, exact (Theorem 1), epoch 3"));
     assert!(
         events[9].contains("auto → Corollary 2, exact (Corollary 2), epoch 4"),

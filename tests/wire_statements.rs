@@ -178,8 +178,9 @@ fn comparable(mut reply: Reply) -> Reply {
     reply
 }
 
-/// A delta report without its cache clause (how many cached answers a
-/// delta evicts is the cache policy's, not the delta's).
+/// A delta report without its cache clause: the reference it is held
+/// against is a solo engine built without a cache, which evicts and
+/// retains nothing. (`script_frontends` compares whole reports.)
 fn delta_core(report: &str) -> &str {
     report.split(", cache:").next().unwrap()
 }
