@@ -10,18 +10,34 @@
 //!
 //! # The hot path
 //!
-//! The per-mapping inner loop is engineered to be allocation-free in
-//! steady state:
+//! A full walk costs images × per-image work, and Theorem 5 says the images
+//! cannot be engineered away, so what happens per image is a kernel with
+//! everything hoisted out of it that does not depend on the image:
 //!
+//! * `Ph₁(LB)` is built once per database (the engine hands in its
+//!   memoised copy) and each query of the batch is lowered once
+//!   ([`LoweredQuery`]) before the enumeration starts; the workers share
+//!   both;
 //! * the database image `h(Ph₁(LB))` is written into a reusable buffer
-//!   ([`PhysicalDb::assign_mapped_image`]) instead of building a fresh
-//!   [`PhysicalDb`] per mapping;
-//! * each query is evaluated over it through the worker's one
-//!   [`QueryEvaluator`], whose environments, candidate row and answer
+//!   instead of building a fresh [`PhysicalDb`] per mapping — the relations
+//!   once per kernel partition
+//!   ([`PhysicalDb::assign_mapped_relations`]), the domain and the
+//!   constants once per null-only block count `e`
+//!   ([`PhysicalDb::assign_mapped_frame`]): a free constant occurs in no
+//!   fact, so `e` cannot change a relation;
+//! * each lowered query is run over it through the worker's one
+//!   [`QueryEvaluator`], whose value slots, candidate row and answer
 //!   relation are those of the previous image;
-//! * candidate tuples are the rows of one flat [`Relation`] per query,
-//!   their `h`-images are computed into a reusable scratch tuple, and
-//!   pruning is [`Relation::retain`] — no per-tuple `Vec`s;
+//! * candidate tuples are the rows of one flat [`Relation`] per query and
+//!   pruning is [`Relation::retain`]. A candidate without a free constant —
+//!   every candidate, when the plan has none — is decided in one step, a
+//!   gather through `h` and one search
+//!   ([`Relation::contains_mapped`]); only a candidate that mentions free
+//!   constants pays for the placement search and its scratch buffers, and
+//!   only a plan with free constants for the sorted block representatives
+//!   that search ranges over;
+//! * atoms and candidates bottom out in the same arity-specialised row
+//!   search of [`Relation`];
 //! * under [`ParallelConfig`] with more than one thread, the mapping
 //!   search tree is split across a worker pool (see
 //!   [`crate::mappings`]): each worker prunes a private candidate set
@@ -29,6 +45,9 @@
 //!   early exit, and the final answer is the intersection of the worker
 //!   sets (union for possible answers) — bit-identical to the sequential
 //!   result regardless of thread count.
+//!
+//! The walk allocates at set-up and while a buffer still grows, never per
+//! image (`tests/eval_alloc.rs` pins the counts).
 
 use crate::mappings::{
     analyze_decomposition, count_kernel_mappings, for_each_kernel_mapping_over_parallel,
@@ -37,7 +56,9 @@ use crate::mappings::{
 use crate::ph::ph1;
 use crate::theory::CwDatabase;
 use qld_logic::{LogicError, Query};
-use qld_physical::{eval_query, Elem, PhysicalDb, QueryEvaluator, Relation, RowWriter, TupleSpace};
+use qld_physical::{
+    eval_query, Elem, LoweredQuery, PhysicalDb, QueryEvaluator, Relation, RowWriter, TupleSpace,
+};
 
 /// Which dual of Theorem 1 an evaluation computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,9 +299,12 @@ impl PlacementSearch<'_> {
     /// Is there a realizable canonical placement of `cand`'s free constants
     /// whose image tuple's membership in the answers equals `want_in`? See
     /// the free-null collapse notes above. A candidate without free
-    /// constants has the one placement that places nothing: its image
-    /// under `h`.
+    /// constants has the one placement that places nothing, so it is
+    /// decided in one step: a gather through `h` and one membership test.
     fn decides(&self, cand: &[Elem], scratch: &mut PlacementScratch) -> bool {
+        if !cand.iter().any(|&c| self.is_free[c as usize]) {
+            return self.answers.contains_mapped(cand, |c| self.h[c as usize]) == self.want_in;
+        }
         scratch.distinct.clear();
         for &c in cand {
             if self.is_free[c as usize] && !scratch.distinct.contains(&c) {
@@ -384,7 +408,8 @@ struct DecompWorker {
     live: usize,
     /// Full canonical mapping buffer (every constant).
     h: Vec<Elem>,
-    /// Distinct block representatives of the current core partition.
+    /// Distinct block representatives of the current core partition, kept
+    /// only while the plan has free constants to place among them.
     core_values: Vec<Elem>,
     scratch: PlacementScratch,
 }
@@ -397,13 +422,14 @@ struct DecompWorker {
 /// bit-identical at any thread count.
 fn run_decomposed(
     db: &CwDatabase,
+    base: &PhysicalDb,
     queries: &[Query],
     mode: AnswerMode,
     opts: ExactOptions,
     plan: &DecompPlan,
 ) -> (Vec<Relation>, EvalStats) {
     let n = db.num_consts();
-    let base = ph1(db);
+    let lowered: Vec<LoweredQuery> = queries.iter().map(LoweredQuery::new).collect();
     let consts: Vec<Elem> = (0..n as Elem).collect();
     let e_max = plan.caps.iter().copied().max().unwrap_or(0);
     let possible = mode == AnswerMode::Possible;
@@ -417,7 +443,7 @@ fn run_decomposed(
             eval: QueryEvaluator::default(),
             cands: queries
                 .iter()
-                .map(|q| Relation::from_rows(q.arity(), TupleSpace::new(&consts, q.arity())))
+                .map(|q| TupleSpace::new(&consts, q.arity()).select(|_| true))
                 .collect(),
             collected: queries.iter().map(|q| RowWriter::new(q.arity())).collect(),
             live: queries.len(),
@@ -440,10 +466,15 @@ fn run_decomposed(
             for (p, &c) in plan.core.iter().enumerate() {
                 h[c as usize] = h_core[p];
             }
-            core_values.clear();
-            core_values.extend_from_slice(h_core);
-            core_values.sort_unstable();
-            core_values.dedup();
+            if !plan.free.is_empty() {
+                core_values.clear();
+                core_values.extend_from_slice(h_core);
+                core_values.sort_unstable();
+                core_values.dedup();
+            }
+            // A free constant occurs in no fact: the relations are those of
+            // the core partition, whatever `e`.
+            image.assign_mapped_relations(base, h);
             for e in plan.e_min..=e_max {
                 // With early exit on, stop once no live query's cap reaches
                 // this `e`. Without it, evaluate every (partition, e) image
@@ -462,9 +493,9 @@ fn run_decomposed(
                         h[plan.core[0] as usize]
                     };
                 }
-                image.assign_mapped_image(&base, h);
+                image.assign_mapped_frame(base, h);
                 *evaluated += 1;
-                for (i, query) in queries.iter().enumerate() {
+                for (i, query) in lowered.iter().enumerate() {
                     if e > plan.caps[i] || cands[i].is_empty() {
                         continue;
                     }
@@ -533,8 +564,9 @@ fn run_decomposed(
 }
 
 /// Every public name below — and the engine, which passes its cached
-/// [`DbDecomposition`] instead of `None` (analyze on the spot) — funnels
-/// into this one entry: validate, take the Corollary 2 fast path when it
+/// [`DbDecomposition`] and its memoised `Ph₁(LB)` instead of `None`
+/// (analyze, respectively build, on the spot) — funnels into this one
+/// entry: validate, take the Corollary 2 fast path when it
 /// applies (certain mode only; possible answers have no analogue), else
 /// plan and walk. The answers (and the per-query relation order) of a
 /// batch are bit-identical to N independent calls; [`EvalStats`] counts
@@ -547,6 +579,7 @@ pub fn evaluate(
     mode: AnswerMode,
     opts: ExactOptions,
     decomp: Option<&DbDecomposition>,
+    base: Option<&PhysicalDb>,
 ) -> Result<(Vec<Relation>, EvalStats), LogicError> {
     for query in queries {
         query.check(db.voc())?;
@@ -554,17 +587,24 @@ pub fn evaluate(
     if queries.is_empty() {
         return Ok((Vec::new(), EvalStats::default()));
     }
+    let owned;
+    let base = match base {
+        Some(base) => base,
+        None => {
+            owned = ph1(db);
+            &owned
+        }
+    };
     if mode == AnswerMode::Certain && opts.corollary2_fast_path && db.is_fully_specified() {
-        let base = ph1(db);
         let stats = EvalStats {
             fast_path: true,
             ..EvalStats::default()
         };
-        let answers = queries.iter().map(|q| eval_query(&base, q)).collect();
+        let answers = queries.iter().map(|q| eval_query(base, q)).collect();
         return Ok((answers, stats));
     }
     let plan = plan_decomposition(db, queries, decomp);
-    Ok(run_decomposed(db, queries, mode, opts, &plan))
+    Ok(run_decomposed(db, base, queries, mode, opts, &plan))
 }
 
 /// [`evaluate`] for a single query.
@@ -574,7 +614,7 @@ fn evaluate_one(
     mode: AnswerMode,
     opts: ExactOptions,
 ) -> Result<(Relation, EvalStats), LogicError> {
-    let (mut answers, stats) = evaluate(db, std::slice::from_ref(query), mode, opts, None)?;
+    let (mut answers, stats) = evaluate(db, std::slice::from_ref(query), mode, opts, None, None)?;
     Ok((answers.pop().expect("one query in, one answer out"), stats))
 }
 
@@ -605,7 +645,7 @@ pub fn certain_answers_batch_with(
     queries: &[Query],
     opts: ExactOptions,
 ) -> Result<(Vec<Relation>, EvalStats), LogicError> {
-    evaluate(db, queries, AnswerMode::Certain, opts, None)
+    evaluate(db, queries, AnswerMode::Certain, opts, None, None)
 }
 
 /// Batched [`possible_answers_with`]: the union dual of
@@ -617,7 +657,7 @@ pub fn possible_answers_batch_with(
     queries: &[Query],
     opts: ExactOptions,
 ) -> Result<(Vec<Relation>, EvalStats), LogicError> {
-    evaluate(db, queries, AnswerMode::Possible, opts, None)
+    evaluate(db, queries, AnswerMode::Possible, opts, None, None)
 }
 
 /// Does the theory finitely imply the sentence? (`T ⊨_f σ`.)

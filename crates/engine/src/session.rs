@@ -976,7 +976,14 @@ impl Engine {
         };
         let warm = self.decomp.get().is_some();
         let decomp = self.decomp.get_or_init(|| analyze_decomposition(&self.db));
-        let (rels, stats) = evaluate(&self.db, queries, mode, opts, Some(decomp))?;
+        let (rels, stats) = evaluate(
+            &self.db,
+            queries,
+            mode,
+            opts,
+            Some(decomp),
+            Some(self.ph1_db()),
+        )?;
         let (regime, certificate) = match mode {
             AnswerMode::Certain => (Regime::Theorem1, Certificate::ExactTheorem1),
             AnswerMode::Possible => (Regime::PossibleWorlds, Certificate::PossibleUpperBound),

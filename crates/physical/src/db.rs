@@ -136,6 +136,11 @@ impl PhysicalDb {
     /// Theorem 1 hot loop clones `Ph₁(LB)` once and overwrites that buffer
     /// for each mapping instead of constructing a fresh database image.
     ///
+    /// The image has two parts that callers may update apart:
+    /// [`PhysicalDb::assign_mapped_relations`] and
+    /// [`PhysicalDb::assign_mapped_frame`]. Mappings that agree on every
+    /// element occurring in a tuple share the first.
+    ///
     /// `self` must interpret the same vocabulary shape as `base` (clone
     /// `base` to create the buffer), and `h` must be defined on every
     /// element of `base`'s domain.
@@ -144,14 +149,29 @@ impl PhysicalDb {
     /// Panics if `self`'s constant or relation count differs from
     /// `base`'s, or (via index bounds) if `h` does not cover an element.
     pub fn assign_mapped_image(&mut self, base: &PhysicalDb, h: &[Elem]) {
-        assert_eq!(
-            self.const_val.len(),
-            base.const_val.len(),
-            "image buffer was not cloned from a database of base's shape"
-        );
+        self.assign_mapped_relations(base, h);
+        self.assign_mapped_frame(base, h);
+    }
+
+    /// The relations of [`PhysicalDb::assign_mapped_image`]: every tuple of
+    /// `base` remapped through `h`, domain and constants left alone.
+    pub fn assign_mapped_relations(&mut self, base: &PhysicalDb, h: &[Elem]) {
         assert_eq!(
             self.rels.len(),
             base.rels.len(),
+            "image buffer was not cloned from a database of base's shape"
+        );
+        for (dst, src) in self.rels.iter_mut().zip(&base.rels) {
+            dst.assign_mapped(src, |e| h[e as usize]);
+        }
+    }
+
+    /// The frame of [`PhysicalDb::assign_mapped_image`]: the domain `h(D)`
+    /// and the constants' values, relations left alone.
+    pub fn assign_mapped_frame(&mut self, base: &PhysicalDb, h: &[Elem]) {
+        assert_eq!(
+            self.const_val.len(),
+            base.const_val.len(),
             "image buffer was not cloned from a database of base's shape"
         );
         self.domain.clear();
@@ -161,9 +181,6 @@ impl PhysicalDb {
         self.domain.dedup();
         for (dst, &src) in self.const_val.iter_mut().zip(&base.const_val) {
             *dst = h[src as usize];
-        }
-        for (dst, src) in self.rels.iter_mut().zip(&base.rels) {
-            dst.assign_mapped(src, |e| h[e as usize]);
         }
     }
 

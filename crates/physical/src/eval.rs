@@ -1,6 +1,6 @@
 //! Tarskian evaluation of queries over physical databases (§2.1).
 //!
-//! The evaluator is the textbook recursive one: first-order quantifiers
+//! The semantics are the textbook recursive ones: first-order quantifiers
 //! iterate over the domain, so a fixed first-order query is evaluated in
 //! polynomial time and logarithmic space in the database — the
 //! LOGSPACE data complexity of Theorem 4(1). Second-order quantifiers are
@@ -9,152 +9,304 @@
 //! precise simulation hides a second-order quantification whose cost is
 //! exactly this enumeration.
 //!
-//! Evaluation allocates per query, not per tuple: an atom's arguments go
-//! into one scratch row, [`eval_query`] steps the candidate space through
-//! one reused row ([`TupleSpace::next_into`]) and pushes the answers
-//! straight into a [`RowWriter`]. A [`QueryEvaluator`] keeps all of that
-//! across calls, so evaluating over one database image after another (the
-//! Theorem 1 walk) allocates only while a buffer still grows.
+//! # Lower once, run per database
+//!
+//! Nothing here interprets a [`Formula`] while it evaluates. A query is
+//! *lowered* once ([`LoweredQuery::new`]) into a tree whose leaves name
+//! *slots* of one flat value array: slot `i` below the variable count is
+//! the variable `Var(i)`, the slots behind them hold the query's constant
+//! symbols. Running the tree over a database first loads the constants'
+//! values into their slots — once per database, not once per term — and
+//! then an atom is one [`Relation::contains_mapped`] (its argument slots
+//! gathered through the array into a row on the stack, up to arity 4, and
+//! searched for), an equality is two loads, a quantifier writes the
+//! domain's elements into its slot, in domain order, and restores what was
+//! there. Connectives short-circuit left to right. The environment's sizes
+//! are fixed by the lowering, so a run never grows it, and the two leaves
+//! that carry a walk (atoms, equalities) are decided without a call.
+//!
+//! [`eval_query`], [`Evaluator`] and [`satisfies`] lower and run in one
+//! call. A [`QueryEvaluator`] runs an already lowered query and keeps its
+//! buffers across calls — the slots, the candidate row
+//! ([`TupleSpace::next_into`]) and the answer relation ([`RowWriter`]) — so
+//! evaluating one lowered query over one database image after another (the
+//! Theorem 1 walk, which lowers each query of a batch once and shares it
+//! among its workers) allocates only while a buffer still grows.
+//!
+//! The recursive interpreter this replaced lives on as the reference of
+//! `tests/eval_differential.rs`.
 
 use crate::db::PhysicalDb;
 use crate::relation::{Elem, Relation, RowWriter};
 use crate::tuples::{for_each_relation, TupleSpace};
-use qld_logic::{Formula, PredVarId, Query, Term, Var};
+use qld_logic::{ConstId, Formula, PredId, Query, Term, Var};
 
-/// The variable environments and the scratch row of an evaluation —
-/// everything but the database, so one state serves many databases.
-#[derive(Default)]
-struct Env {
-    vars: Vec<Option<Elem>>,
-    pred_vars: Vec<Option<Relation>>,
-    /// Argument tuple of the atom under test.
-    args: Vec<Elem>,
+/// Index of a value slot of a [`Frame`]. As wide as an [`Elem`], so that
+/// an atom's slots are the tuple [`Relation::contains_mapped`] maps.
+type Slot = Elem;
+
+/// Atoms up to this arity keep their argument slots inline.
+const INLINE_ARGS: usize = 4;
+
+/// The slots an atom's argument tuple is read from.
+enum Args {
+    /// The first `len` of these slots.
+    Inline { len: u8, slots: [Slot; INLINE_ARGS] },
+    /// An atom wider than [`INLINE_ARGS`].
+    Wide(Box<[Slot]>),
 }
 
-impl Env {
-    /// Unbinds everything and sizes the environments for `formula`.
-    fn reset_for(&mut self, formula: &Formula) {
-        self.vars.clear();
-        self.vars
-            .resize(formula.max_var().map_or(0, |v| v.index() + 1), None);
-        self.pred_vars.clear();
-        self.pred_vars
-            .resize(formula.max_pred_var().map_or(0, |r| r.index() + 1), None);
+impl Args {
+    /// Is the argument tuple, read off `values`, a row of `rel`?
+    #[inline]
+    fn in_relation(&self, rel: &Relation, values: &[Elem]) -> bool {
+        let slots = match self {
+            Args::Inline { len, slots } => &slots[..usize::from(*len)],
+            Args::Wide(slots) => slots,
+        };
+        rel.contains_mapped(slots, |slot| values[slot as usize])
     }
+}
 
-    fn bind(&mut self, v: Var, e: Elem) {
-        if v.index() >= self.vars.len() {
-            self.vars.resize(v.index() + 1, None);
-        }
-        self.vars[v.index()] = Some(e);
-    }
-
-    /// Fills the scratch row with the values of `ts`.
-    fn fill_args(&mut self, db: &PhysicalDb, ts: &[Term]) {
-        let Env { vars, args, .. } = self;
-        args.clear();
-        args.extend(ts.iter().map(|t| term(vars, db, t)));
-    }
-
-    fn eval(&mut self, db: &PhysicalDb, f: &Formula) -> bool {
-        match f {
-            Formula::True => true,
-            Formula::False => false,
-            Formula::Atom(p, ts) => {
-                self.fill_args(db, ts);
-                db.relation(*p).contains(&self.args)
-            }
-            Formula::SoAtom(r, ts) => {
-                self.fill_args(db, ts);
-                self.pred_vars[r.index()]
-                    .as_ref()
-                    .expect("unbound predicate variable: formula must be checked")
-                    .contains(&self.args)
-            }
-            Formula::Eq(a, b) => term(&self.vars, db, a) == term(&self.vars, db, b),
-            Formula::Not(g) => !self.eval(db, g),
-            Formula::And(fs) => fs.iter().all(|g| self.eval(db, g)),
-            Formula::Or(fs) => fs.iter().any(|g| self.eval(db, g)),
-            Formula::Implies(p, q) => !self.eval(db, p) || self.eval(db, q),
-            Formula::Iff(p, q) => self.eval(db, p) == self.eval(db, q),
-            Formula::Exists(v, g) => self.quantify(db, *v, g, true),
-            Formula::Forall(v, g) => self.quantify(db, *v, g, false),
-            Formula::SoExists(r, k, g) => self.so_quantify(db, *r, *k, g, true),
-            Formula::SoForall(r, k, g) => self.so_quantify(db, *r, *k, g, false),
-        }
-    }
-
-    fn quantify(&mut self, db: &PhysicalDb, v: Var, body: &Formula, existential: bool) -> bool {
-        let saved = self.vars[v.index()];
-        let mut result = !existential;
-        for &e in db.domain() {
-            self.vars[v.index()] = Some(e);
-            if self.eval(db, body) == existential {
-                result = existential;
-                break;
-            }
-        }
-        self.vars[v.index()] = saved;
-        result
-    }
-
-    fn so_quantify(
-        &mut self,
-        db: &PhysicalDb,
-        r: PredVarId,
-        arity: usize,
-        body: &Formula,
+/// A lowered formula: [`Formula`] with every symbol resolved to an index.
+enum Node {
+    True,
+    False,
+    Atom(PredId, Args),
+    /// An atom over the predicate variable in this [`Frame::pred_vars`]
+    /// slot.
+    SoAtom(usize, Args),
+    Eq(Slot, Slot),
+    Not(Box<Node>),
+    And(Box<[Node]>),
+    Or(Box<[Node]>),
+    Implies(Box<[Node; 2]>),
+    Iff(Box<[Node; 2]>),
+    Quantify {
+        slot: Slot,
         existential: bool,
-    ) -> bool {
-        let saved = self.pred_vars[r.index()].take();
-        let mut result = !existential;
-        for_each_relation(db.domain(), arity, |rel| {
-            self.pred_vars[r.index()] = Some(rel.clone());
-            if self.eval(db, body) == existential {
-                result = existential;
-                false // early exit
-            } else {
-                true
-            }
-        });
-        self.pred_vars[r.index()] = saved;
-        result
-    }
+        body: Box<Node>,
+    },
+    SoQuantify {
+        pred_var: usize,
+        arity: usize,
+        existential: bool,
+        body: Box<Node>,
+    },
 }
 
-fn term(vars: &[Option<Elem>], db: &PhysicalDb, t: &Term) -> Elem {
-    match t {
-        Term::Var(v) => {
-            vars[v.index()].expect("unbound variable: queries must be validated via Query::new")
+/// A lowered formula with the shape of the environment it runs in.
+struct Program {
+    root: Node,
+    /// Slots `..num_vars` are the variables, by index.
+    num_vars: usize,
+    /// Slot `num_vars + i` holds the value of `consts[i]`.
+    consts: Vec<ConstId>,
+    num_pred_vars: usize,
+}
+
+impl Program {
+    /// Lowers `formula` for an environment of at least `min_vars`
+    /// variables (head variables need not occur in the body).
+    fn lower(formula: &Formula, min_vars: usize) -> Program {
+        let mut program = Program {
+            root: Node::True,
+            num_vars: min_vars.max(formula.max_var().map_or(0, |v| v.index() + 1)),
+            consts: Vec::new(),
+            num_pred_vars: formula.max_pred_var().map_or(0, |r| r.index() + 1),
+        };
+        program.root = program.node(formula);
+        program
+    }
+
+    fn node(&mut self, f: &Formula) -> Node {
+        match f {
+            Formula::True => Node::True,
+            Formula::False => Node::False,
+            Formula::Atom(p, ts) => Node::Atom(*p, self.args(ts)),
+            Formula::SoAtom(r, ts) => Node::SoAtom(r.index(), self.args(ts)),
+            Formula::Eq(a, b) => Node::Eq(self.slot(a), self.slot(b)),
+            Formula::Not(g) => Node::Not(Box::new(self.node(g))),
+            Formula::And(fs) => Node::And(fs.iter().map(|g| self.node(g)).collect()),
+            Formula::Or(fs) => Node::Or(fs.iter().map(|g| self.node(g)).collect()),
+            Formula::Implies(p, q) => Node::Implies(self.pair(p, q)),
+            Formula::Iff(p, q) => Node::Iff(self.pair(p, q)),
+            Formula::Exists(v, g) | Formula::Forall(v, g) => Node::Quantify {
+                slot: var_slot(*v),
+                existential: matches!(f, Formula::Exists(..)),
+                body: Box::new(self.node(g)),
+            },
+            Formula::SoExists(r, k, g) | Formula::SoForall(r, k, g) => Node::SoQuantify {
+                pred_var: r.index(),
+                arity: *k,
+                existential: matches!(f, Formula::SoExists(..)),
+                body: Box::new(self.node(g)),
+            },
         }
-        Term::Const(c) => db.const_val(*c),
+    }
+
+    fn pair(&mut self, p: &Formula, q: &Formula) -> Box<[Node; 2]> {
+        Box::new([self.node(p), self.node(q)])
+    }
+
+    fn args(&mut self, ts: &[Term]) -> Args {
+        if ts.len() <= INLINE_ARGS {
+            let mut slots = [0; INLINE_ARGS];
+            for (slot, t) in slots.iter_mut().zip(ts) {
+                *slot = self.slot(t);
+            }
+            Args::Inline {
+                len: ts.len() as u8,
+                slots,
+            }
+        } else {
+            Args::Wide(ts.iter().map(|t| self.slot(t)).collect())
+        }
+    }
+
+    fn slot(&mut self, t: &Term) -> Slot {
+        match t {
+            Term::Var(v) => var_slot(*v),
+            Term::Const(c) => {
+                let known = self.consts.iter().position(|k| k == c);
+                let i = known.unwrap_or_else(|| {
+                    self.consts.push(*c);
+                    self.consts.len() - 1
+                });
+                (self.num_vars + i) as Slot
+            }
+        }
     }
 }
 
-/// Evaluation state: a physical database plus variable environments.
+fn var_slot(v: Var) -> Slot {
+    v.index() as Slot
+}
+
+/// The environment a [`Program`] runs in — everything but the database,
+/// so one frame serves many databases and many programs.
+#[derive(Default)]
+struct Frame {
+    /// Variable values, then constant values (see [`Program`]). A variable
+    /// nobody bound reads as element 0: checked queries never do.
+    values: Vec<Elem>,
+    pred_vars: Vec<Relation>,
+}
+
+impl Frame {
+    /// Sizes the frame for `program` and loads `db`'s constant values.
+    fn load(&mut self, program: &Program, db: &PhysicalDb) {
+        self.values.clear();
+        self.values.resize(program.num_vars, 0);
+        self.values
+            .extend(program.consts.iter().map(|&c| db.const_val(c)));
+        if self.pred_vars.len() < program.num_pred_vars {
+            self.pred_vars
+                .resize_with(program.num_pred_vars, || Relation::empty(0));
+        }
+    }
+
+    /// Does `node` hold in `db` under this frame's values? The leaves that
+    /// carry a walk — vocabulary atoms and equalities — are decided at the
+    /// call site; only a connective or a quantifier costs a call.
+    #[inline(always)]
+    fn holds(&mut self, db: &PhysicalDb, node: &Node) -> bool {
+        match node {
+            Node::Atom(p, args) => args.in_relation(db.relation(*p), &self.values),
+            Node::Eq(a, b) => self.values[*a as usize] == self.values[*b as usize],
+            _ => self.compound_holds(db, node),
+        }
+    }
+
+    /// [`Frame::holds`] for everything but the two inlined leaves.
+    fn compound_holds(&mut self, db: &PhysicalDb, node: &Node) -> bool {
+        match node {
+            Node::Atom(..) | Node::Eq(..) => unreachable!("decided in `holds`"),
+            Node::True => true,
+            Node::False => false,
+            Node::SoAtom(r, args) => args.in_relation(&self.pred_vars[*r], &self.values),
+            Node::Not(g) => !self.holds(db, g),
+            Node::And(gs) => gs.iter().all(|g| self.holds(db, g)),
+            Node::Or(gs) => gs.iter().any(|g| self.holds(db, g)),
+            Node::Implies(pq) => !self.holds(db, &pq[0]) || self.holds(db, &pq[1]),
+            Node::Iff(pq) => self.holds(db, &pq[0]) == self.holds(db, &pq[1]),
+            Node::Quantify {
+                slot,
+                existential,
+                body,
+            } => {
+                let slot = *slot as usize;
+                let saved = self.values[slot];
+                let mut result = !existential;
+                for &e in db.domain() {
+                    self.values[slot] = e;
+                    if self.holds(db, body) == *existential {
+                        result = *existential;
+                        break;
+                    }
+                }
+                self.values[slot] = saved;
+                result
+            }
+            Node::SoQuantify {
+                pred_var,
+                arity,
+                existential,
+                body,
+            } => {
+                let saved = std::mem::replace(&mut self.pred_vars[*pred_var], Relation::empty(0));
+                let mut result = !existential;
+                for_each_relation(db.domain(), *arity, |rel| {
+                    self.pred_vars[*pred_var] = rel.clone();
+                    if self.holds(db, body) == *existential {
+                        result = *existential;
+                        false // early exit
+                    } else {
+                        true
+                    }
+                });
+                self.pred_vars[*pred_var] = saved;
+                result
+            }
+        }
+    }
+}
+
+/// Evaluation state: a physical database plus variable bindings.
 pub struct Evaluator<'a> {
     db: &'a PhysicalDb,
-    env: Env,
+    /// The bound variables' values, by variable index.
+    bound: Vec<Elem>,
+    frame: Frame,
 }
 
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator sized for `formula`.
     pub fn new(db: &'a PhysicalDb, formula: &Formula) -> Self {
-        let mut env = Env::default();
-        env.reset_for(formula);
-        Evaluator { db, env }
+        Evaluator {
+            db,
+            bound: vec![0; formula.max_var().map_or(0, |v| v.index() + 1)],
+            frame: Frame::default(),
+        }
     }
 
     /// Binds a free variable before evaluation (used for query answers).
     /// Grows the environment if the variable exceeds the body's variables
     /// (a head variable need not occur in the body).
     pub fn bind(&mut self, v: Var, e: Elem) {
-        self.env.bind(v, e);
+        if v.index() >= self.bound.len() {
+            self.bound.resize(v.index() + 1, 0);
+        }
+        self.bound[v.index()] = e;
     }
 
-    /// Evaluates a formula under the current environment.
+    /// Evaluates a formula under the current bindings: lowers it, then
+    /// runs it. Every free variable of `f` must have been bound.
     pub fn eval(&mut self, f: &Formula) -> bool {
-        self.env.eval(self.db, f)
+        let program = Program::lower(f, self.bound.len());
+        self.frame.load(&program, self.db);
+        self.frame.values[..self.bound.len()].copy_from_slice(&self.bound);
+        self.frame.holds(self.db, &program.root)
     }
 }
 
@@ -179,12 +331,39 @@ pub fn satisfies_all<'a, I: IntoIterator<Item = &'a Formula>>(
     sentences.into_iter().all(|s| satisfies(db, s))
 }
 
-/// [`eval_query`] with its buffers kept: the environments, the candidate
-/// row and the answer relation of one call are reused by the next, whatever
-/// the query and the database. The Theorem 1 walk holds one per worker and
-/// evaluates every query of a batch over every image through it.
+/// A query lowered for evaluation (see the module docs): what a
+/// [`QueryEvaluator`] runs. Lowering depends on the query alone, so one
+/// lowered query serves every database of its vocabulary, from any thread.
+pub struct LoweredQuery {
+    /// The head variables' slots, in head order.
+    head: Box<[Slot]>,
+    body: Program,
+}
+
+impl LoweredQuery {
+    /// Lowers `query`.
+    pub fn new(query: &Query) -> LoweredQuery {
+        let head = query.head();
+        let min_vars = head.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+        LoweredQuery {
+            head: head.iter().map(|&v| var_slot(v)).collect(),
+            body: Program::lower(query.body(), min_vars),
+        }
+    }
+
+    /// Number of head variables.
+    pub fn arity(&self) -> usize {
+        self.head.len()
+    }
+}
+
+/// [`eval_query`] on a lowered query, with its buffers kept: the frame, the
+/// candidate row and the answer relation of one call are reused by the
+/// next, whatever the query and the database. The Theorem 1 walk holds one
+/// per worker and evaluates every query of a batch over every image through
+/// it.
 pub struct QueryEvaluator {
-    env: Env,
+    frame: Frame,
     /// The candidate tuple under test, and the odometer that steps it.
     row: Vec<Elem>,
     counters: Vec<usize>,
@@ -195,7 +374,7 @@ impl Default for QueryEvaluator {
     /// An evaluator with empty buffers.
     fn default() -> Self {
         QueryEvaluator {
-            env: Env::default(),
+            frame: Frame::default(),
             row: Vec::new(),
             counters: Vec::new(),
             answers: Relation::empty(0),
@@ -206,19 +385,19 @@ impl Default for QueryEvaluator {
 impl QueryEvaluator {
     /// Computes `Q(PB)` as [`eval_query`] does. The result lives in this
     /// evaluator until the next call overwrites it.
-    pub fn eval(&mut self, db: &PhysicalDb, query: &Query) -> &Relation {
-        let (arity, head, body) = (query.arity(), query.head(), query.body());
-        self.env.reset_for(body);
+    pub fn eval(&mut self, db: &PhysicalDb, query: &LoweredQuery) -> &Relation {
+        let arity = query.arity();
+        self.frame.load(&query.body, db);
         self.row.clear();
         self.row.resize(arity, 0);
         let recycled = std::mem::replace(&mut self.answers, Relation::empty(arity));
         let mut answers = RowWriter::reusing(recycled, arity);
         let mut space = TupleSpace::reusing(db.domain(), arity, std::mem::take(&mut self.counters));
         while space.next_into(&mut self.row) {
-            for (v, e) in head.iter().zip(&self.row) {
-                self.env.bind(*v, *e);
+            for (&slot, &e) in query.head.iter().zip(&self.row) {
+                self.frame.values[slot as usize] = e;
             }
-            if self.env.eval(db, body) {
+            if self.frame.holds(db, &query.body.root) {
                 answers.push(&self.row);
             }
         }
@@ -231,7 +410,7 @@ impl QueryEvaluator {
 /// Computes the answer `Q(PB) = { d ∈ D^k : I ⊨ φ(d) }` of §2.1.
 pub fn eval_query(db: &PhysicalDb, query: &Query) -> Relation {
     let mut evaluator = QueryEvaluator::default();
-    evaluator.eval(db, query);
+    evaluator.eval(db, &LoweredQuery::new(query));
     evaluator.answers
 }
 

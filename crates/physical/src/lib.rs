@@ -29,6 +29,6 @@ pub mod relation;
 pub mod tuples;
 
 pub use db::{PhysicalDb, PhysicalDbBuilder, PhysicalError};
-pub use eval::{eval_query, satisfies, satisfies_all, Evaluator, QueryEvaluator};
+pub use eval::{eval_query, satisfies, satisfies_all, Evaluator, LoweredQuery, QueryEvaluator};
 pub use relation::{Elem, Relation, RowWriter};
 pub use tuples::TupleSpace;

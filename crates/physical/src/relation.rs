@@ -95,24 +95,78 @@ impl Relation {
 
     /// Binary search over the rows: `Ok(i)` if row `i` is `tuple`,
     /// otherwise `Err(i)` with the row index that keeps the order.
+    #[inline]
     fn search(&self, tuple: &[Elem]) -> Result<usize, usize> {
-        let (mut lo, mut hi) = (0, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.row(mid).cmp(tuple) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Equal => return Ok(mid),
-                Ordering::Greater => hi = mid,
+        self.search_mapped(tuple, |e| e)
+    }
+
+    /// [`Relation::search`] for the image of `tuple` under `f`, which is
+    /// never materialised on the heap.
+    ///
+    /// Dispatches once on the arity and then compares whole rows the way
+    /// [`Relation::canonicalize`] sorts them: a scalar at arity 1, one
+    /// `u64` key at arity 2, `[Elem; N]` arrays at 3 and 4. Only wider rows
+    /// compare component by component. (A linear count through short
+    /// binary relations measured no better than the bisection, which
+    /// compiles to conditional moves: there is no length threshold.)
+    ///
+    /// # Panics
+    /// Panics if the tuple's length differs from the relation's arity.
+    #[inline]
+    fn search_mapped(&self, tuple: &[Elem], f: impl Fn(Elem) -> Elem) -> Result<usize, usize> {
+        assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
+        match self.arity {
+            0 => {
+                if self.len == 0 {
+                    Err(0)
+                } else {
+                    Ok(0)
+                }
+            }
+            1 => self.data.binary_search(&f(tuple[0])),
+            2 => {
+                let probe = pair_key([f(tuple[0]), f(tuple[1])]);
+                let (rows, _) = self.data.as_chunks::<2>();
+                rows.binary_search_by_key(&probe, |row| pair_key(*row))
+            }
+            3 => search_rows::<3>(&self.data, std::array::from_fn(|i| f(tuple[i]))),
+            4 => search_rows::<4>(&self.data, std::array::from_fn(|i| f(tuple[i]))),
+            _ => {
+                let (mut lo, mut hi) = (0, self.len);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    let row = self.row(mid).iter().copied();
+                    match row.cmp(tuple.iter().map(|&e| f(e))) {
+                        Ordering::Less => lo = mid + 1,
+                        Ordering::Equal => return Ok(mid),
+                        Ordering::Greater => hi = mid,
+                    }
+                }
+                Err(lo)
             }
         }
-        Err(lo)
     }
 
     /// Membership test (binary search).
+    ///
+    /// # Panics
+    /// Panics if the tuple's length differs from the relation's arity.
     #[inline]
     pub fn contains(&self, tuple: &[Elem]) -> bool {
-        debug_assert_eq!(tuple.len(), self.arity);
         self.search(tuple).is_ok()
+    }
+
+    /// Is the image of `tuple` under `f` — `(f(t₁), …, f(t_k))` — a row?
+    /// One gather and one search, with no tuple built in between: how the
+    /// evaluator tests an atom (its argument slots through the
+    /// environment) and the Theorem 1 walk a candidate (its constants
+    /// through the mapping `h`).
+    ///
+    /// # Panics
+    /// Panics if the tuple's length differs from the relation's arity.
+    #[inline]
+    pub fn contains_mapped(&self, tuple: &[Elem], f: impl Fn(Elem) -> Elem) -> bool {
+        self.search_mapped(tuple, f).is_ok()
     }
 
     /// Iterates over tuples in lexicographic order.
@@ -156,7 +210,6 @@ impl Relation {
     /// # Panics
     /// Panics if the tuple's length differs from the relation's arity.
     pub fn insert(&mut self, tuple: &[Elem]) -> bool {
-        assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
         let Err(pos) = self.search(tuple) else {
             return false;
         };
@@ -229,25 +282,17 @@ impl Relation {
     /// them lexicographically and drops duplicates, in place. Rows that
     /// are already strictly increasing cost one comparison pass.
     fn canonicalize(&mut self) {
-        let k = self.arity;
-        if k == 0 {
-            self.len = self.len.min(1);
-            return;
-        }
-        if self
-            .data
-            .chunks_exact(k)
-            .zip(self.data.chunks_exact(k).skip(1))
-            .all(|(a, b)| a < b)
-        {
-            return;
-        }
-        match k {
-            1 => self.data.sort_unstable(),
-            2 => sort_rows::<2>(&mut self.data),
-            3 => sort_rows::<3>(&mut self.data),
-            4 => sort_rows::<4>(&mut self.data),
-            _ => {
+        match self.arity {
+            0 => self.len = self.len.min(1),
+            1 => self.len = canonical_rows::<1>(&mut self.data),
+            2 => self.len = canonical_rows::<2>(&mut self.data),
+            3 => self.len = canonical_rows::<3>(&mut self.data),
+            4 => self.len = canonical_rows::<4>(&mut self.data),
+            k => {
+                let rows = || self.data.chunks_exact(k);
+                if rows().zip(rows().skip(1)).all(|(a, b)| a < b) {
+                    return;
+                }
                 // Wider rows: sort a permutation of the row indices, then
                 // gather the rows in that order.
                 let mut order: Vec<usize> = (0..self.len).collect();
@@ -257,19 +302,50 @@ impl Relation {
                     sorted.extend_from_slice(self.row(i));
                 }
                 self.data = sorted;
+                // Sorted, so a duplicate row sits right behind its first copy.
+                self.compact(|kept, row| !kept.ends_with(row));
             }
         }
-        // Sorted, so a duplicate row sits right behind its first copy.
-        self.compact(|kept, row| !kept.ends_with(row));
     }
 }
 
-/// Sorts the `N`-element rows of a flat buffer as `[Elem; N]` values
-/// (arrays order lexicographically, like the slices they stand for).
-fn sort_rows<const N: usize>(data: &mut [Elem]) {
+/// Sorts and deduplicates the `N`-element rows of a flat buffer as
+/// `[Elem; N]` values (arrays order lexicographically, like the slices they
+/// stand for) and returns how many are left. Rows already strictly
+/// increasing cost one comparison pass.
+fn canonical_rows<const N: usize>(data: &mut Vec<Elem>) -> usize {
     let (rows, rest) = data.as_chunks_mut::<N>();
     debug_assert!(rest.is_empty());
+    if rows.is_sorted_by(|a, b| a < b) {
+        return rows.len();
+    }
     rows.sort_unstable();
+    // Sorted, so a duplicate row sits right behind its first copy.
+    let mut kept = 1;
+    for i in 1..rows.len() {
+        if rows[i] != rows[kept - 1] {
+            rows[kept] = rows[i];
+            kept += 1;
+        }
+    }
+    data.truncate(kept * N);
+    kept
+}
+
+/// A binary row as one integer that orders like the row: the first column
+/// in the high half, so no pair of `u32` components can overflow the key.
+#[inline]
+fn pair_key([a, b]: [Elem; 2]) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
+}
+
+/// Binary search of `probe` among the `N`-element rows of a flat buffer,
+/// compared as `[Elem; N]` values.
+#[inline]
+fn search_rows<const N: usize>(data: &[Elem], probe: [Elem; N]) -> Result<usize, usize> {
+    let (rows, rest) = data.as_chunks::<N>();
+    debug_assert!(rest.is_empty());
+    rows.binary_search(&probe)
 }
 
 /// The one append path into a [`Relation`]: rows are pushed in any order,

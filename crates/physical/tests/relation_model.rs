@@ -4,7 +4,8 @@
 //! and the buffer is empty either way) through 6 (past the arities whose
 //! rows sort as fixed-size arrays). After every step every observer —
 //! `len`, `iter`, `contains`, `active_elems`, `is_subset_of`, `==`,
-//! `Hash`, `Debug` — must agree with the model. Relations are built the
+//! `Hash`, `Debug` — must agree with the model; a second test walks the
+//! row search across its arity and length dispatch boundaries. Relations are built the
 //! one way there is, through a [`RowWriter`]: rows pushed out of order and
 //! repeated, rows assembled from parts, a writer finished empty, a writer
 //! inside another relation's buffer.
@@ -249,6 +250,79 @@ fn random_operation_sequences_match_the_btreeset_model() {
             run_sequence(seed * 7 + arity as u64, arity);
         }
     }
+}
+
+/// `Relation`'s row search dispatches on the arity (nullary, scalar, one
+/// `u64` key, `[Elem; 3]`, `[Elem; 4]`, slices) and on nothing else — it
+/// bisects at every length. Both sides of every boundary: arities 0–6,
+/// lengths 0, 1, 2 and either side of a power of two, probes below the
+/// first row, above the last, one off a row in the last column only, and
+/// components up to `u32::MAX` — a packed key that overflowed would order
+/// `[0, MAX]` and `[1, 0]` wrongly.
+#[test]
+fn search_agrees_with_the_model_on_both_sides_of_every_dispatch_boundary() {
+    const MAX: Elem = Elem::MAX;
+    let mut values: Vec<Elem> = (0..20).collect();
+    values.extend([MAX - 2, MAX - 1, MAX]);
+    for arity in 0..=MAX_ARITY {
+        for len in [0usize, 1, 2, 15, 16, 17, 18, 23] {
+            for seed in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 131 + (arity * 29 + len) as u64);
+                let random_row = |rng: &mut StdRng| -> Vec<Elem> {
+                    (0..arity)
+                        .map(|_| values[rng.gen_range(0..values.len())])
+                        .collect()
+                };
+                let len = if arity == 0 { len.min(1) } else { len };
+                let mut model = Model::new();
+                while model.len() < len {
+                    model.insert(random_row(&mut rng));
+                }
+                let rel = Relation::from_rows(arity, &model);
+
+                let mut probes: Vec<Vec<Elem>> = model.iter().cloned().collect();
+                for row in &model {
+                    // One off in the last column only.
+                    if let Some((&last, prefix)) = row.split_last() {
+                        for near in [last.checked_sub(1), last.checked_add(1)] {
+                            probes.extend(near.map(|e| [prefix, &[e]].concat()));
+                        }
+                    }
+                }
+                probes.push(vec![0; arity]);
+                probes.push(vec![MAX; arity]);
+                probes.extend((0..64).map(|_| random_row(&mut rng)));
+
+                for probe in &probes {
+                    let context = format!("arity {arity}, {len} rows, seed {seed}, {probe:?}");
+                    let expected = model.contains(probe);
+                    assert_eq!(rel.contains(probe), expected, "contains: {context}");
+                    // The same probe, reached through an element map.
+                    let shifted: Vec<Elem> = probe.iter().map(|e| e.wrapping_add(7)).collect();
+                    assert_eq!(
+                        rel.contains_mapped(&shifted, |e| e.wrapping_sub(7)),
+                        expected,
+                        "contains_mapped: {context}"
+                    );
+                    // `insert` finds the same position `contains` looked at.
+                    let (mut grown, mut grown_model) = (rel.clone(), model.clone());
+                    assert_eq!(
+                        grown.insert(probe),
+                        grown_model.insert(probe.clone()),
+                        "insert: {context}"
+                    );
+                    let rows: Vec<&[Elem]> = grown_model.iter().map(Vec::as_slice).collect();
+                    assert_eq!(grown.iter().collect::<Vec<_>>(), rows, "order: {context}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "tuple arity mismatch")]
+fn contains_checks_the_probe_length() {
+    Relation::from_rows(2, [[1, 2]]).contains(&[1]);
 }
 
 #[test]

@@ -189,7 +189,7 @@ fn assert_engine_matches_oracles(
 fn plan_shapes_match_oracles() {
     // a ≠ b, P(a), Q(a, b); `u` and `v` are free.
     let mixed = "const a b u v\npred P/1 Q/2\nfact P(a)\nfact Q(a, b)\nunique a b\n";
-    let cases: [(&str, &str, &[&str]); 5] = [
+    let cases: [(&str, &str, &[&str]); 6] = [
         (
             "every constant free: empty core, e starts at 1",
             "const u v w\npred P/1 Q/2\n",
@@ -211,6 +211,18 @@ fn plan_shapes_match_oracles() {
                  & (exists x. !?A(x) & ?B(x)) & (exists x. !?A(x) & !?B(x))",
                 "forall2 ?A:1. forall2 ?B:1. !((exists x. ?A(x) & ?B(x)) & (exists x. ?A(x) & !?B(x)) \
                  & (exists x. !?A(x) & ?B(x)) & (exists x. !?A(x) & !?B(x)))",
+            ],
+        ),
+        (
+            // Rank 2 at arities 0–2 caps `e` at 3 = m: four images per core
+            // partition share one mapping of the relations and differ in
+            // domain and constants only.
+            "three free nulls beside a core that holds the facts",
+            "const a b u v w\npred P/1 Q/2\nfact P(a)\nfact Q(a, b)\nfact Q(b, b)\nunique a b\n",
+            &[
+                "exists x, y. x != y & !P(x) & !P(y)",
+                "(x) . forall y. Q(y, x) | exists z. z != y & !Q(z, z)",
+                "(x, y) . !Q(x, y) & exists z. z != x & forall t. Q(t, z) -> t = y",
             ],
         ),
         (

@@ -3,21 +3,22 @@
 //! A tuple is a `&[Elem]` row of a flat buffer: the evaluator binds from
 //! one reused row and pushes answers into one `RowWriter`, the algebra
 //! operators write their output rows into one, the Theorem 1 walk keeps its
-//! candidates in one `Relation` per query and evaluates every image through
-//! one `QueryEvaluator`. None of them may allocate per tuple, per candidate
-//! or per image; what is left is set-up plus the doublings of a growing
-//! buffer. Wall clocks on a shared host cannot pin that; a counting
+//! candidates in one `Relation` per query, lowers each query once and
+//! evaluates every image through one `QueryEvaluator`. None of them may
+//! allocate per tuple, per candidate, per atom or per image; what is left
+//! is set-up — the lowered program included — plus the doublings of a
+//! growing buffer. Wall clocks on a shared host cannot pin that; a counting
 //! `#[global_allocator]` can — the counts are constants of the code path.
 //!
 //! The allocator counts only while the test thread asks it to, and this is
 //! the one test of its binary, so nothing else allocates meanwhile.
 
 use querying_logical_databases::algebra::{compile_query, execute, optimize, ExecOptions};
-use querying_logical_databases::core::exact::{certain_answers_with, ExactOptions};
+use querying_logical_databases::core::exact::{certain_answers_batch_with, ExactOptions};
 use querying_logical_databases::core::ph::ph1;
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::parser::parse_query;
-use querying_logical_databases::logic::Vocabulary;
+use querying_logical_databases::logic::{ConstId, Query, Vocabulary};
 use querying_logical_databases::physical::{eval_query, PhysicalDb};
 use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 
@@ -66,9 +67,11 @@ const UNIVERSAL: &str = "(x) . forall y. P0(x, y) -> P1(y)";
 const NEGATION_FULL: &str = "(x) . (P1(x) & !P0(x, x)) | x = x";
 const UNIVERSAL_FULL: &str = "(x) . (forall y. P0(x, y) -> P1(y)) | x = x";
 
-/// Allocations of one `eval_query` besides its answer buffer: the variable
-/// environment, the atom scratch row, the candidate row and the odometer.
-const EVAL_QUERY_SETUP_ALLOCATIONS: usize = 4;
+/// Allocations of one `eval_query` of [`UNIVERSAL`] besides its answer
+/// buffer: the value slots, the candidate row and the odometer, plus the
+/// lowered query — its head slots and one box per connective or quantifier
+/// that has children (`forall`, `->`).
+const EVAL_QUERY_SETUP_ALLOCATIONS: usize = 3 + 3;
 
 /// (a) `eval_query` allocates per query, not per candidate (`|D|`), per
 /// answer, or per atom test (`|D|²` for the `UNIVERSAL` shape).
@@ -88,12 +91,49 @@ fn eval_query_allocates_per_query_not_per_tuple() {
     }
 }
 
+/// The arity-2 class of `qld_bench`'s `exact_scan`: 36 candidates.
+const SCALING: &str = "(x, z) . (exists y, w. P0(x, y) & P0(y, w) & P0(w, z)) | z = z";
+
+/// `exact_scan`'s `batch16`: sixteen Boolean sentences, all certainly true,
+/// the second eight mentioning a constant each.
+fn batch16(db: &CwDatabase) -> Vec<Query> {
+    const TEMPLATES: [&str; 8] = [
+        "exists x, y. P0(x, y)",
+        "exists x. P1(x) | exists y. P0(y, y)",
+        "forall x. x = x",
+        "exists x, y. P0(x, y) | P0(y, x)",
+        "exists x. (exists y. P0(x, y)) | P1(x)",
+        "forall x. P1(x) -> P1(x)",
+        "exists x, y. P0(x, y) & x = x",
+        "exists x. exists y. P0(x, y) | P1(y)",
+    ];
+    (0..16)
+        .map(|i| {
+            let base = TEMPLATES[i % TEMPLATES.len()];
+            let text = if i < TEMPLATES.len() {
+                base.to_string()
+            } else {
+                let name = db.voc().const_name(ConstId((i % db.num_consts()) as u32));
+                format!("({base}) & {name} = {name}")
+            };
+            parse_query(db.voc(), &text).unwrap()
+        })
+        .collect()
+}
+
 /// Allocations of one sequential full walk (fast path off, early exit off)
 /// over the 6-constant high-null database below, and the images it builds.
 /// Set-up only: `Ph₁` and its image buffer, the kernel enumeration's state,
-/// the candidate set, the evaluator's buffers on the first image.
+/// the candidate set, the lowered query, the evaluator's buffers on the
+/// first image. The two arity-1 texts lower to programs of equal size (an
+/// `|`, an `&` or a `forall`, a `!` or a `->`) and cost the same; the
+/// arity-2 text pays for one more quantifier and the doublings of a 36-row
+/// candidate set; the batch pays set-up per sentence — a lowered program,
+/// a candidate set, a proven set — and still nothing per image.
 const WALK_IMAGES: u64 = 203;
-const WALK_ALLOCATIONS: [(&str, usize); 2] = [(NEGATION_FULL, 74), (UNIVERSAL_FULL, 74)];
+const WALK_ALLOCATIONS: [(&str, usize); 3] =
+    [(NEGATION_FULL, 71), (UNIVERSAL_FULL, 71), (SCALING, 80)];
+const BATCH_WALK_ALLOCATIONS: usize = 123;
 
 /// (b) The Theorem 1 walk allocates at set-up and when a buffer grows —
 /// never per image, never per candidate.
@@ -104,16 +144,23 @@ fn the_walk_allocates_less_than_once_per_image() {
         early_exit: false,
         ..ExactOptions::sequential()
     };
-    for (text, expected) in WALK_ALLOCATIONS {
-        let query = parse_query(db.voc(), text).unwrap();
+    let mut walks: Vec<(&str, Vec<Query>, usize)> = WALK_ALLOCATIONS
+        .iter()
+        .map(|&(text, n)| (text, vec![parse_query(db.voc(), text).unwrap()], n))
+        .collect();
+    walks.push(("batch16", batch16(&db), BATCH_WALK_ALLOCATIONS));
+    for (label, queries, expected) in walks {
         let ((answers, stats), allocations) =
-            measured(|| certain_answers_with(&db, &query, opts).unwrap());
-        assert_eq!(answers.len(), 6, "{text}: every tuple is certain");
-        assert_eq!(stats.mappings_evaluated, WALK_IMAGES, "{text}");
-        assert_eq!(allocations, expected, "{text}");
+            measured(|| certain_answers_batch_with(&db, &queries, opts).unwrap());
+        for (query, answer) in queries.iter().zip(&answers) {
+            let space = 6usize.pow(query.arity() as u32);
+            assert_eq!(answer.len(), space, "{label}: every tuple is certain");
+        }
+        assert_eq!(stats.mappings_evaluated, WALK_IMAGES, "{label}");
+        assert_eq!(allocations, expected, "{label}");
         assert!(
             (allocations as u64) < stats.mappings_evaluated,
-            "{text}: {allocations} allocations over {} images",
+            "{label}: {allocations} allocations over {} images",
             stats.mappings_evaluated
         );
     }
