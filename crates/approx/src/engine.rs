@@ -3,56 +3,10 @@
 use crate::disagree::{alpha_additions_for_ne, alpha_relation, DisagreeScratch};
 use crate::ne_store::{NeBits, NeStore};
 use crate::rewrite::{rewrite_query, AlphaMode};
-use qld_algebra::{compile::eval_via_algebra, CompileError, ExecOptions};
 use qld_core::CwDatabase;
 use qld_logic::{Formula, LogicError, PredId, Query, Vocabulary};
 use qld_physical::Elem;
 use qld_physical::{eval_query, PhysicalDb, Relation};
-use std::fmt;
-
-/// Errors from the approximation pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ApproxError {
-    /// Ill-formed query.
-    Logic(LogicError),
-    /// The algebra backend refused the rewritten query.
-    Compile(CompileError),
-}
-
-impl fmt::Display for ApproxError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ApproxError::Logic(e) => write!(f, "{e}"),
-            ApproxError::Compile(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ApproxError {}
-
-impl From<LogicError> for ApproxError {
-    fn from(e: LogicError) -> Self {
-        ApproxError::Logic(e)
-    }
-}
-
-impl From<CompileError> for ApproxError {
-    fn from(e: CompileError) -> Self {
-        ApproxError::Compile(e)
-    }
-}
-
-/// Which machinery executes the rewritten query `Q̂`.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum Backend {
-    /// The naive Tarskian evaluator of `qld-physical`.
-    #[default]
-    Naive,
-    /// Compile `Q̂` to relational algebra and run it on the engine of
-    /// `qld-algebra` — §5's "top of a standard database management
-    /// system". First-order queries only.
-    Algebra(ExecOptions),
-}
 
 /// A logical database prepared for approximate querying.
 ///
@@ -260,7 +214,7 @@ impl ApproxEngine {
 
     /// Rewrites `Q ↦ Q̂` (checking the query first), expanding `NE` atoms
     /// when the engine is in virtual-NE mode.
-    pub fn rewrite(&self, query: &Query, mode: AlphaMode) -> Result<Query, ApproxError> {
+    pub fn rewrite(&self, query: &Query, mode: AlphaMode) -> Result<Query, LogicError> {
         query.check(&self.voc)?;
         let rewritten = rewrite_query(query, self.ne, &self.alpha, mode);
         if !self.virtual_ne {
@@ -298,24 +252,15 @@ impl ApproxEngine {
         }
     }
 
-    /// Approximate answers with the default pipeline (materialized `α_P`,
-    /// naive evaluation).
-    pub fn eval(&self, query: &Query) -> Result<Relation, ApproxError> {
-        self.eval_with(query, AlphaMode::Materialized, Backend::Naive)
+    /// Approximate answers with the default pipeline (materialized `α_P`).
+    pub fn eval(&self, query: &Query) -> Result<Relation, LogicError> {
+        self.eval_with(query, AlphaMode::Materialized)
     }
 
-    /// Approximate answers with explicit mode and backend.
-    pub fn eval_with(
-        &self,
-        query: &Query,
-        mode: AlphaMode,
-        backend: Backend,
-    ) -> Result<Relation, ApproxError> {
-        let rewritten = self.rewrite(query, mode)?;
-        match backend {
-            Backend::Naive => Ok(eval_query(&self.db, &rewritten)),
-            Backend::Algebra(opts) => Ok(eval_via_algebra(&self.voc, &self.db, &rewritten, opts)?),
-        }
+    /// Approximate answers with an explicit `α_P` mode: `Q̂` evaluated by
+    /// the Tarskian evaluator over the extended database.
+    pub fn eval_with(&self, query: &Query, mode: AlphaMode) -> Result<Relation, LogicError> {
+        Ok(eval_query(&self.db, &self.rewrite(query, mode)?))
     }
 }
 
@@ -441,31 +386,9 @@ mod tests {
         let engine = ApproxEngine::new(&db);
         for input in QUERIES {
             let q = parse_query(db.voc(), input).unwrap();
-            let a = engine
-                .eval_with(&q, AlphaMode::Materialized, Backend::Naive)
-                .unwrap();
-            let b = engine
-                .eval_with(&q, AlphaMode::Lemma10, Backend::Naive)
-                .unwrap();
+            let a = engine.eval_with(&q, AlphaMode::Materialized).unwrap();
+            let b = engine.eval_with(&q, AlphaMode::Lemma10).unwrap();
             assert_eq!(a, b, "alpha modes disagree on {input}");
-        }
-    }
-
-    #[test]
-    fn algebra_backend_matches_naive() {
-        let db = teaching();
-        let engine = ApproxEngine::new(&db);
-        for input in QUERIES {
-            let q = parse_query(db.voc(), input).unwrap();
-            let naive = engine.eval(&q).unwrap();
-            let algebra = engine
-                .eval_with(
-                    &q,
-                    AlphaMode::Materialized,
-                    Backend::Algebra(ExecOptions::default()),
-                )
-                .unwrap();
-            assert_eq!(naive, algebra, "backends disagree on {input}");
         }
     }
 
@@ -478,8 +401,8 @@ mod tests {
             let q = parse_query(db.voc(), input).unwrap();
             for mode in [AlphaMode::Materialized, AlphaMode::Lemma10] {
                 assert_eq!(
-                    explicit.eval_with(&q, mode, Backend::Naive).unwrap(),
-                    virt.eval_with(&q, mode, Backend::Naive).unwrap(),
+                    explicit.eval_with(&q, mode).unwrap(),
+                    virt.eval_with(&q, mode).unwrap(),
                     "virtual NE disagrees on {input} ({mode:?})"
                 );
             }

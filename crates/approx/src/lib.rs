@@ -25,10 +25,12 @@
 //! * [`AlphaMode::Lemma10`] splices in the literal `O(k log k)` first-order
 //!   formula from `qld_logic::builders::alpha_p`.
 //!
-//! The engine evaluates `Q̂` with either the naive Tarskian evaluator or
-//! the relational-algebra backend of `qld-algebra` — the paper's "on top
-//! of a standard database management system". Finally [`ne_store`]
-//! implements the virtual `NE` representation
+//! The engine evaluates `Q̂` with the Tarskian evaluator of `qld-physical`.
+//! `Q̂` is first-order over `Ph₂(LB)` whenever `Q` is, so it is also a
+//! query "on top of a standard database management system":
+//! `qld-algebra` compiles it to relational algebra, and the tests check
+//! that plan against this engine. Finally [`ne_store`] implements the
+//! virtual `NE` representation
 //! (`NE(x,y) ≡ NE′(x,y) ∨ (¬U(x) ∧ ¬U(y) ∧ x≠y)`) that §5 closes with.
 
 #![forbid(unsafe_code)]
@@ -41,15 +43,6 @@ pub mod ne_store;
 pub mod rewrite;
 
 pub use completeness::{exactness_theorem, CompletenessTheorem};
-pub use engine::{ApproxEngine, ApproxError, Backend};
+pub use engine::ApproxEngine;
 pub use ne_store::NeStore;
 pub use rewrite::AlphaMode;
-
-/// One-call convenience: approximate answers with the default pipeline
-/// (materialized `α_P`, naive evaluation).
-pub fn approximate_answers(
-    db: &qld_core::CwDatabase,
-    query: &qld_logic::Query,
-) -> Result<qld_physical::Relation, ApproxError> {
-    ApproxEngine::new(db).eval(query)
-}

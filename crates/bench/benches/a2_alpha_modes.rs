@@ -6,7 +6,7 @@
 //! negated atom. Same answers (asserted), different cost profiles.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qld_approx::{AlphaMode, ApproxEngine, Backend};
+use qld_approx::{AlphaMode, ApproxEngine};
 use qld_bench::{fmt_duration, print_header, print_row, standard_db, time_once};
 use qld_logic::parser::parse_query;
 use std::time::Duration;
@@ -18,21 +18,13 @@ fn print_series() {
         let db = standard_db(n, 5);
         let (engine, t_build) = time_once(|| ApproxEngine::new(&db));
         let q = parse_query(db.voc(), "(x) . P1(x) & !P0(x, x)").unwrap();
-        let (a, t_mat) = time_once(|| {
-            engine
-                .eval_with(&q, AlphaMode::Materialized, Backend::Naive)
-                .unwrap()
-        });
+        let (a, t_mat) = time_once(|| engine.eval_with(&q, AlphaMode::Materialized).unwrap());
         // The literal Lemma 10 formula is short (O(k log k)) but deeply
         // quantified: naive evaluation costs |C|^depth, so the series
         // stops where that becomes pointless. That asymmetry is this
         // ablation's finding.
         let t_lem = if n <= 12 {
-            let (b, t) = time_once(|| {
-                engine
-                    .eval_with(&q, AlphaMode::Lemma10, Backend::Naive)
-                    .unwrap()
-            });
+            let (b, t) = time_once(|| engine.eval_with(&q, AlphaMode::Lemma10).unwrap());
             assert_eq!(a, b, "alpha modes must agree");
             fmt_duration(t)
         } else {
@@ -59,19 +51,11 @@ fn bench(c: &mut Criterion) {
         let engine = ApproxEngine::new(&db);
         let q = parse_query(db.voc(), "(x) . P1(x) & !P0(x, x)").unwrap();
         group.bench_with_input(BenchmarkId::new("materialized", n), &n, |b, _| {
-            b.iter(|| {
-                engine
-                    .eval_with(&q, AlphaMode::Materialized, Backend::Naive)
-                    .unwrap()
-            })
+            b.iter(|| engine.eval_with(&q, AlphaMode::Materialized).unwrap())
         });
         if n <= 8 {
             group.bench_with_input(BenchmarkId::new("lemma10", n), &n, |b, _| {
-                b.iter(|| {
-                    engine
-                        .eval_with(&q, AlphaMode::Lemma10, Backend::Naive)
-                        .unwrap()
-                })
+                b.iter(|| engine.eval_with(&q, AlphaMode::Lemma10).unwrap())
             });
         }
     }

@@ -3,40 +3,37 @@
 //!
 //! Series: the same query evaluated (a) on the plain physical database
 //! `Ph₁(LB)` (the §2.1 semantics — the baseline), (b) approximately on
-//! `Ph₂(LB)` with the naive evaluator, and (c) approximately through the
-//! relational-algebra backend — as |C| grows into the hundreds. All
-//! three are polynomial with a bounded constant factor between them;
-//! exact evaluation is absent from this table because it stopped being
-//! runnable two orders of magnitude earlier (see E1/E4).
+//! `Ph₂(LB)` by the engine's evaluator, and (c) approximately as a
+//! relational-algebra plan run by `qld_algebra::execute` — as |C| grows
+//! into the hundreds. All three are polynomial with a bounded constant
+//! factor between them; exact evaluation is absent from this table
+//! because it stopped being runnable two orders of magnitude earlier (see
+//! E1/E4).
 //!
-//! Driven through `qld_engine::Engine`: one engine per backend, the query
-//! prepared once (so the per-execution cost excludes rewrite/compile —
-//! exactly the "execute many" half of the prepared-query story). A
-//! fourth column measures one-shot `Engine::eval` to show what
-//! preparation amortizes away.
+//! (b) is `Engine::execute` on a query prepared once (so the
+//! per-execution cost excludes the rewrite — the "execute many" half of
+//! the prepared-query story); (c) compiles the same `Q̂` once through
+//! `qld_bench::approx_plan`. A fourth column measures one-shot
+//! `Engine::eval` to show what preparation amortizes away.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qld_algebra::ExecOptions;
-use qld_bench::{fmt_duration, print_header, print_row, standard_db, standard_queries, time_once};
+use qld_algebra::{execute, ExecOptions};
+use qld_bench::{
+    approx_plan, fmt_duration, print_header, print_row, standard_db, standard_queries, time_once,
+};
 use qld_core::ph::ph1;
-use qld_engine::{Backend, Engine, Semantics};
+use qld_engine::{Engine, Semantics};
 use qld_physical::eval_query;
 use std::time::Duration;
 
 const SIZES: [usize; 4] = [16, 32, 64, 128];
 
-fn engines(db: &qld_core::CwDatabase) -> (Engine, Engine) {
-    let naive = Engine::builder(db.clone())
+fn engine(db: &qld_core::CwDatabase) -> Engine {
+    Engine::builder(db.clone())
         .semantics(Semantics::Approx)
         // Measure the evaluation, not answer-cache hits.
         .answer_cache(false)
-        .build();
-    let algebra = Engine::builder(db.clone())
-        .semantics(Semantics::Approx)
-        .backend(Backend::Algebra(ExecOptions::default()))
-        .answer_cache(false)
-        .build();
-    (naive, algebra)
+        .build()
 }
 
 fn print_series() {
@@ -54,14 +51,15 @@ fn print_series() {
         let queries = standard_queries(&db);
         let (_, q) = &queries[1];
         let (_, t_phys) = time_once(|| eval_query(&physical, q));
-        let (naive, algebra) = engines(&db);
+        let naive = engine(&db);
         let pn = naive.prepare(q.clone()).unwrap();
-        let pa = algebra.prepare(q.clone()).unwrap();
+        let plan = approx_plan(&naive, &pn);
+        let ph2 = naive.approx_engine().extended_db();
         let (a, t_naive) = time_once(|| naive.execute(&pn).unwrap());
-        let (b, t_algebra) = time_once(|| algebra.execute(&pa).unwrap());
-        assert_eq!(a.tuples(), b.tuples());
-        // One-shot: parse-free but re-prepares (rewrite + compile) every
-        // time — the cost PreparedQuery amortizes.
+        let (b, t_algebra) = time_once(|| execute(ph2, &plan, ExecOptions::default()));
+        assert_eq!(*a.tuples(), b);
+        // One-shot: parse-free but re-prepares (rewrite) every time — the
+        // cost PreparedQuery amortizes.
         let (_, t_oneshot) = time_once(|| naive.eval(q).unwrap());
         print_row(&[
             n.to_string(),
@@ -85,9 +83,10 @@ fn bench(c: &mut Criterion) {
         let physical = ph1(&db);
         let queries = standard_queries(&db);
         let (_, q) = &queries[1];
-        let (naive, algebra) = engines(&db);
+        let naive = engine(&db);
         let pn = naive.prepare(q.clone()).unwrap();
-        let pa = algebra.prepare(q.clone()).unwrap();
+        let plan = approx_plan(&naive, &pn);
+        let ph2 = naive.approx_engine().extended_db();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("physical", n), &n, |b, _| {
             b.iter(|| eval_query(&physical, q))
@@ -96,7 +95,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| naive.execute(&pn).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("approx_algebra", n), &n, |b, _| {
-            b.iter(|| algebra.execute(&pa).unwrap())
+            b.iter(|| execute(ph2, &plan, ExecOptions::default()))
         });
         group.bench_with_input(BenchmarkId::new("prepare", n), &n, |b, _| {
             b.iter(|| naive.prepare(q.clone()).unwrap())

@@ -18,13 +18,12 @@
 //! future perf PRs re-run it and diff.
 
 use qld_bench::{
-    batch_queries, concurrent_load, fresh_facts, high_null_db, replication_load, scaling_query,
-    socket_load, sparse_null_db, standard_db, standard_queries, time_once,
+    approx_plan, batch_queries, concurrent_load, fresh_facts, high_null_db, replication_load,
+    scaling_query, socket_load, sparse_null_db, standard_db, standard_queries, time_once,
 };
 use qld_core::mappings::count_kernel_mappings;
 use qld_engine::{
-    Backend, Delta, DiskStorage, DurabilityConfig, Engine, FsyncPolicy, Semantics, SharedEngine,
-    WalConfig,
+    Delta, DiskStorage, DurabilityConfig, Engine, FsyncPolicy, Semantics, SharedEngine, WalConfig,
 };
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -94,19 +93,16 @@ fn run_workloads(smoke: bool) -> Vec<Entry> {
     let big = standard_db(if smoke { 32 } else { 64 }, 9);
     let big_queries = standard_queries(&big);
     let (_, big_negation) = &big_queries[1];
-    for (workload, backend) in [
-        ("e8_parity_naive", Backend::Naive),
-        (
-            "e8_parity_algebra",
-            Backend::Algebra(qld_algebra::ExecOptions::default()),
-        ),
-    ] {
-        let engine = Engine::builder(big.clone())
-            .semantics(Semantics::Approx)
-            .backend(backend)
-            .build();
-        let prepared = engine.prepare(big_negation.clone()).unwrap();
-        let (_, wall) = time_once(|| engine.execute(&prepared).unwrap());
+    let engine = Engine::builder(big.clone())
+        .semantics(Semantics::Approx)
+        .build();
+    let prepared = engine.prepare(big_negation.clone()).unwrap();
+    let plan = approx_plan(&engine, &prepared);
+    let ph2 = engine.approx_engine().extended_db();
+    let (_, naive) = time_once(|| engine.execute(&prepared).unwrap());
+    let (_, algebra) =
+        time_once(|| qld_algebra::execute(ph2, &plan, qld_algebra::ExecOptions::default()));
+    for (workload, wall) in [("e8_parity_naive", naive), ("e8_parity_algebra", algebra)] {
         entries.push(Entry {
             workload,
             threads: 1,

@@ -186,6 +186,26 @@ pub fn standard_queries(db: &CwDatabase) -> Vec<(&'static str, Query)> {
         .collect()
 }
 
+/// A prepared query's `Q̂`, compiled once to an optimized
+/// relational-algebra plan over the engine's extended database `Ph₂(LB)` —
+/// what §5's "standard relational system" would run. Time it with
+/// [`qld_algebra::execute`] against `engine.approx_engine().extended_db()`;
+/// the engine itself evaluates the same `Q̂` with its Tarskian evaluator.
+///
+/// # Panics
+/// Panics if `Q̂` is second-order (the algebra compiles first-order
+/// queries only).
+pub fn approx_plan(
+    engine: &qld_engine::Engine,
+    prepared: &qld_engine::PreparedQuery,
+) -> qld_algebra::Plan {
+    let approx = engine.approx_engine();
+    let voc = approx.extended_voc();
+    let plan = qld_algebra::compile_query_ordered(voc, approx.extended_db(), prepared.rewritten())
+        .expect("first-order Q̂ compiles to algebra");
+    qld_algebra::optimize(voc, plan)
+}
+
 /// Prints a Markdown-ish table row, padding columns to a fixed width.
 pub fn print_row(cols: &[String]) {
     let rendered: Vec<String> = cols.iter().map(|c| format!("{c:>14}")).collect();

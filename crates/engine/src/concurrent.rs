@@ -865,11 +865,6 @@ impl SharedSession {
     ) -> Result<Vec<Answers>, EngineError> {
         self.snapshot().engine.execute_batch_as(prepared, semantics)
     }
-
-    /// Renders answer tuples with the vocabulary's constant names.
-    pub fn answer_names(&self, answers: &Answers) -> Vec<Vec<String>> {
-        qld_core::answer_names(self.shared.snapshot().engine.db().voc(), answers.tuples())
-    }
 }
 
 // The whole point of the module, enforced at compile time: the shared

@@ -1,7 +1,5 @@
 //! The single error type every engine entry point returns.
 
-use qld_algebra::CompileError;
-use qld_approx::ApproxError;
 use qld_core::CwError;
 use qld_logic::LogicError;
 use std::fmt;
@@ -10,12 +8,9 @@ use std::fmt;
 ///
 /// Every layer's error converts into this via `From`, so callers of
 /// [`Engine`](crate::Engine) handle exactly one error type no matter which
-/// semantics or backend ran: parse/validation failures surface as
-/// [`EngineError::Logic`], database-construction failures as
-/// [`EngineError::Cw`], and algebra-compilation failures as
-/// [`EngineError::Compile`]. [`ApproxError`] is *flattened* — it is itself
-/// a union of logic and compile errors, so its `From` impl routes each
-/// case to the matching variant rather than adding a nesting level.
+/// semantics ran: parse/validation failures surface as
+/// [`EngineError::Logic`] and database-construction failures as
+/// [`EngineError::Cw`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// Ill-formed query: parse error, arity mismatch, unknown symbol,
@@ -23,11 +18,6 @@ pub enum EngineError {
     Logic(LogicError),
     /// Ill-formed closed-world database (builder/validation failures).
     Cw(CwError),
-    /// The relational-algebra backend refused the query (e.g. a
-    /// second-order query routed to [`Backend::Algebra`]).
-    ///
-    /// [`Backend::Algebra`]: qld_approx::Backend::Algebra
-    Compile(CompileError),
     /// A [`PreparedQuery`](crate::PreparedQuery) was executed on an engine
     /// other than the one that prepared it. Prepared artifacts reference
     /// the preparing engine's extended vocabulary, so they are not
@@ -51,7 +41,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Logic(e) => write!(f, "{e}"),
             EngineError::Cw(e) => write!(f, "{e}"),
-            EngineError::Compile(e) => write!(f, "{e}"),
             EngineError::PreparedElsewhere => write!(
                 f,
                 "prepared query belongs to a different engine; re-prepare it on this one"
@@ -79,39 +68,13 @@ impl From<CwError> for EngineError {
     }
 }
 
-impl From<CompileError> for EngineError {
-    fn from(e: CompileError) -> Self {
-        EngineError::Compile(e)
-    }
-}
-
-impl From<ApproxError> for EngineError {
-    fn from(e: ApproxError) -> Self {
-        match e {
-            ApproxError::Logic(l) => EngineError::Logic(l),
-            ApproxError::Compile(c) => EngineError::Compile(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn approx_error_flattens() {
-        let e = ApproxError::Compile(CompileError::SecondOrder);
-        assert_eq!(
-            EngineError::from(e),
-            EngineError::Compile(CompileError::SecondOrder)
-        );
-        let e = ApproxError::Logic(LogicError::UnknownSymbol("x".into()));
-        assert!(matches!(EngineError::from(e), EngineError::Logic(_)));
-    }
-
-    #[test]
     fn displays_inner_message() {
-        let e = EngineError::Compile(CompileError::SecondOrder);
-        assert!(e.to_string().contains("second-order"));
+        let e = EngineError::Logic(LogicError::UnknownSymbol("NOPE".into()));
+        assert!(e.to_string().contains("NOPE"));
     }
 }

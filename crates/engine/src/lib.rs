@@ -15,11 +15,11 @@
 //!
 //! [`Engine`] packages all of them behind one session API:
 //!
-//! * [`Engine::builder`] configures semantics ([`Semantics`]), the §5
-//!   execution backend, `α_P` realization, `NE` storage, and the
-//!   Theorem 1 mapping-enumeration strategy;
+//! * [`Engine::builder`] configures semantics ([`Semantics`]), the
+//!   Theorem 1 worker count, the Corollary 2 fast path, a mapping budget
+//!   for `Auto` escalations, and the answer cache;
 //! * [`Engine::prepare`] turns a query into a [`PreparedQuery`] —
-//!   parse/validate/rewrite/compile once, execute many;
+//!   parse/validate/rewrite once, execute many;
 //! * execution returns [`Answers`]: the tuples plus an [`Evidence`]
 //!   report saying which [`Regime`] ran, how long it took, and — the
 //!   crucial part — a [`Certificate`] stating how the tuples relate to
@@ -27,14 +27,15 @@
 //! * every failure is a single [`EngineError`];
 //! * [`Engine::apply`] mutates the database through [`Delta`]s with
 //!   incremental maintenance of every derived structure (`Ph₁`, `Ph₂`,
-//!   `α_P`, the `NE` store) and *selective* answer-cache invalidation
+//!   `α_P`, the `NE` relation) and *selective* answer-cache invalidation
 //!   keyed on each entry's [`QueryFootprint`];
 //! * [`SharedEngine`] lifts one engine to concurrent multi-session
 //!   serving: `Send + Sync`, wait-free readers on immutable epoch-stamped
 //!   [`EngineSnapshot`]s, a single writer publishing [`Delta`]s
-//!   atomically, and a sharded answer cache keyed
-//!   `(fingerprint, semantics, epoch)` so stale hits are structurally
-//!   impossible.
+//!   atomically, and one sharded answer cache, shared by writer and
+//!   snapshots, keyed `(fingerprint, semantics)`: each entry carries the
+//!   epoch range it is true at, and a delta extends or evicts it before
+//!   the new snapshot is published.
 //!
 //! Under [`Semantics::Auto`] the engine is a *certifying dispatcher*: it
 //! runs the cheapest path the paper licenses as exact and escalates to
@@ -65,10 +66,10 @@ pub use error::EngineError;
 pub use evidence::{Answers, Certificate, Evidence, Regime, Semantics};
 pub use lru::Lru;
 pub use prepared::PreparedQuery;
-pub use session::{Engine, EngineBuilder, NeStoreMode};
+pub use session::{Engine, EngineBuilder};
 
-// The configuration vocabulary callers need alongside the builder.
-pub use qld_approx::{AlphaMode, Backend, CompletenessTheorem};
+// The certificate vocabulary callers need alongside `Evidence`.
+pub use qld_approx::CompletenessTheorem;
 // The durability vocabulary callers need alongside `SharedEngine::durable`
 // (storage backends, fsync policies, and the fault injector the crash
 // tests drive).
@@ -208,48 +209,6 @@ mod tests {
             .unwrap();
         assert!(auto.is_exact());
         assert!(auto.holds());
-    }
-
-    #[test]
-    fn algebra_backend_and_virtual_ne_agree_with_defaults() {
-        let db = teaching();
-        let reference = Engine::new(db.clone());
-        let configured = Engine::builder(db)
-            .backend(Backend::Algebra(qld_algebra::ExecOptions::default()))
-            .alpha_mode(AlphaMode::Lemma10)
-            .ne_store(NeStoreMode::Virtual)
-            .semantics(Semantics::Approx)
-            .build();
-        for text in [
-            "(x) . TEACHES(socrates, x)",
-            "(x) . !TEACHES(socrates, x)",
-            "(x) . x != plato",
-            "exists x. TEACHES(x, plato)",
-        ] {
-            let a = reference
-                .execute_as(&reference.prepare_text(text).unwrap(), Semantics::Approx)
-                .unwrap();
-            let b = configured.query(text).unwrap();
-            assert_eq!(a.tuples(), b.tuples(), "config mismatch on {text}");
-        }
-    }
-
-    #[test]
-    fn second_order_query_on_algebra_backend_is_a_compile_error() {
-        let engine = Engine::builder(teaching())
-            .backend(Backend::Algebra(qld_algebra::ExecOptions::default()))
-            .semantics(Semantics::Approx)
-            .build();
-        let prepared = engine
-            .prepare_text("exists2 ?S:1. ?S(plato) & !?S(aristotle)")
-            .unwrap();
-        assert!(prepared.plan().is_none());
-        assert!(matches!(
-            engine.execute(&prepared),
-            Err(EngineError::Compile(_))
-        ));
-        // …but Auto still answers it (escalation runs Theorem 1).
-        assert!(engine.execute_as(&prepared, Semantics::Auto).is_ok());
     }
 
     #[test]

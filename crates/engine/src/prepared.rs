@@ -1,24 +1,22 @@
-//! Prepared queries: parse/validate/rewrite/compile once, execute many.
+//! Prepared queries: parse/validate/rewrite once, execute many.
 
 use crate::delta::QueryFootprint;
-use qld_algebra::Plan;
 use qld_approx::CompletenessTheorem;
 use qld_logic::{Query, QueryClass};
 
 /// A query prepared against one [`Engine`](crate::Engine): validated,
-/// classified, certified, rewritten to the §5 `Q̂`, and (when `Q̂` is
-/// first-order) compiled to an optimized relational-algebra plan.
+/// classified, certified, and rewritten to the §5 `Q̂`.
 ///
 /// All of these are *query-level* artifacts — they depend on the query and
 /// the database schema/statistics, not on which semantics later runs — so
 /// computing them once and executing many times is both safe and the point
 /// of the type: re-running a `PreparedQuery` skips parsing, validation,
-/// NNF, the `Q ↦ Q̂` rewrite, and plan compilation/optimization.
+/// NNF, and the `Q ↦ Q̂` rewrite.
 ///
 /// A `PreparedQuery` is tied to the engine that prepared it: executing it
 /// on another engine is rejected. It stays valid across
-/// [`Engine::apply`](crate::Engine::apply) deltas — the rewrite and plan
-/// reference predicate *ids*, which deltas never change — but its
+/// [`Engine::apply`](crate::Engine::apply) deltas — the rewrite
+/// references predicate *ids*, which deltas never change — but its
 /// completeness certificate is epoch-stamped: when the database has moved
 /// on, execution re-certifies it against the current database instead of
 /// trusting the stale verdict (see
@@ -32,7 +30,6 @@ pub struct PreparedQuery {
     pub(crate) class: QueryClass,
     pub(crate) completeness: Option<CompletenessTheorem>,
     pub(crate) rewritten: Query,
-    pub(crate) plan: Option<Plan>,
     pub(crate) fingerprint: u64,
     pub(crate) footprint: QueryFootprint,
 }
@@ -46,8 +43,8 @@ impl PreparedQuery {
     /// A structural hash of the source query, computed once at prepare
     /// time. Within one engine it identifies the query up to structural
     /// equality, so `(fingerprint, semantics)` keys the engine's answer
-    /// cache: every other cache-relevant input (database, backend, alpha
-    /// mode, NE store, mapping strategy) is fixed at engine construction.
+    /// cache. The other input an answer depends on, the database, is
+    /// covered by the epoch range each cache entry carries.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -86,15 +83,5 @@ impl PreparedQuery {
     /// (`NE`/`α_P` predicates added).
     pub fn rewritten(&self) -> &Query {
         &self.rewritten
-    }
-
-    /// The optimized relational-algebra plan for `Q̂`, cached at prepare
-    /// time. `None` when `Q̂` is second-order (the algebra backend is
-    /// first-order only) or when the engine's backend is naive (which
-    /// never executes a plan — use
-    /// [`Engine::plan_for`](crate::Engine::plan_for) to compile one on
-    /// demand, e.g. for display).
-    pub fn plan(&self) -> Option<&Plan> {
-        self.plan.as_ref()
     }
 }

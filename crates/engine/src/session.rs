@@ -5,8 +5,7 @@ use crate::delta::{Delta, DeltaReport, DeltaStats, QueryFootprint};
 use crate::error::EngineError;
 use crate::evidence::{Answers, Certificate, Evidence, Regime, Semantics};
 use crate::prepared::PreparedQuery;
-use qld_algebra::{compile_query_ordered, execute, optimize};
-use qld_approx::{exactness_theorem, AlphaMode, ApproxEngine, Backend, CompletenessTheorem};
+use qld_approx::{exactness_theorem, AlphaMode, ApproxEngine, CompletenessTheorem};
 use qld_core::exact::{evaluate, AnswerMode, EvalStats, ExactOptions};
 use qld_core::mappings::{
     analyze_decomposition, count_kernel_mappings_up_to, DbDecomposition, ParallelConfig,
@@ -112,24 +111,9 @@ fn package(
     )
 }
 
-/// How the engine stores the `NE` inequality relation for the §5 path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NeStoreMode {
-    /// Materialize `NE` as an explicit `O(|C|²)` relation (the default).
-    #[default]
-    Explicit,
-    /// The virtual representation §5 closes with: keep only `NE′` and the
-    /// unknown-marker `U`, and expand `NE(x,y)` atoms into
-    /// `NE′(x,y) ∨ (¬U(x) ∧ ¬U(y) ∧ ¬(x = y))` at rewrite time.
-    Virtual,
-}
-
 /// Immutable evaluation configuration, set by [`EngineBuilder`].
 #[derive(Debug, Clone, Copy, Default)]
 struct EngineConfig {
-    backend: Backend,
-    alpha: AlphaMode,
-    ne_store: NeStoreMode,
     corollary2_fast_path: bool,
     parallel: ParallelConfig,
     /// `Some(b)`: under [`Semantics::Auto`], refuse Theorem 1 escalations
@@ -142,8 +126,7 @@ struct EngineConfig {
 
 /// Configures and constructs an [`Engine`]. Obtained from
 /// [`Engine::builder`]; every knob has a sensible default
-/// ([`Semantics::Auto`], naive backend, materialized `α_P`, explicit `NE`,
-/// Corollary 2 fast path on).
+/// ([`Semantics::Auto`], Corollary 2 fast path on, answer cache on).
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     db: CwDatabase,
@@ -168,26 +151,6 @@ impl EngineBuilder {
     /// [`Engine::execute_as`]).
     pub fn semantics(mut self, semantics: Semantics) -> Self {
         self.semantics = semantics;
-        self
-    }
-
-    /// Which machinery evaluates the §5 rewrite `Q̂`: the naive Tarskian
-    /// evaluator or the relational-algebra engine.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// How `¬P(x̄)` is realized in `Q̂`: a scan of the materialized `α_P`
-    /// relation, or the literal Lemma 10 formula.
-    pub fn alpha_mode(mut self, alpha: AlphaMode) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// Explicit or virtual `NE` storage for the §5 path.
-    pub fn ne_store(mut self, mode: NeStoreMode) -> Self {
-        self.config.ne_store = mode;
         self
     }
 
@@ -258,7 +221,7 @@ impl EngineBuilder {
 ///
 /// `Engine` is the single front door to every evaluation regime the paper
 /// describes. Queries are [`prepare`](Engine::prepare)d once (parse,
-/// validate, classify, rewrite to `Q̂`, compile to algebra) and executed
+/// validate, classify, rewrite to `Q̂`) and executed
 /// many times under any [`Semantics`]; every answer carries an
 /// [`Evidence`] report with an exactness [`Certificate`].
 ///
@@ -388,7 +351,7 @@ impl Engine {
         self.with_cache(self.cache.clone())
     }
 
-    /// An engine with all defaults ([`Semantics::Auto`], naive backend).
+    /// An engine with all defaults ([`Semantics::Auto`]).
     pub fn new(db: CwDatabase) -> Engine {
         EngineBuilder::new(db).build()
     }
@@ -423,13 +386,10 @@ impl Engine {
     }
 
     /// The §5 approximation machinery, built lazily on first use (it
-    /// materializes `Ph₂(LB)`, the `α_P` relations, and the configured
-    /// `NE` store — all polynomial).
+    /// materializes `Ph₂(LB)`, the `α_P` relations, and the explicit `NE`
+    /// relation — all polynomial).
     pub fn approx_engine(&self) -> &ApproxEngine {
-        self.approx.get_or_init(|| match self.config.ne_store {
-            NeStoreMode::Explicit => ApproxEngine::new(&self.db),
-            NeStoreMode::Virtual => ApproxEngine::with_virtual_ne(&self.db),
-        })
+        self.approx.get_or_init(|| ApproxEngine::new(&self.db))
     }
 
     fn ph1_db(&self) -> &PhysicalDb {
@@ -443,27 +403,19 @@ impl Engine {
     }
 
     /// Prepares a query: validates it against the vocabulary, classifies
-    /// it, determines the completeness certificate, rewrites it to the §5
-    /// `Q̂`, and — when the configured backend is [`Backend::Algebra`] —
-    /// compiles `Q̂` to an optimized algebra plan (first-order `Q̂` only;
-    /// the naive backend evaluates `Q̂` directly, so compiling for it
-    /// would be wasted work). The result can be executed any number of
-    /// times under any semantics.
+    /// it, determines the completeness certificate, and rewrites it to the
+    /// §5 `Q̂` (materialized `α_P`). The result can be executed any number
+    /// of times under any semantics.
     ///
     /// Preparation forces the one-time lazy build of the §5 machinery
     /// ([`Engine::approx_engine`]); the per-query artifacts themselves
-    /// (NNF + rewrite, and the plan where applicable) are polynomial in
-    /// the query and schema.
+    /// (NNF + rewrite) are polynomial in the query and schema.
     pub fn prepare(&self, query: Query) -> Result<PreparedQuery, EngineError> {
         query.check(self.db.voc())?;
         let class = query.class();
         let completeness = exactness_theorem(&self.db, &query);
         let approx = self.approx_engine();
-        let rewritten = approx.rewrite(&query, self.config.alpha)?;
-        let plan = match self.config.backend {
-            Backend::Naive => None,
-            Backend::Algebra(_) => self.compile_plan(&rewritten)?,
-        };
+        let rewritten = approx.rewrite(&query, AlphaMode::Materialized)?;
         let fingerprint = {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
             query.hash(&mut hasher);
@@ -477,7 +429,6 @@ impl Engine {
             class,
             completeness,
             rewritten,
-            plan,
             fingerprint,
             footprint,
         })
@@ -575,8 +526,8 @@ impl Engine {
     /// no-ops in the returned [`DeltaReport`]; a delta of pure duplicates
     /// leaves the epoch (and cache) untouched.
     ///
-    /// Prepared queries stay executable across deltas — their rewrite and
-    /// plan reference predicate *ids*, which are stable — but their
+    /// Prepared queries stay executable across deltas — their rewrite
+    /// references predicate *ids*, which are stable — but their
     /// completeness certificate may be stale (new axioms can make the
     /// database fully specified, changing how `Auto` routes). The engine
     /// re-certifies stale prepared queries automatically at execution
@@ -732,34 +683,6 @@ impl Engine {
         fresh
     }
 
-    /// Compiles `Q̂` to an optimized algebra plan over the extended
-    /// database, or `None` if `Q̂` is second-order.
-    fn compile_plan(&self, rewritten: &Query) -> Result<Option<qld_algebra::Plan>, EngineError> {
-        if !rewritten.is_first_order() {
-            return Ok(None);
-        }
-        let approx = self.approx_engine();
-        let plan = compile_query_ordered(approx.extended_voc(), approx.extended_db(), rewritten)?;
-        Ok(Some(optimize(approx.extended_voc(), plan)))
-    }
-
-    /// The optimized algebra plan for a prepared query's `Q̂`: the one
-    /// cached at prepare time under [`Backend::Algebra`], or compiled on
-    /// demand otherwise (e.g. for the CLI's `:explain` on a naive-backend
-    /// session). `None` when `Q̂` is second-order.
-    pub fn plan_for(
-        &self,
-        prepared: &PreparedQuery,
-    ) -> Result<Option<qld_algebra::Plan>, EngineError> {
-        if prepared.engine_id != self.id {
-            return Err(EngineError::PreparedElsewhere);
-        }
-        match prepared.plan() {
-            Some(plan) => Ok(Some(plan.clone())),
-            None => self.compile_plan(prepared.rewritten()),
-        }
-    }
-
     /// Executes a prepared query under the session's default semantics.
     pub fn execute(&self, prepared: &PreparedQuery) -> Result<Answers, EngineError> {
         self.execute_as(prepared, self.semantics)
@@ -788,7 +711,7 @@ impl Engine {
         let start = Instant::now();
         let outcome = match semantics {
             Semantics::Exact => self.run_exact(prepared, completeness)?,
-            Semantics::Approx => self.run_approx(prepared, completeness)?,
+            Semantics::Approx => self.run_approx(prepared, completeness),
             Semantics::Possible => self.run_solo(prepared, AnswerMode::Possible)?,
             Semantics::Auto => self.run_auto(prepared, completeness)?,
         };
@@ -1034,17 +957,16 @@ impl Engine {
         &self,
         prepared: &PreparedQuery,
         completeness: Option<CompletenessTheorem>,
-    ) -> Result<RunOutcome, EngineError> {
-        let rel = self.eval_rewritten(prepared)?;
+    ) -> RunOutcome {
         let certificate = match completeness {
             Some(theorem) => Certificate::ExactCompleteness(theorem),
             None => Certificate::SoundLowerBound,
         };
-        Ok(RunOutcome::polynomial(
-            rel,
+        RunOutcome::polynomial(
+            self.eval_rewritten(prepared),
             Regime::Approximation,
             certificate,
-        ))
+        )
     }
 
     /// `completeness` is the *effective* verdict computed by the caller
@@ -1065,8 +987,7 @@ impl Engine {
         }
         match completeness {
             // Fully specified: one physical evaluation is exact, and is
-            // the cheapest certified path (works for second-order queries
-            // too, unlike the algebra backend).
+            // the cheapest certified path.
             Some(CompletenessTheorem::FullySpecified) => Ok(RunOutcome::polynomial(
                 eval_query(self.ph1_db(), prepared.query()),
                 Regime::Corollary2,
@@ -1074,14 +995,11 @@ impl Engine {
             )),
             // Positive first-order: the §5 approximation is exact by
             // Theorems 11 + 13.
-            Some(theorem @ CompletenessTheorem::PositiveQuery) => {
-                let rel = self.eval_rewritten(prepared)?;
-                Ok(RunOutcome::polynomial(
-                    rel,
-                    Regime::Approximation,
-                    Certificate::ExactCompleteness(theorem),
-                ))
-            }
+            Some(theorem @ CompletenessTheorem::PositiveQuery) => Ok(RunOutcome::polynomial(
+                self.eval_rewritten(prepared),
+                Regime::Approximation,
+                Certificate::ExactCompleteness(theorem),
+            )),
             // No completeness theorem applies and the cost model says the
             // enumeration is hopeless: certified bracket instead.
             None => self.run_bounded_pair(prepared),
@@ -1108,15 +1026,13 @@ impl Engine {
     /// approximation of `Q` below (sound by Theorem 11) and the complement
     /// of the §5 approximation of `¬Q` above (`t` certainly *not* an
     /// answer means `t` is an answer in no model, so approx(¬Q) ⊆
-    /// certain(¬Q) excludes only non-answers). Both run on the naive
-    /// evaluator regardless of backend: this path must also serve the
-    /// second-order rewrites the algebra backend refuses.
+    /// certain(¬Q) excludes only non-answers).
     fn run_bounded_pair(&self, prepared: &PreparedQuery) -> Result<RunOutcome, EngineError> {
         let approx = self.approx_engine();
-        let lower = eval_query(approx.extended_db(), prepared.rewritten());
+        let lower = self.eval_rewritten(prepared);
         let (head, body) = prepared.query.clone().into_parts();
         let negated = Query::new(head, Formula::not(body))?;
-        let neg_rewritten = approx.rewrite(&negated, self.config.alpha)?;
+        let neg_rewritten = approx.rewrite(&negated, AlphaMode::Materialized)?;
         let certainly_not = eval_query(approx.extended_db(), &neg_rewritten);
         let arity = prepared.query.arity();
         let consts: Vec<Elem> = (0..self.db.num_consts() as Elem).collect();
@@ -1131,17 +1047,9 @@ impl Engine {
         })
     }
 
-    /// Evaluates the prepared `Q̂` over `Ph₂(LB)` on the configured
-    /// backend.
-    fn eval_rewritten(&self, prepared: &PreparedQuery) -> Result<Relation, EngineError> {
-        let approx = self.approx_engine();
-        match self.config.backend {
-            Backend::Naive => Ok(eval_query(approx.extended_db(), prepared.rewritten())),
-            Backend::Algebra(opts) => match prepared.plan() {
-                Some(plan) => Ok(execute(approx.extended_db(), plan, opts)),
-                None => Err(EngineError::Compile(qld_algebra::CompileError::SecondOrder)),
-            },
-        }
+    /// Evaluates the prepared `Q̂` over `Ph₂(LB)`.
+    fn eval_rewritten(&self, prepared: &PreparedQuery) -> Relation {
+        eval_query(self.approx_engine().extended_db(), prepared.rewritten())
     }
 }
 

@@ -585,9 +585,6 @@ pub fn print_outcome(
         Ok(Outcome::Delta(report)) => writeln!(out, "{report}"),
         Ok(Outcome::Stats(lines)) => lines.iter().try_for_each(|line| writeln!(out, "{line}")),
         Ok(Outcome::Quit | Outcome::Shutdown) => Ok(()),
-        Err(e @ EngineError::Compile(_)) => {
-            writeln!(out, "error: {e} (try :mode auto or :mode exact)")
-        }
         Err(e) => writeln!(out, "error: {e}"),
     }
 }

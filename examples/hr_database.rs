@@ -4,14 +4,17 @@
 //! The query `(x1,x2) . ∃y (EMP_DEPT(x1,y) ∧ DEPT_MGR(y,x2))` is the
 //! paper's own example. We additionally leave the manager of one
 //! department as an unknown value and watch how exact certain answers,
-//! the approximation (both backends), and possible answers behave — all
-//! through one `Engine` session and one prepared query per question.
+//! the approximation, and possible answers behave — all through one
+//! `Engine` session and one prepared query per question. The
+//! approximation's `Q̂` also runs as a relational-algebra plan, the way a
+//! standard relational system would run it.
 //!
 //! Paper: §2.1 (the motivating EMP/DEPT example) evaluated under
-//! Theorem 1 (exact) and §5 (approximate, naive and algebra backends).
+//! Theorem 1 (exact) and §5 (approximate; `Q̂` also compiled to algebra).
 //!
 //! Run with: `cargo run --example hr_database`
 
+use querying_logical_databases::algebra::compile::eval_via_algebra;
 use querying_logical_databases::algebra::ExecOptions;
 use querying_logical_databases::prelude::*;
 
@@ -43,13 +46,7 @@ fn main() {
         .build()
         .unwrap();
 
-    // Two engines over the same database, differing only in the §5
-    // backend: the naive Tarskian evaluator vs. the relational-algebra
-    // engine ("on top of a standard database management system").
-    let engine = Engine::new(db.clone());
-    let algebra_engine = Engine::builder(db)
-        .backend(Backend::Algebra(ExecOptions::default()))
-        .build();
+    let engine = Engine::new(db);
 
     let show = |label: &str, answers: &Answers| {
         let names: Vec<String> = engine
@@ -75,13 +72,22 @@ fn main() {
     );
     assert!(approx.is_exact(), "…and the certificate says so");
     show("approx  employee ⟶ manager:", &approx);
-    let algebra = algebra_engine.query(text).unwrap();
+    assert_eq!(approx.evidence().regime, Regime::Approximation);
+    // The same `Q̂` compiled to relational algebra and run over `Ph₂(LB)`
+    // ("on top of a standard database management system").
+    let ph2 = engine.approx_engine();
+    let algebra = eval_via_algebra(
+        ph2.extended_voc(),
+        ph2.extended_db(),
+        q.rewritten(),
+        ExecOptions::default(),
+    )
+    .unwrap();
     assert_eq!(
-        algebra.tuples(),
+        &algebra,
         exact.tuples(),
         "same answers through the relational engine"
     );
-    assert_eq!(algebra.evidence().regime, Regime::Approximation);
 
     // Who is certainly NOT managed by barbara? Negation meets the null:
     // edsger's manager is the unknown new_hire, who *might be* barbara —

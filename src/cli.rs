@@ -8,7 +8,7 @@
 //! engine, and the evidence line after each answer reports which regime
 //! actually ran and what the answer is certified to mean.
 
-use qld_algebra::display_plan;
+use qld_algebra::{compile_query_ordered, display_plan, optimize, CompileError};
 use qld_core::CwDatabase;
 use qld_engine::{
     wal_has_state, DiskStorage, DurabilityConfig, Engine, FsyncPolicy, ReadOnlyStorage, Semantics,
@@ -216,9 +216,10 @@ impl Session {
         Ok(Outcome::Continue)
     }
 
-    /// Shows the §5 pipeline for a query, straight off the prepared
-    /// artifacts: the rewritten `Q̂` over the extended vocabulary and the
-    /// optimized relational-algebra plan.
+    /// Shows the §5 pipeline for a query: the prepared `Q̂` over the
+    /// extended vocabulary, its completeness verdict, and the optimized
+    /// relational-algebra plan `Q̂` compiles to — what a standard
+    /// relational system would run in place of the engine's evaluator.
     fn explain(&mut self, text: &str, out: &mut dyn Write) -> io::Result<()> {
         let query = match parse_query(self.db().voc(), text) {
             Ok(q) => q,
@@ -228,7 +229,8 @@ impl Session {
             Ok(p) => p,
             Err(e) => return writeln!(out, "error: {e}"),
         };
-        let voc = self.engine.approx_engine().extended_voc();
+        let approx = self.engine.approx_engine();
+        let voc = approx.extended_voc();
         writeln!(out, "Q̂: {}", display_query(voc, prepared.rewritten()))?;
         if let Some(theorem) = prepared.completeness() {
             writeln!(out, "complete by {theorem} (auto would not escalate)")?;
@@ -238,9 +240,11 @@ impl Session {
                 "no completeness theorem applies (auto escalates to Theorem 1)"
             )?;
         }
-        match self.engine.plan_for(&prepared) {
-            Ok(Some(plan)) => write!(out, "plan:\n{}", display_plan(voc, &plan)),
-            Ok(None) => writeln!(out, "(no algebra plan: second-order query)"),
+        match compile_query_ordered(voc, approx.extended_db(), prepared.rewritten()) {
+            Ok(plan) => write!(out, "plan:\n{}", display_plan(voc, &optimize(voc, plan))),
+            Err(CompileError::SecondOrder) => {
+                writeln!(out, "(no algebra plan: second-order query)")
+            }
             Err(e) => writeln!(out, "(no algebra plan: {e})"),
         }
     }
@@ -1028,6 +1032,13 @@ distinct socrates plato aristotle
         assert!(out.contains("Scan(ALPHA_TEACHES)"), "{out}");
         let (out, _) = run(&[":explain (x) . TEACHES(socrates, x)"]);
         assert!(out.contains("complete by Theorem 13"), "{out}");
+        let (out, _) = run(&[":explain exists2 ?S:1. ?S(plato) & !?S(aristotle)"]);
+        assert!(out.contains("Q̂: "), "{out}");
+        assert!(
+            out.contains("(no algebra plan: second-order query)"),
+            "{out}"
+        );
+        assert!(!out.contains("\nplan:"), "{out}");
         let (out, _) = run(&[":explain"]);
         assert!(out.contains("usage"), "{out}");
         let (out, _) = run(&[":explain NOPE("]);

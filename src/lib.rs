@@ -14,7 +14,7 @@
 //! | [`physical`] | physical databases (interpretations) and Tarskian evaluation (§2.1) |
 //! | [`algebra`] | relational-algebra engine + FO→algebra compiler (the "standard relational system" of §5) |
 //! | [`core`] | CW logical databases, Theorem 1 exact evaluation, Corollary 2 fast path, the model-enumeration oracle, the Theorem 3 precise simulation |
-//! | [`approx`] | the §5 approximation: `Q ↦ Q̂`, `α_P`, virtual `NE`, algebra backend, completeness predicates |
+//! | [`approx`] | the §5 approximation: `Q ↦ Q̂`, `α_P`, virtual `NE`, completeness predicates |
 //! | [`engine`] | **the front door**: the unified [`Engine`](prelude::Engine) session API — prepared queries, four semantics, exactness certificates |
 //! | [`server`] | the TCP network front-end: a std-only line-protocol server over [`SharedEngine`](prelude::SharedEngine) plus the blocking [`Client`](prelude::Client) |
 //! | [`reductions`] | §4 lower-bound constructions (3-colorability, QBF) + oracles |
@@ -41,7 +41,7 @@
 //! // the paper proves exact and certifies it.
 //! let engine = Engine::builder(db).semantics(Semantics::Auto).build();
 //!
-//! // Prepare once (parse/validate/rewrite/compile), execute many.
+//! // Prepare once (parse/validate/rewrite), execute many.
 //! let q = engine.prepare_text("(x) . TEACHES(socrates, x)").unwrap();
 //! let answers = engine.execute(&q).unwrap();
 //!
@@ -73,14 +73,14 @@ pub use qld_workloads as workloads;
 /// The most common imports in one place, centred on the [`engine::Engine`]
 /// session API.
 pub mod prelude {
-    pub use qld_approx::{AlphaMode, ApproxEngine, Backend, CompletenessTheorem, NeStore};
+    pub use qld_approx::{ApproxEngine, CompletenessTheorem, NeStore};
     pub use qld_core::textio::{from_text, to_text};
     pub use qld_core::worlds::{answer_bounds, count_worlds, for_each_world, AnswerBounds};
     pub use qld_core::{answer_names, CwDatabase};
     pub use qld_engine::{
         Answers, Certificate, Delta, DeltaReport, DeltaStats, Engine, EngineBuilder, EngineError,
-        EngineSnapshot, Evidence, NeStoreMode, ParallelConfig, PreparedQuery, QueryFootprint,
-        Regime, Semantics, SharedEngine, SharedSession, SharedStats, SnapshotStats,
+        EngineSnapshot, Evidence, ParallelConfig, PreparedQuery, QueryFootprint, Regime, Semantics,
+        SharedEngine, SharedSession, SharedStats, SnapshotStats,
     };
     pub use qld_logic::parser::{parse_query, parse_sentence};
     pub use qld_logic::{Formula, Query, Term, Var, Vocabulary};

@@ -1,12 +1,14 @@
 //! Randomized verification of the §5 approximation theorems:
 //! soundness (Thm 11), completeness on fully specified databases
 //! (Thm 12), completeness on positive queries (Thm 13), agreement of the
-//! two α_P realizations, the virtual-NE representation, and the algebra
-//! backend.
+//! two α_P realizations, the virtual-NE representation, and the
+//! relational-algebra compilation of `Q̂`.
 
-use querying_logical_databases::algebra::ExecOptions;
-use querying_logical_databases::approx::{AlphaMode, ApproxEngine, Backend};
+use querying_logical_databases::algebra::compile::eval_via_algebra;
+use querying_logical_databases::algebra::{CompileError, ExecOptions};
+use querying_logical_databases::approx::{AlphaMode, ApproxEngine};
 use querying_logical_databases::core::certain_answers;
+use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::workloads::{
     random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
 };
@@ -106,12 +108,8 @@ fn alpha_modes_agree() {
                 &q_cfg(QueryFragment::FullFo, 1, qseed * 17 + seed),
             );
             assert_eq!(
-                engine
-                    .eval_with(&q, AlphaMode::Materialized, Backend::Naive)
-                    .unwrap(),
-                engine
-                    .eval_with(&q, AlphaMode::Lemma10, Backend::Naive)
-                    .unwrap(),
+                engine.eval_with(&q, AlphaMode::Materialized).unwrap(),
+                engine.eval_with(&q, AlphaMode::Lemma10).unwrap(),
                 "α modes disagree: db seed {seed}, query {q:?}"
             );
         }
@@ -129,15 +127,21 @@ fn virtual_ne_agrees_with_explicit() {
                 db.voc(),
                 &q_cfg(QueryFragment::FullFo, 1, qseed * 11 + seed),
             );
-            assert_eq!(
-                explicit.eval(&q).unwrap(),
-                virt.eval(&q).unwrap(),
-                "virtual NE disagrees: db seed {seed}, query {q:?}"
-            );
+            // Lemma 10 × virtual NE: the interaction of the two rewrites.
+            for mode in [AlphaMode::Materialized, AlphaMode::Lemma10] {
+                assert_eq!(
+                    explicit.eval_with(&q, mode).unwrap(),
+                    virt.eval_with(&q, mode).unwrap(),
+                    "virtual NE disagrees ({mode:?}): db seed {seed}, query {q:?}"
+                );
+            }
         }
     }
 }
 
+/// `Q̂` compiled to relational algebra — §5's "standard relational
+/// system" — returns what the engine's evaluator returns, under both join
+/// algorithms; a second-order `Q̂` is refused, not mis-compiled.
 #[test]
 fn algebra_backend_agrees_with_naive() {
     use querying_logical_databases::algebra::JoinAlgo;
@@ -154,20 +158,35 @@ fn algebra_backend_agrees_with_naive() {
                 ),
             );
             let naive = engine.eval(&q).unwrap();
+            let rewritten = engine.rewrite(&q, AlphaMode::Materialized).unwrap();
             for join in [JoinAlgo::SortMerge, JoinAlgo::NestedLoop] {
-                let algebra = engine
-                    .eval_with(
-                        &q,
-                        AlphaMode::Materialized,
-                        Backend::Algebra(ExecOptions { join }),
-                    )
-                    .unwrap();
+                let algebra = eval_via_algebra(
+                    engine.extended_voc(),
+                    engine.extended_db(),
+                    &rewritten,
+                    ExecOptions { join },
+                )
+                .unwrap();
                 assert_eq!(
                     naive, algebra,
                     "algebra backend ({join:?}) disagrees: db seed {seed}, query {q:?}"
                 );
             }
         }
+        let second_order = parse_query(db.voc(), "exists2 ?S:1. ?S(k0) & !?S(k1)").unwrap();
+        let rewritten = engine
+            .rewrite(&second_order, AlphaMode::Materialized)
+            .unwrap();
+        assert_eq!(
+            eval_via_algebra(
+                engine.extended_voc(),
+                engine.extended_db(),
+                &rewritten,
+                ExecOptions::default(),
+            ),
+            Err(CompileError::SecondOrder),
+            "db seed {seed}"
+        );
     }
 }
 

@@ -1,12 +1,9 @@
 //! Integration tests of the unified `qld_engine::Engine` session API:
 //! certificate correctness on random workloads, prepared-query reuse,
-//! and builder configurations.
+//! and the builder's knobs.
 
-use querying_logical_databases::algebra::ExecOptions;
 use querying_logical_databases::core::{certain_answers, possible_answers};
-use querying_logical_databases::prelude::{
-    AlphaMode, Backend, Certificate, Engine, NeStoreMode, Regime, Semantics,
-};
+use querying_logical_databases::prelude::{Certificate, Engine, Regime, Semantics};
 use querying_logical_databases::workloads::{
     random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
 };
@@ -158,63 +155,6 @@ fn prepared_query_reuse_matches_one_shot_across_semantics() {
                     one_shot.evidence().certificate
                 );
             }
-        }
-    }
-}
-
-/// Every builder configuration computes the same approximate answers on
-/// first-order queries (backends, alpha modes, NE stores are
-/// interchangeable implementations of the same §5 semantics).
-#[test]
-fn builder_configurations_agree_on_approx_semantics() {
-    let db = random_db(0.4, 99);
-    let reference = Engine::builder(db.clone())
-        .semantics(Semantics::Approx)
-        .build();
-    let configs: Vec<Engine> = vec![
-        Engine::builder(db.clone())
-            .semantics(Semantics::Approx)
-            .backend(Backend::Algebra(ExecOptions::default()))
-            .build(),
-        Engine::builder(db.clone())
-            .semantics(Semantics::Approx)
-            .alpha_mode(AlphaMode::Lemma10)
-            .build(),
-        Engine::builder(db.clone())
-            .semantics(Semantics::Approx)
-            .ne_store(NeStoreMode::Virtual)
-            .build(),
-        // Lemma 10 × virtual NE on the naive backend: the interaction of
-        // the two rewrites, without the (A2/E8-covered, much slower)
-        // algebra compilation of the spliced formulas.
-        Engine::builder(db.clone())
-            .semantics(Semantics::Approx)
-            .alpha_mode(AlphaMode::Lemma10)
-            .ne_store(NeStoreMode::Virtual)
-            .build(),
-    ];
-    for qseed in 0..8 {
-        // Depth 2: the Lemma 10 splice multiplies quantifier depth, and
-        // deep random queries make the algebra plan for `Q̂` explode —
-        // that cost profile is A2/E8's subject, not this correctness
-        // test's.
-        let q = random_query(
-            db.voc(),
-            &QueryGenConfig {
-                fragment: QueryFragment::FullFo,
-                max_depth: 2,
-                head_arity: 1,
-                seed: qseed * 31 + 5,
-            },
-        );
-        let expected = reference.eval(&q).unwrap();
-        for (i, engine) in configs.iter().enumerate() {
-            let got = engine.eval(&q).unwrap();
-            assert_eq!(
-                got.tuples(),
-                expected.tuples(),
-                "config {i} disagrees on {q:?}"
-            );
         }
     }
 }
