@@ -42,10 +42,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Independently locked shards of an [`AnswerCache`]. Sixteen mutexes
-/// keep lock contention negligible for any realistic session count while
-/// the per-shard LRU stays simple.
-pub(crate) const SHARD_COUNT: usize = 16;
+/// Independently locked shards of an engine's answer cache. Sixteen
+/// mutexes keep lock contention negligible for any realistic session
+/// count while the per-shard LRU stays simple.
+pub const SHARD_COUNT: usize = 16;
 
 #[derive(Debug)]
 struct CachedAnswer {

@@ -34,8 +34,13 @@
 //! must be byte-identical (certificates included) to a solo engine
 //! rebuilt from the database as it stood at the reader's observed epoch,
 //! hits served across epochs included.
+//!
+//! Everything a front-end's `:stats` reports about the machinery —
+//! published epoch, sessions, cache and shard occupancy, the published
+//! snapshot's age, delta, WAL and replication counters — is one
+//! [`SharedStats`], sampled by [`SharedEngine::stats`] under one hold of
+//! the writer lock.
 
-use crate::cache::SHARD_COUNT;
 use crate::delta::{Delta, DeltaReport, DeltaStats};
 use crate::durable::{delta_to_record, record_to_delta, DurableState};
 use crate::error::EngineError;
@@ -68,13 +73,13 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct EngineSnapshot {
     engine: Engine,
-    epoch: u64,
 }
 
 impl EngineSnapshot {
-    /// The database epoch this snapshot was frozen at.
+    /// The database epoch this snapshot was frozen at: its engine's
+    /// [`Engine::epoch`].
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.engine.epoch()
     }
 
     /// The frozen engine. Reading a snapshot is calling this engine:
@@ -86,8 +91,8 @@ impl EngineSnapshot {
     }
 }
 
-/// Aggregate statistics of a [`SharedEngine`] (surfaced by the CLI's
-/// concurrent mode).
+/// Aggregate statistics of a [`SharedEngine`], sampled under its writer
+/// lock (surfaced by `:stats` on `--sessions` and over the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedStats {
     /// The currently published epoch.
@@ -98,6 +103,15 @@ pub struct SharedStats {
     pub cache_len: usize,
     /// Total answer-cache capacity.
     pub cache_capacity: usize,
+    /// Answer-cache shards holding at least one entry (of
+    /// [`SHARD_COUNT`](crate::SHARD_COUNT)).
+    pub shards_occupied: usize,
+    /// Entries in the fullest shard (skew indicator).
+    pub max_shard_len: usize,
+    /// Deltas the writer applied since the last publish: the pure
+    /// duplicates, which change nothing and publish nothing (and, on a
+    /// WAL-poisoned engine, the delta the log refused).
+    pub snapshot_age_deltas: u64,
     /// Cumulative delta counters of the master engine.
     pub deltas: DeltaStats,
     /// WAL counters, when this engine was built with
@@ -125,48 +139,6 @@ impl SharedStats {
         } else {
             0
         }
-    }
-}
-
-/// A point-in-time picture of the snapshot-publish machinery itself:
-/// which epoch is published, how the answer cache's shards are filling up,
-/// and how far the published snapshot lags the writer (surfaced by `:stats`
-/// both locally and over the wire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// The currently published epoch.
-    pub epoch: u64,
-    /// Entries currently in the answer cache.
-    pub cache_entries: usize,
-    /// Total answer-cache capacity.
-    pub cache_capacity: usize,
-    /// Shards holding at least one entry.
-    pub shards_occupied: usize,
-    /// Total shard count.
-    pub shard_count: usize,
-    /// Entries in the fullest shard (skew indicator).
-    pub max_shard_len: usize,
-    /// Deltas the writer has applied beyond the published snapshot.
-    /// Non-zero only in the window between an `apply` mutating the master
-    /// engine and the snapshot swap — sampling it concurrently with a
-    /// writer can legitimately observe `1`.
-    pub snapshot_age_deltas: u64,
-}
-
-impl std::fmt::Display for SnapshotStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "epoch {}, shared cache {}/{} answer(s) in {}/{} shard(s) (largest {}), \
-             snapshot age {} delta(s)",
-            self.epoch,
-            self.cache_entries,
-            self.cache_capacity,
-            self.shards_occupied,
-            self.shard_count,
-            self.max_shard_len,
-            self.snapshot_age_deltas
-        )
     }
 }
 
@@ -287,7 +259,6 @@ impl SharedEngine {
     fn build(engine: Engine, wal: Option<DurableState>, generation: u64) -> SharedEngine {
         let snapshot = Arc::new(EngineSnapshot {
             engine: engine.snapshot(),
-            epoch: engine.epoch(),
         });
         SharedEngine {
             inner: Arc::new(SharedInner {
@@ -317,7 +288,7 @@ impl SharedEngine {
 
     /// The currently published epoch (monotone non-decreasing).
     pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch
+        self.snapshot().epoch()
     }
 
     /// Starts a new reader session. Sessions are cheap (an `Arc` clone
@@ -392,17 +363,17 @@ impl SharedEngine {
                 return Err(EngineError::Durability(e.to_string()));
             }
         }
-        self.publish(writer.snapshot(), writer.epoch());
+        self.publish(writer.snapshot());
         self.notify_watchers(record);
         Ok(())
     }
 
-    /// Swaps the published snapshot for `engine` frozen at `epoch`. The
-    /// write lock is held only for the pointer swap: the retired snapshot
-    /// — which may own a built `ApproxEngine` — is dropped after readers
+    /// Swaps the published snapshot for the frozen `engine`. The write
+    /// lock is held only for the pointer swap: the retired snapshot —
+    /// which may own a built `ApproxEngine` — is dropped after readers
     /// are let back in.
-    fn publish(&self, engine: Engine, epoch: u64) {
-        let fresh = Arc::new(EngineSnapshot { engine, epoch });
+    fn publish(&self, engine: Engine) {
+        let fresh = Arc::new(EngineSnapshot { engine });
         let mut published = self
             .inner
             .published
@@ -451,21 +422,25 @@ impl SharedEngine {
         Ok(())
     }
 
-    /// Aggregate statistics: published epoch, sessions started, cache
-    /// occupancy, and the master engine's cumulative delta counters.
+    /// Aggregate statistics: published epoch, sessions started, cache and
+    /// shard occupancy, the published snapshot's age, and the master
+    /// engine's cumulative delta counters — all read under one hold of
+    /// the writer lock, so no publish lands between them.
     pub fn stats(&self) -> SharedStats {
-        let deltas = self
-            .inner
-            .writer
-            .lock()
-            .expect("writer engine poisoned")
-            .delta_stats();
+        let writer = self.inner.writer.lock().expect("writer engine poisoned");
         let snapshot = self.snapshot();
+        let deltas = writer.delta_stats();
+        let (shards_occupied, max_shard_len) = writer.cache_occupancy();
         SharedStats {
-            epoch: snapshot.epoch,
+            epoch: snapshot.epoch(),
             sessions_started: self.inner.sessions.load(Ordering::Relaxed),
-            cache_len: snapshot.engine.cache_len(),
-            cache_capacity: snapshot.engine.cache_capacity(),
+            cache_len: writer.cache_len(),
+            cache_capacity: writer.cache_capacity(),
+            shards_occupied,
+            max_shard_len,
+            snapshot_age_deltas: deltas
+                .deltas_applied
+                .saturating_sub(snapshot.engine.delta_stats().deltas_applied),
             deltas,
             wal: self.wal_stats(),
             read_only: self.is_read_only(),
@@ -517,32 +492,6 @@ impl SharedEngine {
                 self.inner.wal_poisoned.store(true, Ordering::Release);
                 EngineError::Durability(e.to_string())
             })
-    }
-
-    /// Snapshot-machinery statistics: published epoch, per-shard cache
-    /// occupancy, and the published snapshot's age in deltas (how many
-    /// deltas the writer has applied past it — normally `0`, since
-    /// publication happens under the writer lock).
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        let writer_deltas = self
-            .inner
-            .writer
-            .lock()
-            .expect("writer engine poisoned")
-            .delta_stats()
-            .deltas_applied;
-        let snapshot = self.snapshot();
-        let snapshot_deltas = snapshot.engine().delta_stats().deltas_applied;
-        let (shards_occupied, max_shard_len) = snapshot.engine.cache_occupancy();
-        SnapshotStats {
-            epoch: snapshot.epoch(),
-            cache_entries: snapshot.engine.cache_len(),
-            cache_capacity: snapshot.engine.cache_capacity(),
-            shards_occupied,
-            shard_count: SHARD_COUNT,
-            max_shard_len,
-            snapshot_age_deltas: writer_deltas.saturating_sub(snapshot_deltas),
-        }
     }
 
     // --- replication ----------------------------------------------------
@@ -657,7 +606,7 @@ impl SharedEngine {
         }
         let frozen = engine.snapshot();
         *writer = engine;
-        self.publish(frozen, epoch);
+        self.publish(frozen);
         Ok(())
     }
 
@@ -814,14 +763,14 @@ impl SharedSession {
     /// [`engine`](EngineSnapshot::engine) for each step.
     pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
         let snapshot = self.shared.snapshot();
+        let epoch = snapshot.epoch();
         assert!(
-            snapshot.epoch >= self.observed,
-            "session {} observed epoch {} after {} — published epochs ran backwards",
+            epoch >= self.observed,
+            "session {} observed epoch {epoch} after {} — published epochs ran backwards",
             self.id,
-            snapshot.epoch,
             self.observed
         );
-        self.observed = snapshot.epoch;
+        self.observed = epoch;
         snapshot
     }
 
@@ -1083,11 +1032,10 @@ mod tests {
     #[test]
     fn snapshot_stats_track_occupancy_and_age() {
         let shared = SharedEngine::new(small_engine());
-        let zero = shared.snapshot_stats();
+        let zero = shared.stats();
         assert_eq!(zero.epoch, 0);
-        assert_eq!(zero.cache_entries, 0);
+        assert_eq!(zero.cache_len, 0);
         assert_eq!(zero.shards_occupied, 0);
-        assert_eq!(zero.shard_count, SHARD_COUNT);
         assert_eq!(zero.snapshot_age_deltas, 0);
 
         let mut session = shared.session();
@@ -1095,8 +1043,8 @@ mod tests {
         let q2 = session.prepare_text("(x) . !P(x)").unwrap();
         session.execute(&q1).unwrap();
         session.execute(&q2).unwrap();
-        let warm = shared.snapshot_stats();
-        assert_eq!(warm.cache_entries, 2);
+        let warm = shared.stats();
+        assert_eq!(warm.cache_len, 2);
         assert!(warm.shards_occupied >= 1 && warm.shards_occupied <= 2);
         assert!(warm.max_shard_len >= 1);
         assert_eq!(warm.cache_capacity, 4096);
@@ -1106,14 +1054,14 @@ mod tests {
         let voc = snap.engine().db().voc();
         let (p, a) = (voc.pred_id("P").unwrap(), voc.const_id("a").unwrap());
         shared.apply(&Delta::new().insert_fact(p, &[a])).unwrap();
-        let fresh = shared.snapshot_stats();
+        let fresh = shared.stats();
         assert_eq!(fresh.epoch, 1);
         assert_eq!(fresh.snapshot_age_deltas, 0);
 
         // A pure-duplicate delta advances the writer's counter without
         // republishing: the published snapshot ages by one delta.
         shared.apply(&Delta::new().insert_fact(p, &[a])).unwrap();
-        let aged = shared.snapshot_stats();
+        let aged = shared.stats();
         assert_eq!(aged.epoch, 1);
         assert_eq!(aged.snapshot_age_deltas, 1);
     }

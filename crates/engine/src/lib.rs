@@ -57,9 +57,8 @@ mod lru;
 mod prepared;
 mod session;
 
-pub use concurrent::{
-    CommitFeed, EngineSnapshot, SharedEngine, SharedSession, SharedStats, SnapshotStats,
-};
+pub use cache::SHARD_COUNT;
+pub use concurrent::{CommitFeed, EngineSnapshot, SharedEngine, SharedSession, SharedStats};
 pub use delta::{Delta, DeltaReport, DeltaStats, QueryFootprint};
 pub use durable::{DurabilityConfig, RecoveryReport};
 pub use error::EngineError;
@@ -316,6 +315,42 @@ mod tests {
             assert_eq!(a.evidence().mappings_evaluated, shared);
             assert_eq!(a.evidence().shared_batch, Some(3));
             assert!(a.evidence().workers_used >= 1);
+        }
+
+        // A batch of one is `execute_as`, counters included: a query
+        // prepared before the axioms that make the database fully
+        // specified is re-certified once on either path.
+        for semantics in Semantics::ALL {
+            let engines = [(); 2].map(|_| {
+                let mut engine = Engine::builder(teaching()).answer_cache(false).build();
+                let prepared = engine.prepare_text("(x) . !TEACHES(socrates, x)").unwrap();
+                let voc = engine.db().voc();
+                let mystery = voc.const_id("mystery").unwrap();
+                let mut delta = Delta::new();
+                for other in ["socrates", "plato", "aristotle"] {
+                    delta = delta.assert_ne(mystery, voc.const_id(other).unwrap());
+                }
+                engine.apply(&delta).unwrap();
+                assert!(engine.db().is_fully_specified());
+                (engine, prepared)
+            });
+            let [(solo, p), (batched, q)] = &engines;
+            let one = solo.execute_as(p, semantics).unwrap();
+            let batch = batched
+                .execute_batch_as(std::slice::from_ref(q), semantics)
+                .unwrap();
+            assert_eq!(batch[0].tuples(), one.tuples(), "{semantics:?}");
+            assert_eq!(
+                batch[0].evidence().certificate,
+                one.evidence().certificate,
+                "{semantics:?}"
+            );
+            assert_eq!(
+                batched.delta_stats().queries_recertified,
+                solo.delta_stats().queries_recertified,
+                "{semantics:?}"
+            );
+            assert_eq!(solo.delta_stats().queries_recertified, 1, "{semantics:?}");
         }
     }
 

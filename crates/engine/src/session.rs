@@ -745,7 +745,8 @@ impl Engine {
     ///   `mappings_evaluated` total and [`Evidence::shared_batch`].
     ///
     /// Answers are bit-identical to executing each query separately; the
-    /// `i`-th answer corresponds to `prepared[i]`. Timing attribution:
+    /// `i`-th answer corresponds to `prepared[i]`, and a batch of one *is*
+    /// [`Engine::execute_as`]. Timing attribution:
     /// individually-routed members and cache hits time themselves, while
     /// every member of a shared enumeration group reports the *group's*
     /// wall-clock as its `elapsed` — the enumeration ran once for all of
@@ -755,6 +756,9 @@ impl Engine {
         prepared: &[PreparedQuery],
         semantics: Semantics,
     ) -> Result<Vec<Answers>, EngineError> {
+        if let [one] = prepared {
+            return Ok(vec![self.execute_as(one, semantics)?]);
+        }
         for p in prepared {
             if p.engine_id != self.id {
                 return Err(EngineError::PreparedElsewhere);

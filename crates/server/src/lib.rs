@@ -56,7 +56,7 @@ pub mod script;
 
 use proto::{EvidenceTag, Hello, Reply, PROTOCOL_VERSION};
 use qld_engine::{SharedEngine, SharedSession};
-use script::{Outcome, Pinned, ScriptLine, Statement, Statements};
+use script::{Database, Outcome, Readers, ScriptLine, Statement, Statements};
 use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -585,9 +585,10 @@ fn serve_connection(
 /// Dispatches one authenticated request into `reply`; returns whether
 /// the connection must close afterwards.
 ///
-/// The request takes the published snapshot once: the line is parsed and
-/// prepared against it, executes on it, is rendered with its vocabulary
-/// and semantics and acknowledged with its epoch.
+/// The request pins the published snapshot once, as a [`Readers`] over
+/// the connection's one session: the line is parsed and prepared against
+/// it, executes on it, is rendered with its vocabulary and semantics and
+/// acknowledged with its epoch.
 fn handle_request(
     request: &str,
     session: &mut SharedSession,
@@ -614,18 +615,17 @@ fn handle_request(
         }
         return false;
     }
-    let snapshot = session.snapshot();
-    let engine = snapshot.engine();
+    let mut db = Readers::new(std::slice::from_mut(session));
     let mut reject = |reply: &mut String, diagnostic: fmt::Arguments| {
         stats.rejections += 1;
         state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
         let _ = writeln!(reply, "error: {diagnostic}");
     };
-    let statement = match statements.resolve(engine.db().voc(), request) {
+    let statement = match statements.resolve(db.engine().db().voc(), request) {
         Ok(None) => {
             // Blank lines and comments are acknowledged so that 1 request
             // line always equals 1 reply frame.
-            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
+            let _ = writeln!(reply, "done: epoch={}", db.engine().epoch());
             return false;
         }
         Ok(Some(statement)) => statement,
@@ -659,11 +659,10 @@ fn handle_request(
     if matches!(statement, Statement::Warm(_)) {
         stats.statements_reused += 1;
     }
-    let mut db = Pinned {
-        session,
-        snapshot: &snapshot,
-    };
-    match statements.run(&mut db, request, statement) {
+    let outcome = statements.run(&mut db, request, statement);
+    // The pinned snapshot, or after a write the one that write published.
+    let engine = db.engine();
+    match outcome {
         Ok(Outcome::Answers {
             is_boolean,
             answers,
@@ -710,15 +709,15 @@ fn handle_request(
             for line in lines {
                 let _ = writeln!(reply, "stat: {line}");
             }
-            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
+            let _ = writeln!(reply, "done: epoch={}", engine.epoch());
             false
         }
         Ok(Outcome::Quit) => {
-            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
+            let _ = writeln!(reply, "done: epoch={}", engine.epoch());
             true
         }
         Ok(Outcome::Shutdown) => {
-            let _ = writeln!(reply, "done: epoch={}", snapshot.epoch());
+            let _ = writeln!(reply, "done: epoch={}", engine.epoch());
             state.shutdown.store(true, Ordering::Release);
             true
         }

@@ -22,20 +22,21 @@
 //! execute together), the one `> line` echo.
 //!
 //! What a line runs *against* is the four-method [`Database`] seam, with
-//! three implementations:
+//! two implementations:
 //!
 //! * [`Engine`] — the shell and `--batch`. `query` is
 //!   [`Engine::execute_batch`], so a segment's Theorem-1-bound queries
-//!   share one mapping enumeration (and a batch of one is bit-identical
-//!   to [`Engine::execute`]).
-//! * `Pinned` — one request of a server connection: the connection's
-//!   [`SharedSession`] read through the one snapshot the request took.
-//!   Reads run inline on the connection thread, one [`Engine::execute`]
-//!   on the snapshot's engine per query; writes go to the session's
-//!   [`SharedEngine`](qld_engine::SharedEngine).
-//! * `Vec<SharedSession>` — `--sessions N`. A segment is dealt
-//!   round-robin to the readers, one scoped thread each, every reader
-//!   batching its share through [`SharedSession::execute_batch_as`].
+//!   share one mapping enumeration (and a batch of one is
+//!   [`Engine::execute`]).
+//! * [`Readers`] — every front-end over a
+//!   [`SharedEngine`](qld_engine::SharedEngine): one request of a server
+//!   connection (its one [`SharedSession`]) and `--sessions N`. It reads
+//!   the snapshot its first session took, re-taken after each write
+//!   through the engine's single writer. One session runs a segment
+//!   inline through [`Engine::execute_batch`] on that snapshot; `N` deal
+//!   it round-robin, one scoped thread each, every reader batching its
+//!   share through [`SharedSession::execute_batch_as`]. Both print one
+//!   set of `:stats` lines.
 //!
 //! How an [`Outcome`] is shown is the front-end's: local drivers print
 //! it with [`print_outcome`]; the server frames the same outcome as
@@ -52,13 +53,12 @@ use crate::proto;
 use qld_core::CwDatabase;
 use qld_engine::{
     Answers, Delta, DeltaReport, Engine, EngineError, EngineSnapshot, Lru, PreparedQuery,
-    SharedSession, SharedStats,
+    SharedSession, SHARD_COUNT,
 };
 use qld_logic::parser::parse_query;
 use qld_logic::{ConstId, Formula, PredId, Query, Term, Vocabulary};
 use std::fmt;
 use std::io::{self, Write};
-use std::ops::Deref;
 use std::sync::Arc;
 
 /// One parsed script line.
@@ -193,8 +193,8 @@ pub fn parse_fact(voc: &Vocabulary, text: &str) -> Result<(PredId, Vec<ConstId>)
 pub trait Database {
     /// The engine a line is parsed, prepared and rendered against — its
     /// vocabulary, its default semantics, its `prepare`. For a shared
-    /// engine this is the currently published snapshot.
-    fn engine(&self) -> impl Deref<Target = Engine>;
+    /// engine this is the pinned snapshot.
+    fn engine(&self) -> &Engine;
 
     /// Applies one delta (a `:insert` or `:assert-ne` line).
     fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError>;
@@ -227,24 +227,8 @@ fn decomposition_line(db: &CwDatabase) -> String {
     )
 }
 
-/// The `replication:` stats line (`stat: replication: …` on the wire).
-fn replication_line(stats: &SharedStats) -> String {
-    format!(
-        "replication: role={} generation={} applied={} lag={} followers={}",
-        if stats.read_only {
-            "follower"
-        } else {
-            "primary"
-        },
-        stats.generation,
-        stats.epoch,
-        stats.replication_lag(),
-        stats.followers
-    )
-}
-
 impl Database for Engine {
-    fn engine(&self) -> impl Deref<Target = Engine> {
+    fn engine(&self) -> &Engine {
         self
     }
 
@@ -294,90 +278,59 @@ impl Database for Engine {
     }
 }
 
-/// A published snapshot, dereferencing to the engine frozen inside it.
-struct Frozen(Arc<EngineSnapshot>);
+/// Reader sessions of one [`SharedEngine`](qld_engine::SharedEngine) —
+/// one for a server request, `N` for `--sessions N` — and the snapshot
+/// they are pinned to. Whatever a line parses against, prepares on and is
+/// rendered with is that snapshot, so a publish that lands mid-request
+/// cannot give a reply one epoch's semantics and another's answer. The
+/// sessions outlive the `Readers`, so each one's monotone epoch
+/// observation spans a whole connection or script.
+pub struct Readers<'a> {
+    sessions: &'a mut [SharedSession],
+    snapshot: Arc<EngineSnapshot>,
+}
 
-impl Deref for Frozen {
-    type Target = Engine;
-
-    fn deref(&self) -> &Engine {
-        self.0.engine()
+impl<'a> Readers<'a> {
+    /// Pins the snapshot the first of `sessions` reads.
+    ///
+    /// # Panics
+    ///
+    /// If `sessions` is empty.
+    pub fn new(sessions: &'a mut [SharedSession]) -> Readers<'a> {
+        let snapshot = sessions[0].snapshot();
+        Readers { sessions, snapshot }
     }
 }
 
-/// One request of a server connection: the connection's session, read
-/// through the one snapshot the request took. Whatever the request parses
-/// against, prepares on, executes on and is rendered with is that
-/// snapshot, so a publish that lands mid-request cannot give a reply one
-/// epoch's semantics and another's answer.
-pub(crate) struct Pinned<'a> {
-    pub(crate) session: &'a SharedSession,
-    /// From [`SharedSession::snapshot`] on `session`.
-    pub(crate) snapshot: &'a EngineSnapshot,
-}
-
-impl Database for Pinned<'_> {
-    fn engine(&self) -> impl Deref<Target = Engine> {
+impl Database for Readers<'_> {
+    fn engine(&self) -> &Engine {
         self.snapshot.engine()
     }
 
+    /// Writes through the engine's single writer, then re-pins.
     fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError> {
-        self.session.shared().apply(delta)
+        let report = self.sessions[0].shared().apply(delta)?;
+        self.snapshot = self.sessions[0].snapshot();
+        Ok(report)
     }
 
-    /// Inline and per query: a request is one line, and `wire_read`'s
-    /// cache hit is short enough that a spawned thread or a batch set-up
-    /// per request would show in it.
+    /// One session runs the segment inline on the pinned snapshot: a
+    /// wire request is one line, and `wire_read`'s cache hit is shorter
+    /// than a thread spawn. More sessions deal it round-robin, one scoped
+    /// thread each, each batching its share against the snapshot it
+    /// reads.
     fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
-        let engine = self.snapshot.engine();
-        prepared.iter().map(|p| engine.execute(p)).collect()
-    }
-
-    fn stats(&self) -> Vec<String> {
-        let shared = self.session.shared();
-        let stats = shared.stats();
-        let mut lines = vec![
-            format!("snapshot: {}", shared.snapshot_stats()),
-            replication_line(&stats),
-        ];
-        if let Some(wal) = stats.wal {
-            lines.push(format!("wal: {wal}"));
+        let n = self.sessions.len();
+        if n == 1 {
+            return self.engine().execute_batch(prepared);
         }
-        if shared.wal_poisoned() {
-            lines.push(
-                "wal: write-poisoned by an earlier WAL failure — reads \
-                 serve the last durable epoch, every write fails; restart and \
-                 recover from the log"
-                    .to_string(),
-            );
-        }
-        lines
-    }
-}
-
-/// The `--sessions N` reader pool: at least one session, all of one
-/// [`SharedEngine`](qld_engine::SharedEngine). The sessions persist
-/// across segments, so each one's monotone epoch observation spans the
-/// whole script.
-impl Database for Vec<SharedSession> {
-    fn engine(&self) -> impl Deref<Target = Engine> {
-        Frozen(self[0].shared().snapshot())
-    }
-
-    fn add(&mut self, delta: &Delta) -> Result<DeltaReport, EngineError> {
-        self[0].shared().apply(delta)
-    }
-
-    /// Deals the segment round-robin to the readers, one scoped thread
-    /// per reader, each batching its share against the snapshot it reads.
-    fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
-        let n = self.len();
         let mode = self.engine().semantics();
         let shares: Vec<Vec<PreparedQuery>> = (0..n)
             .map(|r| prepared.iter().skip(r).step_by(n).cloned().collect())
             .collect();
         let answered: Vec<Result<Vec<Answers>, EngineError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
+                .sessions
                 .iter_mut()
                 .zip(&shares)
                 .map(|(session, share)| scope.spawn(move || session.execute_batch_as(share, mode)))
@@ -397,9 +350,9 @@ impl Database for Vec<SharedSession> {
     }
 
     fn stats(&self) -> Vec<String> {
-        let shared = self[0].shared();
+        let shared = self.sessions[0].shared();
         let stats = shared.stats();
-        vec![
+        let mut lines = vec![
             format!(
                 "epoch: {}, sessions: {}, shared cache: {}/{} answer(s), \
                  deltas: {} applied ({} fact(s), {} axiom(s) inserted)",
@@ -411,10 +364,43 @@ impl Database for Vec<SharedSession> {
                 stats.deltas.facts_inserted,
                 stats.deltas.ne_inserted
             ),
-            format!("snapshot: {}", shared.snapshot_stats()),
-            decomposition_line(shared.snapshot().engine().db()),
-            replication_line(&stats),
-        ]
+            format!(
+                "snapshot: epoch {}, shared cache {}/{} answer(s) in {}/{} shard(s) \
+                 (largest {}), snapshot age {} delta(s)",
+                stats.epoch,
+                stats.cache_len,
+                stats.cache_capacity,
+                stats.shards_occupied,
+                SHARD_COUNT,
+                stats.max_shard_len,
+                stats.snapshot_age_deltas
+            ),
+            decomposition_line(self.engine().db()),
+            format!(
+                "replication: role={} generation={} applied={} lag={} followers={}",
+                if stats.read_only {
+                    "follower"
+                } else {
+                    "primary"
+                },
+                stats.generation,
+                stats.epoch,
+                stats.replication_lag(),
+                stats.followers
+            ),
+        ];
+        if let Some(wal) = stats.wal {
+            lines.push(format!("wal: {wal}"));
+        }
+        if shared.wal_poisoned() {
+            lines.push(
+                "wal: write-poisoned by an earlier WAL failure — reads \
+                 serve the last durable epoch, every write fails; restart and \
+                 recover from the log"
+                    .to_string(),
+            );
+        }
+        lines
     }
 }
 
@@ -656,7 +642,7 @@ pub fn run_script<D: Database>(
             let answers = match db.query(&segment.prepared) {
                 Ok(answers) => answers,
                 Err(e) => {
-                    print_outcome(&db.engine(), &Err(e), out)?;
+                    print_outcome(db.engine(), &Err(e), out)?;
                     return Ok(None);
                 }
             };
@@ -674,7 +660,7 @@ pub fn run_script<D: Database>(
                     is_boolean,
                     answers,
                 };
-                print_outcome(&engine, &Ok(outcome), out)?;
+                print_outcome(engine, &Ok(outcome), out)?;
             }
         }
         let Some((line, item)) = segment.then else {
@@ -684,7 +670,7 @@ pub fn run_script<D: Database>(
         if !matches!(outcome, Ok(Outcome::Stats(_))) {
             writeln!(out, "> {line}")?;
         }
-        print_outcome(&db.engine(), &outcome, out)?;
+        print_outcome(db.engine(), &outcome, out)?;
         match outcome {
             Ok(Outcome::Delta(_)) => deltas += 1,
             Ok(_) => {}

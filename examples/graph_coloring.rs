@@ -14,10 +14,8 @@
 //!
 //! Run with: `cargo run --example graph_coloring`
 
-use querying_logical_databases::reductions::three_color::{
-    is_3colorable_via_logical_db, reduce, solve_3coloring,
-};
-use querying_logical_databases::reductions::Graph;
+use qld_reductions::three_color::{is_3colorable_via_logical_db, reduce, solve_3coloring};
+use qld_reductions::Graph;
 use std::time::Instant;
 
 fn main() {

@@ -12,8 +12,8 @@
 //!
 //! Run with: `cargo run --example qbf`
 
+use qld_reductions::{qbf_fo, qbf_so, Lit, Qbf, Quant};
 use querying_logical_databases::logic::display::display_query;
-use querying_logical_databases::reductions::{qbf_fo, qbf_so, Lit, Qbf, Quant};
 
 fn main() {
     let cases: Vec<(&str, Qbf)> = vec![

@@ -8,8 +8,8 @@
 //! ```
 
 use querying_logical_databases::cli::{
-    concurrent_batch_file, engine_from, parse_fsync, promote, recover, serve, ConcurrentConfig,
-    Mode, Outcome, RecoverOptions, ServeOptions, Session, MODE_USAGE,
+    concurrent_batch_file, engine_from, parse_fsync, promote, recover, serve, Mode, Outcome,
+    RecoverOptions, ServeOptions, Session, MODE_USAGE,
 };
 use querying_logical_databases::core::CwDatabase;
 use std::io::{self, BufRead, Write};
@@ -357,6 +357,8 @@ fn shell_main(args: &[String]) -> Exit {
     let Some(db) = load_db(&path) else {
         return Ok(ExitCode::FAILURE);
     };
+    // `--no-cache` is the shell's `:cache off`: `:cache on` brings it back.
+    let engine = |db| engine_from(db, mode.unwrap_or_default(), threads, !no_cache, None);
 
     // Concurrent serving: the script drives a shared engine with N reader
     // sessions instead of one single-owner shell.
@@ -372,18 +374,12 @@ fn shell_main(args: &[String]) -> Exit {
             eprintln!("--sessions needs --batch (concurrent mode is script-driven)");
             return Ok(ExitCode::from(2));
         }
-        let config = ConcurrentConfig {
-            sessions: n,
-            mode: mode.unwrap_or_default(),
-            threads,
-            cache: !no_cache,
-        };
         let stdout = io::stdout();
         let mut out = stdout.lock();
         for file in batches {
             // Each batch gets a fresh copy of the database (mutations in
             // one script don't leak into the next).
-            match concurrent_batch_file(db.clone(), config, file, &mut out) {
+            match concurrent_batch_file(engine(db.clone()), n, file, &mut out) {
                 Ok(true) => {}
                 Ok(false) | Err(_) => return Ok(ExitCode::FAILURE),
             }
@@ -391,9 +387,7 @@ fn shell_main(args: &[String]) -> Exit {
         return Ok(ExitCode::SUCCESS);
     }
 
-    // `--no-cache` is the shell's `:cache off`: `:cache on` brings it back.
-    let engine = engine_from(db, mode.unwrap_or_default(), threads, !no_cache, None);
-    let mut session = Session::with_engine(engine);
+    let mut session = Session::with_engine(engine(db));
     let stdout = io::stdout();
     let mut out = stdout.lock();
 

@@ -18,7 +18,7 @@ use qld_logic::display::display_query;
 use qld_logic::parser::parse_query;
 use qld_server::replication::FollowerLink;
 use qld_server::script::{
-    self, describe_threads, parse_line, print_outcome, run_line, run_script, ScriptError,
+    self, describe_threads, parse_line, print_outcome, run_line, run_script, Readers, ScriptError,
 };
 use qld_server::{Client, RetryPolicy, Server, ServerConfig};
 use std::io::{self, Write};
@@ -328,54 +328,41 @@ pub fn engine_from(
     builder.build()
 }
 
-/// Configuration of the concurrent batch driver (`--sessions N`).
-#[derive(Debug, Clone, Copy)]
-pub struct ConcurrentConfig {
-    /// Reader sessions the script's queries are distributed across.
-    pub sessions: usize,
-    /// Evaluation mode for every reader.
-    pub mode: Mode,
-    /// Enumeration worker threads (`None` = engine default from
-    /// `QLD_THREADS`).
-    pub threads: Option<usize>,
-    /// Whether the engine's answer cache is enabled.
-    pub cache: bool,
-}
-
-/// Runs a batch script concurrently: a [`SharedEngine`] serves the
-/// script's queries across `config.sessions` reader threads while the
-/// writer applies `:insert`/`:assert-ne` deltas between query segments.
+/// Runs a batch script concurrently (`--sessions N`): a [`SharedEngine`]
+/// over `engine` serves the script's queries across `sessions` reader
+/// sessions while the writer applies `:insert`/`:assert-ne` deltas
+/// between query segments.
 ///
-/// The script runs through [`run_script`], segmented at mutation lines:
-/// all queries between two mutations execute concurrently (dealt
-/// round-robin to the reader sessions, each batching its share against
-/// the latest published snapshot), then the mutation publishes the next
-/// epoch, then the next segment runs. Answers are printed in script
-/// order, each stamped with the epoch it was computed at, so the output
-/// is deterministic. `:stats` lines print the live epoch/session/cache
-/// counters. Returns whether the script actually executed (parse errors
-/// abort before anything runs, like [`Session::batch_text`]).
+/// The script runs through [`run_script`] on [`Readers`], segmented at
+/// mutation lines: all queries between two mutations execute (one
+/// session runs them inline; more deal them round-robin, one thread
+/// each, each batching its share against the latest published snapshot),
+/// then the mutation publishes the next epoch, then the next segment
+/// runs. Answers are printed in script order, each stamped with the epoch
+/// it was computed at, so the output is deterministic. `:stats` lines
+/// print the live epoch/session/cache counters. Returns whether the
+/// script actually executed (parse errors abort before anything runs,
+/// like [`Session::batch_text`]).
 pub fn concurrent_batch_text(
-    db: CwDatabase,
-    config: ConcurrentConfig,
+    engine: Engine,
+    sessions: usize,
     text: &str,
     out: &mut dyn Write,
 ) -> io::Result<bool> {
-    if config.sessions == 0 {
+    if sessions == 0 {
         writeln!(out, "error: --sessions needs at least 1 reader session")?;
         return Ok(false);
     }
-    let engine = engine_from(db, config.mode, config.threads, config.cache, None);
     let shared = SharedEngine::new(engine);
-    let mut readers: Vec<_> = (0..config.sessions).map(|_| shared.session()).collect();
-    let Some((queries, deltas, _)) = run_script(&mut readers, text, out)? else {
+    let mut readers: Vec<_> = (0..sessions).map(|_| shared.session()).collect();
+    let Some((queries, deltas, _)) = run_script(&mut Readers::new(&mut readers), text, out)? else {
         return Ok(false);
     };
     writeln!(
         out,
         "concurrent batch: {} query(s) across {} session(s), {} delta(s), final epoch {}",
         queries,
-        config.sessions,
+        sessions,
         deltas,
         shared.epoch()
     )?;
@@ -385,13 +372,13 @@ pub fn concurrent_batch_text(
 /// Runs a concurrent batch script from a file (see
 /// [`concurrent_batch_text`]).
 pub fn concurrent_batch_file(
-    db: CwDatabase,
-    config: ConcurrentConfig,
+    engine: Engine,
+    sessions: usize,
     path: &str,
     out: &mut dyn Write,
 ) -> io::Result<bool> {
     match read_script(path, out)? {
-        Some(text) => concurrent_batch_text(db, config, &text, out),
+        Some(text) => concurrent_batch_text(engine, sessions, &text, out),
         None => Ok(false),
     }
 }
@@ -1068,24 +1055,10 @@ distinct socrates plato aristotle
         assert!(out.is_empty(), "{out}");
     }
 
-    fn concurrent_config(sessions: usize) -> ConcurrentConfig {
-        ConcurrentConfig {
-            sessions,
-            mode: Mode::Auto,
-            threads: Some(1),
-            cache: true,
-        }
-    }
-
     fn run_concurrent(sessions: usize, script: &str) -> (String, bool) {
         let mut out = Vec::new();
-        let ran = concurrent_batch_text(
-            from_text(SAMPLE).unwrap(),
-            concurrent_config(sessions),
-            script,
-            &mut out,
-        )
-        .unwrap();
+        let engine = engine_from(from_text(SAMPLE).unwrap(), Mode::Auto, Some(1), true, None);
+        let ran = concurrent_batch_text(engine, sessions, script, &mut out).unwrap();
         (String::from_utf8(out).unwrap(), ran)
     }
 

@@ -17,8 +17,6 @@
 //! | [`approx`] | the §5 approximation: `Q ↦ Q̂`, `α_P`, virtual `NE`, completeness predicates |
 //! | [`engine`] | **the front door**: the unified [`Engine`](prelude::Engine) session API — prepared queries, four semantics, exactness certificates |
 //! | [`server`] | the TCP network front-end: a std-only line-protocol server over [`SharedEngine`](prelude::SharedEngine) plus the blocking [`Client`](prelude::Client) |
-//! | [`reductions`] | §4 lower-bound constructions (3-colorability, QBF) + oracles |
-//! | [`workloads`] | seeded generators for databases, graphs, QBFs, queries |
 //!
 //! ## Quickstart
 //!
@@ -66,9 +64,7 @@ pub use qld_core as core;
 pub use qld_engine as engine;
 pub use qld_logic as logic;
 pub use qld_physical as physical;
-pub use qld_reductions as reductions;
 pub use qld_server as server;
-pub use qld_workloads as workloads;
 
 /// The most common imports in one place, centred on the [`engine::Engine`]
 /// session API.
@@ -80,7 +76,7 @@ pub mod prelude {
     pub use qld_engine::{
         Answers, Certificate, Delta, DeltaReport, DeltaStats, Engine, EngineBuilder, EngineError,
         EngineSnapshot, Evidence, ParallelConfig, PreparedQuery, QueryFootprint, Regime, Semantics,
-        SharedEngine, SharedSession, SharedStats, SnapshotStats,
+        SharedEngine, SharedSession, SharedStats,
     };
     pub use qld_logic::parser::{parse_query, parse_sentence};
     pub use qld_logic::{Formula, Query, Term, Var, Vocabulary};

@@ -3,6 +3,7 @@
 //! NNF with the original formula — over image databases `h(Ph₁(LB))`,
 //! which exercise merged constants and shrunken domains.
 
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::algebra::{
     compile_query, execute, optimize, ExecOptions, JoinAlgo,
 };
@@ -11,9 +12,6 @@ use querying_logical_databases::core::ph::{apply_mapping, ph1};
 use querying_logical_databases::logic::nnf::{is_nnf, to_nnf};
 use querying_logical_databases::logic::Query;
 use querying_logical_databases::physical::eval_query;
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 fn dbs(
     seed: u64,

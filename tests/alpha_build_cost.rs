@@ -11,10 +11,10 @@
 //! `ApproxEngine::disagree_tests` reads; the count is a pure function of
 //! the database, so these bounds hold or fail identically on any host.
 
+use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::approx::ApproxEngine;
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::ConstId;
-use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 
 /// `qld_bench`'s serving shape (`known_fraction 0.7`, `2·n` facts per
 /// predicate unless doubled) over the given predicate arities.

@@ -4,14 +4,12 @@
 //! two α_P realizations, the virtual-NE representation, and the
 //! relational-algebra compilation of `Q̂`.
 
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::algebra::compile::eval_via_algebra;
 use querying_logical_databases::algebra::{CompileError, ExecOptions};
 use querying_logical_databases::approx::{AlphaMode, ApproxEngine};
 use querying_logical_databases::core::certain_answers;
 use querying_logical_databases::logic::parser::parse_query;
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 fn db_cfg(seed: u64, known_fraction: f64) -> DbGenConfig {
     DbGenConfig {

@@ -6,6 +6,7 @@
 //! mappings.
 
 use proptest::prelude::*;
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::exact::{
     certain_answers_batch_with, certain_answers_with, possible_answers_batch_with,
     possible_answers_with, ExactOptions,
@@ -14,9 +15,6 @@ use querying_logical_databases::core::mappings::{analyze_decomposition, count_ke
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::Query;
 use querying_logical_databases::prelude::{Engine, Semantics};
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 fn random_db(seed: u64, n: usize, known: f64) -> CwDatabase {
     random_cw_db(&DbGenConfig {

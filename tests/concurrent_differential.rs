@@ -26,14 +26,12 @@
 //! session concurrency outside it.
 
 use proptest::prelude::*;
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::{ConstId, Query};
 use querying_logical_databases::physical::Relation;
 use querying_logical_databases::prelude::{
     Certificate, Delta, Engine, PreparedQuery, Semantics, SharedEngine,
-};
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

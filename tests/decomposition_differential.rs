@@ -13,6 +13,7 @@
 //! must be thread-count deterministic.
 
 use proptest::prelude::*;
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
 use querying_logical_databases::core::mappings::{
     count_kernel_mappings, count_kernel_mappings_by_enumeration,
@@ -23,9 +24,6 @@ use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::logic::{ConstId, Query};
 use querying_logical_databases::prelude::{Delta, Engine, PreparedQuery, Semantics};
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 fn random_db(seed: u64, n: usize, known: f64) -> CwDatabase {
     random_cw_db(&DbGenConfig {

@@ -7,12 +7,10 @@
 //! delta.
 
 use proptest::prelude::*;
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::{ConstId, Query};
 use querying_logical_databases::prelude::{Delta, Engine, PreparedQuery, Semantics};
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 fn random_db(seed: u64, n: usize, known: f64) -> CwDatabase {
     random_cw_db(&DbGenConfig {

@@ -3,11 +3,9 @@
 //! verbatim), against the model-enumeration oracle, and against the
 //! Theorem 3 precise simulation — on seeded random databases and queries.
 
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
 use querying_logical_databases::core::{certain_answers, oracle, precise};
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 fn kernels() -> ExactOptions {
     ExactOptions {

@@ -2,11 +2,9 @@
 //! certificate correctness on random workloads, prepared-query reuse,
 //! and the builder's knobs.
 
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::{certain_answers, possible_answers};
 use querying_logical_databases::prelude::{Certificate, Engine, Regime, Semantics};
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 fn random_db(known_fraction: f64, seed: u64) -> querying_logical_databases::core::CwDatabase {
     random_cw_db(&DbGenConfig {

@@ -13,6 +13,7 @@
 //! The allocator counts only while the test thread asks it to, and this is
 //! the one test of its binary, so nothing else allocates meanwhile.
 
+use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::algebra::{compile_query, execute, optimize, ExecOptions};
 use querying_logical_databases::core::exact::{certain_answers_batch_with, ExactOptions};
 use querying_logical_databases::core::ph::ph1;
@@ -20,7 +21,6 @@ use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::logic::{ConstId, Query, Vocabulary};
 use querying_logical_databases::physical::{eval_query, PhysicalDb};
-use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;

@@ -6,12 +6,12 @@
 //!   union-find disagreement test, tuple by tuple (sharper than the
 //!   whole-query comparisons elsewhere).
 
+use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::approx::disagree::disagrees;
 use querying_logical_databases::core::ph::ph2;
 use querying_logical_databases::logic::builders::{alpha_p, reachability, VarGen};
 use querying_logical_databases::logic::{Formula, Term, Var, Vocabulary};
 use querying_logical_databases::physical::{Evaluator, PhysicalDb, TupleSpace};
-use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

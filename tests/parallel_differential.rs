@@ -5,13 +5,11 @@
 //! totals are comparable) the same number of mappings evaluated.
 
 use proptest::prelude::*;
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::exact::{
     certain_answers_with, possible_answers_with, ExactOptions,
 };
 use querying_logical_databases::core::mappings::count_kernel_mappings;
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 /// Options with the fast path off (we want the enumeration, not
 /// Corollary 2) and early exit off (so `mappings_evaluated` is the full

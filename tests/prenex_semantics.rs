@@ -2,15 +2,13 @@
 //! evaluator on random formulas and databases, plus the Σᴱₖ shape check
 //! on the Theorem 7 reduction outputs.
 
+use qld_reductions::{qbf_fo, Lit, Qbf, Quant};
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::ph::ph1;
 use querying_logical_databases::logic::builders::VarGen;
 use querying_logical_databases::logic::prenex::{to_prenex, QuantKind};
 use querying_logical_databases::logic::Query;
 use querying_logical_databases::physical::eval_query;
-use querying_logical_databases::reductions::{qbf_fo, Lit, Qbf, Quant};
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 #[test]
 fn prenexing_preserves_semantics() {

@@ -2,6 +2,7 @@
 //! relations, mappings/kernels, disagreement, NE stores, and NNF.
 
 use proptest::prelude::*;
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::approx::disagree::disagrees;
 use querying_logical_databases::approx::NeStore;
 use querying_logical_databases::core::mappings::{
@@ -11,9 +12,6 @@ use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::nnf::{is_nnf, to_nnf};
 use querying_logical_databases::logic::{ConstId, Vocabulary};
 use querying_logical_databases::physical::Relation;
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 /// Checks a physical database against the explicit theory sentences.
 fn qld_satisfies_theory(
@@ -132,7 +130,7 @@ proptest! {
         known in 0u8..=10,
     ) {
         use querying_logical_databases::core::textio::{from_text, to_text};
-        use querying_logical_databases::workloads::{random_cw_db as gen_db, DbGenConfig as Cfg};
+        use qld_workloads::{random_cw_db as gen_db, DbGenConfig as Cfg};
         let db = gen_db(&Cfg {
             num_consts: n,
             pred_arities: vec![2, 1],

@@ -17,11 +17,11 @@
 //! The allocator counts only while the test thread asks it to, and this
 //! is the one test of its binary, so nothing else allocates meanwhile.
 
+use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::{ConstId, PredId};
 use querying_logical_databases::physical::Relation;
 use querying_logical_databases::prelude::{to_text, Delta, Engine, Semantics, SharedEngine};
-use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;

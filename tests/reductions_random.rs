@@ -1,11 +1,11 @@
 //! Randomized validation of the §4 reductions against their independent
 //! solvers — 3-colorability (Theorem 5) and QBF (Theorems 7 and 9).
 
-use querying_logical_databases::reductions::three_color::{
+use qld_reductions::three_color::{
     is_3colorable_via_logical_db, is_proper_coloring, solve_3coloring,
 };
-use querying_logical_databases::reductions::{qbf_fo, qbf_so};
-use querying_logical_databases::workloads::{gnp, random_qbf};
+use qld_reductions::{qbf_fo, qbf_so};
+use qld_workloads::{gnp, random_qbf};
 
 #[test]
 fn theorem_5_agrees_with_solver_on_random_graphs() {

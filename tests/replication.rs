@@ -15,6 +15,7 @@
 //! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both).
 
 use proptest::prelude::*;
+use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::core::textio::{from_text, to_text};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::engine::{Engine, EngineError, Semantics, SharedEngine};
@@ -23,7 +24,6 @@ use querying_logical_databases::logic::ConstId;
 use querying_logical_databases::prelude::{Client, RetryPolicy, Server, ServerConfig};
 use querying_logical_databases::server::replication::{FollowerHandle, FollowerLink};
 use querying_logical_databases::server::{proto, RunningServer};
-use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;

@@ -10,11 +10,11 @@
 //! enumeration pool inside each snapshot is orthogonal to the socket
 //! concurrency outside it.
 
+use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::ConstId;
 use querying_logical_databases::prelude::{Client, Engine, Server, ServerConfig, SharedEngine};
 use querying_logical_databases::server::proto;
-use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

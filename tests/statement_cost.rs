@@ -17,9 +17,9 @@
 //! The allocator counts only while the test thread asks it to, and this
 //! is the one test of its binary, so nothing else allocates meanwhile.
 
+use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::prelude::{Client, Engine, Server, ServerConfig, SharedEngine};
-use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 

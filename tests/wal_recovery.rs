@@ -23,15 +23,13 @@
 //! [`FsyncPolicy::Always`]: querying_logical_databases::engine::FsyncPolicy::Always
 
 use proptest::prelude::*;
+use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::engine::{
     DurabilityConfig, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage, WalConfig,
 };
 use querying_logical_databases::logic::{ConstId, Query};
 use querying_logical_databases::prelude::{Delta, Engine, EngineError, Semantics, SharedEngine};
-use querying_logical_databases::workloads::{
-    random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig,
-};
 
 fn random_db(seed: u64, n: usize, known: f64) -> CwDatabase {
     random_cw_db(&DbGenConfig {

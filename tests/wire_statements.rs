@@ -22,13 +22,13 @@
 //!
 //! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both).
 
+use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::ConstId;
 use querying_logical_databases::prelude::{Client, Engine, Server, ServerConfig, SharedEngine};
 use querying_logical_databases::server::proto::{self, Reply};
 use querying_logical_databases::server::script::{self, Outcome};
 use querying_logical_databases::server::RunningServer;
-use querying_logical_databases::workloads::{random_cw_db, DbGenConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
