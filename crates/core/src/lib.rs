@@ -25,10 +25,16 @@
 //! enumerate candidate models, check the *explicit* theory); and
 //! module [`precise`] implements the Theorem 3 second-order simulation
 //! `Q(LB) = Q′(Ph₂(LB))`.
+//!
+//! A database travels in two formats: [`textio`], the human-readable
+//! `.qld` text of database files, and [`codec`], the binary encoding of
+//! the same three lists that WAL checkpoints and replication snapshots
+//! carry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod exact;
 pub mod mappings;
 pub mod oracle;

@@ -168,38 +168,12 @@ impl CwDatabase {
     /// [`CwDatabase::insert_fact`] and by callers that need all-or-nothing
     /// delta application (validate everything, then mutate).
     pub fn check_fact(&self, p: PredId, args: &[ConstId]) -> Result<(), CwError> {
-        if p.index() >= self.voc.num_preds() {
-            return Err(CwError::UnknownPredicate(p.0));
-        }
-        let expected = self.voc.pred_arity(p);
-        if args.len() != expected {
-            return Err(CwError::FactArity {
-                predicate: self.voc.pred_name(p).to_owned(),
-                expected,
-                found: args.len(),
-            });
-        }
-        for c in args {
-            if c.index() >= self.voc.num_consts() {
-                return Err(CwError::UnknownConstant(c.0));
-            }
-        }
-        Ok(())
+        check_fact(&self.voc, p, args)
     }
 
     /// Validates a uniqueness-axiom delta without applying it.
     pub fn check_ne(&self, a: ConstId, b: ConstId) -> Result<(), CwError> {
-        for c in [a, b] {
-            if c.index() >= self.voc.num_consts() {
-                return Err(CwError::UnknownConstant(c.0));
-            }
-        }
-        if a == b {
-            return Err(CwError::ReflexiveUniqueness(
-                self.voc.const_name(a).to_owned(),
-            ));
-        }
-        Ok(())
+        check_ne(&self.voc, a, b)
     }
 
     /// Adds one atomic fact axiom in place, returning `true` iff the fact
@@ -266,6 +240,45 @@ impl CwDatabase {
     }
 }
 
+/// The fact check shared by [`CwDatabase::check_fact`] and
+/// [`CwDatabaseBuilder::fact`]: the predicate and every constant exist and
+/// the arity matches.
+fn check_fact(voc: &Vocabulary, p: PredId, args: &[ConstId]) -> Result<(), CwError> {
+    if p.index() >= voc.num_preds() {
+        return Err(CwError::UnknownPredicate(p.0));
+    }
+    let expected = voc.pred_arity(p);
+    if args.len() != expected {
+        return Err(CwError::FactArity {
+            predicate: voc.pred_name(p).to_owned(),
+            expected,
+            found: args.len(),
+        });
+    }
+    for c in args {
+        if c.index() >= voc.num_consts() {
+            return Err(CwError::UnknownConstant(c.0));
+        }
+    }
+    Ok(())
+}
+
+/// The axiom check shared by [`CwDatabase::check_ne`] and the builder's
+/// [`unique`](CwDatabaseBuilder::unique) and
+/// [`pairwise_unique`](CwDatabaseBuilder::pairwise_unique): both
+/// constants exist and differ.
+fn check_ne(voc: &Vocabulary, a: ConstId, b: ConstId) -> Result<(), CwError> {
+    for c in [a, b] {
+        if c.index() >= voc.num_consts() {
+            return Err(CwError::UnknownConstant(c.0));
+        }
+    }
+    if a == b {
+        return Err(CwError::ReflexiveUniqueness(voc.const_name(a).to_owned()));
+    }
+    Ok(())
+}
+
 /// Validating builder for [`CwDatabase`].
 #[derive(Debug, Clone)]
 pub struct CwDatabaseBuilder {
@@ -293,13 +306,8 @@ impl CwDatabaseBuilder {
         if self.error.is_some() {
             return self;
         }
-        let expected = self.voc.pred_arity(p);
-        if args.len() != expected {
-            self.error = Some(CwError::FactArity {
-                predicate: self.voc.pred_name(p).to_owned(),
-                expected,
-                found: args.len(),
-            });
+        if let Err(e) = check_fact(&self.voc, p, args) {
+            self.error = Some(e);
             return self;
         }
         let (rows, flat) = &mut self.facts[p.index()];
@@ -313,10 +321,8 @@ impl CwDatabaseBuilder {
         if self.error.is_some() {
             return self;
         }
-        if a == b {
-            self.error = Some(CwError::ReflexiveUniqueness(
-                self.voc.const_name(a).to_owned(),
-            ));
+        if let Err(e) = check_ne(&self.voc, a, b) {
+            self.error = Some(e);
             return self;
         }
         self.ne_pairs.push((a.0.min(b.0), a.0.max(b.0)));
@@ -340,15 +346,9 @@ impl CwDatabaseBuilder {
     /// known and a few are nulls — the situation §5's virtual `NE`
     /// representation targets).
     pub fn pairwise_unique(mut self, known: &[ConstId]) -> Self {
-        for (i, a) in known.iter().enumerate() {
-            for b in &known[i + 1..] {
-                if a == b {
-                    self.error = Some(CwError::ReflexiveUniqueness(
-                        self.voc.const_name(*a).to_owned(),
-                    ));
-                    return self;
-                }
-                self.ne_pairs.push((a.0.min(b.0), a.0.max(b.0)));
+        for (i, &a) in known.iter().enumerate() {
+            for &b in &known[i + 1..] {
+                self = self.unique(a, b);
             }
         }
         self
@@ -430,6 +430,33 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, CwError::FactArity { .. }));
+    }
+
+    #[test]
+    fn builder_rejects_ids_outside_the_vocabulary() {
+        let mut voc = Vocabulary::new();
+        let ids = voc.add_consts(["a", "b"]).unwrap();
+        let p = voc.add_pred("P", 1).unwrap();
+        let build = |f: fn(CwDatabaseBuilder, PredId, &[ConstId]) -> CwDatabaseBuilder| {
+            f(CwDatabase::builder(voc.clone()), p, &ids).build()
+        };
+        assert_eq!(
+            build(|b, p, _| b.fact(p, &[ConstId(999)]).unique(ConstId(0), ConstId(77))),
+            Err(CwError::UnknownConstant(999))
+        );
+        assert_eq!(
+            build(|b, _, _| b.unique(ConstId(0), ConstId(77))),
+            Err(CwError::UnknownConstant(77))
+        );
+        assert_eq!(
+            build(|b, _, ids| b.pairwise_unique(&[ids[0], ids[1], ConstId(5)])),
+            Err(CwError::UnknownConstant(5))
+        );
+        assert_eq!(
+            build(|b, _, ids| b.fact(PredId(3), &ids[..1])),
+            Err(CwError::UnknownPredicate(3))
+        );
+        assert!(build(|b, p, ids| b.fact(p, &ids[1..]).unique(ids[0], ids[1])).is_ok());
     }
 
     #[test]

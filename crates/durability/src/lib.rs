@@ -9,9 +9,9 @@
 //!   [`WalRecord`]s (storage-neutral serialized deltas) with a
 //!   configurable [`FsyncPolicy`];
 //! * **checkpoints** — [`Wal::checkpoint`] persists an opaque snapshot
-//!   payload (the engine layer stores its `.qld` database text) stamped
-//!   with an epoch, then truncates every older segment and checkpoint,
-//!   bounding replay work;
+//!   payload (the engine layer stores its database in the binary
+//!   `qld_core::codec` layout) stamped with an epoch, then truncates
+//!   every older segment and checkpoint, bounding replay work;
 //! * **recovery** — [`Wal::open`] scans whatever bytes survived, picks
 //!   the newest *valid* checkpoint, replays the record tail after it,
 //!   and tolerates torn tails and corrupt records by truncating the log

@@ -38,31 +38,62 @@ pub const CHECKPOINT_MAGIC_V2: &[u8; 8] = b"QWALCKP2";
 /// corrupt length prefix sending the decoder on a gigabyte allocation).
 pub const MAX_RECORD_BYTES: u32 = 1 << 28;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum on every
-/// record and checkpoint payload.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                bit += 1;
-            }
-            table[i] = c;
-            i += 1;
+/// The slicing-by-8 tables of [`crc32`]: `CRC_TABLES[0]` is the classic
+/// bytewise table, and `CRC_TABLES[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight table lookups advance the CRC by eight
+/// input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    };
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum on every
+/// record and checkpoint payload. Slicing-by-8: eight bytes per step
+/// through eight lookup tables, the last `len % 8` bytes one at a time.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |x: u32, shift: u32| ((x >> shift) & 0xFF) as usize;
     let mut crc = !0u32;
-    for &byte in data {
-        crc = TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
+    let (chunks, rest) = data.as_chunks::<8>();
+    for chunk in chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in rest {
+        crc = t[0][byte(crc ^ u32::from(b), 0)] ^ (crc >> 8);
     }
     !crc
 }
@@ -248,7 +279,8 @@ pub fn decode_segment(bytes: &[u8]) -> SegmentScan {
 
 /// A database checkpoint: the serialized state at one epoch, under one
 /// primary generation. The payload is opaque to the WAL (the engine
-/// layer stores its `.qld` text there).
+/// layer stores the binary `qld_core::codec` encoding of its database
+/// there).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The epoch the payload captures.
@@ -333,6 +365,40 @@ mod tests {
             facts: vec![(0, vec![1, 2]), (3, vec![])],
             ne_pairs: vec![(1, 2)],
         }
+    }
+
+    /// The bytewise CRC-32 loop, the reference the sliced one must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc = CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        // A deterministic byte stream (64-bit LCG, high byte).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..100 * 1024)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
     }
 
     #[test]

@@ -53,6 +53,12 @@ pub trait Storage: fmt::Debug + Send {
 #[derive(Debug)]
 pub struct DiskStorage {
     root: PathBuf,
+    /// The file last appended to, kept open in append mode: a log writes
+    /// one segment many times in a row, and opening it per record cost an
+    /// `openat` and a `close` per write. [`Storage::remove`] and
+    /// [`Storage::truncate`] of that name drop it first, so the handle
+    /// never outlives the directory entry it was opened through.
+    open: Option<(String, fs::File)>,
 }
 
 impl DiskStorage {
@@ -61,6 +67,7 @@ impl DiskStorage {
         fs::create_dir_all(root.as_ref())?;
         Ok(DiskStorage {
             root: root.as_ref().to_path_buf(),
+            open: None,
         })
     }
 
@@ -71,6 +78,26 @@ impl DiskStorage {
 
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
+    }
+
+    /// The append handle of `name`: the kept one, or a fresh one that
+    /// replaces it.
+    fn appender(&mut self, name: &str) -> io::Result<&mut fs::File> {
+        if !matches!(&self.open, Some((open, _)) if open == name) {
+            let file = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.path(name))?;
+            self.open = Some((name.to_string(), file));
+        }
+        Ok(&mut self.open.as_mut().expect("the slot holds `name`").1)
+    }
+
+    /// Drops the kept handle if it is `name`'s.
+    fn close(&mut self, name: &str) {
+        if matches!(&self.open, Some((open, _)) if open == name) {
+            self.open = None;
+        }
     }
 }
 
@@ -94,19 +121,11 @@ impl Storage for DiskStorage {
 
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
         use io::Write;
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))?;
-        file.write_all(data)
+        self.appender(name)?.write_all(data)
     }
 
     fn sync(&mut self, name: &str) -> io::Result<()> {
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))?;
-        file.sync_all()
+        self.appender(name)?.sync_all()
     }
 
     fn sync_dir(&mut self) -> io::Result<()> {
@@ -114,6 +133,7 @@ impl Storage for DiskStorage {
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+        self.close(name);
         let file = fs::OpenOptions::new().write(true).open(self.path(name))?;
         if file.metadata()?.len() > len {
             file.set_len(len)?;
@@ -123,6 +143,7 @@ impl Storage for DiskStorage {
     }
 
     fn remove(&mut self, name: &str) -> io::Result<()> {
+        self.close(name);
         fs::remove_file(self.path(name))
     }
 }
@@ -550,6 +571,21 @@ mod tests {
             disk.read("missing").unwrap_err().kind(),
             io::ErrorKind::NotFound
         );
+
+        // The kept append handle follows the last name appended to and
+        // never outlives a remove or a truncate of that name.
+        disk.append("a", b"1").unwrap();
+        disk.append("b", b"2").unwrap();
+        disk.append("a", b"3").unwrap();
+        assert_eq!(disk.read("a").unwrap(), b"13");
+        assert_eq!(disk.read("b").unwrap(), b"2");
+        disk.remove("a").unwrap();
+        disk.append("a", b"new").unwrap();
+        assert_eq!(disk.read("a").unwrap(), b"new", "remove then append");
+        disk.truncate("a", 1).unwrap();
+        disk.append("a", b"xy").unwrap();
+        disk.sync("a").unwrap();
+        assert_eq!(disk.read("a").unwrap(), b"nxy", "truncate then append");
         assert_eq!(disk.root(), root.as_path());
         fs::remove_dir_all(&root).unwrap();
     }

@@ -21,6 +21,12 @@
 //!   changing deltas) bound replay time and let the WAL truncate old
 //!   segments.
 //!
+//! A checkpoint's payload is the database in the binary layout of
+//! [`qld_core::codec`] — constants, fact rows and uniqueness pairs as
+//! `u32` lists, not `.qld` text. Recovery decodes it through the same
+//! module, which also reads the `.qld` text payloads that logs written
+//! before the binary layout hold.
+//!
 //! The recovery invariant — an engine recovered after a crash at *any*
 //! byte offset equals a solo engine rebuilt from some prefix of the
 //! applied deltas, and under `Always` that prefix covers every
@@ -33,7 +39,7 @@ use crate::concurrent::SharedEngine;
 use crate::delta::Delta;
 use crate::error::EngineError;
 use crate::session::Engine;
-use qld_core::CwDatabase;
+use qld_core::{codec, CwDatabase};
 use qld_logic::{ConstId, PredId};
 use qld_wal::{Wal, WalConfig, WalRecord, WalStats};
 use std::fmt;
@@ -121,9 +127,8 @@ impl DurableState {
     /// Serializes the engine's database and checkpoints the log at its
     /// epoch, under the primary generation currently being served.
     pub(crate) fn checkpoint(&mut self, engine: &Engine, generation: u64) -> io::Result<()> {
-        let payload = qld_core::textio::to_text(engine.db());
         self.wal
-            .checkpoint(engine.epoch(), generation, payload.as_bytes())?;
+            .checkpoint(engine.epoch(), generation, &codec::encode(engine.db()))?;
         self.since_checkpoint = 0;
         Ok(())
     }
@@ -200,8 +205,7 @@ impl SharedEngine {
         // recovery never needs the original database file. A fresh
         // primary starts at generation 1 (generation 0 is reserved for
         // legacy checkpoints written before fencing existed).
-        let payload = qld_core::textio::to_text(engine.db());
-        wal.checkpoint(engine.epoch(), 1, payload.as_bytes())
+        wal.checkpoint(engine.epoch(), 1, &codec::encode(engine.db()))
             .map_err(durability_err)?;
         let state = DurableState {
             wal,
@@ -238,10 +242,7 @@ impl SharedEngine {
                     .to_string(),
             )
         })?;
-        let text = String::from_utf8(checkpoint.payload).map_err(|_| {
-            EngineError::Durability("checkpoint payload is not UTF-8 database text".to_string())
-        })?;
-        let db = qld_core::textio::from_text(&text)
+        let db = codec::decode(&checkpoint.payload)
             .map_err(|e| EngineError::Durability(format!("checkpoint database invalid: {e}")))?;
         let mut engine = build(db);
         engine.set_epoch(checkpoint.epoch);
@@ -299,6 +300,139 @@ mod tests {
                 .map(|c| voc.const_id(c).unwrap())
                 .collect(),
         )
+    }
+
+    #[test]
+    fn a_log_with_a_text_checkpoint_recovers() {
+        // Seed the log the way builds before the binary codec did: the
+        // checkpoint payload is `.qld` text.
+        let db = small_db();
+        let mem = MemStorage::new();
+        let (mut wal, _) = Wal::open(Box::new(mem.clone()), WalConfig::default()).unwrap();
+        wal.checkpoint(0, 1, qld_core::textio::to_text(&db).as_bytes())
+            .unwrap();
+        let mut solo = Engine::new(db);
+        let (p, r) = (PredId(0), PredId(1));
+        for delta in [
+            Delta::new().insert_fact(p, &[ConstId(2)]),
+            Delta::new().insert_fact(r, &[ConstId(0), ConstId(1)]),
+            Delta::new().assert_ne(ConstId(1), ConstId(2)),
+        ] {
+            let report = solo.apply(&delta).unwrap();
+            wal.append(&delta_to_record(&delta, report.epoch)).unwrap();
+        }
+        drop(wal);
+
+        let recover = || {
+            SharedEngine::recover_with(
+                Box::new(mem.clone()),
+                DurabilityConfig::default(),
+                Engine::new,
+            )
+            .unwrap()
+        };
+        let (recovered, report) = recover();
+        assert_eq!((report.checkpoint_epoch, report.epoch), (0, 3));
+        assert_eq!(recovered.epoch(), solo.epoch());
+        let db = recovered.snapshot().engine().db().clone();
+        assert_eq!(&db, solo.db());
+        assert_eq!(
+            qld_core::textio::to_text(&db),
+            qld_core::textio::to_text(solo.db())
+        );
+        // Its next checkpoint is binary, and recovers to the same state.
+        recovered.checkpoint_now().unwrap();
+        drop(recovered);
+        let (again, report) = recover();
+        assert_eq!((report.checkpoint_epoch, report.records_replayed), (3, 0));
+        assert_eq!(again.snapshot().engine().db(), solo.db());
+    }
+
+    #[test]
+    fn checkpoint_decoders_never_panic_on_mutated_bytes() {
+        // A seeded mutation fuzz of the two decoders recovery runs on the
+        // bytes it reads: `Checkpoint::decode`, then `codec::decode` of
+        // its payload. Flips, truncations, extensions and overwritten
+        // words must give an error (`None`), never a panic, and whatever
+        // is accepted must survive its own re-encoding.
+        let db = qld_core::textio::from_text(
+            "const a b c d\npred P/1 R/2 T/3 F/0 E/2\n\
+             fact P(a)\nfact P(c)\nfact R(a, b)\nfact R(d, a)\nfact T(a, b, c)\nfact F()\n\
+             unique a b\nunique c d\nunique a d\n",
+        )
+        .unwrap();
+        let payload = codec::encode(&db);
+        let checkpoint = qld_wal::Checkpoint {
+            epoch: 9,
+            generation: 2,
+            payload: payload.clone(),
+        }
+        .encode();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound.max(1) as u64) as usize
+        };
+        let (mut accepted, mut refused) = (0u32, 0u32);
+        for round in 0..20_000 {
+            let source = if round % 4 == 0 {
+                &checkpoint
+            } else {
+                &payload
+            };
+            let mut bytes = source.clone();
+            for _ in 0..1 + next(3) {
+                match next(4) {
+                    0 => {
+                        let at = next(bytes.len());
+                        if let Some(b) = bytes.get_mut(at) {
+                            *b ^= 1 + next(255) as u8;
+                        }
+                    }
+                    1 => bytes.truncate(next(bytes.len() + 1)),
+                    2 => bytes.extend((0..1 + next(8)).map(|_| next(256) as u8)),
+                    _ => {
+                        // A word overwritten with a small or a huge value
+                        // reaches the counts and ids behind the lengths.
+                        let at = next(bytes.len().saturating_sub(3));
+                        let word = [0, 1, 2, 7, u32::MAX, 1 << 31][next(6)].to_le_bytes();
+                        if let Some(slot) = bytes.get_mut(at..at + 4) {
+                            slot.copy_from_slice(&word);
+                        }
+                    }
+                }
+            }
+            let payload = if round % 4 == 0 {
+                match qld_wal::Checkpoint::decode(&bytes) {
+                    Some(ckpt) => {
+                        assert_eq!(
+                            qld_wal::Checkpoint::decode(&ckpt.encode()),
+                            Some(ckpt.clone())
+                        );
+                        ckpt.payload
+                    }
+                    None => {
+                        refused += 1;
+                        continue;
+                    }
+                }
+            } else {
+                bytes
+            };
+            match codec::decode(&payload) {
+                Ok(db) => {
+                    accepted += 1;
+                    assert_eq!(codec::decode(&codec::encode(&db)), Ok(db));
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            accepted > 100 && refused > 10_000,
+            "{accepted} accepted, {refused} refused"
+        );
     }
 
     #[test]

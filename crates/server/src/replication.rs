@@ -22,7 +22,7 @@
 //!
 //! ```text
 //! resume: epoch=<E>                    -- incremental records follow
-//! snapshot: epoch=<Ep> bytes=<N>       -- N bytes of database text follow
+//! snapshot: epoch=<Ep> bytes=<N>       -- N bytes of encoded database follow
 //! ```
 //!
 //! and finally a continuous stream of **binary WAL frames** (the exact
@@ -36,7 +36,10 @@
 //!
 //! The primary serves incrementally iff its newest WAL checkpoint is at
 //! or below the follower's epoch (the truncated log still covers the
-//! gap); otherwise it transfers the published snapshot's database text.
+//! gap); otherwise it transfers the published snapshot's database in the
+//! binary [`qld_core::codec`] layout (a follower also accepts the `.qld`
+//! text that primaries sent before the codec; `codec::decode` tells the
+//! two apart).
 //! The follower applies a record at exactly `current + 1`, skips records
 //! at or below its epoch (the tail and the live stream may overlap), and
 //! treats anything further ahead as a gap: it drops the connection and
@@ -206,14 +209,14 @@ pub(crate) fn serve_feed(
             }
         }
         None => {
-            let text = qld_core::textio::to_text(snapshot.engine().db());
+            let bytes = qld_core::codec::encode(snapshot.engine().db());
             writeln!(
                 writer,
                 "snapshot: epoch={} bytes={}",
                 snapshot.epoch(),
-                text.len()
+                bytes.len()
             )?;
-            writer.write_all(text.as_bytes())?;
+            writer.write_all(&bytes)?;
         }
     }
 
@@ -439,13 +442,11 @@ impl FollowerLink {
                 (Some(e), Some(b)) => (e, b),
                 _ => return Err(feed_err(format!("malformed snapshot header: {line}"))),
             };
-            let mut text = vec![0u8; bytes];
-            if !read_exact_polling(&mut reader, &mut text, &stop)? {
+            let mut payload = vec![0u8; bytes];
+            if !read_exact_polling(&mut reader, &mut payload, &stop)? {
                 return Ok(());
             }
-            let text = String::from_utf8(text)
-                .map_err(|_| feed_err("snapshot is not UTF-8 database text".to_string()))?;
-            let db = qld_core::textio::from_text(&text)
+            let db = qld_core::codec::decode(&payload)
                 .map_err(|e| feed_err(format!("snapshot database invalid: {e}")))?;
             self.shared
                 .reset_replica((self.build)(db), epoch)

@@ -129,6 +129,7 @@ proptest! {
         n in 1usize..7,
         known in 0u8..=10,
     ) {
+        use querying_logical_databases::core::codec::{decode, encode};
         use querying_logical_databases::core::textio::{from_text, to_text};
         use qld_workloads::{random_cw_db as gen_db, DbGenConfig as Cfg};
         let db = gen_db(&Cfg {
@@ -143,7 +144,15 @@ proptest! {
         let back = from_text(&text).map_err(|e| {
             TestCaseError::fail(format!("reparse failed: {e}\n{text}"))
         })?;
-        prop_assert_eq!(db, back);
+        prop_assert_eq!(&db, &back);
+        // The binary codec round-trips to the same database and text,
+        // and reads the text as its legacy layout.
+        let binary = decode(&encode(&db)).map_err(|e| {
+            TestCaseError::fail(format!("binary decode failed: {e}\n{text}"))
+        })?;
+        prop_assert_eq!(&binary, &db);
+        prop_assert_eq!(to_text(&binary), text.clone());
+        prop_assert_eq!(decode(text.as_bytes()), Ok(db));
     }
 
     #[test]
