@@ -8,10 +8,14 @@
 //! * [`Wal`] — an append-only, **segmented**, CRC-checksummed log of
 //!   [`WalRecord`]s (storage-neutral serialized deltas) with a
 //!   configurable [`FsyncPolicy`];
-//! * **checkpoints** — [`Wal::checkpoint`] persists an opaque snapshot
+//! * **checkpoints** — [`write_checkpoint`] persists an opaque snapshot
 //!   payload (the engine layer stores its database in the binary
 //!   `qld_core::codec` layout) stamped with an epoch, then truncates
-//!   every older segment and checkpoint, bounding replay work;
+//!   every older segment and checkpoint, bounding replay work. It needs
+//!   only a [`Storage`] handle, so it can run on a thread of its own
+//!   (through [`Storage::reopen`]) after [`Wal::rotate`] has moved the
+//!   writer to a segment the checkpoint keeps; [`Wal::checkpoint`] is
+//!   the two in a row;
 //! * **recovery** — [`Wal::open`] scans whatever bytes survived, picks
 //!   the newest *valid* checkpoint, replays the record tail after it,
 //!   and tolerates torn tails and corrupt records by truncating the log
@@ -40,7 +44,8 @@ pub use record::{
     CHECKPOINT_MAGIC_V2, MAX_RECORD_BYTES, SEGMENT_MAGIC,
 };
 pub use storage::{
-    DiskStorage, FaultPlan, FaultyStorage, MemStorage, ReadOnlyStorage, Storage, INJECTED_CRASH,
+    DiskStorage, FaultPlan, FaultyStorage, MemStorage, PowerLoss, ReadOnlyStorage, Storage,
+    INJECTED_CRASH,
 };
 
 use std::fmt;
@@ -188,6 +193,56 @@ pub fn has_state(storage: &dyn Storage) -> io::Result<bool> {
     Ok(false)
 }
 
+/// Writes a checkpoint capturing `payload` at `epoch` under the primary
+/// `generation`, then truncates the log behind it: every segment
+/// numbered below `keep_from_seq` and every other checkpoint is removed.
+/// This is the one place the checkpoint file protocol lives, and its
+/// order is what makes a crash at any point recoverable:
+///
+/// 1. the checkpoint file is written — its header, then the borrowed
+///    payload, with no copy of it made — and synced (a file torn
+///    anywhere fails its length or CRC check and is ignored);
+/// 2. the directory is synced, so the file's entry is durable *before*
+///    anything older goes — otherwise a crash could persist the removals
+///    but not the checkpoint;
+/// 3. the old segments and checkpoints are removed, and the directory
+///    is synced again (not load-bearing: recovery skips leftover records
+///    at or below the checkpoint's epoch, but it keeps removed files from
+///    coming back).
+///
+/// `keep_from_seq` must be a segment the writer rotated to *after* the
+/// last record the payload contains ([`Wal::rotate`]'s return value), so
+/// every later record lands in a segment this keeps. Everything the
+/// function touches goes through `storage`, so it may run on another
+/// handle ([`Storage::reopen`]) while the writer keeps appending.
+pub fn write_checkpoint(
+    storage: &mut dyn Storage,
+    epoch: u64,
+    generation: u64,
+    payload: &[u8],
+    keep_from_seq: u64,
+) -> io::Result<()> {
+    let name = checkpoint_name(epoch);
+    let names = storage.list()?;
+    // Replace any stale file of the same epoch (possible after a crash
+    // mid-checkpoint and replay to the same epoch).
+    if names.contains(&name) {
+        storage.remove(&name)?;
+    }
+    storage.append(&name, &Checkpoint::header(epoch, generation, payload))?;
+    storage.append(&name, payload)?;
+    storage.sync(&name)?;
+    storage.sync_dir()?;
+    for n in &names {
+        let stale = parse_segment_name(n).is_some_and(|seq| seq < keep_from_seq)
+            || parse_checkpoint_name(n).is_some_and(|e| e != epoch);
+        if stale {
+            storage.remove(n)?;
+        }
+    }
+    storage.sync_dir()
+}
+
 /// The write-ahead log: appends [`WalRecord`]s to segment files through
 /// a [`Storage`], rotating, syncing, and checkpointing per its
 /// [`WalConfig`]. Open with [`Wal::open`], which doubles as recovery.
@@ -199,6 +254,13 @@ pub struct Wal {
     active_name: String,
     active_records: u64,
     unsynced: u64,
+    /// A segment may exist whose directory entry is not yet durable: a
+    /// record synced into it is not durable either until the directory
+    /// is synced. Set by [`Wal::rotate`] and by [`Wal::open`] (which
+    /// cannot know about segments it did not create); cleared by the
+    /// directory sync in [`Wal::sync`], or by a checkpoint's directory
+    /// sync that covered every segment ([`Wal::checkpoint_written`]).
+    dir_sync_pending: bool,
     stats: WalStats,
 }
 
@@ -239,27 +301,32 @@ impl Wal {
         let mut records = Vec::new();
         let mut records_truncated = 0u64;
         let mut bytes_truncated = 0u64;
-        let mut surviving: Vec<u64> = Vec::new();
+        // The last surviving segment: (sequence number, records, length
+        // on the medium) — the one the log continues appending into.
+        let mut last: Option<(u64, u64, usize)> = None;
         let mut corrupted = false;
         for &seq in &seg_seqs {
             let name = segment_name(seq);
+            let bytes = storage.read(&name)?;
+            let scan = decode_segment(&bytes);
             if corrupted {
-                let bytes = storage.read(&name)?;
-                let scan = decode_segment(&bytes);
                 records_truncated += scan.records.len() as u64;
                 bytes_truncated += bytes.len() as u64;
                 storage.remove(&name)?;
                 continue;
             }
-            let bytes = storage.read(&name)?;
-            let scan = decode_segment(&bytes);
+            let count = scan.records.len() as u64;
             records.extend(scan.records);
+            let mut len = bytes.len();
             if scan.corrupt {
                 bytes_truncated += bytes.len() as u64 - scan.valid_len;
                 storage.truncate(&name, scan.valid_len)?;
                 corrupted = true;
+                // What the medium now holds (a read-only storage keeps
+                // the torn bytes).
+                len = storage.read(&name)?.len();
             }
-            surviving.push(seq);
+            last = Some((seq, count, len));
         }
 
         // Records at or below the checkpoint epoch are already inside the
@@ -279,32 +346,20 @@ impl Wal {
 
         // Continue appending into the last surviving segment — or a
         // fresh one if the log is empty.
-        let (active_seq, active_records) = match surviving.last() {
-            Some(&seq) => {
-                let scan = decode_segment(&storage.read(&segment_name(seq))?);
-                (seq, scan.records.len() as u64)
-            }
-            None => (0, 0),
-        };
+        let (active_seq, active_records, active_len) = last.unwrap_or((0, 0, 0));
         let active_name = segment_name(active_seq);
-        let active_len = match storage.read(&active_name) {
-            Ok(bytes) => bytes.len(),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(e),
-        };
         if active_len == 0 {
             // Fresh log, or a segment torn inside its magic header
-            // (truncated to zero above): write the header, and persist
-            // the new file's directory entry — records synced into a
-            // file whose dirent is not durable vanish with it.
+            // (truncated to zero above): write the header. Its directory
+            // entry is synced before any record in it is acknowledged
+            // (`dir_sync_pending`).
             storage.append(&active_name, SEGMENT_MAGIC)?;
-            storage.sync_dir()?;
             stats.segments_created += 1;
         }
 
         let recovery = Recovery {
             checkpoint,
-            records: records.clone(),
+            records,
             records_truncated,
             bytes_truncated,
         };
@@ -316,6 +371,7 @@ impl Wal {
                 active_name,
                 active_records,
                 unsynced: 0,
+                dir_sync_pending: true,
                 stats,
             },
             recovery,
@@ -348,63 +404,56 @@ impl Wal {
     }
 
     /// Forces all appended records to durable storage now, regardless of
-    /// policy.
+    /// policy — the records' bytes and, if a segment was created since
+    /// the directory was last synced, its directory entry.
     pub fn sync(&mut self) -> io::Result<()> {
         self.storage.sync(&self.active_name)?;
+        if self.dir_sync_pending {
+            self.storage.sync_dir()?;
+            self.dir_sync_pending = false;
+        }
         self.stats.fsyncs += 1;
         self.unsynced = 0;
         Ok(())
     }
 
     /// Writes a checkpoint capturing `payload` at `epoch` under the
-    /// primary `generation`, then truncates the log: rotates to a fresh
-    /// segment and removes every older segment and checkpoint. The
-    /// checkpoint file is synced before any truncation, so a crash at
-    /// any point leaves either the old state (checkpoint torn → ignored
-    /// at recovery) or the new one (leftover segments' records filtered
-    /// by epoch at recovery).
+    /// primary `generation` and truncates the log behind it, all before
+    /// returning: [`Wal::rotate`], then [`write_checkpoint`] through this
+    /// log's own storage handle, then [`Wal::checkpoint_written`]. A
+    /// crash at any point leaves either the old state (checkpoint torn or
+    /// its entry not durable → ignored at recovery) or the new one
+    /// (leftover segments' records filtered by epoch at recovery).
     pub fn checkpoint(&mut self, epoch: u64, generation: u64, payload: &[u8]) -> io::Result<()> {
-        let name = checkpoint_name(epoch);
-        let bytes = Checkpoint {
+        let keep_from_seq = self.rotate()?;
+        write_checkpoint(
+            &mut *self.storage,
             epoch,
             generation,
-            payload: payload.to_vec(),
-        }
-        .encode();
-        // Replace any stale file of the same epoch (possible after a
-        // crash mid-checkpoint and replay to the same epoch).
-        if self.storage.list()?.iter().any(|n| n == &name) {
-            self.storage.remove(&name)?;
-        }
-        self.storage.append(&name, &bytes)?;
-        self.storage.sync(&name)?;
-        // The checkpoint's directory entry must be durable *before* any
-        // older state is removed: a crash that persisted the removals
-        // but not the new file's dirent would lose committed state.
-        self.storage.sync_dir()?;
+            payload,
+            keep_from_seq,
+        )?;
+        self.checkpoint_written(keep_from_seq);
+        Ok(())
+    }
+
+    /// Counts a checkpoint that [`write_checkpoint`] wrote with
+    /// `keep_from_seq` from this log's [`Wal::rotate`] — here or through
+    /// another handle. Its directory sync covered every segment up to
+    /// `keep_from_seq`, so unless the log has rotated since, no
+    /// directory sync is owed.
+    pub fn checkpoint_written(&mut self, keep_from_seq: u64) {
         self.stats.fsyncs += 1;
         self.stats.checkpoints += 1;
-
-        // The checkpoint is durable: everything older is now redundant.
-        self.rotate()?;
-        let names = self.storage.list()?;
-        for n in &names {
-            if let Some(seq) = parse_segment_name(n) {
-                if seq < self.active_seq {
-                    self.storage.remove(n)?;
-                }
-            }
-            if let Some(e) = parse_checkpoint_name(n) {
-                if e != epoch {
-                    self.storage.remove(n)?;
-                }
-            }
+        if self.active_seq == keep_from_seq {
+            self.dir_sync_pending = false;
         }
-        // Persist the removals too — not load-bearing for correctness
-        // (recovery filters leftovers by epoch), but it keeps the
-        // directory from resurrecting deleted files after a crash.
-        self.storage.sync_dir()?;
-        Ok(())
+    }
+
+    /// A second handle on this log's storage ([`Storage::reopen`]), for
+    /// a checkpointer that runs beside the writer.
+    pub fn reopen_storage(&self) -> io::Result<Box<dyn Storage>> {
+        self.storage.reopen()
     }
 
     /// Re-reads the log's current durable state without disturbing it:
@@ -458,7 +507,15 @@ impl Wal {
         &self.config
     }
 
-    fn rotate(&mut self) -> io::Result<()> {
+    /// Moves the log to a fresh segment (syncing the old one first,
+    /// unless the policy is [`FsyncPolicy::Never`]) and returns its
+    /// sequence number: every record appended from now on lands at or
+    /// above it, which is what a checkpoint of the state so far may keep
+    /// from ([`write_checkpoint`]). The new file's directory entry is
+    /// synced lazily — by the next [`Wal::sync`], or by a checkpoint's
+    /// directory sync, whichever comes first — since nothing in the
+    /// segment is acknowledged as durable before one of them.
+    pub fn rotate(&mut self) -> io::Result<u64> {
         if !matches!(self.config.fsync, FsyncPolicy::Never) && self.unsynced > 0 {
             self.sync()?;
         }
@@ -466,11 +523,9 @@ impl Wal {
         self.active_name = segment_name(self.active_seq);
         self.active_records = 0;
         self.storage.append(&self.active_name, SEGMENT_MAGIC)?;
-        // Make the fresh segment's directory entry durable before any
-        // record synced into it is acknowledged.
-        self.storage.sync_dir()?;
+        self.dir_sync_pending = true;
         self.stats.segments_created += 1;
-        Ok(())
+        Ok(self.active_seq)
     }
 }
 
@@ -758,6 +813,69 @@ mod tests {
                 "crash at byte {crash_at}: acked {acked} but only {} recovered",
                 epochs.len()
             );
+        }
+    }
+
+    /// The power-loss sweep at the log level, one thread, deterministic:
+    /// segments of two records, a checkpoint after the third, `Always`,
+    /// and a crash at every sync (file or directory), every remove and
+    /// every byte. Recovery must keep every acknowledged record, in
+    /// order after the checkpoint it starts from, whether unsynced
+    /// removals come back or persist.
+    #[test]
+    fn power_loss_at_every_point_keeps_every_acknowledged_record() {
+        let config = WalConfig {
+            segment_max_records: 2,
+            ..WalConfig::default()
+        };
+        let run = |plan: FaultPlan| {
+            let mem = MemStorage::new();
+            let faulty = FaultyStorage::new(mem.clone(), plan);
+            let mut acked = 0;
+            if let Ok((mut wal, _)) = Wal::open(Box::new(faulty.clone()), config) {
+                for e in 1..=6 {
+                    let step = wal.append(&record(e)).and_then(|()| match e {
+                        3 => wal.checkpoint(3, 1, b"at three"),
+                        _ => Ok(()),
+                    });
+                    if step.is_err() {
+                        break;
+                    }
+                    acked = e;
+                }
+            }
+            (mem, acked, faulty.crashed(), faulty.bytes_appended())
+        };
+        let check = |plan: FaultPlan| {
+            let (mem, acked, crashed, _) = run(plan);
+            let (_, recovery) = open_mem(&mem, config);
+            let from = recovery.checkpoint.as_ref().map_or(0, |c| c.epoch);
+            let epochs: Vec<u64> = recovery.records.iter().map(|r| r.epoch).collect();
+            let expect: Vec<u64> = (from + 1..=recovery.final_epoch()).collect();
+            assert_eq!(epochs, expect, "{plan:?}: not a prefix");
+            assert!(
+                recovery.final_epoch() >= acked,
+                "{plan:?}: acked {acked}, recovered {}",
+                recovery.final_epoch()
+            );
+            crashed
+        };
+        let (_, acked, _, total) = run(FaultPlan::default());
+        assert_eq!(acked, 6);
+        for kind in [PowerLoss::Revert, PowerLoss::KeepRemovals] {
+            for k in 0..=total {
+                check(FaultPlan::crash_after_bytes(k).with_power_loss(kind));
+            }
+            let mut n = 1;
+            while check(FaultPlan::crash_on_sync(n).with_power_loss(kind)) {
+                n += 1;
+            }
+            assert!(n > 10, "the sweep reached {n} syncs");
+            let mut n = 1;
+            while check(FaultPlan::crash_on_remove(n).with_power_loss(kind)) {
+                n += 1;
+            }
+            assert!(n > 2, "the sweep reached {n} removes");
         }
     }
 

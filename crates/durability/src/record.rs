@@ -298,14 +298,21 @@ impl Checkpoint {
     /// Serializes the whole checkpoint file (always the `V2` layout:
     /// magic, epoch, generation, payload length, payload CRC, payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.payload.len());
-        out.extend_from_slice(CHECKPOINT_MAGIC_V2);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&self.payload).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        let header = Checkpoint::header(self.epoch, self.generation, &self.payload);
+        [&header[..], &self.payload].concat()
+    }
+
+    /// The bytes of a checkpoint file that precede its payload, so a
+    /// writer can append them and then the payload it borrows, without
+    /// building the file in a buffer of its own.
+    pub fn header(epoch: u64, generation: u64, payload: &[u8]) -> [u8; 32] {
+        let mut header = [0u8; 32];
+        header[..8].copy_from_slice(CHECKPOINT_MAGIC_V2);
+        header[8..16].copy_from_slice(&epoch.to_le_bytes());
+        header[16..24].copy_from_slice(&generation.to_le_bytes());
+        header[24..28].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[28..].copy_from_slice(&crc32(payload).to_le_bytes());
+        header
     }
 
     /// Parses a checkpoint file; `None` unless the magic, length, and

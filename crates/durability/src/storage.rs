@@ -6,12 +6,15 @@
 //! The trait models exactly the operations an append-only log needs —
 //! list/read/append/sync/truncate/remove over flat file names, plus a
 //! directory-entry sync for media that distinguish file content from
-//! namespace durability — and nothing more. Keeping the surface this small is what makes the
-//! fault-injection implementation *exhaustive*: a crash can be placed at
-//! any byte of any append, and recovery sees precisely the bytes that
-//! were persisted before it.
+//! namespace durability, plus a second handle on the same files for a
+//! background checkpointer — and nothing more. Keeping the surface this
+//! small is what makes the fault-injection implementation *exhaustive*:
+//! a crash can be placed at any byte of any append, at any sync and at
+//! any remove, and recovery sees precisely the bytes that were persisted
+//! before it — or, under a simulated power loss, only the ones a sync
+//! made durable.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -47,6 +50,11 @@ pub trait Storage: fmt::Debug + Send {
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()>;
     /// Deletes `name` (`NotFound` if absent).
     fn remove(&mut self, name: &str) -> io::Result<()>;
+    /// A second, independent handle on the same files: what one handle
+    /// appends, removes or syncs, the other sees. The log's background
+    /// checkpointer writes through one while the writer appends through
+    /// the other.
+    fn reopen(&self) -> io::Result<Box<dyn Storage>>;
 }
 
 /// Real files under one root directory, via `std::fs`.
@@ -146,6 +154,10 @@ impl Storage for DiskStorage {
         self.close(name);
         fs::remove_file(self.path(name))
     }
+
+    fn reopen(&self) -> io::Result<Box<dyn Storage>> {
+        Ok(Box::new(DiskStorage::open(&self.root)?))
+    }
 }
 
 /// In-memory storage: a shared map of name → bytes.
@@ -216,6 +228,10 @@ impl Storage for MemStorage {
             .map(|_| ())
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}")))
     }
+
+    fn reopen(&self) -> io::Result<Box<dyn Storage>> {
+        Ok(Box::new(self.clone()))
+    }
 }
 
 /// Where a [`FaultyStorage`] is scheduled to fail.
@@ -230,7 +246,8 @@ pub struct FaultPlan {
     /// append that crosses the threshold persists only the prefix up to
     /// it (a torn write), then the storage is dead.
     pub crash_after_bytes: Option<u64>,
-    /// Fail the nth [`Storage::sync`] call (1-based), then die.
+    /// Fail the nth sync (1-based) — [`Storage::sync`] and
+    /// [`Storage::sync_dir`] count alike — then die.
     pub crash_on_sync: Option<u64>,
     /// Fail the nth [`Storage::remove`] call (1-based), then die — this
     /// lands a crash in the middle of checkpoint truncation.
@@ -242,6 +259,25 @@ pub struct FaultPlan {
     /// exists to prove the engine never trusts a storage again after
     /// one lost write.
     pub fail_append_nth: Option<u64>,
+    /// Make the crash a power loss: what no sync made durable is lost
+    /// (see [`PowerLoss`]). `None` keeps every byte and namespace change
+    /// made before the crash, as a killed process would.
+    pub power_loss: Option<PowerLoss>,
+}
+
+/// What a simulated power loss keeps. Either way each surviving file
+/// reverts to the length its last [`Storage::sync`] (or shrinking
+/// [`Storage::truncate`]) made durable, and a file created since the
+/// last [`Storage::sync_dir`] vanishes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PowerLoss {
+    /// A file removed since the last `sync_dir` reappears with its
+    /// synced bytes: no namespace change outlives the crash unsynced.
+    Revert,
+    /// Removals since the last `sync_dir` persist while creations do
+    /// not — the worst case for a protocol that removes old files before
+    /// the new file's directory entry is durable.
+    KeepRemovals,
 }
 
 impl FaultPlan {
@@ -277,6 +313,14 @@ impl FaultPlan {
             ..FaultPlan::default()
         }
     }
+
+    /// This plan with its crash made a power loss of the given kind.
+    pub fn with_power_loss(self, kind: PowerLoss) -> FaultPlan {
+        FaultPlan {
+            power_loss: Some(kind),
+            ..self
+        }
+    }
 }
 
 /// The error kind every injected fault surfaces as.
@@ -288,46 +332,42 @@ fn injected() -> io::Error {
 
 /// Deterministic fault injection over a [`MemStorage`]: follows a
 /// [`FaultPlan`], persists exactly the bytes a real crash would have
-/// persisted, and fails every operation once the crash point is reached.
+/// persisted (or, under [`FaultPlan::power_loss`], only what was
+/// synced), and fails every operation once the crash point is reached.
 ///
-/// After the simulated crash, recover from a clone of the underlying
-/// [`MemStorage`] — the faulty wrapper stays dead forever, like the
-/// process that was killed.
-#[derive(Debug)]
+/// Clones — and [`Storage::reopen`] — share one fault state: the plan's
+/// counters run across every handle, and a crash through one kills them
+/// all, like the process that was killed. After the simulated crash,
+/// recover from a clone of the underlying [`MemStorage`].
+///
+/// Files that already exist when the wrapper is made count as durable,
+/// bytes and directory entry alike.
+#[derive(Debug, Clone)]
 pub struct FaultyStorage {
     inner: MemStorage,
+    state: Arc<Mutex<FaultState>>,
+}
+
+/// The counters and durability bookkeeping the handles of one
+/// [`FaultyStorage`] share.
+#[derive(Debug)]
+struct FaultState {
     plan: FaultPlan,
     appended: u64,
     appends: u64,
     syncs: u64,
     removes: u64,
     dead: bool,
+    /// Per live file, the length a sync made durable.
+    synced: BTreeMap<String, u64>,
+    /// Files created since the last `sync_dir`.
+    created: BTreeSet<String>,
+    /// Files removed since the last `sync_dir` that were durable, with
+    /// their synced bytes.
+    removed: BTreeMap<String, Vec<u8>>,
 }
 
-impl FaultyStorage {
-    /// Wraps `inner` with the given plan.
-    pub fn new(inner: MemStorage, plan: FaultPlan) -> FaultyStorage {
-        FaultyStorage {
-            inner,
-            plan,
-            appended: 0,
-            appends: 0,
-            syncs: 0,
-            removes: 0,
-            dead: false,
-        }
-    }
-
-    /// Whether the injected crash has fired.
-    pub fn crashed(&self) -> bool {
-        self.dead
-    }
-
-    /// Cumulative bytes appended (including the torn prefix).
-    pub fn bytes_appended(&self) -> u64 {
-        self.appended
-    }
-
+impl FaultState {
     fn alive(&self) -> io::Result<()> {
         if self.dead {
             Err(injected())
@@ -335,74 +375,172 @@ impl FaultyStorage {
             Ok(())
         }
     }
+
+    /// Kills every handle. Under a power-loss plan, `files` first loses
+    /// whatever no sync made durable.
+    fn crash(&mut self, files: &mut BTreeMap<String, Vec<u8>>) -> io::Error {
+        self.dead = true;
+        if let Some(kind) = self.plan.power_loss {
+            files.retain(|name, bytes| {
+                bytes.truncate(self.synced.get(name).copied().unwrap_or(0) as usize);
+                !self.created.contains(name)
+            });
+            if kind == PowerLoss::Revert {
+                files.extend(std::mem::take(&mut self.removed));
+            }
+        }
+        injected()
+    }
+
+    /// Counts one sync of either kind, crashing if the plan says so.
+    fn sync_point(&mut self, files: &mut BTreeMap<String, Vec<u8>>) -> io::Result<()> {
+        self.alive()?;
+        self.syncs += 1;
+        if self.plan.crash_on_sync.is_some_and(|n| self.syncs >= n) {
+            return Err(self.crash(files));
+        }
+        Ok(())
+    }
+}
+
+impl FaultyStorage {
+    /// Wraps `inner` with the given plan.
+    pub fn new(inner: MemStorage, plan: FaultPlan) -> FaultyStorage {
+        let synced = inner
+            .lock()
+            .iter()
+            .map(|(name, bytes)| (name.clone(), bytes.len() as u64))
+            .collect();
+        let state = FaultState {
+            plan,
+            appended: 0,
+            appends: 0,
+            syncs: 0,
+            removes: 0,
+            dead: false,
+            synced,
+            created: BTreeSet::new(),
+            removed: BTreeMap::new(),
+        };
+        FaultyStorage {
+            inner,
+            state: Arc::new(Mutex::new(state)),
+        }
+    }
+
+    /// Whether the injected crash has fired.
+    pub fn crashed(&self) -> bool {
+        self.lock().dead
+    }
+
+    /// Cumulative bytes appended (including the torn prefix).
+    pub fn bytes_appended(&self) -> u64 {
+        self.lock().appended
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, FaultState> {
+        self.state.lock().expect("fault state poisoned")
+    }
 }
 
 impl Storage for FaultyStorage {
     fn list(&self) -> io::Result<Vec<String>> {
-        self.alive()?;
+        let state = self.lock();
+        state.alive()?;
         self.inner.list()
     }
 
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        self.alive()?;
+        let state = self.lock();
+        state.alive()?;
         self.inner.read(name)
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.alive()?;
-        self.appends += 1;
-        if self.plan.fail_append_nth == Some(self.appends) {
+        let mut state = self.lock();
+        state.alive()?;
+        state.appends += 1;
+        if state.plan.fail_append_nth == Some(state.appends) {
             // Transient: nothing persisted, storage stays alive.
             return Err(injected());
         }
-        if let Some(limit) = self.plan.crash_after_bytes {
-            let after = self.appended + data.len() as u64;
-            if after > limit {
-                // Torn write: persist only the prefix up to the limit.
-                let keep = limit.saturating_sub(self.appended) as usize;
-                self.inner.append(name, &data[..keep])?;
-                self.appended = limit;
-                self.dead = true;
-                return Err(injected());
-            }
+        let mut files = self.inner.lock();
+        if !files.contains_key(name) {
+            state.created.insert(name.to_string());
+            state.synced.insert(name.to_string(), 0);
         }
-        self.inner.append(name, data)?;
-        self.appended += data.len() as u64;
+        // A torn write persists only the prefix up to the crash point.
+        let room = state
+            .plan
+            .crash_after_bytes
+            .map_or(u64::MAX, |limit| limit.saturating_sub(state.appended));
+        let keep = data.len().min(usize::try_from(room).unwrap_or(usize::MAX));
+        files
+            .entry(name.to_string())
+            .or_default()
+            .extend_from_slice(&data[..keep]);
+        state.appended += keep as u64;
+        if keep < data.len() {
+            return Err(state.crash(&mut files));
+        }
         Ok(())
     }
 
     fn sync(&mut self, name: &str) -> io::Result<()> {
-        self.alive()?;
-        self.syncs += 1;
-        if let Some(n) = self.plan.crash_on_sync {
-            if self.syncs >= n {
-                self.dead = true;
-                return Err(injected());
-            }
+        let mut state = self.lock();
+        let mut files = self.inner.lock();
+        state.sync_point(&mut files)?;
+        if let Some(bytes) = files.get(name) {
+            state.synced.insert(name.to_string(), bytes.len() as u64);
         }
-        self.inner.sync(name)
+        Ok(())
     }
 
     fn sync_dir(&mut self) -> io::Result<()> {
-        self.alive()?;
-        self.inner.sync_dir()
+        let mut state = self.lock();
+        state.sync_point(&mut self.inner.lock())?;
+        state.created.clear();
+        state.removed.clear();
+        Ok(())
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
-        self.alive()?;
-        self.inner.truncate(name, len)
+        let mut state = self.lock();
+        state.alive()?;
+        if let Some(bytes) = self.inner.lock().get_mut(name) {
+            if bytes.len() as u64 > len {
+                // A shrink is synced on the spot (as `DiskStorage` does).
+                bytes.truncate(len as usize);
+                state.synced.insert(name.to_string(), len);
+            }
+        }
+        Ok(())
     }
 
     fn remove(&mut self, name: &str) -> io::Result<()> {
-        self.alive()?;
-        self.removes += 1;
-        if let Some(n) = self.plan.crash_on_remove {
-            if self.removes >= n {
-                self.dead = true;
-                return Err(injected());
-            }
+        let mut state = self.lock();
+        state.alive()?;
+        state.removes += 1;
+        let mut files = self.inner.lock();
+        if state
+            .plan
+            .crash_on_remove
+            .is_some_and(|n| state.removes >= n)
+        {
+            return Err(state.crash(&mut files));
         }
-        self.inner.remove(name)
+        let mut bytes = files.remove(name).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}"))
+        })?;
+        bytes.truncate(state.synced.remove(name).unwrap_or(0) as usize);
+        if !state.created.remove(name) {
+            state.removed.entry(name.to_string()).or_insert(bytes);
+        }
+        Ok(())
+    }
+
+    fn reopen(&self) -> io::Result<Box<dyn Storage>> {
+        Ok(Box::new(self.clone()))
     }
 }
 
@@ -416,16 +554,16 @@ impl Storage for FaultyStorage {
 /// header is written — the evidence of a crash survives inspection.
 /// `qld recover --read-only` is built on this.
 #[derive(Debug)]
-pub struct ReadOnlyStorage<S: Storage>(S);
+pub struct ReadOnlyStorage(Box<dyn Storage>);
 
-impl<S: Storage> ReadOnlyStorage<S> {
+impl ReadOnlyStorage {
     /// Wraps `inner`, exposing its contents immutably.
-    pub fn new(inner: S) -> ReadOnlyStorage<S> {
-        ReadOnlyStorage(inner)
+    pub fn new(inner: impl Storage + 'static) -> ReadOnlyStorage {
+        ReadOnlyStorage(Box::new(inner))
     }
 }
 
-impl<S: Storage> Storage for ReadOnlyStorage<S> {
+impl Storage for ReadOnlyStorage {
     fn list(&self) -> io::Result<Vec<String>> {
         self.0.list()
     }
@@ -448,6 +586,10 @@ impl<S: Storage> Storage for ReadOnlyStorage<S> {
 
     fn remove(&mut self, _name: &str) -> io::Result<()> {
         Ok(())
+    }
+
+    fn reopen(&self) -> io::Result<Box<dyn Storage>> {
+        Ok(Box::new(ReadOnlyStorage(self.0.reopen()?)))
     }
 }
 
@@ -531,6 +673,73 @@ mod tests {
         faulty.append("f", b"three").unwrap();
         faulty.sync("f").unwrap();
         assert_eq!(mem.read("f").unwrap(), b"onethree");
+    }
+
+    #[test]
+    fn handles_share_one_fault_state() {
+        let mem = MemStorage::new();
+        let mut writer = FaultyStorage::new(mem.clone(), FaultPlan::crash_on_sync(2));
+        let mut second = writer.reopen().unwrap();
+        writer.append("f", b"a").unwrap();
+        second.sync("f").unwrap(); // sync 1, through the other handle
+                                   // Sync 2 crashes, and the crash kills both handles.
+        assert_eq!(writer.sync_dir().unwrap_err().kind(), INJECTED_CRASH);
+        assert!(writer.crashed());
+        assert_eq!(second.list().unwrap_err().kind(), INJECTED_CRASH);
+    }
+
+    /// Lays out the cases a power loss distinguishes, then crashes on
+    /// the next sync: `old` (durable before the wrapper, grown
+    /// unsynced), `gone` (durable, removed), `synced` (created, synced,
+    /// entry synced, grown unsynced), `fresh` (created and synced after
+    /// the last directory sync).
+    fn lose_power(kind: PowerLoss) -> MemStorage {
+        let mut mem = MemStorage::new();
+        mem.append("old", b"kept").unwrap();
+        mem.append("gone", b"durable").unwrap();
+        let plan = FaultPlan::crash_on_sync(4).with_power_loss(kind);
+        let mut faulty = FaultyStorage::new(mem.clone(), plan);
+        faulty.append("old", b" lost").unwrap();
+        faulty.append("synced", b"123").unwrap();
+        faulty.sync("synced").unwrap();
+        faulty.sync_dir().unwrap();
+        faulty.append("synced", b"45").unwrap();
+        faulty.remove("gone").unwrap();
+        faulty.append("fresh", b"x").unwrap();
+        faulty.sync("fresh").unwrap();
+        assert_eq!(
+            faulty.sync("synced").unwrap_err().kind(),
+            INJECTED_CRASH,
+            "the fourth sync"
+        );
+        mem
+    }
+
+    #[test]
+    fn power_loss_keeps_only_what_was_synced() {
+        let mem = lose_power(PowerLoss::Revert);
+        assert_eq!(mem.read("old").unwrap(), b"kept");
+        assert_eq!(mem.read("synced").unwrap(), b"123");
+        assert_eq!(mem.read("gone").unwrap(), b"durable", "removal undone");
+        assert_eq!(
+            mem.read("fresh").unwrap_err().kind(),
+            io::ErrorKind::NotFound,
+            "creation undone"
+        );
+
+        let mem = lose_power(PowerLoss::KeepRemovals);
+        assert_eq!(mem.list().unwrap(), ["old", "synced"]);
+        assert_eq!(mem.read("synced").unwrap(), b"123");
+
+        // Without a power loss the crash keeps everything.
+        let mut mem = MemStorage::new();
+        mem.append("f", b"ab").unwrap();
+        let mut faulty = FaultyStorage::new(mem.clone(), FaultPlan::crash_on_sync(1));
+        faulty.append("f", b"cd").unwrap();
+        faulty.append("g", b"e").unwrap();
+        assert!(faulty.sync_dir().is_err());
+        assert_eq!(mem.read("f").unwrap(), b"abcd");
+        assert_eq!(mem.read("g").unwrap(), b"e");
     }
 
     #[test]

@@ -164,7 +164,9 @@ struct SharedInner {
     /// record over a possibly torn frame, would break the
     /// log-before-publish guarantee. Every subsequent write therefore
     /// fails fast until the process restarts and recovers from the log.
-    wal_poisoned: AtomicBool,
+    /// Shared with the WAL's background checkpointer, which sets it the
+    /// moment a checkpoint fails.
+    wal_poisoned: Arc<AtomicBool>,
     /// Replication commit watchers (feed connections on a primary).
     /// Senders are registered under the writer lock by
     /// [`SharedEngine::subscribe_commits`] and notified under the same
@@ -260,13 +262,16 @@ impl SharedEngine {
         let snapshot = Arc::new(EngineSnapshot {
             engine: engine.snapshot(),
         });
+        let wal_poisoned = wal
+            .as_ref()
+            .map_or_else(Arc::default, DurableState::poison_flag);
         SharedEngine {
             inner: Arc::new(SharedInner {
                 published: RwLock::new(snapshot),
                 writer: Mutex::new(engine),
                 sessions: AtomicU64::new(0),
                 wal: wal.map(Mutex::new),
-                wal_poisoned: AtomicBool::new(false),
+                wal_poisoned,
                 watchers: Mutex::new(Vec::new()),
                 read_only: AtomicBool::new(false),
                 generation: AtomicU64::new(generation),
@@ -325,9 +330,10 @@ impl SharedEngine {
     /// land beyond a torn frame, so every subsequent `apply` (and
     /// [`SharedEngine::checkpoint_now`]) fails until the process
     /// restarts and recovers from the log — even if the underlying
-    /// storage error was transient. Reads keep being served from the
-    /// last published (durable) snapshot; see
-    /// [`SharedEngine::wal_poisoned`].
+    /// storage error was transient. An automatic checkpoint that fails
+    /// on the background checkpointer poisons the engine the same way.
+    /// Reads keep being served from the last published (durable)
+    /// snapshot; see [`SharedEngine::wal_poisoned`].
     pub fn apply(&self, delta: &Delta) -> Result<DeltaReport, EngineError> {
         let mut writer = self.inner.writer.lock().expect("writer engine poisoned");
         self.check_wal_poisoned()?;
@@ -451,7 +457,8 @@ impl SharedEngine {
     }
 
     /// Cumulative WAL counters (`None` when the engine was built without
-    /// durability).
+    /// durability). Waits for a background checkpoint in flight first,
+    /// so the counts include it.
     pub fn wal_stats(&self) -> Option<qld_wal::WalStats> {
         self.inner
             .wal
@@ -461,10 +468,12 @@ impl SharedEngine {
 
     /// Writes a database checkpoint now (serializes the writer's
     /// database, then truncates older log state), regardless of the
-    /// automatic cadence. Returns the checkpointed epoch, or `None` when
-    /// the engine has no WAL. A failure poisons the engine for writes,
-    /// exactly like a failed [`SharedEngine::apply`] — the log may be
-    /// mid-rotation, so appending anything more could tear it.
+    /// automatic cadence, once the background checkpoint in flight (if
+    /// any) is done. Returns the checkpointed epoch, or `None` when the
+    /// engine has no WAL. A failure — this checkpoint's or the one it
+    /// waited for — poisons the engine for writes, exactly like a failed
+    /// [`SharedEngine::apply`]: the log may be mid-rotation, so
+    /// appending anything more could tear it.
     pub fn checkpoint_now(&self) -> Result<Option<u64>, EngineError> {
         let Some(wal) = &self.inner.wal else {
             return Ok(None);
@@ -688,7 +697,8 @@ impl SharedEngine {
     /// logged after it. A feed can serve a follower incrementally iff
     /// the checkpoint epoch is at or below the follower's last applied
     /// epoch — otherwise the truncated log no longer covers the gap and
-    /// a snapshot transfer is needed.
+    /// a snapshot transfer is needed. A background checkpoint in flight
+    /// finishes first, so the read never races its removals.
     pub fn wal_tail(&self) -> Result<Option<(u64, Vec<WalRecord>)>, EngineError> {
         let Some(wal) = &self.inner.wal else {
             return Ok(None);

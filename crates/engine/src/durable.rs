@@ -21,6 +21,26 @@
 //!   changing deltas) bound replay time and let the WAL truncate old
 //!   segments.
 //!
+//! **Checkpoints are written off the write path.** A database is fully
+//! determined by its constants, facts and uniqueness axioms, and every
+//! published epoch is a frozen, `Arc`-shared value, so a checkpoint is a
+//! pure function of a state the writer already holds. At the cadence the
+//! writer waits for the previous checkpoint if it is still in flight (at
+//! most one is), rotates the log to a fresh segment — every later record
+//! lands in a segment the checkpoint keeps — and hands
+//! `(epoch, generation, database, first kept segment)` to one background
+//! checkpointer thread, then returns. The checkpointer encodes the
+//! database and runs [`qld_wal::write_checkpoint`] (write + sync the
+//! file, sync the directory, remove what the checkpoint supersedes, sync
+//! the directory again) through a second handle on the same storage
+//! ([`qld_wal::Storage::reopen`]). A failure there poisons the write path
+//! exactly as a failed append does. The seed checkpoint,
+//! [`SharedEngine::checkpoint_now`] and [`SharedEngine::promote`] wait
+//! for the in-flight checkpoint and then write theirs synchronously;
+//! [`SharedEngine::wal_stats`], [`SharedEngine::wal_tail`] and dropping
+//! the engine wait for it too, so counters are exact and a tail read
+//! never races a removal.
+//!
 //! A checkpoint's payload is the database in the binary layout of
 //! [`qld_core::codec`] — constants, fact rows and uniqueness pairs as
 //! `u32` lists, not `.qld` text. Recovery decodes it through the same
@@ -41,9 +61,12 @@ use crate::error::EngineError;
 use crate::session::Engine;
 use qld_core::{codec, CwDatabase};
 use qld_logic::{ConstId, PredId};
-use qld_wal::{Wal, WalConfig, WalRecord, WalStats};
+use qld_wal::{Storage, Wal, WalConfig, WalRecord, WalStats};
 use std::fmt;
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 /// How a [`SharedEngine`] uses its WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +75,10 @@ pub struct DurabilityConfig {
     pub wal: WalConfig,
     /// Write a database checkpoint (and truncate older log state) every
     /// this many changing deltas; `0` disables automatic checkpoints
-    /// (the seed checkpoint at attach time is still written).
+    /// (the seed checkpoint at attach time is still written). The
+    /// checkpoint is written in the background while later writes are
+    /// logged, so recovery replays at most `2 × checkpoint_every`
+    /// records after the newest durable checkpoint.
     pub checkpoint_every: u64,
 }
 
@@ -97,19 +123,104 @@ impl fmt::Display for RecoveryReport {
 }
 
 /// The WAL plus its checkpoint cadence, held behind the writer path of a
-/// [`SharedEngine`].
+/// [`SharedEngine`], and the checkpointer that writes the automatic
+/// checkpoints beside it.
 #[derive(Debug)]
 pub(crate) struct DurableState {
     wal: Wal,
     checkpoint_every: u64,
     since_checkpoint: u64,
+    /// Spawned at the first automatic checkpoint.
+    checkpointer: Option<Checkpointer>,
+    /// Set (never cleared) when a background checkpoint fails. The
+    /// [`SharedEngine`] gates its write path on this same flag.
+    poisoned: Arc<AtomicBool>,
+}
+
+/// The background checkpointer: one thread that encodes each
+/// handed-over database and runs [`qld_wal::write_checkpoint`] through
+/// its own handle on the log's storage, reporting each result back.
+#[derive(Debug)]
+struct Checkpointer {
+    jobs: mpsc::Sender<Job>,
+    done: mpsc::Receiver<io::Result<()>>,
+    thread: thread::JoinHandle<()>,
+    /// The first kept segment of the checkpoint being written, if one is
+    /// in flight (never more than one).
+    in_flight: Option<u64>,
+}
+
+/// One checkpoint for the checkpointer to write.
+#[derive(Debug)]
+struct Job {
+    epoch: u64,
+    generation: u64,
+    /// The database at `epoch`: a clone of the writer's, which shares
+    /// every relation with it (`Arc` bumps, no copy).
+    db: CwDatabase,
+    keep_from_seq: u64,
+}
+
+impl Checkpointer {
+    fn spawn(mut storage: Box<dyn Storage>, poisoned: Arc<AtomicBool>) -> io::Result<Checkpointer> {
+        let (jobs, inbox) = mpsc::channel::<Job>();
+        let (outbox, done) = mpsc::channel();
+        let thread = thread::Builder::new()
+            .name("qld-checkpointer".to_string())
+            .spawn(move || {
+                for job in inbox {
+                    let payload = codec::encode(&job.db);
+                    // Let go of the relations before the syncs: the writer
+                    // has moved past them, and held they pin its memory.
+                    drop(job.db);
+                    let result = qld_wal::write_checkpoint(
+                        &mut *storage,
+                        job.epoch,
+                        job.generation,
+                        &payload,
+                        job.keep_from_seq,
+                    );
+                    if result.is_err() {
+                        poisoned.store(true, Ordering::Release);
+                    }
+                    if outbox.send(result).is_err() {
+                        return;
+                    }
+                }
+            })?;
+        Ok(Checkpointer {
+            jobs,
+            done,
+            thread,
+            in_flight: None,
+        })
+    }
+}
+
+fn checkpointer_stopped() -> io::Error {
+    io::Error::other("the background checkpointer stopped")
 }
 
 impl DurableState {
-    /// Appends the record for a just-applied changing delta, then writes
-    /// a checkpoint (stamped with the serving `generation`) if the
-    /// cadence says so. Called with the writer lock held, before the
-    /// snapshot is published.
+    fn new(wal: Wal, checkpoint_every: u64) -> DurableState {
+        DurableState {
+            wal,
+            checkpoint_every,
+            since_checkpoint: 0,
+            checkpointer: None,
+            poisoned: Arc::default(),
+        }
+    }
+
+    /// The flag a failed background checkpoint sets.
+    pub(crate) fn poison_flag(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.poisoned)
+    }
+
+    /// Appends the record for a just-applied changing delta, then hands
+    /// a checkpoint (stamped with the serving `generation`) to the
+    /// background checkpointer if the cadence says so. Called with the
+    /// writer lock held, before the snapshot is published.
     pub(crate) fn log(
         &mut self,
         delta: &Delta,
@@ -119,27 +230,97 @@ impl DurableState {
         self.wal.append(&delta_to_record(delta, engine.epoch()))?;
         self.since_checkpoint += 1;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
-            self.checkpoint(engine, generation)?;
+            self.hand_over(engine, generation)?;
         }
         Ok(())
     }
 
+    /// The writer's side of an automatic checkpoint: wait for the
+    /// previous one (failing if it failed), rotate so that every later
+    /// record lands in a segment this checkpoint keeps, and hand the
+    /// database over.
+    fn hand_over(&mut self, engine: &Engine, generation: u64) -> io::Result<()> {
+        self.settle()?;
+        let keep_from_seq = self.wal.rotate()?;
+        let checkpointer = match &mut self.checkpointer {
+            Some(checkpointer) => checkpointer,
+            none => none.insert(Checkpointer::spawn(
+                self.wal.reopen_storage()?,
+                Arc::clone(&self.poisoned),
+            )?),
+        };
+        let job = Job {
+            epoch: engine.epoch(),
+            generation,
+            db: engine.db().clone(),
+            keep_from_seq,
+        };
+        checkpointer
+            .jobs
+            .send(job)
+            .map_err(|_| checkpointer_stopped())?;
+        checkpointer.in_flight = Some(keep_from_seq);
+        self.since_checkpoint = 0;
+        Ok(())
+    }
+
+    /// Waits for the in-flight checkpoint, if any, and counts it in the
+    /// log's stats once it is written. Its error, if it failed, has
+    /// already poisoned the write path.
+    fn settle(&mut self) -> io::Result<()> {
+        let Some(checkpointer) = &mut self.checkpointer else {
+            return Ok(());
+        };
+        let Some(keep_from_seq) = checkpointer.in_flight.take() else {
+            return Ok(());
+        };
+        let written = checkpointer
+            .done
+            .recv()
+            .unwrap_or_else(|_| Err(checkpointer_stopped()));
+        if let Err(e) = written {
+            self.poisoned.store(true, Ordering::Release);
+            return Err(e);
+        }
+        self.wal.checkpoint_written(keep_from_seq);
+        Ok(())
+    }
+
     /// Serializes the engine's database and checkpoints the log at its
-    /// epoch, under the primary generation currently being served.
+    /// epoch, under the primary generation currently being served — after
+    /// the in-flight checkpoint, and before returning.
     pub(crate) fn checkpoint(&mut self, engine: &Engine, generation: u64) -> io::Result<()> {
+        self.settle()?;
         self.wal
             .checkpoint(engine.epoch(), generation, &codec::encode(engine.db()))?;
         self.since_checkpoint = 0;
         Ok(())
     }
 
-    pub(crate) fn stats(&self) -> WalStats {
+    /// The log's counters, the in-flight checkpoint included. (A failed
+    /// one is not counted; the poison flag reports it.)
+    pub(crate) fn stats(&mut self) -> WalStats {
+        let _ = self.settle();
         self.wal.stats()
     }
 
-    /// Read-only view of the live log tail, for replication catch-up.
-    pub(crate) fn tail(&self) -> io::Result<(Option<qld_wal::Checkpoint>, Vec<WalRecord>)> {
+    /// Read-only view of the live log tail, for replication catch-up,
+    /// read once no checkpoint is removing files under it.
+    pub(crate) fn tail(&mut self) -> io::Result<(Option<qld_wal::Checkpoint>, Vec<WalRecord>)> {
+        let _ = self.settle();
         self.wal.tail()
+    }
+}
+
+impl Drop for DurableState {
+    /// The in-flight checkpoint finishes (or fails — the poison flag
+    /// records it) before the log goes away, and so does the thread.
+    fn drop(&mut self) {
+        let _ = self.settle();
+        if let Some(Checkpointer { jobs, thread, .. }) = self.checkpointer.take() {
+            drop(jobs);
+            let _ = thread.join();
+        }
     }
 }
 
@@ -207,11 +388,7 @@ impl SharedEngine {
         // legacy checkpoints written before fencing existed).
         wal.checkpoint(engine.epoch(), 1, &codec::encode(engine.db()))
             .map_err(durability_err)?;
-        let state = DurableState {
-            wal,
-            checkpoint_every: config.checkpoint_every,
-            since_checkpoint: 0,
-        };
+        let state = DurableState::new(wal, config.checkpoint_every);
         Ok(SharedEngine::with_wal(engine, state, 1))
     }
 
@@ -262,11 +439,7 @@ impl SharedEngine {
             bytes_truncated: recovery.bytes_truncated,
             epoch: engine.epoch(),
         };
-        let state = DurableState {
-            wal,
-            checkpoint_every: config.checkpoint_every,
-            since_checkpoint: 0,
-        };
+        let state = DurableState::new(wal, config.checkpoint_every);
         // Resume under the generation the checkpoint was written at;
         // legacy pre-fencing checkpoints (generation 0) resume as 1.
         let generation = checkpoint.generation.max(1);
@@ -279,7 +452,7 @@ mod tests {
     use super::*;
     use crate::evidence::Semantics;
     use qld_logic::Vocabulary;
-    use qld_wal::{has_state, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage, Storage as _};
+    use qld_wal::{has_state, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage};
 
     fn small_db() -> CwDatabase {
         let mut voc = Vocabulary::new();
@@ -718,6 +891,184 @@ mod tests {
             shared.wal_stats().unwrap().fsyncs,
             before,
             "Never policy issues no per-record syncs"
+        );
+    }
+
+    /// A checkpoint every two writes, no per-record syncs: every sync
+    /// and remove after recovery is the background checkpointer's.
+    fn every_two() -> DurabilityConfig {
+        DurabilityConfig {
+            wal: WalConfig {
+                fsync: FsyncPolicy::Never,
+                ..WalConfig::default()
+            },
+            checkpoint_every: 2,
+        }
+    }
+
+    /// Seeds a log on a fresh `MemStorage` and recovers it through a
+    /// `FaultyStorage` with `plan` — as a follower when `follower` — then
+    /// writes twice, which hands one checkpoint to the checkpointer.
+    fn two_writes_through(plan: FaultPlan, follower: bool) -> (MemStorage, SharedEngine) {
+        let mem = MemStorage::new();
+        drop(
+            SharedEngine::durable(Engine::new(small_db()), Box::new(mem.clone()), every_two())
+                .unwrap(),
+        );
+        let faulty = FaultyStorage::new(mem.clone(), plan);
+        let (shared, _) =
+            SharedEngine::recover_with(Box::new(faulty), every_two(), Engine::new).unwrap();
+        shared.set_read_only(follower);
+        let (p, _, c) = ids(&shared);
+        for (epoch, arg) in [(1, c[0]), (2, c[1])] {
+            let delta = Delta::new().insert_fact(p, &[arg]);
+            if follower {
+                assert_eq!(
+                    shared
+                        .apply_replica(&delta_to_record(&delta, epoch))
+                        .unwrap(),
+                    epoch
+                );
+            } else {
+                shared.apply(&delta).unwrap();
+            }
+        }
+        (mem, shared)
+    }
+
+    #[test]
+    fn background_checkpoint_failures_poison_the_write_path() {
+        // The checkpointer's three syncs (file, directory, directory)
+        // and its two removes (the seed checkpoint, the old segment).
+        let plans = [
+            FaultPlan::crash_on_sync(1),
+            FaultPlan::crash_on_sync(2),
+            FaultPlan::crash_on_sync(3),
+            FaultPlan::crash_on_remove(1),
+            FaultPlan::crash_on_remove(2),
+        ];
+        for plan in plans {
+            for next in ["apply", "checkpoint_now", "promote"] {
+                let (mem, shared) = two_writes_through(plan, next == "promote");
+                let err = match next {
+                    "apply" => {
+                        // Waiting for the checkpointer is what makes the
+                        // failure visible before the next write.
+                        let stats = shared.wal_stats().unwrap();
+                        assert_eq!(
+                            stats.checkpoints, 0,
+                            "{plan:?}: a failed one is not counted"
+                        );
+                        assert!(shared.wal_poisoned(), "{plan:?}");
+                        let (p, _, c) = ids(&shared);
+                        shared
+                            .apply(&Delta::new().insert_fact(p, &[c[2]]))
+                            .unwrap_err()
+                    }
+                    "checkpoint_now" => shared.checkpoint_now().unwrap_err(),
+                    _ => shared.promote().unwrap_err(),
+                };
+                assert!(
+                    matches!(err, EngineError::Durability(_)),
+                    "{plan:?} {next}: {err}"
+                );
+                assert!(shared.wal_poisoned(), "{plan:?} {next}");
+                // Reads keep serving the last epoch.
+                let mut session = shared.session();
+                let q = session.prepare_text("(x) . P(x)").unwrap();
+                let answers = session.execute(&q).unwrap();
+                assert_eq!((answers.len(), answers.evidence().epoch), (2, 2));
+                drop(shared);
+
+                // Both records were appended before the checkpoint was
+                // handed over, and the crash kept every byte.
+                let (recovered, report) =
+                    SharedEngine::recover_with(Box::new(mem), every_two(), Engine::new).unwrap();
+                assert_eq!(report.epoch, 2, "{plan:?} {next}");
+                assert!(!recovered.wal_poisoned());
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_an_engine_whose_checkpoint_fails_recovers_a_prefix() {
+        for plan in [FaultPlan::crash_on_sync(1), FaultPlan::crash_on_remove(2)] {
+            let (mem, shared) = two_writes_through(plan, false);
+            drop(shared); // the in-flight checkpoint fails on the way out
+            let (recovered, report) =
+                SharedEngine::recover_with(Box::new(mem), every_two(), Engine::new).unwrap();
+            assert_eq!(report.epoch, 2, "{plan:?}");
+            assert_eq!(recovered.snapshot().engine().db().num_facts(), 2);
+        }
+    }
+
+    /// A `MemStorage` whose reads and directory syncs take a
+    /// millisecond, so a checkpoint is still in flight when the writer's
+    /// next call arrives, and a tail read takes long enough for it to
+    /// remove files under it.
+    #[derive(Debug, Clone)]
+    struct SlowStorage(MemStorage);
+
+    impl Storage for SlowStorage {
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.0.list()
+        }
+        fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+            thread::sleep(std::time::Duration::from_millis(1));
+            self.0.read(name)
+        }
+        fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
+            self.0.append(name, data)
+        }
+        fn sync(&mut self, name: &str) -> io::Result<()> {
+            self.0.sync(name)
+        }
+        fn sync_dir(&mut self) -> io::Result<()> {
+            thread::sleep(std::time::Duration::from_millis(1));
+            Ok(())
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+            self.0.truncate(name, len)
+        }
+        fn remove(&mut self, name: &str) -> io::Result<()> {
+            self.0.remove(name)
+        }
+        fn reopen(&self) -> io::Result<Box<dyn Storage>> {
+            Ok(Box::new(self.clone()))
+        }
+    }
+
+    #[test]
+    fn a_tail_read_waits_for_the_checkpoint_in_flight() {
+        let shared = SharedEngine::durable(
+            Engine::new(small_db()),
+            Box::new(SlowStorage(MemStorage::new())),
+            every_two(),
+        )
+        .unwrap();
+        let (p, r, c) = ids(&shared);
+        let mut deltas = Vec::new();
+        for &x in &c {
+            deltas.push(Delta::new().insert_fact(p, &[x]));
+            for &y in &c {
+                deltas.push(Delta::new().insert_fact(r, &[x, y]));
+            }
+        }
+        for delta in &deltas {
+            shared.apply(delta).unwrap();
+            // Right after a cadence write the checkpoint is in flight:
+            // the tail read must neither fail on a file it removed nor
+            // miss a record.
+            let (from, records) = shared
+                .wal_tail()
+                .expect("a tail read never races a removal")
+                .unwrap();
+            let epochs: Vec<u64> = records.iter().map(|r| r.epoch).collect();
+            assert_eq!(epochs, (from + 1..=shared.epoch()).collect::<Vec<_>>());
+        }
+        assert_eq!(
+            shared.wal_stats().unwrap().checkpoints,
+            1 + deltas.len() as u64 / 2
         );
     }
 }

@@ -75,7 +75,7 @@ pub use qld_approx::CompletenessTheorem;
 pub use qld_core::mappings::ParallelConfig;
 pub use qld_wal::{
     has_state as wal_has_state, DiskStorage, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage,
-    ReadOnlyStorage, Storage, WalConfig, WalRecord, WalStats,
+    PowerLoss, ReadOnlyStorage, Storage, WalConfig, WalRecord, WalStats,
 };
 
 #[cfg(test)]

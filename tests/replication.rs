@@ -18,7 +18,10 @@ use proptest::prelude::*;
 use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::core::textio::{from_text, to_text};
 use querying_logical_databases::core::CwDatabase;
-use querying_logical_databases::engine::{Engine, EngineError, Semantics, SharedEngine};
+use querying_logical_databases::engine::{
+    wal_has_state, DiskStorage, DurabilityConfig, Engine, EngineError, Semantics, SharedEngine,
+    Storage,
+};
 use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::logic::ConstId;
 use querying_logical_databases::prelude::{Client, RetryPolicy, Server, ServerConfig};
@@ -219,6 +222,17 @@ fn follower_bootstraps_streams_and_serves_read_only() {
 /// snapshot.
 #[test]
 fn primary_crash_mid_stream_leaves_an_exact_prefix_then_catchup_converges() {
+    crash_mid_stream_then_catch_up(DurabilityConfig::default().checkpoint_every);
+}
+
+/// The same with a checkpoint every two writes, written in the
+/// background while the feed serves catch-up from the log tail.
+#[test]
+fn crash_mid_stream_then_catch_up_with_a_checkpoint_every_two_writes() {
+    crash_mid_stream_then_catch_up(2);
+}
+
+fn crash_mid_stream_then_catch_up(checkpoint_every: u64) {
     const DELTAS: usize = 10;
     const CRASH_AFTER: usize = 4;
     let dir = tempdir();
@@ -226,7 +240,7 @@ fn primary_crash_mid_stream_leaves_an_exact_prefix_then_catchup_converges() {
     let inserts = fresh_inserts(&db, DELTAS);
     let history = db_at(&db, &inserts);
 
-    let primary = durable_primary(db.clone(), &dir);
+    let primary = durable_primary(db.clone(), &dir, checkpoint_every);
     let (running, addr) = start(primary.clone(), ServerConfig::default());
     let (follower, handle) = spawn_follower(addr, 11);
 
@@ -254,7 +268,7 @@ fn primary_crash_mid_stream_leaves_an_exact_prefix_then_catchup_converges() {
     // A primary returns with the same history (recovered from its WAL,
     // as a restart would) on a fresh address; the follower resumes from
     // its held epoch and converges on the rest of the stream.
-    let revived = durable_primary(db.clone(), &dir);
+    let revived = durable_primary(db.clone(), &dir, checkpoint_every);
     assert_eq!(revived.epoch(), CRASH_AFTER as u64, "WAL recovery replays");
     let (running, addr) = start(revived.clone(), ServerConfig::default());
     handle.stop();
@@ -410,25 +424,22 @@ fn promote_on_a_primary_is_a_clean_error() {
     running.shutdown().unwrap();
 }
 
-/// A durable primary over a WAL directory (the crash-revival tests
-/// recover from the same directory to model a restart).
-fn durable_primary(db: CwDatabase, dir: &std::path::Path) -> SharedEngine {
-    use querying_logical_databases::engine::{
-        wal_has_state, DiskStorage, DurabilityConfig, Storage,
-    };
+/// A durable primary over a WAL directory, checkpointing every
+/// `checkpoint_every` writes (the crash-revival tests recover from the
+/// same directory to model a restart).
+fn durable_primary(db: CwDatabase, dir: &std::path::Path, checkpoint_every: u64) -> SharedEngine {
     let storage = DiskStorage::open(dir).expect("wal dir opens");
+    let config = DurabilityConfig {
+        checkpoint_every,
+        ..DurabilityConfig::default()
+    };
     if wal_has_state(&storage).unwrap_or(false) {
         let boxed: Box<dyn Storage> = Box::new(storage);
-        SharedEngine::recover_with(boxed, DurabilityConfig::default(), Engine::new)
+        SharedEngine::recover_with(boxed, config, Engine::new)
             .expect("wal recovers")
             .0
     } else {
-        SharedEngine::durable(
-            Engine::new(db),
-            Box::new(storage),
-            DurabilityConfig::default(),
-        )
-        .expect("wal seeds")
+        SharedEngine::durable(Engine::new(db), Box::new(storage), config).expect("wal seeds")
     }
 }
 
@@ -518,86 +529,113 @@ proptest! {
         seed in 0u64..1000,
         deltas in 4usize..9,
     ) {
-        let db = test_db(seed);
-        let inserts = fresh_inserts(&db, deltas);
-        let history = db_at(&db, &inserts);
-        let primary = SharedEngine::new(Engine::new(db.clone()));
-        let (running, addr) = start(primary.clone(), ServerConfig::default());
-        let (follower, handle) = spawn_follower(addr, seed | 1);
-
-        // Stream writes while a reader hammers the follower: the
-        // observations span bootstrap, catch-up, and live streaming.
-        let observations: Vec<Observation> = thread::scope(|scope| {
-            let follower_ref = &follower;
-            let reader = scope.spawn(move || {
-                let mut observed = Vec::new();
-                let mut last_epoch = 0u64;
-                while follower_ref.epoch() < deltas as u64 {
-                    let chunk = observe_follower(follower_ref);
-                    // Reads never regress an epoch, even across the
-                    // bootstrap swap and reconnects.
-                    for (_, _, epoch, _, _) in &chunk {
-                        assert!(
-                            *epoch >= last_epoch,
-                            "follower reads regressed: epoch {epoch} after {last_epoch}"
-                        );
-                        last_epoch = *epoch;
-                    }
-                    observed.extend(chunk);
-                }
-                // One more sweep at the converged state.
-                observed.extend(observe_follower(follower_ref));
-                observed
-            });
-            let mut writer = Client::connect(addr).expect("writer connects");
-            for (_, line) in &inserts {
-                let reply = writer.request(line).expect("insert round-trips");
-                assert!(reply.is_ok(), "{reply:?}");
-                thread::sleep(Duration::from_millis(2));
-            }
-            wait_until(Duration::from_secs(20), "follower convergence", || {
-                follower_ref.epoch() == deltas as u64
-            });
-            reader.join().expect("reader panicked")
-        });
-
-        // Solo verification: rebuild an engine at each observed epoch
-        // (answer cache off so certificates reflect real evaluations)
-        // and demand identical rendered answers and certificates.
-        let mut solo: HashMap<u64, Engine> = HashMap::new();
-        prop_assert!(!observations.is_empty());
-        for (qi, mode, epoch, answers, certificate) in observations {
-            let engine = solo.entry(epoch).or_insert_with(|| {
-                Engine::builder(history[&epoch].clone())
-                    .answer_cache(false)
-                    .build()
-            });
-            let (text, is_boolean) = QUERIES[qi];
-            let prepared = engine.prepare_text(text).unwrap();
-            let truth = engine.execute_as(&prepared, mode).unwrap();
-            let truth_lines =
-                proto::answer_lines(history[&epoch].voc(), mode, is_boolean, &truth);
-            prop_assert_eq!(
-                &answers, &truth_lines,
-                "follower answer diverged from solo at epoch {} on {:?} under {:?}",
-                epoch, text, mode
-            );
-            // Compare the certificate's semantic clauses (regime and
-            // certification) and normalize out performance metadata:
-            // the epoch clause (a rebuilt solo engine counts from 0 —
-            // the real epoch check is the `done:`-stamped epoch that
-            // selected `history[&epoch]`), the mapping count, and the
-            // `(cached)` marker (cache hits elide the enumeration).
-            let truth_cert = normalize_certificate(&truth.evidence().summary());
-            let observed_cert = normalize_certificate(&certificate);
-            prop_assert_eq!(
-                &observed_cert, &truth_cert,
-                "certificate diverged at epoch {} on {:?} under {:?}",
-                epoch, text, mode
-            );
-        }
-
-        handle.stop();
-        running.shutdown().expect("primary drains");
+        follower_differential(seed, deltas, SharedEngine::new(Engine::new(test_db(seed))))?;
     }
+
+    /// The same over a durable primary that checkpoints every two
+    /// writes: bootstrap and catch-up read a log its background
+    /// checkpointer keeps truncating.
+    #[test]
+    fn follower_answers_equal_solo_engines_over_a_checkpointing_primary(
+        seed in 0u64..1000,
+        deltas in 4usize..9,
+    ) {
+        let primary = durable_primary(test_db(seed), &tempdir(), 2);
+        follower_differential(seed, deltas, primary)?;
+    }
+}
+
+/// The body of the replication differential, over `primary` (which
+/// serves `test_db(seed)` at epoch 0).
+fn follower_differential(
+    seed: u64,
+    deltas: usize,
+    primary: SharedEngine,
+) -> Result<(), TestCaseError> {
+    let db = test_db(seed);
+    let inserts = fresh_inserts(&db, deltas);
+    let history = db_at(&db, &inserts);
+    let (running, addr) = start(primary.clone(), ServerConfig::default());
+    let (follower, handle) = spawn_follower(addr, seed | 1);
+
+    // Stream writes while a reader hammers the follower: the
+    // observations span bootstrap, catch-up, and live streaming.
+    let observations: Vec<Observation> = thread::scope(|scope| {
+        let follower_ref = &follower;
+        let reader = scope.spawn(move || {
+            let mut observed = Vec::new();
+            let mut last_epoch = 0u64;
+            while follower_ref.epoch() < deltas as u64 {
+                let chunk = observe_follower(follower_ref);
+                // Reads never regress an epoch, even across the
+                // bootstrap swap and reconnects.
+                for (_, _, epoch, _, _) in &chunk {
+                    assert!(
+                        *epoch >= last_epoch,
+                        "follower reads regressed: epoch {epoch} after {last_epoch}"
+                    );
+                    last_epoch = *epoch;
+                }
+                observed.extend(chunk);
+            }
+            // One more sweep at the converged state.
+            observed.extend(observe_follower(follower_ref));
+            observed
+        });
+        let mut writer = Client::connect(addr).expect("writer connects");
+        for (_, line) in &inserts {
+            let reply = writer.request(line).expect("insert round-trips");
+            assert!(reply.is_ok(), "{reply:?}");
+            thread::sleep(Duration::from_millis(2));
+        }
+        wait_until(Duration::from_secs(20), "follower convergence", || {
+            follower_ref.epoch() == deltas as u64
+        });
+        reader.join().expect("reader panicked")
+    });
+
+    // Solo verification: rebuild an engine at each observed epoch
+    // (answer cache off so certificates reflect real evaluations)
+    // and demand identical rendered answers and certificates.
+    let mut solo: HashMap<u64, Engine> = HashMap::new();
+    prop_assert!(!observations.is_empty());
+    for (qi, mode, epoch, answers, certificate) in observations {
+        let engine = solo.entry(epoch).or_insert_with(|| {
+            Engine::builder(history[&epoch].clone())
+                .answer_cache(false)
+                .build()
+        });
+        let (text, is_boolean) = QUERIES[qi];
+        let prepared = engine.prepare_text(text).unwrap();
+        let truth = engine.execute_as(&prepared, mode).unwrap();
+        let truth_lines = proto::answer_lines(history[&epoch].voc(), mode, is_boolean, &truth);
+        prop_assert_eq!(
+            &answers,
+            &truth_lines,
+            "follower answer diverged from solo at epoch {} on {:?} under {:?}",
+            epoch,
+            text,
+            mode
+        );
+        // Compare the certificate's semantic clauses (regime and
+        // certification) and normalize out performance metadata:
+        // the epoch clause (a rebuilt solo engine counts from 0 —
+        // the real epoch check is the `done:`-stamped epoch that
+        // selected `history[&epoch]`), the mapping count, and the
+        // `(cached)` marker (cache hits elide the enumeration).
+        let truth_cert = normalize_certificate(&truth.evidence().summary());
+        let observed_cert = normalize_certificate(&certificate);
+        prop_assert_eq!(
+            &observed_cert,
+            &truth_cert,
+            "certificate diverged at epoch {} on {:?} under {:?}",
+            epoch,
+            text,
+            mode
+        );
+    }
+
+    handle.stop();
+    running.shutdown().expect("primary drains");
+    Ok(())
 }

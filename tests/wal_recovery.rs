@@ -5,7 +5,7 @@
 //! delta whose `apply` returned `Ok` (log-before-publish means an
 //! acknowledged epoch is always durable).
 //!
-//! The battery is two tiers:
+//! The battery is three tiers:
 //!
 //! * an exhaustive pass over a fixed delta sequence, crashing the
 //!   fault-injecting storage at **every byte offset** of the log and
@@ -14,7 +14,12 @@
 //!   crashes at every record boundary plus a random intra-record offset
 //!   per record, asserting the recovered engine answers identically —
 //!   tuples *and* certificates — to a fresh engine built from the
-//!   surviving delta prefix, across all four semantics.
+//!   surviving delta prefix, across all four semantics;
+//! * a sweep through *automatic* checkpoints, which a background
+//!   checkpointer writes while the writer keeps appending: a crash at
+//!   every byte, every sync and every remove, the crash a process kill
+//!   or a power loss (unsynced bytes and unsynced directory changes
+//!   lost), the writer waiting for each checkpoint or racing it.
 //!
 //! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both): the
 //! enumeration worker pool is orthogonal to recovery, so the invariant
@@ -26,7 +31,7 @@ use proptest::prelude::*;
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::engine::{
-    DurabilityConfig, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage, WalConfig,
+    DurabilityConfig, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage, PowerLoss, WalConfig,
 };
 use querying_logical_databases::logic::{ConstId, Query};
 use querying_logical_databases::prelude::{Delta, Engine, EngineError, Semantics, SharedEngine};
@@ -340,6 +345,147 @@ fn recovery_after_recovery_preserves_the_whole_history() {
     }
     let snap = again.snapshot();
     assert_eq!(snap.engine().db(), fresh.db());
+}
+
+/// How a crash run interleaves with the background checkpointer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// `wal_stats()` after every apply waits for the checkpoint in
+    /// flight, so every run performs the same operations in the same
+    /// order and a crash point always lands on the same one.
+    Waiting,
+    /// The writer races the checkpointer.
+    Racing,
+}
+
+/// Automatic checkpoints every `every` changing deltas, in segments of
+/// two records (so the log also rotates between checkpoints).
+fn checkpointing(fsync: FsyncPolicy, every: u64) -> DurabilityConfig {
+    DurabilityConfig {
+        wal: WalConfig {
+            fsync,
+            segment_max_records: 2,
+        },
+        checkpoint_every: every,
+    }
+}
+
+/// Seeds a log on a fresh [`MemStorage`], recovers it through a
+/// [`FaultyStorage`] with `plan`, and applies `deltas` (all changing)
+/// until one fails. Returns the surviving bytes, the deltas
+/// acknowledged, whether the crash fired, and the bytes appended.
+fn checkpointing_run(
+    db: &CwDatabase,
+    deltas: &[Delta],
+    config: DurabilityConfig,
+    plan: FaultPlan,
+    schedule: Schedule,
+) -> (MemStorage, usize, bool, u64) {
+    let mem = MemStorage::new();
+    let seeded = SharedEngine::durable(Engine::new(db.clone()), Box::new(mem.clone()), config)
+        .expect("seeding a fresh WAL");
+    drop(seeded);
+    let faulty = FaultyStorage::new(mem.clone(), plan);
+    let (shared, _) = SharedEngine::recover_with(Box::new(faulty.clone()), config, Engine::new)
+        .expect("recovering the seed checkpoint writes nothing");
+    let mut acked = 0;
+    for delta in deltas {
+        match shared.apply(delta) {
+            Ok(report) => {
+                assert!(report.changed());
+                acked += 1;
+            }
+            Err(EngineError::Durability(_)) => break,
+            Err(e) => panic!("unexpected engine error during crash run: {e}"),
+        }
+        if schedule == Schedule::Waiting {
+            shared.wal_stats();
+        }
+    }
+    drop(shared);
+    (mem, acked, faulty.crashed(), faulty.bytes_appended())
+}
+
+/// Crashes one run at `plan` and checks what survives: an exact prefix
+/// of the deltas, at most one past the acknowledged ones (the write
+/// whose checkpoint hand-over failed was logged first), all of them
+/// without a crash, and under `Always` at least every acknowledged one.
+/// Returns whether the crash fired.
+fn crash_and_recover_a_prefix(
+    db: &CwDatabase,
+    deltas: &[Delta],
+    config: DurabilityConfig,
+    plan: FaultPlan,
+    schedule: Schedule,
+) -> bool {
+    let (mem, acked, crashed, _) = checkpointing_run(db, deltas, config, plan, schedule);
+    let context = format!("{plan:?}, {schedule:?}, {config:?}: {acked} acked");
+    let (recovered, report) = SharedEngine::recover_with(Box::new(mem), config, Engine::new)
+        .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
+    let kept = report.epoch as usize;
+    assert!(kept <= acked + 1, "{context}: recovered epoch {kept}");
+    if !crashed {
+        assert_eq!(kept, deltas.len(), "{context}: no crash, nothing lost");
+    }
+    if config.wal.fsync == FsyncPolicy::Always {
+        assert!(kept >= acked, "{context}: an acknowledged delta was lost");
+    }
+    let mut fresh = Engine::new(db.clone());
+    for delta in &deltas[..kept] {
+        fresh.apply(delta).unwrap();
+    }
+    assert_eq!(
+        recovered.snapshot().engine().db(),
+        fresh.db(),
+        "{context}: not the {kept}-delta prefix"
+    );
+    crashed
+}
+
+/// The power-loss tier: automatic checkpoints every 2 and every 3
+/// changing deltas, under `Always` and `Never`, each crash a process kill
+/// or one of the two power losses, each run waiting for the checkpointer
+/// or racing it; a crash at every byte appended, every sync and every
+/// remove. Every run must recover an exact prefix, and under `Always` one
+/// that covers every acknowledged delta.
+#[test]
+fn crashes_through_automatic_checkpoints_recover_a_prefix() {
+    let db = random_db(7, 3, 0.5);
+    let p0 = db.voc().pred_id("P0").unwrap();
+    let deltas: Vec<Delta> = (0..3u32)
+        .flat_map(|a| (0..3u32).map(move |b| (a, b)))
+        .filter(|&(a, b)| !db.facts(p0).contains(&[a, b]))
+        .map(|(a, b)| Delta::new().insert_fact(p0, &[ConstId(a), ConstId(b)]))
+        .collect();
+    assert_eq!(deltas.len(), 6, "the database leaves six fresh pairs");
+    for every in [2, 3] {
+        for fsync in [FsyncPolicy::Always, FsyncPolicy::Never] {
+            let config = checkpointing(fsync, every);
+            for power_loss in [None, Some(PowerLoss::Revert), Some(PowerLoss::KeepRemovals)] {
+                for schedule in [Schedule::Waiting, Schedule::Racing] {
+                    let with = |plan: FaultPlan| FaultPlan { power_loss, ..plan };
+                    let run = |plan| {
+                        crash_and_recover_a_prefix(&db, &deltas, config, with(plan), schedule)
+                    };
+                    let (_, _, _, total) =
+                        checkpointing_run(&db, &deltas, config, FaultPlan::default(), schedule);
+                    for k in 0..=total {
+                        run(FaultPlan::crash_after_bytes(k));
+                    }
+                    let syncs = (1..)
+                        .take_while(|&n| run(FaultPlan::crash_on_sync(n)))
+                        .count();
+                    let removes = (1..)
+                        .take_while(|&n| run(FaultPlan::crash_on_remove(n)))
+                        .count();
+                    assert!(
+                        syncs >= 6 && removes >= 4,
+                        "{syncs} syncs, {removes} removes"
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
