@@ -181,16 +181,31 @@ fn parse_checkpoint_name(name: &str) -> Option<u64> {
 /// checkpoint at all is not recoverable and is reported as empty, so
 /// the front-end re-seeds instead of refusing to start.
 pub fn has_state(storage: &dyn Storage) -> io::Result<bool> {
-    for name in storage.list()? {
-        if parse_checkpoint_name(&name).is_some() {
-            if let Ok(bytes) = storage.read(&name) {
-                if Checkpoint::decode(&bytes).is_some() {
-                    return Ok(true);
-                }
-            }
-        }
+    Ok(newest_checkpoint(storage, &storage.list()?).is_some())
+}
+
+/// The newest checkpoint among `names` that decodes cleanly. Torn ones are
+/// skipped: they never finished, so an older consistent one — or none — is
+/// the truth.
+fn newest_checkpoint(storage: &dyn Storage, names: &[String]) -> Option<Checkpoint> {
+    let mut epochs: Vec<u64> = names
+        .iter()
+        .filter_map(|n| parse_checkpoint_name(n))
+        .collect();
+    epochs.sort_unstable();
+    epochs.iter().rev().find_map(|&epoch| {
+        let bytes = storage.read(&checkpoint_name(epoch)).ok()?;
+        Checkpoint::decode(&bytes)
+    })
+}
+
+/// Drops the records at or below `checkpoint`'s epoch: they are already
+/// inside its payload (leftovers of a crash between the checkpoint write
+/// and the segment removal).
+fn drop_checkpointed(records: &mut Vec<WalRecord>, checkpoint: Option<&Checkpoint>) {
+    if let Some(ckpt) = checkpoint {
+        records.retain(|r| r.epoch > ckpt.epoch);
     }
-    Ok(false)
 }
 
 /// Writes a checkpoint capturing `payload` at `epoch` under the primary
@@ -273,24 +288,7 @@ impl Wal {
     pub fn open(storage: Box<dyn Storage>, config: WalConfig) -> io::Result<(Wal, Recovery)> {
         let mut storage = storage;
         let names = storage.list()?;
-
-        // Newest checkpoint that decodes cleanly wins; torn ones are
-        // skipped (they never finished, so an older consistent one —
-        // or none — is the truth).
-        let mut ckpt_epochs: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_checkpoint_name(n))
-            .collect();
-        ckpt_epochs.sort_unstable();
-        let mut checkpoint = None;
-        for &epoch in ckpt_epochs.iter().rev() {
-            if let Ok(bytes) = storage.read(&checkpoint_name(epoch)) {
-                if let Some(ckpt) = Checkpoint::decode(&bytes) {
-                    checkpoint = Some(ckpt);
-                    break;
-                }
-            }
-        }
+        let checkpoint = newest_checkpoint(&*storage, &names);
 
         // Scan segments in sequence order, stopping at the first corrupt
         // frame: that segment is truncated to its valid prefix and every
@@ -329,13 +327,7 @@ impl Wal {
             last = Some((seq, count, len));
         }
 
-        // Records at or below the checkpoint epoch are already inside the
-        // checkpoint payload (leftovers of a crash between checkpoint
-        // write and segment removal).
-        if let Some(ckpt) = &checkpoint {
-            let epoch = ckpt.epoch;
-            records.retain(|r| r.epoch > epoch);
-        }
+        drop_checkpointed(&mut records, checkpoint.as_ref());
 
         let mut stats = WalStats {
             records_recovered: records.len() as u64,
@@ -465,20 +457,7 @@ impl Wal {
     /// being appended, which has not been acknowledged yet).
     pub fn tail(&self) -> io::Result<(Option<Checkpoint>, Vec<WalRecord>)> {
         let names = self.storage.list()?;
-        let mut ckpt_epochs: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_checkpoint_name(n))
-            .collect();
-        ckpt_epochs.sort_unstable();
-        let mut checkpoint = None;
-        for &epoch in ckpt_epochs.iter().rev() {
-            if let Ok(bytes) = self.storage.read(&checkpoint_name(epoch)) {
-                if let Some(ckpt) = Checkpoint::decode(&bytes) {
-                    checkpoint = Some(ckpt);
-                    break;
-                }
-            }
-        }
+        let checkpoint = newest_checkpoint(&*self.storage, &names);
         let mut seg_seqs: Vec<u64> = names.iter().filter_map(|n| parse_segment_name(n)).collect();
         seg_seqs.sort_unstable();
         let mut records = Vec::new();
@@ -490,10 +469,7 @@ impl Wal {
                 break; // stop at the first torn frame — never a non-prefix
             }
         }
-        if let Some(ckpt) = &checkpoint {
-            let epoch = ckpt.epoch;
-            records.retain(|r| r.epoch > epoch);
-        }
+        drop_checkpointed(&mut records, checkpoint.as_ref());
         Ok((checkpoint, records))
     }
 

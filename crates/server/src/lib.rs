@@ -29,7 +29,7 @@
 //!   reported live in the `:stats` reply.
 //!
 //! The crate also ships the blocking [`Client`] used by the e2e tests,
-//! the CI smoke driver, and `qld_bench::socket_load`.
+//! the CI smoke driver, and `perfbench`'s `wire_read` workload.
 //!
 //! ```no_run
 //! use qld_engine::{Engine, SharedEngine};
@@ -787,7 +787,7 @@ impl RetryPolicy {
 
 /// A blocking client for the wire protocol: one request line out, one
 /// framed reply back. Used by the e2e tests, the CI smoke driver, and
-/// `qld_bench::socket_load`.
+/// `perfbench`'s `wire_read` workload.
 #[derive(Debug)]
 pub struct Client {
     writer: TcpStream,
