@@ -538,8 +538,11 @@ impl SharedEngine {
         (snapshot, CommitFeed { rx })
     }
 
-    /// Applies one replicated [`WalRecord`] on a follower, bypassing the
-    /// read-only gate. Returns the engine's epoch after the call.
+    /// Applies one replicated [`WalRecord`] on a read-only follower — the
+    /// one write path the read-only gate lets through. Returns the
+    /// engine's epoch after the call. A writable engine refuses every
+    /// record and heartbeat: once [`SharedEngine::promote`] returns, no
+    /// record of the old primary's stream lands.
     ///
     /// Epoch discipline makes resumption and stream overlap safe:
     ///
@@ -555,8 +558,9 @@ impl SharedEngine {
     /// Records with no facts and no `NE` pairs are heartbeats: they only
     /// refresh [`SharedEngine::source_epoch`].
     pub fn apply_replica(&self, record: &WalRecord) -> Result<u64, EngineError> {
-        self.note_source_epoch(record.epoch);
         let mut writer = self.inner.writer.lock().expect("writer engine poisoned");
+        self.check_replica()?;
+        self.note_source_epoch(record.epoch);
         self.check_wal_poisoned()?;
         let current = writer.epoch();
         if record.facts.is_empty() && record.ne_pairs.is_empty() {
@@ -601,10 +605,12 @@ impl SharedEngine {
     /// replaced engine and fail with
     /// [`EngineError::PreparedElsewhere`] afterwards — re-prepare them.
     /// (A server connection drops the statement and re-prepares the line,
-    /// so wire clients never see this.)
+    /// so wire clients never see this.) A writable engine refuses every
+    /// reset, as [`SharedEngine::apply_replica`] does every record.
     pub fn reset_replica(&self, mut engine: Engine, epoch: u64) -> Result<(), EngineError> {
         engine.set_epoch(epoch);
         let mut writer = self.inner.writer.lock().expect("writer engine poisoned");
+        self.check_replica()?;
         self.check_wal_poisoned()?;
         if epoch < writer.epoch() {
             return Err(EngineError::Durability(format!(
@@ -641,6 +647,18 @@ impl SharedEngine {
             self.checkpoint_or_poison(wal, &writer, generation)?;
         }
         Ok(generation)
+    }
+
+    /// The replication gate, checked under the writer lock that `promote`
+    /// takes to clear it.
+    fn check_replica(&self) -> Result<(), EngineError> {
+        if self.is_read_only() {
+            return Ok(());
+        }
+        Err(EngineError::Durability(
+            "replication: this engine is a writable primary; it applies no replicated state"
+                .to_string(),
+        ))
     }
 
     /// Whether this engine is a read-only replication follower.
@@ -1315,6 +1333,44 @@ mod tests {
             "{err}"
         );
         assert_eq!(follower.generation(), 4);
+    }
+
+    #[test]
+    fn a_promoted_engine_refuses_replica_records_and_heartbeats() {
+        let follower = SharedEngine::new(small_engine());
+        follower.set_read_only(true);
+        follower.promote().unwrap();
+        let record = WalRecord {
+            epoch: 1,
+            facts: vec![(0, vec![0])],
+            ne_pairs: Vec::new(),
+        };
+        let err = follower.apply_replica(&record).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Durability(d) if d.contains("writable primary")),
+            "{err}"
+        );
+        assert_eq!(follower.epoch(), 0);
+        let heartbeat = WalRecord {
+            epoch: 9,
+            facts: Vec::new(),
+            ne_pairs: Vec::new(),
+        };
+        assert!(follower.apply_replica(&heartbeat).is_err());
+        assert_eq!(follower.source_epoch(), 0);
+        // Nor does a snapshot transfer replace the promoted database.
+        let delta = pa_delta(&follower, "a");
+        follower.apply(&delta).unwrap();
+        let transferred = Engine::new(small_engine().db().clone());
+        let err = follower.reset_replica(transferred, 5).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Durability(d) if d.contains("writable primary")),
+            "{err}"
+        );
+        assert_eq!(follower.epoch(), 1);
+        let mut session = follower.session();
+        let q = session.prepare_text("(x) . P(x)").unwrap();
+        assert_eq!(session.execute(&q).unwrap().len(), 1);
     }
 
     #[test]

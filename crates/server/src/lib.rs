@@ -20,10 +20,14 @@
 //!   hopeless Theorem 1 enumerations with a certified bound instead of
 //!   burning the server's CPU;
 //! * **graceful shutdown**: [`ServerHandle::shutdown`] (or the
-//!   `:shutdown` wire command) flips a flag; the accept loop stops
-//!   accepting, every connection thread finishes its in-flight reply,
-//!   notices the flag at its next poll tick, and the server joins them
-//!   all before returning — no reply is ever cut off mid-frame;
+//!   `:shutdown` wire command) flips a flag, closes the read half of
+//!   every open connection and wakes the blocking accept loop with one
+//!   loopback connect; an idle connection thread reads EOF at once, a
+//!   busy one finishes its in-flight reply first, and the server joins
+//!   them all before returning — no reply is ever cut off mid-frame.
+//!   Nothing runs on a tick: accepts, reads and the follower's backoff
+//!   block until their own event wakes them, and an idle replication
+//!   feed notices shutdown at its next heartbeat;
 //! * per-connection [`ConnectionStats`] (queries, cache hits, deltas,
 //!   rejections) fold into aggregate [`ServerStats`] counters and are
 //!   reported live in the `:stats` reply.
@@ -57,18 +61,14 @@ pub mod script;
 use proto::{EvidenceTag, Hello, Reply, PROTOCOL_VERSION};
 use qld_engine::{SharedEngine, SharedSession};
 use script::{Database, Outcome, Readers, ScriptLine, Statement, Statements};
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// How often blocked reads and the accept loop re-check the shutdown
-/// flag. Small enough that shutdown feels immediate, large enough that
-/// an idle server burns no measurable CPU.
-const POLL_TICK: Duration = Duration::from_millis(20);
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -88,11 +88,13 @@ pub struct ServerConfig {
     pub query_quota: Option<u64>,
     /// Per-connection delta quota (`:insert`/`:assert-ne`).
     pub delta_quota: Option<u64>,
-    /// Idle cutoff: a connection that sends nothing for this long is
-    /// closed with `error: timeout`.
+    /// Idle cutoff: a connection silent this long, or still sending one
+    /// request line this long after it began, is closed with
+    /// `error: timeout` (a trickling client within twice this). Non-zero
+    /// ([`Server::bind`] refuses zero).
     pub read_timeout: Duration,
     /// Socket write timeout for replies (a stuck client cannot wedge a
-    /// connection thread forever).
+    /// connection thread forever); non-zero, like `read_timeout`.
     pub write_timeout: Duration,
 }
 
@@ -165,17 +167,62 @@ struct Counters {
 
 #[derive(Debug)]
 struct ServerState {
+    /// The listener's address: where shutdown's wake-up connect goes.
+    addr: SocketAddr,
     shutdown: AtomicBool,
-    active: AtomicUsize,
+    /// Every open connection's socket, by id. Its lock orders
+    /// registration against the shutdown sweep, so no accepted
+    /// connection misses the sweep.
+    open: Mutex<HashMap<u64, TcpStream>>,
     counters: Counters,
 }
 
 impl ServerState {
+    fn open(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        // The map is whole after any panic: poisoning guards nothing.
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Adds an accepted connection to the registry. One that arrives
+    /// after shutdown began has its read half closed at once.
+    fn register(&self, id: u64, stream: TcpStream) {
+        let mut open = self.open();
+        if self.shutdown.load(Ordering::Acquire) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        open.insert(id, stream);
+    }
+
+    /// Signals graceful shutdown (once): sets the flag and closes the
+    /// read half of every open connection under the registry lock — an
+    /// idle connection reads EOF at once, one mid-request still writes
+    /// its reply whole — then wakes the blocking accept loop with one
+    /// connect to the listener.
+    fn shutdown(&self) {
+        {
+            let open = self.open();
+            if self.shutdown.swap(true, Ordering::AcqRel) {
+                return;
+            }
+            for stream in open.values() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
+
     fn stats(&self) -> ServerStats {
         ServerStats {
             connections_accepted: self.counters.connections_accepted.load(Ordering::Relaxed),
             connections_rejected: self.counters.connections_rejected.load(Ordering::Relaxed),
-            active_connections: self.active.load(Ordering::Relaxed),
+            active_connections: self.open().len(),
             queries_served: self.counters.queries_served.load(Ordering::Relaxed),
             cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
             deltas_applied: self.counters.deltas_applied.load(Ordering::Relaxed),
@@ -189,21 +236,21 @@ impl ServerState {
 /// and read live statistics from any thread.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    addr: SocketAddr,
     state: Arc<ServerState>,
 }
 
 impl ServerHandle {
     /// The address the server is listening on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
-    /// Signals graceful shutdown: stop accepting, drain in-flight
-    /// replies, join every connection thread. [`Server::run`] returns
-    /// once the drain completes.
+    /// Signals graceful shutdown: stop accepting, close the read half
+    /// of every connection (a reply being written still goes out whole),
+    /// join every connection thread. [`Server::run`] returns once the
+    /// drain completes.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::Release);
+        self.state.shutdown();
     }
 
     /// Whether shutdown has been signalled.
@@ -231,19 +278,26 @@ pub struct Server {
 impl Server {
     /// Binds the listener. The engine keeps serving local sessions too —
     /// `SharedEngine` is already shared; the server is just one more
-    /// front door.
+    /// front door. A zero `read_timeout` or `write_timeout` is refused
+    /// ([`io::ErrorKind::InvalidInput`]): no socket takes a zero timeout.
     pub fn bind(shared: SharedEngine, config: ServerConfig) -> io::Result<Server> {
+        if config.read_timeout.is_zero() || config.write_timeout.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "read_timeout and write_timeout must be non-zero",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Server {
-            listener,
             shared,
             config: Arc::new(config),
             state: Arc::new(ServerState {
+                addr: listener.local_addr()?,
                 shutdown: AtomicBool::new(false),
-                active: AtomicUsize::new(0),
+                open: Mutex::new(HashMap::new()),
                 counters: Counters::default(),
             }),
+            listener,
         })
     }
 
@@ -255,7 +309,6 @@ impl Server {
     /// A remote control valid for this server's whole lifetime.
     pub fn handle(&self) -> io::Result<ServerHandle> {
         Ok(ServerHandle {
-            addr: self.local_addr()?,
             state: self.state.clone(),
         })
     }
@@ -266,47 +319,52 @@ impl Server {
     /// returning.
     pub fn run(self) -> io::Result<()> {
         let mut workers: Vec<JoinHandle<()>> = Vec::new();
-        while !self.state.shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    workers.retain(|w| !w.is_finished());
-                    if self.state.active.load(Ordering::Relaxed) >= self.config.max_connections {
-                        self.state
-                            .counters
-                            .connections_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                        reject_busy(stream, self.config.max_connections);
-                        continue;
-                    }
-                    self.state.active.fetch_add(1, Ordering::Relaxed);
-                    self.state
-                        .counters
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    let session = self.shared.session();
-                    let shared = self.shared.clone();
-                    let config = self.config.clone();
-                    let state = self.state.clone();
-                    workers.push(thread::spawn(move || {
-                        let _ = serve_connection(stream, session, shared, &config, &state);
-                        state.active.fetch_sub(1, Ordering::Relaxed);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_TICK),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.state.shutdown.store(true, Ordering::Release);
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(e);
-                }
+        let result = loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
+            };
+            // Shutdown's wake-up connect, or a client that raced it:
+            // neither counted nor served.
+            if self.state.shutdown.load(Ordering::Acquire) {
+                break Ok(());
             }
-        }
+            workers.retain(|w| !w.is_finished());
+            if self.state.open().len() >= self.config.max_connections {
+                self.state
+                    .counters
+                    .connections_rejected
+                    .fetch_add(1, Ordering::Relaxed);
+                reject_busy(stream, self.config.max_connections);
+                continue;
+            }
+            // A connection the sweep could not reach is not served.
+            let Ok(registered) = stream.try_clone() else {
+                continue;
+            };
+            let id = self
+                .state
+                .counters
+                .connections_accepted
+                .fetch_add(1, Ordering::Relaxed);
+            self.state.register(id, registered);
+            let session = self.shared.session();
+            let shared = self.shared.clone();
+            let config = self.config.clone();
+            let state = self.state.clone();
+            workers.push(thread::spawn(move || {
+                let _ = serve_connection(stream, session, shared, &config, &state);
+                state.open().remove(&id);
+            }));
+        };
+        // Already done after a signalled shutdown; after an accept error
+        // it drains the open connections.
+        self.state.shutdown();
         for worker in workers {
             let _ = worker.join();
         }
-        Ok(())
+        result
     }
 
     /// Spawns [`Server::run`] on its own thread and returns the pair of
@@ -358,24 +416,17 @@ impl RunningServer {
 
 /// Tells an over-cap connection why it is being dropped. Best-effort:
 /// the socket may already be gone.
-fn reject_busy(stream: TcpStream, cap: usize) {
+fn reject_busy(mut stream: TcpStream, cap: usize) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut stream = stream;
     let _ = writeln!(
         stream,
         "error: busy: connection limit reached ({cap} active)"
     );
 }
 
-/// Longest accepted request line in bytes, newline included. Orders of
-/// magnitude beyond any sane query, and small enough that a hostile
-/// peer streaming an endless "line" cannot balloon a connection
-/// thread's memory.
-const MAX_REQUEST_BYTES: usize = 64 * 1024;
-
 /// What [`read_request`] produced.
 enum Request<'a> {
-    /// A complete UTF-8 request line, in the connection's buffer.
+    /// A UTF-8 request line, in the connection's buffer.
     Line(&'a str),
     /// A malformed frame (invalid UTF-8) was refused with a
     /// `error: protocol:` reply; the connection stays usable — the
@@ -387,90 +438,83 @@ enum Request<'a> {
     Closed,
 }
 
+/// Whether a socket error is its timeout firing.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// A connection's read side under the idle cutoff. The socket's read
+/// timeout, `timeout`, cuts off silence; past `timeout` since a
+/// request's first read, its next read fails too, so a client trickling
+/// bytes is cut off like a silent one, within twice `timeout`.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    timeout: Duration,
+    /// The current request's cutoff, set by its first read (`None`
+    /// before it, and when `timeout` is past the clock's range).
+    until: Option<Instant>,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.until {
+            None => self.until = Instant::now().checked_add(self.timeout),
+            Some(until) if Instant::now() >= until => return Err(io::ErrorKind::TimedOut.into()),
+            Some(_) => {}
+        }
+        self.stream.read(buf)
+    }
+}
+
 /// Reads one request line into `buf` (the connection's, reused from
-/// request to request) — bounded, UTF-8-validated where it lies, and
-/// polling the shutdown flag and the idle clock between socket
-/// timeouts. Malformed input is answered with a clean per-connection
-/// `error: protocol:` reply (and counted), never a panic or a wedged
-/// connection; the diagnostics are sent here because only this loop
-/// knows which transport rule fired.
+/// request to request) through [`proto::read_line`]. A trailing
+/// unterminated line at EOF still counts as a request. Malformed input
+/// and the idle cutoff ([`Deadline`]) are answered here, with a clean
+/// `error: protocol:` or `error: timeout:` reply (and counted), never a
+/// panic or a wedged connection.
 fn read_request<'a>(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
+    reader: &mut BufReader<Deadline<'_>>,
+    mut writer: &TcpStream,
     buf: &'a mut Vec<u8>,
     config: &ServerConfig,
     state: &ServerState,
     stats: &mut ConnectionStats,
 ) -> Request<'a> {
-    buf.clear();
-    let idle_since = Instant::now();
-    let protocol_error = |stats: &mut ConnectionStats, writer: &mut TcpStream, what: &str| {
-        stats.rejections += 1;
+    reader.get_mut().until = None;
+    let (request, diagnostic) = match proto::read_line(reader, buf) {
+        Ok(_) if buf.is_empty() => return Request::Closed,
+        Ok(_) => match std::str::from_utf8(buf) {
+            Ok(line) => return Request::Line(line),
+            Err(_) => (
+                Request::Skip,
+                "protocol: request line is not valid UTF-8".to_string(),
+            ),
+        },
+        Err(e) if is_timeout(&e) => (
+            Request::Closed,
+            format!("timeout: idle for {:?}", config.read_timeout),
+        ),
+        // Over-long: closing (rather than draining to the next newline)
+        // is deliberate — the peer is either broken or hostile, and the
+        // rest of the line is unbounded.
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            (Request::Closed, format!("protocol: request {e}"))
+        }
+        Err(_) => return Request::Closed,
+    };
+    stats.rejections += 1;
+    state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
+    if diagnostic.starts_with("protocol:") {
         state
             .counters
             .protocol_errors
             .fetch_add(1, Ordering::Relaxed);
-        state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-        let _ = writeln!(writer, "error: protocol: {what}");
-    };
-    loop {
-        let (take, complete) = match reader.fill_buf() {
-            // EOF: a trailing unterminated line still counts as a
-            // request (matching what a buffered line reader would do).
-            Ok([]) if buf.is_empty() => return Request::Closed,
-            Ok([]) => (0, true),
-            Ok(available) => {
-                let newline = available.iter().position(|&b| b == b'\n');
-                (
-                    newline.map_or(available.len(), |i| i + 1),
-                    newline.is_some(),
-                )
-            }
-            // A timeout tick: bytes already taken stay in `buf`, so
-            // retrying is lossless.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.shutdown.load(Ordering::Acquire) {
-                    return Request::Closed;
-                }
-                if idle_since.elapsed() >= config.read_timeout {
-                    stats.rejections += 1;
-                    state.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-                    let _ = writeln!(writer, "error: timeout: idle for {:?}", config.read_timeout);
-                    return Request::Closed;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Request::Closed,
-        };
-        if buf.len() + take > MAX_REQUEST_BYTES {
-            // Closing (rather than draining to the next newline) is
-            // deliberate: the peer is either broken or hostile, and the
-            // rest of the oversized line is unbounded.
-            protocol_error(
-                stats,
-                writer,
-                &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
-            );
-            return Request::Closed;
-        }
-        buf.extend_from_slice(&reader.buffer()[..take]);
-        reader.consume(take);
-        if complete {
-            return match std::str::from_utf8(buf) {
-                Ok(line) => Request::Line(line),
-                Err(_) => {
-                    protocol_error(stats, writer, "request line is not valid UTF-8");
-                    Request::Skip
-                }
-            };
-        }
     }
+    let _ = writeln!(writer, "error: {diagnostic}");
+    request
 }
 
 /// One connection, start to finish: greeting, optional auth handshake,
@@ -486,10 +530,14 @@ fn serve_connection(
     state: &ServerState,
 ) -> io::Result<ConnectionStats> {
     let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(POLL_TICK))?;
+    stream.set_read_timeout(Some(config.read_timeout))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut writer = &stream;
+    let mut reader = BufReader::new(Deadline {
+        stream: &stream,
+        timeout: config.read_timeout,
+        until: None,
+    });
 
     let hello = Hello {
         version: PROTOCOL_VERSION,
@@ -503,24 +551,16 @@ fn serve_connection(
     let mut authed = config.auth_token.is_none();
     let mut buf = Vec::new();
     let mut reply = String::new();
-    loop {
-        let line = match read_request(
-            &mut reader,
-            &mut writer,
-            &mut buf,
-            config,
-            state,
-            &mut stats,
-        ) {
+    // Re-checked before every read, not only at EOF: the sweep closes the
+    // read half, but bytes a client already sent stay readable, and a
+    // client streaming requests back-to-back must not hold the drain
+    // hostage.
+    while !state.shutdown.load(Ordering::Acquire) {
+        let line = match read_request(&mut reader, writer, &mut buf, config, state, &mut stats) {
             Request::Line(line) => line,
             // The protocol error has been replied to; the stream is
-            // still framed, so keep serving (but honour shutdown).
-            Request::Skip => {
-                if state.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                continue;
-            }
+            // still framed, so keep serving.
+            Request::Skip => continue,
             Request::Closed => break,
         };
         let request = line.trim();
@@ -551,7 +591,7 @@ fn serve_connection(
             // replication feed until the follower drops or the server
             // shuts down, then closes. Write errors just mean the
             // follower went away — it reconnects and resumes on its own.
-            let _ = replication::serve_feed(request, &mut writer, &shared, state);
+            let _ = replication::serve_feed(request, writer, &shared, state);
             break;
         } else {
             close = handle_request(
@@ -566,11 +606,7 @@ fn serve_connection(
         }
 
         writer.write_all(reply.as_bytes())?;
-        // Re-check shutdown after every completed reply, not only on idle
-        // read ticks: a client streaming requests back-to-back never
-        // leaves the socket idle, and must not be able to hold the drain
-        // hostage.
-        if close || state.shutdown.load(Ordering::Acquire) {
+        if close {
             break;
         }
     }
@@ -718,7 +754,7 @@ fn handle_request(
         }
         Ok(Outcome::Shutdown) => {
             let _ = writeln!(reply, "done: epoch={}", engine.epoch());
-            state.shutdown.store(true, Ordering::Release);
+            state.shutdown();
             true
         }
         Err(e) => {
@@ -910,12 +946,7 @@ impl Client {
                     ));
                 }
                 Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if is_timeout(&e) => {
                     return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
                         "server reply timed out (see Client::set_timeout); the connection \
@@ -1057,6 +1088,7 @@ mod tests {
         let ids = voc.add_consts(["a", "b", "c"]).unwrap();
         let p = voc.add_pred("P", 1).unwrap();
         let db = CwDatabase::builder(voc).fact(p, &[ids[2]]).build().unwrap();
+        shared.set_read_only(true); // only a follower takes a reset
         shared.reset_replica(Engine::new(db), 5).unwrap();
         for _ in 0..2 {
             let reply = client.request("(x) . P(x)").unwrap();
@@ -1308,6 +1340,171 @@ mod tests {
         };
         let err = Client::connect_with_retry(addr, policy).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    #[test]
+    fn request_lines_at_and_past_the_cap() {
+        let (running, addr) = start(ServerConfig::default());
+        let (mut stream, mut reader) = raw_connect(addr);
+        // Exactly the cap, newline included: served.
+        let mut line = format!("{:<1$}\n", "P(a)", proto::MAX_LINE_BYTES - 1);
+        assert_eq!(line.len(), proto::MAX_LINE_BYTES);
+        stream.write_all(line.as_bytes()).unwrap();
+        let reply = read_line_from(&mut reader);
+        assert!(reply.starts_with("answer: CERTAIN"), "{reply}");
+        assert!(read_line_from(&mut reader).starts_with("evidence:"));
+        assert!(read_line_from(&mut reader).starts_with("done:"));
+        // One byte more: refused, then closed.
+        line.insert(0, ' ');
+        stream.write_all(line.as_bytes()).unwrap();
+        let reply = read_line_from(&mut reader);
+        assert!(
+            reply.starts_with("error: protocol: request line exceeds 65536 bytes"),
+            "{reply}"
+        );
+        assert_eq!(read_line_from(&mut reader), "");
+        running.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_trailing_unterminated_line_at_eof_is_a_request() {
+        let (running, addr) = start(ServerConfig::default());
+        let (mut stream, mut reader) = raw_connect(addr);
+        stream.write_all(b"P(a)").unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let reply = read_line_from(&mut reader);
+        assert!(reply.starts_with("answer: CERTAIN"), "{reply}");
+        running.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_silent_connection_is_cut_off_at_read_timeout() {
+        let (running, addr) = start(ServerConfig {
+            read_timeout: Duration::from_millis(200),
+            ..ServerConfig::default()
+        });
+        let (_stream, mut reader) = raw_connect(addr);
+        let reply = read_line_from(&mut reader);
+        assert!(
+            reply.starts_with("error: timeout: idle for 200ms"),
+            "{reply}"
+        );
+        assert_eq!(read_line_from(&mut reader), "", "closed after the timeout");
+        assert_eq!(running.stats().errors_sent, 1);
+        running.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_client_talking_every_half_timeout_is_not_cut_off() {
+        let timeout = Duration::from_millis(300);
+        let (running, addr) = start(ServerConfig {
+            read_timeout: timeout,
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(addr).unwrap();
+        // Eight half-timeouts: the connection outlives four read timeouts.
+        for _ in 0..8 {
+            thread::sleep(timeout / 2);
+            assert_eq!(client.request("P(a)").unwrap().answers, vec!["CERTAIN"]);
+        }
+        assert_eq!(running.stats().errors_sent, 0);
+        running.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_client_trickling_one_request_is_cut_off() {
+        let timeout = Duration::from_millis(200);
+        let (running, addr) = start(ServerConfig {
+            read_timeout: timeout,
+            ..ServerConfig::default()
+        });
+        let (stream, mut reader) = raw_connect(addr);
+        // One byte every half-timeout, never a newline: each byte arrives
+        // well inside the socket timeout, but the request never ends.
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickler = {
+            let (stop, mut stream) = (stop.clone(), stream.try_clone().unwrap());
+            thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) && stream.write_all(b"P").is_ok() {
+                    thread::sleep(timeout / 2);
+                }
+            })
+        };
+        // `raw_connect`'s 5 s read timeout bounds the wait.
+        let reply = read_line_from(&mut reader);
+        stop.store(true, Ordering::Release);
+        assert!(
+            reply.starts_with("error: timeout: idle for 200ms"),
+            "{reply}"
+        );
+        trickler.join().unwrap();
+        assert_eq!(running.stats().errors_sent, 1);
+        running.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_zero_timeout_is_refused_at_bind() {
+        for config in [
+            ServerConfig {
+                read_timeout: Duration::ZERO,
+                ..ServerConfig::default()
+            },
+            ServerConfig {
+                write_timeout: Duration::ZERO,
+                ..ServerConfig::default()
+            },
+        ] {
+            let err = Server::bind(shared(), config).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_client_and_an_attached_feed() {
+        let (running, addr) = start(ServerConfig::default());
+        let handle = running.handle();
+        let (_idle, mut idle_reader) = raw_connect(addr);
+        let (mut feed, mut feed_reader) = raw_connect(addr);
+        feed.write_all(b":follow bootstrap generation=0\n").unwrap();
+        let header = read_line_from(&mut feed_reader);
+        assert!(header.starts_with("feed:"), "{header}");
+
+        let (done, returned) = std::sync::mpsc::channel();
+        let stopper = thread::spawn(move || done.send(running.shutdown()));
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown returns with an idle client and a feed attached")
+            .unwrap();
+        stopper.join().unwrap().unwrap();
+        assert_eq!(read_line_from(&mut idle_reader), "");
+        // The wake-up connect is neither accepted nor rejected.
+        let stats = handle.stats();
+        assert_eq!(stats.connections_accepted, 2, "{stats:?}");
+        assert_eq!(stats.connections_rejected, 0, "{stats:?}");
+        assert_eq!(stats.active_connections, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_connection_registered_after_shutdown_reads_eof_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let state = ServerState {
+            addr: listener.local_addr().unwrap(),
+            shutdown: AtomicBool::new(false),
+            open: Mutex::new(HashMap::new()),
+            counters: Counters::default(),
+        };
+        state.shutdown();
+        let (_wake, _) = listener.accept().unwrap();
+        let _client = TcpStream::connect(state.addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        state.register(0, stream.try_clone().unwrap());
+        // The client is silent: without the sweep this read times out.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = Vec::new();
+        assert!(!proto::read_line(&mut BufReader::new(&stream), &mut buf).unwrap());
+        assert!(buf.is_empty());
     }
 
     #[test]

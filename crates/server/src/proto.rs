@@ -46,9 +46,37 @@
 use qld_engine::{Answers, Evidence, Semantics};
 use qld_logic::{ConstId, Vocabulary};
 use std::fmt;
+use std::io::{self, BufRead, Read};
 
 /// Protocol version in the greeting; bump on incompatible changes.
 pub const PROTOCOL_VERSION: u32 = 1;
+
+/// Longest line either end accepts, newline included: a request on the
+/// server, a greeting or header on a follower. Orders of magnitude beyond
+/// any sane query, and small enough that a hostile peer streaming an
+/// endless "line" cannot balloon a thread's memory.
+pub(crate) const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Reads one line into `buf` (cleared first): through its `\n`, or up to
+/// EOF. Returns whether the line ended in `\n`; `false` with an empty
+/// `buf` is a clean EOF. A line longer than [`MAX_LINE_BYTES`] is an
+/// [`io::ErrorKind::InvalidData`] error: the rest of it is unbounded, so
+/// the stream cannot be resynchronised. Socket errors, timeouts
+/// included, pass through. The bytes are not checked for UTF-8 — what a
+/// bad line costs is the caller's rule.
+pub(crate) fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if buf.len() > MAX_LINE_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line exceeds {MAX_LINE_BYTES} bytes"),
+        ));
+    }
+    Ok(buf.last() == Some(&b'\n'))
+}
 
 /// The boolean-query verdict word (shared by the CLI and the wire, so a
 /// remote answer renders identically to a local one).
@@ -331,6 +359,24 @@ mod tests {
             assert!(hit.evidence().cache_hit);
             assert_eq!(hit.text_memo(|| unreachable!("rendered once")), want);
         }
+    }
+
+    #[test]
+    fn read_line_is_bounded_and_reports_the_terminator() {
+        let at_cap = [vec![b'a'; MAX_LINE_BYTES - 1], b"\nnext".to_vec()].concat();
+        let mut reader = &at_cap[..];
+        let mut buf = Vec::new();
+        assert!(read_line(&mut reader, &mut buf).unwrap());
+        assert_eq!(buf.len(), MAX_LINE_BYTES);
+        // The unterminated tail at EOF, then a clean EOF.
+        assert!(!read_line(&mut reader, &mut buf).unwrap());
+        assert_eq!(buf, b"next");
+        assert!(!read_line(&mut reader, &mut buf).unwrap());
+        assert!(buf.is_empty());
+
+        let over = [vec![b'a'; MAX_LINE_BYTES], b"\n".to_vec()].concat();
+        let err = read_line(&mut &over[..], &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

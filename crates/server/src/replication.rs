@@ -45,7 +45,9 @@
 //! treats anything further ahead as a gap: it drops the connection and
 //! reconnects, resuming from its last applied epoch. Reconnection uses
 //! the same [`RetryPolicy`] backoff as clients, forever — a follower
-//! outlives any primary outage.
+//! outlives any primary outage. A primary heartbeats an idle feed, so a
+//! follower that hears nothing for five heartbeat periods once the
+//! stream is live drops the connection and reconnects too.
 //!
 //! # Generation fencing
 //!
@@ -61,26 +63,32 @@
 //! rebuilt at the same epoch — `tests/replication.rs` asserts exactly
 //! that, across all four semantics.
 
-use crate::proto::Hello;
-use crate::{RetryPolicy, ServerState, POLL_TICK};
+use crate::proto::{self, Hello};
+use crate::{RetryPolicy, ServerState};
 use qld_core::CwDatabase;
 use qld_engine::{Engine, SharedEngine};
 use qld_wal::{WalRecord, MAX_RECORD_BYTES};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::convert::Infallible;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How often an idle feed sends a heartbeat frame (empty record at the
 /// primary's current epoch). Followers use it for lag accounting and as
 /// a liveness signal; a dead follower is detected by the write failing.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
-/// Longest accepted protocol line on the follower side of the feed.
-const MAX_FEED_LINE: usize = 64 * 1024;
+/// How long a follower waits on a silent live stream — five missed
+/// heartbeats — before it drops the connection and reconnects.
+const LIVENESS_DEADLINE: Duration = HEARTBEAT_EVERY.saturating_mul(5);
+
+/// A follower's bound on every write, and on each read until the stream
+/// is live: a primary may wait for a checkpoint or encode a snapshot then.
+const CATCH_UP_DEADLINE: Duration = Duration::from_secs(10);
 
 /// The parsed `:follow` handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,11 +149,11 @@ impl Drop for FeedGuard<'_> {
 
 /// Serves one replication feed on a connection that sent `:follow …`.
 /// Runs until the follower disconnects (write failure), the server
-/// shuts down, or the handshake is refused; the connection closes
-/// afterwards either way.
+/// shuts down (noticed at the next record or heartbeat), or the
+/// handshake is refused; the connection closes afterwards either way.
 pub(crate) fn serve_feed(
     request: &str,
-    writer: &mut TcpStream,
+    mut writer: &TcpStream,
     shared: &SharedEngine,
     state: &ServerState,
 ) -> io::Result<()> {
@@ -220,30 +228,19 @@ pub(crate) fn serve_feed(
         }
     }
 
-    let mut last_send = Instant::now();
-    loop {
-        if state.shutdown.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        match feed.recv_timeout(POLL_TICK) {
-            Ok(record) => {
-                writer.write_all(&record.encode_frame())?;
-                last_send = Instant::now();
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if last_send.elapsed() >= HEARTBEAT_EVERY {
-                    let heartbeat = WalRecord {
-                        epoch: shared.epoch(),
-                        facts: Vec::new(),
-                        ne_pairs: Vec::new(),
-                    };
-                    writer.write_all(&heartbeat.encode_frame())?;
-                    last_send = Instant::now();
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return Ok(()),
-        }
+    while !state.shutdown.load(Ordering::Acquire) {
+        let record = match feed.recv_timeout(HEARTBEAT_EVERY) {
+            Ok(record) => record,
+            Err(RecvTimeoutError::Timeout) => WalRecord {
+                epoch: shared.epoch(),
+                facts: Vec::new(),
+                ne_pairs: Vec::new(),
+            },
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        writer.write_all(&record.encode_frame())?;
     }
+    Ok(())
 }
 
 /// How an engine for a transferred snapshot database is built — the
@@ -268,7 +265,21 @@ pub struct FollowerLink {
     retry: RetryPolicy,
     build: BuildEngine,
     synced: AtomicBool,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Mutex<Stop>>,
+}
+
+/// What [`FollowerHandle::stop`] reaches into, under one lock so that a
+/// socket the link opens after the stop request is refused.
+#[derive(Debug, Default)]
+struct Stop {
+    requested: bool,
+    /// The link's current connection to the primary.
+    socket: Option<TcpStream>,
+}
+
+fn lock(stop: &Mutex<Stop>) -> MutexGuard<'_, Stop> {
+    // Two plain fields, whole after any panic: poisoning guards nothing.
+    stop.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for FollowerLink {
@@ -305,7 +316,7 @@ impl FollowerLink {
             retry,
             build,
             synced,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Arc::default(),
         }
     }
 
@@ -325,57 +336,58 @@ impl FollowerLink {
     }
 
     fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire) || !self.shared.is_read_only()
+        lock(&self.stop).requested || !self.shared.is_read_only()
     }
 
     fn run(self) {
         let mut rng = self.retry.jitter_seed | 1;
         let mut failures: u32 = 0;
         while !self.stopped() {
-            match self.feed_once() {
-                Ok(()) => break,
-                Err(_) => failures = failures.saturating_add(1),
-            }
+            let _ = self.feed_once();
+            lock(&self.stop).socket = None;
+            failures = failures.saturating_add(1);
             if self.stopped() {
                 break;
             }
-            // Backoff, polling the stop flag so promotion/shutdown never
-            // waits out a long delay.
-            let backoff = self
-                .retry
-                .delay_before(failures.min(self.retry.attempts.max(1)), &mut rng);
-            let waited_until = Instant::now() + backoff;
-            while Instant::now() < waited_until && !self.stopped() {
-                thread::sleep(POLL_TICK.min(backoff));
-            }
+            // `FollowerHandle::stop` unparks this wait.
+            thread::park_timeout(
+                self.retry
+                    .delay_before(failures.min(self.retry.attempts.max(1)), &mut rng),
+            );
         }
     }
 
     /// One connection lifetime: connect, handshake, catch up, apply the
-    /// stream until it breaks or a stop is requested.
-    fn feed_once(&self) -> io::Result<()> {
+    /// stream until it breaks — a feed never ends cleanly, so this
+    /// returns only an error: EOF, a refusal, a primary silent past
+    /// [`CATCH_UP_DEADLINE`] before the stream or [`LIVENESS_DEADLINE`]
+    /// during it, or a stop shutting the socket down.
+    fn feed_once(&self) -> io::Result<Infallible> {
         let stream = TcpStream::connect(&self.primary)?;
         let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(POLL_TICK))?;
-        stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        let stop = || self.stopped();
+        stream.set_read_timeout(Some(CATCH_UP_DEADLINE))?;
+        stream.set_write_timeout(Some(CATCH_UP_DEADLINE))?;
+        {
+            let mut stop = lock(&self.stop);
+            if stop.requested {
+                return Err(feed_err("the link was stopped".to_string()));
+            }
+            stop.socket = Some(stream.try_clone()?);
+        }
+        let mut writer = &stream;
+        let mut reader = BufReader::new(&stream);
+        let mut buf = Vec::new();
 
         // Greeting, then auth if the primary demands it.
-        let Some(line) = read_feed_line(&mut reader, &stop)? else {
-            return Ok(());
-        };
-        let hello = Hello::parse(&line)
+        let line = next_line(&mut reader, &mut buf)?;
+        let hello = Hello::parse(line)
             .ok_or_else(|| feed_err(format!("unexpected greeting: {}", line.trim())))?;
         if hello.auth_required {
             let token = self.token.as_deref().ok_or_else(|| {
                 feed_err("primary requires auth and no --token was configured".to_string())
             })?;
             writeln!(writer, "auth {token}")?;
-            let Some(line) = read_feed_line(&mut reader, &stop)? else {
-                return Ok(());
-            };
+            let line = next_line(&mut reader, &mut buf)?;
             if !line.starts_with("done:") {
                 return Err(feed_err(format!("auth refused: {}", line.trim())));
             }
@@ -390,26 +402,15 @@ impl FollowerLink {
             generation: self.shared.generation(),
         };
         writeln!(writer, "{}", request.render())?;
-        let Some(line) = read_feed_line(&mut reader, &stop)? else {
-            return Ok(());
-        };
-        let line = line.trim();
+        let line = next_line(&mut reader, &mut buf)?.trim();
         let Some(rest) = line.strip_prefix("feed:") else {
             // `error: fenced: …` and every other refusal lands here.
             return Err(feed_err(format!("feed refused: {line}")));
         };
-        let mut feed_generation = None;
-        let mut feed_epoch = None;
-        for word in rest.split_whitespace() {
-            if let Some(g) = word.strip_prefix("generation=") {
-                feed_generation = g.parse::<u64>().ok();
-            } else if let Some(e) = word.strip_prefix("epoch=") {
-                feed_epoch = e.parse::<u64>().ok();
-            }
-        }
-        let (feed_generation, feed_epoch) = match (feed_generation, feed_epoch) {
-            (Some(g), Some(e)) => (g, e),
-            _ => return Err(feed_err(format!("malformed feed header: {line}"))),
+        let (Some(feed_generation), Some(feed_epoch)) =
+            (field::<u64>(rest, "generation="), field(rest, "epoch="))
+        else {
+            return Err(feed_err(format!("malformed feed header: {line}")));
         };
         if feed_generation < self.shared.generation() {
             // Fencing, follower side: this primary's term predates ours
@@ -424,28 +425,13 @@ impl FollowerLink {
         self.shared.note_source_epoch(feed_epoch);
 
         // Catch-up header.
-        let Some(line) = read_feed_line(&mut reader, &stop)? else {
-            return Ok(());
-        };
-        let line = line.trim();
+        let line = next_line(&mut reader, &mut buf)?.trim();
         if let Some(rest) = line.strip_prefix("snapshot:") {
-            let mut epoch = None;
-            let mut bytes = None;
-            for word in rest.split_whitespace() {
-                if let Some(e) = word.strip_prefix("epoch=") {
-                    epoch = e.parse::<u64>().ok();
-                } else if let Some(b) = word.strip_prefix("bytes=") {
-                    bytes = b.parse::<usize>().ok();
-                }
-            }
-            let (epoch, bytes) = match (epoch, bytes) {
-                (Some(e), Some(b)) => (e, b),
-                _ => return Err(feed_err(format!("malformed snapshot header: {line}"))),
+            let (Some(epoch), Some(bytes)) = (field(rest, "epoch="), field(rest, "bytes=")) else {
+                return Err(feed_err(format!("malformed snapshot header: {line}")));
             };
             let mut payload = vec![0u8; bytes];
-            if !read_exact_polling(&mut reader, &mut payload, &stop)? {
-                return Ok(());
-            }
+            reader.read_exact(&mut payload)?;
             let db = qld_core::codec::decode(&payload)
                 .map_err(|e| feed_err(format!("snapshot database invalid: {e}")))?;
             self.shared
@@ -457,18 +443,15 @@ impl FollowerLink {
         }
 
         // The stream: tail records, then live commits and heartbeats.
+        stream.set_read_timeout(Some(LIVENESS_DEADLINE))?;
         loop {
-            match read_frame(&mut reader, &stop)? {
-                None => return Ok(()),
-                Some(record) => {
-                    let applied = !record.facts.is_empty() || !record.ne_pairs.is_empty();
-                    self.shared
-                        .apply_replica(&record)
-                        .map_err(|e| feed_err(e.to_string()))?;
-                    if applied {
-                        self.synced.store(true, Ordering::Release);
-                    }
-                }
+            let record = read_frame(&mut reader)?;
+            let applied = !record.facts.is_empty() || !record.ne_pairs.is_empty();
+            self.shared
+                .apply_replica(&record)
+                .map_err(|e| feed_err(e.to_string()))?;
+            if applied {
+                self.synced.store(true, Ordering::Release);
             }
         }
     }
@@ -477,7 +460,7 @@ impl FollowerLink {
 /// Remote control for a spawned [`FollowerLink`].
 #[derive(Debug)]
 pub struct FollowerHandle {
-    stop: Arc<AtomicBool>,
+    stop: Arc<Mutex<Stop>>,
     shared: SharedEngine,
     thread: JoinHandle<()>,
 }
@@ -488,12 +471,21 @@ impl FollowerHandle {
         &self.shared
     }
 
-    /// Signals the apply loop to stop and waits for it to exit. Called
-    /// automatically by promotion workflows: clearing the read-only flag
-    /// (via [`SharedEngine::promote`]) also stops the loop at its next
-    /// poll tick, so `stop` after a promote returns promptly.
+    /// Stops the apply loop and waits for it to exit: shuts down the
+    /// link's socket, which ends a blocked read at once, and unparks a
+    /// backoff wait. A promote ([`SharedEngine::promote`]) ends the loop
+    /// too — `apply_replica` refuses the next record or heartbeat, and a
+    /// link in backoff exits when the wait ends — so `stop` after a
+    /// promote just joins it.
     pub fn stop(self) {
-        self.stop.store(true, Ordering::Release);
+        {
+            let mut stop = lock(&self.stop);
+            stop.requested = true;
+            if let Some(socket) = &stop.socket {
+                let _ = socket.shutdown(Shutdown::Both);
+            }
+        }
+        self.thread.thread().unpark();
         self.thread.join().expect("follower thread panicked");
     }
 }
@@ -505,120 +497,211 @@ fn feed_err(message: String) -> io::Error {
     )
 }
 
-/// Matches the error kinds a socket read timeout surfaces as.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
+/// The value of the `key` word (`key` ends in `=`) of a feed header.
+fn field<T: std::str::FromStr>(header: &str, key: &str) -> Option<T> {
+    header
+        .split_whitespace()
+        .find_map(|word| word.strip_prefix(key)?.parse().ok())
 }
 
-/// Reads one protocol line, polling `stop` across read-timeout ticks so
-/// a waiting follower reacts to promotion/shutdown promptly. `Ok(None)`
-/// means a stop was requested mid-line; EOF is an error (the feed never
-/// ends cleanly from the primary side).
-fn read_feed_line(
-    reader: &mut BufReader<TcpStream>,
-    stop: &dyn Fn() -> bool,
-) -> io::Result<Option<String>> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let (take, complete) = match reader.fill_buf() {
-            Ok([]) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "primary closed the replication connection",
-                ))
-            }
-            Ok(available) => {
-                let newline = available.iter().position(|&b| b == b'\n');
-                (
-                    newline.map_or(available.len(), |i| i + 1),
-                    newline.is_some(),
-                )
-            }
-            Err(e) if is_timeout(&e) => {
-                if stop() {
-                    return Ok(None);
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if buf.len() + take > MAX_FEED_LINE {
-            return Err(feed_err("protocol line exceeds the line cap".to_string()));
-        }
-        buf.extend_from_slice(&reader.buffer()[..take]);
-        reader.consume(take);
-        if complete {
-            return String::from_utf8(buf)
-                .map(Some)
-                .map_err(|_| feed_err("protocol line is not valid UTF-8".to_string()));
-        }
+/// Reads one protocol line of the feed through [`proto::read_line`].
+/// EOF — even after an unterminated tail — is an error (a primary never
+/// ends a feed), and so is a line that is not UTF-8.
+fn next_line<'a>(reader: &mut impl BufRead, buf: &'a mut Vec<u8>) -> io::Result<&'a str> {
+    if !proto::read_line(reader, buf)? {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "primary closed the replication connection",
+        ));
     }
+    std::str::from_utf8(buf).map_err(|_| feed_err("protocol line is not valid UTF-8".to_string()))
 }
 
-/// `read_exact` that survives read-timeout ticks (polling `stop`)
-/// without losing already-read bytes. Returns `false` if a stop was
-/// requested before the buffer filled.
-fn read_exact_polling(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut [u8],
-    stop: &dyn Fn() -> bool,
-) -> io::Result<bool> {
-    let mut at = 0;
-    while at < buf.len() {
-        match reader.read(&mut buf[at..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "primary closed the replication connection mid-frame",
-                ))
-            }
-            Ok(n) => at += n,
-            Err(e) if is_timeout(&e) => {
-                if stop() {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one binary WAL frame off the feed. `Ok(None)` means a stop was
-/// requested; a frame that fails its CRC is an error (the follower
-/// reconnects and resyncs rather than guessing).
-fn read_frame(
-    reader: &mut BufReader<TcpStream>,
-    stop: &dyn Fn() -> bool,
-) -> io::Result<Option<WalRecord>> {
+/// Reads one binary WAL frame off the feed. A frame that fails its CRC
+/// is an error (the follower reconnects and resyncs rather than
+/// guessing).
+fn read_frame(reader: &mut impl Read) -> io::Result<WalRecord> {
     let mut frame = vec![0u8; 8];
-    if !read_exact_polling(reader, &mut frame, stop)? {
-        return Ok(None);
-    }
+    reader.read_exact(&mut frame)?;
     let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
     if len > MAX_RECORD_BYTES {
         return Err(feed_err(format!("oversized frame ({len} bytes)")));
     }
     frame.resize(8 + len as usize, 0);
-    if !read_exact_polling(reader, &mut frame[8..], stop)? {
-        return Ok(None);
-    }
+    reader.read_exact(&mut frame[8..])?;
     match WalRecord::decode_frame(&frame) {
-        Some((record, consumed)) if consumed == frame.len() => Ok(Some(record)),
+        Some((record, consumed)) if consumed == frame.len() => Ok(record),
         _ => Err(feed_err("corrupt replication frame".to_string())),
     }
 }
 
-use std::io::Read as _;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// Every wait in these tests is bounded by this, never timed.
+    const DEADLINE: Duration = Duration::from_secs(10);
+
+    /// A fake primary: a loopback listener that hands every connection
+    /// it accepts to the test. Its thread is left blocked in `accept`
+    /// until the test process exits.
+    fn fake_primary() -> (String, mpsc::Receiver<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            for stream in listener.incoming() {
+                if tx.send(stream.unwrap()).is_err() {
+                    break;
+                }
+            }
+        });
+        (addr, rx)
+    }
+
+    /// A bootstrap follower of `primary` whose every backoff is within
+    /// `[backoff / 2, backoff]`.
+    fn follow(primary: &str, backoff: Duration) -> FollowerHandle {
+        let placeholder = qld_core::textio::from_text("const bootstrap").unwrap();
+        let retry = RetryPolicy {
+            attempts: 1,
+            base_delay: backoff,
+            max_delay: backoff,
+            jitter_seed: 1,
+        };
+        FollowerLink::new(
+            SharedEngine::new(Engine::new(placeholder)),
+            primary,
+            None,
+            retry,
+            Arc::new(Engine::new),
+        )
+        .spawn()
+    }
+
+    fn accept(connections: &mpsc::Receiver<TcpStream>) -> TcpStream {
+        let stream = connections
+            .recv_timeout(DEADLINE)
+            .expect("the follower connects");
+        stream.set_read_timeout(Some(DEADLINE)).unwrap();
+        stream
+    }
+
+    const HELLO: &str = "hello: qld 1 epoch=0 auth=open";
+
+    /// Greets the follower on `stream` and returns the handshake it sends.
+    fn greet(stream: &TcpStream) -> String {
+        writeln!(&*stream, "{HELLO}").unwrap();
+        let mut handshake = String::new();
+        BufReader::new(stream).read_line(&mut handshake).unwrap();
+        handshake
+    }
+
+    fn stop_within_deadline(handle: FollowerHandle) {
+        let (done, stopped) = mpsc::channel();
+        let stopper = thread::spawn(move || {
+            handle.stop();
+            done.send(())
+        });
+        stopped
+            .recv_timeout(DEADLINE)
+            .expect("FollowerHandle::stop returns");
+        stopper.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn stop_wakes_a_link_blocked_on_a_silent_primary() {
+        let (primary, connections) = fake_primary();
+        let handle = follow(&primary, Duration::from_secs(60));
+        let stream = accept(&connections);
+        assert!(greet(&stream).starts_with(":follow bootstrap"));
+        // The link now waits for the feed header that never comes.
+        stop_within_deadline(handle);
+    }
+
+    #[test]
+    fn stop_wakes_a_link_in_backoff() {
+        // Bind-then-drop: nothing listens, so every connect is refused
+        // and the link parks for at least 30 s.
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let handle = follow(&closed.to_string(), Duration::from_secs(60));
+        // Nothing observable marks the park; this only makes it likely.
+        // A stop that lands first ends the loop too, so the test cannot
+        // fail spuriously — only a backoff that ignores `stop` fails it.
+        thread::sleep(Duration::from_millis(50));
+        stop_within_deadline(handle);
+    }
+
+    /// The headers that take a follower from its handshake to the live
+    /// stream without any record to catch up.
+    const LIVE: &[u8] = b"feed: generation=0 epoch=0\nresume: epoch=0\n";
+
+    #[test]
+    fn a_silent_primary_is_dropped_at_the_liveness_deadline() {
+        let (primary, connections) = fake_primary();
+        let handle = follow(&primary, Duration::from_millis(10));
+        let mut first = accept(&connections);
+        assert!(greet(&first).starts_with(":follow bootstrap"));
+        first.write_all(LIVE).unwrap();
+        // `first` stays open and sends no heartbeat; the follower gives
+        // up on it and reconnects.
+        let second = accept(&connections);
+        assert!(greet(&second).starts_with(":follow bootstrap"));
+        drop(first);
+        stop_within_deadline(handle);
+    }
+
+    #[test]
+    fn a_slow_catch_up_outlasts_the_liveness_deadline() {
+        let (primary, connections) = fake_primary();
+        let handle = follow(&primary, Duration::from_millis(10));
+        let mut first = accept(&connections);
+        assert!(greet(&first).starts_with(":follow bootstrap"));
+        // A primary busy before its catch-up header (a checkpoint's
+        // fsync, a large snapshot's encode) sends no heartbeat, and the
+        // follower keeps waiting on it.
+        assert!(connections.recv_timeout(LIVENESS_DEADLINE * 2).is_err());
+        first.write_all(LIVE).unwrap();
+        stop_within_deadline(handle);
+    }
+
+    #[test]
+    fn feed_lines_at_and_past_the_cap_not_utf8_or_unterminated() {
+        let at_cap = format!("{HELLO:<0$}\n", proto::MAX_LINE_BYTES - 1);
+        let past_cap = format!(" {at_cap}");
+        assert_eq!(past_cap.len(), proto::MAX_LINE_BYTES + 1);
+        let not_utf8 = [HELLO.as_bytes(), b" \xff\n"].concat();
+        for (greeting, accepted) in [
+            (at_cap.as_bytes(), true),
+            (past_cap.as_bytes(), false),
+            (&not_utf8[..], false),
+            (HELLO.as_bytes(), false),
+        ] {
+            let (primary, connections) = fake_primary();
+            let handle = follow(&primary, Duration::from_millis(10));
+            let mut first = accept(&connections);
+            first.write_all(greeting).unwrap();
+            first.shutdown(Shutdown::Write).unwrap();
+            // What the follower sent before it hung up: the handshake iff
+            // it took the greeting.
+            let mut sent = Vec::new();
+            let _ = first.read_to_end(&mut sent);
+            assert_eq!(
+                sent.starts_with(b":follow"),
+                accepted,
+                "greeting of {} bytes",
+                greeting.len()
+            );
+            // Either way the feed failed, and the follower reconnects.
+            accept(&connections);
+            stop_within_deadline(handle);
+        }
+    }
 
     #[test]
     fn follow_handshake_round_trips() {
