@@ -457,8 +457,8 @@ impl SharedEngine {
     }
 
     /// Cumulative WAL counters (`None` when the engine was built without
-    /// durability). Waits for a background checkpoint in flight first,
-    /// so the counts include it.
+    /// durability). Waits for every background checkpoint in flight
+    /// first, so the counts include them.
     pub fn wal_stats(&self) -> Option<qld_wal::WalStats> {
         self.inner
             .wal
@@ -468,9 +468,9 @@ impl SharedEngine {
 
     /// Writes a database checkpoint now (serializes the writer's
     /// database, then truncates older log state), regardless of the
-    /// automatic cadence, once the background checkpoint in flight (if
-    /// any) is done. Returns the checkpointed epoch, or `None` when the
-    /// engine has no WAL. A failure — this checkpoint's or the one it
+    /// automatic cadence, once the background checkpoints in flight (if
+    /// any) are done. Returns the checkpointed epoch, or `None` when the
+    /// engine has no WAL. A failure — this checkpoint's or one it
     /// waited for — poisons the engine for writes, exactly like a failed
     /// [`SharedEngine::apply`]: the log may be mid-rotation, so
     /// appending anything more could tear it.
@@ -715,8 +715,8 @@ impl SharedEngine {
     /// logged after it. A feed can serve a follower incrementally iff
     /// the checkpoint epoch is at or below the follower's last applied
     /// epoch — otherwise the truncated log no longer covers the gap and
-    /// a snapshot transfer is needed. A background checkpoint in flight
-    /// finishes first, so the read never races its removals.
+    /// a snapshot transfer is needed. The background checkpoints in
+    /// flight finish first, so the read never races their removals.
     pub fn wal_tail(&self) -> Result<Option<(u64, Vec<WalRecord>)>, EngineError> {
         let Some(wal) = &self.inner.wal else {
             return Ok(None);

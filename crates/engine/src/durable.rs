@@ -25,21 +25,25 @@
 //! determined by its constants, facts and uniqueness axioms, and every
 //! published epoch is a frozen, `Arc`-shared value, so a checkpoint is a
 //! pure function of a state the writer already holds. At the cadence the
-//! writer waits for the previous checkpoint if it is still in flight (at
-//! most one is), rotates the log to a fresh segment — every later record
-//! lands in a segment the checkpoint keeps — and hands
-//! `(epoch, generation, database, first kept segment)` to one background
-//! checkpointer thread, then returns. The checkpointer encodes the
-//! database and runs [`qld_wal::write_checkpoint`] (write + sync the
-//! file, sync the directory, remove what the checkpoint supersedes, sync
-//! the directory again) through a second handle on the same storage
+//! writer counts the checkpoints that have finished since (without
+//! waiting for the others), waits only if two are still outstanding — one
+//! being written, one queued behind it — rotates the log to a fresh
+//! segment — every later record lands in a segment the checkpoint keeps —
+//! and hands `(epoch, generation, database, first kept segment)` to one
+//! background checkpointer thread, then returns. The checkpointer writes
+//! its jobs one at a time, in order: it encodes the database and runs
+//! [`qld_wal::write_checkpoint`] (write + sync the file, sync the
+//! directory, remove what the checkpoint supersedes, sync the directory
+//! again) through a second handle on the same storage
 //! ([`qld_wal::Storage::reopen`]). A failure there poisons the write path
-//! exactly as a failed append does. The seed checkpoint,
+//! exactly as a failed append does, and stops the checkpointer: every
+//! job queued behind the failed one is answered with an error and
+//! touches no storage. The seed checkpoint,
 //! [`SharedEngine::checkpoint_now`] and [`SharedEngine::promote`] wait
-//! for the in-flight checkpoint and then write theirs synchronously;
+//! for every outstanding checkpoint and then write theirs synchronously;
 //! [`SharedEngine::wal_stats`], [`SharedEngine::wal_tail`] and dropping
-//! the engine wait for it too, so counters are exact and a tail read
-//! never races a removal.
+//! the engine wait for all of them too, so counters are exact and a tail
+//! read never races a removal.
 //!
 //! A checkpoint's payload is the database in the binary layout of
 //! [`qld_core::codec`] — constants, fact rows and uniqueness pairs as
@@ -62,6 +66,7 @@ use crate::session::Engine;
 use qld_core::{codec, CwDatabase};
 use qld_logic::{ConstId, PredId};
 use qld_wal::{Storage, Wal, WalConfig, WalRecord, WalStats};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,8 +82,9 @@ pub struct DurabilityConfig {
     /// this many changing deltas; `0` disables automatic checkpoints
     /// (the seed checkpoint at attach time is still written). The
     /// checkpoint is written in the background while later writes are
-    /// logged, so recovery replays at most `2 × checkpoint_every`
-    /// records after the newest durable checkpoint.
+    /// logged, and up to two may be outstanding at once, so recovery
+    /// replays at most `3 × checkpoint_every` records after the newest
+    /// durable checkpoint.
     pub checkpoint_every: u64,
 }
 
@@ -137,17 +143,24 @@ pub(crate) struct DurableState {
     poisoned: Arc<AtomicBool>,
 }
 
+/// Checkpoints handed over and not yet collected, at most: one being
+/// written and one queued behind it. The writer waits before handing
+/// over a third.
+const MAX_IN_FLIGHT: usize = 2;
+
 /// The background checkpointer: one thread that encodes each
 /// handed-over database and runs [`qld_wal::write_checkpoint`] through
-/// its own handle on the log's storage, reporting each result back.
+/// its own handle on the log's storage, in hand-over order, reporting
+/// each result back.
 #[derive(Debug)]
 struct Checkpointer {
     jobs: mpsc::Sender<Job>,
     done: mpsc::Receiver<io::Result<()>>,
     thread: thread::JoinHandle<()>,
-    /// The first kept segment of the checkpoint being written, if one is
-    /// in flight (never more than one).
-    in_flight: Option<u64>,
+    /// The first kept segment of every checkpoint handed over whose
+    /// result is not collected yet, oldest first (at most
+    /// [`MAX_IN_FLIGHT`]).
+    in_flight: VecDeque<u64>,
 }
 
 /// One checkpoint for the checkpointer to write.
@@ -168,19 +181,28 @@ impl Checkpointer {
         let thread = thread::Builder::new()
             .name("qld-checkpointer".to_string())
             .spawn(move || {
+                // Fail-stop: after a failure the storage is left exactly
+                // as the failed job left it.
+                let mut failed = false;
                 for job in inbox {
-                    let payload = codec::encode(&job.db);
-                    // Let go of the relations before the syncs: the writer
-                    // has moved past them, and held they pin its memory.
-                    drop(job.db);
-                    let result = qld_wal::write_checkpoint(
-                        &mut *storage,
-                        job.epoch,
-                        job.generation,
-                        &payload,
-                        job.keep_from_seq,
-                    );
+                    let result = if failed {
+                        Err(earlier_checkpoint_failed())
+                    } else {
+                        let payload = codec::encode(&job.db);
+                        // Let go of the relations before the syncs: the
+                        // writer has moved past them, and held they pin
+                        // its memory.
+                        drop(job.db);
+                        qld_wal::write_checkpoint(
+                            &mut *storage,
+                            job.epoch,
+                            job.generation,
+                            &payload,
+                            job.keep_from_seq,
+                        )
+                    };
                     if result.is_err() {
+                        failed = true;
                         poisoned.store(true, Ordering::Release);
                     }
                     if outbox.send(result).is_err() {
@@ -192,13 +214,17 @@ impl Checkpointer {
             jobs,
             done,
             thread,
-            in_flight: None,
+            in_flight: VecDeque::with_capacity(MAX_IN_FLIGHT),
         })
     }
 }
 
 fn checkpointer_stopped() -> io::Error {
     io::Error::other("the background checkpointer stopped")
+}
+
+fn earlier_checkpoint_failed() -> io::Error {
+    io::Error::other("not written: an earlier background checkpoint failed")
 }
 
 impl DurableState {
@@ -235,12 +261,13 @@ impl DurableState {
         Ok(())
     }
 
-    /// The writer's side of an automatic checkpoint: wait for the
-    /// previous one (failing if it failed), rotate so that every later
+    /// The writer's side of an automatic checkpoint: collect the earlier
+    /// ones that have finished (failing if one failed), waiting only
+    /// while [`MAX_IN_FLIGHT`] are outstanding, rotate so that every later
     /// record lands in a segment this checkpoint keeps, and hand the
     /// database over.
     fn hand_over(&mut self, engine: &Engine, generation: u64) -> io::Result<()> {
-        self.settle()?;
+        self.collect(MAX_IN_FLIGHT - 1)?;
         let keep_from_seq = self.wal.rotate()?;
         let checkpointer = match &mut self.checkpointer {
             Some(checkpointer) => checkpointer,
@@ -259,36 +286,60 @@ impl DurableState {
             .jobs
             .send(job)
             .map_err(|_| checkpointer_stopped())?;
-        checkpointer.in_flight = Some(keep_from_seq);
+        checkpointer.in_flight.push_back(keep_from_seq);
         self.since_checkpoint = 0;
         Ok(())
     }
 
-    /// Waits for the in-flight checkpoint, if any, and counts it in the
-    /// log's stats once it is written. Its error, if it failed, has
-    /// already poisoned the write path.
-    fn settle(&mut self) -> io::Result<()> {
+    /// Collects the results of the outstanding checkpoints, oldest
+    /// first, counting each written one in the log's stats: every one
+    /// that has finished, and, waiting for them, as many more as it takes
+    /// to leave at most `outstanding` uncollected. Returns the first
+    /// error; a failed checkpoint has already poisoned the write path.
+    fn collect(&mut self, outstanding: usize) -> io::Result<()> {
         let Some(checkpointer) = &mut self.checkpointer else {
             return Ok(());
         };
-        let Some(keep_from_seq) = checkpointer.in_flight.take() else {
-            return Ok(());
-        };
-        let written = checkpointer
-            .done
-            .recv()
-            .unwrap_or_else(|_| Err(checkpointer_stopped()));
-        if let Err(e) = written {
-            self.poisoned.store(true, Ordering::Release);
-            return Err(e);
+        let mut failed = None;
+        while let Some(&keep_from_seq) = checkpointer.in_flight.front() {
+            let received = if checkpointer.in_flight.len() > outstanding {
+                checkpointer
+                    .done
+                    .recv()
+                    .map_err(|_| mpsc::TryRecvError::Disconnected)
+            } else {
+                checkpointer.done.try_recv()
+            };
+            let written = match received {
+                Ok(result) => result,
+                Err(mpsc::TryRecvError::Empty) => break,
+                Err(mpsc::TryRecvError::Disconnected) => Err(checkpointer_stopped()),
+            };
+            checkpointer.in_flight.pop_front();
+            match written {
+                Ok(()) => self.wal.checkpoint_written(keep_from_seq),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
         }
-        self.wal.checkpoint_written(keep_from_seq);
-        Ok(())
+        match failed {
+            None => Ok(()),
+            Some(e) => {
+                self.poisoned.store(true, Ordering::Release);
+                Err(e)
+            }
+        }
+    }
+
+    /// Waits for every outstanding checkpoint; see [`DurableState::collect`].
+    fn settle(&mut self) -> io::Result<()> {
+        self.collect(0)
     }
 
     /// Serializes the engine's database and checkpoints the log at its
     /// epoch, under the primary generation currently being served — after
-    /// the in-flight checkpoint, and before returning.
+    /// every outstanding checkpoint, and before returning.
     pub(crate) fn checkpoint(&mut self, engine: &Engine, generation: u64) -> io::Result<()> {
         self.settle()?;
         self.wal
@@ -297,8 +348,8 @@ impl DurableState {
         Ok(())
     }
 
-    /// The log's counters, the in-flight checkpoint included. (A failed
-    /// one is not counted; the poison flag reports it.)
+    /// The log's counters, every outstanding checkpoint included. (A
+    /// failed one is not counted; the poison flag reports it.)
     pub(crate) fn stats(&mut self) -> WalStats {
         let _ = self.settle();
         self.wal.stats()
@@ -313,7 +364,7 @@ impl DurableState {
 }
 
 impl Drop for DurableState {
-    /// The in-flight checkpoint finishes (or fails — the poison flag
+    /// The outstanding checkpoints finish (or fail — the poison flag
     /// records it) before the log goes away, and so does the thread.
     fn drop(&mut self) {
         let _ = self.settle();
@@ -453,6 +504,8 @@ mod tests {
     use crate::evidence::Semantics;
     use qld_logic::Vocabulary;
     use qld_wal::{has_state, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage};
+    use std::ops::Range;
+    use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
     fn small_db() -> CwDatabase {
         let mut voc = Vocabulary::new();
@@ -1070,5 +1123,354 @@ mod tests {
             shared.wal_stats().unwrap().checkpoints,
             1 + deltas.len() as u64 / 2
         );
+    }
+
+    /// A storage that holds the checkpointer at a gate the test opens:
+    /// the first `hold` operation (`"append"` or `"sync"`) on each new
+    /// checkpoint file is the nth arrival, and it runs once the test has
+    /// released n. Every operation asked of it is logged.
+    #[derive(Debug, Clone)]
+    struct Gated<S> {
+        inner: S,
+        hold: &'static str,
+        gate: Arc<Gate>,
+    }
+
+    #[derive(Debug, Default)]
+    struct Gate {
+        state: Mutex<GateState>,
+        changed: Condvar,
+    }
+
+    #[derive(Debug, Default)]
+    struct GateState {
+        released: usize,
+        /// The checkpoint files that reached the gate, in order.
+        arrived: Vec<String>,
+        /// `(operation, file, succeeded)` for every call, in order.
+        ops: Vec<(&'static str, String, bool)>,
+    }
+
+    /// An append to a log segment: a record, or the header a rotation
+    /// writes.
+    fn segment_append(op: &str, name: &str) -> bool {
+        op == "append" && name.ends_with(".seg")
+    }
+
+    impl GateState {
+        fn count(&self, matches: fn(&str, &str) -> bool) -> usize {
+            let ops = self.ops.iter();
+            ops.filter(|(op, name, _)| matches(op, name)).count()
+        }
+
+        /// Where in `ops` the nth (1-based) operation `matches` accepts is.
+        fn nth(&self, n: usize, matches: fn(&str, &str) -> bool) -> Option<usize> {
+            let ops = self.ops.iter().enumerate();
+            let mut found = ops.filter(|(_, (op, name, _))| matches(op, name));
+            found.nth(n - 1).map(|(at, _)| at)
+        }
+    }
+
+    impl Gate {
+        fn lock(&self) -> MutexGuard<'_, GateState> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        fn update(&self, change: impl FnOnce(&mut GateState)) {
+            change(&mut self.lock());
+            self.changed.notify_all();
+        }
+
+        fn wait_until(&self, done: impl Fn(&GateState) -> bool) -> MutexGuard<'_, GateState> {
+            let mut state = self.lock();
+            while !done(&state) {
+                state = self
+                    .changed
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state
+        }
+
+        fn release(&self, n: usize) {
+            self.update(|state| state.released = state.released.max(n));
+        }
+    }
+
+    impl<S> Gated<S> {
+        fn arrive(&self, op: &'static str, name: &str) {
+            if op != self.hold || !name.ends_with(".ck") {
+                return;
+            }
+            let mut nth = 0;
+            self.gate.update(|state| {
+                if !state.arrived.iter().any(|a| a == name) {
+                    state.arrived.push(name.to_string());
+                    nth = state.arrived.len();
+                }
+            });
+            drop(self.gate.wait_until(|state| state.released >= nth));
+        }
+
+        fn logged<T>(&self, op: &'static str, name: &str, result: io::Result<T>) -> io::Result<T> {
+            let ok = result.is_ok();
+            self.gate
+                .update(|state| state.ops.push((op, name.to_string(), ok)));
+            result
+        }
+    }
+
+    impl<S: Storage + Clone + 'static> Storage for Gated<S> {
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.logged("list", "", self.inner.list())
+        }
+        fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+            self.logged("read", name, self.inner.read(name))
+        }
+        fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
+            self.arrive("append", name);
+            let result = self.inner.append(name, data);
+            self.logged("append", name, result)
+        }
+        fn sync(&mut self, name: &str) -> io::Result<()> {
+            self.arrive("sync", name);
+            let result = self.inner.sync(name);
+            self.logged("sync", name, result)
+        }
+        fn sync_dir(&mut self) -> io::Result<()> {
+            let result = self.inner.sync_dir();
+            self.logged("sync_dir", "", result)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+            let result = self.inner.truncate(name, len);
+            self.logged("truncate", name, result)
+        }
+        fn remove(&mut self, name: &str) -> io::Result<()> {
+            let result = self.inner.remove(name);
+            self.logged("remove", name, result)
+        }
+        fn reopen(&self) -> io::Result<Box<dyn Storage>> {
+            Ok(Box::new(self.clone()))
+        }
+    }
+
+    /// A durable engine, with a checkpoint every two writes, over a
+    /// [`Gated`] storage. Dropping it opens the gate before the engine
+    /// goes, so a failing test does not hang on a held checkpoint.
+    struct GatedLog {
+        mem: MemStorage,
+        gate: Arc<Gate>,
+        shared: SharedEngine,
+        /// Six changing deltas over [`small_db`].
+        deltas: Vec<Delta>,
+    }
+
+    impl Drop for GatedLog {
+        fn drop(&mut self) {
+            self.gate.release(usize::MAX);
+        }
+    }
+
+    impl GatedLog {
+        /// Seeds a log on a fresh `MemStorage` and recovers it through a
+        /// [`Gated`] wrapper of `wrap(storage)`.
+        fn new<S: Storage + Clone + 'static>(
+            wrap: impl FnOnce(MemStorage) -> S,
+            hold: &'static str,
+        ) -> GatedLog {
+            let mem = MemStorage::new();
+            drop(
+                SharedEngine::durable(Engine::new(small_db()), Box::new(mem.clone()), every_two())
+                    .unwrap(),
+            );
+            let gate = Arc::new(Gate::default());
+            let gated = Gated {
+                inner: wrap(mem.clone()),
+                hold,
+                gate: Arc::clone(&gate),
+            };
+            let (shared, _) =
+                SharedEngine::recover_with(Box::new(gated), every_two(), Engine::new).unwrap();
+            let (p, r, c) = ids(&shared);
+            let unary = c.iter().map(|&x| Delta::new().insert_fact(p, &[x]));
+            let binary = c.iter().map(|&y| Delta::new().insert_fact(r, &[c[0], y]));
+            let deltas = unary.chain(binary).collect();
+            GatedLog {
+                mem,
+                gate,
+                shared,
+                deltas,
+            }
+        }
+
+        fn apply(&self, writes: Range<usize>) {
+            for delta in &self.deltas[writes] {
+                self.shared.apply(delta).unwrap();
+            }
+        }
+
+        /// Writes 1 and 2, which hand over checkpoint 1, and waits until
+        /// the checkpointer is held at the gate.
+        fn hold_checkpoint_one(&self) {
+            self.apply(0..2);
+            drop(self.gate.wait_until(|state| state.arrived.len() == 1));
+        }
+
+        /// Starts write 6 on a thread of its own, which reports the epoch
+        /// once the write returns, and waits until its record is logged.
+        fn start_write_six(&self) -> (mpsc::Receiver<u64>, thread::JoinHandle<()>) {
+            let logged = self.gate.lock().count(segment_append);
+            let (returned, rx) = mpsc::channel();
+            let (shared, delta) = (self.shared.clone(), self.deltas[5].clone());
+            let writer = thread::spawn(move || {
+                let _ = returned.send(shared.apply(&delta).unwrap().epoch);
+            });
+            drop(
+                self.gate
+                    .wait_until(|state| state.count(segment_append) > logged),
+            );
+            (rx, writer)
+        }
+
+        /// A solo engine after the first `writes` deltas.
+        fn solo(&self, writes: usize) -> Engine {
+            let mut solo = Engine::new(small_db());
+            for delta in &self.deltas[..writes] {
+                solo.apply(delta).unwrap();
+            }
+            solo
+        }
+    }
+
+    #[test]
+    fn a_cadence_write_waits_only_when_two_checkpoints_are_outstanding() {
+        // A write that did not wait would return (or rotate) before the
+        // test looks only if it outran the test thread: twenty rounds
+        // make that all but certain.
+        for round in 0..20 {
+            let log = GatedLog::new(|mem| mem, "sync");
+            // Writes 2 and 4 hand over checkpoints 1 and 2, and return
+            // while checkpoint 1 is held at its file sync.
+            log.hold_checkpoint_one();
+            log.apply(2..5);
+            // Write 6 would hand over a third: its record is logged, and
+            // it does not return while checkpoint 1 is held.
+            let (returned, writer) = log.start_write_six();
+            let early = returned.try_recv();
+            assert_eq!(early, Err(mpsc::TryRecvError::Empty), "round {round}");
+            let arrived = log.gate.lock().arrived.len();
+            assert_eq!(arrived, 1, "checkpoint 2 waits behind 1");
+            log.gate.release(1);
+            assert_eq!(returned.recv(), Ok(6));
+            writer.join().unwrap();
+            // It rotated for checkpoint 3 (the 9th segment append: six
+            // records, three rotations) only once checkpoint 1 had
+            // finished (its second directory sync; the writer syncs none
+            // under `Never`).
+            let state = log.gate.lock();
+            let done = state.nth(2, |op, _| op == "sync_dir");
+            let rotated = state.nth(9, segment_append);
+            assert!(
+                matches!((done, rotated), (Some(d), Some(r)) if d < r),
+                "round {round}"
+            );
+            drop(state);
+            log.gate.release(usize::MAX);
+            assert_eq!(log.shared.wal_stats().unwrap().checkpoints, 3);
+            assert!(!log.shared.wal_poisoned());
+        }
+    }
+
+    #[test]
+    fn a_failed_checkpoint_stops_the_checkpointer() {
+        // Three jobs straight to the checkpointer: the first held at its
+        // file sync, which crashes the storage, the other two queued.
+        let mem = MemStorage::new();
+        let gate = Arc::new(Gate::default());
+        let storage = Gated {
+            inner: FaultyStorage::new(mem.clone(), FaultPlan::crash_on_sync(1)),
+            hold: "sync",
+            gate: Arc::clone(&gate),
+        };
+        let poisoned = Arc::new(AtomicBool::new(false));
+        let checkpointer = Checkpointer::spawn(Box::new(storage), Arc::clone(&poisoned)).unwrap();
+        for (epoch, keep_from_seq) in [(2, 1), (4, 2), (6, 3)] {
+            let job = Job {
+                epoch,
+                generation: 1,
+                db: small_db(),
+                keep_from_seq,
+            };
+            checkpointer.jobs.send(job).unwrap();
+        }
+        drop(gate.wait_until(|state| state.arrived.len() == 1));
+        gate.release(usize::MAX);
+        for n in 1..=3 {
+            let result = checkpointer.done.recv().unwrap();
+            assert!(result.is_err(), "job {n}");
+        }
+        assert!(poisoned.load(Ordering::Acquire));
+        // Nothing after the crash: the storage is as the failed job left
+        // it, its checkpoint file written and never synced.
+        let ops = gate.lock().ops.clone();
+        let crash = ops.iter().position(|(_, _, ok)| !ok).unwrap();
+        assert_eq!(crash + 1, ops.len(), "{ops:?}");
+        assert_eq!(ops[crash].0, "sync", "{ops:?}");
+        assert_eq!(mem.list().unwrap(), ["ckpt-0000000000000002.ck"]);
+        let Checkpointer { jobs, thread, .. } = checkpointer;
+        drop(jobs);
+        thread.join().unwrap();
+    }
+
+    #[test]
+    fn a_failed_checkpoint_fails_the_one_queued_behind_it() {
+        let log = GatedLog::new(
+            |mem| FaultyStorage::new(mem, FaultPlan::crash_on_sync(1)),
+            "sync",
+        );
+        log.hold_checkpoint_one();
+        log.apply(2..4);
+        log.gate.release(usize::MAX);
+        // Neither checkpoint is counted, and after the crash the
+        // checkpointer asked nothing more of the storage.
+        assert_eq!(log.shared.wal_stats().unwrap().checkpoints, 0);
+        assert!(log.shared.wal_poisoned());
+        let ops = log.gate.lock().ops.clone();
+        let crash = ops.iter().position(|(_, _, ok)| !ok).unwrap();
+        assert_eq!(crash + 1, ops.len(), "{ops:?}");
+        assert!(log.shared.apply(&log.deltas[4]).is_err());
+        let (mem, solo) = (log.mem.clone(), log.solo(4));
+        drop(log);
+
+        let (recovered, report) =
+            SharedEngine::recover_with(Box::new(mem), every_two(), Engine::new).unwrap();
+        assert_eq!(report.epoch, 4);
+        assert_eq!(recovered.snapshot().engine().db(), solo.db());
+    }
+
+    #[test]
+    fn two_checkpoints_outstanding_at_a_crash_bound_replay_by_three_cadences() {
+        // Checkpoint 1 is held before it writes a byte and checkpoint 2
+        // waits behind it; write 6 is logged and waits for checkpoint 1.
+        // The process dies there: the directory keeps what it holds.
+        let log = GatedLog::new(|mem| mem, "append");
+        log.hold_checkpoint_one();
+        log.apply(2..5);
+        let (returned, writer) = log.start_write_six();
+        let crashed = MemStorage::new();
+        for name in log.mem.list().unwrap() {
+            let bytes = log.mem.read(&name).unwrap();
+            crashed.clone().append(&name, &bytes).unwrap();
+        }
+        log.gate.release(usize::MAX);
+        assert_eq!(returned.recv(), Ok(6));
+        writer.join().unwrap();
+
+        let (recovered, report) =
+            SharedEngine::recover_with(Box::new(crashed), every_two(), Engine::new).unwrap();
+        let every = every_two().checkpoint_every;
+        assert_eq!((report.checkpoint_epoch, report.epoch), (0, 6));
+        assert!(2 * every < report.records_replayed && report.records_replayed <= 3 * every);
+        assert_eq!(recovered.snapshot().engine().db(), log.solo(6).db());
     }
 }

@@ -19,7 +19,9 @@
 //!   checkpointer writes while the writer keeps appending: a crash at
 //!   every byte, every sync and every remove, the crash a process kill
 //!   or a power loss (unsynced bytes and unsynced directory changes
-//!   lost), the writer waiting for each checkpoint or racing it.
+//!   lost), the writer waiting for each checkpoint, racing it, or running
+//!   ahead of two checkpoints in flight (the most the writer lets be
+//!   outstanding).
 //!
 //! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both): the
 //! enumeration worker pool is orthogonal to recovery, so the invariant
@@ -31,10 +33,13 @@ use proptest::prelude::*;
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::engine::{
-    DurabilityConfig, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage, PowerLoss, WalConfig,
+    DurabilityConfig, FaultPlan, FaultyStorage, FsyncPolicy, MemStorage, PowerLoss, Storage,
+    WalConfig,
 };
 use querying_logical_databases::logic::{ConstId, Query};
 use querying_logical_databases::prelude::{Delta, Engine, EngineError, Semantics, SharedEngine};
+use std::io;
+use std::sync::{Arc, Condvar, Mutex};
 
 fn random_db(seed: u64, n: usize, known: f64) -> CwDatabase {
     random_cw_db(&DbGenConfig {
@@ -350,12 +355,69 @@ fn recovery_after_recovery_preserves_the_whole_history() {
 /// How a crash run interleaves with the background checkpointer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Schedule {
-    /// `wal_stats()` after every apply waits for the checkpoint in
+    /// `wal_stats()` after every apply waits for the checkpoints in
     /// flight, so every run performs the same operations in the same
     /// order and a crash point always lands on the same one.
     Waiting,
     /// The writer races the checkpointer.
     Racing,
+    /// The checkpointer's first sync of each checkpoint is held until
+    /// the writer has handed over the next one ([`HeldSyncs`]), so two
+    /// checkpoints are in flight whenever a later one exists.
+    Overlapping,
+}
+
+/// A [`FaultyStorage`] that holds the sync of each checkpoint file until
+/// the epoch it checkpoints is released: [`Schedule::Overlapping`].
+#[derive(Debug, Clone)]
+struct HeldSyncs {
+    inner: FaultyStorage,
+    /// The newest checkpoint epoch whose file may sync.
+    released: Arc<(Mutex<u64>, Condvar)>,
+}
+
+impl HeldSyncs {
+    fn release(&self, epoch: u64) {
+        let (released, changed) = &*self.released;
+        let mut released = released.lock().unwrap();
+        *released = (*released).max(epoch);
+        changed.notify_all();
+    }
+}
+
+impl Storage for HeldSyncs {
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.inner.list()
+    }
+    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+        self.inner.read(name)
+    }
+    fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
+        self.inner.append(name, data)
+    }
+    fn sync(&mut self, name: &str) -> io::Result<()> {
+        let checkpoint = name
+            .strip_prefix("ckpt-")
+            .and_then(|n| n.strip_suffix(".ck"));
+        if let Some(epoch) = checkpoint.and_then(|hex| u64::from_str_radix(hex, 16).ok()) {
+            let (released, changed) = &*self.released;
+            let released = released.lock().unwrap();
+            drop(changed.wait_while(released, |released| *released < epoch));
+        }
+        self.inner.sync(name)
+    }
+    fn sync_dir(&mut self) -> io::Result<()> {
+        self.inner.sync_dir()
+    }
+    fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(name, len)
+    }
+    fn remove(&mut self, name: &str) -> io::Result<()> {
+        self.inner.remove(name)
+    }
+    fn reopen(&self) -> io::Result<Box<dyn Storage>> {
+        Ok(Box::new(self.clone()))
+    }
 }
 
 /// Automatic checkpoints every `every` changing deltas, in segments of
@@ -386,7 +448,15 @@ fn checkpointing_run(
         .expect("seeding a fresh WAL");
     drop(seeded);
     let faulty = FaultyStorage::new(mem.clone(), plan);
-    let (shared, _) = SharedEngine::recover_with(Box::new(faulty.clone()), config, Engine::new)
+    let held = HeldSyncs {
+        inner: faulty.clone(),
+        released: Arc::default(),
+    };
+    let storage: Box<dyn Storage> = match schedule {
+        Schedule::Overlapping => Box::new(held.clone()),
+        _ => Box::new(faulty.clone()),
+    };
+    let (shared, _) = SharedEngine::recover_with(storage, config, Engine::new)
         .expect("recovering the seed checkpoint writes nothing");
     let mut acked = 0;
     for delta in deltas {
@@ -394,6 +464,9 @@ fn checkpointing_run(
             Ok(report) => {
                 assert!(report.changed());
                 acked += 1;
+                // This write handed over the checkpoint after the one at
+                // `epoch - every`, if any: that one may finish now.
+                held.release(report.epoch.saturating_sub(config.checkpoint_every));
             }
             Err(EngineError::Durability(_)) => break,
             Err(e) => panic!("unexpected engine error during crash run: {e}"),
@@ -402,6 +475,7 @@ fn checkpointing_run(
             shared.wal_stats();
         }
     }
+    held.release(u64::MAX);
     drop(shared);
     (mem, acked, faulty.crashed(), faulty.bytes_appended())
 }
@@ -444,9 +518,9 @@ fn crash_and_recover_a_prefix(
 
 /// The power-loss tier: automatic checkpoints every 2 and every 3
 /// changing deltas, under `Always` and `Never`, each crash a process kill
-/// or one of the two power losses, each run waiting for the checkpointer
-/// or racing it; a crash at every byte appended, every sync and every
-/// remove. Every run must recover an exact prefix, and under `Always` one
+/// or one of the two power losses, each run waiting for the checkpointer,
+/// racing it, or holding two checkpoints in flight; a crash at every byte
+/// appended, every sync and every remove. Every run must recover an exact prefix, and under `Always` one
 /// that covers every acknowledged delta.
 #[test]
 fn crashes_through_automatic_checkpoints_recover_a_prefix() {
@@ -462,7 +536,7 @@ fn crashes_through_automatic_checkpoints_recover_a_prefix() {
         for fsync in [FsyncPolicy::Always, FsyncPolicy::Never] {
             let config = checkpointing(fsync, every);
             for power_loss in [None, Some(PowerLoss::Revert), Some(PowerLoss::KeepRemovals)] {
-                for schedule in [Schedule::Waiting, Schedule::Racing] {
+                for schedule in [Schedule::Waiting, Schedule::Racing, Schedule::Overlapping] {
                     let with = |plan: FaultPlan| FaultPlan { power_loss, ..plan };
                     let run = |plan| {
                         crash_and_recover_a_prefix(&db, &deltas, config, with(plan), schedule)
