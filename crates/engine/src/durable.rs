@@ -186,7 +186,9 @@ impl Checkpointer {
                 let mut failed = false;
                 for job in inbox {
                     let result = if failed {
-                        Err(earlier_checkpoint_failed())
+                        Err(io::Error::other(
+                            "not written: an earlier background checkpoint failed",
+                        ))
                     } else {
                         let payload = codec::encode(&job.db);
                         // Let go of the relations before the syncs: the
@@ -221,10 +223,6 @@ impl Checkpointer {
 
 fn checkpointer_stopped() -> io::Error {
     io::Error::other("the background checkpointer stopped")
-}
-
-fn earlier_checkpoint_failed() -> io::Error {
-    io::Error::other("not written: an earlier background checkpoint failed")
 }
 
 impl DurableState {
