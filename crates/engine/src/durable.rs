@@ -26,11 +26,15 @@
 //! published epoch is a frozen, `Arc`-shared value, so a checkpoint is a
 //! pure function of a state the writer already holds. At the cadence the
 //! writer counts the checkpoints that have finished since (without
-//! waiting for the others), waits only if two are still outstanding — one
-//! being written, one queued behind it — rotates the log to a fresh
-//! segment — every later record lands in a segment the checkpoint keeps —
-//! and hands `(epoch, generation, database, first kept segment)` to one
-//! background checkpointer thread, then returns. The checkpointer writes
+//! waiting for the others), rotates the log to a fresh segment — every
+//! later record lands in a segment the checkpoint keeps — and hands
+//! `(epoch, generation, database, first kept segment)` to one background
+//! checkpointer thread, then returns. The hand-over waits only while two
+//! checkpoints are unfinished, one being written and one queued behind
+//! it. So the writer runs ahead of the checkpointer by at most two
+//! checkpoints: a burst of writes does not wait for them, but a stream
+//! whose writes outrun the checkpointer for longer goes at its pace, as
+//! when each hand-over waited for the one before. The checkpointer writes
 //! its jobs one at a time, in order: it encodes the database and runs
 //! [`qld_wal::write_checkpoint`] (write + sync the file, sync the
 //! directory, remove what the checkpoint supersedes, sync the directory
@@ -66,7 +70,6 @@ use crate::session::Engine;
 use qld_core::{codec, CwDatabase};
 use qld_logic::{ConstId, PredId};
 use qld_wal::{Storage, Wal, WalConfig, WalRecord, WalStats};
-use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -143,24 +146,19 @@ pub(crate) struct DurableState {
     poisoned: Arc<AtomicBool>,
 }
 
-/// Checkpoints handed over and not yet collected, at most: one being
-/// written and one queued behind it. The writer waits before handing
-/// over a third.
-const MAX_IN_FLIGHT: usize = 2;
-
 /// The background checkpointer: one thread that encodes each
 /// handed-over database and runs [`qld_wal::write_checkpoint`] through
 /// its own handle on the log's storage, in hand-over order, reporting
-/// each result back.
+/// each result back with the checkpoint's first kept segment.
 #[derive(Debug)]
 struct Checkpointer {
-    jobs: mpsc::Sender<Job>,
-    done: mpsc::Receiver<io::Result<()>>,
+    /// Room for one job beside the one being written: a hand-over
+    /// blocks while two checkpoints are unfinished.
+    jobs: mpsc::SyncSender<Job>,
+    done: mpsc::Receiver<(u64, io::Result<()>)>,
     thread: thread::JoinHandle<()>,
-    /// The first kept segment of every checkpoint handed over whose
-    /// result is not collected yet, oldest first (at most
-    /// [`MAX_IN_FLIGHT`]).
-    in_flight: VecDeque<u64>,
+    /// Checkpoints handed over whose result is not collected yet.
+    outstanding: usize,
 }
 
 /// One checkpoint for the checkpointer to write.
@@ -176,7 +174,7 @@ struct Job {
 
 impl Checkpointer {
     fn spawn(mut storage: Box<dyn Storage>, poisoned: Arc<AtomicBool>) -> io::Result<Checkpointer> {
-        let (jobs, inbox) = mpsc::channel::<Job>();
+        let (jobs, inbox) = mpsc::sync_channel::<Job>(1);
         let (outbox, done) = mpsc::channel();
         let thread = thread::Builder::new()
             .name("qld-checkpointer".to_string())
@@ -207,7 +205,7 @@ impl Checkpointer {
                         failed = true;
                         poisoned.store(true, Ordering::Release);
                     }
-                    if outbox.send(result).is_err() {
+                    if outbox.send((job.keep_from_seq, result)).is_err() {
                         return;
                     }
                 }
@@ -216,7 +214,7 @@ impl Checkpointer {
             jobs,
             done,
             thread,
-            in_flight: VecDeque::with_capacity(MAX_IN_FLIGHT),
+            outstanding: 0,
         })
     }
 }
@@ -260,12 +258,12 @@ impl DurableState {
     }
 
     /// The writer's side of an automatic checkpoint: collect the earlier
-    /// ones that have finished (failing if one failed), waiting only
-    /// while [`MAX_IN_FLIGHT`] are outstanding, rotate so that every later
-    /// record lands in a segment this checkpoint keeps, and hand the
-    /// database over.
+    /// ones that have finished (failing if one failed), rotate so that
+    /// every later record lands in a segment this checkpoint keeps, and
+    /// hand the database over — waiting, while two checkpoints are
+    /// unfinished, until the checkpointer takes the queued one.
     fn hand_over(&mut self, engine: &Engine, generation: u64) -> io::Result<()> {
-        self.collect(MAX_IN_FLIGHT - 1)?;
+        self.collect(false)?;
         let keep_from_seq = self.wal.rotate()?;
         let checkpointer = match &mut self.checkpointer {
             Some(checkpointer) => checkpointer,
@@ -284,40 +282,37 @@ impl DurableState {
             .jobs
             .send(job)
             .map_err(|_| checkpointer_stopped())?;
-        checkpointer.in_flight.push_back(keep_from_seq);
+        checkpointer.outstanding += 1;
         self.since_checkpoint = 0;
         Ok(())
     }
 
-    /// Collects the results of the outstanding checkpoints, oldest
-    /// first, counting each written one in the log's stats: every one
-    /// that has finished, and, waiting for them, as many more as it takes
-    /// to leave at most `outstanding` uncollected. Returns the first
-    /// error; a failed checkpoint has already poisoned the write path.
-    fn collect(&mut self, outstanding: usize) -> io::Result<()> {
+    /// Collects the results of the checkpoints that have finished — of
+    /// every outstanding one, waiting for them, when `wait` — and counts
+    /// each written one in the log's stats. Returns the first error; a
+    /// failed checkpoint has already poisoned the write path.
+    fn collect(&mut self, wait: bool) -> io::Result<()> {
         let Some(checkpointer) = &mut self.checkpointer else {
             return Ok(());
         };
         let mut failed = None;
-        while let Some(&keep_from_seq) = checkpointer.in_flight.front() {
-            let received = if checkpointer.in_flight.len() > outstanding {
-                checkpointer
-                    .done
-                    .recv()
-                    .map_err(|_| mpsc::TryRecvError::Disconnected)
+        while checkpointer.outstanding > 0 {
+            let received = if wait {
+                checkpointer.done.recv().ok()
             } else {
-                checkpointer.done.try_recv()
+                match checkpointer.done.try_recv() {
+                    Err(mpsc::TryRecvError::Empty) => break,
+                    received => received.ok(),
+                }
             };
-            let written = match received {
-                Ok(result) => result,
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => Err(checkpointer_stopped()),
-            };
-            checkpointer.in_flight.pop_front();
-            match written {
-                Ok(()) => self.wal.checkpoint_written(keep_from_seq),
-                Err(e) => {
+            checkpointer.outstanding -= 1;
+            match received {
+                Some((keep_from_seq, Ok(()))) => self.wal.checkpoint_written(keep_from_seq),
+                Some((_, Err(e))) => {
                     failed.get_or_insert(e);
+                }
+                None => {
+                    failed.get_or_insert_with(checkpointer_stopped);
                 }
             }
         }
@@ -332,7 +327,7 @@ impl DurableState {
 
     /// Waits for every outstanding checkpoint; see [`DurableState::collect`].
     fn settle(&mut self) -> io::Result<()> {
-        self.collect(0)
+        self.collect(true)
     }
 
     /// Serializes the engine's database and checkpoints the log at its
@@ -1160,13 +1155,6 @@ mod tests {
             let ops = self.ops.iter();
             ops.filter(|(op, name, _)| matches(op, name)).count()
         }
-
-        /// Where in `ops` the nth (1-based) operation `matches` accepts is.
-        fn nth(&self, n: usize, matches: fn(&str, &str) -> bool) -> Option<usize> {
-            let ops = self.ops.iter().enumerate();
-            let mut found = ops.filter(|(_, (op, name, _))| matches(op, name));
-            found.nth(n - 1).map(|(at, _)| at)
-        }
     }
 
     impl Gate {
@@ -1314,18 +1302,24 @@ mod tests {
             drop(self.gate.wait_until(|state| state.arrived.len() == 1));
         }
 
-        /// Starts write 6 on a thread of its own, which reports the epoch
-        /// once the write returns, and waits until its record is logged.
-        fn start_write_six(&self) -> (mpsc::Receiver<u64>, thread::JoinHandle<()>) {
+        /// Starts write 6 on a thread of its own, and waits until its
+        /// record is logged and the log rotated for checkpoint 3. Once the
+        /// write returns, the thread reports its epoch and how many
+        /// directory syncs the storage had done by then (two per finished
+        /// checkpoint: the writer syncs none under `Never`).
+        fn start_write_six(&self) -> (mpsc::Receiver<(u64, usize)>, thread::JoinHandle<()>) {
             let logged = self.gate.lock().count(segment_append);
             let (returned, rx) = mpsc::channel();
             let (shared, delta) = (self.shared.clone(), self.deltas[5].clone());
+            let gate = Arc::clone(&self.gate);
             let writer = thread::spawn(move || {
-                let _ = returned.send(shared.apply(&delta).unwrap().epoch);
+                let epoch = shared.apply(&delta).unwrap().epoch;
+                let dir_syncs = gate.lock().count(|op, _| op == "sync_dir");
+                let _ = returned.send((epoch, dir_syncs));
             });
             drop(
                 self.gate
-                    .wait_until(|state| state.count(segment_append) > logged),
+                    .wait_until(|state| state.count(segment_append) == logged + 2),
             );
             (rx, writer)
         }
@@ -1342,37 +1336,33 @@ mod tests {
 
     #[test]
     fn a_cadence_write_waits_only_when_two_checkpoints_are_outstanding() {
-        // A write that did not wait would return (or rotate) before the
-        // test looks only if it outran the test thread: twenty rounds
-        // make that all but certain.
+        // A write that did not wait would return before checkpoint 1
+        // finished unless the test's release outran it: twenty rounds
+        // make catching it all but certain.
         for round in 0..20 {
             let log = GatedLog::new(|mem| mem, "sync");
             // Writes 2 and 4 hand over checkpoints 1 and 2, and return
             // while checkpoint 1 is held at its file sync.
             log.hold_checkpoint_one();
             log.apply(2..5);
-            // Write 6 would hand over a third: its record is logged, and
-            // it does not return while checkpoint 1 is held.
+            // Write 6 hands over a third: its record is logged and the
+            // log rotated, and it does not return while checkpoint 1 is
+            // held.
             let (returned, writer) = log.start_write_six();
             let early = returned.try_recv();
             assert_eq!(early, Err(mpsc::TryRecvError::Empty), "round {round}");
             let arrived = log.gate.lock().arrived.len();
             assert_eq!(arrived, 1, "checkpoint 2 waits behind 1");
             log.gate.release(1);
-            assert_eq!(returned.recv(), Ok(6));
-            writer.join().unwrap();
-            // It rotated for checkpoint 3 (the 9th segment append: six
-            // records, three rotations) only once checkpoint 1 had
-            // finished (its second directory sync; the writer syncs none
-            // under `Never`).
-            let state = log.gate.lock();
-            let done = state.nth(2, |op, _| op == "sync_dir");
-            let rotated = state.nth(9, segment_append);
+            // It returned only once checkpoint 1 had finished (its second
+            // directory sync).
+            let (epoch, dir_syncs) = returned.recv().unwrap();
+            assert_eq!(epoch, 6);
             assert!(
-                matches!((done, rotated), (Some(d), Some(r)) if d < r),
-                "round {round}"
+                dir_syncs >= 2,
+                "round {round}: {dir_syncs} directory sync(s)"
             );
-            drop(state);
+            writer.join().unwrap();
             log.gate.release(usize::MAX);
             assert_eq!(log.shared.wal_stats().unwrap().checkpoints, 3);
             assert!(!log.shared.wal_poisoned());
@@ -1382,7 +1372,8 @@ mod tests {
     #[test]
     fn a_failed_checkpoint_stops_the_checkpointer() {
         // Three jobs straight to the checkpointer: the first held at its
-        // file sync, which crashes the storage, the other two queued.
+        // file sync, which crashes the storage, the second queued behind
+        // it, the third sent once it is released.
         let mem = MemStorage::new();
         let gate = Arc::new(Gate::default());
         let storage = Gated {
@@ -1392,7 +1383,7 @@ mod tests {
         };
         let poisoned = Arc::new(AtomicBool::new(false));
         let checkpointer = Checkpointer::spawn(Box::new(storage), Arc::clone(&poisoned)).unwrap();
-        for (epoch, keep_from_seq) in [(2, 1), (4, 2), (6, 3)] {
+        let send = |epoch, keep_from_seq| {
             let job = Job {
                 epoch,
                 generation: 1,
@@ -1400,12 +1391,16 @@ mod tests {
                 keep_from_seq,
             };
             checkpointer.jobs.send(job).unwrap();
-        }
+        };
+        send(2, 1);
         drop(gate.wait_until(|state| state.arrived.len() == 1));
+        send(4, 2);
         gate.release(usize::MAX);
-        for n in 1..=3 {
-            let result = checkpointer.done.recv().unwrap();
-            assert!(result.is_err(), "job {n}");
+        send(6, 3);
+        for keep_from_seq in 1..=3 {
+            let (kept, result) = checkpointer.done.recv().unwrap();
+            assert_eq!(kept, keep_from_seq, "results come back in order");
+            assert!(result.is_err(), "job {keep_from_seq}");
         }
         assert!(poisoned.load(Ordering::Acquire));
         // Nothing after the crash: the storage is as the failed job left
@@ -1461,7 +1456,7 @@ mod tests {
             crashed.clone().append(&name, &bytes).unwrap();
         }
         log.gate.release(usize::MAX);
-        assert_eq!(returned.recv(), Ok(6));
+        assert_eq!(returned.recv().map(|(epoch, _)| epoch), Ok(6));
         writer.join().unwrap();
 
         let (recovered, report) =
