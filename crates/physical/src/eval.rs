@@ -1,8 +1,9 @@
 //! Tarskian evaluation of queries over physical databases (§2.1).
 //!
-//! The semantics are the textbook recursive ones: first-order quantifiers
-//! iterate over the domain, so a fixed first-order query is evaluated in
-//! polynomial time and logarithmic space in the database — the
+//! The semantics are the textbook recursive ones: a first-order quantifier
+//! ranges over the domain — or, guarded by an atom, over that atom's
+//! matching rows — so a fixed first-order query is evaluated in polynomial
+//! time and logarithmic space in the database — the
 //! LOGSPACE data complexity of Theorem 4(1). Second-order quantifiers are
 //! evaluated by enumerating all relations over the domain; this is
 //! intentionally brutal, because the whole point of Theorem 3 is that the
@@ -19,11 +20,31 @@
 //! values into their slots — once per database, not once per term — and
 //! then an atom is one [`Relation::contains_mapped`] (its argument slots
 //! gathered through the array into a row on the stack, up to arity 4, and
-//! searched for), an equality is two loads, a quantifier writes the
-//! domain's elements into its slot, in domain order, and restores what was
-//! there. Connectives short-circuit left to right. The environment's sizes
-//! are fixed by the lowering, so a run never grows it, and the two leaves
-//! that carry a walk (atoms, equalities) are decided without a call.
+//! searched for), an equality is two loads, a `∀` (or an unguarded `∃`)
+//! writes the domain's elements into its slot, in domain order, and
+//! restores what was there. Connectives short-circuit left to right. The
+//! environment's sizes are fixed by the lowering, so a run never grows it,
+//! and the two leaves that carry a walk (atoms, equalities) are decided
+//! without a call.
+//!
+//! # Range-restricted `∃`
+//!
+//! One rule, the safe-range translation's: the lowering first *miniscopes*
+//! every first-order `∃v` — the conjuncts of its body (through nested `∧`
+//! and inner `∃` blocks) that do not mention `v` move out of the
+//! quantifier — and then lowers `∃v. A(…v…) ∧ φ`, `A` a vocabulary atom
+//! (every other argument of which is bound by then), to a scan of the
+//! rows of `A` that begin with the values of its arguments before `v`'s
+//! first position ([`Relation::rows_with_prefix_mapped`], two bisections).
+//! Each row is checked at the later positions — bound slots and repeats of
+//! `v` — binds `v`, and runs `φ`. Of several such atoms the one with the
+//! longest bound prefix guards, the first of those. So the semi-join
+//! `∃y. P0(x, y) ∧ P1(y)` costs the rows of `P0` that begin with `x`, not
+//! `|D|` probes. `Q̂` of §5 has no negation, so the rule fires wherever it
+//! quantifies; `∀`, second-order atoms and unguarded `∃` keep the domain
+//! loop. Rows lie in the domain, and the domain is never empty, so a scan
+//! binds exactly the elements the loop would have found, and an `∃v` left
+//! with no conjunct is true.
 //!
 //! [`eval_query`], [`Evaluator`] and [`satisfies`] lower and run in one
 //! call. A [`QueryEvaluator`] runs an already lowered query and keeps its
@@ -32,6 +53,7 @@
 //! evaluating one lowered query over one database image after another (the
 //! Theorem 1 walk, which lowers each query of a batch once and shares it
 //! among its workers) allocates only while a buffer still grows.
+//! Lowering borrows the formula and copies no part of it.
 //!
 //! The recursive interpreter this replaced lives on as the reference of
 //! `tests/eval_differential.rs`.
@@ -57,14 +79,18 @@ enum Args {
 }
 
 impl Args {
+    #[inline]
+    fn slots(&self) -> &[Slot] {
+        match self {
+            Args::Inline { len, slots } => &slots[..usize::from(*len)],
+            Args::Wide(slots) => slots,
+        }
+    }
+
     /// Is the argument tuple, read off `values`, a row of `rel`?
     #[inline]
     fn in_relation(&self, rel: &Relation, values: &[Elem]) -> bool {
-        let slots = match self {
-            Args::Inline { len, slots } => &slots[..usize::from(*len)],
-            Args::Wide(slots) => slots,
-        };
-        rel.contains_mapped(slots, |slot| values[slot as usize])
+        rel.contains_mapped(self.slots(), |slot| values[slot as usize])
     }
 }
 
@@ -86,6 +112,15 @@ enum Node {
         slot: Slot,
         existential: bool,
         body: Box<Node>,
+    },
+    /// `∃v. P(args) ∧ body`, `v` first occurring in `args[first]` and every
+    /// slot before it bound: a scan of the rows of `P` that begin with the
+    /// bound prefix. No body is `True`.
+    Scan {
+        pred: PredId,
+        first: u8,
+        args: Args,
+        body: Option<Box<Node>>,
     },
     SoQuantify {
         pred_var: usize,
@@ -131,9 +166,10 @@ impl Program {
             Formula::Or(fs) => Node::Or(fs.iter().map(|g| self.node(g)).collect()),
             Formula::Implies(p, q) => Node::Implies(self.pair(p, q)),
             Formula::Iff(p, q) => Node::Iff(self.pair(p, q)),
-            Formula::Exists(v, g) | Formula::Forall(v, g) => Node::Quantify {
+            Formula::Exists(..) => self.conjunction(f, |_, _| true).unwrap_or(Node::True),
+            Formula::Forall(v, g) => Node::Quantify {
                 slot: var_slot(*v),
-                existential: matches!(f, Formula::Exists(..)),
+                existential: false,
                 body: Box::new(self.node(g)),
             },
             Formula::SoExists(r, k, g) | Formula::SoForall(r, k, g) => Node::SoQuantify {
@@ -142,6 +178,83 @@ impl Program {
                 existential: matches!(f, Formula::SoExists(..)),
                 body: Box::new(self.node(g)),
             },
+        }
+    }
+
+    /// The conjunction of the [`Conjunct`]s of `f` that `keep` selects
+    /// (given each one's free variables), or `None` if it selects none. One
+    /// conjunct lowers to itself, several to one `And` allocated at its
+    /// final size.
+    fn conjunction(
+        &mut self,
+        f: &Formula,
+        keep: impl Fn(Conjunct, VarMask) -> bool,
+    ) -> Option<Node> {
+        let mut count = 0;
+        let mut only = None;
+        for_each_conjunct(f, &mut |c, free| {
+            if keep(c, free) {
+                count += 1;
+                only = Some(c);
+            }
+        });
+        match count {
+            0 => None,
+            1 => only.map(|c| self.conjunct(c)),
+            _ => {
+                let mut nodes = Vec::with_capacity(count);
+                for_each_conjunct(f, &mut |c, free| {
+                    if keep(c, free) {
+                        nodes.push(self.conjunct(c));
+                    }
+                });
+                Some(Node::And(nodes.into_boxed_slice()))
+            }
+        }
+    }
+
+    fn conjunct(&mut self, c: Conjunct) -> Node {
+        match c {
+            Conjunct::Leaf(f) => self.node(f),
+            Conjunct::Block(v, g) => self.block(v, g),
+        }
+    }
+
+    /// `∃v` over the conjuncts of `g` that mention `v` (the others were
+    /// lifted out). Guarded by a vocabulary atom that mentions `v` — the
+    /// one whose bound prefix is longest, the first of those — it is a
+    /// [`Node::Scan`] of that atom's rows with the rest as its body;
+    /// unguarded, a loop over the domain.
+    fn block(&mut self, v: Var, g: &Formula) -> Node {
+        let mut guard: Option<(&Formula, usize)> = None;
+        for_each_conjunct(g, &mut |c, _| {
+            if let Conjunct::Leaf(atom @ Formula::Atom(_, ts)) = c {
+                let first = ts.iter().position(|t| *t == Term::Var(v));
+                let longer = |&i: &usize| {
+                    i <= usize::from(u8::MAX) && guard.is_none_or(|(_, best)| i > best)
+                };
+                if let Some(first) = first.filter(longer) {
+                    guard = Some((atom, first));
+                }
+            }
+        });
+        let kept = |free: VarMask| free & var_bit(v) != 0;
+        let Some((atom @ Formula::Atom(pred, ts), first)) = guard else {
+            let body = self.conjunction(g, |_, free| kept(free));
+            return Node::Quantify {
+                slot: var_slot(v),
+                existential: true,
+                body: Box::new(body.expect("a block keeps a conjunct")),
+            };
+        };
+        let is_guard = |c: Conjunct| matches!(c, Conjunct::Leaf(f) if std::ptr::eq(f, atom));
+        Node::Scan {
+            pred: *pred,
+            first: first as u8,
+            args: self.args(ts),
+            body: self
+                .conjunction(g, |c, free| kept(free) && !is_guard(c))
+                .map(Box::new),
         }
     }
 
@@ -181,6 +294,82 @@ impl Program {
 
 fn var_slot(v: Var) -> Slot {
     v.index() as Slot
+}
+
+/// A conjunct of a formula with its first-order `∃` blocks miniscoped
+/// (see [`for_each_conjunct`]). It borrows the formula: lowering copies
+/// no part of it.
+#[derive(Clone, Copy)]
+enum Conjunct<'f> {
+    /// A subformula that is neither a conjunction nor an `∃`.
+    Leaf(&'f Formula),
+    /// `∃v` over the conjuncts of the formula that mention `v`.
+    Block(Var, &'f Formula),
+}
+
+/// A set of variables as a mask: bit `i` stands for `Var(i)`, and the top
+/// bit for every variable from index 63 on. A variable in the set may
+/// occur free; one outside it does not. (The shared top bit only keeps a
+/// conjunct inside a quantifier it could have left.)
+type VarMask = u64;
+
+fn var_bit(v: Var) -> VarMask {
+    1 << v.index().min(63)
+}
+
+/// `free` without `v`, as a binder of `v` leaves it.
+fn unbind(free: VarMask, v: Var) -> VarMask {
+    if v.index() < 63 {
+        free & !var_bit(v)
+    } else {
+        free
+    }
+}
+
+/// Calls `visit` on each conjunct of `f` with the variables it mentions,
+/// miniscoped: a conjunction is its conjuncts', and `∃v. g` is the
+/// conjuncts of `g` that do not mention `v` — lifted out of the quantifier
+/// — followed by the [`Conjunct::Block`] of those that do, if any. (The
+/// domain is never empty, so `∃v` over nothing is true.) A block's
+/// variables come out of the enumeration of its own conjuncts, so one call
+/// costs the size of `f`, however deep its `∃` chains.
+fn for_each_conjunct<'f>(f: &'f Formula, visit: &mut dyn FnMut(Conjunct<'f>, VarMask)) {
+    match f {
+        Formula::And(fs) => fs.iter().for_each(|g| for_each_conjunct(g, visit)),
+        Formula::Exists(v, g) => {
+            let (mut kept, mut block) = (false, 0);
+            for_each_conjunct(g, &mut |c, free| {
+                if free & var_bit(*v) != 0 {
+                    (kept, block) = (true, block | free);
+                } else {
+                    visit(c, free);
+                }
+            });
+            if kept {
+                visit(Conjunct::Block(*v, g), unbind(block, *v));
+            }
+        }
+        _ => visit(Conjunct::Leaf(f), free_vars(f)),
+    }
+}
+
+/// The variables that may occur free in `f`.
+fn free_vars(f: &Formula) -> VarMask {
+    let terms = |ts: &[Term]| {
+        ts.iter().fold(0, |free, t| match t {
+            Term::Var(v) => free | var_bit(*v),
+            Term::Const(_) => free,
+        })
+    };
+    match f {
+        Formula::True | Formula::False => 0,
+        Formula::Atom(_, ts) | Formula::SoAtom(_, ts) => terms(ts),
+        Formula::Eq(a, b) => terms(&[*a, *b]),
+        Formula::Not(g) | Formula::SoExists(_, _, g) | Formula::SoForall(_, _, g) => free_vars(g),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().fold(0, |free, g| free | free_vars(g)),
+        Formula::Implies(p, q) | Formula::Iff(p, q) => free_vars(p) | free_vars(q),
+        Formula::Exists(v, g) | Formula::Forall(v, g) => unbind(free_vars(g), *v),
+    }
 }
 
 /// The environment a [`Program`] runs in — everything but the database,
@@ -248,6 +437,18 @@ impl Frame {
                 self.values[slot] = saved;
                 result
             }
+            Node::Scan {
+                pred,
+                first,
+                args,
+                body,
+            } => self.scan(
+                db,
+                db.relation(*pred),
+                usize::from(*first),
+                args,
+                body.as_deref(),
+            ),
             Node::SoQuantify {
                 pred_var,
                 arity,
@@ -269,6 +470,42 @@ impl Frame {
                 result
             }
         }
+    }
+
+    /// [`Node::Scan`]: binds `v` — the slot `args[first]` — to each row of
+    /// `rel` that begins with the bound prefix `args[..first]` and reads as
+    /// every later slot does, until `body` holds. Kept out of
+    /// [`Frame::compound_holds`], whose frame every connective pays for.
+    #[inline(never)]
+    fn scan(
+        &mut self,
+        db: &PhysicalDb,
+        rel: &Relation,
+        first: usize,
+        args: &Args,
+        body: Option<&Node>,
+    ) -> bool {
+        let (prefix, rest) = args.slots().split_at(first);
+        let slot = rest[0] as usize;
+        let saved = self.values[slot];
+        let values = &self.values;
+        let mut result = false;
+        for row in rel.rows_with_prefix_mapped(prefix, |s| values[s as usize]) {
+            self.values[slot] = row[first];
+            // Every later position — `v` again, or a bound slot — must
+            // read as the row does.
+            let later = rest[1..].iter().zip(&row[first + 1..]);
+            if later
+                .into_iter()
+                .all(|(&s, &e)| self.values[s as usize] == e)
+                && body.is_none_or(|b| self.holds(db, b))
+            {
+                result = true;
+                break;
+            }
+        }
+        self.values[slot] = saved;
+        result
     }
 }
 
@@ -548,6 +785,69 @@ mod tests {
         )
         .unwrap();
         assert!(satisfies(&db, q.body()));
+    }
+
+    /// `∃x₁ … ∃xₙ. PARENT(alice, x₁) ∧ PARENT(x₁, x₂) ∧ … ∧ PARENT(xₙ₋₁, xₙ)`:
+    /// a path of `n` edges from alice.
+    fn path_from_alice(voc: &Vocabulary, n: u32, first_var: u32) -> Formula {
+        let parent = voc.pred_id("PARENT").unwrap();
+        let alice = Term::Const(voc.const_id("alice").unwrap());
+        let vars: Vec<Var> = (first_var..first_var + n).map(Var).collect();
+        let mut hops = Vec::new();
+        let mut from = alice;
+        for &v in &vars {
+            hops.push(Formula::atom(parent, [from, Term::Var(v)]));
+            from = Term::Var(v);
+        }
+        Formula::exists(vars, Formula::And(hops))
+    }
+
+    #[test]
+    fn long_exists_chains_miniscope_in_polynomial_time() {
+        // Every hop but the last is lifted out of the innermost `∃` and
+        // guards its own; a lowering that re-derived each block's variables
+        // from scratch would take 2^40 steps here.
+        let (voc, db) = family();
+        assert!(satisfies(&db, &path_from_alice(&voc, 2, 0)));
+        assert!(!satisfies(&db, &path_from_alice(&voc, 3, 0)));
+        assert!(!satisfies(&db, &path_from_alice(&voc, 40, 0)));
+    }
+
+    #[test]
+    fn variables_past_the_mask_width_stay_scoped() {
+        // Indices from 63 on share one bit of the free-variable mask: they
+        // keep conjuncts inside their quantifiers, never lift one out.
+        let (voc, db) = family();
+        for first_var in [60, 63, 64, 100] {
+            assert!(satisfies(&db, &path_from_alice(&voc, 2, first_var)));
+            assert!(!satisfies(&db, &path_from_alice(&voc, 3, first_var)));
+        }
+        let q = parse_query(
+            &voc,
+            "(x) . exists y. PARENT(x, y) & exists z. PARENT(y, z)",
+        )
+        .unwrap();
+        let high = |v: Var| Var(v.index() as u32 + 70);
+        let renamed = Query::new(
+            q.head().iter().map(|&v| high(v)).collect(),
+            rename(q.body(), &high),
+        )
+        .unwrap();
+        assert_eq!(eval_query(&db, &renamed), eval_query(&db, &q));
+        assert_eq!(eval_query(&db, &q), Relation::from_rows(1, [[0]]));
+    }
+
+    fn rename(f: &Formula, to: &impl Fn(Var) -> Var) -> Formula {
+        let term = |t: &Term| match t {
+            Term::Var(v) => Term::Var(to(*v)),
+            c => *c,
+        };
+        match f {
+            Formula::Atom(p, ts) => Formula::atom(*p, ts.iter().map(term)),
+            Formula::And(fs) => Formula::And(fs.iter().map(|g| rename(g, to)).collect()),
+            Formula::Exists(v, g) => Formula::Exists(to(*v), Box::new(rename(g, to))),
+            other => unimplemented!("{other:?}"),
+        }
     }
 
     #[test]

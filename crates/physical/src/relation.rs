@@ -169,6 +169,56 @@ impl Relation {
         self.search_mapped(tuple, f).is_ok()
     }
 
+    /// The rows that begin with the image of `prefix` under `f`, in order.
+    /// Rows are sorted, so they are one contiguous run, found by two
+    /// bisections (the first row not below the prefix, the first row past
+    /// it) with no row built in between: how the evaluator scans the rows
+    /// of a quantifier's guard that match its bound arguments. An empty
+    /// prefix matches every row.
+    ///
+    /// # Panics
+    /// Panics if the prefix is longer than the relation's arity.
+    pub fn rows_with_prefix_mapped(&self, prefix: &[Elem], f: impl Fn(Elem) -> Elem) -> Rows<'_> {
+        let (k, m) = (self.arity, prefix.len());
+        assert!(m <= k, "prefix longer than the arity");
+        let (lo, hi) = match prefix {
+            [] => (0, self.len),
+            &[first] => {
+                let first = f(first);
+                let lo = self.partition_point_from(0, |row| row[0] < first);
+                (lo, self.partition_point_from(lo, |row| row[0] <= first))
+            }
+            _ => {
+                let order =
+                    |row: &[Elem]| row[..m].iter().copied().cmp(prefix.iter().map(|&e| f(e)));
+                let lo = self.partition_point_from(0, |row| order(row).is_lt());
+                (lo, self.partition_point_from(lo, |row| order(row).is_le()))
+            }
+        };
+        Rows {
+            data: &self.data[lo * k..hi * k],
+            arity: k,
+            remaining: hi - lo,
+        }
+    }
+
+    /// The index of the first row at or after `lo` for which `pred` fails,
+    /// given that `pred` holds on a (possibly empty) run of rows from `lo`
+    /// and fails on every row after it.
+    #[inline]
+    fn partition_point_from(&self, lo: usize, pred: impl Fn(&[Elem]) -> bool) -> usize {
+        let (mut lo, mut hi) = (lo, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.row(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
     /// Iterates over tuples in lexicographic order.
     pub fn iter(&self) -> Rows<'_> {
         Rows {

@@ -11,6 +11,19 @@
 //! variables), nullary and arity-5 predicates (the inline/wide argument
 //! boundary), `<->` and `->`, empty `&`/`|`, and one [`QueryEvaluator`]
 //! carried across every database and query of a run.
+//!
+//! One arm generates *guarded* shapes, `∃v. A(…v…) ∧ …`, which the lowering
+//! miniscopes (conjuncts that do not mention `v` move out of the
+//! quantifier) and turns into a scan of `A`'s rows that begin with the
+//! bound prefix. It puts `v` first, in the middle and last, repeats it
+//! (`P2(y, y)`), mixes constants into the guard, guards over empty
+//! relations and over the arity-5 predicate, conjoins the nullary one
+//! (always lifted), chains `∃y. ∃w.` as `qld_bench`'s `scaling` does,
+//! reuses a name an outer binder or the head already holds, and conjoins
+//! subformulas that do and do not mention `v`;
+//! `the_guarded_arm_covers_every_shape` checks that it does. This
+//! reference is the rule's only independent check: `qld_core::oracle`
+//! evaluates through the same [`eval_query`].
 
 use proptest::prelude::*;
 use qld_logic::{ConstId, Formula, PredId, PredVarId, Query, Term, Var, Vocabulary};
@@ -222,6 +235,64 @@ impl FormulaGen<'_> {
         }
     }
 
+    /// `∃v. A(…v…) ∧ …`, or `∃v. ∃w. A(…v…) ∧ B(…w…) ∧ …` (the guard of
+    /// `v` inside `∃w`, lifted out only by miniscoping): the guards, then
+    /// maybe a second guard candidate, a nested guarded block, the nullary
+    /// atom, an equality with `v` (kept in the quantifier, but no guard) or
+    /// any subformula (which may or may not mention `v`), in a random
+    /// order, sometimes nested in a second `∧`.
+    fn guarded(&mut self, depth: usize, rng: &mut TestRunner) -> Formula {
+        let v = Var(rng.gen_range(0..NUM_VARS));
+        let w = rng.gen_bool(0.4).then(|| Var(rng.gen_range(0..NUM_VARS)));
+        let mut conjuncts = vec![self.guard(v, rng)];
+        if let Some(w) = w {
+            let mut inner = self.guard(w, rng);
+            if let Formula::Atom(_, ts) = &mut inner {
+                let at = rng.gen_range(0..ts.len());
+                if ts[at] != Term::Var(w) && rng.gen_bool(0.5) {
+                    ts[at] = Term::Var(v);
+                }
+            }
+            conjuncts.push(inner);
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            conjuncts.push(match rng.gen_range(0..6) {
+                0 => self.guard(v, rng),
+                1 | 5 if depth > 1 => self.guarded(depth - 1, rng),
+                2 => Formula::Atom(PredId(0), Box::new([])),
+                3 => Formula::Eq(Term::Var(v), self.term(rng)),
+                _ => self.formula(depth - 1, rng),
+            });
+        }
+        let by = rng.gen_range(0..conjuncts.len());
+        conjuncts.rotate_left(by);
+        if conjuncts.len() > 2 && rng.gen_bool(0.3) {
+            let inner = conjuncts.split_off(1);
+            conjuncts.push(Formula::And(inner));
+        }
+        let body = Formula::And(conjuncts);
+        let body = match w {
+            Some(w) => Formula::Exists(w, Box::new(body)),
+            None => body,
+        };
+        Formula::Exists(v, Box::new(body))
+    }
+
+    /// An atom of positive arity with `v` at its first, middle or last
+    /// position, sometimes at a second one too; every other argument is a
+    /// random term.
+    fn guard(&self, v: Var, rng: &mut TestRunner) -> Formula {
+        let p = PredId(rng.gen_range(1..PRED_ARITIES.len() as u32));
+        let arity = self.voc.pred_arity(p);
+        let mut terms = self.terms(arity, rng);
+        let at = [0, arity / 2, arity - 1][rng.gen_range(0usize..3)];
+        terms[at] = Term::Var(v);
+        if rng.gen_bool(0.3) {
+            terms[rng.gen_range(0..arity)] = Term::Var(v);
+        }
+        Formula::Atom(p, terms.into())
+    }
+
     fn boxed(&mut self, depth: usize, rng: &mut TestRunner) -> Box<Formula> {
         Box::new(self.formula(depth - 1, rng))
     }
@@ -230,8 +301,9 @@ impl FormulaGen<'_> {
         if depth == 0 {
             return self.leaf(rng);
         }
-        match rng.gen_range(0..12) {
+        match rng.gen_range(0..14) {
             0 | 1 => self.leaf(rng),
+            12 | 13 => self.guarded(depth, rng),
             2 => Formula::Not(self.boxed(depth, rng)),
             3 | 4 => {
                 let n = rng.gen_range(0usize..4);
@@ -406,4 +478,153 @@ fn one_query_evaluator_serves_every_database_and_query() {
         }
         previous = Some((case, lowered));
     }
+}
+
+/// How often the generator produced each guarded shape the module docs
+/// list, counted over the `∃` blocks whose body — split at `∧`, and seen
+/// through an inner `∃` of another name that is all of it — holds an atom
+/// that mentions the bound variable.
+#[derive(Debug, Default, Clone, Copy)]
+struct GuardCoverage {
+    first: usize,
+    middle: usize,
+    last: usize,
+    repeated: usize,
+    constant: usize,
+    empty_relation: usize,
+    arity_5: usize,
+    nullary_lifted: usize,
+    /// `∃v. ∃w.` with a guard of `v` in the inner body.
+    chain: usize,
+    /// An inner `∃` among the conjuncts that mentions `v`.
+    nested: usize,
+    shadowing: usize,
+    lifted: usize,
+    kept: usize,
+}
+
+impl GuardCoverage {
+    /// One conjunct of a guarded `∃v` (of `∃v. ∃w.` when `inner` is `w`).
+    fn conjunct(&mut self, db: &PhysicalDb, c: &Formula, v: Var, inner: Option<Var>) {
+        let var = Term::Var(v);
+        let free = c.free_vars();
+        match c {
+            Formula::Atom(p, ts) if ts.contains(&var) => {
+                let arity = ts.len();
+                let at = ts.iter().position(|t| *t == var).unwrap();
+                if arity >= 2 {
+                    self.first += usize::from(at == 0);
+                    self.middle += usize::from(at > 0 && at + 1 < arity);
+                    self.last += usize::from(at + 1 == arity);
+                }
+                let repeats = ts.iter().filter(|t| **t == var).count();
+                self.repeated += usize::from(repeats > 1);
+                let constants = ts.iter().any(|t| matches!(t, Term::Const(_)));
+                self.constant += usize::from(constants);
+                self.empty_relation += usize::from(db.relation(*p).is_empty());
+                self.arity_5 += usize::from(arity == 5);
+            }
+            c if free.contains(&v) => {
+                self.kept += 1;
+                self.nested += usize::from(matches!(c, Formula::Exists(..)));
+            }
+            c if inner.is_none_or(|w| !free.contains(&w)) => {
+                self.lifted += 1;
+                let nullary = matches!(c, Formula::Atom(_, ts) if ts.is_empty());
+                self.nullary_lifted += usize::from(nullary);
+            }
+            _ => {}
+        }
+    }
+
+    fn visit(&mut self, db: &PhysicalDb, f: &Formula, bound: &mut Vec<Var>) {
+        fn flatten<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
+            match f {
+                Formula::And(fs) => fs.iter().for_each(|g| flatten(g, out)),
+                _ => out.push(f),
+            }
+        }
+        match f {
+            Formula::True | Formula::False => {}
+            Formula::Atom(..) | Formula::SoAtom(..) | Formula::Eq(..) => {}
+            Formula::Not(g) | Formula::SoExists(_, _, g) | Formula::SoForall(_, _, g) => {
+                self.visit(db, g, bound)
+            }
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| self.visit(db, g, bound)),
+            Formula::Implies(p, q) | Formula::Iff(p, q) => {
+                self.visit(db, p, bound);
+                self.visit(db, q, bound);
+            }
+            Formula::Forall(v, g) => {
+                bound.push(*v);
+                self.visit(db, g, bound);
+                bound.pop();
+            }
+            Formula::Exists(v, g) => {
+                // `∃v. ∃w. …` is seen through to the inner body: the chain.
+                let (body, inner) = match &**g {
+                    Formula::Exists(w, inner) if w != v => (&**inner, Some(*w)),
+                    _ => (&**g, None),
+                };
+                let mut conjuncts = Vec::new();
+                flatten(body, &mut conjuncts);
+                let var = Term::Var(*v);
+                let guards = |c: &&Formula| matches!(c, Formula::Atom(_, ts) if ts.contains(&var));
+                if conjuncts.iter().any(guards) {
+                    self.shadowing += usize::from(bound.contains(v));
+                    self.chain += usize::from(inner.is_some());
+                    for c in &conjuncts {
+                        self.conjunct(db, c, *v, inner);
+                    }
+                }
+                bound.push(*v);
+                self.visit(db, g, bound);
+                bound.pop();
+            }
+        }
+    }
+}
+
+/// The guarded arm produces every shape the module docs promise, many
+/// times over, within the cases one property runs.
+#[test]
+fn the_guarded_arm_covers_every_shape() {
+    let mut rng: TestRunner = rand::SeedableRng::seed_from_u64(0x6a2d);
+    let mut coverage = GuardCoverage::default();
+    for _ in 0..1500 {
+        let case = Cases.generate(&mut rng);
+        let mut bound = case.query.head().to_vec();
+        coverage.visit(&case.db, case.query.body(), &mut bound);
+    }
+    let GuardCoverage {
+        first,
+        middle,
+        last,
+        repeated,
+        constant,
+        empty_relation,
+        arity_5,
+        nullary_lifted,
+        chain,
+        nested,
+        shadowing,
+        lifted,
+        kept,
+    } = coverage;
+    let counts = [
+        first,
+        middle,
+        last,
+        repeated,
+        constant,
+        empty_relation,
+        arity_5,
+        nullary_lifted,
+        chain,
+        nested,
+        shadowing,
+        lifted,
+        kept,
+    ];
+    assert!(counts.iter().all(|&n| n >= 20), "{coverage:?}");
 }

@@ -5,7 +5,8 @@
 //! rows sort as fixed-size arrays). After every step every observer —
 //! `len`, `iter`, `contains`, `active_elems`, `is_subset_of`, `==`,
 //! `Hash`, `Debug` — must agree with the model; a second test walks the
-//! row search across its arity and length dispatch boundaries. Relations are built the
+//! row search across its arity and length dispatch boundaries, a third
+//! the prefix range against a linear filter. Relations are built the
 //! one way there is, through a [`RowWriter`]: rows pushed out of order and
 //! repeated, rows assembled from parts, a writer finished empty, a writer
 //! inside another relation's buffer.
@@ -317,6 +318,55 @@ fn search_agrees_with_the_model_on_both_sides_of_every_dispatch_boundary() {
             }
         }
     }
+}
+
+/// `Relation::rows_with_prefix_mapped` ≡ a linear filter of the model's
+/// rows, in order: arities 0–6, every prefix length from 0 (every row) to
+/// the arity (at most the one equal row), the empty relation, prefixes
+/// below the first row and above the last, and rows over three values so
+/// that leading columns repeat in runs the two bisections must bracket.
+#[test]
+fn prefix_rows_agree_with_a_linear_filter() {
+    for arity in 0..=MAX_ARITY {
+        for len in [0usize, 1, 2, 7, 16, 33] {
+            for seed in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 977 + (arity * 41 + len) as u64);
+                let len = len.min(3usize.pow(arity as u32));
+                let mut model = Model::new();
+                while model.len() < len {
+                    model.insert((0..arity).map(|_| rng.gen_range(1..=3)).collect());
+                }
+                let rel = Relation::from_rows(arity, &model);
+                for m in 0..=arity {
+                    let mut prefixes: Vec<Vec<Elem>> =
+                        model.iter().map(|r| r[..m].to_vec()).collect();
+                    prefixes.push(vec![0; m]);
+                    prefixes.push(vec![Elem::MAX; m]);
+                    prefixes
+                        .extend((0..16).map(|_| (0..m).map(|_| rng.gen_range(0..=4)).collect()));
+                    for prefix in &prefixes {
+                        let expected: Vec<&[Elem]> = model
+                            .iter()
+                            .filter(|r| r.starts_with(prefix))
+                            .map(Vec::as_slice)
+                            .collect();
+                        let shifted: Vec<Elem> = prefix.iter().map(|e| e.wrapping_add(7)).collect();
+                        let rows = rel.rows_with_prefix_mapped(&shifted, |e| e.wrapping_sub(7));
+                        let context =
+                            format!("arity {arity}, {len} rows, seed {seed}, prefix {prefix:?}");
+                        assert_eq!(rows.len(), expected.len(), "len: {context}");
+                        assert_eq!(rows.collect::<Vec<_>>(), expected, "rows: {context}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "prefix longer than the arity")]
+fn prefix_rows_check_the_prefix_length() {
+    Relation::from_rows(2, [[1, 2]]).rows_with_prefix_mapped(&[1, 2, 3], |e| e);
 }
 
 #[test]
