@@ -3,8 +3,8 @@
 //! The semantics are the textbook recursive ones: a first-order quantifier
 //! ranges over the domain — or, guarded by an atom, over that atom's
 //! matching rows — so a fixed first-order query is evaluated in polynomial
-//! time and logarithmic space in the database — the
-//! LOGSPACE data complexity of Theorem 4(1). Second-order quantifiers are
+//! time and logarithmic space in the database (the LOGSPACE data
+//! complexity of Theorem 4(1)). Second-order quantifiers are
 //! evaluated by enumerating all relations over the domain; this is
 //! intentionally brutal, because the whole point of Theorem 3 is that the
 //! precise simulation hides a second-order quantification whose cost is
@@ -43,8 +43,8 @@
 //! `|D|` probes. `Q̂` of §5 has no negation, so the rule fires wherever it
 //! quantifies; `∀`, second-order atoms and unguarded `∃` keep the domain
 //! loop. Rows lie in the domain, and the domain is never empty, so a scan
-//! binds exactly the elements the loop would have found, and an `∃v` left
-//! with no conjunct is true.
+//! finds a witness exactly when the loop would, and an `∃v` left with no
+//! conjunct is true.
 //!
 //! [`eval_query`], [`Evaluator`] and [`satisfies`] lower and run in one
 //! call. A [`QueryEvaluator`] runs an already lowered query and keeps its
