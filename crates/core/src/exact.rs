@@ -26,8 +26,8 @@
 //!   ([`PhysicalDb::assign_mapped_frame`]): a free constant occurs in no
 //!   fact, so `e` cannot change a relation;
 //! * each lowered query is run over it through the worker's one
-//!   [`QueryEvaluator`], whose value slots, candidate row and answer
-//!   relation are those of the previous image;
+//!   [`QueryEvaluator`], whose value slots and answer relation are
+//!   those of the previous image;
 //! * candidate tuples are the rows of one flat [`Relation`] per query and
 //!   pruning is [`Relation::retain`]. A candidate without a free constant —
 //!   every candidate, when the plan has none — is decided in one step, a

@@ -39,6 +39,7 @@
 use crate::theory::CwDatabase;
 use qld_physical::Elem;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// How many prefix jobs to aim for per worker thread. More jobs than
 /// workers lets the atomic job counter balance skewed subtree sizes
@@ -104,14 +105,24 @@ impl ParallelConfig {
     /// The actual worker count: `threads`, with `0` resolved to the number
     /// of available CPUs and explicit counts clamped to the host (unless
     /// [`ParallelConfig::unclamped`]) so the pool never oversubscribes.
+    /// One thread is one thread on any host, so it never probes the host.
     pub fn resolved_threads(self) -> usize {
-        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         match self.threads {
-            0 => host,
-            n if self.clamp_to_host => n.min(host),
+            1 => 1,
+            0 => host_parallelism(),
+            n if self.clamp_to_host => n.min(host_parallelism()),
             n => n,
         }
     }
+}
+
+/// The host's available parallelism, probed once per process: the probe
+/// reads the cgroup's CPU quota from files, which costs more than a small
+/// walk.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 impl Default for ParallelConfig {

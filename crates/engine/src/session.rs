@@ -14,7 +14,7 @@ use qld_core::ph::ph1;
 use qld_core::CwDatabase;
 use qld_logic::parser::parse_query;
 use qld_logic::{Formula, PredId, Query};
-use qld_physical::{eval_query, Elem, PhysicalDb, Relation, TupleSpace};
+use qld_physical::{eval_query, Elem, PhysicalDb, Relation};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -899,7 +899,7 @@ impl Engine {
         let opts = ExactOptions {
             corollary2_fast_path: false,
             parallel: self.config.parallel,
-            ..ExactOptions::new()
+            early_exit: true,
         };
         let warm = self.decomp.get().is_some();
         let decomp = self.decomp.get_or_init(|| analyze_decomposition(&self.db));
@@ -1031,16 +1031,28 @@ impl Engine {
     /// of the §5 approximation of `¬Q` above (`t` certainly *not* an
     /// answer means `t` is an answer in no model, so approx(¬Q) ⊆
     /// certain(¬Q) excludes only non-answers).
+    ///
+    /// The upper side is one evaluation over `Ph₂(LB)`, whose domain is
+    /// `C`: the query `¬(¬Q)^` keeps exactly the tuples of `Cᵏ` outside
+    /// approx(¬Q). Its negation is distributed over the top-level
+    /// disjuncts of `(¬Q)^` and no further, so that each negated disjunct
+    /// is a conjunct the head loop tests as soon as its variables are
+    /// bound, while the quantifiers inside a disjunct keep the guards
+    /// `(¬Q)^` gave them.
     fn run_bounded_pair(&self, prepared: &PreparedQuery) -> Result<RunOutcome, EngineError> {
         let approx = self.approx_engine();
         let lower = self.eval_rewritten(prepared);
         let (head, body) = prepared.query.clone().into_parts();
         let negated = Query::new(head, Formula::not(body))?;
-        let neg_rewritten = approx.rewrite(&negated, AlphaMode::Materialized)?;
-        let certainly_not = eval_query(approx.extended_db(), &neg_rewritten);
-        let arity = prepared.query.arity();
-        let consts: Vec<Elem> = (0..self.db.num_consts() as Elem).collect();
-        let upper = TupleSpace::new(&consts, arity).select(|t| !certainly_not.contains(t));
+        let (head, neg_hat) = approx
+            .rewrite(&negated, AlphaMode::Materialized)?
+            .into_parts();
+        let mut outside = Vec::new();
+        negate_disjuncts(neg_hat, &mut outside);
+        let upper = eval_query(
+            approx.extended_db(),
+            &Query::new(head, Formula::And(outside))?,
+        );
         Ok(RunOutcome {
             tuples: lower,
             regime: Regime::Approximation,
@@ -1054,6 +1066,15 @@ impl Engine {
     /// Evaluates the prepared `Q̂` over `Ph₂(LB)`.
     fn eval_rewritten(&self, prepared: &PreparedQuery) -> Relation {
         eval_query(self.approx_engine().extended_db(), prepared.rewritten())
+    }
+}
+
+/// Pushes `¬d` for each top-level disjunct `d` of `f` (through nested
+/// `∨`), so that the conjunction of `out` is `¬f`.
+fn negate_disjuncts(f: Formula, out: &mut Vec<Formula>) {
+    match f {
+        Formula::Or(ds) => ds.into_iter().for_each(|d| negate_disjuncts(d, out)),
+        d => out.push(Formula::not(d)),
     }
 }
 

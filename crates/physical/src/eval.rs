@@ -46,10 +46,24 @@
 //! finds a witness exactly when the loop would, and an `∃v` left with no
 //! conjunct is true.
 //!
+//! # The head loop
+//!
+//! The same rule, one level up: a query's head is bound by nested domain
+//! loops, one per head variable in head order, and each top-level conjunct
+//! of the body — taken from the miniscoped enumeration the `∃` blocks use,
+//! so a conjunct an `∃` lifts out is one too — is tested at the loop of
+//! the last head variable it mentions, as soon as everything it reads is
+//! bound. The conjuncts that mention no head variable are tested once,
+//! before the loop, and within a level they keep their order. So
+//! `(x, y) . P0(x, y) ∧ α_P1(x)` tests `α_P1(x)` `|D|` times and `P0(x, y)`
+//! only under the `x` that pass, not both for all `|D|²` pairs. The loops
+//! run in domain order, so the answers come out in the odometer order of
+//! [`TupleSpace`](crate::TupleSpace), which the [`RowWriter`] they are
+//! pushed into checks in one pass instead of sorting.
+//!
 //! [`eval_query`], [`Evaluator`] and [`satisfies`] lower and run in one
 //! call. A [`QueryEvaluator`] runs an already lowered query and keeps its
-//! buffers across calls — the slots, the candidate row
-//! ([`TupleSpace::next_into`]) and the answer relation ([`RowWriter`]) — so
+//! buffers across calls — the slots and the answer relation — so
 //! evaluating one lowered query over one database image after another (the
 //! Theorem 1 walk, which lowers each query of a batch once and shares it
 //! among its workers) allocates only while a buffer still grows.
@@ -60,7 +74,7 @@
 
 use crate::db::PhysicalDb;
 use crate::relation::{Elem, Relation, RowWriter};
-use crate::tuples::{for_each_relation, TupleSpace};
+use crate::tuples::for_each_relation;
 use qld_logic::{ConstId, Formula, PredId, Query, Term, Var};
 
 /// Index of a value slot of a [`Frame`]. As wide as an [`Elem`], so that
@@ -141,15 +155,22 @@ struct Program {
 }
 
 impl Program {
-    /// Lowers `formula` for an environment of at least `min_vars`
-    /// variables (head variables need not occur in the body).
-    fn lower(formula: &Formula, min_vars: usize) -> Program {
-        let mut program = Program {
+    /// An environment for `formula` of at least `min_vars` variables (head
+    /// variables need not occur in the body), with nothing lowered yet: the
+    /// root is `True`.
+    fn shape(formula: &Formula, min_vars: usize) -> Program {
+        Program {
             root: Node::True,
             num_vars: min_vars.max(formula.max_var().map_or(0, |v| v.index() + 1)),
             consts: Vec::new(),
             num_pred_vars: formula.max_pred_var().map_or(0, |r| r.index() + 1),
-        };
+        }
+    }
+
+    /// Lowers `formula` for an environment of at least `min_vars`
+    /// variables.
+    fn lower(formula: &Formula, min_vars: usize) -> Program {
+        let mut program = Program::shape(formula, min_vars);
         program.root = program.node(formula);
         program
     }
@@ -507,6 +528,31 @@ impl Frame {
         self.values[slot] = saved;
         result
     }
+
+    /// The head loop from level `depth` on: binds `head[depth]` to each
+    /// element of the domain in turn, and where its test holds, runs the
+    /// next level — or, past the last, pushes the bound head as an answer.
+    /// Rows come out in odometer order.
+    fn bind_head(
+        &mut self,
+        db: &PhysicalDb,
+        head: &[HeadVar],
+        depth: usize,
+        answers: &mut RowWriter,
+    ) {
+        let Some(var) = head.get(depth) else {
+            let values = &self.values;
+            answers.push_with(head.iter().map(|h| values[h.slot as usize]));
+            return;
+        };
+        let slot = var.slot as usize;
+        for &e in db.domain() {
+            self.values[slot] = e;
+            if var.test.as_ref().is_none_or(|test| self.holds(db, test)) {
+                self.bind_head(db, head, depth + 1, answers);
+            }
+        }
+    }
 }
 
 /// Evaluation state: a physical database plus variable bindings.
@@ -572,19 +618,46 @@ pub fn satisfies_all<'a, I: IntoIterator<Item = &'a Formula>>(
 /// [`QueryEvaluator`] runs. Lowering depends on the query alone, so one
 /// lowered query serves every database of its vocabulary, from any thread.
 pub struct LoweredQuery {
-    /// The head variables' slots, in head order.
-    head: Box<[Slot]>,
+    /// The head loop's levels, in head order.
+    head: Box<[HeadVar]>,
+    /// The environment; its root is the conjunction of the body's
+    /// conjuncts that mention no head variable, tested once, before the
+    /// head loop.
     body: Program,
+}
+
+/// One level of the head loop: a head variable and the conjuncts of the
+/// body tested as soon as it is bound.
+struct HeadVar {
+    slot: Slot,
+    /// The conjunction of the conjuncts whose last head variable, in head
+    /// order, this one is; `None` if there are none.
+    test: Option<Node>,
 }
 
 impl LoweredQuery {
     /// Lowers `query`.
     pub fn new(query: &Query) -> LoweredQuery {
-        let head = query.head();
-        let min_vars = head.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+        let (vars, body) = (query.head(), query.body());
+        let min_vars = vars.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+        // The last head variable a conjunct mentions, in head order: every
+        // variable it reads is bound at that level.
+        let level = |free: VarMask| vars.iter().rposition(|&v| free & var_bit(v) != 0);
+        let mut program = Program::shape(body, min_vars);
+        let head = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| HeadVar {
+                slot: var_slot(v),
+                test: program.conjunction(body, |_, free| level(free) == Some(i)),
+            })
+            .collect();
+        program.root = program
+            .conjunction(body, |_, free| level(free).is_none())
+            .unwrap_or(Node::True);
         LoweredQuery {
-            head: head.iter().map(|&v| var_slot(v)).collect(),
-            body: Program::lower(query.body(), min_vars),
+            head,
+            body: program,
         }
     }
 
@@ -594,16 +667,12 @@ impl LoweredQuery {
     }
 }
 
-/// [`eval_query`] on a lowered query, with its buffers kept: the frame, the
-/// candidate row and the answer relation of one call are reused by the
-/// next, whatever the query and the database. The Theorem 1 walk holds one
-/// per worker and evaluates every query of a batch over every image through
-/// it.
+/// [`eval_query`] on a lowered query, with its buffers kept: the frame and
+/// the answer relation of one call are reused by the next, whatever the
+/// query and the database. The Theorem 1 walk holds one per worker and
+/// evaluates every query of a batch over every image through it.
 pub struct QueryEvaluator {
     frame: Frame,
-    /// The candidate tuple under test, and the odometer that steps it.
-    row: Vec<Elem>,
-    counters: Vec<usize>,
     answers: Relation,
 }
 
@@ -612,8 +681,6 @@ impl Default for QueryEvaluator {
     fn default() -> Self {
         QueryEvaluator {
             frame: Frame::default(),
-            row: Vec::new(),
-            counters: Vec::new(),
             answers: Relation::empty(0),
         }
     }
@@ -625,20 +692,11 @@ impl QueryEvaluator {
     pub fn eval(&mut self, db: &PhysicalDb, query: &LoweredQuery) -> &Relation {
         let arity = query.arity();
         self.frame.load(&query.body, db);
-        self.row.clear();
-        self.row.resize(arity, 0);
         let recycled = std::mem::replace(&mut self.answers, Relation::empty(arity));
         let mut answers = RowWriter::reusing(recycled, arity);
-        let mut space = TupleSpace::reusing(db.domain(), arity, std::mem::take(&mut self.counters));
-        while space.next_into(&mut self.row) {
-            for (&slot, &e) in query.head.iter().zip(&self.row) {
-                self.frame.values[slot as usize] = e;
-            }
-            if self.frame.holds(db, &query.body.root) {
-                answers.push(&self.row);
-            }
+        if self.frame.holds(db, &query.body.root) {
+            self.frame.bind_head(db, &query.head, 0, &mut answers);
         }
-        self.counters = space.into_counters();
         self.answers = answers.finish();
         &self.answers
     }

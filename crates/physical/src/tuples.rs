@@ -1,9 +1,9 @@
 //! Iteration over the tuple space `Dᵏ` and enumeration of relations over it.
 //!
 //! [`TupleSpace`] has one odometer, [`TupleSpace::next_into`], which writes
-//! the next tuple into a row the caller reuses — what the evaluator steps
-//! with, and what [`TupleSpace::select`] filters the space into a relation
-//! with (the `α_P` scans), allocation-free. The `Iterator` impl hands the
+//! the next tuple into a row the caller reuses — what
+//! [`TupleSpace::select`] filters the space into a relation with,
+//! allocation-free. The `Iterator` impl hands the
 //! same tuples out as fresh `Vec`s for callers that keep them (the oracles,
 //! the tests) and for [`Relation::from_rows`].
 
@@ -25,24 +25,12 @@ pub struct TupleSpace<'a> {
 impl<'a> TupleSpace<'a> {
     /// Creates the tuple space `domain^arity`.
     pub fn new(domain: &'a [Elem], arity: usize) -> Self {
-        TupleSpace::reusing(domain, arity, Vec::new())
-    }
-
-    /// [`TupleSpace::new`] inside `counters`' allocation, which
-    /// [`TupleSpace::into_counters`] hands back.
-    pub(crate) fn reusing(domain: &'a [Elem], arity: usize, mut counters: Vec<usize>) -> Self {
-        counters.clear();
-        counters.resize(arity, 0);
         TupleSpace {
             domain,
-            counters,
+            counters: vec![0; arity],
             // An empty domain has no tuples of positive arity.
             exhausted: arity > 0 && domain.is_empty(),
         }
-    }
-
-    pub(crate) fn into_counters(self) -> Vec<usize> {
-        self.counters
     }
 
     /// Total number of tuples in the space.

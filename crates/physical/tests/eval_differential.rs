@@ -24,6 +24,13 @@
 //! `the_guarded_arm_covers_every_shape` checks that it does. This
 //! reference is the rule's only independent check: `qld_core::oracle`
 //! evaluates through the same [`eval_query`].
+//!
+//! A second arm generates *head* shapes, which the lowering splits into
+//! one group per head variable, each tested as soon as that variable is
+//! bound: 0–4 head variables in a random order, and conjuncts over only
+//! the first of them, only the last, none (true and false), all of them,
+//! and conjuncts an `∃` block lifts out into a head group, in a random
+//! body order; `the_head_arm_covers_every_shape` checks that it does.
 
 use proptest::prelude::*;
 use qld_logic::{ConstId, Formula, PredId, PredVarId, Query, Term, Var, Vocabulary};
@@ -206,7 +213,7 @@ struct FormulaGen<'a> {
 impl FormulaGen<'_> {
     fn term(&self, rng: &mut TestRunner) -> Term {
         if rng.gen_bool(0.25) {
-            Term::Const(ConstId(rng.gen_range(0..NUM_CONSTS)))
+            self.constant(rng)
         } else {
             Term::Var(Var(rng.gen_range(0..NUM_VARS)))
         }
@@ -293,6 +300,108 @@ impl FormulaGen<'_> {
         Formula::Atom(p, terms.into())
     }
 
+    /// A body for `head` made of the conjuncts the head loop groups: over
+    /// the first head variable only, the last only, none (a sentence,
+    /// true or false), all of them, one that `∃` miniscoping lifts out of
+    /// a guarded block into a head group, and any subformula with its
+    /// other free variables closed — some of these, in a random order,
+    /// sometimes nested in a second `∧`.
+    fn head_shaped(&mut self, head: &[Var], rng: &mut TestRunner) -> Formula {
+        let mut conjuncts = Vec::new();
+        for _ in 0..rng.gen_range(1usize..5) {
+            let over = match (rng.gen_range(0..6), head) {
+                (0, [first, ..]) => vec![*first],
+                (1, [.., last]) => vec![*last],
+                (2, _) => Vec::new(),
+                (3, _) => head.to_vec(),
+                (4, _) => {
+                    // `∃w. A(…w…) ∧ B`, `B` over head variables only: `B`
+                    // leaves the block for a head group, and the block
+                    // joins the group of the head variables its guard
+                    // mentions, if any. `w` may shadow a head variable.
+                    let w = Var(rng.gen_range(0..=NUM_VARS));
+                    let outside: Vec<Var> = head.iter().copied().filter(|&v| v != w).collect();
+                    let mut guard = self.guard(w, rng);
+                    close(&mut guard, &[head, &[w]].concat(), rng);
+                    let lifted = self.mentioning(&outside[..rng.gen_range(0..=outside.len())], rng);
+                    conjuncts.push(Formula::Exists(
+                        w,
+                        Box::new(Formula::And(vec![guard, lifted])),
+                    ));
+                    continue;
+                }
+                _ => {
+                    let mut f = self.formula(2, rng);
+                    close(&mut f, head, rng);
+                    conjuncts.push(f);
+                    continue;
+                }
+            };
+            conjuncts.push(self.mentioning(&over, rng));
+        }
+        for i in (1..conjuncts.len()).rev() {
+            conjuncts.swap(i, rng.gen_range(0..=i));
+        }
+        if conjuncts.len() > 2 && rng.gen_bool(0.3) {
+            let inner = conjuncts.split_off(1);
+            conjuncts.push(Formula::And(inner));
+        }
+        Formula::And(conjuncts)
+    }
+
+    /// A formula that mentions exactly `vars` free: an atom with each of
+    /// them somewhere and constants or `vars` elsewhere, maybe negated or
+    /// in a disjunction with an equality; with no variables a sentence —
+    /// `true`, `false`, the nullary atom, an equality of constants or a
+    /// guarded `∃`.
+    fn mentioning(&mut self, vars: &[Var], rng: &mut TestRunner) -> Formula {
+        if vars.is_empty() {
+            return match rng.gen_range(0..5) {
+                0 => Formula::True,
+                1 => Formula::False,
+                2 => Formula::Atom(PredId(0), Box::new([])),
+                3 => Formula::Eq(self.constant(rng), self.constant(rng)),
+                _ => {
+                    let w = Var(rng.gen_range(0..NUM_VARS));
+                    let mut guard = self.guard(w, rng);
+                    close(&mut guard, &[], rng);
+                    guard
+                }
+            };
+        }
+        let p = loop {
+            let p = PredId(rng.gen_range(1..PRED_ARITIES.len() as u32));
+            if self.voc.pred_arity(p) >= vars.len() {
+                break p;
+            }
+        };
+        let mut terms: Vec<Term> = (0..self.voc.pred_arity(p))
+            .map(|_| match rng.gen_bool(0.3) {
+                true => self.constant(rng),
+                false => Term::Var(vars[rng.gen_range(0..vars.len())]),
+            })
+            .collect();
+        let mut at: Vec<usize> = (0..terms.len()).collect();
+        for (i, &v) in vars.iter().enumerate() {
+            let j = rng.gen_range(i..at.len());
+            at.swap(i, j);
+            terms[at[i]] = Term::Var(v);
+        }
+        let atom = Formula::Atom(p, terms.into());
+        match rng.gen_range(0..3) {
+            0 => Formula::not(atom),
+            1 => Formula::Or(vec![
+                Formula::Eq(Term::Var(vars[0]), self.constant(rng)),
+                atom,
+            ]),
+            _ => atom,
+        }
+    }
+
+    fn constant(&self, rng: &mut TestRunner) -> Term {
+        Term::Const(ConstId(rng.gen_range(0..NUM_CONSTS)))
+    }
+
     fn boxed(&mut self, depth: usize, rng: &mut TestRunner) -> Box<Formula> {
         Box::new(self.formula(depth - 1, rng))
     }
@@ -330,6 +439,20 @@ impl FormulaGen<'_> {
                     Formula::SoForall(r, arity, body)
                 }
             }
+        }
+    }
+}
+
+/// Binds every free variable of `f` outside `head` by an `∃` or a `∀`
+/// around it.
+fn close(f: &mut Formula, head: &[Var], rng: &mut TestRunner) {
+    for v in f.free_vars() {
+        if !head.contains(&v) {
+            let body = Box::new(std::mem::replace(f, Formula::True));
+            *f = match rng.gen_bool(0.7) {
+                true => Formula::Exists(v, body),
+                false => Formula::Forall(v, body),
+            };
         }
     }
 }
@@ -392,22 +515,35 @@ impl Strategy for Cases {
             max_so_arity: if db.domain().len() <= 2 { 2 } else { 1 },
             so_scope: Vec::new(),
         };
-        let depth = rng.gen_range(0usize..=4);
-        let body = gen.formula(depth, rng);
-        body.check(&voc).unwrap();
-        // The head: the body's free variables in a random rotation, and
-        // sometimes a variable the body never mentions free.
-        let mut head = body.free_vars();
-        if !head.is_empty() {
-            let by = rng.gen_range(0..head.len());
-            head.rotate_left(by);
-        }
-        if rng.gen_bool(0.3) {
-            let extra = Var(rng.gen_range(0..NUM_VARS + 2));
-            if !head.contains(&extra) {
-                head.push(extra);
+        let (head, body) = if rng.gen_bool(0.25) {
+            // The head arm: 0–4 head variables in a random order, then a
+            // body shaped for them.
+            let mut head: Vec<Var> = (0..NUM_VARS).map(Var).collect();
+            for i in (1..head.len()).rev() {
+                head.swap(i, rng.gen_range(0..=i));
             }
-        }
+            head.truncate(rng.gen_range(0..=NUM_VARS as usize));
+            let body = gen.head_shaped(&head, rng);
+            (head, body)
+        } else {
+            let depth = rng.gen_range(0usize..=4);
+            let body = gen.formula(depth, rng);
+            // The head: the body's free variables in a random rotation,
+            // and sometimes a variable the body never mentions free.
+            let mut head = body.free_vars();
+            if !head.is_empty() {
+                let by = rng.gen_range(0..head.len());
+                head.rotate_left(by);
+            }
+            if rng.gen_bool(0.3) {
+                let extra = Var(rng.gen_range(0..NUM_VARS + 2));
+                if !head.contains(&extra) {
+                    head.push(extra);
+                }
+            }
+            (head, body)
+        };
+        body.check(&voc).unwrap();
         let query = Query::new(head, body).unwrap();
         Case { db, query }
     }
@@ -627,4 +763,99 @@ fn the_guarded_arm_covers_every_shape() {
         kept,
     ];
     assert!(counts.iter().all(|&n| n >= 20), "{coverage:?}");
+}
+
+/// How often the generator produced each head shape the module docs of
+/// `eval.rs` group by, counted over the top-level conjuncts of every body
+/// — split at `∧`, with the conjuncts an `∃` does not bind lifted out as
+/// the lowering lifts them.
+#[derive(Debug, Default, Clone, Copy)]
+struct HeadCoverage {
+    /// Cases by arity, 0–4.
+    arity: [usize; 5],
+    /// Bodies with a conjunct over an earlier head variable after one
+    /// over a later head variable: the head loop tests them out of body
+    /// order.
+    reordered: usize,
+    first_only: usize,
+    last_only: usize,
+    none_true: usize,
+    none_false: usize,
+    all: usize,
+    /// Conjuncts lifted out of an `∃` block that mention a head variable.
+    lifted: usize,
+}
+
+impl HeadCoverage {
+    fn case(&mut self, case: &Case) {
+        let head = case.query.head();
+        self.arity[head.len().min(4)] += 1;
+        let mut conjuncts = Vec::new();
+        top_level(case.query.body(), false, &mut conjuncts);
+        let mut levels = Vec::new();
+        for (c, lifted) in conjuncts {
+            let free = c.free_vars();
+            let mentioned: Vec<&Var> = head.iter().filter(|v| free.contains(v)).collect();
+            levels.extend(head.iter().rposition(|v| free.contains(v)));
+            match mentioned[..] {
+                [] if reference::Env::for_formula(c).eval(&case.db, c) => self.none_true += 1,
+                [] => self.none_false += 1,
+                _ if head.len() < 2 => {}
+                [v] if v == &head[0] => self.first_only += 1,
+                [v] if v == &head[head.len() - 1] => self.last_only += 1,
+                _ if mentioned.len() == head.len() => self.all += 1,
+                _ => {}
+            }
+            self.lifted += usize::from(lifted && !mentioned.is_empty());
+        }
+        self.reordered += usize::from(!levels.is_sorted());
+    }
+}
+
+/// The top-level conjuncts of `f`, through `∧` and out of every `∃v` that
+/// does not mention them, each with whether an `∃` lifted it.
+fn top_level<'f>(f: &'f Formula, lifted: bool, out: &mut Vec<(&'f Formula, bool)>) {
+    match f {
+        Formula::And(fs) => fs.iter().for_each(|g| top_level(g, lifted, out)),
+        Formula::Exists(v, g) => {
+            let mut inner = Vec::new();
+            top_level(g, true, &mut inner);
+            let (bound, free): (Vec<_>, Vec<_>) = inner
+                .into_iter()
+                .partition(|(c, _)| c.free_vars().contains(v));
+            out.extend(free);
+            if !bound.is_empty() {
+                out.push((f, lifted));
+            }
+        }
+        _ => out.push((f, lifted)),
+    }
+}
+
+/// The head arm produces every shape the head loop distinguishes, many
+/// times over, within the cases one property runs.
+#[test]
+fn the_head_arm_covers_every_shape() {
+    let mut rng: TestRunner = rand::SeedableRng::seed_from_u64(0x4ead);
+    let mut coverage = HeadCoverage::default();
+    for _ in 0..1500 {
+        coverage.case(&Cases.generate(&mut rng));
+    }
+    let HeadCoverage {
+        arity,
+        reordered,
+        first_only,
+        last_only,
+        none_true,
+        none_false,
+        all,
+        lifted,
+    } = coverage;
+    let counts = [
+        reordered, first_only, last_only, none_true, none_false, all, lifted,
+    ];
+    assert!(
+        arity.iter().chain(&counts).all(|&n| n >= 20),
+        "{coverage:?}"
+    );
 }

@@ -69,12 +69,13 @@ const NEGATION_FULL: &str = "(x) . (P1(x) & !P0(x, x)) | x = x";
 const UNIVERSAL_FULL: &str = "(x) . (forall y. P0(x, y) -> P1(y)) | x = x";
 
 /// Allocations of one `eval_query` besides its answer buffer: the value
-/// slots, the candidate row and the odometer (3), plus the lowered query —
-/// its head slots and one box per node that has children. [`UNIVERSAL`]
-/// boxes its `forall` and its `->`; [`SEMI_JOIN`]'s `exists` is guarded by
-/// `P0(x, y)`, so it lowers to one scan of `P0`'s rows that begin with `x`,
-/// whose body `P1(y)` is its one box.
-const EVAL_QUERY_SETUP_ALLOCATIONS: [(&str, usize); 2] = [(UNIVERSAL, 3 + 3), (SEMI_JOIN, 3 + 2)];
+/// slots (1), plus the lowered query — its head loop's levels and one box
+/// per node that has children. [`UNIVERSAL`] boxes its `forall` and its
+/// `->`; [`SEMI_JOIN`]'s `exists` is guarded by `P0(x, y)`, so it lowers to
+/// one scan of `P0`'s rows that begin with `x`, whose body `P1(y)` is its
+/// one box. The head loop binds the head in the value slots and pushes
+/// each answer from them: no candidate row, no odometer.
+const EVAL_QUERY_SETUP_ALLOCATIONS: [(&str, usize); 2] = [(UNIVERSAL, 1 + 3), (SEMI_JOIN, 1 + 2)];
 
 /// (a) `eval_query` allocates per query, not per candidate (`|D|`), per
 /// answer, per atom test (`|D|²` for the `UNIVERSAL` shape) or per row a
@@ -139,11 +140,13 @@ fn batch16(db: &CwDatabase) -> Vec<Query> {
 /// the arity-2 text's (an `|` and two guard scans, one per `exists`, each
 /// boxing its body), which pays only for the doublings of a 36-row
 /// candidate set; the batch pays set-up per sentence — a lowered program,
-/// a candidate set, a proven set — and still nothing per image.
+/// a candidate set, a proven set — and still nothing per image. A
+/// sequential walk does not probe the host's CPU count, which allocates
+/// while it reads the cgroup's files.
 const WALK_IMAGES: u64 = 203;
 const WALK_ALLOCATIONS: [(&str, usize); 3] =
-    [(NEGATION_FULL, 71), (UNIVERSAL_FULL, 71), (SCALING, 79)];
-const BATCH_WALK_ALLOCATIONS: usize = 115;
+    [(NEGATION_FULL, 65), (UNIVERSAL_FULL, 65), (SCALING, 73)];
+const BATCH_WALK_ALLOCATIONS: usize = 111;
 
 /// (b) The Theorem 1 walk allocates at set-up and when a buffer grows —
 /// never per image, never per candidate.
