@@ -1,7 +1,7 @@
 //! What evaluation allocates, counted instead of timed.
 //!
-//! A tuple is a `&[Elem]` row of a flat buffer: the evaluator binds from
-//! one reused row and pushes answers into one `RowWriter`, the algebra
+//! A tuple is a `&[Elem]` row of a flat buffer: the evaluator binds the
+//! head in its value slots and pushes answers into one `RowWriter`, the algebra
 //! operators write their output rows into one, the Theorem 1 walk keeps its
 //! candidates in one `Relation` per query, lowers each query once and
 //! evaluates every image through one `QueryEvaluator`. None of them may
@@ -74,7 +74,7 @@ const UNIVERSAL_FULL: &str = "(x) . (forall y. P0(x, y) -> P1(y)) | x = x";
 /// `->`; [`SEMI_JOIN`]'s `exists` is guarded by `P0(x, y)`, so it lowers to
 /// one scan of `P0`'s rows that begin with `x`, whose body `P1(y)` is its
 /// one box. The head loop binds the head in the value slots and pushes
-/// each answer from them: no candidate row, no odometer.
+/// each answer from them.
 const EVAL_QUERY_SETUP_ALLOCATIONS: [(&str, usize); 2] = [(UNIVERSAL, 1 + 3), (SEMI_JOIN, 1 + 2)];
 
 /// (a) `eval_query` allocates per query, not per candidate (`|D|`), per
