@@ -17,9 +17,9 @@
 //! # What building `α_P` costs
 //!
 //! `α_P` holds the tuples of `C^k` that disagree with *every* fact of `P`.
-//! The build ([`alpha_additions_for_ne`]) walks `C^k` once, in odometer
-//! order, and asks the union-find test only what two cheaper facts leave
-//! open:
+//! The build ([`alpha_additions_for_ne`]) walks `C^k` in odometer order,
+//! skips the rows a fact rules out wholesale, and asks the union-find test
+//! only what three cheaper facts leave open:
 //!
 //! * `NE(cᵢ, dᵢ)` on any one coordinate already proves that `c` and `d`
 //!   disagree. So the facts a tuple still has to be tested against are
@@ -31,24 +31,38 @@
 //! * When the non-loop edges `(cᵢ, dᵢ)` of `G_{c,d}` are pairwise
 //!   vertex-disjoint, its components are those edges, so the
 //!   coordinate-wise test is exact: no `NE(cᵢ, dᵢ)`, no disagreement.
+//! * A fact *absorbs* the rows of a prefix `p = c[..k−1]`: call a fact `d`
+//!   of the deepest list absorbing when its last argument `u` has no
+//!   uniqueness axiom, `u` is no vertex of the prefix's non-loop edges
+//!   `(pⱼ, dⱼ)`, and `p` does not disagree with `d[..k−1]`. Then no row
+//!   `p·v` with `v` off those edges disagrees with `d`: `G_{p·v,d}` is the
+//!   prefix's graph, whose components hold no `NE` pair, plus the edge
+//!   `(v, u)`, a component of its own that holds none either. So under
+//!   such a prefix the odometer visits only the ≤ 2(k − 1) vertices of the
+//!   edges as last coordinate, and for `k = 1` one fact `P(u)` over an
+//!   unconstrained `u` leaves `α_P` empty without a visit.
 //!
 //! Only a pair that survives the coordinates *and* has two edges sharing a
 //! vertex (a repeated constant, or a chain such as `(a, u)` against
 //! `(u, b)`) reaches the union-find test, which stays the arbiter. The
-//! work is `|C|^k` tuple visits, `Σ_{i<k} |C|^i · |facts|` list entries
-//! filtered at most (one `NE` bit each) and the early-exit scans. The
-//! worst case is still `|C|^k · |facts|` union-find tests — every pair
-//! disagreeing, and none of them on a single coordinate — but on the
-//! generated serving databases (70 % known constants, `2·|C|` facts per predicate)
-//! a tuple's scan reads 2–4 facts and the union-find test runs far fewer
-//! than `|C|^k` times: 68 times for the 1,024 + 32 tuples of a binary and
-//! a unary predicate at 32 constants, 534 for 25,600 + 160 at 160, 37 k
-//! for the 262 k of a ternary predicate at 64, and no more when the
-//! facts double (`tests/alpha_build_cost.rs` pins `≤ |C|^k` and the
-//! flatness). The scan this replaced — every tuple against every fact,
-//! `|C|^k · |facts| / 2` union-find tests — survives as the test
-//! module's oracle; it took an `ApproxEngine` build 1.9 ms at 32
-//! constants and 0.4 s at 160 where this one takes 0.03 and 0.7 ms.
+//! work is at most `|C|^k` tuple visits, `Σ_{i<k} |C|^i · |facts|` list
+//! entries filtered at most (one `NE` bit each) and the early-exit scans.
+//! The worst case is still `|C|^k · |facts|` union-find tests — every pair
+//! disagreeing, and none of them on a single coordinate, on a database
+//! without nulls — but on the generated serving databases (70 % known
+//! constants, `2·|C|` facts per predicate) almost every prefix has an
+//! absorbing fact, and a build visits 40 of the 1,024 + 32 tuples of a
+//! binary and a unary predicate at 32 constants, 226 of 25,600 + 160 at
+//! 160 and 14,206 of the 262,144 of a ternary predicate at 64, running 38,
+//! 428 and 15,709 union-find tests, and no more when the facts double
+//! (`tests/alpha_build_cost.rs` pins the rows, `≤ |C|^k` tests and the
+//! flatness). The scan the prefix lists replaced — every tuple against
+//! every fact, `|C|^k · |facts| / 2` union-find tests — survives as the
+//! test module's oracle; it took an `ApproxEngine` build 1.9 ms at 32
+//! constants and 0.4 s at 160. With every tuple visited the build took
+//! 0.033 and 0.72 ms; with the absorbing rule it takes 0.025 and 0.46 ms
+//! (best of 50, one pinned CPU of a shared 2-vCPU x86-64 host), the rest
+//! of it the extended database around `α_P`.
 
 use crate::ne_store::NeBits;
 use qld_core::CwDatabase;
@@ -112,6 +126,7 @@ pub struct DisagreeScratch {
     verts: Vec<Elem>,
     uf: UnionFind,
     tests: u64,
+    rows: u64,
 }
 
 impl DisagreeScratch {
@@ -124,6 +139,13 @@ impl DisagreeScratch {
     /// scratch — the count `tests/alpha_build_cost.rs` bounds.
     pub fn tests(&self) -> u64 {
         self.tests
+    }
+
+    /// How many tuples of `C^k` the `α_P` builds and rechecks on this
+    /// scratch ([`alpha_additions_for_ne`]) have visited — the other count
+    /// `tests/alpha_build_cost.rs` pins.
+    pub fn rows_visited(&self) -> u64 {
+        self.rows
     }
 
     /// Do the constant tuples `c` and `d` disagree with respect to the
@@ -207,16 +229,27 @@ pub fn alpha_additions_for_ne(
     let arity = db.voc().pred_arity(p);
     let n = db.num_consts() as Elem;
     let mut out = RowWriter::new(arity);
-    let deepest = arity.saturating_sub(1);
+    // `current`'s rows come in the odometer's own order.
+    let mut skip = current.iter().peekable();
+    let Some(deepest) = arity.checked_sub(1) else {
+        // The empty tuple disagrees with no fact: it is in `α_P` iff `P`
+        // has none.
+        scratch.rows += 1;
+        if db.facts(p).is_empty() && current.is_empty() {
+            out.push(&[]);
+        }
+        return out.finish();
+    };
     // `lists[i]`: the facts that no coordinate of `row[..i]` proves to
     // disagree with `row`.
     let mut lists: Vec<Vec<&[Elem]>> = vec![Vec::new(); deepest + 1];
     lists[0].extend(db.facts(p));
     // `lists[stale..]` were filtered for an earlier prefix.
     let mut stale = 1;
-    // `current`'s rows come in the odometer's own order.
-    let mut skip = current.iter().peekable();
     let mut row: Vec<Elem> = vec![0; arity];
+    // The values the last coordinate takes under the current prefix: the
+    // vertices of an absorbing fact's edges, or all of `C`.
+    let mut last: Vec<Elem> = Vec::new();
     loop {
         for i in stale..=deepest {
             let (done, rest) = lists.split_at_mut(i);
@@ -229,19 +262,32 @@ pub fn alpha_additions_for_ne(
                     .copied(),
             );
         }
-        let is_new = skip.next_if_eq(&&row[..]).is_none();
-        // The scan checks the last coordinate fact by fact and stops at
-        // the first fact `row` does not disagree with.
-        if is_new
-            && lists[deepest].iter().all(|d| {
-                row.last().is_some_and(|&v| ne.contains(v, d[deepest]))
-                    || edges_share_vertex(&row, d) && scratch.disagrees(ne, &row, d)
-            })
-        {
-            out.push(&row);
+        if !absorbing_vertices(&row[..deepest], &lists[deepest], ne, scratch, &mut last) {
+            last.clear();
+            last.extend(0..n);
         }
-        // Advance the odometer; coordinate `moved` is the first to change.
-        let Some(moved) = (0..arity).rev().find(|&i| {
+        for &v in &last {
+            row[deepest] = v;
+            scratch.rows += 1;
+            // A row the absorbing rule jumped over is in no `α_P`, so
+            // `current` has none; passing its smaller rows keeps the
+            // iterator in step whatever the caller hands in.
+            while skip.next_if(|r| *r < &row[..]).is_some() {}
+            let is_new = skip.next_if_eq(&&row[..]).is_none();
+            // The scan checks the last coordinate fact by fact and stops
+            // at the first fact `row` does not disagree with.
+            if is_new
+                && lists[deepest].iter().all(|d| {
+                    ne.contains(row[deepest], d[deepest])
+                        || edges_share_vertex(&row, d) && scratch.disagrees(ne, &row, d)
+                })
+            {
+                out.push(&row);
+            }
+        }
+        // Advance the prefix odometer; coordinate `moved` is the first to
+        // change.
+        let Some(moved) = (0..deepest).rev().find(|&i| {
             row[i] += 1;
             if row[i] == n {
                 row[i] = 0;
@@ -252,6 +298,45 @@ pub fn alpha_additions_for_ne(
         };
         stale = moved + 1;
     }
+}
+
+/// The absorbing rule of the module docs. Looks in `list` — the facts no
+/// coordinate of `prefix` disagrees with — for a fact `d` that absorbs
+/// every row `prefix·v` with `v` off the non-loop edges `(pⱼ, dⱼ)`: `d`'s
+/// last argument has no uniqueness axiom and is no vertex of those edges,
+/// and `prefix` does not disagree with `d`'s prefix. If one does, leaves
+/// the vertices of its edges in `vertices`, sorted, and returns `true`.
+fn absorbing_vertices(
+    prefix: &[Elem],
+    list: &[&[Elem]],
+    ne: &NeBits,
+    scratch: &mut DisagreeScratch,
+    vertices: &mut Vec<Elem>,
+) -> bool {
+    let k = prefix.len();
+    list.iter().any(|d| {
+        let (head, u) = (&d[..k], d[k]);
+        if ne.is_constrained(u) {
+            return false;
+        }
+        vertices.clear();
+        for (&c, &e) in prefix.iter().zip(head) {
+            if c != e {
+                vertices.extend([c, e]);
+            }
+        }
+        if vertices.contains(&u) {
+            return false;
+        }
+        // No coordinate of `head` disagrees with `prefix`; when its edges
+        // are vertex-disjoint that settles it.
+        if edges_share_vertex(prefix, head) && scratch.disagrees(ne, prefix, head) {
+            return false;
+        }
+        vertices.sort_unstable();
+        vertices.dedup();
+        true
+    })
 }
 
 #[cfg(test)]
@@ -291,9 +376,10 @@ mod tests {
 
     /// 1–6 constants (the builder rejects none); predicates of arity 0–3
     /// with 0–5 facts each plus a binary one without facts; the uniqueness
-    /// axioms a chain, a clique over a prefix of the constants, or random
-    /// pairs. Six constants under arity 3 repeat constants inside tuples
-    /// and across the coordinates of a tuple and a fact all the time.
+    /// axioms a chain, a clique over a prefix of the constants (the rest
+    /// unconstrained nulls), random pairs, or none at all. Six constants
+    /// under arity 3 repeat constants inside tuples and across the
+    /// coordinates of a tuple and a fact all the time.
     fn random_db(rng: &mut StdRng) -> CwDatabase {
         let n = rng.gen_range(1..=6u32);
         let mut voc = Vocabulary::new();
@@ -311,7 +397,9 @@ mod tests {
                 builder = builder.fact(p, &fact);
             }
         }
-        match rng.gen_range(0..3) {
+        match rng.gen_range(0..4) {
+            // No axiom: every constant is an unconstrained null.
+            3 => {}
             0 => {
                 for a in 1..n {
                     builder = builder.unique(ConstId(a - 1), ConstId(a));
@@ -334,14 +422,21 @@ mod tests {
     }
 
     /// The oracle: the index-driven build and its complement recheck equal
-    /// the old scan. Three seeded mutants die here (each makes this test
-    /// fail within the first two databases): the matching shortcut without
-    /// its `edges_share_vertex` condition; a prefix list also pruned on a
-    /// cross-coordinate `NE(cᵢ, dⱼ)`; `stale` left at the deepest list
-    /// when a middle coordinate moves.
+    /// the old scan, on arities 0–3, with and without unconstrained nulls,
+    /// and the recheck against a non-empty `current`. Five seeded mutants
+    /// die here. Three make it fail within the first two databases: the
+    /// matching shortcut without its `edges_share_vertex` condition; a
+    /// prefix list also pruned on a cross-coordinate `NE(cᵢ, dⱼ)`;
+    /// `stale` left at the deepest list when a middle coordinate moves.
+    /// An absorbing fact whose last argument may be a vertex of the
+    /// prefix's edges fails the second database's recheck, and one whose
+    /// prefix may disagree with the row's the 26th's.
     #[test]
     fn build_and_recheck_match_reference_scan() {
         let mut rng = StdRng::seed_from_u64(21);
+        // Builds and rechecks the absorbing rule cut short, the latter
+        // against a non-empty `current`.
+        let (mut absorbed_builds, mut absorbed_rechecks) = (0, 0);
         for round in 0..400 {
             let mut db = random_db(&mut rng);
             let n = db.num_consts() as Elem;
@@ -349,18 +444,26 @@ mod tests {
             for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
                 assert_eq!(ne.contains(a, b), db.is_ne(ConstId(a), ConstId(b)));
             }
+            for a in 0..n {
+                let mentioned = db.ne_pairs().iter().any(|&(x, y)| x == a || y == a);
+                assert_eq!(ne.is_constrained(a), mentioned);
+            }
             let mut scratch = DisagreeScratch::new();
+            // Did a build or recheck visit fewer rows than `C^arity` has?
+            let cut_short = |visited: u64, arity: usize| visited < (n as u64).pow(arity as u32);
             let preds: Vec<PredId> = db.voc().preds().collect();
-            let before: Vec<Relation> = preds
-                .iter()
-                .map(|&p| alpha_relation(&db, p, &ne, &mut scratch))
-                .collect();
-            for (&p, alpha_p) in preds.iter().zip(&before) {
+            let mut before = Vec::new();
+            for &p in &preds {
+                let visited = scratch.rows_visited();
+                let alpha_p = alpha_relation(&db, p, &ne, &mut scratch);
+                let visited = scratch.rows_visited() - visited;
+                absorbed_builds += usize::from(cut_short(visited, alpha_p.arity()));
                 assert_eq!(
                     alpha_p,
-                    &reference_alpha(&db, p),
+                    reference_alpha(&db, p),
                     "round {round}: build ≠ scan on {db:?}"
                 );
+                before.push(alpha_p);
             }
             for _ in 0..rng.gen_range(1..=3) {
                 let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
@@ -369,7 +472,12 @@ mod tests {
                 }
             }
             for (&p, old) in preds.iter().zip(&before) {
+                let visited = scratch.rows_visited();
                 let additions = alpha_additions_for_ne(&db, p, old, &ne, &mut scratch);
+                if !old.is_empty() {
+                    let visited = scratch.rows_visited() - visited;
+                    absorbed_rechecks += usize::from(cut_short(visited, old.arity()));
+                }
                 assert!(additions.iter().all(|t| !old.contains(t)));
                 let merged = Relation::from_rows(old.arity(), old.iter().chain(&additions));
                 assert_eq!(
@@ -378,6 +486,31 @@ mod tests {
                     "round {round}: recheck ≠ scan on {db:?}"
                 );
             }
+        }
+        assert!(
+            absorbed_builds >= 500 && absorbed_rechecks >= 20,
+            "the absorbing rule fired on {absorbed_builds} builds and {absorbed_rechecks} rechecks"
+        );
+    }
+
+    /// One fact `P(u)` with `u` unconstrained empties `α_P` without a
+    /// visit; with `u` constrained every constant is visited.
+    #[test]
+    fn an_unconstrained_unary_fact_absorbs_every_row() {
+        let db = db();
+        let mut voc = db.voc().clone();
+        let q = voc.add_pred("Q", 1).unwrap();
+        let ids: Vec<ConstId> = voc.consts().collect();
+        for (arg, visits) in [(ids[3], 0), (ids[0], 5)] {
+            let with_fact = CwDatabase::builder(voc.clone())
+                .fact(q, &[arg])
+                .pairwise_unique(&ids[..3])
+                .build()
+                .unwrap();
+            let mut scratch = DisagreeScratch::new();
+            let alpha = alpha_relation(&with_fact, q, &NeBits::new(&with_fact), &mut scratch);
+            assert_eq!(alpha, reference_alpha(&with_fact, q));
+            assert_eq!(scratch.rows_visited(), visits, "Q({arg:?})");
         }
     }
 

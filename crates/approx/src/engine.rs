@@ -201,6 +201,13 @@ impl ApproxEngine {
         self.scratch.tests()
     }
 
+    /// How many tuples of `C^k` the `α_P` builds and rechecks of this
+    /// engine have visited, build and deltas together (a clone carries
+    /// its original's count on).
+    pub fn alpha_rows_visited(&self) -> u64 {
+        self.scratch.rows_visited()
+    }
+
     /// The `NE` predicate id in the extended vocabulary.
     pub fn ne_pred(&self) -> PredId {
         self.ne

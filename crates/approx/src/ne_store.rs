@@ -23,13 +23,16 @@ use qld_logic::{Formula, PredId, Term};
 use qld_physical::{Elem, Relation, RowWriter};
 
 /// The uniqueness axioms as a symmetric `n × n` bit matrix (`n²/8` bytes:
-/// 3.2 KB at 160 constants). Built once per engine and updated in place,
-/// two bits per new axiom.
+/// 3.2 KB at 160 constants), plus one bit per constant that is set once
+/// any axiom mentions it. Built once per engine and updated in place,
+/// four bits per new axiom.
 #[derive(Debug, Clone)]
 pub struct NeBits {
     n: usize,
     /// Bit `a·n + b` is set iff `¬(a = b)` is an axiom.
     words: Vec<u64>,
+    /// Bit `a` is set iff some axiom mentions `a`.
+    constrained: Vec<u64>,
 }
 
 impl NeBits {
@@ -39,6 +42,7 @@ impl NeBits {
         let mut bits = NeBits {
             n,
             words: vec![0; (n * n).div_ceil(64)],
+            constrained: vec![0; n.div_ceil(64)],
         };
         for &(a, b) in db.ne_pairs() {
             bits.insert(a, b);
@@ -58,6 +62,16 @@ impl NeBits {
         for i in [self.index(a, b), self.index(b, a)] {
             self.words[i >> 6] |= 1 << (i & 63);
         }
+        for c in [a, b] {
+            self.constrained[c as usize >> 6] |= 1 << (c & 63);
+        }
+    }
+
+    /// Does any axiom mention `a`?
+    #[inline]
+    pub fn is_constrained(&self, a: Elem) -> bool {
+        debug_assert!((a as usize) < self.n);
+        self.constrained[a as usize >> 6] >> (a & 63) & 1 == 1
     }
 
     /// Is `¬(a = b)` an axiom?

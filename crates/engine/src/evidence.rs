@@ -203,8 +203,9 @@ pub struct Evidence {
     pub components: u32,
     /// Kernel mappings the enumeration never visited — collapsed free
     /// nulls and early exit: the closed-form kernel count minus the
-    /// canonical images actually evaluated (saturating; `0` when no
-    /// enumeration ran).
+    /// canonical images actually evaluated, saturating at
+    /// [`qld_core::exact::PRUNED_COUNT_CAP`] (`0` when no enumeration
+    /// ran).
     pub mappings_pruned: u64,
     /// Components whose decomposition analysis was served from the
     /// engine's cross-delta cache instead of re-analyzed (equals

@@ -3,6 +3,8 @@
 use crate::delta::QueryFootprint;
 use qld_approx::CompletenessTheorem;
 use qld_logic::{Query, QueryClass};
+use qld_physical::LoweredQuery;
+use std::sync::{Arc, OnceLock};
 
 /// A query prepared against one [`Engine`](crate::Engine): validated,
 /// classified, certified, and rewritten to the §5 `Q̂`.
@@ -11,7 +13,10 @@ use qld_logic::{Query, QueryClass};
 /// the database schema/statistics, not on which semantics later runs — so
 /// computing them once and executing many times is both safe and the point
 /// of the type: re-running a `PreparedQuery` skips parsing, validation,
-/// NNF, and the `Q ↦ Q̂` rewrite.
+/// NNF, and the `Q ↦ Q̂` rewrite. `Q̂` is lowered for evaluation once
+/// too, by the first execution that evaluates it (never by preparation,
+/// which would charge every one-shot query for it), and the plan is shared
+/// by every clone.
 ///
 /// A `PreparedQuery` is tied to the engine that prepared it: executing it
 /// on another engine is rejected. It stays valid across
@@ -30,6 +35,8 @@ pub struct PreparedQuery {
     pub(crate) class: QueryClass,
     pub(crate) completeness: Option<CompletenessTheorem>,
     pub(crate) rewritten: Query,
+    /// `rewritten` lowered, built on first use (see [`PreparedQuery::plan`]).
+    pub(crate) plan: Arc<OnceLock<LoweredQuery>>,
     pub(crate) fingerprint: u64,
     pub(crate) footprint: QueryFootprint,
 }
@@ -83,5 +90,12 @@ impl PreparedQuery {
     /// (`NE`/`α_P` predicates added).
     pub fn rewritten(&self) -> &Query {
         &self.rewritten
+    }
+
+    /// [`PreparedQuery::rewritten`] lowered for evaluation over `Ph₂(LB)`.
+    /// Lowering depends on the query alone, so one plan serves every
+    /// epoch and every snapshot this query runs on.
+    pub(crate) fn plan(&self) -> &LoweredQuery {
+        self.plan.get_or_init(|| LoweredQuery::new(&self.rewritten))
     }
 }

@@ -14,7 +14,7 @@ use qld_core::ph::ph1;
 use qld_core::CwDatabase;
 use qld_logic::parser::parse_query;
 use qld_logic::{Formula, PredId, Query};
-use qld_physical::{eval_query, Elem, PhysicalDb, Relation};
+use qld_physical::{eval_lowered, eval_query, Elem, PhysicalDb, Relation};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,7 +209,7 @@ impl EngineBuilder {
             config: self.config,
             approx: OnceLock::new(),
             ph1: OnceLock::new(),
-            kernel_count: OnceLock::new(),
+            kernel_count: Arc::default(),
             decomp: OnceLock::new(),
             epoch: 0,
             counters: DeltaCounters::default(),
@@ -274,11 +274,14 @@ pub struct Engine {
     approx: OnceLock<ApproxEngine>,
     /// `Ph₁(LB)`, cached for the Corollary 2 fast path.
     ph1: OnceLock<PhysicalDb>,
-    /// Kernel-mapping count probed against `config.mapping_budget`,
-    /// computed once per axiom epoch with early abort at `budget + 1`
-    /// (reset by [`Engine::apply`] when a delta adds uniqueness axioms —
-    /// the count depends only on the axiom set, never on the facts).
-    kernel_count: OnceLock<u64>,
+    /// Kernel-mapping count probed against `config.mapping_budget`, with
+    /// early abort at `budget + 1`. The count depends on the axiom set
+    /// alone, never on the facts, so the cell is one per axiom set: every
+    /// snapshot and clone shares its engine's, a fact delta keeps it, and
+    /// only an [`Engine::apply`] that adds uniqueness axioms starts a new
+    /// one. The first reader at an axiom set fills it for the writer and
+    /// for every snapshot published after.
+    kernel_count: Arc<OnceLock<u64>>,
     /// Cross-delta cache of the NE-component / free-constant analysis the
     /// Theorem 1 enumeration starts from. Invalidated by [`Engine::apply`]
     /// when a delta adds NE axioms (components can merge), or when an
@@ -313,7 +316,9 @@ impl Clone for Engine {
     /// side copies on write only the relation — or the axiom list — its
     /// delta really changes, so the cost of a clone does not depend on the
     /// number of facts. Derived structures already built (`Ph₁`, the §5
-    /// machinery, the decomposition memo) are copied by value.
+    /// machinery, the decomposition memo) are copied by value; the kernel
+    /// count, which depends on the axiom set alone, is shared until either
+    /// side adds an axiom.
     fn clone(&self) -> Engine {
         let cache = AnswerCache::new(self.cache.is_enabled(), self.cache.capacity());
         self.with_cache(Arc::new(cache))
@@ -429,6 +434,7 @@ impl Engine {
             class,
             completeness,
             rewritten,
+            plan: Arc::default(),
             fingerprint,
             footprint,
         })
@@ -584,8 +590,10 @@ impl Engine {
             approx.apply_delta(&self.db, &new_facts, &new_ne);
         }
         if !new_ne.is_empty() {
-            // The respecting-mapping count depends only on the axiom set.
-            self.kernel_count = OnceLock::new();
+            // The respecting-mapping count depends only on the axiom set:
+            // a new set starts a new cell, which the snapshots published
+            // from here on share.
+            self.kernel_count = Arc::default();
             // New NE edges merge components and un-free their endpoints.
             self.decomp = OnceLock::new();
         } else if let Some(d) = self.decomp.get() {
@@ -1011,8 +1019,8 @@ impl Engine {
     }
 
     /// Is the configured mapping budget exceeded? Probes the kernel count
-    /// once per engine, aborting the count at `budget + 1` so the probe
-    /// itself stays within budget.
+    /// once per axiom set (see the `kernel_count` field), aborting the
+    /// count at `budget + 1` so the probe itself stays within budget.
     fn over_mapping_budget(&self) -> bool {
         match self.config.mapping_budget {
             None => false,
@@ -1063,9 +1071,10 @@ impl Engine {
         })
     }
 
-    /// Evaluates the prepared `Q̂` over `Ph₂(LB)`.
+    /// Evaluates the prepared `Q̂` over `Ph₂(LB)`, through the plan the
+    /// query lowered on its first evaluation.
     fn eval_rewritten(&self, prepared: &PreparedQuery) -> Relation {
-        eval_query(self.approx_engine().extended_db(), prepared.rewritten())
+        eval_lowered(self.approx_engine().extended_db(), prepared.plan())
     }
 }
 
@@ -1082,6 +1091,7 @@ fn negate_disjuncts(f: Formula, out: &mut Vec<Formula>) {
 mod tests {
     use super::*;
     use qld_logic::Vocabulary;
+    use qld_physical::LoweredQuery;
 
     /// Two predicates and a null: the playground for footprint tests.
     fn two_pred_engine() -> Engine {
@@ -1309,6 +1319,79 @@ mod tests {
         let exact = engine.query(text).unwrap();
         assert_eq!(exact.evidence().certificate, Certificate::ExactTheorem1);
         assert!(exact.evidence().mappings_evaluated > 0);
+    }
+
+    /// The kernel count is one cell per axiom set: a reader of snapshot
+    /// `e` fills it, the snapshot a fact delta publishes shares it
+    /// filled, and the one an NE delta publishes starts empty.
+    #[test]
+    fn a_kernel_count_outlives_fact_deltas_and_not_axiom_deltas() {
+        let mut voc = Vocabulary::new();
+        let ids = voc.add_consts(["a", "b", "u", "v"]).unwrap();
+        let p = voc.add_pred("P", 1).unwrap();
+        let db = CwDatabase::builder(voc)
+            .unique(ids[0], ids[1])
+            .build()
+            .unwrap();
+        let shared = crate::SharedEngine::new(Engine::builder(db).mapping_budget(1_000).build());
+        let mut session = shared.session();
+        let negated = session.prepare_text("(x) . !P(x)").unwrap();
+        let count =
+            |snapshot: &crate::EngineSnapshot| snapshot.engine().kernel_count.get().copied();
+        assert_eq!(count(&shared.snapshot()), None, "born empty");
+        session.execute(&negated).unwrap();
+        let filled = shared.snapshot();
+        // The partitions of 4 constants that keep a and b apart.
+        assert_eq!(count(&filled), Some(10));
+
+        shared
+            .apply(&Delta::new().insert_fact(p, &[ids[2]]))
+            .unwrap();
+        let after_fact = shared.snapshot();
+        assert_eq!(after_fact.epoch(), filled.epoch() + 1);
+        assert!(Arc::ptr_eq(
+            &after_fact.engine().kernel_count,
+            &filled.engine().kernel_count
+        ));
+        assert_eq!(count(&after_fact), Some(10));
+
+        shared
+            .apply(&Delta::new().assert_ne(ids[2], ids[3]))
+            .unwrap();
+        let after_ne = shared.snapshot();
+        assert_eq!(count(&after_ne), None, "a new axiom set, a new cell");
+        session.execute(&negated).unwrap();
+        assert_eq!(count(&after_ne), Some(7));
+        assert_eq!(count(&after_fact), Some(10), "the old set keeps its count");
+    }
+
+    /// `Q̂` is lowered by the first execution that evaluates it, not by
+    /// `prepare`, and that plan serves every later epoch and every clone.
+    #[test]
+    fn a_prepared_query_lowers_its_rewrite_once() {
+        let mut voc = Vocabulary::new();
+        let ids = voc.add_consts(["a", "b", "u"]).unwrap();
+        let p = voc.add_pred("P", 1).unwrap();
+        let db = CwDatabase::builder(voc)
+            .unique(ids[0], ids[1])
+            .build()
+            .unwrap();
+        let mut engine = Engine::builder(db)
+            .semantics(Semantics::Approx)
+            .answer_cache(false)
+            .build();
+        let prepared = engine.prepare_text("(x) . !P(x)").unwrap();
+        let clone = prepared.clone();
+        assert!(prepared.plan.get().is_none(), "prepare does not lower");
+        let mut plans = Vec::new();
+        for (i, &c) in ids.iter().enumerate() {
+            let answers = engine.execute(&prepared).unwrap();
+            assert_eq!(answers.evidence().epoch, i as u64);
+            plans.push(prepared.plan() as *const LoweredQuery);
+            engine.apply(&Delta::new().insert_fact(p, &[c])).unwrap();
+        }
+        assert!(plans.iter().all(|&plan| std::ptr::eq(plan, clone.plan())));
+        assert!(Arc::ptr_eq(&prepared.plan, &clone.plan));
     }
 
     #[test]

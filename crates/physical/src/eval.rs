@@ -62,8 +62,10 @@
 //! pushed into checks in one pass instead of sorting.
 //!
 //! [`eval_query`], [`Evaluator`] and [`satisfies`] lower and run in one
-//! call. A [`QueryEvaluator`] runs an already lowered query and keeps its
-//! buffers across calls — the slots and the answer relation — so
+//! call. [`eval_lowered`] runs an already lowered query once, so a query
+//! served at many database states (a prepared `Q̂`) is lowered once for
+//! all of them. A [`QueryEvaluator`] runs an already lowered query and
+//! keeps its buffers across calls — the slots and the answer relation — so
 //! evaluating one lowered query over one database image after another (the
 //! Theorem 1 walk, which lowers each query of a batch once and shares it
 //! among its workers) allocates only while a buffer still grows.
@@ -635,6 +637,14 @@ struct HeadVar {
     test: Option<Node>,
 }
 
+impl std::fmt::Debug for LoweredQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LoweredQuery")
+            .field("arity", &self.arity())
+            .finish_non_exhaustive()
+    }
+}
+
 impl LoweredQuery {
     /// Lowers `query`.
     pub fn new(query: &Query) -> LoweredQuery {
@@ -704,8 +714,14 @@ impl QueryEvaluator {
 
 /// Computes the answer `Q(PB) = { d ∈ D^k : I ⊨ φ(d) }` of §2.1.
 pub fn eval_query(db: &PhysicalDb, query: &Query) -> Relation {
+    eval_lowered(db, &LoweredQuery::new(query))
+}
+
+/// [`eval_query`] on an already lowered query, the answer owned: a caller
+/// that runs one query over many databases lowers it once.
+pub fn eval_lowered(db: &PhysicalDb, query: &LoweredQuery) -> Relation {
     let mut evaluator = QueryEvaluator::default();
-    evaluator.eval(db, &LoweredQuery::new(query));
+    evaluator.eval(db, query);
     evaluator.answers
 }
 

@@ -29,6 +29,8 @@ pub mod relation;
 pub mod tuples;
 
 pub use db::{PhysicalDb, PhysicalDbBuilder, PhysicalError};
-pub use eval::{eval_query, satisfies, satisfies_all, Evaluator, LoweredQuery, QueryEvaluator};
+pub use eval::{
+    eval_lowered, eval_query, satisfies, satisfies_all, Evaluator, LoweredQuery, QueryEvaluator,
+};
 pub use relation::{Elem, Relation, RowWriter};
 pub use tuples::TupleSpace;

@@ -7,9 +7,13 @@
 //! pair on single coordinates of an `NE` bit matrix and sends only the
 //! pairs whose edges share a vertex to the union-find, so a build must
 //! stay under `|C|^k` tests and must not grow with the number of facts.
-//! `DisagreeScratch` counts its tests in a plain `u64`, which
-//! `ApproxEngine::disagree_tests` reads; the count is a pure function of
-//! the database, so these bounds hold or fail identically on any host.
+//! Nor does the build visit every tuple: a fact whose last argument is an
+//! unconstrained null absorbs every row it could be equated with, so only
+//! the few rows around each prefix's edges are looked at.
+//! `DisagreeScratch` counts its tests and its rows in plain `u64`s, which
+//! `ApproxEngine::disagree_tests` and `alpha_rows_visited` read; the counts
+//! are pure functions of the database, so these bounds hold or fail
+//! identically on any host.
 
 use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::approx::ApproxEngine;
@@ -27,6 +31,27 @@ fn generated_db(num_consts: usize, pred_arities: &[usize], facts_per_pred: usize
         extra_ne_pairs: 0,
         seed: 1,
     })
+}
+
+/// Rows of `C^k` a build visits at seed 1: a binary and a unary predicate
+/// at 32 and at 160 constants, a ternary one at 64. Each tuple space is
+/// 1,056, 25,760 and 262,144 rows; a fact whose last argument is an
+/// unconstrained null absorbs all but the ≤ 2(k − 1) vertices of a
+/// prefix's edges, and one unary fact over such a null empties `α_P`
+/// without a visit.
+const ROWS_VISITED: [(usize, &[usize], u64); 3] =
+    [(32, &[2, 1], 40), (160, &[2, 1], 226), (64, &[3], 14_206)];
+
+#[test]
+fn a_build_visits_only_the_rows_no_null_fact_absorbs() {
+    for (num_consts, pred_arities, rows) in ROWS_VISITED {
+        let engine = ApproxEngine::new(&generated_db(num_consts, pred_arities, 2 * num_consts));
+        assert_eq!(
+            engine.alpha_rows_visited(),
+            rows,
+            "{num_consts} constants, arities {pred_arities:?}"
+        );
+    }
 }
 
 #[test]

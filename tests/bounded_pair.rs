@@ -13,13 +13,19 @@
 //! The queries are random first-order ones of arity 0–3 plus one fixed
 //! query per top-level connective of `(¬Q)^` — `∨`, `∃`, `∀`, an atom, `∧`
 //! — and `every_top_level_shape_is_bracketed` checks each shape was seen.
+//!
+//! `Auto`'s budget probe counts kernels once per axiom set, and the
+//! snapshots of a `SharedEngine` share that count until an NE delta:
+//! `an_ne_delta_under_the_budget_turns_brackets_into_theorem_1` checks a
+//! shared reader leaves the bracket exactly when a fresh engine does.
 
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::approx::AlphaMode;
+use querying_logical_databases::core::mappings::count_kernel_mappings;
 use querying_logical_databases::core::{certain_answers, CwDatabase};
-use querying_logical_databases::engine::{Certificate, Engine, Semantics};
+use querying_logical_databases::engine::{Certificate, Delta, Engine, Semantics, SharedEngine};
 use querying_logical_databases::logic::parser::parse_query;
-use querying_logical_databases::logic::{Formula, Query};
+use querying_logical_databases::logic::{ConstId, Formula, Query};
 use querying_logical_databases::physical::{eval_query, Elem, TupleSpace};
 
 /// One fixed query per top-level connective of its `(¬Q)^`.
@@ -143,4 +149,72 @@ fn random_queries_are_bracketed_by_their_formulas() {
     assert!(counts[..5].iter().all(|&n| n >= 3), "{counts:?}");
     let bracketed: usize = counts.iter().sum();
     assert!(bracketed >= 120, "{bracketed} bracketed, {counts:?}");
+}
+
+/// A shared reader answers every shape with a bracket while the kernel
+/// count is over the budget, keeps doing so across a fact delta (which
+/// keeps the count), and answers with Theorem 1 after an NE delta that
+/// takes the count to the budget — at every epoch equal to a fresh solo
+/// engine with the same budget. The NE delta asserts every missing
+/// inequality but one, so the database stays short of fully specified.
+#[test]
+fn an_ne_delta_under_the_budget_turns_brackets_into_theorem_1() {
+    for (num_consts, seed) in [(5, 7), (6, 8), (7, 9)] {
+        let db = database(num_consts, seed);
+        let n = num_consts as u32;
+        let missing: Vec<(ConstId, ConstId)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (ConstId(a), ConstId(b))))
+            .filter(|&(a, b)| !db.is_ne(a, b))
+            .collect();
+        let axioms = missing[1..]
+            .iter()
+            .fold(Delta::new(), |delta, &(a, b)| delta.assert_ne(a, b));
+        let budget = 2; // the one pair left: equal or not
+        assert!(
+            count_kernel_mappings(&db) > budget,
+            "{num_consts} constants"
+        );
+        let engine = |db: CwDatabase| {
+            Engine::builder(db)
+                .semantics(Semantics::Auto)
+                .mapping_budget(budget)
+                .build()
+        };
+        let shared = SharedEngine::new(engine(db.clone()));
+        let mut session = shared.session();
+        let prepared: Vec<_> = SHAPES
+            .iter()
+            .map(|(text, _)| session.prepare_text(text).unwrap())
+            .collect();
+        let p0 = db.voc().pred_id("P0").unwrap();
+        let absent = (0..n * n)
+            .map(|i| [i / n, i % n])
+            .find(|row| !db.facts(p0).contains(row))
+            .unwrap();
+        let fact = Delta::new().insert_fact(p0, &absent.map(ConstId));
+        for (delta, want) in [
+            (None, Certificate::BoundedPair),
+            (Some(fact), Certificate::BoundedPair),
+            (Some(axioms), Certificate::ExactTheorem1),
+        ] {
+            if let Some(delta) = delta {
+                assert!(shared.apply(&delta).unwrap().changed());
+            }
+            let snapshot = shared.snapshot();
+            let solo = engine(snapshot.engine().db().clone());
+            for (prepared, (text, _)) in prepared.iter().zip(SHAPES) {
+                let got = session.execute(prepared).unwrap();
+                let label = format!("{text}, {num_consts} constants, epoch {}", snapshot.epoch());
+                assert_eq!(got.evidence().certificate, want, "{label}");
+                let fresh = solo.query(text).unwrap();
+                assert_eq!(
+                    got.evidence().certificate,
+                    fresh.evidence().certificate,
+                    "{label}"
+                );
+                assert_eq!(got.tuples(), fresh.tuples(), "{label}");
+                assert_eq!(got.upper_bound(), fresh.upper_bound(), "{label}");
+            }
+        }
+    }
 }

@@ -18,9 +18,10 @@ use querying_logical_databases::algebra::{compile_query, execute, optimize, Exec
 use querying_logical_databases::core::exact::{certain_answers_batch_with, ExactOptions};
 use querying_logical_databases::core::ph::ph1;
 use querying_logical_databases::core::CwDatabase;
+use querying_logical_databases::engine::{Delta, Engine, Semantics};
 use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::logic::{ConstId, Query, Vocabulary};
-use querying_logical_databases::physical::{eval_query, PhysicalDb};
+use querying_logical_databases::physical::{eval_query, LoweredQuery, PhysicalDb};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -238,9 +239,55 @@ fn execute_allocates_per_operator_not_per_row() {
     );
 }
 
+/// Allocations of one `Approx` miss of a prepared, freshly certified
+/// [`SEMI_JOIN`] besides its answer buffer, once its `Q̂` is lowered: the
+/// value slots and the shared answer. Lowering `Q̂` again on every miss
+/// added its head loop's levels and its scan's box to each.
+const APPROX_MISS_ALLOCATIONS: usize = 2;
+
+/// (d) A prepared query lowers its `Q̂` on its first evaluation and never
+/// again: the first miss pays the lowering on top of what every later
+/// miss, at any epoch, pays.
+fn a_prepared_query_lowers_its_rewrite_once() {
+    for num_consts in [8, 32] {
+        let db = generated_db(num_consts, 0.7, 20);
+        let p1 = db.voc().pred_id("P1").unwrap();
+        let fresh: Vec<ConstId> = (0..num_consts as u32)
+            .map(ConstId)
+            .filter(|c| !db.facts(p1).contains(&[c.0]))
+            .collect();
+        let mut engine = Engine::builder(db)
+            .semantics(Semantics::Approx)
+            .answer_cache(false)
+            .build();
+        let mut prepared = engine.prepare_text(SEMI_JOIN).unwrap();
+        let (_, lowering) = measured(|| LoweredQuery::new(prepared.rewritten()));
+        let (first, allocations) = measured(|| engine.execute(&prepared).unwrap());
+        assert_eq!(
+            allocations,
+            APPROX_MISS_ALLOCATIONS + lowering + doublings(first.len()),
+            "{num_consts} constants, the first miss"
+        );
+        for c in fresh.into_iter().take(3) {
+            engine.apply(&Delta::new().insert_fact(p1, &[c])).unwrap();
+            // Re-certified outside the count, which is the miss alone.
+            engine.recertify(&mut prepared).unwrap();
+            let (answers, allocations) = measured(|| engine.execute(&prepared).unwrap());
+            assert!(!answers.is_empty(), "{num_consts} constants: vacuous probe");
+            assert_eq!(
+                allocations,
+                APPROX_MISS_ALLOCATIONS + doublings(answers.len()),
+                "{num_consts} constants, a miss at epoch {}",
+                engine.epoch()
+            );
+        }
+    }
+}
+
 #[test]
 fn evaluation_allocates_per_buffer_never_per_tuple() {
     eval_query_allocates_per_query_not_per_tuple();
     the_walk_allocates_less_than_once_per_image();
     execute_allocates_per_operator_not_per_row();
+    a_prepared_query_lowers_its_rewrite_once();
 }
