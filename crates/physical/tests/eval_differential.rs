@@ -32,12 +32,16 @@
 //! and conjuncts an `∃` block lifts out into a head group, in a random
 //! body order; `the_head_arm_covers_every_shape` checks that it does.
 
-use proptest::prelude::*;
+#[macro_use]
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
+
 use qld_logic::{ConstId, Formula, PredId, PredVarId, Query, Term, Var, Vocabulary};
 use qld_physical::{
     eval_query, Elem, Evaluator, LoweredQuery, PhysicalDb, QueryEvaluator, Relation, TupleSpace,
 };
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The reference: Tarskian satisfaction by recursion on the formula, with
 /// optional bindings that panic when read unbound.
@@ -176,7 +180,7 @@ fn vocabulary() -> Vocabulary {
 
 /// A database over 1–4 elements (not necessarily `0..n`): random constant
 /// values and, per predicate, a random subset of `Dᵏ`.
-fn random_db(voc: &Vocabulary, rng: &mut TestRunner) -> PhysicalDb {
+fn random_db(voc: &Vocabulary, rng: &mut StdRng) -> PhysicalDb {
     let size = rng.gen_range(1usize..=4);
     let mut domain: Vec<Elem> = Vec::new();
     while domain.len() < size {
@@ -211,7 +215,7 @@ struct FormulaGen<'a> {
 }
 
 impl FormulaGen<'_> {
-    fn term(&self, rng: &mut TestRunner) -> Term {
+    fn term(&self, rng: &mut StdRng) -> Term {
         if rng.gen_bool(0.25) {
             self.constant(rng)
         } else {
@@ -219,11 +223,11 @@ impl FormulaGen<'_> {
         }
     }
 
-    fn terms(&self, arity: usize, rng: &mut TestRunner) -> Vec<Term> {
+    fn terms(&self, arity: usize, rng: &mut StdRng) -> Vec<Term> {
         (0..arity).map(|_| self.term(rng)).collect()
     }
 
-    fn leaf(&self, rng: &mut TestRunner) -> Formula {
+    fn leaf(&self, rng: &mut StdRng) -> Formula {
         match rng.gen_range(0..8) {
             0 => Formula::True,
             1 => Formula::False,
@@ -248,7 +252,7 @@ impl FormulaGen<'_> {
     /// atom, an equality with `v` (kept in the quantifier, but no guard) or
     /// any subformula (which may or may not mention `v`), in a random
     /// order, sometimes nested in a second `∧`.
-    fn guarded(&mut self, depth: usize, rng: &mut TestRunner) -> Formula {
+    fn guarded(&mut self, depth: usize, rng: &mut StdRng) -> Formula {
         let v = Var(rng.gen_range(0..NUM_VARS));
         let w = rng.gen_bool(0.4).then(|| Var(rng.gen_range(0..NUM_VARS)));
         let mut conjuncts = vec![self.guard(v, rng)];
@@ -288,7 +292,7 @@ impl FormulaGen<'_> {
     /// An atom of positive arity with `v` at its first, middle or last
     /// position, sometimes at a second one too; every other argument is a
     /// random term.
-    fn guard(&self, v: Var, rng: &mut TestRunner) -> Formula {
+    fn guard(&self, v: Var, rng: &mut StdRng) -> Formula {
         let p = PredId(rng.gen_range(1..PRED_ARITIES.len() as u32));
         let arity = self.voc.pred_arity(p);
         let mut terms = self.terms(arity, rng);
@@ -306,7 +310,7 @@ impl FormulaGen<'_> {
     /// a guarded block into a head group, and any subformula with its
     /// other free variables closed — some of these, in a random order,
     /// sometimes nested in a second `∧`.
-    fn head_shaped(&mut self, head: &[Var], rng: &mut TestRunner) -> Formula {
+    fn head_shaped(&mut self, head: &[Var], rng: &mut StdRng) -> Formula {
         let mut conjuncts = Vec::new();
         for _ in 0..rng.gen_range(1usize..5) {
             let over = match (rng.gen_range(0..6), head) {
@@ -354,7 +358,7 @@ impl FormulaGen<'_> {
     /// in a disjunction with an equality; with no variables a sentence —
     /// `true`, `false`, the nullary atom, an equality of constants or a
     /// guarded `∃`.
-    fn mentioning(&mut self, vars: &[Var], rng: &mut TestRunner) -> Formula {
+    fn mentioning(&mut self, vars: &[Var], rng: &mut StdRng) -> Formula {
         if vars.is_empty() {
             return match rng.gen_range(0..5) {
                 0 => Formula::True,
@@ -398,15 +402,15 @@ impl FormulaGen<'_> {
         }
     }
 
-    fn constant(&self, rng: &mut TestRunner) -> Term {
+    fn constant(&self, rng: &mut StdRng) -> Term {
         Term::Const(ConstId(rng.gen_range(0..NUM_CONSTS)))
     }
 
-    fn boxed(&mut self, depth: usize, rng: &mut TestRunner) -> Box<Formula> {
+    fn boxed(&mut self, depth: usize, rng: &mut StdRng) -> Box<Formula> {
         Box::new(self.formula(depth - 1, rng))
     }
 
-    fn formula(&mut self, depth: usize, rng: &mut TestRunner) -> Formula {
+    fn formula(&mut self, depth: usize, rng: &mut StdRng) -> Formula {
         if depth == 0 {
             return self.leaf(rng);
         }
@@ -445,7 +449,7 @@ impl FormulaGen<'_> {
 
 /// Binds every free variable of `f` outside `head` by an `∃` or a `∀`
 /// around it.
-fn close(f: &mut Formula, head: &[Var], rng: &mut TestRunner) {
+fn close(f: &mut Formula, head: &[Var], rng: &mut StdRng) {
     for v in f.free_vars() {
         if !head.contains(&v) {
             let body = Box::new(std::mem::replace(f, Formula::True));
@@ -458,6 +462,7 @@ fn close(f: &mut Formula, head: &[Var], rng: &mut TestRunner) {
 }
 
 /// One generated case: a database and a query over the test vocabulary.
+#[derive(Clone)]
 struct Case {
     db: PhysicalDb,
     query: Query,
@@ -500,12 +505,11 @@ impl Case {
     }
 }
 
-struct Cases;
+/// Failures report the case as it was generated: nothing to shrink.
+impl cases::Case for Case {}
 
-impl Strategy for Cases {
-    type Value = Case;
-
-    fn generate(&self, rng: &mut TestRunner) -> Case {
+impl Case {
+    fn generate(rng: &mut StdRng) -> Case {
         let voc = vocabulary();
         let db = random_db(&voc, rng);
         let mut gen = FormulaGen {
@@ -549,20 +553,17 @@ impl Strategy for Cases {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1500))]
-
+property! {
     /// `eval_query` (lower, then run) ≡ the reference.
-    #[test]
-    fn lowered_eval_query_matches_the_reference(case in Cases) {
+    fn lowered_eval_query_matches_the_reference(case in Case::generate; 1500) {
         let expected = reference::eval_query(&case.db, &case.query);
-        prop_assert_eq!(&eval_query(&case.db, &case.query), &expected, "{:?}", case);
+        ensure_eq!(&eval_query(&case.db, &case.query), &expected, "eval_query");
+        Ok(())
     }
 
     /// `Evaluator::bind` + `eval` ≡ the reference under the same bindings,
     /// for every assignment of the head variables.
-    #[test]
-    fn bound_evaluator_matches_the_reference(case in Cases) {
+    fn bound_evaluator_matches_the_reference(case in Case::generate; 1500) {
         let (db, body) = (&case.db, case.query.body());
         for row in TupleSpace::new(db.domain(), case.query.arity()) {
             let mut lowered = Evaluator::new(db, body);
@@ -572,10 +573,11 @@ proptest! {
                 env.bind(*v, *e);
             }
             let expected = env.eval(db, body);
-            prop_assert_eq!(lowered.eval(body), expected, "head = {:?} in {:?}", row, case);
+            ensure_eq!(lowered.eval(body), expected, "head = {row:?}");
             // The bindings survive an evaluation.
-            prop_assert_eq!(lowered.eval(body), expected, "second eval, {:?}", case);
+            ensure_eq!(lowered.eval(body), expected, "second eval, head = {row:?}");
         }
+        Ok(())
     }
 }
 
@@ -585,11 +587,11 @@ proptest! {
 /// (query, database) pair must not leak into the next.
 #[test]
 fn one_query_evaluator_serves_every_database_and_query() {
-    let mut rng: TestRunner = rand::SeedableRng::seed_from_u64(0x5eed);
+    let mut rng = StdRng::seed_from_u64(0x5eed);
     let mut evaluator = QueryEvaluator::default();
     let mut previous: Option<(Case, LoweredQuery)> = None;
     for _ in 0..1500 {
-        let case = Cases.generate(&mut rng);
+        let case = Case::generate(&mut rng);
         let lowered = LoweredQuery::new(&case.query);
         assert_eq!(lowered.arity(), case.query.arity());
         let expected: Relation = reference::eval_query(&case.db, &case.query);
@@ -725,10 +727,10 @@ impl GuardCoverage {
 /// times over, within the cases one property runs.
 #[test]
 fn the_guarded_arm_covers_every_shape() {
-    let mut rng: TestRunner = rand::SeedableRng::seed_from_u64(0x6a2d);
+    let mut rng = StdRng::seed_from_u64(0x6a2d);
     let mut coverage = GuardCoverage::default();
     for _ in 0..1500 {
-        let case = Cases.generate(&mut rng);
+        let case = Case::generate(&mut rng);
         let mut bound = case.query.head().to_vec();
         coverage.visit(&case.db, case.query.body(), &mut bound);
     }
@@ -836,10 +838,10 @@ fn top_level<'f>(f: &'f Formula, lifted: bool, out: &mut Vec<(&'f Formula, bool)
 /// times over, within the cases one property runs.
 #[test]
 fn the_head_arm_covers_every_shape() {
-    let mut rng: TestRunner = rand::SeedableRng::seed_from_u64(0x4ead);
+    let mut rng = StdRng::seed_from_u64(0x4ead);
     let mut coverage = HeadCoverage::default();
     for _ in 0..1500 {
-        coverage.case(&Cases.generate(&mut rng));
+        coverage.case(&Case::generate(&mut rng));
     }
     let HeadCoverage {
         arity,

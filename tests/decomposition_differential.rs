@@ -12,81 +12,44 @@
 //! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both): the walk
 //! must be thread-count deterministic.
 
-use proptest::prelude::*;
-use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
+#[macro_use]
+#[path = "support/cases.rs"]
+mod cases;
+#[path = "support/scenario.rs"]
+mod scenario;
+
+use cases::Outcome;
 use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
 use querying_logical_databases::core::mappings::{
     count_kernel_mappings, count_kernel_mappings_by_enumeration,
 };
 use querying_logical_databases::core::oracle::{answers_by_raw_mappings, certain_answers_oracle};
 use querying_logical_databases::core::textio::from_text;
-use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::parser::parse_query;
-use querying_logical_databases::logic::{ConstId, Query};
-use querying_logical_databases::prelude::{Delta, Engine, PreparedQuery, Semantics};
+use querying_logical_databases::logic::Query;
+use querying_logical_databases::prelude::{Engine, PreparedQuery, Semantics};
+use scenario::{prepare_all, Scenario, Shape, SMALL};
 
-fn random_db(seed: u64, n: usize, known: f64) -> CwDatabase {
-    random_cw_db(&DbGenConfig {
-        num_consts: n,
-        pred_arities: vec![2, 1],
-        // Sparser facts than the other differential suites: constants
-        // outside every fact and axiom are exactly the free constants
-        // the walk collapses, so leave room for them to occur.
-        facts_per_pred: 2,
-        known_fraction: known,
-        extra_ne_pairs: (seed % 3) as usize,
-        seed,
-    })
-}
+/// Sparser facts than the other differential suites: constants outside
+/// every fact and axiom are exactly the free constants the walk
+/// collapses, so leave room for them to occur. Fact inserts land on both
+/// core and free constants (re-capturing free ones — the
+/// memo-invalidation path), NE asserts always reset the memo.
+const SPARSE: Shape = Shape {
+    consts: 1..=5,
+    facts_per_pred: 2,
+    ..SMALL
+};
 
-fn random_queries(db: &CwDatabase, count: usize, seed: u64) -> Vec<Query> {
-    (0..count)
-        .map(|i| {
-            random_query(
-                db.voc(),
-                &QueryGenConfig {
-                    fragment: if i % 2 == 0 {
-                        QueryFragment::FullFo
-                    } else {
-                        QueryFragment::Positive
-                    },
-                    max_depth: 3,
-                    head_arity: i % 3,
-                    seed: seed.wrapping_mul(43).wrapping_add(i as u64 * 769),
-                },
-            )
-        })
-        .collect()
-}
-
-/// The engine under test plus its prepared copies of `queries`.
-fn engine_for(db: &CwDatabase, queries: &[Query], threads: usize) -> (Engine, Vec<PreparedQuery>) {
-    let engine = Engine::builder(db.clone())
+/// The engine under test at `threads` workers, and `s`'s queries
+/// prepared on it.
+fn engine_for(s: &Scenario, threads: usize) -> (Engine, Vec<PreparedQuery>) {
+    let engine = Engine::builder(s.db.clone())
         .parallelism(threads)
         .answer_cache(false)
         .build();
-    let prepared = queries
-        .iter()
-        .map(|q| engine.prepare(q.clone()).unwrap())
-        .collect();
+    let prepared = prepare_all(&engine, s);
     (engine, prepared)
-}
-
-/// One generated mutation, as in `tests/delta_differential.rs`: fact
-/// inserts land on both core and free constants (re-capturing free ones
-/// — the memo-invalidation path), NE asserts always reset the memo.
-fn op_to_delta(db: &CwDatabase, op: (u8, u32, u32)) -> Option<Delta> {
-    let n = db.num_consts() as u32;
-    let (kind, a, b) = op;
-    let (a, b) = (ConstId(a % n), ConstId(b % n));
-    let p0 = db.voc().pred_id("P0").unwrap();
-    let p1 = db.voc().pred_id("P1").unwrap();
-    match kind {
-        0 => Some(Delta::new().insert_fact(p0, &[a, b])),
-        1 => Some(Delta::new().insert_fact(p1, &[a])),
-        _ if a != b => Some(Delta::new().assert_ne(a, b)),
-        _ => None,
-    }
 }
 
 /// The differential property: under every semantics the engine's answer
@@ -101,7 +64,7 @@ fn assert_engine_matches_oracles(
     prepared: &[PreparedQuery],
     queries: &[Query],
     context: &str,
-) -> Result<(), TestCaseError> {
+) -> Outcome {
     let db = engine.db();
     let kernel_count = count_kernel_mappings(db);
     let mut solo = Vec::new();
@@ -109,7 +72,7 @@ fn assert_engine_matches_oracles(
         let (certain, _) = answers_by_raw_mappings(db, q, AnswerMode::Certain);
         let (possible, _) = answers_by_raw_mappings(db, q, AnswerMode::Possible);
         if db.num_consts() <= 3 {
-            prop_assert_eq!(
+            ensure_eq!(
                 &certain_answers_oracle(db, q).unwrap(),
                 &certain,
                 "raw mappings diverged from model enumeration on {:?} ({})",
@@ -121,7 +84,7 @@ fn assert_engine_matches_oracles(
             let answers = engine.execute_as(p, semantics).unwrap();
             let e = answers.evidence();
             if semantics == Semantics::Possible {
-                prop_assert_eq!(
+                ensure_eq!(
                     answers.tuples(),
                     &possible,
                     "possible answers diverged from raw mappings on {:?} ({})",
@@ -129,7 +92,7 @@ fn assert_engine_matches_oracles(
                     context
                 );
             } else if answers.is_exact() {
-                prop_assert_eq!(
+                ensure_eq!(
                     answers.tuples(),
                     &certain,
                     "{:?} certified {:?} but diverged from raw mappings on {:?} ({})",
@@ -139,11 +102,11 @@ fn assert_engine_matches_oracles(
                     context
                 );
             } else {
-                prop_assert!(
+                ensure!(
                     semantics != Semantics::Exact,
                     "Exact must certify exactness"
                 );
-                prop_assert!(
+                ensure!(
                     answers.tuples().is_subset_of(&certain),
                     "{:?} lower bound is unsound on {:?} ({})",
                     semantics,
@@ -153,7 +116,7 @@ fn assert_engine_matches_oracles(
             }
             // `components > 0` marks the answers an enumeration produced.
             if e.components > 0 {
-                prop_assert_eq!(
+                ensure_eq!(
                     e.mappings_evaluated + e.mappings_pruned,
                     kernel_count,
                     "evaluated + pruned must equal the kernel count ({})",
@@ -167,7 +130,7 @@ fn assert_engine_matches_oracles(
         let batch = engine.execute_batch_as(prepared, semantics).unwrap();
         for (qi, member) in batch.iter().enumerate() {
             let alone = &solo[qi * Semantics::ALL.len() + si];
-            prop_assert_eq!(
+            ensure_eq!(
                 member.tuples(),
                 alone.tuples(),
                 "batch member {} diverged from its solo run under {:?} ({})",
@@ -175,7 +138,7 @@ fn assert_engine_matches_oracles(
                 semantics,
                 context
             );
-            prop_assert_eq!(member.evidence().certificate, alone.evidence().certificate);
+            ensure_eq!(member.evidence().certificate, alone.evidence().certificate);
         }
     }
     Ok(())
@@ -236,89 +199,62 @@ fn plan_shapes_match_oracles() {
     ];
     for (shape, text, inputs) in cases {
         let db = from_text(text).unwrap();
-        let queries: Vec<Query> = inputs
-            .iter()
-            .map(|t| parse_query(db.voc(), t).unwrap())
-            .collect();
+        let queries = inputs.iter().map(|t| parse_query(db.voc(), t).unwrap());
+        let s = Scenario::fixed(db.clone(), queries.collect(), Vec::new());
         for threads in [1, 4] {
-            let (engine, prepared) = engine_for(&db, &queries, threads);
-            assert_engine_matches_oracles(&engine, &prepared, &queries, shape).unwrap();
+            let (engine, prepared) = engine_for(&s, threads);
+            assert_engine_matches_oracles(&engine, &prepared, &s.queries, shape).unwrap();
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
+property! {
     /// The walk — decomposed where constants are free, the classic
     /// one-image-per-kernel case where none is — ≡ the raw-mapping oracle
     /// (≡ model enumeration when tiny) on random databases and queries,
     /// under every semantics; the pruning accounting covers the kernel
     /// space.
-    #[test]
-    fn decomposed_equals_classic_and_raw(
-        seed in 0u64..10_000,
-        n in 1usize..6,
-        known in 0u8..=10,
-        threads in 1usize..=4,
-    ) {
-        let db = random_db(seed, n, f64::from(known) / 10.0);
-        let queries = random_queries(&db, 3, seed);
-        let (engine, prepared) = engine_for(&db, &queries, threads);
-        assert_engine_matches_oracles(&engine, &prepared, &queries, "static db")?;
+    fn decomposed_equals_classic_and_raw(s in |rng| Scenario::generate(&SPARSE, rng); 16) {
+        let (engine, prepared) = engine_for(s, s.threads);
+        assert_engine_matches_oracles(&engine, &prepared, &s.queries, "static db")
     }
 
     /// The same equivalence *through* random delta sequences: the engine
     /// keeps (or correctly invalidates) its cached decomposition across
     /// fact inserts and NE asserts, and stays identical to oracles that
     /// recompute everything from the mutated database.
-    #[test]
     fn decomposed_equals_classic_after_deltas(
-        seed in 0u64..10_000,
-        n in 2usize..6,
-        known in 0u8..=10,
-        ops in proptest::collection::vec((0u8..3, 0u32..8, 0u32..8), 1..5),
-        threads in 1usize..=4,
+        s in |rng| Scenario::generate(&Shape { consts: 2..=5, queries: 2, ..SPARSE }, rng); 16
     ) {
-        let db = random_db(seed.wrapping_add(17), n, f64::from(known) / 10.0);
-        let queries = random_queries(&db, 2, seed.wrapping_mul(7));
-        let (mut engine, prepared) = engine_for(&db, &queries, threads);
-        // Warm the decomposition memo (and every derived structure)
-        // before mutating, so the deltas exercise invalidation rather
-        // than first-use initialization.
-        assert_engine_matches_oracles(&engine, &prepared, &queries, "pre-delta warmup")?;
-        for (i, &op) in ops.iter().enumerate() {
-            let Some(delta) = op_to_delta(engine.db(), op) else { continue };
-            engine.apply(&delta).unwrap();
-            assert_engine_matches_oracles(
-                &engine,
-                &prepared,
-                &queries,
-                &format!("after op {i} = {op:?}"),
-            )?;
+        let (mut engine, prepared) = engine_for(s, s.threads);
+        // Warm the decomposition memo (and every derived structure) before
+        // mutating, so the deltas exercise invalidation rather than
+        // first-use initialization.
+        assert_engine_matches_oracles(&engine, &prepared, &s.queries, "pre-delta warmup")?;
+        for (i, op) in s.ops.iter().enumerate() {
+            engine.apply(&op.to_delta().unwrap()).unwrap();
+            let context = format!("after op {i} = {}", s.line(op));
+            assert_engine_matches_oracles(&engine, &prepared, &s.queries, &context)?;
         }
+        Ok(())
     }
 
     /// The closed-form kernel counter (Stirling/Bell products over NE
     /// components) agrees with brute-force kernel enumeration, and the
     /// core evaluator's totals line up with it when early exit is off.
-    #[test]
     fn closed_form_kernel_count_matches_enumeration(
-        seed in 0u64..10_000,
-        n in 1usize..7,
-        known in 0u8..=10,
+        s in |rng| Scenario::generate(&Shape { consts: 1..=6, queries: 1, ..SPARSE }, rng); 16
     ) {
-        let db = random_db(seed.wrapping_add(101), n, f64::from(known) / 10.0);
-        let closed = count_kernel_mappings(&db);
-        prop_assert_eq!(closed, count_kernel_mappings_by_enumeration(&db));
+        let closed = count_kernel_mappings(&s.db);
+        ensure_eq!(closed, count_kernel_mappings_by_enumeration(&s.db));
         // With no early exit, visited + pruned covers exactly that space.
-        let q = random_queries(&db, 1, seed).pop().unwrap();
         let opts = ExactOptions {
             corollary2_fast_path: false,
             early_exit: false,
             ..ExactOptions::new()
         };
-        let (_, stats) = certain_answers_with(&db, &q, opts).unwrap();
-        prop_assert_eq!(stats.mappings_evaluated + stats.mappings_pruned, closed);
+        let (_, stats) = certain_answers_with(&s.db, &s.queries[0], opts).unwrap();
+        ensure_eq!(stats.mappings_evaluated + stats.mappings_pruned, closed);
+        Ok(())
     }
 }

@@ -1,342 +1,323 @@
-//! Differential tests of the delta-update subsystem: an engine mutated
-//! through `Engine::apply` must be answer-for-answer identical to an
-//! engine rebuilt from scratch over the final database — across every
-//! semantics, with the derived structures (`Ph₁`, `Ph₂`, `α_P`, `NE`)
-//! refreshed incrementally and the answer cache invalidated selectively —
-//! and a stale cache hit must be impossible after a footprint-overlapping
-//! delta.
+//! Differential tests of the delta-update subsystem, the solo adaptor of
+//! the shared harness (`tests/support/`): an engine mutated through
+//! `Engine::apply` must answer every query under every semantics exactly
+//! like a fresh solo engine at the answer's stamped epoch — with the
+//! derived structures (`Ph₁`, `Ph₂`, `α_P`, `NE`) refreshed
+//! incrementally and the answer cache invalidated selectively — and a
+//! stale cache hit must be impossible after a footprint-overlapping
+//! delta. The harness's shrinker is tested here too, on a planted
+//! failure whose printed script replays through `qld --batch`.
 
-use proptest::prelude::*;
-use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
+#[macro_use]
+#[path = "support/cases.rs"]
+mod cases;
+#[path = "support/scenario.rs"]
+mod scenario;
+
+use cases::{check, failure_kind, minimize, Case, Outcome};
 use querying_logical_databases::core::CwDatabase;
-use querying_logical_databases::logic::{ConstId, Query};
-use querying_logical_databases::prelude::{Delta, Engine, PreparedQuery, Semantics};
+use querying_logical_databases::logic::parser::parse_query;
+use querying_logical_databases::logic::ConstId;
+use querying_logical_databases::prelude::{Engine, Semantics};
+use querying_logical_databases::server::proto::tuple_lines;
+use querying_logical_databases::server::script::{Database, ScriptLine};
+use rand::rngs::StdRng;
+use rand::Rng;
+use scenario::{
+    observe, op_to_delta, prepare_all, random_db, random_queries, stamped, Observation, Scenario,
+    Shape, SMALL,
+};
+use std::fmt;
 
-fn random_db(seed: u64, n: usize, known: f64) -> CwDatabase {
-    random_cw_db(&DbGenConfig {
-        num_consts: n,
-        pred_arities: vec![2, 1],
-        facts_per_pred: 3,
-        known_fraction: known,
-        extra_ne_pairs: (seed % 3) as usize,
-        seed,
-    })
+/// The solo adaptor: one engine — its structures built, its cache warm
+/// and its queries prepared before the ops — applies the ops through
+/// `script::Database::add` and answers every (stale) prepared query
+/// under every semantics after each, each answer [`stamped`] with the
+/// epoch the ops so far reach. Also returns whether an NE delta grew
+/// some `α_P`.
+fn solo(s: &Scenario) -> Result<(Vec<Observation>, bool), String> {
+    let mut engine = Engine::builder(s.db.clone()).parallelism(s.threads).build();
+    let prepared = prepare_all(&engine, s);
+    let mut observed = observe(&engine, &prepared);
+    stamped(s, 0, engine.epoch(), &observed)?;
+    let mut alpha_grew = false;
+    for (k, op) in s.ops.iter().enumerate() {
+        let before = alpha_rows(&engine);
+        engine.add(&op.to_delta().unwrap()).unwrap();
+        alpha_grew |= matches!(op, ScriptLine::AssertNe(..)) && alpha_rows(&engine) > before;
+        let seen = observe(&engine, &prepared);
+        stamped(s, k + 1, engine.epoch(), &seen)?;
+        observed.extend(seen);
+    }
+    Ok((observed, alpha_grew))
 }
 
-fn random_queries(db: &CwDatabase, count: usize, seed: u64) -> Vec<Query> {
-    (0..count)
-        .map(|i| {
-            random_query(
-                db.voc(),
-                &QueryGenConfig {
-                    fragment: if i % 2 == 0 {
-                        QueryFragment::FullFo
-                    } else {
-                        QueryFragment::Positive
-                    },
-                    max_depth: 3,
-                    head_arity: i % 3,
-                    seed: seed.wrapping_mul(37).wrapping_add(i as u64 * 613),
-                },
-            )
-        })
-        .collect()
+/// The rows of every `α_P` the §5 engine holds.
+fn alpha_rows(engine: &Engine) -> usize {
+    let approx = engine.approx_engine();
+    let rows = |p: &_| approx.extended_db().relation(*p).len();
+    approx.alpha_preds().iter().map(rows).sum()
 }
 
-/// One generated mutation: `(kind, a, b)` over constant indices modulo
-/// `|C|`. Kind 0 inserts `P0(a, b)`, kind 1 inserts `P1(a)`, kind 2
-/// asserts `a != b` (skipped when the indices coincide — reflexive axioms
-/// are invalid by construction).
-fn op_to_delta(db: &CwDatabase, op: (u8, u32, u32)) -> Option<Delta> {
-    let n = db.num_consts() as u32;
-    let (kind, a, b) = op;
-    let (a, b) = (ConstId(a % n), ConstId(b % n));
-    let p0 = db.voc().pred_id("P0").unwrap();
-    let p1 = db.voc().pred_id("P1").unwrap();
-    match kind {
-        0 => Some(Delta::new().insert_fact(p0, &[a, b])),
-        1 => Some(Delta::new().insert_fact(p1, &[a])),
-        _ if a != b => Some(Delta::new().assert_ne(a, b)),
-        _ => None,
+/// Random delta sequences: after every applied delta, the incrementally
+/// maintained engine (structures built *before* the deltas, answer cache
+/// warm, prepared queries stale) answers like the oracle, across all four
+/// semantics. Enough cases see an NE delta grow some `α_P` that skipping
+/// that growth cannot go unnoticed.
+#[test]
+fn engine_after_deltas_equals_engine_rebuilt_from_final_db() {
+    let mut alpha_grew = 0;
+    check(
+        "engine_after_deltas_equals_engine_rebuilt_from_final_db",
+        400,
+        |rng| Scenario::generate(&SMALL, rng),
+        |s| {
+            let (observed, grew) = solo(s)?;
+            alpha_grew += usize::from(grew);
+            s.check(&observed)
+        },
+    );
+    assert!(
+        alpha_grew >= 25,
+        "only {alpha_grew} cases grew an α_P on an NE delta"
+    );
+}
+
+/// The stale-hit probe: three fixed queries and one `P0` insert.
+const STALE_HIT_QUERIES: [&str; 3] = [
+    "(x, y) . P0(x, y)", // positive, mentions P0
+    "(x) . !P0(x, x)",   // axiom-sensitive, mentions P0
+    "(x) . P1(x)",       // positive, disjoint from P0 deltas
+];
+
+/// A stale-hit probe: its queries and its op are fixed by position, so
+/// the shrinker may drop none of them.
+#[derive(Clone)]
+struct Probe(Scenario);
+
+impl Case for Probe {}
+
+impl fmt::Debug for Probe {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
-/// Executes every query under every semantics on both engines and
-/// asserts bit-identical tuples and certificates. The incremental engine
-/// runs its *original* (possibly stale) prepared queries — exactly what a
-/// long-lived session would hold across deltas.
-fn assert_engines_agree(
-    incremental: &Engine,
-    prepared: &[PreparedQuery],
-    rebuilt: &Engine,
-    queries: &[Query],
-    context: &str,
-) -> Result<(), TestCaseError> {
-    for (p, q) in prepared.iter().zip(queries) {
-        let fresh = rebuilt.prepare(q.clone()).unwrap();
-        for semantics in Semantics::ALL {
-            let inc = incremental.execute_as(p, semantics).unwrap();
-            let truth = rebuilt.execute_as(&fresh, semantics).unwrap();
-            prop_assert_eq!(
-                inc.tuples(),
-                truth.tuples(),
-                "tuples diverged from rebuild under {:?} on {:?} ({})",
-                semantics,
-                q,
-                context
-            );
-            prop_assert_eq!(
-                inc.evidence().certificate,
-                truth.evidence().certificate,
-                "certificate diverged from rebuild under {:?} on {:?} ({})",
-                semantics,
-                q,
-                context
-            );
-        }
-    }
-    Ok(())
+fn stale_hit_probe(rng: &mut StdRng) -> Probe {
+    let mut s = Scenario::generate(
+        &Shape {
+            consts: 2..=4,
+            ..SMALL
+        },
+        rng,
+    );
+    s.queries = STALE_HIT_QUERIES
+        .map(|t| parse_query(s.db.voc(), t).unwrap())
+        .to_vec();
+    let insert = (0, rng.gen_range(0..8), rng.gen_range(0..8));
+    s.ops = op_to_delta(&s.db, insert).into_iter().collect();
+    Probe(s)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random delta sequences: after every applied delta, the
-    /// incrementally-maintained engine (structures built *before* the
-    /// deltas, answer cache warm, prepared queries stale) answers
-    /// identically to an engine rebuilt from the final database — across
-    /// all four semantics.
-    #[test]
-    fn engine_after_deltas_equals_engine_rebuilt_from_final_db(
-        seed in 0u64..10_000,
-        n in 1usize..5,
-        known in 0u8..=10,
-        ops in proptest::collection::vec((0u8..3, 0u32..8, 0u32..8), 1..5),
-        threads in 1usize..=4,
-    ) {
-        let db = random_db(seed, n, f64::from(known) / 10.0);
-        let queries = random_queries(&db, 3, seed);
-        let mut engine = Engine::builder(db).parallelism(threads).build();
-        let prepared: Vec<PreparedQuery> = queries
-            .iter()
-            .map(|q| engine.prepare(q.clone()).unwrap())
-            .collect();
-        // Build Ph₁ and the §5 machinery and warm the cache under every
-        // semantics *before* mutating: the deltas must refresh live
-        // structures, not profit from lazy rebuilds.
-        for p in &prepared {
-            for semantics in Semantics::ALL {
-                engine.execute_as(p, semantics).unwrap();
-            }
-        }
-        for (i, &op) in ops.iter().enumerate() {
-            let Some(delta) = op_to_delta(engine.db(), op) else { continue };
-            engine.apply(&delta).unwrap();
-            let rebuilt = Engine::builder(engine.db().clone())
-                .parallelism(threads)
-                .answer_cache(false)
-                .build();
-            assert_engines_agree(
-                &engine,
-                &prepared,
-                &rebuilt,
-                &queries,
-                &format!("after op {i} = {op:?}"),
-            )?;
-        }
-    }
-
-    /// Stale cache hits are impossible: warm the cache, apply a delta
-    /// whose footprint overlaps a cached query, and the overlapping entry
-    /// must be re-evaluated (no `cache_hit`) while every answer — hit or
-    /// not — equals a from-scratch engine's.
-    #[test]
-    fn no_stale_hit_after_footprint_overlapping_delta(
-        seed in 0u64..10_000,
-        n in 2usize..5,
-        known in 0u8..=10,
-        a in 0u32..8,
-        b in 0u32..8,
-    ) {
-        let db = random_db(seed.wrapping_add(31), n, f64::from(known) / 10.0);
-        let engine_db = db.clone();
-        let mut engine = Engine::new(engine_db);
-        let texts = [
-            "(x, y) . P0(x, y)",     // positive, mentions P0
-            "(x) . !P0(x, x)",       // axiom-sensitive, mentions P0
-            "(x) . P1(x)",           // positive, disjoint from P0 deltas
-        ];
-        let prepared: Vec<PreparedQuery> = texts
-            .iter()
-            .map(|t| engine.prepare_text(t).unwrap())
-            .collect();
+property! {
+    /// Stale cache hits are impossible: warm the cache, apply a delta whose
+    /// footprint overlaps a cached query, and the overlapping entry must be
+    /// re-evaluated (no `cache_hit`) while every answer — hit or not —
+    /// equals the oracle's.
+    fn no_stale_hit_after_footprint_overlapping_delta(Probe(s) in stale_hit_probe; 12) {
+        let mut engine = Engine::new(s.db.clone());
+        let prepared = prepare_all(&engine, s);
         for p in &prepared {
             engine.execute(p).unwrap();
         }
-        prop_assert_eq!(engine.cache_len(), 3);
+        ensure_eq!(engine.cache_len(), 3);
         // A fact delta on P0: both P0 entries must go, the P1 entry must
         // survive and keep serving from cache.
-        let p0 = engine.db().voc().pred_id("P0").unwrap();
-        let (ca, cb) = (ConstId(a % n as u32), ConstId(b % n as u32));
-        let report = engine
-            .apply(&Delta::new().insert_fact(p0, &[ca, cb]))
-            .unwrap();
+        let report = engine.apply(&s.ops[0].to_delta().unwrap()).unwrap();
         if report.changed() {
-            prop_assert_eq!(report.cache_evicted, 2, "both P0 entries evicted");
-            prop_assert_eq!(report.cache_retained, 1);
+            ensure_eq!(report.cache_evicted, 2, "both P0 entries evicted");
+            ensure_eq!(report.cache_retained, 1);
         }
-        let rebuilt = Engine::builder(engine.db().clone()).answer_cache(false).build();
-        for (p, text) in prepared.iter().zip(texts.iter()) {
+        let mut observed = Vec::new();
+        for (i, p) in prepared.iter().enumerate() {
             let answers = engine.execute(p).unwrap();
-            let truth = rebuilt
-                .execute(&rebuilt.prepare_text(text).unwrap())
-                .unwrap();
-            prop_assert_eq!(
-                answers.tuples(),
-                truth.tuples(),
-                "stale answer served for {} after delta",
-                text
+            let hit = answers.evidence().cache_hit;
+            ensure!(
+                !(report.changed() && i < 2 && hit),
+                "footprint-overlapping entry {} served from cache",
+                STALE_HIT_QUERIES[i]
             );
-            if report.changed() && text.contains("P0") {
-                prop_assert!(
-                    !answers.evidence().cache_hit,
-                    "footprint-overlapping entry must not be a cache hit ({})",
-                    text
-                );
-            }
+            ensure!(!report.changed() || i < 2 || hit, "disjoint entry evicted");
+            observed.push(Observation::of(i, Semantics::Auto, &answers));
         }
-        // The disjoint entry survived as a hit.
-        if report.changed() {
-            let survivor = engine.execute(&prepared[2]).unwrap();
-            prop_assert!(survivor.evidence().cache_hit, "disjoint entry evicted");
-        }
+        s.check(&observed)
     }
 
-    /// The interleaving case: queries prepared at epoch `k`, then `m`
-    /// deltas applied with *no* execution in between, then executed —
-    /// the automatic re-certification at execution time must produce
-    /// tuples and certificates identical to a fresh engine over the
-    /// final database, and the epoch bookkeeping must line up: the
-    /// prepared query still reports its prepare-time epoch, the engine
-    /// reports `k + m'` (one per *changed* delta), and every answer's
-    /// evidence — a hit that survived the deltas included — is stamped
-    /// with the epoch it was served at.
-    #[test]
+    /// The interleaving case: queries prepared at epoch 0, then the deltas
+    /// applied with *no* execution in between (half the cases warm the
+    /// cache first), then executed — the automatic re-certification at
+    /// execution time must match the oracle, and the epoch bookkeeping must
+    /// line up: the prepared query still reports its prepare-time epoch,
+    /// the engine one epoch per *changed* delta, and every answer's
+    /// evidence — a hit that survived the deltas included — the epoch it
+    /// was served at.
     fn prepared_at_epoch_k_executed_after_m_deltas_matches_fresh_engine(
-        seed in 0u64..10_000,
-        n in 2usize..5,
-        known in 0u8..=10,
-        warm in 0u8..=1,
-        ops in proptest::collection::vec((0u8..3, 0u32..8, 0u32..8), 2..7),
+        s in |rng| Scenario::generate(&Shape { consts: 2..=4, ops: 2..=6, ..SMALL }, rng); 12
     ) {
-        let db = random_db(seed.wrapping_add(123), n, f64::from(known) / 10.0);
-        let queries = random_queries(&db, 3, seed);
-        let mut engine = Engine::new(db);
-        let prepared: Vec<PreparedQuery> = queries
-            .iter()
-            .map(|q| engine.prepare(q.clone()).unwrap())
-            .collect();
-        let epoch_at_prepare = engine.epoch();
-        prop_assert_eq!(epoch_at_prepare, 0);
-        // Half the cases execute once before the deltas (warm cache +
-        // built structures), half go in cold — re-certification must be
-        // correct either way.
-        if warm == 1 {
-            for p in &prepared {
-                engine.execute(p).unwrap();
-            }
+        let mut engine = Engine::new(s.db.clone());
+        let prepared = prepare_all(&engine, s);
+        if s.adaptor_rng().gen_bool(0.5) {
+            observe(&engine, &prepared);
         }
-        let mut calls = 0u64;
-        let mut changed = 0u64;
-        for &op in &ops {
-            let Some(delta) = op_to_delta(engine.db(), op) else { continue };
-            let report = engine.apply(&delta).unwrap();
-            calls += 1;
-            if report.changed() {
-                changed += 1;
-            }
-            prop_assert_eq!(report.epoch, engine.epoch(), "report names its epoch");
+        for op in &s.ops {
+            let report = engine.apply(&op.to_delta().unwrap()).unwrap();
+            ensure_eq!(report.epoch, engine.epoch(), "report names its epoch");
         }
-        prop_assert_eq!(engine.epoch(), changed, "one epoch per changed delta");
-        prop_assert_eq!(engine.delta_stats().deltas_applied, calls);
-        let rebuilt = Engine::builder(engine.db().clone())
-            .answer_cache(false)
-            .build();
-        for (p, q) in prepared.iter().zip(&queries) {
-            prop_assert_eq!(
-                p.epoch(),
-                epoch_at_prepare,
-                "prepare-time epoch is immutable on the handle"
-            );
-            for semantics in Semantics::ALL {
-                let stale = engine.execute_as(p, semantics).unwrap();
-                // A surviving (footprint-disjoint) cache entry is stamped
-                // where it was served, like anything computed fresh.
-                prop_assert_eq!(stale.evidence().epoch, engine.epoch());
-                let truth = rebuilt
-                    .execute_as(&rebuilt.prepare(q.clone()).unwrap(), semantics)
-                    .unwrap();
-                prop_assert_eq!(
-                    stale.tuples(),
-                    truth.tuples(),
-                    "stale prepared query diverged under {:?} on {:?}",
-                    semantics,
-                    q
-                );
-                prop_assert_eq!(
-                    stale.evidence().certificate,
-                    truth.evidence().certificate,
-                    "re-certification diverged under {:?} on {:?}",
-                    semantics,
-                    q
-                );
-            }
-        }
+        ensure_eq!(engine.epoch(), s.final_epoch(), "one epoch per changed delta");
+        ensure_eq!(engine.delta_stats().deltas_applied, s.ops.len() as u64);
+        ensure!(
+            prepared.iter().all(|p| p.epoch() == 0),
+            "the prepare-time epoch is immutable on the handle"
+        );
+        let observed = observe(&engine, &prepared);
+        ensure!(
+            observed.iter().all(|o| o.epoch == engine.epoch()),
+            "an answer stamped with an epoch it was not served at"
+        );
+        s.check(&observed)
     }
 
     /// The mutated `CwDatabase` itself (not just the engine's answers)
     /// equals one rebuilt from scratch with the same axioms.
-    #[test]
     fn mutated_database_equals_rebuilt_database(
-        seed in 0u64..10_000,
-        n in 1usize..6,
-        known in 0u8..=10,
-        ops in proptest::collection::vec((0u8..3, 0u32..8, 0u32..8), 0..6),
+        s in |rng| Scenario::generate(&Shape { consts: 1..=5, ops: 0..=5, ..SMALL }, rng); 12
     ) {
-        let base = random_db(seed.wrapping_add(77), n, f64::from(known) / 10.0);
-        let mut mutated = base.clone();
-        let mut applied: Vec<(u8, ConstId, ConstId)> = Vec::new();
-        for &op in &ops {
-            let Some(_) = op_to_delta(&base, op) else { continue };
-            let m = base.num_consts() as u32;
-            let (kind, a, b) = op;
-            let (a, b) = (ConstId(a % m), ConstId(b % m));
-            match kind {
-                0 => { mutated.insert_fact(base.voc().pred_id("P0").unwrap(), &[a, b]).unwrap(); }
-                1 => { mutated.insert_fact(base.voc().pred_id("P1").unwrap(), &[a]).unwrap(); }
-                _ => { mutated.insert_ne(a, b).unwrap(); }
-            }
-            applied.push((kind, a, b));
-        }
-        // Rebuild from scratch: replay the base facts/axioms plus the ops
-        // through the validating builder.
-        let mut builder = CwDatabase::builder(base.voc().clone());
-        for p in base.voc().preds() {
-            for t in base.facts(p).iter() {
+        let mut builder = CwDatabase::builder(s.db.voc().clone());
+        for p in s.db.voc().preds() {
+            for t in s.db.facts(p).iter() {
                 let args: Vec<ConstId> = t.iter().map(|&e| ConstId(e)).collect();
                 builder = builder.fact(p, &args);
             }
         }
-        for &(lo, hi) in base.ne_pairs() {
+        for &(lo, hi) in s.db.ne_pairs() {
             builder = builder.unique(ConstId(lo), ConstId(hi));
         }
-        for &(kind, a, b) in &applied {
-            builder = match kind {
-                0 => builder.fact(base.voc().pred_id("P0").unwrap(), &[a, b]),
-                1 => builder.fact(base.voc().pred_id("P1").unwrap(), &[a]),
-                _ => builder.unique(a, b),
+        for op in &s.ops {
+            builder = match op {
+                ScriptLine::Insert(p, args) => builder.fact(*p, args),
+                ScriptLine::AssertNe(a, b) => builder.unique(*a, *b),
+                other => panic!("{other:?}"),
             };
         }
-        prop_assert_eq!(mutated, builder.build().unwrap());
+        ensure_eq!(s.db_at(s.final_epoch()).unwrap(), builder.build().unwrap());
+        Ok(())
     }
+}
+
+/// The shrinker on a planted failure: a property that fails iff the ops
+/// hold one given `:assert-ne` and the queries one given query shrinks
+/// to exactly those two, and the script it prints replays through
+/// `qld --batch` to the answer the failure names.
+#[test]
+fn the_shrinker_keeps_exactly_the_planted_delta_and_query() {
+    // No axioms, and inserts only beside the planted delta.
+    let db = random_db(4, 0.0, 3, 3);
+    assert!(db.ne_pairs().is_empty());
+    let mut ops: Vec<ScriptLine> = (0..8)
+        .filter_map(|i| op_to_delta(&db, (i % 2, u32::from(i), u32::from(i) * 3)))
+        .collect();
+    let ne = ScriptLine::AssertNe(ConstId(0), ConstId(3));
+    ops.insert(3, ne.clone());
+    let queries = random_queries(&db, 6, 41);
+    let s = Scenario::fixed(db, queries, ops);
+    let target = s.queries[2].clone();
+    let mut planted = |s: &Scenario| -> Outcome {
+        let (Some(k), Some(q)) = (
+            s.ops.iter().position(|op| *op == ne),
+            s.queries.iter().position(|query| *query == target),
+        ) else {
+            return Ok(());
+        };
+        let oracle = s.oracle(s.epochs()[k + 1]).unwrap();
+        let prepared = oracle.prepare(target.clone()).unwrap();
+        let answers = oracle.execute_as(&prepared, Semantics::Exact).unwrap();
+        let mut lines = tuple_lines(s.db.voc(), &answers);
+        lines.push(format!("{} tuple(s)", answers.len()));
+        Err(format!(
+            "planted: query {q} under exact after `{}`:\n{}",
+            s.line(&ne),
+            lines.join("\n")
+        ))
+    };
+    let (shrunk, failure) = minimize(s, &mut planted);
+    assert_eq!(shrunk.ops, std::slice::from_ref(&ne));
+    assert_eq!(shrunk.queries, [target]);
+
+    // Replay the printed report.
+    let report = format!("{shrunk:?}");
+    let (_, files) = report.split_once("--- case.qld ---\n").unwrap();
+    let (db_text, script) = files.split_once("--- case.q ---\n").unwrap();
+    let dir = std::env::temp_dir().join(format!("qld-shrink-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (db_path, script_path) = (dir.join("case.qld"), dir.join("case.q"));
+    std::fs::write(&db_path, db_text).unwrap();
+    std::fs::write(&script_path, script).unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_qld"))
+        .args([db_path.to_str().unwrap(), "--mode", "exact", "--batch"])
+        .arg(&script_path)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    assert!(output.status.success(), "{stdout}");
+    let query_line = script.lines().next().unwrap();
+    let (_, after_ne) = stdout
+        .split_once(&format!("> {}\n", shrunk.line(&ne)))
+        .unwrap();
+    let (_, answer) = after_ne.split_once(&format!("> {query_line}\n")).unwrap();
+    let (_, expected) = failure.split_once(":\n").unwrap();
+    assert!(
+        answer.starts_with(expected),
+        "replay:\n{stdout}\nfailure:\n{failure}"
+    );
+}
+
+/// The shrinker keeps a drop only while the failure stays the same one:
+/// a property whose planted `Err` turns into a different `Err` once the
+/// queries fall below three shrinks to three queries, not to the other
+/// failure's one.
+#[test]
+fn the_shrinker_does_not_trade_a_failure_for_a_different_one() {
+    let db = random_db(4, 0.5, 3, 7);
+    let queries = random_queries(&db, 6, 7);
+    let target = queries[4].clone();
+    let s = Scenario::fixed(db, queries, Vec::new());
+    let mut planted = |s: &Scenario| -> Outcome {
+        ensure!(s.queries.contains(&target));
+        ensure!(s.queries.len() < 3, "planted: {} queries", s.queries.len());
+        Err(format!("a different check: {} queries", s.queries.len()))
+    };
+    let (shrunk, failure) = minimize(s, &mut planted);
+    assert_eq!(shrunk.queries.len(), 3, "{failure}");
+    assert!(shrunk.queries.contains(&target));
+    assert!(failure.starts_with("planted: "), "{failure}");
+}
+
+/// What counts as the same failure: the check, not the values it saw.
+#[test]
+fn failure_kinds_ignore_values_but_not_checks() {
+    let kind = failure_kind;
+    assert_eq!(
+        kind("query 3 diverged: [1] != [2]"),
+        kind("query 12 diverged: []")
+    );
+    assert_ne!(
+        kind("query 3 diverged: [1]"),
+        kind("cache_len() == 3: 2 != 3")
+    );
+    assert_ne!(
+        kind("panicked: index out of bounds: 0"),
+        kind("panicked: x: 0")
+    );
+    assert_ne!(kind("panicked: x"), kind("x"));
 }

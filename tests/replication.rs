@@ -5,30 +5,35 @@
 //! the follower reconnecting and resuming from its last applied epoch,
 //! a promote bumping the generation and fencing the stale stream.
 //!
-//! The spine is the differential discipline of `tests/server_e2e.rs`
-//! carried across the replication boundary: because `Engine::apply` is
-//! deterministic, every answer a follower serves must be byte-identical
-//! to a solo engine rebuilt from the database as it stood at the
-//! answer's stamped epoch — tuples, verdicts, and certificates, under
-//! all four semantics.
+//! The spine is the follower adaptor of the shared harness
+//! (`tests/support/`): because `Engine::apply` is deterministic, every
+//! answer a follower serves must equal the oracle — a fresh solo engine
+//! over the database as it stood at the answer's stamped epoch — tuples,
+//! certificates and upper bounds, under all four semantics.
 //!
 //! Run under `QLD_THREADS=1` and `QLD_THREADS=4` (CI does both).
 
-use proptest::prelude::*;
-use qld_workloads::{random_cw_db, DbGenConfig};
+#[macro_use]
+#[path = "support/cases.rs"]
+mod cases;
+#[path = "support/scenario.rs"]
+mod scenario;
+
+use cases::Outcome;
 use querying_logical_databases::core::textio::{from_text, to_text};
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::engine::{
     wal_has_state, DiskStorage, DurabilityConfig, Engine, EngineError, Semantics, SharedEngine,
     Storage,
 };
-use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::logic::ConstId;
 use querying_logical_databases::prelude::{Client, RetryPolicy, Server, ServerConfig};
 use querying_logical_databases::server::replication::{FollowerHandle, FollowerLink};
-use querying_logical_databases::server::{proto, RunningServer};
-use std::collections::HashMap;
+use querying_logical_databases::server::script::ScriptLine;
+use querying_logical_databases::server::RunningServer;
+use scenario::{changing, random_db, Observation, Scenario, Shape};
 use std::net::SocketAddr;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -36,50 +41,24 @@ use std::time::{Duration, Instant};
 /// A partially-specified database with parser-friendly constant names
 /// (`k0…`/`u0…`), so deltas can travel as `:insert` script text.
 fn test_db(seed: u64) -> CwDatabase {
-    random_cw_db(&DbGenConfig {
-        num_consts: 6,
-        pred_arities: vec![2, 1],
-        facts_per_pred: 8,
-        known_fraction: 0.7,
-        extra_ne_pairs: 0,
-        seed,
-    })
+    random_db(6, 0.7, 8, seed)
 }
 
-/// The query mix, with each text's Boolean-ness.
-const QUERIES: [(&str, bool); 3] = [
-    ("(x, z) . exists y. P0(x, y) & P0(y, z)", false),
-    ("(x) . P1(x) & !P0(x, x)", false),
-    ("exists x. P0(x, x)", true),
-];
-
-/// `count` fresh (non-fact) `P0` pairs as `(ConstIds, script line)` —
-/// each insert changes the database, so the epoch after the k-th insert
-/// is exactly `k`.
-fn fresh_inserts(db: &CwDatabase, count: usize) -> Vec<(Vec<ConstId>, String)> {
-    let voc = db.voc();
-    let p0 = voc.pred_id("P0").expect("workload predicate P0");
-    let facts = db.facts(p0);
+/// A scenario over `test_db(seed)` whose ops are `count` fresh
+/// (non-fact) `P0` inserts, in row order — each changes the database,
+/// so the epoch after the k-th insert is exactly `k`.
+fn fresh_inserts(seed: u64, count: usize) -> Scenario {
+    let db = test_db(seed);
+    let p0 = db.voc().pred_id("P0").expect("workload predicate P0");
     let n = db.num_consts() as u32;
-    let mut out = Vec::with_capacity(count);
-    'outer: for a in 0..n {
-        for b in 0..n {
-            if out.len() == count {
-                break 'outer;
-            }
-            if facts.contains(&[a, b]) {
-                continue;
-            }
-            let line = format!(
-                ":insert P0({}, {})",
-                voc.const_name(ConstId(a)),
-                voc.const_name(ConstId(b))
-            );
-            out.push((vec![ConstId(a), ConstId(b)], line));
-        }
-    }
-    assert_eq!(out.len(), count, "database too dense for the delta stream");
-    out
+    let pairs = (0..n * n).map(|i| ScriptLine::Insert(p0, vec![ConstId(i / n), ConstId(i % n)]));
+    let ops = changing(&db, pairs, count);
+    Scenario::fixed(db, Vec::new(), ops)
+}
+
+/// The database `s` holds at `epoch`, as text.
+fn text_at(s: &Scenario, epoch: u64) -> String {
+    to_text(&s.db_at(epoch).unwrap())
 }
 
 fn start(shared: SharedEngine, config: ServerConfig) -> (RunningServer, SocketAddr) {
@@ -126,29 +105,14 @@ fn wait_until(timeout: Duration, what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// The database as it stood at each epoch: base plus the first k
-/// inserts.
-fn db_at(db: &CwDatabase, inserts: &[(Vec<ConstId>, String)]) -> HashMap<u64, CwDatabase> {
-    let p0 = db.voc().pred_id("P0").unwrap();
-    let mut map = HashMap::new();
-    let mut evolving = db.clone();
-    map.insert(0, evolving.clone());
-    for (k, (args, _)) in inserts.iter().enumerate() {
-        evolving.insert_fact(p0, args).unwrap();
-        map.insert(k as u64 + 1, evolving.clone());
-    }
-    map
-}
-
 /// Bootstrap, catch-up, live streaming, and the read-only contract, end
 /// to end: a fresh follower converges on the primary's exact state and
 /// serves reads over its own socket while refusing writes.
 #[test]
 fn follower_bootstraps_streams_and_serves_read_only() {
     const DELTAS: usize = 6;
-    let db = test_db(42);
-    let inserts = fresh_inserts(&db, DELTAS);
-    let primary = SharedEngine::new(Engine::new(db.clone()));
+    let s = fresh_inserts(42, DELTAS);
+    let primary = SharedEngine::new(Engine::new(s.db.clone()));
     let (running, addr) = start(primary.clone(), ServerConfig::default());
 
     let (follower, handle) = spawn_follower(addr, 3);
@@ -159,8 +123,8 @@ fn follower_bootstraps_streams_and_serves_read_only() {
     // Stream writes through the primary's socket; the follower applies
     // each committed delta from the live feed.
     let mut writer = Client::connect(addr).expect("writer connects");
-    for (i, (_, line)) in inserts.iter().enumerate() {
-        let reply = writer.request(line).expect("insert round-trips");
+    for (i, op) in s.ops.iter().enumerate() {
+        let reply = writer.request(&s.line(op)).expect("insert round-trips");
         assert!(reply.is_ok(), "{reply:?}");
         assert_eq!(reply.epoch, Some(i as u64 + 1), "{reply:?}");
     }
@@ -169,10 +133,9 @@ fn follower_bootstraps_streams_and_serves_read_only() {
     });
 
     // Converged byte-for-byte.
-    let final_db = db_at(&db, &inserts)[&(DELTAS as u64)].clone();
     assert_eq!(
         to_text(follower.snapshot().engine().db()),
-        to_text(&final_db),
+        text_at(&s, DELTAS as u64),
         "follower state diverged from the primary's history"
     );
 
@@ -185,10 +148,14 @@ fn follower_bootstraps_streams_and_serves_read_only() {
     // epoch, and answers writes with a clean `error: read-only`.
     let (follower_server, follower_addr) = start(follower.clone(), ServerConfig::default());
     let mut client = Client::connect(follower_addr).expect("read client connects");
-    let reply = client.request(QUERIES[0].0).expect("query round-trips");
+    let reply = client
+        .request("(x, z) . exists y. P0(x, y) & P0(y, z)")
+        .expect("query round-trips");
     assert!(reply.is_ok(), "{reply:?}");
     assert_eq!(reply.epoch, Some(DELTAS as u64), "{reply:?}");
-    let reply = client.request(&inserts[0].1).expect("write round-trips");
+    let reply = client
+        .request(&s.line(&s.ops[0]))
+        .expect("write round-trips");
     assert!(
         reply
             .error
@@ -236,17 +203,15 @@ fn crash_mid_stream_then_catch_up(checkpoint_every: u64) {
     const DELTAS: usize = 10;
     const CRASH_AFTER: usize = 4;
     let dir = tempdir();
-    let db = test_db(7);
-    let inserts = fresh_inserts(&db, DELTAS);
-    let history = db_at(&db, &inserts);
+    let s = fresh_inserts(7, DELTAS);
 
-    let primary = durable_primary(db.clone(), &dir, checkpoint_every);
+    let primary = durable_primary(s.db.clone(), &dir, checkpoint_every);
     let (running, addr) = start(primary.clone(), ServerConfig::default());
     let (follower, handle) = spawn_follower(addr, 11);
 
     let mut writer = Client::connect(addr).expect("writer connects");
-    for (_, line) in inserts.iter().take(CRASH_AFTER) {
-        assert!(writer.request(line).expect("insert").is_ok());
+    for op in s.ops.iter().take(CRASH_AFTER) {
+        assert!(writer.request(&s.line(op)).expect("insert").is_ok());
     }
     wait_until(Duration::from_secs(10), "pre-crash catch-up", || {
         follower.epoch() == CRASH_AFTER as u64
@@ -261,14 +226,14 @@ fn crash_mid_stream_then_catch_up(checkpoint_every: u64) {
     assert!(held <= DELTAS as u64);
     assert_eq!(
         to_text(follower.snapshot().engine().db()),
-        to_text(&history[&held]),
+        text_at(&s, held),
         "follower holds something other than the epoch-{held} prefix"
     );
 
     // A primary returns with the same history (recovered from its WAL,
     // as a restart would) on a fresh address; the follower resumes from
     // its held epoch and converges on the rest of the stream.
-    let revived = durable_primary(db.clone(), &dir, checkpoint_every);
+    let revived = durable_primary(s.db.clone(), &dir, checkpoint_every);
     assert_eq!(revived.epoch(), CRASH_AFTER as u64, "WAL recovery replays");
     let (running, addr) = start(revived.clone(), ServerConfig::default());
     handle.stop();
@@ -282,15 +247,15 @@ fn crash_mid_stream_then_catch_up(checkpoint_every: u64) {
     let handle = link.spawn();
 
     let mut writer = Client::connect(addr).expect("writer reconnects");
-    for (_, line) in inserts.iter().skip(CRASH_AFTER) {
-        assert!(writer.request(line).expect("insert").is_ok());
+    for op in s.ops.iter().skip(CRASH_AFTER) {
+        assert!(writer.request(&s.line(op)).expect("insert").is_ok());
     }
     wait_until(Duration::from_secs(10), "post-crash convergence", || {
         follower.epoch() == DELTAS as u64
     });
     assert_eq!(
         to_text(follower.snapshot().engine().db()),
-        to_text(&history[&(DELTAS as u64)]),
+        text_at(&s, DELTAS as u64),
         "catch-up after the crash diverged"
     );
     handle.stop();
@@ -304,18 +269,16 @@ fn crash_mid_stream_then_catch_up(checkpoint_every: u64) {
 fn promote_resumes_writes_and_fences_the_stale_generation() {
     const DELTAS: usize = 8;
     const BEFORE_FAILOVER: usize = 5;
-    let db = test_db(23);
-    let inserts = fresh_inserts(&db, DELTAS);
-    let history = db_at(&db, &inserts);
+    let s = fresh_inserts(23, DELTAS);
 
-    let primary = SharedEngine::new(Engine::new(db.clone()));
+    let primary = SharedEngine::new(Engine::new(s.db.clone()));
     let (running, addr) = start(primary.clone(), ServerConfig::default());
     let (follower, handle) = spawn_follower(addr, 17);
     let (follower_server, follower_addr) = start(follower.clone(), ServerConfig::default());
 
     let mut writer = Client::connect(addr).expect("writer connects");
-    for (_, line) in inserts.iter().take(BEFORE_FAILOVER) {
-        assert!(writer.request(line).expect("insert").is_ok());
+    for op in s.ops.iter().take(BEFORE_FAILOVER) {
+        assert!(writer.request(&s.line(op)).expect("insert").is_ok());
     }
     wait_until(Duration::from_secs(10), "pre-failover catch-up", || {
         follower.epoch() == BEFORE_FAILOVER as u64
@@ -342,15 +305,15 @@ fn promote_resumes_writes_and_fences_the_stale_generation() {
 
     // Writes resume on the new primary under the bumped generation, and
     // reads never regressed an epoch across the failover.
-    for (_, line) in inserts.iter().skip(BEFORE_FAILOVER) {
-        let reply = admin.request(line).expect("post-failover insert");
+    for op in s.ops.iter().skip(BEFORE_FAILOVER) {
+        let reply = admin.request(&s.line(op)).expect("post-failover insert");
         assert!(reply.is_ok(), "{reply:?}");
         assert!(reply.epoch.unwrap() >= epoch_before, "{reply:?}");
     }
     assert_eq!(follower.epoch(), DELTAS as u64);
     assert_eq!(
         to_text(follower.snapshot().engine().db()),
-        to_text(&history[&(DELTAS as u64)]),
+        text_at(&s, DELTAS as u64),
         "history diverged across the failover"
     );
     let stats = follower.stats();
@@ -374,7 +337,7 @@ fn promote_resumes_writes_and_fences_the_stale_generation() {
 
     // ...and fencing, follower side: a replica that has adopted
     // generation 2 refuses a primary still serving generation 1.
-    let stale_primary = SharedEngine::new(Engine::new(db.clone()));
+    let stale_primary = SharedEngine::new(Engine::new(s.db.clone()));
     let (stale_running, stale_addr) = start(stale_primary.clone(), ServerConfig::default());
     let fenced = SharedEngine::new(Engine::new(from_text("const bootstrap").unwrap()));
     fenced.set_generation(2);
@@ -454,188 +417,122 @@ fn tempdir() -> std::path::PathBuf {
     dir
 }
 
-/// The semantic clauses of an evidence summary — regime and
-/// certification — with performance metadata (mapping, component and
-/// pruning counts, the engine-local epoch clause, the `(cached)` marker)
-/// dropped.
-fn normalize_certificate(summary: &str) -> String {
-    summary
-        .split(", ")
-        .filter(|clause| {
-            !clause.ends_with("mapping(s)")
-                && !clause.ends_with("component(s)")
-                && !clause.contains("mapping(s) pruned")
-                && !clause.ends_with("worker(s)")
-                && !clause.starts_with("epoch ")
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
+/// The follower's shape: `test_db`'s, three random queries, 4–8 deltas.
+const FOLLOWER: Shape = Shape {
+    consts: 6..=6,
+    known_tenths: 7..=7,
+    facts_per_pred: 8,
+    queries: 3,
+    ops: 4..=8,
+};
 
-/// One observed follower answer: query index, semantics, stamped epoch,
-/// rendered answer lines, and the certificate summary.
-type Observation = (usize, Semantics, u64, Vec<String>, String);
-
-/// Executes the query mix under all four semantics against the follower
-/// engine, re-preparing when a bootstrap swap invalidates the prepared
-/// artifact mid-flight.
-fn observe_follower(follower: &SharedEngine) -> Vec<Observation> {
+/// Executes every query of `s` under all four semantics against the
+/// follower engine, re-preparing when a bootstrap swap invalidates the
+/// prepared artifact mid-flight.
+fn observe_follower(s: &Scenario, follower: &SharedEngine) -> Vec<Observation> {
     let mut session = follower.session();
     let mut observed = Vec::new();
-    for (qi, (text, _)) in QUERIES.iter().enumerate() {
+    // The pre-bootstrap placeholder lacks the workload vocabulary; skip
+    // until the snapshot lands.
+    if follower.snapshot().engine().db().voc() != s.db.voc() {
+        return observed;
+    }
+    for (qi, query) in s.queries.iter().enumerate() {
         for mode in Semantics::ALL {
             // A `reset_replica` between prepare and execute invalidates
             // the prepared query; re-prepare against the new engine.
             let answers = loop {
-                let snapshot = follower.snapshot();
-                let query = match parse_query(snapshot.engine().db().voc(), text) {
-                    Ok(query) => query,
-                    // The pre-bootstrap placeholder lacks the workload
-                    // vocabulary; skip until the snapshot lands.
-                    Err(_) => break None,
-                };
                 match session
-                    .prepare(query)
+                    .prepare(query.clone())
                     .and_then(|prepared| session.execute_as(&prepared, mode))
                 {
-                    Ok(answers) => break Some(answers),
+                    Ok(answers) => break answers,
                     Err(EngineError::PreparedElsewhere) => continue,
                     Err(e) => panic!("follower query failed: {e}"),
                 }
             };
-            if let Some(answers) = answers {
-                let evidence = answers.evidence().clone();
-                let voc_lines = {
-                    let snapshot = follower.snapshot();
-                    proto::answer_lines(snapshot.engine().db().voc(), mode, QUERIES[qi].1, &answers)
-                };
-                observed.push((qi, mode, evidence.epoch, voc_lines, evidence.summary()));
-            }
+            observed.push(Observation::of(qi, mode, &answers));
         }
     }
     observed
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
+property! {
     /// The replication differential: every answer a follower serves —
     /// while bootstrapping, while catching up, while streaming live —
-    /// is byte-identical (tuples, verdicts, certificates) to a solo
-    /// engine rebuilt from the database as it stood at the answer's
-    /// stamped epoch, under all four semantics.
-    #[test]
+    /// equals the oracle at the answer's stamped epoch, under all four
+    /// semantics.
     fn follower_answers_equal_solo_engines_at_their_stamped_epochs(
-        seed in 0u64..1000,
-        deltas in 4usize..9,
+        s in |rng| Scenario::generate(&FOLLOWER, rng); 3
     ) {
-        follower_differential(seed, deltas, SharedEngine::new(Engine::new(test_db(seed))))?;
+        follower_differential(s, SharedEngine::new(Engine::new(s.db.clone())))
     }
 
-    /// The same over a durable primary that checkpoints every two
-    /// writes: bootstrap and catch-up read a log its background
-    /// checkpointer keeps truncating.
-    #[test]
+    /// The same over a durable primary that checkpoints every two writes:
+    /// bootstrap and catch-up read a log its background checkpointer keeps
+    /// truncating.
     fn follower_answers_equal_solo_engines_over_a_checkpointing_primary(
-        seed in 0u64..1000,
-        deltas in 4usize..9,
+        s in |rng| Scenario::generate(&FOLLOWER, rng); 3
     ) {
-        let primary = durable_primary(test_db(seed), &tempdir(), 2);
-        follower_differential(seed, deltas, primary)?;
+        follower_differential(s, durable_primary(s.db.clone(), &tempdir(), 2))
     }
 }
 
-/// The body of the replication differential, over `primary` (which
-/// serves `test_db(seed)` at epoch 0).
-fn follower_differential(
-    seed: u64,
-    deltas: usize,
-    primary: SharedEngine,
-) -> Result<(), TestCaseError> {
-    let db = test_db(seed);
-    let inserts = fresh_inserts(&db, deltas);
-    let history = db_at(&db, &inserts);
+/// The follower adaptor: a follower of `primary` (which serves `s.db` at
+/// epoch 0) is read while the ops stream in as script lines over the
+/// primary's socket.
+fn follower_differential(s: &Scenario, primary: SharedEngine) -> Outcome {
+    // Bootstrapped onto the workload and caught up with every op.
+    let final_epoch = s.final_epoch();
+    let converged = |f: &SharedEngine| {
+        f.epoch() == final_epoch && f.snapshot().engine().db().voc() == s.db.voc()
+    };
     let (running, addr) = start(primary.clone(), ServerConfig::default());
-    let (follower, handle) = spawn_follower(addr, seed | 1);
+    let (follower, handle) = spawn_follower(addr, s.seed | 1);
 
     // Stream writes while a reader hammers the follower: the
-    // observations span bootstrap, catch-up, and live streaming.
+    // observations span bootstrap, catch-up, and live streaming, and end
+    // with one sweep at the converged state.
     let observations: Vec<Observation> = thread::scope(|scope| {
         let follower_ref = &follower;
         let reader = scope.spawn(move || {
             let mut observed = Vec::new();
             let mut last_epoch = 0u64;
-            while follower_ref.epoch() < deltas as u64 {
-                let chunk = observe_follower(follower_ref);
+            loop {
+                let done = converged(follower_ref);
+                let chunk = observe_follower(s, follower_ref);
                 // Reads never regress an epoch, even across the
                 // bootstrap swap and reconnects.
-                for (_, _, epoch, _, _) in &chunk {
+                for seen in &chunk {
                     assert!(
-                        *epoch >= last_epoch,
-                        "follower reads regressed: epoch {epoch} after {last_epoch}"
+                        seen.epoch >= last_epoch,
+                        "follower reads regressed: epoch {} after {last_epoch}",
+                        seen.epoch
                     );
-                    last_epoch = *epoch;
+                    last_epoch = seen.epoch;
                 }
                 observed.extend(chunk);
+                if done {
+                    break observed;
+                }
             }
-            // One more sweep at the converged state.
-            observed.extend(observe_follower(follower_ref));
-            observed
         });
         let mut writer = Client::connect(addr).expect("writer connects");
-        for (_, line) in &inserts {
-            let reply = writer.request(line).expect("insert round-trips");
+        for op in &s.ops {
+            let reply = writer.request(&s.line(op)).expect("delta round-trips");
             assert!(reply.is_ok(), "{reply:?}");
             thread::sleep(Duration::from_millis(2));
         }
         wait_until(Duration::from_secs(20), "follower convergence", || {
-            follower_ref.epoch() == deltas as u64
+            converged(follower_ref)
         });
-        reader.join().expect("reader panicked")
+        reader.join().unwrap_or_else(|panic| resume_unwind(panic))
     });
-
-    // Solo verification: rebuild an engine at each observed epoch
-    // (answer cache off so certificates reflect real evaluations)
-    // and demand identical rendered answers and certificates.
-    let mut solo: HashMap<u64, Engine> = HashMap::new();
-    prop_assert!(!observations.is_empty());
-    for (qi, mode, epoch, answers, certificate) in observations {
-        let engine = solo.entry(epoch).or_insert_with(|| {
-            Engine::builder(history[&epoch].clone())
-                .answer_cache(false)
-                .build()
-        });
-        let (text, is_boolean) = QUERIES[qi];
-        let prepared = engine.prepare_text(text).unwrap();
-        let truth = engine.execute_as(&prepared, mode).unwrap();
-        let truth_lines = proto::answer_lines(history[&epoch].voc(), mode, is_boolean, &truth);
-        prop_assert_eq!(
-            &answers,
-            &truth_lines,
-            "follower answer diverged from solo at epoch {} on {:?} under {:?}",
-            epoch,
-            text,
-            mode
-        );
-        // Compare the certificate's semantic clauses (regime and
-        // certification) and normalize out performance metadata:
-        // the epoch clause (a rebuilt solo engine counts from 0 —
-        // the real epoch check is the `done:`-stamped epoch that
-        // selected `history[&epoch]`), the mapping count, and the
-        // `(cached)` marker (cache hits elide the enumeration).
-        let truth_cert = normalize_certificate(&truth.evidence().summary());
-        let observed_cert = normalize_certificate(&certificate);
-        prop_assert_eq!(
-            &observed_cert,
-            &truth_cert,
-            "certificate diverged at epoch {} on {:?} under {:?}",
-            epoch,
-            text,
-            mode
-        );
-    }
-
     handle.stop();
     running.shutdown().expect("primary drains");
-    Ok(())
+    ensure!(
+        observations.len() >= 4 * s.queries.len(),
+        "the converged follower was not read"
+    );
+    s.check(&observations)
 }
