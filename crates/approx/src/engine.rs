@@ -232,6 +232,28 @@ impl ApproxEngine {
         Ok(Query::new(head, expanded).expect("expansion preserves free variables"))
     }
 
+    /// The upper side of the over-budget bracket: `¬(¬Q)^`, whose answers
+    /// over [`ApproxEngine::extended_db`] are the tuples of `Cᵏ` outside
+    /// approx(¬Q). `t` certainly *not* an answer means `t` is an answer
+    /// in no model, so approx(¬Q) ⊆ certain(¬Q) excludes only
+    /// non-answers, and the result contains `Q(LB)`.
+    ///
+    /// The negation is distributed over the top-level disjuncts of
+    /// `(¬Q)^` and no further, so that each negated disjunct is a
+    /// conjunct the head loop tests as soon as its variables are bound,
+    /// while the quantifiers inside a disjunct keep the guards `(¬Q)^`
+    /// gave them.
+    pub fn upper_bound_query(&self, query: &Query) -> Result<Query, LogicError> {
+        let (head, body) = query.clone().into_parts();
+        let negated = Query::new(head, Formula::not(body))?;
+        let (head, neg_hat) = self
+            .rewrite(&negated, AlphaMode::Materialized)?
+            .into_parts();
+        let mut outside = Vec::new();
+        negate_disjuncts(neg_hat, &mut outside);
+        Query::new(head, Formula::And(outside))
+    }
+
     fn expand_ne(&self, f: &Formula) -> Formula {
         match f {
             Formula::Atom(p, ts) if *p == self.ne => {
@@ -268,6 +290,15 @@ impl ApproxEngine {
     /// the Tarskian evaluator over the extended database.
     pub fn eval_with(&self, query: &Query, mode: AlphaMode) -> Result<Relation, LogicError> {
         Ok(eval_query(&self.db, &self.rewrite(query, mode)?))
+    }
+}
+
+/// Pushes `¬d` for each top-level disjunct `d` of `f` (through nested
+/// `∨`), so that the conjunction of `out` is `¬f`.
+fn negate_disjuncts(f: Formula, out: &mut Vec<Formula>) {
+    match f {
+        Formula::Or(ds) => ds.into_iter().for_each(|d| negate_disjuncts(d, out)),
+        d => out.push(Formula::not(d)),
     }
 }
 

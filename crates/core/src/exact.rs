@@ -956,45 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_matches_raw_mapping_oracle_on_teaching_queries() {
-        use crate::oracle::answers_by_raw_mappings;
-        let db = teaching();
-        for input in [
-            "(x) . TEACHES(socrates, x)",
-            "(x) . !TEACHES(socrates, x)",
-            "(x, y) . TEACHES(x, y)",
-            "(x, y) . !TEACHES(x, y)",
-            "TEACHES(plato, socrates)",
-            "TEACHES(socrates, plato)",
-            "(x) . x = mystery",
-            "(x) . !(x = mystery)",
-            "exists x. TEACHES(x, mystery)",
-            "(x) . exists y. TEACHES(y, x)",
-            "forall x. TEACHES(socrates, x) -> x != aristotle",
-        ] {
-            let q = parse_query(db.voc(), input).unwrap();
-            let (certain, _) = answers_by_raw_mappings(&db, &q, AnswerMode::Certain);
-            let (possible, _) = answers_by_raw_mappings(&db, &q, AnswerMode::Possible);
-            for threads in [1usize, 4] {
-                let opts = ExactOptions {
-                    corollary2_fast_path: false,
-                    ..ExactOptions::with_threads(threads)
-                };
-                let (c, _) = certain_answers_with(&db, &q, opts).unwrap();
-                assert_eq!(
-                    c, certain,
-                    "certain mismatch on {input} at {threads} threads"
-                );
-                let (p, _) = possible_answers_with(&db, &q, opts).unwrap();
-                assert_eq!(
-                    p, possible,
-                    "possible mismatch on {input} at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn parallel_certain_and_possible_match_sequential() {
         let db = teaching();
         for input in [

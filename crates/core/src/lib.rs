@@ -17,14 +17,13 @@
 //! `h(c) ∈ Q(h(Ph₁(LB)))` for every `h : C → C` that respects the
 //! uniqueness axioms. Module [`mappings`] enumerates those `h` (one
 //! canonical representative per kernel partition, an isomorphism-invariance
-//! optimization documented in ARCHITECTURE.md — plus the raw enumeration the
-//! oracle uses); module [`exact`] implements the evaluation itself — one
-//! walk — with the Corollary 2 fast path for fully specified databases;
-//! module [`oracle`] holds the two references that walk is tested against
-//! (Theorem 1 verbatim over every raw mapping, and first principles:
-//! enumerate candidate models, check the *explicit* theory); and
-//! module [`precise`] implements the Theorem 3 second-order simulation
-//! `Q(LB) = Q′(Ph₂(LB))`.
+//! optimization documented in ARCHITECTURE.md — plus the raw enumeration
+//! Theorem 1 states); module [`exact`] implements the evaluation itself —
+//! one walk — with the Corollary 2 fast path for fully specified
+//! databases. The references that walk is tested against (Theorem 1
+//! verbatim over every raw mapping, first-principles model enumeration
+//! over the *explicit* theory, and the Theorem 3 second-order simulation
+//! `Q(LB) = Q′(Ph₂(LB))`) live with the tests, in `tests/support/`.
 //!
 //! A database travels in two formats: [`textio`], the human-readable
 //! `.qld` text of database files, and [`codec`], the binary encoding of
@@ -37,9 +36,7 @@
 pub mod codec;
 pub mod exact;
 pub mod mappings;
-pub mod oracle;
 pub mod ph;
-pub mod precise;
 pub mod textio;
 pub mod theory;
 pub mod worlds;

@@ -13,7 +13,7 @@ use qld_core::mappings::{
 use qld_core::ph::ph1;
 use qld_core::CwDatabase;
 use qld_logic::parser::parse_query;
-use qld_logic::{Formula, PredId, Query};
+use qld_logic::{PredId, Query};
 use qld_physical::{eval_lowered, eval_query, Elem, PhysicalDb, Relation};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -663,11 +663,11 @@ impl Engine {
 
     /// The completeness theorem currently in force for a prepared query:
     /// the one certified at prepare time when the epochs match, or a
-    /// fresh classification when the database has moved on since. Pure —
-    /// no counter side effects (the batch partitioner calls it per
-    /// member).
+    /// fresh classification when the database has moved on since (or the
+    /// query was prepared on another engine). Pure — no counter side
+    /// effects (the batch partitioner calls it per member).
     fn effective_completeness(&self, prepared: &PreparedQuery) -> Option<CompletenessTheorem> {
-        if prepared.epoch == self.epoch {
+        if prepared.epoch == self.epoch && prepared.engine_id == self.id {
             prepared.completeness
         } else {
             exactness_theorem(&self.db, &prepared.query)
@@ -700,7 +700,8 @@ impl Engine {
     /// of the session default. When the answer cache holds this
     /// `(query, semantics)` pair the stored answer is returned immediately
     /// with [`Evidence::cache_hit`] set and zero new mappings; otherwise
-    /// the regime runs and the result is cached for next time.
+    /// the route [`Engine::route`] names runs and the result is cached
+    /// for next time.
     pub fn execute_as(
         &self,
         prepared: &PreparedQuery,
@@ -712,20 +713,24 @@ impl Engine {
         if let Some(hit) = self.cache.lookup(prepared, semantics, self.epoch) {
             return Ok(hit);
         }
-        // Classified once per execution (and only on cache misses): the
-        // run paths below all dispatch on this value, so a stale prepared
-        // query is re-certified exactly once here.
-        let completeness = self.refreshed_completeness(prepared);
+        // Classified once per execution (and only on cache misses), so a
+        // stale prepared query is re-certified exactly once here.
+        let route = self.decide(self.refreshed_completeness(prepared), semantics);
         let start = Instant::now();
-        let outcome = match semantics {
-            Semantics::Exact => self.run_exact(prepared, completeness)?,
-            Semantics::Approx => self.run_approx(prepared, completeness),
-            Semantics::Possible => self.run_solo(prepared, AnswerMode::Possible)?,
-            Semantics::Auto => self.run_auto(prepared, completeness)?,
-        };
+        let outcome = self.run(prepared, route)?;
         let answers = package(outcome, semantics, None, start, self.epoch);
         self.cache.insert(prepared, semantics, &answers);
         Ok(answers)
+    }
+
+    /// The route `prepared` takes under `semantics` on this engine's
+    /// current database: the regime an execution that misses the cache
+    /// runs, and the certificate its [`Evidence`] carries. Execution and
+    /// the batch partitioner decide through the same function, so this is
+    /// what runs. A query prepared at an older epoch, or on another
+    /// engine, is classified afresh.
+    pub fn route(&self, prepared: &PreparedQuery, semantics: Semantics) -> (Regime, Certificate) {
+        self.decide(self.effective_completeness(prepared), semantics)
     }
 
     /// Executes a whole batch of prepared queries under the session's
@@ -779,10 +784,10 @@ impl Engine {
             if let Some(hit) = self.cache.lookup(p, semantics, self.epoch) {
                 results[i] = Some(hit);
             } else {
-                match self.enumeration_route(self.effective_completeness(p), semantics) {
-                    Some(AnswerMode::Certain) => certain_group.push(i),
-                    Some(AnswerMode::Possible) => possible_group.push(i),
-                    None => results[i] = Some(self.execute_as(p, semantics)?),
+                match self.route(p, semantics).0 {
+                    Regime::Theorem1 => certain_group.push(i),
+                    Regime::PossibleWorlds => possible_group.push(i),
+                    _ => results[i] = Some(self.execute_as(p, semantics)?),
                 }
             }
         }
@@ -806,34 +811,41 @@ impl Engine {
             .collect())
     }
 
-    /// Would a query with this (effective) completeness verdict run a
-    /// full mapping enumeration under `semantics` (and which one)? These
-    /// are exactly the executions worth batching.
-    ///
-    /// This is the **single** classification both the individual `run_*`
-    /// paths and the batch partitioner dispatch on — `run_exact` and
-    /// `run_auto` consult it rather than re-testing the fast-path /
-    /// completeness / budget conditions, so the batched and per-query
-    /// routes cannot drift apart. Callers pass the *effective* verdict
-    /// ([`Engine::effective_completeness`] /
-    /// [`Engine::refreshed_completeness`]), never a possibly-stale stored
-    /// one.
-    fn enumeration_route(
+    /// The one route decision (see [`Engine::route`]), given the
+    /// *effective* completeness verdict — never a possibly-stale stored
+    /// one. Under `Auto` with no completeness theorem it probes the
+    /// mapping budget; nothing else does.
+    fn decide(
         &self,
         completeness: Option<CompletenessTheorem>,
         semantics: Semantics,
-    ) -> Option<AnswerMode> {
-        match semantics {
-            Semantics::Exact
-                if !(self.config.corollary2_fast_path && self.db.is_fully_specified()) =>
+    ) -> (Regime, Certificate) {
+        let corollary2 = (Regime::Corollary2, Certificate::ExactCorollary2);
+        let theorem1 = (Regime::Theorem1, Certificate::ExactTheorem1);
+        match (semantics, completeness) {
+            (Semantics::Possible, _) => (Regime::PossibleWorlds, Certificate::PossibleUpperBound),
+            (Semantics::Exact, _)
+                if self.config.corollary2_fast_path && self.db.is_fully_specified() =>
             {
-                Some(AnswerMode::Certain)
+                corollary2
             }
-            Semantics::Auto if completeness.is_none() && !self.over_mapping_budget() => {
-                Some(AnswerMode::Certain)
+            (Semantics::Exact, _) => theorem1,
+            (Semantics::Approx, None) => (Regime::Approximation, Certificate::SoundLowerBound),
+            // Fully specified: one physical evaluation is exact, and is
+            // the cheapest certified path.
+            (Semantics::Auto, Some(CompletenessTheorem::FullySpecified)) => corollary2,
+            // Positive first-order (or `Approx`): the §5 approximation,
+            // exact by Theorems 11 + 12/13.
+            (Semantics::Approx | Semantics::Auto, Some(theorem)) => (
+                Regime::Approximation,
+                Certificate::ExactCompleteness(theorem),
+            ),
+            // No completeness theorem applies and the cost model says the
+            // enumeration is hopeless: certified bracket instead.
+            (Semantics::Auto, None) if self.over_mapping_budget() => {
+                (Regime::Approximation, Certificate::BoundedPair)
             }
-            Semantics::Possible => Some(AnswerMode::Possible),
-            _ => None,
+            (Semantics::Auto, None) => theorem1,
         }
     }
 
@@ -944,78 +956,20 @@ impl Engine {
         Ok(outcomes.pop().expect("one query in, one answer out"))
     }
 
-    fn run_exact(
+    /// Runs a route [`Engine::decide`] chose.
+    fn run(
         &self,
         prepared: &PreparedQuery,
-        completeness: Option<CompletenessTheorem>,
+        (regime, certificate): (Regime, Certificate),
     ) -> Result<RunOutcome, EngineError> {
-        if self
-            .enumeration_route(completeness, Semantics::Exact)
-            .is_some()
-        {
-            return self.run_solo(prepared, AnswerMode::Certain);
-        }
-        Ok(RunOutcome::polynomial(
-            eval_query(self.ph1_db(), prepared.query()),
-            Regime::Corollary2,
-            Certificate::ExactCorollary2,
-        ))
-    }
-
-    /// `completeness` is the *effective* verdict computed by the caller —
-    /// a delta may have upgraded (or a stale stored verdict would
-    /// misstate) which completeness theorem applies.
-    fn run_approx(
-        &self,
-        prepared: &PreparedQuery,
-        completeness: Option<CompletenessTheorem>,
-    ) -> RunOutcome {
-        let certificate = match completeness {
-            Some(theorem) => Certificate::ExactCompleteness(theorem),
-            None => Certificate::SoundLowerBound,
+        let tuples = match (regime, certificate) {
+            (Regime::Theorem1, _) => return self.run_solo(prepared, AnswerMode::Certain),
+            (Regime::PossibleWorlds, _) => return self.run_solo(prepared, AnswerMode::Possible),
+            (_, Certificate::BoundedPair) => return self.run_bounded_pair(prepared),
+            (Regime::Corollary2, _) => eval_query(self.ph1_db(), prepared.query()),
+            (Regime::Approximation, _) => self.eval_rewritten(prepared),
         };
-        RunOutcome::polynomial(
-            self.eval_rewritten(prepared),
-            Regime::Approximation,
-            certificate,
-        )
-    }
-
-    /// `completeness` is the *effective* verdict computed by the caller
-    /// (stale prepared queries are re-classified against the current
-    /// database rather than trusted).
-    fn run_auto(
-        &self,
-        prepared: &PreparedQuery,
-        completeness: Option<CompletenessTheorem>,
-    ) -> Result<RunOutcome, EngineError> {
-        // No completeness theorem and within budget: escalate to Theorem 1
-        // (the route predicate is shared with the batch partitioner).
-        if self
-            .enumeration_route(completeness, Semantics::Auto)
-            .is_some()
-        {
-            return self.run_solo(prepared, AnswerMode::Certain);
-        }
-        match completeness {
-            // Fully specified: one physical evaluation is exact, and is
-            // the cheapest certified path.
-            Some(CompletenessTheorem::FullySpecified) => Ok(RunOutcome::polynomial(
-                eval_query(self.ph1_db(), prepared.query()),
-                Regime::Corollary2,
-                Certificate::ExactCorollary2,
-            )),
-            // Positive first-order: the §5 approximation is exact by
-            // Theorems 11 + 13.
-            Some(theorem @ CompletenessTheorem::PositiveQuery) => Ok(RunOutcome::polynomial(
-                self.eval_rewritten(prepared),
-                Regime::Approximation,
-                Certificate::ExactCompleteness(theorem),
-            )),
-            // No completeness theorem applies and the cost model says the
-            // enumeration is hopeless: certified bracket instead.
-            None => self.run_bounded_pair(prepared),
-        }
+        Ok(RunOutcome::polynomial(tuples, regime, certificate))
     }
 
     /// Is the configured mapping budget exceeded? Probes the kernel count
@@ -1034,40 +988,19 @@ impl Engine {
     }
 
     /// The over-budget refusal: instead of a hopeless Theorem 1 run,
-    /// bracket `Q(LB)` with two polynomial evaluations — the §5
-    /// approximation of `Q` below (sound by Theorem 11) and the complement
-    /// of the §5 approximation of `¬Q` above (`t` certainly *not* an
-    /// answer means `t` is an answer in no model, so approx(¬Q) ⊆
-    /// certain(¬Q) excludes only non-answers).
-    ///
-    /// The upper side is one evaluation over `Ph₂(LB)`, whose domain is
-    /// `C`: the query `¬(¬Q)^` keeps exactly the tuples of `Cᵏ` outside
-    /// approx(¬Q). Its negation is distributed over the top-level
-    /// disjuncts of `(¬Q)^` and no further, so that each negated disjunct
-    /// is a conjunct the head loop tests as soon as its variables are
-    /// bound, while the quantifiers inside a disjunct keep the guards
-    /// `(¬Q)^` gave them.
+    /// bracket `Q(LB)` with two polynomial evaluations over `Ph₂(LB)` —
+    /// the §5 approximation of `Q` below (sound by Theorem 11) and
+    /// [`ApproxEngine::upper_bound_query`] above.
     fn run_bounded_pair(&self, prepared: &PreparedQuery) -> Result<RunOutcome, EngineError> {
         let approx = self.approx_engine();
-        let lower = self.eval_rewritten(prepared);
-        let (head, body) = prepared.query.clone().into_parts();
-        let negated = Query::new(head, Formula::not(body))?;
-        let (head, neg_hat) = approx
-            .rewrite(&negated, AlphaMode::Materialized)?
-            .into_parts();
-        let mut outside = Vec::new();
-        negate_disjuncts(neg_hat, &mut outside);
-        let upper = eval_query(
-            approx.extended_db(),
-            &Query::new(head, Formula::And(outside))?,
-        );
+        let upper = approx.upper_bound_query(&prepared.query)?;
         Ok(RunOutcome {
-            tuples: lower,
+            tuples: self.eval_rewritten(prepared),
             regime: Regime::Approximation,
             certificate: Certificate::BoundedPair,
             stats: EvalStats::default(),
             components_reused: 0,
-            upper: Some(upper),
+            upper: Some(eval_query(approx.extended_db(), &upper)),
         })
     }
 
@@ -1075,15 +1008,6 @@ impl Engine {
     /// query lowered on its first evaluation.
     fn eval_rewritten(&self, prepared: &PreparedQuery) -> Relation {
         eval_lowered(self.approx_engine().extended_db(), prepared.plan())
-    }
-}
-
-/// Pushes `¬d` for each top-level disjunct `d` of `f` (through nested
-/// `∨`), so that the conjunction of `out` is `¬f`.
-fn negate_disjuncts(f: Formula, out: &mut Vec<Formula>) {
-    match f {
-        Formula::Or(ds) => ds.into_iter().for_each(|d| negate_disjuncts(d, out)),
-        d => out.push(Formula::not(d)),
     }
 }
 

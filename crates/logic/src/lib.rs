@@ -27,7 +27,6 @@ pub mod display;
 pub mod formula;
 pub mod nnf;
 pub mod parser;
-pub mod prenex;
 pub mod query;
 pub mod symbols;
 pub mod term;

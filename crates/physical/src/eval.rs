@@ -77,7 +77,8 @@
 use crate::db::PhysicalDb;
 use crate::relation::{Elem, Relation, RowWriter};
 use crate::tuples::for_each_relation;
-use qld_logic::{ConstId, Formula, PredId, Query, Term, Var};
+use qld_logic::{ConstId, Formula, PredId, Query, Term, Var, Vocabulary};
+use std::fmt;
 
 /// Index of a value slot of a [`Frame`]. As wide as an [`Elem`], so that
 /// an atom's slots are the tuple [`Relation::contains_mapped`] maps.
@@ -675,6 +676,110 @@ impl LoweredQuery {
     pub fn arity(&self) -> usize {
         self.head.len()
     }
+
+    /// The plan [`QueryEvaluator::eval`] runs, one node a line, indented
+    /// under the node that runs it: the conjunction tested before the
+    /// head loop, then each head level in order with the conjuncts tested
+    /// as soon as its variable is bound. A `probe` is an atom looked up, a
+    /// `scan` walks the rows of a guard that begin with its bound prefix,
+    /// and a quantifier `in domain` (or, second-order, `over all
+    /// relations`) is a loop. Nothing on the evaluation path calls it.
+    pub fn display<'a>(&'a self, voc: &'a Vocabulary) -> LoweredDisplay<'a> {
+        LoweredDisplay { voc, query: self }
+    }
+}
+
+/// A [`LoweredQuery`] rendered with a vocabulary's names (see
+/// [`LoweredQuery::display`]).
+pub struct LoweredDisplay<'a> {
+    voc: &'a Vocabulary,
+    query: &'a LoweredQuery,
+}
+
+impl fmt::Display for LoweredDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "pre-loop")?;
+        self.node(f, &self.query.body.root, 1)?;
+        for level in self.query.head.iter() {
+            writeln!(f, "head {} in domain", self.slot(level.slot))?;
+            if let Some(test) = &level.test {
+                self.node(f, test, 1)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl LoweredDisplay<'_> {
+    /// The variable or the constant in `slot`.
+    fn slot(&self, slot: Slot) -> String {
+        let program = &self.query.body;
+        match (slot as usize).checked_sub(program.num_vars) {
+            None => Var(slot).to_string(),
+            Some(i) => self.voc.const_name(program.consts[i]).to_string(),
+        }
+    }
+
+    fn slots(&self, slots: &[Slot]) -> String {
+        let names: Vec<String> = slots.iter().map(|&s| self.slot(s)).collect();
+        names.join(", ")
+    }
+
+    fn node(&self, f: &mut fmt::Formatter<'_>, node: &Node, depth: usize) -> fmt::Result {
+        let quantifier = |existential: bool| if existential { "exists" } else { "forall" };
+        let one = std::slice::from_ref;
+        let (line, children): (String, &[Node]) = match node {
+            Node::True => ("true".into(), &[]),
+            Node::False => ("false".into(), &[]),
+            Node::Atom(p, args) => {
+                let pred = self.voc.pred_name(*p);
+                (format!("probe {pred}({})", self.slots(args.slots())), &[])
+            }
+            Node::SoAtom(r, args) => (format!("probe ?R{r}({})", self.slots(args.slots())), &[]),
+            Node::Eq(a, b) => (format!("{} = {}", self.slot(*a), self.slot(*b)), &[]),
+            Node::Not(g) => ("not".into(), one(g)),
+            Node::And(gs) => ("and".into(), gs),
+            Node::Or(gs) => ("or".into(), gs),
+            Node::Implies(pq) => ("implies".into(), &pq[..]),
+            Node::Iff(pq) => ("iff".into(), &pq[..]),
+            Node::Quantify {
+                slot,
+                existential,
+                body,
+            } => {
+                let v = self.slot(*slot);
+                (
+                    format!("{} {v} in domain", quantifier(*existential)),
+                    one(body),
+                )
+            }
+            Node::Scan {
+                pred,
+                first,
+                args,
+                body,
+            } => {
+                let (pred, slots) = (self.voc.pred_name(*pred), args.slots());
+                let prefix = self.slots(&slots[..usize::from(*first)]);
+                let line = format!("scan {pred}({}) by prefix ({prefix})", self.slots(slots));
+                (line, body.as_deref().map_or(&[], one))
+            }
+            Node::SoQuantify {
+                pred_var,
+                arity,
+                existential,
+                body,
+            } => {
+                let q = quantifier(*existential);
+                let line = format!("{q}2 ?R{pred_var}/{arity} over all relations");
+                (line, one(body))
+            }
+        };
+        writeln!(f, "{:1$}{line}", "", 2 * depth)?;
+        children
+            .iter()
+            .try_for_each(|child| self.node(f, child, depth + 1))
+    }
 }
 
 /// [`eval_query`] on a lowered query, with its buffers kept: the frame and
@@ -922,6 +1027,38 @@ mod tests {
             Formula::Exists(v, g) => Formula::Exists(to(*v), Box::new(rename(g, to))),
             other => unimplemented!("{other:?}"),
         }
+    }
+
+    /// Every node kind the renderer names, each on its own line under
+    /// the node that runs it.
+    #[test]
+    fn a_lowered_plan_renders_every_node_kind() {
+        let (voc, _) = family();
+        let q = parse_query(
+            &voc,
+            "(x) . PARENT(alice, bob) & (exists y. PARENT(x, y) & !PARENT(y, carol)) \
+             & forall z. (z = x -> (PARENT(z, z) | false)) <-> exists2 ?S:1. ?S(z)",
+        )
+        .unwrap();
+        let plan = LoweredQuery::new(&q).display(&voc).to_string();
+        let expected = "pre-loop
+  probe PARENT(alice, bob)
+head x0 in domain
+  and
+    scan PARENT(x0, x1) by prefix (x0)
+      not
+        probe PARENT(x1, carol)
+    forall x2 in domain
+      iff
+        implies
+          x2 = x0
+          or
+            probe PARENT(x2, x2)
+            false
+        exists2 ?R0/1 over all relations
+          probe ?R0(x2)
+";
+        assert_eq!(plan, expected, "{plan}");
     }
 
     #[test]

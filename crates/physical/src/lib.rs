@@ -30,7 +30,8 @@ pub mod tuples;
 
 pub use db::{PhysicalDb, PhysicalDbBuilder, PhysicalError};
 pub use eval::{
-    eval_lowered, eval_query, satisfies, satisfies_all, Evaluator, LoweredQuery, QueryEvaluator,
+    eval_lowered, eval_query, satisfies, satisfies_all, Evaluator, LoweredDisplay, LoweredQuery,
+    QueryEvaluator,
 };
 pub use relation::{Elem, Relation, RowWriter};
 pub use tuples::TupleSpace;

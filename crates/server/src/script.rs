@@ -24,7 +24,7 @@
 //! What a line runs *against* is the four-method [`Database`] seam, with
 //! two implementations:
 //!
-//! * [`Engine`] — the shell and `--batch`. `query` is
+//! * [`Engine`] — the shell and `--batch`. Its `execute_batch` is
 //!   [`Engine::execute_batch`], so a segment's Theorem-1-bound queries
 //!   share one mapping enumeration (and a batch of one is
 //!   [`Engine::execute`]).
@@ -201,7 +201,7 @@ pub trait Database {
 
     /// Executes the queries of one segment under the engine's default
     /// semantics; the `i`-th answer belongs to `prepared[i]`.
-    fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError>;
+    fn execute_batch(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError>;
 
     /// The `:stats` lines.
     fn stats(&self) -> Vec<String>;
@@ -236,8 +236,8 @@ impl Database for Engine {
         self.apply(delta)
     }
 
-    fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
-        self.execute_batch(prepared)
+    fn execute_batch(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
+        Engine::execute_batch(self, prepared)
     }
 
     fn stats(&self) -> Vec<String> {
@@ -319,7 +319,7 @@ impl Database for Readers<'_> {
     /// than a thread spawn. More sessions deal it round-robin, one scoped
     /// thread each, each batching its share against the snapshot it
     /// reads.
-    fn query(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
+    fn execute_batch(&mut self, prepared: &[PreparedQuery]) -> Result<Vec<Answers>, EngineError> {
         let n = self.sessions.len();
         if n == 1 {
             return self.engine().execute_batch(prepared);
@@ -450,7 +450,7 @@ pub fn run_prepared<D: Database>(
     prepared: &PreparedQuery,
 ) -> Result<Outcome, EngineError> {
     let answers = db
-        .query(std::slice::from_ref(prepared))?
+        .execute_batch(std::slice::from_ref(prepared))?
         .pop()
         .expect("one query in, one answer out");
     Ok(Outcome::Answers {
@@ -589,7 +589,7 @@ struct Segment {
 /// bad line prints `line N: <diagnostic>` — the diagnostic the server
 /// sends over the wire — and aborts, so scripted callers fail loudly. It
 /// then runs in segments: the queries between two mutations go to
-/// [`Database::query`] together and print in script order, each under
+/// [`Database::execute_batch`] together and print in script order, each under
 /// its `> line` echo; then the mutation (or `:stats`) runs. A failed
 /// segment or mutation prints its error and aborts. `:quit`/`:shutdown`
 /// end the script; nothing after them is parsed.
@@ -639,7 +639,7 @@ pub fn run_script<D: Database>(
     let (mut queries, mut deltas, mut shared_mappings) = (0, 0, 0);
     for segment in segments {
         if !segment.prepared.is_empty() {
-            let answers = match db.query(&segment.prepared) {
+            let answers = match db.execute_batch(&segment.prepared) {
                 Ok(answers) => answers,
                 Err(e) => {
                     print_outcome(db.engine(), &Err(e), out)?;

@@ -14,8 +14,8 @@
 //!
 //! Run with: `cargo run --example hr_database`
 
-use querying_logical_databases::algebra::compile::eval_via_algebra;
-use querying_logical_databases::algebra::ExecOptions;
+use qld_algebra::compile::eval_via_algebra;
+use qld_algebra::ExecOptions;
 use querying_logical_databases::prelude::*;
 
 fn main() {

@@ -8,14 +8,14 @@
 //! engine, and the evidence line after each answer reports which regime
 //! actually ran and what the answer is certified to mean.
 
-use qld_algebra::{compile_query_ordered, display_plan, optimize, CompileError};
 use qld_core::CwDatabase;
 use qld_engine::{
-    wal_has_state, DiskStorage, DurabilityConfig, Engine, FsyncPolicy, ReadOnlyStorage, Semantics,
-    SharedEngine, WalConfig,
+    wal_has_state, Certificate, DiskStorage, DurabilityConfig, Engine, FsyncPolicy,
+    ReadOnlyStorage, Regime, Semantics, SharedEngine, WalConfig,
 };
 use qld_logic::display::display_query;
 use qld_logic::parser::parse_query;
+use qld_physical::LoweredQuery;
 use qld_server::replication::FollowerLink;
 use qld_server::script::{
     self, describe_threads, parse_line, print_outcome, run_line, run_script, Readers, ScriptError,
@@ -146,7 +146,7 @@ impl Session {
                 )?;
                 writeln!(
                     out,
-                    "    :explain <query>              show Q̂ and its algebra plan"
+                    "    :explain <query>              show the route, Q̂ and the plan it runs"
                 )?;
                 writeln!(out, "    :dump                         print the database")?;
                 writeln!(out, "    :help  :quit")?;
@@ -216,10 +216,10 @@ impl Session {
         Ok(Outcome::Continue)
     }
 
-    /// Shows the §5 pipeline for a query: the prepared `Q̂` over the
-    /// extended vocabulary, its completeness verdict, and the optimized
-    /// relational-algebra plan `Q̂` compiles to — what a standard
-    /// relational system would run in place of the engine's evaluator.
+    /// Shows how a query runs under the session's semantics: the route
+    /// [`Engine::route`] decides, worded like the evidence line, then
+    /// `Q̂` over the extended vocabulary, the completeness verdict, and
+    /// the lowered plan of each evaluation that route makes.
     fn explain(&mut self, text: &str, out: &mut dyn Write) -> io::Result<()> {
         let query = match parse_query(self.db().voc(), text) {
             Ok(q) => q,
@@ -229,24 +229,38 @@ impl Session {
             Ok(p) => p,
             Err(e) => return writeln!(out, "error: {e}"),
         };
+        let semantics = self.engine.semantics();
+        let (regime, certificate) = self.engine.route(&prepared, semantics);
+        writeln!(out, "route: {semantics} → {regime}, {certificate}")?;
         let approx = self.engine.approx_engine();
-        let voc = approx.extended_voc();
-        writeln!(out, "Q̂: {}", display_query(voc, prepared.rewritten()))?;
-        if let Some(theorem) = prepared.completeness() {
-            writeln!(out, "complete by {theorem} (auto would not escalate)")?;
-        } else {
-            writeln!(
-                out,
-                "no completeness theorem applies (auto escalates to Theorem 1)"
-            )?;
+        let (voc, extended) = (self.db().voc(), approx.extended_voc());
+        writeln!(out, "Q̂: {}", display_query(extended, prepared.rewritten()))?;
+        match prepared.completeness() {
+            Some(theorem) => writeln!(out, "complete by {theorem}")?,
+            None => writeln!(out, "no completeness theorem applies")?,
         }
-        match compile_query_ordered(voc, approx.extended_db(), prepared.rewritten()) {
-            Ok(plan) => write!(out, "plan:\n{}", display_plan(voc, &optimize(voc, plan))),
-            Err(CompileError::SecondOrder) => {
-                writeln!(out, "(no algebra plan: second-order query)")
+        let (q, q_hat) = (prepared.query(), prepared.rewritten());
+        let upper;
+        let plans = match (regime, certificate) {
+            (Regime::Theorem1 | Regime::PossibleWorlds, _) => vec![("Q per kernel image", voc, q)],
+            (Regime::Corollary2, _) => vec![("Q over Ph₁(LB)", voc, q)],
+            (_, Certificate::BoundedPair) => {
+                upper = match approx.upper_bound_query(q) {
+                    Ok(upper) => upper,
+                    Err(e) => return writeln!(out, "error: {e}"),
+                };
+                vec![
+                    ("lower, Q̂ over Ph₂(LB)", extended, q_hat),
+                    ("upper, ¬(¬Q)^ over Ph₂(LB)", extended, &upper),
+                ]
             }
-            Err(e) => writeln!(out, "(no algebra plan: {e})"),
+            (Regime::Approximation, _) => vec![("Q̂ over Ph₂(LB)", extended, q_hat)],
+        };
+        for (what, voc, query) in plans {
+            let plan = LoweredQuery::new(query);
+            write!(out, "plan, {what}:\n{}", plan.display(voc))?;
         }
+        Ok(())
     }
 
     /// The `:batch` script mode: reads a query file (one query per line;
@@ -1010,27 +1024,117 @@ distinct socrates plato aristotle
         assert!(out.contains("4 possible world(s)"), "{out}");
     }
 
+    /// `:explain` on one query per route — Theorem 1, Theorem 13 (with a
+    /// guard that lowers to a `scan`), a second-order query, Corollary 2
+    /// once the database is fully specified, and the bounded pair of an
+    /// engine whose budget is below the kernel count (4 > 3) — pinned as
+    /// a transcript of the `:explain` lines.
     #[test]
     fn explain_command() {
-        let (out, _) = run(&[":explain (x) . !TEACHES(socrates, x)"]);
-        assert!(out.contains("ALPHA_TEACHES"), "{out}");
-        assert!(out.contains("no completeness theorem applies"), "{out}");
-        assert!(out.contains("plan:"), "{out}");
-        assert!(out.contains("Scan(ALPHA_TEACHES)"), "{out}");
-        let (out, _) = run(&[":explain (x) . TEACHES(socrates, x)"]);
-        assert!(out.contains("complete by Theorem 13"), "{out}");
-        let (out, _) = run(&[":explain exists2 ?S:1. ?S(plato) & !?S(aristotle)"]);
-        assert!(out.contains("Q̂: "), "{out}");
+        let negation = ":explain (x) . !TEACHES(socrates, x)";
+        let full = [
+            negation,
+            ":explain (x) . TEACHES(socrates, x)",
+            ":explain (x) . exists y. TEACHES(x, y) & TEACHES(y, aristotle)",
+            ":explain exists2 ?S:1. ?S(plato) & !?S(aristotle)",
+            ":explain",
+            ":explain NOPE(",
+            ":assert-ne mystery socrates",
+            ":assert-ne mystery plato",
+            ":assert-ne mystery aristotle",
+            negation,
+        ];
+        let budget = engine_from(from_text(SAMPLE).unwrap(), Mode::Auto, None, true, Some(3));
+        let mut transcript = String::new();
+        for (engine, lines) in [
+            (Engine::new(from_text(SAMPLE).unwrap()), &full[..]),
+            (budget, &[negation][..]),
+        ] {
+            let mut session = Session::with_engine(engine);
+            for line in lines {
+                let mut out = Vec::new();
+                session.execute(line, &mut out).unwrap();
+                if line.starts_with(":explain") {
+                    transcript += &format!("> {line}\n{}", String::from_utf8(out).unwrap());
+                }
+            }
+        }
         assert!(
-            out.contains("(no algebra plan: second-order query)"),
-            "{out}"
+            transcript == EXPLAIN_TRANSCRIPT,
+            "`:explain` changed; the new transcript:\n{transcript}"
         );
-        assert!(!out.contains("\nplan:"), "{out}");
-        let (out, _) = run(&[":explain"]);
-        assert!(out.contains("usage"), "{out}");
-        let (out, _) = run(&[":explain NOPE("]);
-        assert!(out.contains("parse error"), "{out}");
     }
+
+    const EXPLAIN_TRANSCRIPT: &str = r"> :explain (x) . !TEACHES(socrates, x)
+route: auto → Theorem 1, exact (Theorem 1)
+Q̂: (x0) . ALPHA_TEACHES(socrates, x0)
+no completeness theorem applies
+plan, Q per kernel image:
+pre-loop
+  true
+head x0 in domain
+  not
+    probe TEACHES(socrates, x0)
+> :explain (x) . TEACHES(socrates, x)
+route: auto → §5 approx, exact (Theorem 11 + Theorem 13)
+Q̂: (x0) . TEACHES(socrates, x0)
+complete by Theorem 13
+plan, Q̂ over Ph₂(LB):
+pre-loop
+  true
+head x0 in domain
+  probe TEACHES(socrates, x0)
+> :explain (x) . exists y. TEACHES(x, y) & TEACHES(y, aristotle)
+route: auto → §5 approx, exact (Theorem 11 + Theorem 13)
+Q̂: (x0) . exists x1. TEACHES(x0, x1) & TEACHES(x1, aristotle)
+complete by Theorem 13
+plan, Q̂ over Ph₂(LB):
+pre-loop
+  true
+head x0 in domain
+  scan TEACHES(x0, x1) by prefix (x0)
+    probe TEACHES(x1, aristotle)
+> :explain exists2 ?S:1. ?S(plato) & !?S(aristotle)
+route: auto → Theorem 1, exact (Theorem 1)
+Q̂: exists2 ?R0:1. ?R0(plato) & (forall x0. ?R0(x0) -> (exists x1. exists x2. NE(x1, x2) & (exists x3. forall x4. forall x5. x4 = x1 & x5 = x3 | x4 = x3 & x5 = x2 -> x4 = x5 | (x4 = aristotle & x5 = x0 | x4 = x0 & x5 = aristotle))))
+no completeness theorem applies
+plan, Q per kernel image:
+pre-loop
+  exists2 ?R0/1 over all relations
+    and
+      probe ?R0(plato)
+      not
+        probe ?R0(aristotle)
+> :explain
+usage: :explain <query>
+> :explain NOPE(
+parse error: parse error at byte 4: unknown predicate NOPE
+> :explain (x) . !TEACHES(socrates, x)
+route: auto → Corollary 2, exact (Corollary 2)
+Q̂: (x0) . ALPHA_TEACHES(socrates, x0)
+complete by Theorem 12
+plan, Q over Ph₁(LB):
+pre-loop
+  true
+head x0 in domain
+  not
+    probe TEACHES(socrates, x0)
+> :explain (x) . !TEACHES(socrates, x)
+route: auto → §5 approx, certified bounds (Theorem 11 on Q and ¬Q; over budget)
+Q̂: (x0) . ALPHA_TEACHES(socrates, x0)
+no completeness theorem applies
+plan, lower, Q̂ over Ph₂(LB):
+pre-loop
+  true
+head x0 in domain
+  probe ALPHA_TEACHES(socrates, x0)
+plan, upper, ¬(¬Q)^ over Ph₂(LB):
+pre-loop
+  true
+head x0 in domain
+  not
+    probe TEACHES(socrates, x0)
+";
 
     #[test]
     fn quit_and_unknown() {

@@ -12,8 +12,7 @@
 //! |-------|----------|
 //! | [`logic`] | vocabularies, first-/second-order formulas and queries, NNF, parser, Lemma 10 formula builders |
 //! | [`physical`] | physical databases (interpretations) and Tarskian evaluation (§2.1) |
-//! | [`algebra`] | relational-algebra engine + FO→algebra compiler (the "standard relational system" of §5) |
-//! | [`core`] | CW logical databases, Theorem 1 exact evaluation, Corollary 2 fast path, the model-enumeration oracle, the Theorem 3 precise simulation |
+//! | [`core`] | CW logical databases, Theorem 1 exact evaluation, Corollary 2 fast path |
 //! | [`approx`] | the §5 approximation: `Q ↦ Q̂`, `α_P`, virtual `NE`, completeness predicates |
 //! | [`engine`] | **the front door**: the unified [`Engine`](prelude::Engine) session API — prepared queries, four semantics, exactness certificates |
 //! | [`server`] | the TCP network front-end: a std-only line-protocol server over [`SharedEngine`](prelude::SharedEngine) plus the blocking [`Client`](prelude::Client) |
@@ -58,7 +57,6 @@
 
 pub mod cli;
 
-pub use qld_algebra as algebra;
 pub use qld_approx as approx;
 pub use qld_core as core;
 pub use qld_engine as engine;

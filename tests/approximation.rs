@@ -4,9 +4,9 @@
 //! two α_P realizations, the virtual-NE representation, and the
 //! relational-algebra compilation of `Q̂`.
 
+use qld_algebra::compile::eval_via_algebra;
+use qld_algebra::{CompileError, ExecOptions};
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
-use querying_logical_databases::algebra::compile::eval_via_algebra;
-use querying_logical_databases::algebra::{CompileError, ExecOptions};
 use querying_logical_databases::approx::{AlphaMode, ApproxEngine};
 use querying_logical_databases::core::certain_answers;
 use querying_logical_databases::logic::parser::parse_query;
@@ -142,7 +142,7 @@ fn virtual_ne_agrees_with_explicit() {
 /// algorithms; a second-order `Q̂` is refused, not mis-compiled.
 #[test]
 fn algebra_backend_agrees_with_naive() {
-    use querying_logical_databases::algebra::JoinAlgo;
+    use qld_algebra::JoinAlgo;
     for seed in 0..15 {
         let db = random_cw_db(&db_cfg(seed, 0.4));
         let engine = ApproxEngine::new(&db);

@@ -21,7 +21,7 @@ use querying_logical_databases::server::script::Database;
 use scenario::{prepare_all, random_db, stamped, Observation, Scenario, Shape, SMALL};
 
 /// The batch adaptor: before the ops and after each, every semantics
-/// runs the whole query set as one `script::Database::query` batch
+/// runs the whole query set as one `script::Database::execute_batch` batch
 /// (cache off), each answer [`stamped`] with the epoch the ops so far
 /// reach.
 fn batched(s: &Scenario) -> Result<Vec<Observation>, String> {
@@ -37,7 +37,7 @@ fn batched(s: &Scenario) -> Result<Vec<Observation>, String> {
         }
         for semantics in Semantics::ALL {
             engine.set_semantics(semantics);
-            let batch = Database::query(&mut engine, &prepared).unwrap();
+            let batch = Database::execute_batch(&mut engine, &prepared).unwrap();
             let seen: Vec<_> = (0..batch.len())
                 .map(|i| Observation::of(i, semantics, &batch[i]))
                 .collect();

@@ -15,15 +15,17 @@
 #[macro_use]
 #[path = "support/cases.rs"]
 mod cases;
+#[path = "support/oracle.rs"]
+mod oracle;
 #[path = "support/scenario.rs"]
 mod scenario;
 
 use cases::Outcome;
-use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
-use querying_logical_databases::core::mappings::{
-    count_kernel_mappings, count_kernel_mappings_by_enumeration,
+use oracle::{
+    answers_by_raw_mappings, certain_answers_oracle, count_kernel_mappings_by_enumeration,
 };
-use querying_logical_databases::core::oracle::{answers_by_raw_mappings, certain_answers_oracle};
+use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
+use querying_logical_databases::core::mappings::count_kernel_mappings;
 use querying_logical_databases::core::textio::from_text;
 use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::logic::Query;

@@ -3,9 +3,21 @@
 //! verbatim), against the model-enumeration oracle, and against the
 //! Theorem 3 precise simulation — on seeded random databases and queries.
 
+#[path = "support/oracle.rs"]
+mod oracle;
+#[path = "support/precise.rs"]
+mod precise;
+
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
-use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
-use querying_logical_databases::core::{certain_answers, oracle, precise};
+use querying_logical_databases::core::exact::{
+    certain_answers_with, possible_answers_with, AnswerMode, ExactOptions,
+};
+use querying_logical_databases::core::mappings::{
+    count_kernel_mappings, count_kernel_mappings_up_to,
+};
+use querying_logical_databases::core::{certain_answers, CwDatabase};
+use querying_logical_databases::logic::parser::parse_query;
+use querying_logical_databases::logic::{ConstId, QueryClass, Vocabulary};
 
 fn kernels() -> ExactOptions {
     ExactOptions {
@@ -146,7 +158,6 @@ fn certain_answers_monotone_in_uniqueness_axioms() {
     // can only grow — for *positive* queries this is observable and makes
     // a good metamorphic invariant. (For queries with negation the answer
     // sets are not comparable in general.)
-    use querying_logical_databases::logic::ConstId;
     for seed in 0..15 {
         let base_cfg = DbGenConfig {
             num_consts: 5,
@@ -158,7 +169,7 @@ fn certain_answers_monotone_in_uniqueness_axioms() {
         };
         let weak = random_cw_db(&base_cfg);
         // Same facts, plus axioms: rebuild with one extra pair.
-        let mut builder = querying_logical_databases::core::CwDatabase::builder(weak.voc().clone());
+        let mut builder = CwDatabase::builder(weak.voc().clone());
         for p in weak.voc().preds() {
             for t in weak.facts(p).iter() {
                 let args: Vec<ConstId> = t.iter().map(|&e| ConstId(e)).collect();
@@ -183,5 +194,272 @@ fn certain_answers_monotone_in_uniqueness_axioms() {
                 "monotonicity violated: seed {seed}, query {q:?}"
             );
         }
+    }
+}
+
+// The reference walks' own checks, on hand-picked tiny databases.
+
+/// Tiny database: 3 constants, one binary predicate, partial uniqueness.
+fn tiny() -> CwDatabase {
+    let mut voc = Vocabulary::new();
+    let ids = voc.add_consts(["a", "b", "x"]).unwrap();
+    let r = voc.add_pred("R", 2).unwrap();
+    CwDatabase::builder(voc)
+        .fact(r, &[ids[0], ids[1]])
+        .unique(ids[0], ids[1])
+        .build()
+        .unwrap()
+}
+
+/// socrates, plato and aristotle pairwise distinct, `mystery` a null;
+/// `TEACHES(socrates, plato)`.
+fn teaching() -> CwDatabase {
+    let mut voc = Vocabulary::new();
+    let ids = voc
+        .add_consts(["socrates", "plato", "aristotle", "mystery"])
+        .unwrap();
+    let teaches = voc.add_pred("TEACHES", 2).unwrap();
+    CwDatabase::builder(voc)
+        .fact(teaches, &[ids[0], ids[1]])
+        .pairwise_unique(&ids[..3])
+        .build()
+        .unwrap()
+}
+
+/// `n` constants `c0…`, no predicate, the uniqueness axioms `ne`.
+fn db_with(n: usize, ne: &[(u32, u32)]) -> CwDatabase {
+    let mut voc = Vocabulary::new();
+    for i in 0..n {
+        voc.add_const(&format!("c{i}")).unwrap();
+    }
+    let mut b = CwDatabase::builder(voc);
+    for &(x, y) in ne {
+        b = b.unique(ConstId(x), ConstId(y));
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn oracle_agrees_with_theorem1_on_positive_queries() {
+    let db = tiny();
+    for input in ["(u) . R(a, u)", "(u, v) . R(u, v)", "exists u. R(u, b)"] {
+        let q = parse_query(db.voc(), input).unwrap();
+        assert_eq!(
+            oracle::certain_answers_oracle(&db, &q).unwrap(),
+            certain_answers(&db, &q).unwrap(),
+            "mismatch on {input}"
+        );
+    }
+}
+
+#[test]
+fn oracle_agrees_with_theorem1_on_negation() {
+    let db = tiny();
+    for input in [
+        "(u) . !R(a, u)",
+        "!R(b, a)",
+        "(u) . u != a",
+        "forall u. R(a, u) -> u != a",
+    ] {
+        let q = parse_query(db.voc(), input).unwrap();
+        assert_eq!(
+            oracle::certain_answers_oracle(&db, &q).unwrap(),
+            certain_answers(&db, &q).unwrap(),
+            "mismatch on {input}"
+        );
+    }
+}
+
+#[test]
+fn oracle_agrees_on_fully_specified() {
+    let mut voc = Vocabulary::new();
+    let ids = voc.add_consts(["a", "b"]).unwrap();
+    let r = voc.add_pred("R", 2).unwrap();
+    let db = CwDatabase::builder(voc)
+        .fact(r, &[ids[0], ids[1]])
+        .fully_specified()
+        .build()
+        .unwrap();
+    for input in ["(u) . !R(u, u)", "R(a, b)", "(u, v) . R(u, v) & u != v"] {
+        let q = parse_query(db.voc(), input).unwrap();
+        assert_eq!(
+            oracle::certain_answers_oracle(&db, &q).unwrap(),
+            certain_answers(&db, &q).unwrap(),
+            "mismatch on {input}"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "oracle instance too large")]
+fn oversized_instance_rejected() {
+    let mut voc = Vocabulary::new();
+    for i in 0..8 {
+        voc.add_const(&format!("c{i}")).unwrap();
+    }
+    voc.add_pred("R", 3).unwrap();
+    let db = CwDatabase::builder(voc).build().unwrap();
+    let q = parse_query(db.voc(), "exists x. R(x, x, x)").unwrap();
+    let _ = oracle::certain_answers_oracle(&db, &q);
+}
+
+fn tiny_unary() -> CwDatabase {
+    let mut voc = Vocabulary::new();
+    let ids = voc.add_consts(["a", "b", "x"]).unwrap();
+    let m = voc.add_pred("M", 1).unwrap();
+    CwDatabase::builder(voc)
+        .fact(m, &[ids[0]])
+        .unique(ids[0], ids[1])
+        .build()
+        .unwrap()
+}
+
+fn tiny_binary() -> CwDatabase {
+    let mut voc = Vocabulary::new();
+    let ids = voc.add_consts(["a", "b"]).unwrap();
+    let r = voc.add_pred("R", 2).unwrap();
+    CwDatabase::builder(voc)
+        .fact(r, &[ids[0], ids[1]])
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn query_prime_is_second_order_and_wellformed() {
+    let db = tiny_unary();
+    let q = parse_query(db.voc(), "(u) . M(u)").unwrap();
+    let sim = precise::build(&db, &q).unwrap();
+    assert_eq!(sim.query.class(), QueryClass::SecondOrder);
+    assert_eq!(sim.query.arity(), 1);
+}
+
+#[test]
+fn matches_certain_answers_unary_positive() {
+    let db = tiny_unary();
+    for input in ["(u) . M(u)", "exists u. M(u)", "M(b)"] {
+        let q = parse_query(db.voc(), input).unwrap();
+        assert_eq!(
+            precise::evaluate(&db, &q).unwrap(),
+            certain_answers(&db, &q).unwrap(),
+            "mismatch on {input}"
+        );
+    }
+}
+
+#[test]
+fn matches_certain_answers_unary_negative() {
+    let db = tiny_unary();
+    for input in ["(u) . !M(u)", "!M(b)", "(u) . u != a"] {
+        let q = parse_query(db.voc(), input).unwrap();
+        assert_eq!(
+            precise::evaluate(&db, &q).unwrap(),
+            certain_answers(&db, &q).unwrap(),
+            "mismatch on {input}"
+        );
+    }
+}
+
+#[test]
+fn matches_certain_answers_binary() {
+    let db = tiny_binary();
+    for input in ["(u, v) . R(u, v)", "(u) . R(a, u)", "(u) . !R(u, u)"] {
+        let q = parse_query(db.voc(), input).unwrap();
+        assert_eq!(
+            precise::evaluate(&db, &q).unwrap(),
+            certain_answers(&db, &q).unwrap(),
+            "mismatch on {input}"
+        );
+    }
+}
+
+#[test]
+fn fully_specified_simulation() {
+    let mut voc = Vocabulary::new();
+    let ids = voc.add_consts(["a", "b"]).unwrap();
+    let m = voc.add_pred("M", 1).unwrap();
+    let db = CwDatabase::builder(voc)
+        .fact(m, &[ids[0]])
+        .fully_specified()
+        .build()
+        .unwrap();
+    for input in ["(u) . M(u)", "(u) . !M(u)"] {
+        let q = parse_query(db.voc(), input).unwrap();
+        assert_eq!(
+            precise::evaluate(&db, &q).unwrap(),
+            certain_answers(&db, &q).unwrap(),
+            "mismatch on {input}"
+        );
+    }
+}
+
+#[test]
+fn walk_matches_raw_mapping_oracle_on_teaching_queries() {
+    let db = teaching();
+    for input in [
+        "(x) . TEACHES(socrates, x)",
+        "(x) . !TEACHES(socrates, x)",
+        "(x, y) . TEACHES(x, y)",
+        "(x, y) . !TEACHES(x, y)",
+        "TEACHES(plato, socrates)",
+        "TEACHES(socrates, plato)",
+        "(x) . x = mystery",
+        "(x) . !(x = mystery)",
+        "exists x. TEACHES(x, mystery)",
+        "(x) . exists y. TEACHES(y, x)",
+        "forall x. TEACHES(socrates, x) -> x != aristotle",
+    ] {
+        let q = parse_query(db.voc(), input).unwrap();
+        let (certain, _) = oracle::answers_by_raw_mappings(&db, &q, AnswerMode::Certain);
+        let (possible, _) = oracle::answers_by_raw_mappings(&db, &q, AnswerMode::Possible);
+        for threads in [1usize, 4] {
+            let opts = ExactOptions {
+                corollary2_fast_path: false,
+                ..ExactOptions::with_threads(threads)
+            };
+            let (c, _) = certain_answers_with(&db, &q, opts).unwrap();
+            assert_eq!(
+                c, certain,
+                "certain mismatch on {input} at {threads} threads"
+            );
+            let (p, _) = possible_answers_with(&db, &q, opts).unwrap();
+            assert_eq!(
+                p, possible,
+                "possible mismatch on {input} at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn closed_form_count_matches_enumeration() {
+    for (n, ne) in [
+        (1usize, vec![]),
+        (4, vec![]),
+        (3, vec![(0u32, 1u32)]),
+        (4, vec![(0, 1), (2, 3)]),
+        (4, vec![(0, 1), (1, 2)]),
+        (5, vec![(0, 1), (0, 2), (1, 2)]),
+        (6, vec![(0, 3), (1, 4), (1, 3)]),
+        (6, vec![(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+    ] {
+        let db = db_with(n, &ne);
+        assert_eq!(
+            count_kernel_mappings(&db),
+            oracle::count_kernel_mappings_by_enumeration(&db),
+            "n={n}, ne={ne:?}"
+        );
+    }
+}
+
+#[test]
+fn closed_form_bounded_count_matches_enumeration() {
+    let db = db_with(5, &[(0, 1)]);
+    let total = oracle::count_kernel_mappings_by_enumeration(&db);
+    for limit in [0u64, 1, 2, total - 1, total, total + 1, u64::MAX] {
+        assert_eq!(
+            count_kernel_mappings_up_to(&db, limit),
+            total.min(limit),
+            "limit={limit}"
+        );
     }
 }

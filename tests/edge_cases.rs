@@ -1,7 +1,7 @@
 //! Cross-crate edge cases: degenerate databases, extreme quantifier
 //! shapes, non-contiguous domains, constant-only queries.
 
-use querying_logical_databases::algebra::{compile_query, execute, optimize, ExecOptions};
+use qld_algebra::{compile_query, execute, optimize, ExecOptions};
 use querying_logical_databases::approx::ApproxEngine;
 use querying_logical_databases::core::mappings::{
     count_kernel_mappings, count_respecting_mappings,

@@ -13,8 +13,8 @@
 //! The allocator counts only while the test thread asks it to, and this is
 //! the one test of its binary, so nothing else allocates meanwhile.
 
+use qld_algebra::{compile_query, execute, optimize, ExecOptions};
 use qld_workloads::{random_cw_db, DbGenConfig};
-use querying_logical_databases::algebra::{compile_query, execute, optimize, ExecOptions};
 use querying_logical_databases::core::exact::{certain_answers_batch_with, ExactOptions};
 use querying_logical_databases::core::ph::ph1;
 use querying_logical_databases::core::CwDatabase;

@@ -13,23 +13,24 @@
 //! (`differential.rs`, `approximation.rs`, `reductions_random.rs`, …); a
 //! claim here only adds what no other test pins.
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::answers_by_raw_mappings;
+use qld_algebra::{compile_query, compile_query_ordered, execute, optimize, ExecOptions};
 use qld_reductions::three_color::reduce;
 use qld_reductions::Graph;
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
-use querying_logical_databases::algebra::{
-    compile_query, compile_query_ordered, execute, optimize, ExecOptions,
-};
 use querying_logical_databases::approx::NeStore;
 use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
 use querying_logical_databases::core::mappings::{
     count_kernel_mappings, count_respecting_mappings,
 };
-use querying_logical_databases::core::oracle::answers_by_raw_mappings;
 use querying_logical_databases::core::ph::ph1;
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::parser::parse_query;
 use querying_logical_databases::logic::{ConstId, Query};
-use querying_logical_databases::prelude::{Answers, Engine, Semantics};
+use querying_logical_databases::prelude::{Answers, Engine, Regime, Semantics};
 
 /// One binary and one unary predicate, `2·|C|` facts each, 30 % of the
 /// constants of unknown identity.
@@ -115,7 +116,8 @@ fn e1_the_kernel_walk_is_bounded_by_kernels_and_kernels_by_raw_mappings() {
 
 /// E2, Corollary 2: on a fully specified database the fast path evaluates
 /// no mapping, the walk without it exactly one kernel, and Theorem 1
-/// verbatim all |C|! injections.
+/// verbatim all |C|! injections; an `Exact` engine's evidence names the
+/// route it took with and without the fast path.
 #[test]
 fn e2_a_fully_specified_database_costs_one_kernel_against_factorial_raw_mappings() {
     let kernels_only = ExactOptions {
@@ -145,6 +147,22 @@ fn e2_a_fully_specified_database_costs_one_kernel_against_factorial_raw_mappings
         );
         let (_, raw) = answers_by_raw_mappings(&db, &negation, AnswerMode::Certain);
         assert_eq!(raw, (1..=n as u64).product::<u64>(), "|C| = {n}");
+        // The engine's `Exact` takes the fast path too, and says so.
+        for (fast_path, regime, mappings) in
+            [(true, Regime::Corollary2, 0), (false, Regime::Theorem1, 1)]
+        {
+            let engine = Engine::builder(db.clone())
+                .semantics(Semantics::Exact)
+                .corollary2_fast_path(fast_path)
+                .build();
+            let answers = engine.query("(x) . P1(x) & !P0(x, x)").unwrap();
+            let e = answers.evidence();
+            assert_eq!(
+                (e.regime, e.mappings_evaluated),
+                (regime, mappings),
+                "|C| = {n}, fast path {fast_path}"
+            );
+        }
     }
 }
 

@@ -85,7 +85,7 @@ fn n_sends_of_one_line_are_n_minus_one_reuses() {
 }
 
 /// Allocations the server makes to answer a request it has answered
-/// before: the `Vec` of one answer `script::Database::query` returns.
+/// before: the `Vec` of one answer `script::Database::execute_batch` returns.
 /// Parsing, preparing or rendering the line again would be dozens, and a
 /// copy of the answer would grow with it.
 const ALLOCATIONS_PER_WARM_REQUEST: usize = 1;

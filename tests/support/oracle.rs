@@ -1,5 +1,7 @@
-//! An independent model-enumeration oracle for the certain-answer
-//! semantics.
+//! The reference walks the certain-answer evaluator is tested against:
+//! an independent model-enumeration oracle for the certain-answer
+//! semantics, Theorem 1 verbatim over every raw mapping, and the kernel
+//! count by enumeration. Include by `#[path]` as `mod oracle`.
 //!
 //! `Q(LB) = { c : T ⊨_f φ(c) }` is defined by quantification over *all
 //! finite models* of `T`. This module re-derives answers from that raw
@@ -13,7 +15,7 @@
 //!    relations over the resulting domain — a strict superset of the
 //!    models;
 //! 3. keep the structures that satisfy the **explicit** theory
-//!    ([`crate::CwDatabase::theory_sentences`]) under the generic
+//!    (`CwDatabase::theory_sentences`) under the generic
 //!    first-order evaluator;
 //! 4. intersect query answers across the survivors.
 //!
@@ -24,14 +26,18 @@
 //! walk: [`answers_by_raw_mappings`] takes Theorem 1 exactly as stated —
 //! every respecting `h`, no kernel canonicalization, no free-null collapse
 //! — with its own candidate list and a fresh [`apply_mapping`] image per
-//! mapping, so it shares no logic with the [`crate::exact`] walk it checks.
+//! mapping, so it shares no logic with the `qld_core::exact` walk it
+//! checks.
 
-use crate::exact::AnswerMode;
-use crate::mappings::for_each_respecting_mapping;
-use crate::ph::apply_mapping;
-use crate::theory::CwDatabase;
-use qld_logic::{Formula, LogicError, Query};
-use qld_physical::{
+#![allow(dead_code)]
+
+use querying_logical_databases::core::mappings::{
+    for_each_kernel_mapping, for_each_respecting_mapping,
+};
+use querying_logical_databases::core::ph::apply_mapping;
+use querying_logical_databases::core::{AnswerMode, CwDatabase};
+use querying_logical_databases::logic::{Formula, LogicError, PredId, Query};
+use querying_logical_databases::physical::{
     eval_query, satisfies_all, tuples::for_each_relation, Elem, PhysicalDb, Relation, TupleSpace,
 };
 
@@ -71,7 +77,7 @@ pub fn certain_answers_oracle(db: &CwDatabase, query: &Query) -> Result<Relation
         domain.sort_unstable();
         domain.dedup();
         // ... and all relation combinations over the induced domain.
-        let preds: Vec<(qld_logic::PredId, usize)> = db
+        let preds: Vec<(PredId, usize)> = db
             .voc()
             .preds()
             .map(|p| (p, db.voc().pred_arity(p)))
@@ -96,7 +102,7 @@ pub fn certain_answers_oracle(db: &CwDatabase, query: &Query) -> Result<Relation
     Ok(Relation::from_rows(arity, candidates))
 }
 
-/// Theorem 1 verbatim, as a reference for [`crate::exact`]: visits every
+/// Theorem 1 verbatim, as a reference for `qld_core::exact`: visits every
 /// respecting `h : C → C` (all `≤ |C|^|C|` of them, no early exit), builds
 /// `h(Ph₁(LB))` afresh and keeps the candidates `c` with `h(c)` in the
 /// image's answers under every `h` ([`AnswerMode::Certain`]) or under some
@@ -142,7 +148,7 @@ fn enumerate_relations(
     db: &CwDatabase,
     assignment: &[Elem],
     domain: &[Elem],
-    preds: &[(qld_logic::PredId, usize)],
+    preds: &[(PredId, usize)],
     chosen: &mut Vec<Relation>,
     theory: &[Formula],
     query: &Query,
@@ -180,87 +186,13 @@ fn enumerate_relations(
     });
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exact::certain_answers;
-    use qld_logic::parser::parse_query;
-    use qld_logic::Vocabulary;
-
-    /// Tiny database: 3 constants, one binary predicate, partial
-    /// uniqueness.
-    fn tiny() -> CwDatabase {
-        let mut voc = Vocabulary::new();
-        let ids = voc.add_consts(["a", "b", "x"]).unwrap();
-        let r = voc.add_pred("R", 2).unwrap();
-        CwDatabase::builder(voc)
-            .fact(r, &[ids[0], ids[1]])
-            .unique(ids[0], ids[1])
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn oracle_agrees_with_theorem1_on_positive_queries() {
-        let db = tiny();
-        for input in ["(u) . R(a, u)", "(u, v) . R(u, v)", "exists u. R(u, b)"] {
-            let q = parse_query(db.voc(), input).unwrap();
-            assert_eq!(
-                certain_answers_oracle(&db, &q).unwrap(),
-                certain_answers(&db, &q).unwrap(),
-                "mismatch on {input}"
-            );
-        }
-    }
-
-    #[test]
-    fn oracle_agrees_with_theorem1_on_negation() {
-        let db = tiny();
-        for input in [
-            "(u) . !R(a, u)",
-            "!R(b, a)",
-            "(u) . u != a",
-            "forall u. R(a, u) -> u != a",
-        ] {
-            let q = parse_query(db.voc(), input).unwrap();
-            assert_eq!(
-                certain_answers_oracle(&db, &q).unwrap(),
-                certain_answers(&db, &q).unwrap(),
-                "mismatch on {input}"
-            );
-        }
-    }
-
-    #[test]
-    fn oracle_agrees_on_fully_specified() {
-        let mut voc = Vocabulary::new();
-        let ids = voc.add_consts(["a", "b"]).unwrap();
-        let r = voc.add_pred("R", 2).unwrap();
-        let db = CwDatabase::builder(voc)
-            .fact(r, &[ids[0], ids[1]])
-            .fully_specified()
-            .build()
-            .unwrap();
-        for input in ["(u) . !R(u, u)", "R(a, b)", "(u, v) . R(u, v) & u != v"] {
-            let q = parse_query(db.voc(), input).unwrap();
-            assert_eq!(
-                certain_answers_oracle(&db, &q).unwrap(),
-                certain_answers(&db, &q).unwrap(),
-                "mismatch on {input}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "oracle instance too large")]
-    fn oversized_instance_rejected() {
-        let mut voc = Vocabulary::new();
-        for i in 0..8 {
-            voc.add_const(&format!("c{i}")).unwrap();
-        }
-        voc.add_pred("R", 3).unwrap();
-        let db = CwDatabase::builder(voc).build().unwrap();
-        let q = parse_query(db.voc(), "exists x. R(x, x, x)").unwrap();
-        let _ = certain_answers_oracle(&db, &q);
-    }
+/// The kernel count by walking the full kernel tree: the reference for
+/// the closed form `qld_core::mappings::count_kernel_mappings`.
+pub fn count_kernel_mappings_by_enumeration(db: &CwDatabase) -> u64 {
+    let mut count = 0u64;
+    for_each_kernel_mapping(db, |_| {
+        count = count.saturating_add(1);
+        true
+    });
+    count
 }

@@ -16,14 +16,19 @@
 //! * `Q′ = (z) . ∀H ∀P₁′ … ∀Pₘ′ (ρ ∧ θ → ψ)`.
 //!
 //! Evaluating `Q′` over `Ph₂(LB)` with the brute-force second-order
-//! evaluator of `qld-physical` costs `2^{|C|²} · ∏ᵢ 2^{|C|^{arity(Pᵢ)}}`
+//! evaluator of `qld_physical` costs `2^{|C|²} · ∏ᵢ 2^{|C|^{arity(Pᵢ)}}`
 //! relation candidates — experiment E3 measures exactly this blow-up.
+//!
+//! A reference the tests check the Theorem 1 walk against, not part of
+//! the product; include by `#[path]` as `mod precise`.
 
-use crate::ph::{ph2, Ph2};
-use crate::theory::CwDatabase;
-use qld_logic::builders::VarGen;
-use qld_logic::{Formula, LogicError, PredVarId, Query, Term, Var};
-use qld_physical::{eval_query, Relation};
+#![allow(dead_code)]
+
+use querying_logical_databases::core::ph::{ph2, Ph2};
+use querying_logical_databases::core::CwDatabase;
+use querying_logical_databases::logic::builders::VarGen;
+use querying_logical_databases::logic::{Formula, LogicError, PredVarId, Query, Term, Var};
+use querying_logical_databases::physical::{eval_query, Relation};
 
 /// The output of the Theorem 3 construction.
 #[derive(Debug, Clone)]
@@ -258,105 +263,8 @@ pub fn build(db: &CwDatabase, query: &Query) -> Result<PreciseSimulation, LogicE
 ///
 /// The answer relation is over the constants of `LB` (element `i` =
 /// `ConstId(i)`), directly comparable with
-/// [`crate::exact::certain_answers`].
+/// `qld_core::certain_answers`.
 pub fn evaluate(db: &CwDatabase, query: &Query) -> Result<Relation, LogicError> {
     let sim = build(db, query)?;
     Ok(eval_query(&sim.ph2.db, &sim.query))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exact::certain_answers;
-    use qld_logic::parser::parse_query;
-    use qld_logic::Vocabulary;
-
-    fn tiny_unary() -> CwDatabase {
-        let mut voc = Vocabulary::new();
-        let ids = voc.add_consts(["a", "b", "x"]).unwrap();
-        let m = voc.add_pred("M", 1).unwrap();
-        CwDatabase::builder(voc)
-            .fact(m, &[ids[0]])
-            .unique(ids[0], ids[1])
-            .build()
-            .unwrap()
-    }
-
-    fn tiny_binary() -> CwDatabase {
-        let mut voc = Vocabulary::new();
-        let ids = voc.add_consts(["a", "b"]).unwrap();
-        let r = voc.add_pred("R", 2).unwrap();
-        CwDatabase::builder(voc)
-            .fact(r, &[ids[0], ids[1]])
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn query_prime_is_second_order_and_wellformed() {
-        let db = tiny_unary();
-        let q = parse_query(db.voc(), "(u) . M(u)").unwrap();
-        let sim = build(&db, &q).unwrap();
-        assert_eq!(sim.query.class(), qld_logic::QueryClass::SecondOrder);
-        assert_eq!(sim.query.arity(), 1);
-    }
-
-    #[test]
-    fn matches_certain_answers_unary_positive() {
-        let db = tiny_unary();
-        for input in ["(u) . M(u)", "exists u. M(u)", "M(b)"] {
-            let q = parse_query(db.voc(), input).unwrap();
-            assert_eq!(
-                evaluate(&db, &q).unwrap(),
-                certain_answers(&db, &q).unwrap(),
-                "mismatch on {input}"
-            );
-        }
-    }
-
-    #[test]
-    fn matches_certain_answers_unary_negative() {
-        let db = tiny_unary();
-        for input in ["(u) . !M(u)", "!M(b)", "(u) . u != a"] {
-            let q = parse_query(db.voc(), input).unwrap();
-            assert_eq!(
-                evaluate(&db, &q).unwrap(),
-                certain_answers(&db, &q).unwrap(),
-                "mismatch on {input}"
-            );
-        }
-    }
-
-    #[test]
-    fn matches_certain_answers_binary() {
-        let db = tiny_binary();
-        for input in ["(u, v) . R(u, v)", "(u) . R(a, u)", "(u) . !R(u, u)"] {
-            let q = parse_query(db.voc(), input).unwrap();
-            assert_eq!(
-                evaluate(&db, &q).unwrap(),
-                certain_answers(&db, &q).unwrap(),
-                "mismatch on {input}"
-            );
-        }
-    }
-
-    #[test]
-    fn fully_specified_simulation() {
-        let mut voc = Vocabulary::new();
-        let ids = voc.add_consts(["a", "b"]).unwrap();
-        let m = voc.add_pred("M", 1).unwrap();
-        let db = CwDatabase::builder(voc)
-            .fact(m, &[ids[0]])
-            .fully_specified()
-            .build()
-            .unwrap();
-        for input in ["(u) . M(u)", "(u) . !M(u)"] {
-            let q = parse_query(db.voc(), input).unwrap();
-            assert_eq!(
-                evaluate(&db, &q).unwrap(),
-                certain_answers(&db, &q).unwrap(),
-                "mismatch on {input}"
-            );
-        }
-    }
 }

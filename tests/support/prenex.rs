@@ -7,14 +7,15 @@
 //! bottom-up extraction with all binders renamed apart, so no capture is
 //! possible), and [`Prenex::alternation`] reads off the block structure.
 //!
-//! Semantics preservation is property-tested against the Tarskian
-//! evaluator in the workspace tests (`tests/prenex_semantics.rs`).
+//! Only the tests use it: semantics preservation is property-tested
+//! against the evaluator in `tests/prenex_semantics.rs`, which includes
+//! this file by `#[path]` as `mod prenex`.
 
-use crate::builders::VarGen;
-use crate::formula::Formula;
-use crate::nnf::to_nnf;
-use crate::symbols::Var;
-use crate::term::Term;
+#![allow(dead_code)]
+
+use querying_logical_databases::logic::builders::VarGen;
+use querying_logical_databases::logic::nnf::to_nnf;
+use querying_logical_databases::logic::{Formula, Term, Var};
 
 /// A first-order quantifier kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,115 +150,5 @@ fn pull(f: &Formula, gen: &mut VarGen) -> Prenex {
         Formula::SoExists(..) | Formula::SoForall(..) => {
             unreachable!("to_prenex rejects second-order formulas")
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parser::parse_query;
-    use crate::symbols::Vocabulary;
-
-    fn voc() -> Vocabulary {
-        let mut voc = Vocabulary::new();
-        voc.add_consts(["a", "b"]).unwrap();
-        voc.add_pred("R", 2).unwrap();
-        voc.add_pred("M", 1).unwrap();
-        voc
-    }
-
-    fn prenex_of(text: &str) -> Prenex {
-        let voc = voc();
-        let q = parse_query(&voc, text).unwrap();
-        let mut gen = VarGen::after(q.body().max_var());
-        to_prenex(q.body(), &mut gen).unwrap()
-    }
-
-    fn is_quantifier_free(f: &Formula) -> bool {
-        match f {
-            Formula::Exists(..)
-            | Formula::Forall(..)
-            | Formula::SoExists(..)
-            | Formula::SoForall(..) => false,
-            Formula::True
-            | Formula::False
-            | Formula::Atom(..)
-            | Formula::SoAtom(..)
-            | Formula::Eq(..) => true,
-            Formula::Not(g) => is_quantifier_free(g),
-            Formula::And(fs) | Formula::Or(fs) => fs.iter().all(is_quantifier_free),
-            Formula::Implies(p, q) | Formula::Iff(p, q) => {
-                is_quantifier_free(p) && is_quantifier_free(q)
-            }
-        }
-    }
-
-    #[test]
-    fn matrix_is_quantifier_free_and_binders_distinct() {
-        let p = prenex_of("(exists x. R(x, x)) & (forall y. M(y) -> exists z. R(y, z))");
-        assert!(is_quantifier_free(&p.matrix));
-        let mut vars: Vec<Var> = p.prefix.iter().map(|(_, v)| *v).collect();
-        let n = vars.len();
-        vars.sort_unstable();
-        vars.dedup();
-        assert_eq!(vars.len(), n, "binders must be pairwise distinct");
-    }
-
-    #[test]
-    fn block_structure() {
-        let p = prenex_of("exists x, y. forall z. exists w. R(x, y) & R(z, w)");
-        let blocks = p.blocks();
-        assert_eq!(
-            blocks.iter().map(|(q, n)| (*q, *n)).collect::<Vec<_>>(),
-            vec![
-                (QuantKind::Exists, 2),
-                (QuantKind::Forall, 1),
-                (QuantKind::Exists, 1)
-            ]
-        );
-        assert_eq!(p.alternation(), (3, true));
-        assert!(p.is_sigma_k(3));
-        assert!(!p.is_sigma_k(2));
-    }
-
-    #[test]
-    fn negation_flips_hidden_quantifiers() {
-        // ¬∀x M(x) is prenex-∃.
-        let p = prenex_of("!(forall x. M(x))");
-        assert_eq!(p.blocks().first().map(|(q, _)| *q), Some(QuantKind::Exists));
-    }
-
-    #[test]
-    fn quantifier_free_formula() {
-        let p = prenex_of("R(a, b) | !M(a)");
-        assert!(p.prefix.is_empty());
-        assert_eq!(p.alternation(), (0, true));
-        assert!(p.is_sigma_k(0));
-    }
-
-    #[test]
-    fn shadowing_resolved_by_renaming() {
-        // exists x. M(x) & exists x. R(x, x): both binders named x in the
-        // source; prenexing must keep them apart.
-        let p = prenex_of("exists x. M(x) & (exists x. R(x, x))");
-        assert_eq!(p.prefix.len(), 2);
-        assert_ne!(p.prefix[0].1, p.prefix[1].1);
-    }
-
-    #[test]
-    fn free_variables_preserved() {
-        let voc = voc();
-        let q = parse_query(&voc, "(u) . exists x. R(u, x) & forall y. M(y)").unwrap();
-        let mut gen = VarGen::after(q.body().max_var());
-        let p = to_prenex(q.body(), &mut gen).unwrap();
-        assert_eq!(p.to_formula().free_vars(), q.body().free_vars());
-    }
-
-    #[test]
-    fn second_order_rejected() {
-        let voc = voc();
-        let q = parse_query(&voc, "exists2 ?S:1. exists x. ?S(x)").unwrap();
-        let mut gen = VarGen::after(q.body().max_var());
-        assert!(to_prenex(q.body(), &mut gen).is_none());
     }
 }

@@ -257,7 +257,9 @@ impl Scenario {
     }
 
     /// Compares every observation with the oracle at its stamped epoch:
-    /// the same tuples, certificate and upper bound.
+    /// the same tuples, certificate and upper bound. Each answer the
+    /// oracle gives must also have run the route [`Engine::route`] names
+    /// for it, the one `qld`'s `:explain` prints.
     pub fn check(&self, observations: &[Observation]) -> Outcome {
         let mut oracles = HashMap::new();
         let mut truths = HashMap::new();
@@ -276,6 +278,14 @@ impl Scenario {
                     };
                     let prepared = oracle.prepare(self.queries[seen.query].clone()).unwrap();
                     let answers = oracle.execute_as(&prepared, seen.semantics).unwrap();
+                    let evidence = answers.evidence();
+                    ensure_eq!(
+                        oracle.route(&prepared, seen.semantics),
+                        (evidence.regime, evidence.certificate),
+                        "`{}` under {:?}: the route `:explain` names is not the one that ran",
+                        display_query(self.db.voc(), &self.queries[seen.query]),
+                        seen.semantics
+                    );
                     let truth = Observation::of(seen.query, seen.semantics, &answers);
                     slot.insert(Observation {
                         epoch: seen.epoch,
