@@ -1,7 +1,7 @@
 //! The approximate evaluation engine: `Â(Q, LB) = Q̂(Ph₂(LB))`.
 
 use crate::disagree::{alpha_additions_for_ne, alpha_relation, DisagreeScratch};
-use crate::ne_store::{NeBits, NeStore};
+use crate::ne_store::NeBits;
 use crate::rewrite::{rewrite_query, AlphaMode};
 use qld_core::CwDatabase;
 use qld_logic::{Formula, LogicError, PredId, Query, Vocabulary};
@@ -12,8 +12,7 @@ use qld_physical::{eval_query, PhysicalDb, Relation};
 ///
 /// Construction materializes, in polynomial time:
 /// * `Ph₂(LB)` — the facts plus the `NE` relation;
-/// * one `α_P` relation per predicate (the provably-false tuples);
-/// * optionally the virtual-NE relations `NE′` and `U`.
+/// * one `α_P` relation per predicate (the provably-false tuples).
 ///
 /// Beside them it keeps what maintaining the `α_P` relations needs: the
 /// uniqueness axioms as a bit matrix and one disagreement scratch.
@@ -23,9 +22,6 @@ pub struct ApproxEngine {
     db: PhysicalDb,
     ne: PredId,
     alpha: Vec<PredId>,
-    ne_prime: PredId,
-    u: PredId,
-    virtual_ne: bool,
     ne_bits: NeBits,
     scratch: DisagreeScratch,
 }
@@ -38,19 +34,8 @@ const _: () = {
 };
 
 impl ApproxEngine {
-    /// Builds the engine with the explicit `NE` relation (the default).
+    /// Builds `Ph₂(LB)` and the `α_P` relations of `cw`.
     pub fn new(cw: &CwDatabase) -> ApproxEngine {
-        Self::build(cw, false)
-    }
-
-    /// Builds the engine with the virtual `NE` representation: `NE` stays
-    /// empty; `Q̂`'s `NE(x,y)` atoms expand into
-    /// `NE′(x,y) ∨ (¬U(x) ∧ ¬U(y) ∧ ¬(x=y))`.
-    pub fn with_virtual_ne(cw: &CwDatabase) -> ApproxEngine {
-        Self::build(cw, true)
-    }
-
-    fn build(cw: &CwDatabase, virtual_ne: bool) -> ApproxEngine {
         let mut voc = cw.voc().clone();
         let ne = voc.add_fresh_pred("NE", 2);
         let alpha: Vec<PredId> = cw
@@ -62,8 +47,6 @@ impl ApproxEngine {
                 voc.add_fresh_pred(&name, arity)
             })
             .collect();
-        let ne_prime = voc.add_fresh_pred("NE_PRIME", 2);
-        let u = voc.add_fresh_pred("U", 1);
 
         let n = cw.num_consts() as u32;
         let ne_bits = NeBits::new(cw);
@@ -77,19 +60,7 @@ impl ApproxEngine {
             let alpha_p = alpha_relation(cw, p, &ne_bits, &mut scratch);
             builder = builder.relation(alpha[p.index()], alpha_p);
         }
-        if virtual_ne {
-            if let NeStore::Virtual {
-                unknown,
-                ne_prime: stored,
-            } = NeStore::virtualized(cw)
-            {
-                builder = builder.relation(u, Relation::from_rows(1, unknown.iter().map(|&e| [e])));
-                builder = builder.relation(ne_prime, stored);
-            }
-            // NE left empty: every probe must go through the expansion.
-        } else {
-            builder = builder.relation(ne, ne_bits.to_relation());
-        }
+        builder = builder.relation(ne, ne_bits.to_relation());
         ApproxEngine {
             db: builder
                 .build()
@@ -97,9 +68,6 @@ impl ApproxEngine {
             voc,
             ne,
             alpha,
-            ne_prime,
-            u,
-            virtual_ne,
             ne_bits,
             scratch,
         }
@@ -118,12 +86,9 @@ impl ApproxEngine {
     /// * a new fact of `P` extends the base relation by a sorted insert
     ///   and can only *shrink* `α_P` — one retain pass keeps exactly the
     ///   tuples that disagree with the new fact (nothing else changes);
-    /// * a new axiom extends the `NE` store by insertion (explicit mode)
-    ///   and can only *grow* every `α_P` — only the complement of the
-    ///   current `α_P` is rechecked ([`alpha_additions_for_ne`]). In
-    ///   virtual-`NE` mode the `U`/`NE′` relations are re-derived (the
-    ///   known-clique heuristic is non-local, and both relations are
-    ///   small by design on the mostly-known databases the mode targets).
+    /// * a new axiom extends the `NE` relation by insertion and can only
+    ///   *grow* every `α_P` — only the complement of the current `α_P` is
+    ///   rechecked ([`alpha_additions_for_ne`]).
     ///
     /// The result is equal to `ApproxEngine::new(cw)` (property-tested in
     /// the delta differential suite); the cost is proportional to what
@@ -148,25 +113,10 @@ impl ApproxEngine {
         }
         for &(a, b) in new_ne {
             ne_bits.insert(a, b);
-        }
-        if self.virtual_ne {
-            // The known-clique classification can change globally; rebuild
-            // the (small) virtual store and swap the two relations.
-            if let NeStore::Virtual { unknown, ne_prime } = NeStore::virtualized(cw) {
+            for pair in [[a, b], [b, a]] {
                 self.db
-                    .set_relation(self.u, Relation::from_rows(1, unknown.iter().map(|&e| [e])))
-                    .expect("U stays within the domain");
-                self.db
-                    .set_relation(self.ne_prime, ne_prime)
-                    .expect("NE' stays within the domain");
-            }
-        } else {
-            for &(a, b) in new_ne {
-                for pair in [[a, b], [b, a]] {
-                    self.db
-                        .insert_tuple(self.ne, &pair)
-                        .expect("delta axiom was validated against the vocabulary");
-                }
+                    .insert_tuple(self.ne, &pair)
+                    .expect("delta axiom was validated against the vocabulary");
             }
         }
         for p in cw.voc().preds() {
@@ -184,7 +134,7 @@ impl ApproxEngine {
         }
     }
 
-    /// The extended vocabulary `L′` plus the `α_P` (and virtual-NE)
+    /// The extended vocabulary `L′` (`L` plus `NE`) plus the `α_P`
     /// predicates.
     pub fn extended_voc(&self) -> &Vocabulary {
         &self.voc
@@ -219,17 +169,11 @@ impl ApproxEngine {
         &self.alpha
     }
 
-    /// Rewrites `Q ↦ Q̂` (checking the query first), expanding `NE` atoms
-    /// when the engine is in virtual-NE mode.
-    pub fn rewrite(&self, query: &Query, mode: AlphaMode) -> Result<Query, LogicError> {
+    /// Rewrites `Q ↦ Q̂` (checking the query first). `AlphaMode` has one
+    /// variant, [`AlphaMode::Materialized`].
+    pub fn rewrite(&self, query: &Query, _mode: AlphaMode) -> Result<Query, LogicError> {
         query.check(&self.voc)?;
-        let rewritten = rewrite_query(query, self.ne, &self.alpha, mode);
-        if !self.virtual_ne {
-            return Ok(rewritten);
-        }
-        let (head, body) = rewritten.into_parts();
-        let expanded = self.expand_ne(&body);
-        Ok(Query::new(head, expanded).expect("expansion preserves free variables"))
+        Ok(rewrite_query(query, self.ne, &self.alpha))
     }
 
     /// The upper side of the over-budget bracket: `¬(¬Q)^`, whose answers
@@ -254,42 +198,13 @@ impl ApproxEngine {
         Query::new(head, Formula::And(outside))
     }
 
-    fn expand_ne(&self, f: &Formula) -> Formula {
-        match f {
-            Formula::Atom(p, ts) if *p == self.ne => {
-                debug_assert_eq!(ts.len(), 2);
-                NeStore::defining_formula(self.ne_prime, self.u, ts[0], ts[1])
-            }
-            Formula::True
-            | Formula::False
-            | Formula::Atom(..)
-            | Formula::SoAtom(..)
-            | Formula::Eq(..) => f.clone(),
-            Formula::Not(g) => Formula::Not(Box::new(self.expand_ne(g))),
-            Formula::And(fs) => Formula::And(fs.iter().map(|g| self.expand_ne(g)).collect()),
-            Formula::Or(fs) => Formula::Or(fs.iter().map(|g| self.expand_ne(g)).collect()),
-            Formula::Implies(p, q) => {
-                Formula::Implies(Box::new(self.expand_ne(p)), Box::new(self.expand_ne(q)))
-            }
-            Formula::Iff(p, q) => {
-                Formula::Iff(Box::new(self.expand_ne(p)), Box::new(self.expand_ne(q)))
-            }
-            Formula::Exists(v, g) => Formula::Exists(*v, Box::new(self.expand_ne(g))),
-            Formula::Forall(v, g) => Formula::Forall(*v, Box::new(self.expand_ne(g))),
-            Formula::SoExists(r, k, g) => Formula::SoExists(*r, *k, Box::new(self.expand_ne(g))),
-            Formula::SoForall(r, k, g) => Formula::SoForall(*r, *k, Box::new(self.expand_ne(g))),
-        }
-    }
-
-    /// Approximate answers with the default pipeline (materialized `α_P`).
+    /// Approximate answers: `Q̂` evaluated by the Tarskian evaluator over
+    /// the extended database.
     pub fn eval(&self, query: &Query) -> Result<Relation, LogicError> {
-        self.eval_with(query, AlphaMode::Materialized)
-    }
-
-    /// Approximate answers with an explicit `α_P` mode: `Q̂` evaluated by
-    /// the Tarskian evaluator over the extended database.
-    pub fn eval_with(&self, query: &Query, mode: AlphaMode) -> Result<Relation, LogicError> {
-        Ok(eval_query(&self.db, &self.rewrite(query, mode)?))
+        Ok(eval_query(
+            &self.db,
+            &self.rewrite(query, AlphaMode::Materialized)?,
+        ))
     }
 }
 
@@ -419,35 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn lemma10_mode_matches_materialized() {
-        let db = teaching();
-        let engine = ApproxEngine::new(&db);
-        for input in QUERIES {
-            let q = parse_query(db.voc(), input).unwrap();
-            let a = engine.eval_with(&q, AlphaMode::Materialized).unwrap();
-            let b = engine.eval_with(&q, AlphaMode::Lemma10).unwrap();
-            assert_eq!(a, b, "alpha modes disagree on {input}");
-        }
-    }
-
-    #[test]
-    fn virtual_ne_matches_explicit() {
-        let db = teaching();
-        let explicit = ApproxEngine::new(&db);
-        let virt = ApproxEngine::with_virtual_ne(&db);
-        for input in QUERIES {
-            let q = parse_query(db.voc(), input).unwrap();
-            for mode in [AlphaMode::Materialized, AlphaMode::Lemma10] {
-                assert_eq!(
-                    explicit.eval_with(&q, mode).unwrap(),
-                    virt.eval_with(&q, mode).unwrap(),
-                    "virtual NE disagrees on {input} ({mode:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn second_order_query_soundness() {
         let db = teaching();
         let engine = ApproxEngine::new(&db);
@@ -478,47 +364,86 @@ mod tests {
             ("fact", 1, 0), // TEACHES(plato, socrates)
             ("ne", 3, 1),   // mystery ≠ plato
         ];
-        for virtual_ne in [false, true] {
-            let mut cw = db0.clone();
-            let mut engine = if virtual_ne {
-                ApproxEngine::with_virtual_ne(&cw)
-            } else {
-                ApproxEngine::new(&cw)
-            };
-            for &(kind, a, b) in script {
-                type FactDelta = Vec<(qld_logic::PredId, Box<[Elem]>)>;
-                let (new_facts, new_ne): (FactDelta, Vec<(Elem, Elem)>) = match kind {
-                    "fact" => {
-                        assert!(cw.insert_fact(teaches, &[ConstId(a), ConstId(b)]).unwrap());
-                        (vec![(teaches, vec![a, b].into_boxed_slice())], vec![])
-                    }
-                    _ => {
-                        assert!(cw.insert_ne(ConstId(a), ConstId(b)).unwrap());
-                        (vec![], vec![(a.min(b), a.max(b))])
-                    }
-                };
-                engine.apply_delta(&cw, &new_facts, &new_ne);
-                let rebuilt = if virtual_ne {
-                    ApproxEngine::with_virtual_ne(&cw)
-                } else {
-                    ApproxEngine::new(&cw)
-                };
-                assert_eq!(
-                    engine.extended_db(),
-                    rebuilt.extended_db(),
-                    "incremental Ph₂/α/NE diverged after ({kind}, {a}, {b}), virtual={virtual_ne}"
-                );
-                // And the answers it produces agree too.
-                for input in QUERIES {
-                    let q = parse_query(cw.voc(), input).unwrap();
-                    assert_eq!(
-                        engine.eval(&q).unwrap(),
-                        rebuilt.eval(&q).unwrap(),
-                        "answers diverged on {input} after ({kind}, {a}, {b})"
-                    );
+        let mut cw = db0.clone();
+        let mut engine = ApproxEngine::new(&cw);
+        for &(kind, a, b) in script {
+            type FactDelta = Vec<(qld_logic::PredId, Box<[Elem]>)>;
+            let (new_facts, new_ne): (FactDelta, Vec<(Elem, Elem)>) = match kind {
+                "fact" => {
+                    assert!(cw.insert_fact(teaches, &[ConstId(a), ConstId(b)]).unwrap());
+                    (vec![(teaches, vec![a, b].into_boxed_slice())], vec![])
                 }
+                _ => {
+                    assert!(cw.insert_ne(ConstId(a), ConstId(b)).unwrap());
+                    (vec![], vec![(a.min(b), a.max(b))])
+                }
+            };
+            engine.apply_delta(&cw, &new_facts, &new_ne);
+            let rebuilt = ApproxEngine::new(&cw);
+            assert_eq!(
+                engine.extended_db(),
+                rebuilt.extended_db(),
+                "incremental Ph₂/α/NE diverged after ({kind}, {a}, {b})"
+            );
+            // And the answers it produces agree too.
+            for input in QUERIES {
+                let q = parse_query(cw.voc(), input).unwrap();
+                assert_eq!(
+                    engine.eval(&q).unwrap(),
+                    rebuilt.eval(&q).unwrap(),
+                    "answers diverged on {input} after ({kind}, {a}, {b})"
+                );
             }
         }
+    }
+
+    /// `L′` is `L`, `NE` and one `α_P` per predicate, and nothing else.
+    #[test]
+    fn extended_vocabulary_is_l_ne_and_one_alpha_per_predicate() {
+        let mut voc = Vocabulary::new();
+        voc.add_consts(["a", "b"]).unwrap();
+        voc.add_pred("R", 2).unwrap();
+        voc.add_pred("M", 1).unwrap();
+        voc.add_pred("S", 3).unwrap();
+        let db = CwDatabase::builder(voc).build().unwrap();
+        for db in [db, teaching()] {
+            let engine = ApproxEngine::new(&db);
+            let l = db.voc().num_preds();
+            assert_eq!(engine.extended_voc().num_preds(), 2 * l + 1);
+            assert_eq!(engine.alpha_preds().len(), l);
+        }
+    }
+
+    /// `I(NE)` is the symmetric closure of the uniqueness axioms — built
+    /// here from `ne_pairs()` directly, not through the engine's bit
+    /// matrix — before and after an `NE` delta.
+    #[test]
+    fn ph2_has_symmetric_ne() {
+        let symmetric_closure = |db: &CwDatabase| {
+            Relation::from_rows(2, db.ne_pairs().iter().flat_map(|&(a, b)| [[a, b], [b, a]]))
+        };
+        let mut db = teaching();
+        let mut engine = ApproxEngine::new(&db);
+        assert_eq!(engine.extended_voc().pred_name(engine.ne_pred()), "NE");
+        let ne = engine.extended_db().relation(engine.ne_pred());
+        assert_eq!(ne.len(), 6);
+        assert_eq!(ne, &symmetric_closure(&db));
+        let (mystery, plato) = (qld_logic::ConstId(3), qld_logic::ConstId(1));
+        assert!(db.insert_ne(mystery, plato).unwrap());
+        engine.apply_delta(&db, &[], &[(1, 3)]);
+        let ne = engine.extended_db().relation(engine.ne_pred());
+        assert_eq!(ne.len(), 8);
+        assert_eq!(ne, &symmetric_closure(&db));
+    }
+
+    #[test]
+    fn ph2_avoids_name_collision() {
+        let mut voc = Vocabulary::new();
+        voc.add_const("a").unwrap();
+        voc.add_pred("NE", 2).unwrap(); // user already has an NE
+        let db = CwDatabase::builder(voc).build().unwrap();
+        let engine = ApproxEngine::new(&db);
+        assert_eq!(engine.extended_voc().pred_name(engine.ne_pred()), "NE_1");
     }
 
     #[test]

@@ -16,22 +16,16 @@
 //! 3. replace `¬P(x)` by the provable-disagreement formula `α_P(x)` of
 //!    Lemma 10.
 //!
-//! This crate implements that pipeline twice and cross-checks the two:
-//!
-//! * [`ApproxEngine`] with [`AlphaMode::Materialized`] follows Theorem 14's
-//!   proof and treats `α_P` as an atomic relation, materialized in
-//!   polynomial time by the union-find disagreement test of
-//!   [`disagree`];
-//! * [`AlphaMode::Lemma10`] splices in the literal `O(k log k)` first-order
-//!   formula from `qld_logic::builders::alpha_p`.
-//!
-//! The engine evaluates `Q̂` with the Tarskian evaluator of `qld-physical`.
-//! `Q̂` is first-order over `Ph₂(LB)` whenever `Q` is, so it is also a
-//! query "on top of a standard database management system":
-//! `qld-algebra` compiles it to relational algebra, and the tests check
-//! that plan against this engine. Finally [`ne_store`] implements the
-//! virtual `NE` representation
-//! (`NE(x,y) ≡ NE′(x,y) ∨ (¬U(x) ∧ ¬U(y) ∧ x≠y)`) that §5 closes with.
+//! [`ApproxEngine`] follows Theorem 14's proof: it treats `α_P` as an
+//! atomic relation, materialized in polynomial time by the union-find
+//! disagreement test of [`disagree`], and stores `NE` explicitly, as the
+//! symmetric relation [`ne_store::NeBits`] builds. It evaluates `Q̂` with
+//! the evaluator of `qld-physical`. `Q̂` is first-order over
+//! `Ph₂(LB)` whenever `Q` is, so it is also a query "on top of a standard
+//! database management system": `qld-algebra` compiles it to relational
+//! algebra, and the tests check that plan against this engine. The literal
+//! Lemma 10 formula and the virtual `NE` store that §5 closes with are
+//! references the tests check `Q̂` against (`tests/support/ne_store.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,5 +38,4 @@ pub mod rewrite;
 
 pub use completeness::{exactness_theorem, CompletenessTheorem};
 pub use engine::ApproxEngine;
-pub use ne_store::NeStore;
 pub use rewrite::AlphaMode;

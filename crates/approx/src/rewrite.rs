@@ -2,39 +2,36 @@
 //!
 //! After pushing negations to the atoms, the only negative contexts left
 //! are `¬(t₁ = t₂)` and `¬P(t…)`. The first becomes `NE(t₁, t₂)`; the
-//! second becomes the provable-disagreement formula `α_P(t…)`, either as a
-//! scan of a materialized relation ([`AlphaMode::Materialized`], following
-//! Theorem 14's "treat the subformulas α_P(x) as if they were atomic
-//! formulas") or as the literal Lemma 10 formula
-//! ([`AlphaMode::Lemma10`]). Negated atoms of *quantified* predicate
-//! variables always take the formula route — there is nothing to
-//! materialize for them.
+//! second becomes the provable-disagreement atom `α_P(t…)`, a scan of a
+//! materialized relation (Theorem 14: "treat the subformulas α_P(x) as if
+//! they were atomic formulas"). Negated atoms of *quantified* predicate
+//! variables take the literal Lemma 10 formula instead — there is nothing
+//! to materialize for them.
 //!
 //! Note that the result `Q̂` contains **no negations at all**: this is why
 //! positive queries rewrite to themselves (Theorem 13) and why the
 //! approximation is sound (Theorem 11).
 
-use qld_logic::builders::{alpha_p, alpha_so, VarGen};
+use qld_logic::builders::{alpha_so, VarGen};
 use qld_logic::nnf::to_nnf;
 use qld_logic::{Formula, PredId, Query};
 
-/// How `¬P(x)` is realized in `Q̂`.
+/// How `¬P(x)` is realized in `Q̂`. There is one way; the argument of
+/// [`crate::ApproxEngine::rewrite`] stays only so that its callers keep
+/// their signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AlphaMode {
     /// `¬P(x)` becomes a scan of the pre-computed `α_P` relation.
     #[default]
     Materialized,
-    /// `¬P(x)` becomes the `O(k log k)` first-order formula of Lemma 10.
-    Lemma10,
 }
 
 /// Rewrites a query body (already NNF-normalized inside) into `Q̂`.
 ///
 /// * `ne` — the `NE` predicate of the extended vocabulary;
-/// * `alpha` — for [`AlphaMode::Materialized`], `alpha[p]` is the
-///   predicate holding the materialized `α_P` relation for vocabulary
-///   predicate `p`.
-pub fn rewrite_query(query: &Query, ne: PredId, alpha: &[PredId], mode: AlphaMode) -> Query {
+/// * `alpha` — `alpha[p]` is the predicate holding the materialized `α_P`
+///   relation for vocabulary predicate `p`.
+pub fn rewrite_query(query: &Query, ne: PredId, alpha: &[PredId]) -> Query {
     let body = to_nnf(query.body());
     let max_var = body
         .max_var()
@@ -42,18 +39,12 @@ pub fn rewrite_query(query: &Query, ne: PredId, alpha: &[PredId], mode: AlphaMod
         .chain(query.head().iter().copied())
         .max();
     let mut gen = VarGen::after(max_var);
-    let rewritten = rewrite(&body, ne, alpha, mode, &mut gen);
+    let rewritten = rewrite(&body, ne, alpha, &mut gen);
     Query::new(query.head().to_vec(), rewritten)
         .expect("rewriting preserves the free variables of the body")
 }
 
-fn rewrite(
-    f: &Formula,
-    ne: PredId,
-    alpha: &[PredId],
-    mode: AlphaMode,
-    gen: &mut VarGen,
-) -> Formula {
+fn rewrite(f: &Formula, ne: PredId, alpha: &[PredId], gen: &mut VarGen) -> Formula {
     match f {
         Formula::True
         | Formula::False
@@ -62,33 +53,22 @@ fn rewrite(
         | Formula::Eq(..) => f.clone(),
         Formula::Not(inner) => match &**inner {
             Formula::Eq(a, b) => Formula::atom(ne, [*a, *b]),
-            Formula::Atom(p, ts) => match mode {
-                AlphaMode::Materialized => Formula::Atom(alpha[p.index()], ts.clone()),
-                AlphaMode::Lemma10 => alpha_p(*p, ts.len(), ne, ts, gen),
-            },
+            Formula::Atom(p, ts) => Formula::Atom(alpha[p.index()], ts.clone()),
             Formula::SoAtom(r, ts) => alpha_so(*r, ts.len(), ne, ts, gen),
             other => unreachable!("not in NNF: ¬({other:?})"),
         },
-        Formula::And(fs) => Formula::And(
-            fs.iter()
-                .map(|g| rewrite(g, ne, alpha, mode, gen))
-                .collect(),
-        ),
-        Formula::Or(fs) => Formula::Or(
-            fs.iter()
-                .map(|g| rewrite(g, ne, alpha, mode, gen))
-                .collect(),
-        ),
+        Formula::And(fs) => Formula::And(fs.iter().map(|g| rewrite(g, ne, alpha, gen)).collect()),
+        Formula::Or(fs) => Formula::Or(fs.iter().map(|g| rewrite(g, ne, alpha, gen)).collect()),
         Formula::Implies(..) | Formula::Iff(..) => {
             unreachable!("NNF eliminates implications")
         }
-        Formula::Exists(v, g) => Formula::Exists(*v, Box::new(rewrite(g, ne, alpha, mode, gen))),
-        Formula::Forall(v, g) => Formula::Forall(*v, Box::new(rewrite(g, ne, alpha, mode, gen))),
+        Formula::Exists(v, g) => Formula::Exists(*v, Box::new(rewrite(g, ne, alpha, gen))),
+        Formula::Forall(v, g) => Formula::Forall(*v, Box::new(rewrite(g, ne, alpha, gen))),
         Formula::SoExists(r, k, g) => {
-            Formula::SoExists(*r, *k, Box::new(rewrite(g, ne, alpha, mode, gen)))
+            Formula::SoExists(*r, *k, Box::new(rewrite(g, ne, alpha, gen)))
         }
         Formula::SoForall(r, k, g) => {
-            Formula::SoForall(*r, *k, Box::new(rewrite(g, ne, alpha, mode, gen)))
+            Formula::SoForall(*r, *k, Box::new(rewrite(g, ne, alpha, gen)))
         }
     }
 }
@@ -135,17 +115,15 @@ mod tests {
     fn positive_queries_unchanged() {
         let (voc, ne, alpha) = setup();
         let q = parse_query(&voc, "(x) . exists y. R(x, y) & M(y)").unwrap();
-        for mode in [AlphaMode::Materialized, AlphaMode::Lemma10] {
-            let qh = rewrite_query(&q, ne, &alpha, mode);
-            assert_eq!(qh, q, "positive query must be a fixpoint ({mode:?})");
-        }
+        let qh = rewrite_query(&q, ne, &alpha);
+        assert_eq!(qh, q, "positive query must be a fixpoint");
     }
 
     #[test]
     fn inequality_becomes_ne() {
         let (voc, ne, alpha) = setup();
         let q = parse_query(&voc, "(x, y) . R(x, y) & x != y").unwrap();
-        let qh = rewrite_query(&q, ne, &alpha, AlphaMode::Materialized);
+        let qh = rewrite_query(&q, ne, &alpha);
         let printed = qld_logic::display::display_query(&voc, &qh).to_string();
         assert!(printed.contains("NE("), "got {printed}");
         assert!(negation_free(qh.body()));
@@ -155,20 +133,9 @@ mod tests {
     fn negated_atom_becomes_alpha_scan() {
         let (voc, ne, alpha) = setup();
         let q = parse_query(&voc, "(x) . !M(x)").unwrap();
-        let qh = rewrite_query(&q, ne, &alpha, AlphaMode::Materialized);
+        let qh = rewrite_query(&q, ne, &alpha);
         let printed = qld_logic::display::display_query(&voc, &qh).to_string();
         assert_eq!(printed, "(x0) . ALPHA_M(x0)");
-    }
-
-    #[test]
-    fn lemma10_mode_builds_formula() {
-        let (voc, ne, alpha) = setup();
-        let q = parse_query(&voc, "(x) . !M(x)").unwrap();
-        let qh = rewrite_query(&q, ne, &alpha, AlphaMode::Lemma10);
-        assert!(negation_free(qh.body()));
-        // The α formula quantifies and mentions NE.
-        assert!(qh.body().size() > 10);
-        qh.check(&voc).unwrap();
     }
 
     #[test]
@@ -176,7 +143,7 @@ mod tests {
         let (voc, ne, alpha) = setup();
         // M(x) → R(x,x): the antecedent is implicitly negated.
         let q = parse_query(&voc, "(x) . M(x) -> R(x, x)").unwrap();
-        let qh = rewrite_query(&q, ne, &alpha, AlphaMode::Materialized);
+        let qh = rewrite_query(&q, ne, &alpha);
         assert!(negation_free(qh.body()));
         let printed = qld_logic::display::display_query(&voc, &qh).to_string();
         assert!(printed.contains("ALPHA_M"), "got {printed}");
@@ -186,7 +153,7 @@ mod tests {
     fn universal_quantifiers_survive() {
         let (voc, ne, alpha) = setup();
         let q = parse_query(&voc, "forall x. M(x) | !R(x, x)").unwrap();
-        let qh = rewrite_query(&q, ne, &alpha, AlphaMode::Materialized);
+        let qh = rewrite_query(&q, ne, &alpha);
         assert!(matches!(qh.body(), Formula::Forall(..)));
         assert!(negation_free(qh.body()));
     }
@@ -195,19 +162,19 @@ mod tests {
     fn second_order_negated_predvar_gets_alpha_formula() {
         let (voc, ne, alpha) = setup();
         let q = parse_query(&voc, "exists2 ?S:1. exists x. !?S(x) & M(x)").unwrap();
-        for mode in [AlphaMode::Materialized, AlphaMode::Lemma10] {
-            let qh = rewrite_query(&q, ne, &alpha, mode);
-            assert!(negation_free(qh.body()), "mode {mode:?}");
-            qh.check(&voc).unwrap();
-        }
+        let qh = rewrite_query(&q, ne, &alpha);
+        assert!(negation_free(qh.body()));
+        qh.check(&voc).unwrap();
+        // The α formula quantifies and mentions NE.
+        assert!(qh.body().size() > 10);
     }
 
     #[test]
     fn rewriting_is_idempotent_on_output() {
         let (voc, ne, alpha) = setup();
         let q = parse_query(&voc, "(x) . !M(x) & x != a").unwrap();
-        let qh = rewrite_query(&q, ne, &alpha, AlphaMode::Materialized);
-        let qhh = rewrite_query(&qh, ne, &alpha, AlphaMode::Materialized);
+        let qh = rewrite_query(&q, ne, &alpha);
+        let qhh = rewrite_query(&qh, ne, &alpha);
         assert_eq!(qh, qhh);
     }
 }

@@ -6,9 +6,9 @@
 //! five components: atomic fact axioms, uniqueness axioms `¬(cᵢ=cⱼ)`, the
 //! domain-closure axiom, and per-predicate completion axioms. As the paper
 //! notes, it suffices to store the facts and the uniqueness axioms — the
-//! rest is determined — and that is exactly what [`CwDatabase`] does (with
-//! [`CwDatabase::theory_sentences`] available to materialize the full
-//! theory for cross-checking).
+//! rest is determined — and that is exactly what [`CwDatabase`] does. The
+//! explicit theory, materialized for cross-checking, lives with the tests
+//! (`tests/support/oracle.rs`).
 //!
 //! The answer to a query is the set of *certain* tuples:
 //! `Q(LB) = { c ∈ C^|x| : T ⊨_f φ(c) }`.
@@ -17,10 +17,9 @@
 //! `h(c) ∈ Q(h(Ph₁(LB)))` for every `h : C → C` that respects the
 //! uniqueness axioms. Module [`mappings`] enumerates those `h` (one
 //! canonical representative per kernel partition, an isomorphism-invariance
-//! optimization documented in ARCHITECTURE.md — plus the raw enumeration
-//! Theorem 1 states); module [`exact`] implements the evaluation itself —
-//! one walk — with the Corollary 2 fast path for fully specified
-//! databases. The references that walk is tested against (Theorem 1
+//! optimization documented in ARCHITECTURE.md); module [`exact`]
+//! implements the evaluation itself — one walk — with the Corollary 2 fast
+//! path for fully specified databases. The references that walk is tested against (Theorem 1
 //! verbatim over every raw mapping, first-principles model enumeration
 //! over the *explicit* theory, and the Theorem 3 second-order simulation
 //! `Q(LB) = Q′(Ph₂(LB))`) live with the tests, in `tests/support/`.
@@ -47,7 +46,6 @@ pub use exact::{
     ExactOptions,
 };
 pub use mappings::ParallelConfig;
-pub use ph::Ph2;
 pub use theory::{CwDatabase, CwDatabaseBuilder, CwError};
 
 /// Renders an answer relation over `Ph₁`-style element ids (where element

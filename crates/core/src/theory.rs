@@ -1,7 +1,6 @@
 //! The CW logical database: facts + uniqueness axioms (§2.2).
 
-use qld_logic::builders::{completion_axiom, domain_closure_axiom, uniqueness_axiom, VarGen};
-use qld_logic::{ConstId, Formula, PredId, Term, Vocabulary};
+use qld_logic::{ConstId, PredId, Vocabulary};
 use qld_physical::Relation;
 use std::fmt;
 use std::sync::Arc;
@@ -205,38 +204,6 @@ impl CwDatabase {
                 Ok(true)
             }
         }
-    }
-
-    /// Materializes the full theory `T` as explicit sentences: atomic fact
-    /// axioms, uniqueness axioms, the domain-closure axiom, and one
-    /// completion axiom per predicate. Used by the model-enumeration
-    /// oracle and available for export.
-    pub fn theory_sentences(&self) -> Vec<Formula> {
-        let mut sentences = Vec::new();
-        for p in self.voc.preds() {
-            for t in self.facts(p).iter() {
-                sentences.push(Formula::atom(p, t.iter().map(|&e| Term::Const(ConstId(e)))));
-            }
-        }
-        for &(a, b) in self.ne_pairs.iter() {
-            sentences.push(uniqueness_axiom(ConstId(a), ConstId(b)));
-        }
-        let mut gen = VarGen::after(None);
-        sentences.push(domain_closure_axiom(&self.voc, &mut gen));
-        for p in self.voc.preds() {
-            let facts: Vec<Box<[ConstId]>> = self
-                .facts(p)
-                .iter()
-                .map(|t| t.iter().map(|&e| ConstId(e)).collect())
-                .collect();
-            sentences.push(completion_axiom(
-                p,
-                self.voc.pred_arity(p),
-                &facts,
-                &mut gen,
-            ));
-        }
-        sentences
     }
 }
 
@@ -573,26 +540,6 @@ mod tests {
             }
         }
         assert!(db.is_fully_specified());
-    }
-
-    #[test]
-    fn theory_sentences_shape() {
-        let voc = teaching_voc();
-        let s = voc.const_id("socrates").unwrap();
-        let p = voc.const_id("plato").unwrap();
-        let teaches = voc.pred_id("TEACHES").unwrap();
-        let db = CwDatabase::builder(voc)
-            .fact(teaches, &[s, p])
-            .unique(s, p)
-            .build()
-            .unwrap();
-        let sentences = db.theory_sentences();
-        // 1 fact + 1 uniqueness + 1 domain closure + 1 completion
-        assert_eq!(sentences.len(), 4);
-        for sentence in &sentences {
-            assert!(sentence.free_vars().is_empty());
-            sentence.check(db.voc()).unwrap();
-        }
     }
 
     #[test]

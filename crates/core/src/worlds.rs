@@ -7,10 +7,7 @@
 //! and possible tuples.
 
 use crate::exact::{certain_answers, possible_answers};
-use crate::mappings::{
-    count_kernel_mappings, for_each_kernel_mapping, for_each_kernel_mapping_over_parallel,
-    ParallelConfig,
-};
+use crate::mappings::{count_kernel_mappings, for_each_kernel_mapping};
 use crate::ph::ph1;
 use crate::theory::CwDatabase;
 use qld_logic::{LogicError, Query};
@@ -33,36 +30,6 @@ pub fn for_each_world(db: &CwDatabase, mut visit: impl FnMut(&PhysicalDb) -> boo
         image.assign_mapped_image(&base, h);
         visit(&image)
     })
-}
-
-/// Parallel [`for_each_world`]: one private state per worker (from
-/// `init`), every world visited by exactly one worker in its reusable
-/// per-worker image buffer, shared early exit when any `visit` returns
-/// `false`. Returns the worker states and whether the enumeration ran to
-/// completion. Merge the states order-independently and the result is
-/// deterministic regardless of thread count.
-pub fn for_each_world_parallel<S: Send>(
-    db: &CwDatabase,
-    config: ParallelConfig,
-    init: impl Fn(usize) -> S + Sync,
-    visit: impl Fn(&mut S, &PhysicalDb) -> bool + Sync,
-) -> (Vec<S>, bool) {
-    let base = ph1(db);
-    let members: Vec<u32> = (0..db.num_consts() as u32).collect();
-    let (states, completed) = for_each_kernel_mapping_over_parallel(
-        db,
-        &members,
-        config,
-        |w| (init(w), base.clone()),
-        |(state, image), h| {
-            image.assign_mapped_image(&base, h);
-            visit(state, image)
-        },
-    );
-    (
-        states.into_iter().map(|(state, _)| state).collect(),
-        completed,
-    )
 }
 
 /// Number of possible worlds up to isomorphism (Bell(|C|)-bounded;
@@ -111,7 +78,6 @@ mod tests {
     use super::*;
     use qld_logic::parser::parse_query;
     use qld_logic::Vocabulary;
-    use qld_physical::satisfies_all;
 
     fn teaching() -> CwDatabase {
         let mut voc = Vocabulary::new();
@@ -137,16 +103,6 @@ mod tests {
             true
         });
         assert_eq!(n, 4);
-    }
-
-    #[test]
-    fn every_world_satisfies_the_explicit_theory() {
-        let db = teaching();
-        let theory = db.theory_sentences();
-        for_each_world(&db, |world| {
-            assert!(satisfies_all(world, &theory));
-            true
-        });
     }
 
     #[test]
@@ -184,32 +140,6 @@ mod tests {
         let bounds = answer_bounds(&db, &q).unwrap();
         assert!(bounds.is_determined());
         assert!(bounds.uncertain().is_empty());
-    }
-
-    #[test]
-    fn parallel_worlds_match_sequential() {
-        let db = teaching();
-        let theory = db.theory_sentences();
-        let mut seq = std::collections::HashSet::new();
-        for_each_world(&db, |w| {
-            seq.insert(format!("{w:?}"));
-            true
-        });
-        for threads in [1usize, 2, 4] {
-            let (states, completed) = for_each_world_parallel(
-                &db,
-                crate::mappings::ParallelConfig::new(threads),
-                |_| Vec::new(),
-                |worlds: &mut Vec<String>, w| {
-                    assert!(satisfies_all(w, &theory));
-                    worlds.push(format!("{w:?}"));
-                    true
-                },
-            );
-            assert!(completed);
-            let par: std::collections::HashSet<String> = states.into_iter().flatten().collect();
-            assert_eq!(par, seq, "threads={threads}");
-        }
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //!   ends at `k`, not at the writer's epoch, so it is never stretched
 //!   over a delta nobody tested it against — the next `advance` drops it.
 //!
-//! Every other input that could change an answer — backend, alpha mode,
-//! NE store, Corollary 2 toggle, mapping budget — is fixed at engine
-//! construction and needs no spot in the key; the answer-irrelevant knobs
-//! (parallelism, default semantics) are deliberately excluded.
+//! Every other input that could change an answer — the Corollary 2
+//! toggle and the mapping budget — is fixed at engine construction and
+//! needs no spot in the key; the answer-irrelevant knobs (parallelism,
+//! default semantics) are deliberately excluded.
 //!
 //! Entries are spread over [`SHARD_COUNT`] independently locked LRUs by
 //! fingerprint, so concurrent readers rarely meet on a lock; capacity is

@@ -7,13 +7,14 @@
 //! * [`gamma_edge`] — the edge formula `γ_{x,y}(u,v)` that turns the
 //!   disagreement graph `G_{x,y}` into a definable relation;
 //! * [`alpha_p`] — the provable-disagreement formula `α_P(x)` of Lemma 10,
-//!   of size `O(k log k)` for a `k`-ary predicate;
-//! * [`domain_closure_axiom`], [`completion_axiom`], [`uniqueness_axiom`] —
-//!   the explicit sentences of §2.2, used by the model-enumeration oracle
-//!   (the engine itself keeps them implicit, as the paper notes one may).
+//!   of size `O(k log k)` for a `k`-ary predicate.
+//!
+//! The explicit sentences of §2.2 (domain closure, completion, uniqueness)
+//! are not built here: the engine keeps them implicit, as the paper notes
+//! one may, and only the tests' model-enumeration oracle spells them out.
 
 use crate::formula::Formula;
-use crate::symbols::{ConstId, PredId, Var, Vocabulary};
+use crate::symbols::{PredId, Var};
 use crate::term::Term;
 
 /// Allocator for globally fresh variables, seeded past every variable in
@@ -156,63 +157,10 @@ fn alpha_generic(
     Formula::forall(ys.clone(), Formula::implies(atom(y_terms), exists_witness))
 }
 
-/// The domain-closure axiom of §2.2: `∀x (x=c₁ ∨ … ∨ x=cₙ)`.
-///
-/// Panics if the vocabulary has no constants (a CW database always has a
-/// nonempty domain, matching §2.1's requirement).
-pub fn domain_closure_axiom(voc: &Vocabulary, gen: &mut VarGen) -> Formula {
-    assert!(
-        voc.num_consts() > 0,
-        "domain-closure axiom requires at least one constant symbol"
-    );
-    let x = gen.fresh();
-    Formula::Forall(
-        x,
-        Box::new(Formula::or(
-            voc.consts()
-                .map(|c| Formula::Eq(Term::Var(x), Term::Const(c)))
-                .collect(),
-        )),
-    )
-}
-
-/// The completion axiom of §2.2 for predicate `p` with the given facts:
-/// `∀x (P(x) → x=c¹ ∨ … ∨ x=cᵐ)`, or `∀x ¬P(x)` when there are no facts.
-pub fn completion_axiom(
-    p: PredId,
-    arity: usize,
-    facts: &[Box<[ConstId]>],
-    gen: &mut VarGen,
-) -> Formula {
-    let xs: Vec<Var> = (0..arity).map(|_| gen.fresh()).collect();
-    let x_terms: Vec<Term> = xs.iter().map(|v| Term::Var(*v)).collect();
-    let atom = Formula::atom(p, x_terms.iter().copied());
-    if facts.is_empty() {
-        return Formula::forall(xs, Formula::not(atom));
-    }
-    let disjuncts: Vec<Formula> = facts
-        .iter()
-        .map(|tuple| {
-            Formula::and(
-                tuple
-                    .iter()
-                    .zip(x_terms.iter())
-                    .map(|(c, x)| Formula::Eq(*x, Term::Const(*c)))
-                    .collect(),
-            )
-        })
-        .collect();
-    Formula::forall(xs, Formula::implies(atom, Formula::or(disjuncts)))
-}
-
-/// A uniqueness axiom `¬(cᵢ = cⱼ)` of §2.2.
-pub fn uniqueness_axiom(ci: ConstId, cj: ConstId) -> Formula {
-    Formula::neq(Term::Const(ci), Term::Const(cj))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbols::Vocabulary;
 
     #[test]
     fn reachability_size_is_logarithmic() {
@@ -293,49 +241,5 @@ mod tests {
                 "size {s} too large for arity {k}"
             );
         }
-    }
-
-    #[test]
-    fn domain_closure_shape() {
-        let mut voc = Vocabulary::new();
-        voc.add_consts(["a", "b", "c"]).unwrap();
-        let mut gen = VarGen::after(None);
-        let f = domain_closure_axiom(&voc, &mut gen);
-        assert!(f.free_vars().is_empty());
-        match &f {
-            Formula::Forall(_, inner) => match &**inner {
-                Formula::Or(parts) => assert_eq!(parts.len(), 3),
-                other => panic!("expected Or, got {other:?}"),
-            },
-            other => panic!("expected Forall, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn completion_axiom_empty_facts() {
-        let mut voc = Vocabulary::new();
-        voc.add_const("a").unwrap();
-        let p = voc.add_pred("P", 1).unwrap();
-        let mut gen = VarGen::after(None);
-        let f = completion_axiom(p, 1, &[], &mut gen);
-        // ∀x ¬P(x)
-        match &f {
-            Formula::Forall(_, inner) => assert!(matches!(**inner, Formula::Not(_))),
-            other => panic!("expected Forall, got {other:?}"),
-        }
-        f.check(&voc).unwrap();
-    }
-
-    #[test]
-    fn completion_axiom_with_facts() {
-        let mut voc = Vocabulary::new();
-        let a = voc.add_const("a").unwrap();
-        let b = voc.add_const("b").unwrap();
-        let p = voc.add_pred("P", 2).unwrap();
-        let mut gen = VarGen::after(None);
-        let facts: Vec<Box<[ConstId]>> = vec![vec![a, b].into_boxed_slice()];
-        let f = completion_axiom(p, 2, &facts, &mut gen);
-        f.check(&voc).unwrap();
-        assert!(f.free_vars().is_empty());
     }
 }

@@ -13,7 +13,7 @@
 //! | [`logic`] | vocabularies, first-/second-order formulas and queries, NNF, parser, Lemma 10 formula builders |
 //! | [`physical`] | physical databases (interpretations) and Tarskian evaluation (§2.1) |
 //! | [`core`] | CW logical databases, Theorem 1 exact evaluation, Corollary 2 fast path |
-//! | [`approx`] | the §5 approximation: `Q ↦ Q̂`, `α_P`, virtual `NE`, completeness predicates |
+//! | [`approx`] | the §5 approximation: `Q ↦ Q̂`, `α_P`, `Ph₂(LB)` with its `NE` relation, completeness predicates |
 //! | [`engine`] | **the front door**: the unified [`Engine`](prelude::Engine) session API — prepared queries, four semantics, exactness certificates |
 //! | [`server`] | the TCP network front-end: a std-only line-protocol server over [`SharedEngine`](prelude::SharedEngine) plus the blocking [`Client`](prelude::Client) |
 //!
@@ -67,7 +67,7 @@ pub use qld_server as server;
 /// The most common imports in one place, centred on the [`engine::Engine`]
 /// session API.
 pub mod prelude {
-    pub use qld_approx::{ApproxEngine, CompletenessTheorem, NeStore};
+    pub use qld_approx::{ApproxEngine, CompletenessTheorem};
     pub use qld_core::textio::{from_text, to_text};
     pub use qld_core::worlds::{answer_bounds, count_worlds, for_each_world, AnswerBounds};
     pub use qld_core::{answer_names, CwDatabase};

@@ -3,10 +3,14 @@
 //! NNF with the original formula — over image databases `h(Ph₁(LB))`,
 //! which exercise merged constants and shrunken domains.
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::apply_mapping;
 use qld_algebra::{compile_query, execute, optimize, ExecOptions, JoinAlgo};
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::core::mappings::for_each_kernel_mapping;
-use querying_logical_databases::core::ph::{apply_mapping, ph1};
+use querying_logical_databases::core::ph::ph1;
 use querying_logical_databases::logic::nnf::{is_nnf, to_nnf};
 use querying_logical_databases::logic::Query;
 use querying_logical_databases::physical::eval_query;

@@ -13,11 +13,16 @@ use querying_logical_databases::core::exact::{
     certain_answers_with, possible_answers_with, AnswerMode, ExactOptions,
 };
 use querying_logical_databases::core::mappings::{
-    count_kernel_mappings, count_kernel_mappings_up_to,
+    count_kernel_mappings, count_kernel_mappings_up_to, for_each_kernel_mapping, respects,
 };
+use querying_logical_databases::core::ph::ph1;
+use querying_logical_databases::core::worlds::for_each_world;
 use querying_logical_databases::core::{certain_answers, CwDatabase};
+use querying_logical_databases::logic::builders::VarGen;
 use querying_logical_databases::logic::parser::parse_query;
-use querying_logical_databases::logic::{ConstId, QueryClass, Vocabulary};
+use querying_logical_databases::logic::{ConstId, Formula, QueryClass, Vocabulary};
+use querying_logical_databases::physical::{satisfies_all, Elem};
+use std::collections::HashSet;
 
 fn kernels() -> ExactOptions {
     ExactOptions {
@@ -462,4 +467,207 @@ fn closed_form_bounded_count_matches_enumeration() {
             "limit={limit}"
         );
     }
+}
+
+// The moved reference items' own checks: the raw-mapping walk, `h(Ph₁)`
+// and the explicit theory.
+
+#[test]
+fn unconstrained_counts() {
+    // n^n mappings, Bell(n) kernels.
+    for (n, raw, bell) in [(1, 1u64, 1u64), (2, 4, 2), (3, 27, 5), (4, 256, 15)] {
+        let db = db_with(n, &[]);
+        assert_eq!(oracle::count_respecting_mappings(&db), raw, "n={n}");
+        assert_eq!(count_kernel_mappings(&db), bell, "n={n}");
+    }
+}
+
+#[test]
+fn fully_specified_counts() {
+    // All pairs distinct: respecting mappings are the n! injections; only
+    // one kernel (the discrete partition).
+    let db = db_with(3, &[(0, 1), (0, 2), (1, 2)]);
+    assert_eq!(oracle::count_respecting_mappings(&db), 6);
+    assert_eq!(count_kernel_mappings(&db), 1);
+}
+
+#[test]
+fn single_constraint() {
+    // n=3, NE(0,1): raw = 27 − |h(0)=h(1)| = 27 − 9 = 18.
+    // Kernels: partitions of {0,1,2} separating 0 and 1:
+    // {0}{1}{2}, {0,2}{1}, {0}{1,2} → 3.
+    let db = db_with(3, &[(0, 1)]);
+    assert_eq!(oracle::count_respecting_mappings(&db), 18);
+    assert_eq!(count_kernel_mappings(&db), 3);
+}
+
+#[test]
+fn every_raw_mapping_respects() {
+    let db = db_with(4, &[(0, 1), (2, 3)]);
+    let complete = oracle::for_each_respecting_mapping(&db, |h| {
+        assert!(respects(&db, h));
+        true
+    });
+    assert!(complete);
+}
+
+#[test]
+fn early_exit_works() {
+    let db = db_with(3, &[]);
+    let mut n = 0;
+    let completed = oracle::for_each_respecting_mapping(&db, |_| {
+        n += 1;
+        n < 5
+    });
+    assert!(!completed);
+    assert_eq!(n, 5);
+}
+
+#[test]
+fn kernel_set_equals_raw_kernel_set() {
+    // The set of kernels of raw respecting mappings equals the set of
+    // enumerated kernel partitions.
+    let db = db_with(4, &[(0, 3), (1, 3)]);
+    let kernel_of = |h: &[Elem]| -> Vec<u32> {
+        // canonical kernel encoding: block id = first occurrence index
+        let mut ids: Vec<u32> = Vec::new();
+        let mut seen: Vec<(Elem, u32)> = Vec::new();
+        for &v in h {
+            match seen.iter().find(|(e, _)| *e == v) {
+                Some((_, id)) => ids.push(*id),
+                None => {
+                    let id = seen.len() as u32;
+                    seen.push((v, id));
+                    ids.push(id);
+                }
+            }
+        }
+        ids
+    };
+    let mut raw_kernels = HashSet::new();
+    oracle::for_each_respecting_mapping(&db, |h| {
+        raw_kernels.insert(kernel_of(h));
+        true
+    });
+    let mut canon_kernels = HashSet::new();
+    for_each_kernel_mapping(&db, |h| {
+        canon_kernels.insert(kernel_of(h));
+        true
+    });
+    assert_eq!(raw_kernels, canon_kernels);
+}
+
+/// `a`, `b`, `c`; `R(a, b)`, `R(b, c)`; `a ≠ b`.
+fn sample() -> CwDatabase {
+    let mut voc = Vocabulary::new();
+    let ids = voc.add_consts(["a", "b", "c"]).unwrap();
+    let r = voc.add_pred("R", 2).unwrap();
+    CwDatabase::builder(voc)
+        .fact(r, &[ids[0], ids[1]])
+        .fact(r, &[ids[1], ids[2]])
+        .unique(ids[0], ids[1])
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn apply_identity_mapping_is_ph1() {
+    let db = sample();
+    assert_eq!(oracle::apply_mapping(&db, &[0, 1, 2]), ph1(&db));
+}
+
+#[test]
+fn apply_collapsing_mapping() {
+    let db = sample();
+    // Merge c into b (allowed: only a≠b is an axiom).
+    let pdb = oracle::apply_mapping(&db, &[0, 1, 1]);
+    assert_eq!(pdb.domain(), &[0, 1]);
+    let r = db.voc().pred_id("R").unwrap();
+    assert!(pdb.relation(r).contains(&[0, 1]));
+    assert!(pdb.relation(r).contains(&[1, 1]));
+    assert_eq!(pdb.relation(r).len(), 2);
+}
+
+#[test]
+fn assign_mapped_image_matches_apply_mapping() {
+    let db = sample();
+    let base = ph1(&db);
+    let mut image = base.clone();
+    for h in [[0u32, 1, 2], [0, 1, 1], [0, 1, 0], [2, 0, 0]] {
+        image.assign_mapped_image(&base, &h);
+        assert_eq!(image, oracle::apply_mapping(&db, &h), "mapping {h:?}");
+    }
+}
+
+#[test]
+fn theory_sentences_shape() {
+    let mut voc = Vocabulary::new();
+    let ids = voc.add_consts(["socrates", "plato", "aristotle"]).unwrap();
+    let teaches = voc.add_pred("TEACHES", 2).unwrap();
+    let db = CwDatabase::builder(voc)
+        .fact(teaches, &[ids[0], ids[1]])
+        .unique(ids[0], ids[1])
+        .build()
+        .unwrap();
+    let sentences = oracle::theory_sentences(&db);
+    // 1 fact + 1 uniqueness + 1 domain closure + 1 completion
+    assert_eq!(sentences.len(), 4);
+    for sentence in &sentences {
+        assert!(sentence.free_vars().is_empty());
+        sentence.check(db.voc()).unwrap();
+    }
+}
+
+#[test]
+fn every_world_satisfies_the_explicit_theory() {
+    let db = teaching();
+    let theory = oracle::theory_sentences(&db);
+    for_each_world(&db, |world| {
+        assert!(satisfies_all(world, &theory));
+        true
+    });
+}
+
+#[test]
+fn domain_closure_shape() {
+    let mut voc = Vocabulary::new();
+    voc.add_consts(["a", "b", "c"]).unwrap();
+    let mut gen = VarGen::after(None);
+    let f = oracle::domain_closure_axiom(&voc, &mut gen);
+    assert!(f.free_vars().is_empty());
+    match &f {
+        Formula::Forall(_, inner) => match &**inner {
+            Formula::Or(parts) => assert_eq!(parts.len(), 3),
+            other => panic!("expected Or, got {other:?}"),
+        },
+        other => panic!("expected Forall, got {other:?}"),
+    }
+}
+
+#[test]
+fn completion_axiom_empty_facts() {
+    let mut voc = Vocabulary::new();
+    voc.add_const("a").unwrap();
+    let p = voc.add_pred("P", 1).unwrap();
+    let mut gen = VarGen::after(None);
+    let f = oracle::completion_axiom(p, 1, &[], &mut gen);
+    // ∀x ¬P(x)
+    match &f {
+        Formula::Forall(_, inner) => assert!(matches!(**inner, Formula::Not(_))),
+        other => panic!("expected Forall, got {other:?}"),
+    }
+    f.check(&voc).unwrap();
+}
+
+#[test]
+fn completion_axiom_with_facts() {
+    let mut voc = Vocabulary::new();
+    let a = voc.add_const("a").unwrap();
+    let b = voc.add_const("b").unwrap();
+    let p = voc.add_pred("P", 2).unwrap();
+    let mut gen = VarGen::after(None);
+    let facts: Vec<Box<[ConstId]>> = vec![vec![a, b].into_boxed_slice()];
+    let f = oracle::completion_axiom(p, 2, &facts, &mut gen);
+    f.check(&voc).unwrap();
+    assert!(f.free_vars().is_empty());
 }

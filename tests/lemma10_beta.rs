@@ -2,13 +2,14 @@
 //!
 //! * the `O(log n)` reachability formula `β` against a BFS oracle, both
 //!   for full reachability and for bounded path lengths;
-//! * the syntactic `α_P(x)` formula evaluated on `Ph₂(LB)` against the
-//!   union-find disagreement test, tuple by tuple (sharper than the
-//!   whole-query comparisons elsewhere).
+//! * the syntactic `α_P(x)` formula evaluated on `Ph₂(LB)` (the §5
+//!   engine's extended database; the formula mentions only `P` and `NE`)
+//!   against the union-find disagreement test, tuple by tuple (sharper
+//!   than the whole-query comparisons elsewhere).
 
 use qld_workloads::{random_cw_db, DbGenConfig};
 use querying_logical_databases::approx::disagree::disagrees;
-use querying_logical_databases::core::ph::ph2;
+use querying_logical_databases::approx::ApproxEngine;
 use querying_logical_databases::logic::builders::{alpha_p, reachability, VarGen};
 use querying_logical_databases::logic::{Formula, Term, Var, Vocabulary};
 use querying_logical_databases::physical::{Evaluator, PhysicalDb, TupleSpace};
@@ -94,17 +95,23 @@ fn syntactic_alpha_matches_disagreement_tuplewise() {
             extra_ne_pairs: 1,
             seed,
         });
-        let extended = ph2(&cw);
+        let extended = ApproxEngine::new(&cw);
         let p = cw.voc().pred_id("P0").unwrap();
         let (x0, x1) = (Var(0), Var(1));
         let mut gen = VarGen::after(Some(x1));
-        let formula = alpha_p(p, 2, extended.ne, &[Term::Var(x0), Term::Var(x1)], &mut gen);
-        formula.check(&extended.voc).unwrap();
+        let formula = alpha_p(
+            p,
+            2,
+            extended.ne_pred(),
+            &[Term::Var(x0), Term::Var(x1)],
+            &mut gen,
+        );
+        formula.check(extended.extended_voc()).unwrap();
 
         let consts: Vec<u32> = (0..cw.num_consts() as u32).collect();
         for tuple in TupleSpace::new(&consts, 2) {
             let semantic = cw.facts(p).iter().all(|d| disagrees(&cw, &tuple, d));
-            let mut ev = Evaluator::new(&extended.db, &formula);
+            let mut ev = Evaluator::new(extended.extended_db(), &formula);
             ev.bind(x0, tuple[0]);
             ev.bind(x1, tuple[1]);
             let syntactic = ev.eval(&formula);
@@ -129,18 +136,18 @@ fn alpha_with_constants_and_repeated_vars() {
             extra_ne_pairs: 1,
             seed,
         });
-        let extended = ph2(&cw);
+        let extended = ApproxEngine::new(&cw);
         let p = cw.voc().pred_id("P0").unwrap();
         let x = Var(0);
         let c0 = querying_logical_databases::logic::ConstId(0);
         let mut gen = VarGen::after(Some(x));
         let args = [Term::Const(c0), Term::Var(x), Term::Var(x)];
-        let formula = alpha_p(p, 3, extended.ne, &args, &mut gen);
-        formula.check(&extended.voc).unwrap();
+        let formula = alpha_p(p, 3, extended.ne_pred(), &args, &mut gen);
+        formula.check(extended.extended_voc()).unwrap();
         for e in 0..cw.num_consts() as u32 {
             let grounded = [0u32, e, e];
             let semantic = cw.facts(p).iter().all(|d| disagrees(&cw, &grounded, d));
-            let mut ev = Evaluator::new(&extended.db, &formula);
+            let mut ev = Evaluator::new(extended.extended_db(), &formula);
             ev.bind(x, e);
             assert_eq!(
                 ev.eval(&formula),

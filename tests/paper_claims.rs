@@ -13,19 +13,19 @@
 //! (`differential.rs`, `approximation.rs`, `reductions_random.rs`, …); a
 //! claim here only adds what no other test pins.
 
+#[path = "support/ne_store.rs"]
+mod ne_store;
 #[path = "support/oracle.rs"]
 mod oracle;
 
-use oracle::answers_by_raw_mappings;
+use ne_store::NeStore;
+use oracle::{answers_by_raw_mappings, count_respecting_mappings};
 use qld_algebra::{compile_query, compile_query_ordered, execute, optimize, ExecOptions};
 use qld_reductions::three_color::reduce;
 use qld_reductions::Graph;
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
-use querying_logical_databases::approx::NeStore;
 use querying_logical_databases::core::exact::{certain_answers_with, AnswerMode, ExactOptions};
-use querying_logical_databases::core::mappings::{
-    count_kernel_mappings, count_respecting_mappings,
-};
+use querying_logical_databases::core::mappings::count_kernel_mappings;
 use querying_logical_databases::core::ph::ph1;
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::parser::parse_query;

@@ -5,16 +5,21 @@
 #[macro_use]
 #[path = "support/cases.rs"]
 mod cases;
+#[path = "support/ne_store.rs"]
+mod ne_store;
+#[path = "support/oracle.rs"]
+mod oracle;
 #[path = "support/scenario.rs"]
 mod scenario;
 
 use cases::Case;
+use ne_store::NeStore;
+use oracle::{count_respecting_mappings, theory_sentences};
 use qld_workloads::{random_cw_db, random_query, DbGenConfig, QueryFragment, QueryGenConfig};
 use querying_logical_databases::approx::disagree::disagrees;
-use querying_logical_databases::approx::NeStore;
 use querying_logical_databases::core::codec::{decode, encode};
 use querying_logical_databases::core::mappings::{
-    count_kernel_mappings, count_respecting_mappings, for_each_kernel_mapping, respects,
+    count_kernel_mappings, for_each_kernel_mapping, respects,
 };
 use querying_logical_databases::core::textio::{from_text, to_text};
 use querying_logical_databases::core::worlds::{count_worlds, for_each_world};
@@ -65,7 +70,7 @@ fn qld_satisfies_theory(
     db: &CwDatabase,
     world: &querying_logical_databases::physical::PhysicalDb,
 ) -> bool {
-    querying_logical_databases::physical::satisfies_all(world, &db.theory_sentences())
+    querying_logical_databases::physical::satisfies_all(world, &theory_sentences(db))
 }
 
 /// Builds a CW database with `n` constants and the given uniqueness pairs

@@ -1,7 +1,8 @@
 //! The reference walks the certain-answer evaluator is tested against:
 //! an independent model-enumeration oracle for the certain-answer
-//! semantics, Theorem 1 verbatim over every raw mapping, and the kernel
-//! count by enumeration. Include by `#[path]` as `mod oracle`.
+//! semantics over the explicit theory of §2.2, Theorem 1 verbatim over
+//! every raw mapping, and the kernel count by enumeration. Include by
+//! `#[path]` as `mod oracle`.
 //!
 //! `Q(LB) = { c : T ⊨_f φ(c) }` is defined by quantification over *all
 //! finite models* of `T`. This module re-derives answers from that raw
@@ -15,8 +16,7 @@
 //!    relations over the resulting domain — a strict superset of the
 //!    models;
 //! 3. keep the structures that satisfy the **explicit** theory
-//!    (`CwDatabase::theory_sentences`) under the generic
-//!    first-order evaluator;
+//!    ([`theory_sentences`]) under the generic first-order evaluator;
 //! 4. intersect query answers across the survivors.
 //!
 //! Doubly exponential; usable only on the tiny instances the differential
@@ -24,22 +24,173 @@
 //!
 //! A second, cheaper reference sits one step closer to the production
 //! walk: [`answers_by_raw_mappings`] takes Theorem 1 exactly as stated —
-//! every respecting `h`, no kernel canonicalization, no free-null collapse
-//! — with its own candidate list and a fresh [`apply_mapping`] image per
-//! mapping, so it shares no logic with the `qld_core::exact` walk it
-//! checks.
+//! every respecting `h` ([`for_each_respecting_mapping`], with its own NE
+//! check), no kernel canonicalization, no free-null collapse — with its
+//! own candidate list and a fresh [`apply_mapping`] image per mapping, so
+//! it shares no logic with the `qld_core::exact` walk it checks.
 
 #![allow(dead_code)]
 
-use querying_logical_databases::core::mappings::{
-    for_each_kernel_mapping, for_each_respecting_mapping,
-};
-use querying_logical_databases::core::ph::apply_mapping;
+use querying_logical_databases::core::mappings::for_each_kernel_mapping;
 use querying_logical_databases::core::{AnswerMode, CwDatabase};
-use querying_logical_databases::logic::{Formula, LogicError, PredId, Query};
+use querying_logical_databases::logic::builders::VarGen;
+use querying_logical_databases::logic::{
+    ConstId, Formula, LogicError, PredId, Query, Term, Var, Vocabulary,
+};
 use querying_logical_databases::physical::{
     eval_query, satisfies_all, tuples::for_each_relation, Elem, PhysicalDb, Relation, TupleSpace,
 };
+
+/// The domain-closure axiom of §2.2: `∀x (x=c₁ ∨ … ∨ x=cₙ)`.
+///
+/// Panics if the vocabulary has no constants (a CW database always has a
+/// nonempty domain, matching §2.1's requirement).
+pub fn domain_closure_axiom(voc: &Vocabulary, gen: &mut VarGen) -> Formula {
+    assert!(
+        voc.num_consts() > 0,
+        "domain-closure axiom requires at least one constant symbol"
+    );
+    let x = gen.fresh();
+    Formula::Forall(
+        x,
+        Box::new(Formula::or(
+            voc.consts()
+                .map(|c| Formula::Eq(Term::Var(x), Term::Const(c)))
+                .collect(),
+        )),
+    )
+}
+
+/// The completion axiom of §2.2 for predicate `p` with the given facts:
+/// `∀x (P(x) → x=c¹ ∨ … ∨ x=cᵐ)`, or `∀x ¬P(x)` when there are no facts.
+pub fn completion_axiom(
+    p: PredId,
+    arity: usize,
+    facts: &[Box<[ConstId]>],
+    gen: &mut VarGen,
+) -> Formula {
+    let xs: Vec<Var> = (0..arity).map(|_| gen.fresh()).collect();
+    let x_terms: Vec<Term> = xs.iter().map(|v| Term::Var(*v)).collect();
+    let atom = Formula::atom(p, x_terms.iter().copied());
+    if facts.is_empty() {
+        return Formula::forall(xs, Formula::not(atom));
+    }
+    let disjuncts: Vec<Formula> = facts
+        .iter()
+        .map(|tuple| {
+            Formula::and(
+                tuple
+                    .iter()
+                    .zip(x_terms.iter())
+                    .map(|(c, x)| Formula::Eq(*x, Term::Const(*c)))
+                    .collect(),
+            )
+        })
+        .collect();
+    Formula::forall(xs, Formula::implies(atom, Formula::or(disjuncts)))
+}
+
+/// A uniqueness axiom `¬(cᵢ = cⱼ)` of §2.2.
+pub fn uniqueness_axiom(ci: ConstId, cj: ConstId) -> Formula {
+    Formula::neq(Term::Const(ci), Term::Const(cj))
+}
+
+/// Materializes the full theory `T` of `db` as explicit sentences: atomic
+/// fact axioms, uniqueness axioms, the domain-closure axiom, and one
+/// completion axiom per predicate.
+pub fn theory_sentences(db: &CwDatabase) -> Vec<Formula> {
+    let voc = db.voc();
+    let mut sentences = Vec::new();
+    for p in voc.preds() {
+        for t in db.facts(p).iter() {
+            sentences.push(Formula::atom(p, t.iter().map(|&e| Term::Const(ConstId(e)))));
+        }
+    }
+    for &(a, b) in db.ne_pairs() {
+        sentences.push(uniqueness_axiom(ConstId(a), ConstId(b)));
+    }
+    let mut gen = VarGen::after(None);
+    sentences.push(domain_closure_axiom(voc, &mut gen));
+    for p in voc.preds() {
+        let facts: Vec<Box<[ConstId]>> = db
+            .facts(p)
+            .iter()
+            .map(|t| t.iter().map(|&e| ConstId(e)).collect())
+            .collect();
+        sentences.push(completion_axiom(p, voc.pred_arity(p), &facts, &mut gen));
+    }
+    sentences
+}
+
+/// Applies a mapping `h : C → C` (given as `h[i] = h(ConstId(i))`) to
+/// `Ph₁(LB)`, producing `h(Ph₁(LB))`: the domain is `h(C)`, each constant
+/// `c` is interpreted as `h(c)`, and each relation is `h(I(P))`.
+pub fn apply_mapping(db: &CwDatabase, h: &[Elem]) -> PhysicalDb {
+    debug_assert_eq!(h.len(), db.num_consts());
+    let mut builder = PhysicalDb::builder(db.voc()).domain(h.iter().copied());
+    for c in db.voc().consts() {
+        builder = builder.constant(c, h[c.index()]);
+    }
+    for p in db.voc().preds() {
+        builder = builder.relation(p, db.facts(p).map_elems(|e| h[e as usize]));
+    }
+    builder
+        .build()
+        .expect("image of Ph1 under a total mapping is a valid interpretation")
+}
+
+/// Enumerates every mapping `h : C → C` respecting the uniqueness axioms
+/// — all `≤ |C|^|C|` of them, by backtracking with a forward check
+/// against each constant's smaller NE neighbours — invoking `visit(h)` on
+/// each (as a slice `h[i] = h(ConstId(i))`). Returns `false` iff `visit`
+/// stopped the enumeration early.
+pub fn for_each_respecting_mapping(
+    db: &CwDatabase,
+    mut visit: impl FnMut(&[Elem]) -> bool,
+) -> bool {
+    let n = db.num_consts();
+    let mut smaller = vec![Vec::new(); n];
+    for &(a, b) in db.ne_pairs() {
+        // normalized a < b
+        smaller[b as usize].push(a);
+    }
+    let mut h: Vec<Elem> = vec![0; n];
+    raw_rec(0, &mut h, &smaller, &mut visit)
+}
+
+/// The backtracking recursion from position `pos`: all earlier positions
+/// of `h` are already assigned. Returns `false` iff `visit` stopped.
+fn raw_rec(
+    pos: usize,
+    h: &mut [Elem],
+    smaller: &[Vec<Elem>],
+    visit: &mut dyn FnMut(&[Elem]) -> bool,
+) -> bool {
+    if pos == h.len() {
+        return visit(h);
+    }
+    for v in 0..h.len() as Elem {
+        if smaller[pos].iter().any(|&j| h[j as usize] == v) {
+            continue;
+        }
+        h[pos] = v;
+        if !raw_rec(pos + 1, h, smaller, visit) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Counts the respecting mappings (`|C|^|C|` when there are no uniqueness
+/// axioms).
+pub fn count_respecting_mappings(db: &CwDatabase) -> u64 {
+    let mut count = 0u64;
+    for_each_respecting_mapping(db, |_| {
+        count += 1;
+        true
+    });
+    count
+}
 
 /// Hard cap on the enumeration size so a mistaken call fails loudly
 /// instead of running for hours.
@@ -64,7 +215,7 @@ pub fn certain_answers_oracle(db: &CwDatabase, query: &Query) -> Result<Relation
         "oracle instance too large: {} structures",
         enumeration_size(db)
     );
-    let theory: Vec<Formula> = db.theory_sentences();
+    let theory: Vec<Formula> = theory_sentences(db);
     let n = db.num_consts();
     let consts: Vec<Elem> = (0..n as Elem).collect();
     let arity = query.arity();

@@ -24,7 +24,7 @@
 
 #![allow(dead_code)]
 
-use querying_logical_databases::core::ph::{ph2, Ph2};
+use querying_logical_databases::approx::ApproxEngine;
 use querying_logical_databases::core::CwDatabase;
 use querying_logical_databases::logic::builders::VarGen;
 use querying_logical_databases::logic::{Formula, LogicError, PredVarId, Query, Term, Var};
@@ -33,8 +33,9 @@ use querying_logical_databases::physical::{eval_query, Relation};
 /// The output of the Theorem 3 construction.
 #[derive(Debug, Clone)]
 pub struct PreciseSimulation {
-    /// The extended physical database `Ph₂(LB)`.
-    pub ph2: Ph2,
+    /// `Ph₂(LB)`, as the §5 engine builds it: its `extended_db()` holds
+    /// `L′ = L + NE` (and `α_P` relations that `Q′` never mentions).
+    pub ph2: ApproxEngine,
     /// The second-order query `Q′` over `L′`.
     pub query: Query,
 }
@@ -110,8 +111,8 @@ fn relativize(f: &Formula, h: PredVarId, gen: &mut VarGen) -> Formula {
 /// Builds `Ph₂(LB)` and `Q′` per Theorem 3.
 pub fn build(db: &CwDatabase, query: &Query) -> Result<PreciseSimulation, LogicError> {
     query.check(db.voc())?;
-    let extended = ph2(db);
-    let ne = extended.ne;
+    let extended = ApproxEngine::new(db);
+    let ne = extended.ne_pred();
     let m = db.voc().num_preds();
 
     // Fresh second-order variables: H, then one P′ per vocabulary
@@ -252,7 +253,7 @@ pub fn build(db: &CwDatabase, query: &Query) -> Result<PreciseSimulation, LogicE
     }
     body = Formula::SoForall(h, 2, Box::new(body));
     let q_prime = Query::new(zs, body)?;
-    q_prime.check(&extended.voc)?;
+    q_prime.check(extended.extended_voc())?;
     Ok(PreciseSimulation {
         ph2: extended,
         query: q_prime,
@@ -266,5 +267,5 @@ pub fn build(db: &CwDatabase, query: &Query) -> Result<PreciseSimulation, LogicE
 /// `qld_core::certain_answers`.
 pub fn evaluate(db: &CwDatabase, query: &Query) -> Result<Relation, LogicError> {
     let sim = build(db, query)?;
-    Ok(eval_query(&sim.ph2.db, &sim.query))
+    Ok(eval_query(sim.ph2.extended_db(), &sim.query))
 }
